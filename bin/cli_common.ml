@@ -150,6 +150,12 @@ let checker_arg =
 let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable report.")
 
+let append_json path line =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  output_string oc line;
+  output_char oc '\n';
+  close_out oc
+
 let json_path_arg ~doc =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
 

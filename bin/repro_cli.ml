@@ -346,10 +346,10 @@ let check_cmd =
               (String.concat ", "
                  (List.map Sweep.Packed_type.key monitored)) )
     | Some kind -> (
-        let t0 = Unix.gettimeofday () in
+        let t0 = Core.Clock.now_s () in
         let ops = M.generate ~seed ~n:count () in
         let ops, injected = if inject then M.corrupt ops else (ops, false) in
-        let gen_s = Unix.gettimeofday () -. t0 in
+        let gen_s = Core.Clock.now_s () -. t0 in
         if inject && not injected then
           `Error
             (false, "history offers no same-shaped response pair to swap")
@@ -358,7 +358,7 @@ let check_cmd =
                          %.2fs)%s@."
             T.name count seed gen_s
             (if injected then ", violation injected" else "");
-          let t1 = Unix.gettimeofday () in
+          let t1 = Core.Clock.now_s () in
           let linearizable, method_s, fallback, violation, detail =
             if online then begin
               let trace : (unit, T.invocation, T.response) Sim.Trace.t =
@@ -422,7 +422,7 @@ let check_cmd =
                     r.M.violation,
                     None )
           in
-          let check_s = Unix.gettimeofday () -. t1 in
+          let check_s = Core.Clock.now_s () -. t1 in
           Format.printf "verdict: %s (%s) in %.2fs@."
             (if linearizable then "linearizable" else "NOT linearizable")
             method_s check_s;
@@ -431,18 +431,15 @@ let check_cmd =
           Option.iter (Format.printf "  %a@." Monitor.Violation.pp) violation;
           Option.iter
             (fun path ->
-              let oc =
-                open_out_gen [ Open_append; Open_creat ] 0o644 path
-              in
-              Printf.fprintf oc
-                "{ \"bench\": \"monitor-check\", \"type\": \"%s\", \
-                 \"ops\": %d, \"seed\": %d, \"online\": %b, \
-                 \"injected\": %b, \"linearizable\": %b, \"method\": \
-                 \"%s\", \"fallback\": %b, \"gen_s\": %.6f, \
-                 \"check_s\": %.6f }\n"
-                T.name count seed online injected linearizable method_s
-                (fallback <> None) gen_s check_s;
-              close_out oc;
+              append_json path
+                (Printf.sprintf
+                   "{ \"bench\": \"monitor-check\", \"type\": %s, \"ops\": \
+                    %d, \"seed\": %d, \"online\": %b, \"injected\": %b, \
+                    \"linearizable\": %b, \"method\": %s, \"fallback\": %b, \
+                    \"gen_s\": %.6f, \"check_s\": %.6f }"
+                   (Core.Json.quote T.name) count seed online injected
+                   linearizable (Core.Json.quote method_s) (fallback <> None)
+                   gen_s check_s);
               Format.printf "appended %s@." path)
             json_path;
           if injected && linearizable then
@@ -1245,12 +1242,6 @@ let finding_cmd =
    minimal counterexample — optionally probing the shrunk delay matrix
    against the paper's bound tables. *)
 
-let append_json path line =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc
-
 let scenario_json_doc =
   "Append a one-line JSON record per outcome to $(docv)."
 
@@ -1437,13 +1428,13 @@ let scenario_shrink_cmd =
                 in
                 append_json p
                   (Printf.sprintf
-                     {|{"bench": "scenario-shrink", "scenario": %S, "initial_size": %d, "final_size": %d, "steps": %d, "attempts": %d, "witness": %s, "tightness": %s}|}
-                     o.Scenario.Shrink.scenario.Scenario.name
+                     {|{"bench": "scenario-shrink", "scenario": %s, "initial_size": %d, "final_size": %d, "steps": %d, "attempts": %d, "witness": %s, "tightness": %s}|}
+                     (Core.Json.quote o.Scenario.Shrink.scenario.Scenario.name)
                      o.Scenario.Shrink.initial_size
                      o.Scenario.Shrink.final_size o.Scenario.Shrink.steps
                      o.Scenario.Shrink.attempts
                      (match o.Scenario.Shrink.exec.Scenario.Exec.witness with
-                     | Some w -> Printf.sprintf "%S" w
+                     | Some w -> Core.Json.quote w
                      | None -> "null")
                      tightness);
                 Format.printf "appended %s@." p)

@@ -47,29 +47,10 @@ let pp ppf t =
   Option.iter (fun w -> Format.fprintf ppf "@,witness: %s" w) t.witness;
   Format.fprintf ppf "@]"
 
-(* Minimal JSON string escaping: the witnesses may embed quotes and
-   newlines from the data types' printers. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json ppf t =
   Format.fprintf ppf
-    "{\"severity\":\"%s\",\"rule\":\"%s\",\"subject\":\"%s\",\"message\":\"%s\",\"witness\":%s}"
+    "{\"severity\":\"%s\",\"rule\":%s,\"subject\":%s,\"message\":%s,\"witness\":%s}"
     (severity_to_string t.severity)
-    (json_escape t.rule) (json_escape t.subject) (json_escape t.message)
-    (match t.witness with
-    | None -> "null"
-    | Some w -> "\"" ^ json_escape w ^ "\"")
+    (Core.Json.quote t.rule) (Core.Json.quote t.subject)
+    (Core.Json.quote t.message)
+    (match t.witness with None -> "null" | Some w -> Core.Json.quote w)

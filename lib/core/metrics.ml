@@ -53,9 +53,8 @@ module Acc = struct
 
   (* Fold a finished summary into the accumulator.  The summary's sum
      is recovered exactly as [mean * count] (rationals), so absorbing
-     is associative and commutative: merging per-domain accumulators at
-     the sweep barrier yields the same totals whatever the partition of
-     cells across domains was. *)
+     is associative and commutative: folding a campaign's summaries
+     yields the same totals in any order. *)
   let absorb acc (s : summary) =
     if s.count > 0 then begin
       let sum = Rat.mul_int s.mean s.count in
@@ -122,8 +121,8 @@ end
    geometrically sized buckets (16 per octave, ~4.4% relative width), so
    state is a few hundred ints regardless of how many million samples
    stream through, and merging two histograms is bucket-wise integer
-   addition — commutative and associative, so per-domain histograms
-   merged at a sweep barrier are partition-independent.  Count, min,
+   addition — commutative and associative, so a merged campaign
+   histogram does not depend on the order of its parts.  Count, min,
    max and sum stay exact rationals; only quantiles are bucket
    approximations. *)
 module Hist = struct
@@ -247,6 +246,10 @@ module Hist = struct
   let pp_quantiles ppf { p50; p99; p999 } =
     Format.fprintf ppf "p50=%.6g p99=%.6g p999=%.6g" p50 p99 p999
 
+  let pp_json_quantiles ppf { p50; p99; p999 } =
+    Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" p50 p99
+      p999
+
   let pp ppf t =
     match quantiles t with
     | None -> Format.fprintf ppf "empty"
@@ -279,3 +282,8 @@ let max_latency ops =
 let pp_summary ppf s =
   Format.fprintf ppf "n=%d min=%a max=%a mean=%a" s.count Rat.pp s.min Rat.pp
     s.max Rat.pp s.mean
+
+let pp_json_summary ppf s =
+  Format.fprintf ppf
+    "{\"count\":%d,\"min\":\"%s\",\"max\":\"%s\",\"mean\":\"%s\"}" s.count
+    (Rat.to_string s.min) (Rat.to_string s.max) (Rat.to_string s.mean)

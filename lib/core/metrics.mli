@@ -27,8 +27,8 @@ module Acc : sig
   val absorb : t -> summary -> unit
   (** Fold a finished summary into the accumulator exactly (the
       summary's rational sum is recovered as [mean * count]).
-      Associative and commutative, so per-domain accumulators merged at
-      a barrier give partition-independent totals. *)
+      Associative and commutative, so totals do not depend on the order
+      summaries are absorbed in. *)
 
   val merge : t -> t -> unit
   (** [merge acc other] absorbs [other]'s current summary into [acc];
@@ -74,8 +74,8 @@ module Hist : sig
   val merge : t -> t -> unit
   (** [merge t other] adds [other]'s buckets and exact accumulators
       into [t]; [other] is left untouched.  Bucket-wise integer
-      addition is commutative and associative, so per-domain histograms
-      merged at a barrier are partition-independent. *)
+      addition is commutative and associative, so a merged histogram
+      does not depend on the order of its parts. *)
 
   val summary : t -> summary option
   (** Exact count/min/max/mean of everything added; [None] when
@@ -88,6 +88,11 @@ module Hist : sig
   (** p50 / p99 / p999; [None] when empty. *)
 
   val pp_quantiles : Format.formatter -> quantiles -> unit
+  (** ["p50=... p99=... p999=..."], the form fingerprints use. *)
+
+  val pp_json_quantiles : Format.formatter -> quantiles -> unit
+  (** [{"p50":...,"p99":...,"p999":...}] *)
+
   val pp : Format.formatter -> t -> unit
 end
 
@@ -109,3 +114,6 @@ val by_kind :
 val max_latency : ('inv, 'resp) Sim.Trace.operation list -> Rat.t option
 
 val pp_summary : Format.formatter -> summary -> unit
+
+val pp_json_summary : Format.formatter -> summary -> unit
+(** [{"count":n,"min":"r","max":"r","mean":"r"}], rationals as strings. *)

@@ -142,17 +142,6 @@ let cell_of_legs ~data_type (case : case) ~raw ~recovered =
     certified;
   }
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let pp_json_leg ppf l =
   Format.fprintf ppf
     "{\"ok\":%b,\"flagged\":%b,\"pending\":%d,\"delays_admissible\":%b,\"skew_admissible\":%b,\"linearizable\":%b,\"truncated\":%b,\"faults\":{\"dropped\":%d,\"duplicated\":%d,\"spiked\":%d,\"crashed\":%d,\"skewed\":%d},\"retransmits\":%d,\"exhausted\":%d%s}"
@@ -161,7 +150,7 @@ let pp_json_leg ppf l =
     l.faults.spiked l.faults.crashed l.faults.skewed l.retransmits l.exhausted
     (match l.error with
     | None -> ""
-    | Some msg -> Printf.sprintf ",\"error\":\"%s\"" (json_string msg))
+    | Some msg -> ",\"error\":" ^ Json.quote msg)
 
 let pp_json ppf cells =
   Format.fprintf ppf "{\"matrix\":[";
@@ -169,8 +158,8 @@ let pp_json ppf cells =
     (fun i c ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf
-        "{\"type\":\"%s\",\"case\":\"%s\",\"plan\":\"%s\",\"expectation\":\"%s\",\"raw\":%a,\"recovered\":%a,\"certified\":%b}"
-        (json_string c.data_type) (json_string c.case) (json_string c.plan)
+        "{\"type\":%s,\"case\":%s,\"plan\":%s,\"expectation\":\"%s\",\"raw\":%a,\"recovered\":%a,\"certified\":%b}"
+        (Json.quote c.data_type) (Json.quote c.case) (Json.quote c.plan)
         (expectation_name c.expectation)
         pp_json_leg c.raw pp_json_leg c.recovered c.certified)
     cells;
@@ -204,7 +193,7 @@ module Make (T : Spec.Data_type.S) = struct
      network ([recovered = false]) or over the reliable channel judged
      against the inflated model ([recovered = true]).  Both legs of a
      cell share the workload, the delay schedule and the fault plan. *)
-  let run_leg ?config ?(per_proc = 3) ~(model : Sim.Model.t) ~x ~seed
+  let run_leg ?(per_proc = 3) ~(model : Sim.Model.t) ~x ~seed
       ~recovered plan =
     let cfg =
       R.Config.make ~faults:plan ~max_events:500_000 ~model
@@ -214,7 +203,7 @@ module Make (T : Spec.Data_type.S) = struct
         ~workload:(R.Closed_loop { per_proc; think = Rat.make 1 2; seed })
         ()
     in
-    let cfg = if recovered then R.Config.reliable ?config cfg else cfg in
+    let cfg = if recovered then R.Config.reliable cfg else cfg in
     match R.run cfg with
     | r -> leg_of_report r
     | exception Invalid_argument msg -> aborted_leg msg
@@ -223,10 +212,9 @@ module Make (T : Spec.Data_type.S) = struct
   let cell_of_legs (case : case) ~raw ~recovered =
     cell_of_legs ~data_type:T.name case ~raw ~recovered
 
-  let run_cell ?config ?per_proc ~(model : Sim.Model.t) ~x ~seed
-      (case : case) =
+  let run_cell ?per_proc ~(model : Sim.Model.t) ~x ~seed (case : case) =
     let leg recovered =
-      run_leg ?config ?per_proc ~model ~x ~seed ~recovered case.plan
+      run_leg ?per_proc ~model ~x ~seed ~recovered case.plan
     in
     cell_of_legs case ~raw:(leg false) ~recovered:(leg true)
 end

@@ -89,7 +89,6 @@ module Make (T : Spec.Data_type.S) : sig
   module R : module type of Runtime.Make (T)
 
   val run_leg :
-    ?config:Reliable.config ->
     ?per_proc:int ->
     model:Sim.Model.t ->
     x:Rat.t ->
@@ -109,7 +108,6 @@ module Make (T : Spec.Data_type.S) : sig
       = recover on the reliable leg). *)
 
   val run_cell :
-    ?config:Reliable.config ->
     ?per_proc:int ->
     model:Sim.Model.t ->
     x:Rat.t ->

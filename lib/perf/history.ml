@@ -109,13 +109,6 @@ let load ~file =
     points
   end
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
-  end
-
 let upsert ~file d =
   let existing = load ~file in
   let replaced = ref false in
@@ -130,7 +123,7 @@ let upsert ~file d =
       existing
   in
   let points = if !replaced then points else points @ [ d ] in
-  mkdir_p (Filename.dirname file);
+  Sweep.Journal.mkdir_p (Filename.dirname file);
   let tmp = file ^ ".tmp" in
   let oc = open_out tmp in
   List.iter (fun p -> output_string oc (to_line p ^ "\n")) points;

@@ -8,7 +8,7 @@ type metrics = {
   instructions : int64 option;
 }
 
-external monotonic_ns : unit -> int = "repro_monotonic_ns"
+let monotonic_ns = Core.Clock.monotonic_ns
 external perf_open : unit -> int = "repro_perf_open"
 external perf_start : int -> unit = "repro_perf_start"
 external perf_stop : int -> int64 = "repro_perf_stop"

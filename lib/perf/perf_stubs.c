@@ -1,7 +1,5 @@
-/* Monotonic clock and (optional) hardware instruction counter.
- *
- * The monotonic clock backs bench timing: unlike gettimeofday it never
- * jumps when NTP or a human adjusts the wall clock mid-run.
+/* Optional hardware instruction counter (the monotonic clock lives in
+ * lib/core/clock_stubs.c).
  *
  * The instruction counter uses perf_event_open counting
  * PERF_COUNT_HW_INSTRUCTIONS for this process in user mode.  Many
@@ -13,19 +11,7 @@
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
-#include <caml/fail.h>
-
-#include <time.h>
 #include <string.h>
-
-CAMLprim value repro_monotonic_ns(value unit)
-{
-  struct timespec ts;
-  (void)unit;
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0)
-    caml_failwith("clock_gettime(CLOCK_MONOTONIC)");
-  return Val_long((intnat)ts.tv_sec * 1000000000 + (intnat)ts.tv_nsec);
-}
 
 #if defined(__linux__)
 

@@ -290,8 +290,8 @@ module Run (T : Spec.Data_type.S) = struct
     }
 
   let run (s : t) =
-    let t0 = Unix.gettimeofday () in
-    let wall_s () = Unix.gettimeofday () -. t0 in
+    let t0 = Core.Clock.now_s () in
+    let wall_s () = Core.Clock.now_s () -. t0 in
     match config_of s with
     | Error e -> aborted s ~wall_s:(wall_s ()) ("bad scenario: " ^ e)
     | Ok cfg -> (
@@ -345,13 +345,10 @@ let pp_outcome ppf (o : outcome) =
 
 let json_of_outcome (o : outcome) =
   let b = Buffer.create 256 in
-  let str_opt = function
-    | None -> "null"
-    | Some s -> Printf.sprintf "%S" s
-  in
+  let str_opt = function None -> "null" | Some s -> Core.Json.quote s in
   Printf.bprintf b
-    {|{"scenario": %S, "passed": %b, "certified": %b, "linearizable": %b, "converged": %s, "predicate": %b, "operations": %d, "pending": %d, "messages": %d, "events": %d, "faults": %d, "diagnostic": %s, "witness": %s, "wall_s": %.3f}|}
-    o.scenario o.passed o.certified o.linearizable
+    {|{"scenario": %s, "passed": %b, "certified": %b, "linearizable": %b, "converged": %s, "predicate": %b, "operations": %d, "pending": %d, "messages": %d, "events": %d, "faults": %d, "diagnostic": %s, "witness": %s, "wall_s": %.3f}|}
+    (Core.Json.quote o.scenario) o.passed o.certified o.linearizable
     (match o.converged with
     | None -> "null"
     | Some c -> string_of_bool c)

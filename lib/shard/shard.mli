@@ -5,11 +5,11 @@
     fact twice.  A seed-deterministic workload stream
     ({!Core.Workload.Gen}) over a Zipf-skewed keyspace is partitioned
     by [key mod shards]; each shard runs a full
-    [Runtime.Make (Spec.Keyed.Make (T))] cluster over only its keys, on
-    the {!Sweep.Pool} domains.  Within a shard, every key's completed
-    operations are projected out and certified independently with the
-    per-type monitors, so a million-operation run decomposes into
-    thousands of small [O(n log n)] checks.
+    [Runtime.Make (Spec.Keyed.Make (T))] cluster over only its keys, as
+    one item of the {!Sweep.Runner} campaign runner.  Within a shard,
+    every key's completed operations are projected out and certified
+    independently with the per-type monitors, so a million-operation run
+    decomposes into thousands of small [O(n log n)] checks.
 
     Determinism contract: every shard re-derives the same global
     stream from the config seed; per-shard network and fault seeds are
@@ -113,8 +113,9 @@ type t = {
   wall_s : float;
 }
 
-val journal_header : unit -> string
-(** Header fingerprint for shard-report journals (schema + compiler). *)
+val journal_header : string
+(** {!Sweep.Journal.header} of shard journals, whose records are
+    [(shard_report, string) result]s (schema 2). *)
 
 module Make (T : Spec.Data_type.S) : sig
   val run_shard : Config.t -> shard:int -> shard_report
@@ -129,15 +130,16 @@ module Make (T : Spec.Data_type.S) : sig
     Config.t ->
     t
   (** Run all shards on [jobs] pool domains (default 1 = inline) and
-      merge.  Everything but [jobs] and [wall_s] is independent of
+      merge, through {!Sweep.Runner.run}: each shard is one campaign
+      item.  Everything but [jobs] and [wall_s] is independent of
       [jobs].  With [journal_dir], completed shard reports are
       journaled (checksummed, fsync'd every [sync_every]) and shards
-      already journaled with a matching input fingerprint — shard
-      coordinates, checker budgets, and the binary digest ([code_fp]
-      overrides; tests) — are replayed instead of re-run, so an
-      interrupted [repro load] resumes with a byte-identical
-      {!fingerprint}.  [should_stop] drains the pool gracefully and
-      marks the run [interrupted]. *)
+      already journaled with a matching
+      {!Sweep.Runner.input_fingerprint} ([code_fp] overrides the binary
+      digest; tests) are replayed instead of re-run, so an interrupted
+      [repro load] resumes with a byte-identical {!fingerprint}; failed
+      shards always run again.  [should_stop] drains the pool
+      gracefully and marks the run [interrupted]. *)
 end
 
 val run :

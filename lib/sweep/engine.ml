@@ -1,14 +1,15 @@
 (* Multicore sweep engine: evaluate a declarative campaign grid —
    data type x algorithm x model point x fault plan x channel leg x
-   seed — by sharding cells across a fixed domain pool (Pool).
+   seed — through the campaign runner (Runner), which shards cells
+   across a fixed domain pool (Pool).
 
    Determinism contract: a cell's behaviour is a pure function of its
    coordinates.  The per-cell RNG seed is derived by hashing the cell's
    canonical key string (FNV-1a), never from the claiming domain or the
-   wall clock, so verdicts — and, because Metrics.Acc merging is exact
-   rational arithmetic, the merged campaign summaries — are identical
-   for every --jobs count.  Only [wall_s] and [jobs] vary, and both are
-   excluded from {!fingerprint}. *)
+   wall clock, so verdicts — and, because the campaign summaries are
+   folded with exact rational arithmetic over positional outcomes, the
+   summaries too — are identical for every --jobs count.  Only [wall_s]
+   and [jobs] vary, and both are excluded from {!fingerprint}. *)
 
 module Metrics = Core.Metrics
 
@@ -100,37 +101,16 @@ type cell = {
 }
 
 let cells grid =
-  List.concat_map
-    (fun dt ->
-      List.concat_map
-        (fun algo ->
-          List.concat_map
-            (fun point ->
-              List.concat_map
-                (fun delays ->
-                  List.concat_map
-                    (fun (plan_label, plan) ->
-                      List.concat_map
-                        (fun leg ->
-                          List.map
-                            (fun seed ->
-                              {
-                                dt;
-                                algo;
-                                point;
-                                delays;
-                                plan_label;
-                                plan;
-                                leg;
-                                seed;
-                              })
-                            grid.seeds)
-                        grid.legs)
-                    grid.plans)
-                grid.delays)
-            grid.points)
-        grid.algos)
-    grid.types
+  let ( let* ) axis f = List.concat_map f axis in
+  let* dt = grid.types in
+  let* algo = grid.algos in
+  let* point = grid.points in
+  let* delays = grid.delays in
+  let* plan_label, plan = grid.plans in
+  let* leg = grid.legs in
+  List.map
+    (fun seed -> { dt; algo; point; delays; plan_label; plan; leg; seed })
+    grid.seeds
 
 (* Canonical cell coordinates.  This string is both the human-readable
    cell id in reports and the input to the seed hash, so it must name
@@ -143,17 +123,7 @@ let cell_key grid (c : cell) =
     (Rat.to_string m.u) (Rat.to_string m.eps) (delays_label c.delays)
     c.plan_label (leg_label c.leg) c.seed grid.per_proc
 
-(* FNV-1a, 32-bit.  Not [Hashtbl.hash]: that function is not specified
-   across OCaml versions, and derived seeds must be stable so recorded
-   fingerprints stay comparable. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
-
-let derived_seed grid c = fnv1a (cell_key grid c)
+let derived_seed grid c = Journal.fnv1a (cell_key grid c)
 
 (* Per-cell verdict: the run's health, its latency shape, and the
    worst observed latency of each class against the Table 5 formula for
@@ -210,8 +180,8 @@ let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
   let deadline =
     Option.map
       (fun budget ->
-        let t0 = Unix.gettimeofday () in
-        fun () -> Unix.gettimeofday () -. t0 >= budget)
+        let t0 = Core.Clock.now_s () in
+        fun () -> Core.Clock.now_s () -. t0 >= budget)
       wall_budget_s
   in
   let cfg =
@@ -309,78 +279,33 @@ let eval_with_retry ?retry grid (c : cell) : (verdict, string) result * int =
       in
       go 1 budget_s
 
-(* ---------- input fingerprints for incremental invalidation ---------- *)
-
-(* Digest of the running binary: any rebuild re-runs journaled cells
-   (their semantics may have changed) while an unchanged binary replays
-   them.  Lazy — hashing the executable costs a file read. *)
-let code_fingerprint =
-  lazy
-    (try Digest.to_hex (Digest.file Sys.executable_name)
-     with Sys_error _ | Unix.Unix_error _ -> "unknown")
-
-let code_digest () = Lazy.force code_fingerprint
-
-(* Everything that shapes a cell's result but is not part of its
-   coordinate key: grid-level budgets, the certification engine, the
-   compiler and the code itself. *)
-let env_string ?code_fp grid =
-  let code =
-    match code_fp with Some c -> c | None -> Lazy.force code_fingerprint
-  in
-  Printf.sprintf "max_events=%d;max_check_nodes=%s;checker=%s;ocaml=%s;code=%s"
-    grid.max_events
-    (match grid.max_check_nodes with
-    | None -> "none"
-    | Some n -> string_of_int n)
-    (match grid.checker with
-    | Core.Runtime.Monitor -> "monitor"
-    | Core.Runtime.Wing_gong -> "wing-gong")
-    Sys.ocaml_version code
-
-let input_fingerprint ?code_fp grid c =
-  fnv1a (cell_key grid c ^ ";" ^ env_string ?code_fp grid)
-
-(* The journal header binds the file to the record schema and the
-   compiler (Marshal compatibility).  The code fingerprint is
-   deliberately NOT here: a rebuild must invalidate cells one by one
-   through [input_fingerprint], not nuke the whole journal. *)
-let journal_header () =
-  Printf.sprintf "repro-sweep-cells;schema=1;ocaml=%s" Sys.ocaml_version
-
 (* ---------- campaign execution ---------- *)
 
-(* Domain-local streaming aggregation, merged at the barrier.  The
-   per-domain accumulators see different cell subsets depending on the
-   partition, but Acc/Grouped merging is exact and commutative, so the
-   merged totals are partition-independent. *)
-type local = {
-  lat : Metrics.Acc.t;
-  hist : Metrics.Hist.t;
-  kinds : Spec.Op_kind.t Metrics.Grouped.t;
+let input_fingerprint ?code_fp grid =
+  let fp =
+    Runner.input_fingerprint ?code_fp ~max_events:(Some grid.max_events)
+      ~max_check_nodes:grid.max_check_nodes grid.checker
+  in
+  fun c -> fp (cell_key grid c)
+
+(* The compiler is in the header; the code fingerprint is deliberately
+   not: a rebuild must invalidate cells one by one through
+   [input_fingerprint], not nuke the whole journal. *)
+let journal_header = Journal.header "repro-sweep-cells;schema=1"
+
+type cell_meta = Runner.meta = {
+  wall_s : float;
+  attempts : int;
+  replayed : bool;
 }
 
-(* Observability per cell, excluded from {!fingerprint} exactly like
-   [jobs]/[wall_s]: replayed cells carry zero wall time and attempts. *)
-type cell_meta = { wall_s : float; attempts : int; replayed : bool }
-
-type resume_stats = {
-  replayed : int;  (** cells answered from the journal *)
-  invalidated : int;  (** journaled cells re-run because inputs changed *)
-  executed : int;  (** cells evaluated in this process *)
-  interrupted : bool;  (** a stop request drained the pool early *)
+type resume_stats = Runner.resume_stats = {
+  replayed : int;
+  invalidated : int;
+  executed : int;
+  interrupted : bool;
   journal_diagnostics : string list;
-      (** named corruption/truncation findings from journal loading *)
 }
-
-let no_resume =
-  {
-    replayed = 0;
-    invalidated = 0;
-    executed = 0;
-    interrupted = false;
-    journal_diagnostics = [];
-  }
 
 type t = {
   grid : grid;
@@ -395,177 +320,61 @@ type t = {
   wall_s : float;
 }
 
-(* Shared executor: evaluate the cells [prefill] does not already
-   answer, then assemble the campaign as if every cell had run here.
-   Because Acc/Hist/Grouped merging is exact, commutative and
-   associative, absorbing a replayed verdict is indistinguishable from
-   re-running its cell — this is what makes resumed (and spool-merged)
-   fingerprints byte-identical to a fresh single-process run. *)
-let execute ?retry ?should_stop ?journal_append ~jobs ~fail_fast
-    ~(prefill : (verdict, string) result option array)
-    ~(resume0 : resume_stats) grid (cells : cell array) =
-  let n = Array.length cells in
-  let t0 = Unix.gettimeofday () in
-  let meta = Array.make n { wall_s = 0.0; attempts = 0; replayed = false } in
-  let pending =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if prefill.(i) = None then acc := i :: !acc
-    done;
-    Array.of_list !acc
+(* Run the grid's cells through the runner, then fold the campaign
+   summaries once over the positional outcomes.  Because Acc/Hist/
+   Grouped merging is exact, a replayed verdict counts exactly like a
+   re-run one: resumed and spool-merged fingerprints are byte-identical
+   to a fresh single-process run's. *)
+let execute ?code_fp ~jobs ~fail_fast ~should_stop ~journal ~eval grid =
+  let cells = Array.of_list (cells grid) in
+  let input_fp = input_fingerprint ?code_fp grid in
+  let r =
+    Runner.run ~jobs ~fail_fast ~should_stop ~journal
+      ~key:(fun i -> cell_key grid cells.(i))
+      ~input_fp:(fun i -> input_fp cells.(i))
+      ~n:(Array.length cells)
+      (fun i -> eval cells.(i))
   in
-  let outcomes, locals =
-    Pool.map ?should_stop ~jobs ~fail_fast ~n:(Array.length pending)
-      ~init:(fun () ->
-        {
-          lat = Metrics.Acc.create ();
-          hist = Metrics.Hist.create ();
-          kinds = Metrics.Grouped.create ();
-        })
-      (fun local j ->
-        let i = pending.(j) in
-        let c = cells.(i) in
-        let c0 = Unix.gettimeofday () in
-        let r, attempts = eval_with_retry ?retry grid c in
-        meta.(i) <-
-          { wall_s = Unix.gettimeofday () -. c0; attempts; replayed = false };
-        (match journal_append with Some f -> f c r | None -> ());
-        (match r with
-        | Ok v ->
-            (match v.latency with
-            | Some s -> Metrics.Acc.absorb local.lat s
-            | None -> ());
-            Metrics.Hist.merge local.hist v.hist;
-            List.iter
-              (fun (k, s) -> Metrics.Grouped.absorb local.kinds k s)
-              v.by_kind
-        | Error _ -> ());
-        r)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
   let lat = Metrics.Acc.create () in
   let hist = Metrics.Hist.create () in
   let kinds = Metrics.Grouped.create () in
-  List.iter
-    (fun l ->
-      Metrics.Acc.merge lat l.lat;
-      Metrics.Hist.merge hist l.hist;
-      Metrics.Grouped.merge kinds l.kinds)
-    locals;
-  let results = Array.make n Pool.Skipped in
-  let executed = ref 0 in
-  Array.iteri
-    (fun j outcome ->
-      (match outcome with
-      | Pool.Done _ | Pool.Failed _ -> incr executed
-      | Pool.Skipped -> ());
-      results.(pending.(j)) <- outcome)
-    outcomes;
-  Array.iteri
-    (fun i pre ->
-      match pre with
-      | None -> ()
-      | Some r ->
-          meta.(i) <- { wall_s = 0.0; attempts = 0; replayed = true };
-          (match r with
-          | Ok v ->
-              results.(i) <- Pool.Done v;
-              (match v.latency with
-              | Some s -> Metrics.Acc.absorb lat s
-              | None -> ());
-              Metrics.Hist.merge hist v.hist;
-              List.iter
-                (fun (k, s) -> Metrics.Grouped.absorb kinds k s)
-                v.by_kind
-          | Error msg -> results.(i) <- Pool.Failed msg))
-    prefill;
-  let by_kind =
-    (* Grouped preserves first-seen order, which depends on the
-       partition; sort by class name for a deterministic report. *)
-    List.sort
-      (fun (a, _) (b, _) ->
-        compare (Spec.Op_kind.to_string a) (Spec.Op_kind.to_string b))
-      (Metrics.Grouped.summaries kinds)
-  in
-  let interrupted =
-    match should_stop with Some f -> f () | None -> false
-  in
+  Array.iter
+    (function
+      | Pool.Done v ->
+          Option.iter (Metrics.Acc.absorb lat) v.latency;
+          Metrics.Hist.merge hist v.hist;
+          List.iter (fun (k, s) -> Metrics.Grouped.absorb kinds k s) v.by_kind
+      | Pool.Failed _ | Pool.Skipped -> ())
+    r.outcomes;
   {
     grid;
     cells;
-    results;
-    meta;
+    results = r.outcomes;
+    meta = r.meta;
     total = Metrics.Acc.summary lat;
     hist;
-    by_kind;
-    resume = { resume0 with executed = !executed; interrupted };
+    by_kind =
+      List.sort
+        (fun (a, _) (b, _) ->
+          compare (Spec.Op_kind.to_string a) (Spec.Op_kind.to_string b))
+        (Metrics.Grouped.summaries kinds);
+    resume = r.resume;
     jobs;
-    wall_s;
+    wall_s = r.wall_s;
   }
 
 let run ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop grid =
-  let cells = Array.of_list (cells grid) in
-  execute ?retry ?should_stop ~jobs ~fail_fast
-    ~prefill:(Array.make (Array.length cells) None)
-    ~resume0:no_resume grid cells
+  execute ~jobs ~fail_fast ~should_stop ~journal:None
+    ~eval:(eval_with_retry ?retry grid) grid
 
-(* Durable campaign: load the journal, replay every record whose key
-   and input fingerprint still match the grid, run (and journal) the
-   remainder.  [replay_failures] (default true) also replays journaled
-   diagnostics — needed for fingerprint-identical merges; pass false to
-   re-run previously failed cells instead. *)
 let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
     ?(sync_every = 1) ?(replay_failures = true) ?code_fp ~dir grid =
-  Journal.mkdir_p dir;
-  let path = Filename.concat dir "journal" in
-  let fp = journal_header () in
-  let records, diags =
-    (Journal.load ~path ~fp
-      : (verdict, string) result Journal.record list * _)
-  in
-  let tbl = Journal.index records in
-  let cells = Array.of_list (cells grid) in
-  let n = Array.length cells in
-  let prefill = Array.make n None in
-  let replayed = ref 0 and invalidated = ref 0 in
-  Array.iteri
-    (fun i c ->
-      match Hashtbl.find_opt tbl (cell_key grid c) with
-      | None -> ()
-      | Some (r : _ Journal.record) ->
-          if r.Journal.input_fp <> input_fingerprint ?code_fp grid c then
-            incr invalidated
-          else begin
-            match r.Journal.payload with
-            | Ok _ as ok ->
-                prefill.(i) <- Some ok;
-                incr replayed
-            | Error _ as e ->
-                if replay_failures then begin
-                  prefill.(i) <- Some e;
-                  incr replayed
-                end
-          end)
-    cells;
-  let w = Journal.writer ~sync_every ~path ~fp () in
-  Fun.protect
-    ~finally:(fun () -> Journal.close w)
-    (fun () ->
-      let journal_append c r =
-        Journal.append w ~key:(cell_key grid c)
-          ~input_fp:(input_fingerprint ?code_fp grid c)
-          r
-      in
-      execute ?retry ?should_stop ~journal_append ~jobs ~fail_fast ~prefill
-        ~resume0:
-          {
-            no_resume with
-            replayed = !replayed;
-            invalidated = !invalidated;
-            journal_diagnostics =
-              List.map Journal.diagnostic_to_string diags;
-          }
-        grid cells)
+  execute ?code_fp ~jobs ~fail_fast ~should_stop
+    ~journal:
+      (Some
+         (Runner.in_dir ~header:journal_header ~sync_every ~replay_failures
+            dir))
+    ~eval:(eval_with_retry ?retry grid) grid
 
 let certified t =
   Array.length t.results > 0
@@ -590,9 +399,6 @@ let counts t =
 let summary_str (s : Metrics.summary) =
   Printf.sprintf "count=%d min=%s max=%s mean=%s" s.count (Rat.to_string s.min)
     (Rat.to_string s.max) (Rat.to_string s.mean)
-
-let quantiles_str (q : Metrics.Hist.quantiles) =
-  Printf.sprintf "p50=%.6g p99=%.6g p999=%.6g" q.p50 q.p99 q.p999
 
 let fingerprint t =
   let buf = Buffer.create 4096 in
@@ -620,7 +426,9 @@ let fingerprint t =
   | Some s -> Buffer.add_string buf ("total: " ^ summary_str s ^ "\n"));
   (match Metrics.Hist.quantiles t.hist with
   | None -> ()
-  | Some q -> Buffer.add_string buf ("tail: " ^ quantiles_str q ^ "\n"));
+  | Some q ->
+      Buffer.add_string buf
+        (Format.asprintf "tail: %a\n" Metrics.Hist.pp_quantiles q));
   List.iter
     (fun (k, s) ->
       Buffer.add_string buf
@@ -629,6 +437,9 @@ let fingerprint t =
   Buffer.contents buf
 
 (* ---------- reports ---------- *)
+
+let retries t =
+  Array.fold_left (fun acc m -> acc + max 0 (m.attempts - 1)) 0 t.meta
 
 let pp ppf t =
   let done_, cert, failed, skipped = counts t in
@@ -657,11 +468,7 @@ let pp ppf t =
   List.iter
     (fun d -> Format.fprintf ppf "journal diagnostic: %s@," d)
     t.resume.journal_diagnostics;
-  let retries =
-    Array.fold_left
-      (fun acc m -> if m.attempts > 1 then acc + m.attempts - 1 else acc)
-      0 t.meta
-  in
+  let retries = retries t in
   if t.resume.replayed > 0 || t.resume.invalidated > 0 || retries > 0 then
     Format.fprintf ppf "resume: %d replayed, %d invalidated, %d retries@,"
       t.resume.replayed t.resume.invalidated retries;
@@ -671,26 +478,6 @@ let pp ppf t =
      wall=%.2fs@]"
     (Array.length t.cells) done_ cert failed skipped t.jobs t.wall_s
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let pp_json_summary ppf (s : Metrics.summary) =
-  Format.fprintf ppf
-    "{\"count\":%d,\"min\":\"%s\",\"max\":\"%s\",\"mean\":\"%s\"}" s.count
-    (Rat.to_string s.min) (Rat.to_string s.max) (Rat.to_string s.mean)
-
-let pp_json_quantiles ppf (q : Metrics.Hist.quantiles) =
-  Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" q.p50 q.p99
-    q.p999
-
 let pp_json_verdict ppf (v : verdict) =
   Format.fprintf ppf
     "{\"status\":\"done\",\"seed\":%d,\"ok\":%b,\"bound_ok\":%b,\"certified\":%b,\"operations\":%d,\"messages\":%d,\"events\":%d,\"pending\":%d,\"truncated\":%b,\"retransmits\":%d"
@@ -698,10 +485,11 @@ let pp_json_verdict ppf (v : verdict) =
     v.pending v.truncated v.retransmits;
   (match v.latency with
   | None -> ()
-  | Some s -> Format.fprintf ppf ",\"latency\":%a" pp_json_summary s);
+  | Some s -> Format.fprintf ppf ",\"latency\":%a" Metrics.pp_json_summary s);
   (match Metrics.Hist.quantiles v.hist with
   | None -> ()
-  | Some q -> Format.fprintf ppf ",\"quantiles\":%a" pp_json_quantiles q);
+  | Some q ->
+      Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
   Format.fprintf ppf ",\"bounds\":[";
   List.iteri
     (fun i (k, worst, ub) ->
@@ -719,12 +507,13 @@ let pp_json ppf t =
   Array.iteri
     (fun i c ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "{\"key\":\"%s\",\"verdict\":" (json_string (cell_key t.grid c));
+      Format.fprintf ppf "{\"key\":%s,\"verdict\":"
+        (Core.Json.quote (cell_key t.grid c));
       (match t.results.(i) with
       | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
       | Pool.Failed msg ->
-          Format.fprintf ppf "{\"status\":\"failed\",\"error\":\"%s\"}"
-            (json_string msg)
+          Format.fprintf ppf "{\"status\":\"failed\",\"error\":%s}"
+            (Core.Json.quote msg)
       | Pool.Done v -> pp_json_verdict ppf v);
       (* Observability only — like jobs/wall_s, never fingerprinted. *)
       let m = t.meta.(i) in
@@ -734,33 +523,23 @@ let pp_json ppf t =
   Format.fprintf ppf "],\"summary\":{";
   (match t.total with
   | None -> ()
-  | Some s -> Format.fprintf ppf "\"latency\":%a," pp_json_summary s);
+  | Some s -> Format.fprintf ppf "\"latency\":%a," Metrics.pp_json_summary s);
   (match Metrics.Hist.quantiles t.hist with
   | None -> ()
-  | Some q -> Format.fprintf ppf "\"quantiles\":%a," pp_json_quantiles q);
+  | Some q ->
+      Format.fprintf ppf "\"quantiles\":%a," Metrics.Hist.pp_json_quantiles q);
   Format.fprintf ppf "\"by_kind\":[";
   List.iteri
     (fun i (k, s) ->
       if i > 0 then Format.fprintf ppf ",";
       Format.fprintf ppf "{\"class\":\"%s\",\"latency\":%a}"
-        (Spec.Op_kind.to_string k) pp_json_summary s)
+        (Spec.Op_kind.to_string k) Metrics.pp_json_summary s)
     t.by_kind;
-  let retries =
-    Array.fold_left
-      (fun acc m -> if m.attempts > 1 then acc + m.attempts - 1 else acc)
-      0 t.meta
-  in
   Format.fprintf ppf
-    "],\"done\":%d,\"certified_cells\":%d,\"failed\":%d,\"skipped\":%d,\"replayed\":%d,\"invalidated\":%d,\"executed\":%d,\"retries\":%d,\"interrupted\":%b,\"journal_diagnostics\":["
+    "],\"done\":%d,\"certified_cells\":%d,\"failed\":%d,\"skipped\":%d,\"replayed\":%d,\"invalidated\":%d,\"executed\":%d,\"retries\":%d,\"interrupted\":%b,\"journal_diagnostics\":[%s]},\"jobs\":%d,\"wall_s\":%.3f,\"certified\":%b}"
     done_ cert failed skipped t.resume.replayed t.resume.invalidated
-    t.resume.executed retries t.resume.interrupted;
-  List.iteri
-    (fun i d ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "\"%s\"" (json_string d))
-    t.resume.journal_diagnostics;
-  Format.fprintf ppf
-    "]},\"jobs\":%d,\"wall_s\":%.3f,\"certified\":%b}"
+    t.resume.executed (retries t) t.resume.interrupted
+    (String.concat "," (List.map Core.Json.quote t.resume.journal_diagnostics))
     t.jobs t.wall_s (certified t)
 
 (* ---------- robustness matrix on the pool ---------- *)
@@ -771,8 +550,7 @@ let pp_json ppf t =
    did), so the matrix is identical for every [jobs] count and is
    always returned in (type, case) order.  fail_fast is deliberately
    not offered: certification semantics require every cell's verdict. *)
-let robustness ?(jobs = 1) ?should_stop ?config ?per_proc ~model ~x ~seed
-    types =
+let robustness ?(jobs = 1) ?should_stop ?per_proc ~model ~x ~seed types =
   let work =
     Array.of_list
       (List.concat_map
@@ -782,28 +560,25 @@ let robustness ?(jobs = 1) ?should_stop ?config ?per_proc ~model ~x ~seed
              (Core.Robustness.default_cases ~seed model))
          types)
   in
-  let results, _ =
+  let results =
     Pool.map ?should_stop ~jobs ~fail_fast:false ~n:(Array.length work)
-      ~init:(fun () -> ())
-      (fun () i ->
+      (fun i ->
         let dt, case = work.(i) in
         let (module T : Spec.Data_type.S) = Packed_type.modl dt in
         let module M = Core.Robustness.Make (T) in
-        Ok (M.run_cell ?config ?per_proc ~model ~x ~seed case))
+        Ok (M.run_cell ?per_proc ~model ~x ~seed case))
   in
   Array.to_list
     (Array.mapi
        (fun i outcome ->
+         let aborted msg =
+           let dt, case = work.(i) in
+           let leg = Core.Robustness.aborted_leg msg in
+           Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
+             case ~raw:leg ~recovered:leg
+         in
          match outcome with
          | Pool.Done cell -> cell
-         | Pool.Failed msg ->
-             let dt, case = work.(i) in
-             let leg = Core.Robustness.aborted_leg msg in
-             Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
-               case ~raw:leg ~recovered:leg
-         | Pool.Skipped ->
-             let dt, case = work.(i) in
-             let leg = Core.Robustness.aborted_leg "skipped" in
-             Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
-               case ~raw:leg ~recovered:leg)
+         | Pool.Failed msg -> aborted msg
+         | Pool.Skipped -> aborted "skipped")
        results)

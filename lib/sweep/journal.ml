@@ -31,12 +31,20 @@ let rec mkdir_p dir =
 let magic = "RJ1\n"
 let frame_overhead = String.length magic + 8
 
+(* FNV-1a, 32-bit: the one stable hash behind frame checksums, derived
+   seeds and input fingerprints.  Not [Hashtbl.hash]: that function is
+   not specified across OCaml versions, and recorded fingerprints must
+   stay comparable. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
   String.iter
     (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
     s;
   !h
+
+(* The caller's part of the header line binds the file to a record
+   schema and to the compiler (Marshal compatibility). *)
+let header schema = Printf.sprintf "%s;ocaml=%s" schema Sys.ocaml_version
 
 type diagnostic = { offset : int; reason : string }
 
@@ -72,19 +80,13 @@ let scan (type a) ~path ~fp () :
             && (try really_input_string ic hdr_len = hdr with _ -> false)
           in
           if not header_ok then
-            ( [],
-              [
-                {
-                  offset = 0;
-                  reason =
-                    Printf.sprintf
-                      "header mismatch (wrote for a different grid or \
-                       schema); ignoring %d bytes"
-                      file_len;
-                };
-              ],
-              0,
-              false )
+            let reason =
+              Printf.sprintf
+                "header mismatch (wrote for a different grid or schema); \
+                 ignoring %d bytes"
+                file_len
+            in
+            ([], [ { offset = 0; reason } ], 0, false)
           else begin
             let read_u32 () =
               let b = really_input_string ic 4 in
@@ -93,92 +95,44 @@ let scan (type a) ~path ~fp () :
               lor (Char.code b.[2] lsl 8)
               lor Char.code b.[3]
             in
-            let rec loop acc diags valid_end =
-              let offset = pos_in ic in
-              if offset >= file_len then (List.rev acc, List.rev diags, valid_end)
-              else if file_len - offset < frame_overhead then
-                ( List.rev acc,
-                  List.rev
-                    ({
-                       offset;
-                       reason =
-                         Printf.sprintf
-                           "truncated frame header (%d trailing bytes \
-                            dropped)"
-                           (file_len - offset);
-                     }
-                    :: diags),
-                  valid_end )
-              else
-                let m = really_input_string ic (String.length magic) in
-                if m <> magic then
-                  ( List.rev acc,
-                    List.rev
-                      ({
-                         offset;
-                         reason =
-                           Printf.sprintf
-                             "corrupt frame magic (%d remaining bytes \
-                              dropped)"
-                             (file_len - offset);
-                       }
-                      :: diags),
-                    valid_end )
-                else
-                  let len = read_u32 () in
-                  let sum = read_u32 () in
-                  if len < 0 || len > file_len - pos_in ic then
-                    ( List.rev acc,
-                      List.rev
-                        ({
-                           offset;
-                           reason =
-                             Printf.sprintf
-                               "truncated record body (want %d bytes, have \
-                                %d)"
-                               len
-                               (file_len - pos_in ic);
-                         }
-                        :: diags),
-                      valid_end )
-                  else
-                    let body = really_input_string ic len in
-                    if fnv1a body <> sum then
-                      ( List.rev acc,
-                        List.rev
-                          ({
-                             offset;
-                             reason =
-                               Printf.sprintf
-                                 "record checksum mismatch (%d remaining \
-                                  bytes dropped)"
-                                 (file_len - offset);
-                           }
-                          :: diags),
-                        valid_end )
-                    else
-                      match
-                        (Marshal.from_string body 0 : string * int * a)
-                      with
-                      | key, input_fp, payload ->
-                          loop
-                            ({ key; input_fp; payload } :: acc)
-                            diags (pos_in ic)
-                      | exception _ ->
-                          ( List.rev acc,
-                            List.rev
-                              ({
-                                 offset;
-                                 reason =
-                                   Printf.sprintf
-                                     "unreadable record (%d remaining bytes \
-                                      dropped)"
-                                     (file_len - offset);
-                               }
-                              :: diags),
-                            valid_end )
+            (* Every frame starts where the valid prefix ends; the first
+               bad one stops the scan with one named diagnostic. *)
+            let stop acc offset fmt =
+              Printf.ksprintf
+                (fun reason -> (List.rev acc, [ { offset; reason } ], offset))
+                fmt
             in
-            let records, diags, valid_end = loop [] [] hdr_len in
+            let rec loop acc =
+              let offset = pos_in ic in
+              let rest = file_len - offset in
+              if rest <= 0 then (List.rev acc, [], offset)
+              else if rest < frame_overhead then
+                stop acc offset
+                  "truncated frame header (%d trailing bytes dropped)" rest
+              else if really_input_string ic (String.length magic) <> magic then
+                stop acc offset
+                  "corrupt frame magic (%d remaining bytes dropped)" rest
+              else
+                let len = read_u32 () in
+                let sum = read_u32 () in
+                if len < 0 || len > file_len - pos_in ic then
+                  stop acc offset
+                    "truncated record body (want %d bytes, have %d)" len
+                    (file_len - pos_in ic)
+                else
+                  let body = really_input_string ic len in
+                  if fnv1a body <> sum then
+                    stop acc offset
+                      "record checksum mismatch (%d remaining bytes dropped)" rest
+                  else
+                    match (Marshal.from_string body 0 : string * int * a) with
+                    | key, input_fp, payload ->
+                        loop ({ key; input_fp; payload } :: acc)
+                    | exception _ ->
+                        stop acc offset
+                          "unreadable record (%d remaining bytes dropped)" rest
+            in
+            let records, diags, valid_end = loop [] in
             (records, diags, valid_end, true)
           end)
 

@@ -19,6 +19,18 @@ val mkdir_p : string -> unit
 (** Create [dir] and any missing parents (shared by the durable-run
     and spool layers). *)
 
+val fnv1a : string -> int
+(** FNV-1a, 32-bit: the one stable hash for frame checksums, derived
+    seeds and input fingerprints (unlike [Hashtbl.hash], its value is
+    fixed across OCaml versions). *)
+
+val header : string -> string
+(** [header schema] is the header fingerprint for a journal of
+    [schema]'s records, e.g. ["repro-sweep-cells;schema=1"], bound to
+    the compiler version as well ([Marshal] compatibility).  Bump the
+    schema whenever the payload type changes: a journal whose header
+    does not match is never decoded. *)
+
 type diagnostic = { offset : int; reason : string }
 
 val diagnostic_to_string : diagnostic -> string

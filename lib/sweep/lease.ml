@@ -55,6 +55,7 @@ let rec claim_attempt ~dir ~owner ~ttl_s ~tries name =
         (* Released between our link and stat: claim it fresh. *)
         claim_attempt ~dir ~owner ~ttl_s ~tries:(tries - 1) name
     | st ->
+        (* Wall time, not Core.Clock: it is compared with file mtimes. *)
         if Unix.gettimeofday () -. st.Unix.st_mtime <= ttl_s then None
         else begin
           (* Stale: exactly one stealer wins the rename; losers see

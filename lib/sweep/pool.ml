@@ -19,16 +19,14 @@
    Determinism: a worker's behaviour depends only on the index it
    claims (callers derive any randomness from the cell's coordinates,
    never from [Domain.self ()]), so the outcome array is identical for
-   any [jobs] count; only the partition of indices across domains — and
-   therefore the content of each domain-local state — varies.  With
+   any [jobs] count; only the partition of indices across domains
+   varies, and no per-domain state exists for it to leak into.  With
    [jobs = 1] everything runs inline on the calling domain. *)
 
 type 'a outcome = Done of 'a | Failed of string | Skipped
 
-let outcome_ok = function Done _ -> true | Failed _ | Skipped -> false
-
-let map (type l r) ?should_stop ~jobs ~fail_fast ~n ~(init : unit -> l)
-    (f : l -> int -> (r, string) result) : r outcome array * l list =
+let map (type r) ?should_stop ~jobs ~fail_fast ~n
+    (f : int -> (r, string) result) : r outcome array =
   let jobs = if jobs < 1 then 1 else jobs in
   let externally_stopped =
     match should_stop with None -> fun () -> false | Some f -> f
@@ -37,12 +35,11 @@ let map (type l r) ?should_stop ~jobs ~fail_fast ~n ~(init : unit -> l)
   let next = Atomic.make 0 in
   let stop = Atomic.make false in
   let worker () =
-    let local = init () in
     let rec loop () =
       if (not (Atomic.get stop)) && not (externally_stopped ()) then begin
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          (match f local i with
+          (match f i with
           | Ok v -> results.(i) <- Done v
           | Error msg ->
               results.(i) <- Failed msg;
@@ -54,13 +51,11 @@ let map (type l r) ?should_stop ~jobs ~fail_fast ~n ~(init : unit -> l)
         end
       end
     in
-    loop ();
-    local
+    loop ()
   in
-  if jobs = 1 then (results, [ worker () ])
-  else
-    let domains = Array.init jobs (fun _ -> Domain.spawn worker) in
-    (results, Array.to_list (Array.map Domain.join domains))
+  if jobs = 1 then worker ()
+  else Array.iter Domain.join (Array.init jobs (fun _ -> Domain.spawn worker));
+  results
 
 (* Process-wide graceful-shutdown flag wired to SIGINT/SIGTERM.
 

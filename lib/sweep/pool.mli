@@ -1,10 +1,9 @@
 (** Fixed domain pool over a bounded, indexed work queue.
 
-    [map ~jobs ~fail_fast ~n ~init ~f] evaluates [f local i] for every
-    [i] in [0 .. n-1], sharding indices across [jobs] OCaml domains
-    (inline on the calling domain when [jobs = 1]).  Each domain gets
-    its own [init ()] local state (e.g. streaming metric accumulators);
-    the locals are returned for the caller to merge at the barrier.
+    [map ~jobs ~fail_fast ~n f] evaluates [f i] for every [i] in
+    [0 .. n-1], sharding indices across [jobs] OCaml domains (inline on
+    the calling domain when [jobs = 1]).  There is no per-domain state:
+    callers fold over the returned outcomes after the barrier.
 
     Outcomes are positional: escaped exceptions become [Failed] with
     the exception's rendering.  Under [fail_fast], the first failure
@@ -20,19 +19,15 @@
 
 type 'a outcome = Done of 'a | Failed of string | Skipped
 
-val outcome_ok : 'a outcome -> bool
-
 val map :
   ?should_stop:(unit -> bool) ->
   jobs:int ->
   fail_fast:bool ->
   n:int ->
-  init:(unit -> 'l) ->
-  ('l -> int -> ('r, string) result) ->
-  'r outcome array * 'l list
-(** The locals list has one entry per domain, in domain order.
-    (The worker function is positional so the optional [should_stop]
-    stays erasable.) *)
+  (int -> ('r, string) result) ->
+  'r outcome array
+(** The worker function is positional so the optional [should_stop]
+    stays erasable. *)
 
 (** Process-wide graceful-shutdown flag wired to SIGINT/SIGTERM.
 

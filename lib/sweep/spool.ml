@@ -18,10 +18,10 @@
    and journal replay is last-record-wins, the duplicate execution a
    takeover can cause is harmless.
 
-   [merge] loads every journal, requires each cell to have a record
-   with a matching input fingerprint, and assembles the campaign
-   through the same exact-merge executor a single process uses — so
-   the merged fingerprint is byte-identical to a non-spool run. *)
+   [merge] replays every worker journal through the same runner a
+   single process uses, and refuses while any cell lacks a record with
+   a matching input fingerprint — so the merged fingerprint is
+   byte-identical to a non-spool run. *)
 
 let manifest_name = "MANIFEST"
 let cell_name i = Printf.sprintf "c%06d" i
@@ -35,7 +35,7 @@ let grid_fingerprint grid =
       Buffer.add_char buf '\n')
     cells;
   Printf.sprintf "cells=%d;fp=%08x" (List.length cells)
-    (Engine.fnv1a (Buffer.contents buf))
+    (Journal.fnv1a (Buffer.contents buf))
 
 let init ~dir grid =
   Journal.mkdir_p dir;
@@ -103,14 +103,14 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
       in
       let cells = Array.of_list (Engine.cells grid) in
       let n = Array.length cells in
+      let input_fp = Engine.input_fingerprint ?code_fp grid in
       let leases = Filename.concat dir "leases" in
       let done_dir = Filename.concat dir "done" in
       let jpath =
         Filename.concat (Filename.concat dir "journals") (owner ^ ".journal")
       in
       let w =
-        Journal.writer ~sync_every ~path:jpath ~fp:(Engine.journal_header ())
-          ()
+        Journal.writer ~sync_every ~path:jpath ~fp:Engine.journal_header ()
       in
       let stopped () =
         match should_stop with Some f -> f () | None -> false
@@ -155,7 +155,7 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
             let c = cells.(i) in
             let r, _attempts = Engine.eval_with_retry ?retry grid c in
             Journal.append w ~key:(Engine.cell_key grid c)
-              ~input_fp:(Engine.input_fingerprint ?code_fp grid c)
+              ~input_fp:(input_fp c)
               r;
             Journal.flush w;
             incr completed;
@@ -213,56 +213,34 @@ let merge ?code_fp ~dir grid =
   match init ~dir grid with
   | Error _ as e -> e
   | Ok () ->
-      let cells = Array.of_list (Engine.cells grid) in
-      let n = Array.length cells in
       let jdir = Filename.concat dir "journals" in
-      let files =
+      let replay =
         Sys.readdir jdir |> Array.to_list
         |> List.filter (fun f -> Filename.check_suffix f ".journal")
         |> List.sort compare
+        |> List.map (Filename.concat jdir)
       in
-      let tbl = Hashtbl.create (2 * n) in
-      let diags = ref [] in
-      List.iter
-        (fun f ->
-          let path = Filename.concat jdir f in
-          let records, ds =
-            (Journal.load ~path ~fp:(Engine.journal_header ())
-              : (Engine.verdict, string) result Journal.record list * _)
-          in
-          diags :=
-            !diags
-            @ List.map
-                (fun d -> f ^ ": " ^ Journal.diagnostic_to_string d)
-                ds;
-          List.iter
-            (fun (r : _ Journal.record) -> Hashtbl.replace tbl r.Journal.key r)
-            records)
-        files;
-      let prefill = Array.make n None in
-      let missing = ref 0 in
-      Array.iteri
-        (fun i c ->
-          match Hashtbl.find_opt tbl (Engine.cell_key grid c) with
-          | Some (r : _ Journal.record)
-            when r.Journal.input_fp = Engine.input_fingerprint ?code_fp grid c
-            ->
-              prefill.(i) <- Some r.Journal.payload
-          | _ -> incr missing)
-        cells;
-      if !missing > 0 then
+      (* A cell no worker journaled (or journaled under a stale input
+         fingerprint) is one the runner would have to evaluate; the
+         merge refuses to instead of fabricating a verdict. *)
+      let t =
+        Engine.execute ?code_fp ~jobs:1 ~fail_fast:false ~should_stop:None
+          ~journal:
+            (Some
+               {
+                 Runner.header = Engine.journal_header;
+                 replay;
+                 append = None;
+                 sync_every = 1;
+                 replay_failures = true;
+               })
+          ~eval:(fun _ -> (Error "not journaled", 0))
+          grid
+      in
+      if t.resume.executed > 0 then
         Error
           (Printf.sprintf
              "spool %s: %d of %d cells not yet journaled (run more workers, \
               then --merge)"
-             dir !missing n)
-      else
-        Ok
-          (Engine.execute ~jobs:1 ~fail_fast:false ~prefill
-             ~resume0:
-               {
-                 Engine.no_resume with
-                 Engine.replayed = n;
-                 journal_diagnostics = !diags;
-               }
-             grid cells)
+             dir t.resume.executed (Array.length t.cells))
+      else Ok t

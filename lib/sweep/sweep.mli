@@ -24,6 +24,10 @@ module Journal = Journal
 module Lease = Lease
 (** link(2)-based filesystem leases with heartbeats (spool workers). *)
 
+module Runner = Runner
+(** The one campaign runner: journal replay, pool execution, journal
+    append (sweeps, load shards, spool merges). *)
+
 (** {1 Grid axes} *)
 
 (** Algorithm axis.  Wtlw's tradeoff parameter is a fraction of
@@ -149,32 +153,25 @@ val eval_with_retry :
 (** Evaluate under the retry policy (no policy: one plain {!eval});
     also returns the number of attempts spent. *)
 
-val code_digest : unit -> string
-(** MD5 of the running binary (lazily computed once): folded into
-    input fingerprints so a rebuild invalidates journaled results. *)
-
 val input_fingerprint : ?code_fp:string -> grid -> cell -> int
-(** FNV-1a over the cell key plus everything else that shapes its
-    result: grid budgets, checker, compiler version, and a digest of
-    the running binary ([code_fp] overrides the digest — tests).  A
-    journaled cell is replayed only while this fingerprint still
-    matches; recompiling therefore invalidates cells individually. *)
+(** {!Runner.input_fingerprint} of the cell key under the grid's
+    budgets and checker.  A journaled cell is replayed only while this
+    fingerprint still matches; recompiling therefore invalidates cells
+    individually. *)
 
-val journal_header : unit -> string
-(** Header fingerprint for sweep cell journals (schema + compiler). *)
+(** {!Runner.meta}, excluded from {!fingerprint} like [jobs]/[wall_s]. *)
+type cell_meta = Runner.meta = {
+  wall_s : float;
+  attempts : int;
+  replayed : bool;
+}
 
-(** Per-cell observability, excluded from {!fingerprint} exactly like
-    [jobs]/[wall_s]: replayed cells carry zero wall time/attempts. *)
-type cell_meta = { wall_s : float; attempts : int; replayed : bool }
-
-(** How a campaign's cells were answered. *)
-type resume_stats = {
-  replayed : int;  (** cells answered from the journal *)
-  invalidated : int;  (** journaled cells re-run because inputs changed *)
-  executed : int;  (** cells evaluated in this process *)
-  interrupted : bool;  (** a stop request drained the pool early *)
+type resume_stats = Runner.resume_stats = {
+  replayed : int;
+  invalidated : int;
+  executed : int;
+  interrupted : bool;
   journal_diagnostics : string list;
-      (** named corruption/truncation findings from journal loading *)
 }
 
 (** Campaign result. *)
@@ -203,8 +200,9 @@ val run :
   ?should_stop:(unit -> bool) ->
   grid ->
   t
-(** Evaluate the whole grid on [jobs] domains (default 1 = inline).
-    Per-domain streaming accumulators are merged at the barrier.  With
+(** Evaluate the whole grid through {!Runner.run} on [jobs] domains
+    (default 1 = inline); the merged summaries are folded once over
+    the outcomes after the pool finishes.  With
     [fail_fast] the first failed cell cancels unclaimed cells
     (reported as [Skipped]); in-flight cells still complete and no
     verdict is lost.  [should_stop] (e.g. [Pool.Interrupt.requested])
@@ -296,10 +294,9 @@ module Spool : sig
       deterministic and journal replay is last-record-wins. *)
 
   val merge : ?code_fp:string -> dir:string -> grid -> (t, string) result
-  (** Load every worker journal and assemble the campaign through the
-      same exact-merge executor a single process uses; [Error] while
-      any cell is missing (or journaled with a stale input
-      fingerprint). *)
+  (** Replay every worker journal through the same {!Runner} a single
+      process uses; [Error] while any cell is missing (or journaled
+      with a stale input fingerprint). *)
 end
 
 (** {1 Robustness matrix} *)
@@ -307,7 +304,6 @@ end
 val robustness :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
-  ?config:Core.Reliable.config ->
   ?per_proc:int ->
   model:Sim.Model.t ->
   x:Rat.t ->

@@ -92,6 +92,28 @@ let test_generated_certify () =
           | _ -> "?"))
     (Scenario.Generate.batch ~seed:1 ~count:15)
 
+(* A scenario name with UTF-8 and a tab must come out as valid JSON:
+   the UTF-8 bytes verbatim, the tab as \t, and never OCaml's \ddd
+   decimal escapes, which JSON parsers reject. *)
+let test_json_outcome_escapes () =
+  let s = { (Scenario.gen ~seed:1) with name = "caf\xc3\xa9\tq" } in
+  let line = Scenario.Exec.json_of_outcome (Scenario.run s) in
+  let has_decimal_escape =
+    let rec at i =
+      i + 1 < String.length line
+      && ((line.[i] = '\\'
+          && (match line.[i + 1] with '0' .. '9' -> true | _ -> false))
+         || at (if line.[i] = '\\' then i + 2 else i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) "no \\ddd escape" false has_decimal_escape;
+  Alcotest.(check bool) "name escaped as JSON" true
+    (String.starts_with ~prefix:"{\"scenario\": \"caf\xc3\xa9\\tq\"," line);
+  Alcotest.(check string) "control bytes"
+    {|"\"\\\n\r\t\u0001\u001f é"|}
+    (Core.Json.quote "\"\\\n\r\t\x01\x1f \xc3\xa9")
+
 (* ------------------------------------------------------------------ *)
 (* Expectations *)
 
@@ -230,6 +252,8 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
           Alcotest.test_case "batch certifies" `Quick test_generated_certify;
+          Alcotest.test_case "json outcome escapes names" `Quick
+            test_json_outcome_escapes;
         ] );
       ( "expect",
         [ Alcotest.test_case "certify vs violate" `Quick test_expectations ] );

@@ -44,19 +44,12 @@ let test_fingerprint_jobs_independent () =
 (* The per-cell seed is the FNV-1a hash of the canonical cell key, so
    it can never depend on the claiming domain or the wall clock. *)
 let test_derived_seed_is_fnv_of_key () =
-  let fnv1a s =
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c ->
-        h := !h lxor Char.code c;
-        h := !h * 0x01000193 land 0xFFFFFFFF)
-      s;
-    !h
-  in
+  Alcotest.(check int) "FNV-1a offset basis" 0x811c9dc5 (Sweep.Journal.fnv1a "");
+  Alcotest.(check int) "FNV-1a of \"a\"" 0xe40c292c (Sweep.Journal.fnv1a "a");
   List.iter
     (fun cell ->
       let key = Sweep.cell_key small_grid cell in
-      Alcotest.(check int) (key ^ " seed") (fnv1a key)
+      Alcotest.(check int) (key ^ " seed") (Sweep.Journal.fnv1a key)
         (Sweep.derived_seed small_grid cell))
     (Sweep.cells small_grid)
 
