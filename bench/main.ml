@@ -15,14 +15,11 @@
    - Figure 11: the operation-class containment table, discovered by
      the classification search over every bundled data type.
    - Lemma 4: measured per-class latencies against the formulas.
-   - Sweep engine: the table campaign grid evaluated on one domain and
-     again on a pool, checking the fingerprints are byte-identical and
-     reporting both wall clocks.
-   - Robustness: the fault-injection matrix, each nemesis case raw and
-     over the reliable channel (driven by [Sweep.robustness]).
-   - Bechamel microbenchmarks: one per table (wall-clock cost of
-     regenerating each table's measured workload), plus the three
-     algorithms on a fixed workload. *)
+   - Streaming sinks: the live heap of a closed-loop run with event
+     retention on and off.
+
+   Pipeline timings and allocation live in [benchmark/] and in
+   [repro bench]; the fault matrix is [repro faults]. *)
 
 let rat = Rat.make
 
@@ -650,217 +647,8 @@ let streaming_section () =
     && retained.messages = streamed.messages
     && retained.admissible = streamed.admissible)
 
-(* A small retention-off closed-loop run emitted as JSON on stdout, for
-   the CI bench-smoke artifact (BENCH_*.json): perf trajectory starts
-   accumulating without dragging the full benchmark suite into CI. *)
-let smoke_section () =
-  let module R = Core.Runtime.Make (Spec.Fifo_queue) in
-  let report, m =
-    Perf.Measure.measure (fun () ->
-        R.run
-          (R.Config.make ~retain_events:false ~model ~offsets
-             ~delay:(Sim.Net.random_model ~seed:11 model)
-             ~algorithm:(R.Wtlw { x })
-             ~workload:
-               (R.Closed_loop { per_proc = 50; think = rat 1 2; seed = 11 })
-             ()))
-  in
-  let wall_s = float_of_int m.Perf.Measure.wall_ns /. 1e9 in
-  let linearizable = Option.is_some report.linearization in
-  Format.printf
-    "{ \"bench\": \"closed-loop-queue-smoke\", \"algorithm\": \"wtlw\",@.";
-  Format.printf "  \"retain_events\": false, \"per_proc\": 50, \"n\": %d,@."
-    model.n;
-  Format.printf
-    "  \"operations\": %d, \"events\": %d, \"messages\": %d, \"pending\": %d,@."
-    (List.length report.operations)
-    report.events report.messages report.pending;
-  Format.printf "  \"linearizable\": %b, \"delays_admissible\": %b,@."
-    linearizable report.delays_admissible;
-  Format.printf "  \"wall_s\": %.6f, \"minor_words\": %.0f,@." wall_s
-    m.Perf.Measure.minor_words;
-  Format.printf "  \"minor_words_per_event\": %.2f }@."
-    (m.Perf.Measure.minor_words /. float_of_int (max 1 report.events));
-  if not (linearizable && report.delays_admissible && report.pending = 0) then
-    exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Monitors: the O(n log n) per-type path vs the Wing-Gong DFS.        *)
-
-(* Generated unambiguous histories (linearizable by construction), so
-   both engines certify and the comparison is pure verification time.
-   Wing-Gong runs only at the smallest size — its frontier memoization
-   is super-linear in both time and space — while the monitor scales
-   through 1M operations.  The queue is the interesting column (its
-   kernel drives the full extension + lazy-scheduler machinery); the
-   register is the near-trivial baseline. *)
-let monitor_run (modl : (module Spec.Data_type.S)) ~wing_gong ~n () =
-  let (module T : Spec.Data_type.S) = modl in
-  let module M = Monitor.Make (T) in
-  let ops = M.generate ~seed:7 ~n () in
-  let (linearizable, label), m =
-    Perf.Measure.measure (fun () ->
-        if wing_gong then
-          let module F = Lin.Checker.Make (T) in
-          (Option.is_some (F.check ops), "wing-gong")
-        else
-          let r = M.check ops in
-          (r.M.linearizable, Monitor.method_to_string r.M.method_))
-  in
-  (linearizable, label, float_of_int m.Perf.Measure.wall_ns /. 1e9)
-
-let monitor_section () =
-  section "Monitors: specialized O(n log n) kernels vs the Wing-Gong DFS";
-  Format.printf "%-14s %10s %-22s %12s %6s@." "type" "ops" "engine" "wall"
-    "ok";
-  let row name modl ~wing_gong ~n =
-    let ok, label, wall_s = monitor_run modl ~wing_gong ~n () in
-    Format.printf "%-14s %10d %-22s %10.3fs %6b@." name n label wall_s ok
-  in
-  List.iter
-    (fun (name, modl) ->
-      row name modl ~wing_gong:true ~n:1_000;
-      List.iter
-        (fun n -> row name modl ~wing_gong:false ~n)
-        [ 1_000; 10_000; 100_000; 1_000_000 ])
-    [
-      ("queue", (module Spec.Fifo_queue : Spec.Data_type.S));
-      ("register", (module Spec.Register : Spec.Data_type.S));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Sweep engine: the campaign grid on 1 domain vs N domains.           *)
-
-let sweep_engine_section () =
-  section "Sweep engine: campaign grid, 1 domain vs N domains";
-  let t1 = Lazy.force campaign in
-  let jobs = Stdlib.max 2 (Stdlib.min 4 (Domain.recommended_domain_count ())) in
-  let tn = Sweep.run ~jobs bench_grid in
-  let show label (t : Sweep.t) =
-    let done_, certified, failed, skipped = Sweep.counts t in
-    Format.printf
-      "  jobs=%-2d (%-9s)  %d cells: %d done (%d certified), %d failed, %d skipped  wall %.3fs@."
-      t.jobs label (Array.length t.cells) done_ certified failed skipped
-      t.wall_s
-  in
-  show "1 domain" t1;
-  show "N domains" tn;
-  Format.printf "  verdicts byte-identical across domain counts: %b@."
-    (String.equal (Sweep.fingerprint t1) (Sweep.fingerprint tn))
-
-(* ------------------------------------------------------------------ *)
-(* Robustness: the fault-injection matrix (nemesis x recovery).        *)
-
-let robustness_section () =
-  section "Robustness: fault-injection matrix, raw vs reliable channel";
-  Format.printf
-    "each case twice: raw (the damage must be flagged) and over the@.";
-  Format.printf
-    "ack/retransmit channel against d' = d + k*rto (must linearize)@.@.";
-  let cells = Sweep.robustness ~jobs:2 ~model ~x ~seed:1 [ packed "queue" ] in
-  Format.printf "%a@." Core.Robustness.pp_matrix cells
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: one per table.                            *)
-
-let bechamel_section () =
-  section "Bechamel microbenchmarks (wall-clock per regenerated workload)";
-  let open Bechamel in
-  let open Toolkit in
-  let run_workload (module T : Spec.Data_type.S) () =
-    let module R = Core.Runtime.Make (T) in
-    let report =
-      R.run
-        (R.Config.make ~check:false ~model ~offsets
-           ~delay:(Sim.Net.random_model ~seed:5 model)
-           ~algorithm:(R.Wtlw { x })
-           ~workload:(R.Closed_loop { per_proc = 6; think = rat 1 2; seed = 5 })
-           ())
-    in
-    ignore report.R.by_kind
-  in
-  let module RQ = Core.Runtime.Make (Spec.Fifo_queue) in
-  let run_algorithm algorithm () =
-    let report =
-      RQ.run
-        (RQ.Config.make ~check:false ~model ~offsets
-           ~delay:(Sim.Net.random_model ~seed:5 model)
-           ~algorithm
-           ~workload:(RQ.Closed_loop { per_proc = 6; think = rat 1 2; seed = 5 })
-           ())
-    in
-    ignore report.RQ.by_kind
-  in
-  (* The sharded load pipeline end to end: generate, route, run two
-     clusters inline, certify per key, merge histograms. *)
-  let run_load () =
-    let module Sh = Shard.Make (Spec.Fifo_queue) in
-    let t =
-      Sh.run
-        (Shard.Config.make ~keys:16 ~zipf:0.8 ~seed:5 ~shards:2 ~ops:400
-           ~arrival:(Core.Workload.Poisson { rate = rat 1 4 })
-           ~model
-           ~algorithm:(Core.Runtime.Wtlw { x })
-           ())
-    in
-    assert t.Shard.certified
-  in
-  let tests =
-    Test.make_grouped ~name:"bench"
-      [
-        Test.make ~name:"table1-rmw-register"
-          (Staged.stage (run_workload (module Spec.Rmw_register)));
-        Test.make ~name:"table2-queue"
-          (Staged.stage (run_workload (module Spec.Fifo_queue)));
-        Test.make ~name:"table3-stack"
-          (Staged.stage (run_workload (module Spec.Stack_type)));
-        Test.make ~name:"table4-tree"
-          (Staged.stage (run_workload (module Spec.Tree_type)));
-        Test.make ~name:"table5-summary-register"
-          (Staged.stage (run_workload (module Spec.Register)));
-        Test.make ~name:"algo-wtlw"
-          (Staged.stage (run_algorithm (RQ.Wtlw { x })));
-        Test.make ~name:"algo-centralized"
-          (Staged.stage (run_algorithm RQ.Centralized));
-        Test.make ~name:"algo-tob" (Staged.stage (run_algorithm RQ.Tob));
-        Test.make ~name:"load-sharded" (Staged.stage run_load);
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.3) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-    |> List.sort compare
-  in
-  Format.printf "%-28s %16s %10s@." "benchmark" "time/run" "r^2";
-  List.iter
-    (fun (name, result) ->
-      let time =
-        match Analyze.OLS.estimates result with
-        | Some [ t ] -> Printf.sprintf "%.0f ns" t
-        | _ -> "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Printf.sprintf "%.4f" r
-        | None -> "-"
-      in
-      Format.printf "%-28s %16s %10s@." name time r2)
-    rows
-
 let () =
   let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  if what = "smoke" then begin
-    (* JSON only, machine-readable: used by the CI bench-smoke step. *)
-    smoke_section ();
-    exit 0
-  end;
   let want s = what = "all" || what = s in
   if want "tables" then run_tables ();
   if want "figures" then begin
@@ -874,8 +662,4 @@ let () =
   if want "sweeps" then sweep_section ();
   if want "streaming" then streaming_section ();
   if want "ablations" then ablation_section ();
-  if want "sweep" then sweep_engine_section ();
-  if want "monitor" then monitor_section ();
-  if want "robustness" then robustness_section ();
-  if want "bechamel" then bechamel_section ();
   Format.printf "@.bench done (%s)@." what

@@ -62,23 +62,25 @@ let simulate_cmd =
     let model = make_model n d u eps in
     let x = make_x model x in
     let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
-    let module R = Core.Runtime.Make (T) in
+    let module E = Scenario.Exec.Run (T) in
+    let module R = E.R in
     let algorithm =
       match algo with
-      | `Wtlw -> R.Wtlw { x }
-      | `Centralized -> R.Centralized
-      | `Tob -> R.Tob
+      | `Wtlw -> Scenario.Wtlw { x; knob = Core.Ablation.Paper }
+      | `Centralized -> Scenario.Centralized
+      | `Tob -> Scenario.Tob
     in
-    let report =
-      R.run
-        (R.Config.make ~model ~checker
-           ~retain_events:(not no_retain)
-           ~offsets:(Array.make model.n Rat.zero)
-           ~delay:(Sim.Net.random_model ~seed model)
-           ~algorithm
-           ~workload:(R.Closed_loop { per_proc = ops; think = Rat.make 1 2; seed })
-           ())
+    (* The flags describe a scenario, lowered like every other run. *)
+    let s =
+      Scenario.make ~dt:(Sweep.Packed_type.key pt) ~model ~checker ~algorithm
+        ~workload:
+          (Scenario.Closed_loop { per_proc = ops; think = Rat.make 1 2 })
+        ~seed ()
     in
+    match E.config_of s with
+    | Error msg -> `Error (false, msg)
+    | Ok cfg ->
+    let report = R.run { cfg with R.Config.retain_events = not no_retain } in
     Format.printf "model: %a, X = %a, data type: %s@.@." Sim.Model.pp model
       Rat.pp x T.name;
     Format.printf "%a@." R.pp_report report;
@@ -720,10 +722,10 @@ let faults_cmd =
       Sweep.robustness ~jobs ~should_stop:Sweep.Pool.Interrupt.requested
         ~model ~x ~seed targets
     in
-    if json then Format.printf "%a@." Core.Robustness.pp_json cells
+    if json then Format.printf "%a@." Scenario.Robustness.pp_json cells
     else begin
       Format.printf "model: %a, X = %a@.@." Sim.Model.pp model Rat.pp x;
-      Format.printf "%a@." Core.Robustness.pp_matrix cells
+      Format.printf "%a@." Scenario.Robustness.pp_matrix cells
     end;
     (* Nonzero exit unless every cell certified, so CI can gate on it. *)
     if Sweep.Pool.Interrupt.requested () then
@@ -731,7 +733,7 @@ let faults_cmd =
         ( false,
           "faults interrupted; completed cells are reported above — re-run \
            to evaluate the rest" )
-    else if Core.Robustness.all_certified cells then `Ok ()
+    else if Scenario.Robustness.all_certified cells then `Ok ()
     else `Error (false, "robustness matrix has uncertified cells")
   in
   Cmd.v

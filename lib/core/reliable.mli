@@ -20,7 +20,7 @@
     algorithm unmodified over the wrapped handlers against
     [Model.make ~d:d' ~u:d'] ({!inflated_model}) therefore restores
     the hypotheses of its linearizability proof, and the checker can
-    certify the recovery machine-checked ([Core.Robustness]). *)
+    certify the recovery machine-checked ([Scenario.Robustness]). *)
 
 type config = {
   rto : Rat.t;  (** retransmission timeout before the first retry *)

@@ -6,8 +6,9 @@
     There is a single entry point, [run : Config.t -> report]: the
     [Config] record names every knob (checking, event retention, fault
     plan, step limit, reliable-channel leg, model, offsets, delay,
-    algorithm, workload), so the sweep engine, the CLI, the bench and
-    the robustness matrix all describe a run the same way. *)
+    algorithm, workload).  Sweep cells, fault-matrix legs and
+    [repro simulate] reach it through one lowering,
+    [Scenario.Exec.Run(T).config_of]. *)
 
 (* The algorithm choice does not depend on the data type, so it lives
    outside the functor — the sweep engine enumerates algorithms without

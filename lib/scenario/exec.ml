@@ -1,12 +1,12 @@
-(* The executor: lower a scenario onto the existing [Runtime.Config]
-   machinery, run it, and judge the result against the scenario's
-   expectation and temporal predicate.
+(* The executor: lower a scenario onto the [Runtime.Config] machinery,
+   run it, and judge the result against the scenario's expectation and
+   temporal predicate.
 
-   Lowering is the same path the sweep engine takes (first-class
-   [Sweep.Packed_type] module -> [Runtime.Make] -> [Config.t]), so a
-   scenario is exactly as reproducible as a sweep cell: the scenario
-   seed drives delay sampling and workload generation, and nothing else
-   is random. *)
+   [Run(T).config_of] is the one lowering in the library: sweep cells
+   ([Sweep.eval]), fault-matrix legs ([Robustness.run_cell]) and
+   [repro simulate] all describe their runs as scenarios and lower them
+   here.  The scenario seed drives delay sampling and workload
+   generation, and nothing else is random. *)
 
 open Types
 
@@ -310,12 +310,12 @@ end
 (* Type dispatch                                                       *)
 
 let run (s : t) : outcome =
-  match Sweep.Packed_type.find s.dt with
+  match Packed_type.find s.dt with
   | None ->
       let module RQ = Run (Spec.Fifo_queue) in
       RQ.aborted s ~wall_s:0. (Printf.sprintf "unknown data type %S" s.dt)
   | Some pt ->
-      let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
+      let (module T : Spec.Data_type.S) = Packed_type.modl pt in
       let module E = Run (T) in
       E.run s
 

@@ -22,7 +22,7 @@ let pick rng l = List.nth l (Random.State.int rng (List.length l))
 
 let gen ~seed : t =
   let rng = Random.State.make [| 0x53434e; seed |] in
-  let dt = pick rng Sweep.Packed_type.keys in
+  let dt = pick rng Packed_type.keys in
   let n, (dn, dd), (un, ud), (en, ed) = pick rng model_points in
   let model =
     Sim.Model.make ~n ~d:(Rat.make dn dd) ~u:(Rat.make un ud)
@@ -96,8 +96,8 @@ let gen ~seed : t =
       | _ ->
           (* explicit open loop over the type's canonical samples,
              spaced beyond the worst-case latency 2d + eps *)
-          let pt = Option.get (Sweep.Packed_type.find dt) in
-          let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
+          let pt = Option.get (Packed_type.find dt) in
+          let (module T : Spec.Data_type.S) = Packed_type.modl pt in
           let ops = List.map fst T.operations in
           let spacing =
             Rat.add

@@ -2,8 +2,9 @@
    workload, model point, delay schedule, fault plan, checker,
    algorithm (including ablation knobs) and an expected outcome with a
    temporal predicate — plus the machinery around it: a stable textual
-   encoding, a seed-deterministic generator, an executor lowering onto
-   [Runtime.Config]/[Sweep]/[Shard], and a counterexample shrinker.
+   encoding, a seed-deterministic generator, the one executor lowering
+   onto [Runtime.Config], and a counterexample shrinker.  The sweep
+   grid and the fault matrix are enumerators of scenarios.
 
    This is the library's public face; the submodules stay accessible
    ([Scenario.Exec], [Scenario.Shrink], ...) for code that wants the
@@ -11,6 +12,9 @@
 
 include Types
 
+module Packed_type = Packed_type
+module Grid = Grid
+module Robustness = Robustness
 module Sexp = Sexp
 module Exec = Exec
 module Shrink = Shrink
@@ -30,64 +34,32 @@ let run = Exec.run
 let shrink = Shrink.shrink
 let gen = Generate.gen
 
-(* ------------------------------------------------------------------ *)
-(* Projections from the existing run descriptions                      *)
-
-(* A sweep cell as a scenario: the exact same lowering [Sweep.eval]
-   performs (derived seed drives both the delay sampling and the
-   closed loop; offsets zero; think 1/2), so running the projection
-   reproduces the cell's run outside the campaign machinery. *)
-let of_sweep_cell (grid : Sweep.grid) (cell : Sweep.cell) : t =
+(* A sweep cell as a scenario, named by its canonical key and seeded by
+   the key's hash (the seed drives both the delay sampling and the
+   closed loop; offsets zero; think 1/2).  [Sweep.eval] runs exactly
+   this scenario.  The key is built once: it is the per-cell cost the
+   sweep pays for the lowering. *)
+let of_sweep_cell (grid : Grid.grid) (cell : Grid.cell) : t =
   let model = cell.point in
+  let key = Grid.cell_key grid cell in
   let algorithm =
     match cell.algo with
-    | Sweep.Wtlw _ ->
-        Wtlw
-          {
-            x = Sweep.resolve_x model cell.algo;
-            knob = Core.Ablation.Paper;
-          }
-    | Sweep.Centralized -> Centralized
-    | Sweep.Tob -> Tob
+    | Grid.Wtlw _ ->
+        Wtlw { x = Grid.resolve_x model cell.algo; knob = Core.Ablation.Paper }
+    | Grid.Centralized -> Centralized
+    | Grid.Tob -> Tob
   in
   let delays =
     match cell.delays with
-    | Sweep.Random_delays -> Random_delays
-    | Sweep.Max_delays -> Max_delays
-    | Sweep.Min_delays -> Min_delays
+    | Grid.Random_delays -> Random_delays
+    | Grid.Max_delays -> Max_delays
+    | Grid.Min_delays -> Min_delays
   in
-  make
-    ~name:(Sweep.cell_key grid cell)
-    ~dt:(Sweep.Packed_type.key cell.dt)
+  make ~name:key
+    ~dt:(Packed_type.key cell.dt)
     ~model ~delays ~faults:cell.plan
-    ~reliable:(cell.leg = Sweep.Recovered)
+    ~reliable:(cell.leg = Grid.Recovered)
     ~checker:grid.checker ~algorithm
     ~workload:(Closed_loop { per_proc = grid.per_proc; think = Rat.make 1 2 })
-    ~seed:(Sweep.derived_seed grid cell)
-    ~max_events:grid.max_events ?max_check_nodes:grid.max_check_nodes
-    ~expect:Certify ~predicate:True ()
-
-(* A generated-workload scenario as a sharded-runtime config: the same
-   stream parameters, so [Shard.run] partitions the scenario's traffic
-   by key across clusters.  Only [Generated] workloads shard (explicit
-   and closed-loop runs have no key structure), and only the repaired
-   knob is expressible in [Shard.Config]. *)
-let to_shard_config ~shards (s : t) :
-    (Shard.Config.t, string) result =
-  match (s.workload, s.algorithm) with
-  | Explicit _, _ | Closed_loop _, _ ->
-      Error "only generated workloads shard by key"
-  | Generated _, Wtlw { knob; _ }
-    when knob <> Core.Ablation.Paper ->
-      Error "ablation knobs are not expressible in a shard config"
-  | Generated { arrival; zipf; keys; ops }, _ ->
-      Ok
-        (Shard.Config.make ~keys ~zipf ~faults:s.faults
-           ?channel:
-             (if s.reliable then Some (Core.Reliable.default_config s.model)
-              else None)
-           ~checker:s.checker ?max_events:s.max_events
-           ?max_check_nodes:s.max_check_nodes ~seed:s.seed ~shards
-           ~ops ~arrival ~model:s.model
-           ~algorithm:(Exec.runtime_algorithm s.algorithm)
-           ())
+    ~seed:(Core.Hash.fnv1a key) ~max_events:grid.max_events
+    ?max_check_nodes:grid.max_check_nodes ~expect:Certify ~predicate:True ()

@@ -12,9 +12,10 @@
       byte-identically);
     - seed-deterministic random generation over the ten bundled types
       ({!gen}: same seed, byte-identical scenario);
-    - an executor lowering scenarios onto the existing
-      [Runtime.Config] / [Sweep] / [Shard] machinery ({!run},
-      {!of_sweep_cell}, {!to_shard_config});
+    - the one executor lowering scenarios onto [Runtime.Config]
+      ({!run}, [Exec.Run(T).config_of]); sweep cells ({!Grid},
+      {!of_sweep_cell}), fault-matrix legs ({!Robustness}) and
+      [repro simulate] are all scenarios lowered by it;
     - a greedy deterministic counterexample shrinker ({!shrink}: drop
       invocations, move delay matrices toward the uniform point, drop
       fault specs, shrink seeds — to a fixpoint);
@@ -23,6 +24,9 @@
 
 include module type of Types
 
+module Packed_type = Packed_type
+module Grid = Grid
+module Robustness = Robustness
 module Sexp = Sexp
 module Exec = Exec
 module Shrink = Shrink
@@ -49,12 +53,9 @@ val run : t -> Exec.outcome
 val gen : seed:int -> t
 val shrink : ?max_attempts:int -> t -> (Shrink.outcome, string) result
 
-(** {1 Projections} *)
+(** {1 Sweep cells} *)
 
-val of_sweep_cell : Sweep.grid -> Sweep.cell -> t
-(** A sweep cell as a scenario — the exact lowering [Sweep.eval]
-    performs, so running the projection reproduces the cell's run. *)
-
-val to_shard_config : shards:int -> t -> (Shard.Config.t, string) result
-(** A generated-workload scenario as a [Shard] campaign; explicit and
-    closed-loop workloads (and ablation knobs) do not shard. *)
+val of_sweep_cell : Grid.grid -> Grid.cell -> t
+(** A sweep cell as a scenario, named by {!Grid.cell_key} and seeded by
+    {!Grid.derived_seed}.  [Sweep.eval] lowers and runs exactly this
+    scenario. *)

@@ -87,7 +87,7 @@ type expect =
 
 type t = {
   name : string;
-  dt : string;  (** a [Sweep.Packed_type] key, e.g. ["queue"] *)
+  dt : string;  (** a [Packed_type] key, e.g. ["queue"] *)
   model : Sim.Model.t;
   offsets : Rat.t array;  (** clock offsets, length [model.n] *)
   delays : delays;

@@ -169,7 +169,7 @@ module Make (T : Spec.Data_type.S) = struct
   let run_shard (cfg : Config.t) ~shard =
     let m = cfg.model in
     let skey = shard_key cfg ~data_type:T.name ~shard in
-    let sseed = Sweep.Journal.fnv1a skey in
+    let sseed = Core.Hash.fnv1a skey in
     let gen =
       Workload.Gen.create ~arrival:cfg.arrival ~zipf:cfg.zipf ~keys:cfg.keys
         ~ops:cfg.ops ~seed:cfg.seed

@@ -13,117 +13,7 @@
 
 module Metrics = Core.Metrics
 
-(* Algorithm axis of the grid.  Wtlw's tradeoff parameter is declared
-   as a fraction of [d - eps] so one grid entry stays valid at every
-   model point (Lemma 4 requires X in [0, d - eps]). *)
-type algo =
-  | Wtlw of { frac : Rat.t }
-  | Centralized
-  | Tob
-
-let algo_label = function
-  | Wtlw { frac } -> Printf.sprintf "wtlw(%s)" (Rat.to_string frac)
-  | Centralized -> "centralized"
-  | Tob -> "tob"
-
-let resolve_x (m : Sim.Model.t) = function
-  | Wtlw { frac } -> Rat.mul frac (Rat.sub m.d m.eps)
-  | Centralized | Tob -> Rat.zero
-
-let runtime_algo (m : Sim.Model.t) = function
-  | Wtlw _ as a -> Core.Runtime.Wtlw { x = resolve_x m a }
-  | Centralized -> Core.Runtime.Centralized
-  | Tob -> Core.Runtime.Tob
-
-type channel_leg = Raw | Recovered
-
-let leg_label = function Raw -> "raw" | Recovered -> "recovered"
-
-(* Delay-schedule axis: random admissible delays (seeded from the cell
-   coordinates), or the all-max / all-min adversarial schedules the
-   table measurements use to realize worst cases. *)
-type delays = Random_delays | Max_delays | Min_delays
-
-let delays_label = function
-  | Random_delays -> "random"
-  | Max_delays -> "max"
-  | Min_delays -> "min"
-
-type grid = {
-  types : Packed_type.t list;
-  algos : algo list;
-  points : Sim.Model.t list;
-  delays : delays list;
-  plans : (string * Sim.Fault.plan) list;
-  legs : channel_leg list;
-  seeds : int list;
-  per_proc : int;
-  max_events : int;
-  max_check_nodes : int option;
-  checker : Core.Runtime.checker;
-      (** certification engine for every cell; [Monitor] routes through
-          the specialized per-type monitors with Wing-Gong fallback *)
-}
-
-let default_points =
-  [
-    Sim.Model.make ~n:3 ~d:(Rat.of_int 10) ~u:(Rat.of_int 4) ~eps:Rat.one;
-    Sim.Model.make ~n:4 ~d:(Rat.of_int 8) ~u:(Rat.of_int 2)
-      ~eps:(Rat.make 1 2);
-  ]
-
-(* The reference grid of the acceptance criteria: every bundled type,
-   all three algorithms, two model points, both channel legs. *)
-let default_grid =
-  {
-    types = Packed_type.all;
-    algos = [ Wtlw { frac = Rat.make 1 2 }; Centralized; Tob ];
-    points = default_points;
-    delays = [ Random_delays ];
-    plans = [ ("none", Sim.Fault.none) ];
-    legs = [ Raw; Recovered ];
-    seeds = [ 1 ];
-    per_proc = 2;
-    max_events = 500_000;
-    max_check_nodes = Some 5_000_000;
-    checker = Core.Runtime.Monitor;
-  }
-
-type cell = {
-  dt : Packed_type.t;
-  algo : algo;
-  point : Sim.Model.t;
-  delays : delays;
-  plan_label : string;
-  plan : Sim.Fault.plan;
-  leg : channel_leg;
-  seed : int;  (** the grid's base seed; the run uses {!derived_seed} *)
-}
-
-let cells grid =
-  let ( let* ) axis f = List.concat_map f axis in
-  let* dt = grid.types in
-  let* algo = grid.algos in
-  let* point = grid.points in
-  let* delays = grid.delays in
-  let* plan_label, plan = grid.plans in
-  let* leg = grid.legs in
-  List.map
-    (fun seed -> { dt; algo; point; delays; plan_label; plan; leg; seed })
-    grid.seeds
-
-(* Canonical cell coordinates.  This string is both the human-readable
-   cell id in reports and the input to the seed hash, so it must name
-   every axis that can change the run. *)
-let cell_key grid (c : cell) =
-  let m = c.point in
-  Printf.sprintf
-    "type=%s;algo=%s;n=%d;d=%s;u=%s;eps=%s;delays=%s;faults=%s;leg=%s;seed=%d;per_proc=%d"
-    (Packed_type.key c.dt) (algo_label c.algo) m.n (Rat.to_string m.d)
-    (Rat.to_string m.u) (Rat.to_string m.eps) (delays_label c.delays)
-    c.plan_label (leg_label c.leg) c.seed grid.per_proc
-
-let derived_seed grid c = Journal.fnv1a (cell_key grid c)
+include Scenario.Grid
 
 (* Per-cell verdict: the run's health, its latency shape, and the
    worst observed latency of each class against the Table 5 formula for
@@ -159,18 +49,16 @@ let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   | Centralized -> Bounds.Theorems.ub_centralized judged
   | Tob -> Bounds.Theorems.ub_tob judged
 
+(* A cell is a scenario ([Scenario.of_sweep_cell]), lowered by the one
+   lowering, [Scenario.Exec.Run(T).config_of]; only the wall budget is
+   added here. *)
 let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
-  let key = cell_key grid c in
-  let seed = derived_seed grid c in
+  let s = Scenario.of_sweep_cell grid c in
+  let key = s.name and seed = s.seed in
   let m = c.point in
-  let (module T : Spec.Data_type.S) = Packed_type.modl c.dt in
-  let module R = Core.Runtime.Make (T) in
-  let delay =
-    match c.delays with
-    | Random_delays -> Sim.Net.random_model ~seed m
-    | Max_delays -> Sim.Net.max_delay_model m
-    | Min_delays -> Sim.Net.min_delay_model m
-  in
+  let (module T : Spec.Data_type.S) = Scenario.Packed_type.modl c.dt in
+  let module E = Scenario.Exec.Run (T) in
+  let module R = E.R in
   (* Per-cell wall budget: a closure over the start time, polled by the
      simulation loop.  An exhausted budget (deliberately including 0.0,
      which expires on the very first poll) surfaces below as the named
@@ -184,67 +72,59 @@ let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
         fun () -> Core.Clock.now_s () -. t0 >= budget)
       wall_budget_s
   in
-  let cfg =
-    R.Config.make ~faults:c.plan ~max_events:grid.max_events
-      ?max_check_nodes:grid.max_check_nodes ?deadline ~checker:grid.checker
-      ~model:m
-      ~offsets:(Array.make m.n Rat.zero)
-      ~delay
-      ~algorithm:(runtime_algo m c.algo)
-      ~workload:
-        (R.Closed_loop { per_proc = grid.per_proc; think = Rat.make 1 2; seed })
-      ()
-  in
-  let cfg = match c.leg with Raw -> cfg | Recovered -> R.Config.reliable cfg in
-  match R.run cfg with
-  | exception Lin.Checker.Node_budget_exceeded { nodes; prefix; total } ->
-      Error
-        (Format.asprintf "%s: %a (max_check_nodes)" key
-           Lin.Checker.pp_budget_exceeded (nodes, prefix, total))
-  | exception Sim.Engine.Deadline_exceeded _ ->
-      Error
-        (Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
-           (Option.value wall_budget_s ~default:0.0))
-  | exception Invalid_argument msg -> Error (Printf.sprintf "%s: %s" key msg)
-  | report ->
-      let judged =
-        match report.channel with Some ch -> ch.effective | None -> m
-      in
-      let x = resolve_x m c.algo in
-      let bounds =
-        List.map
-          (fun (kind, (s : Metrics.summary)) ->
-            (kind, s.max, bound_for ~algo:c.algo ~judged ~x kind))
-          report.by_kind
-      in
-      let bound_ok =
-        List.for_all (fun (_, worst, ub) -> Rat.le worst ub) bounds
-      in
-      let lat = Metrics.Acc.create () in
-      List.iter (fun (_, s) -> Metrics.Acc.absorb lat s) report.by_kind;
-      let ok = R.ok report in
-      Ok
-        {
-          key;
-          run_seed = seed;
-          ok;
-          bound_ok;
-          certified = ok && bound_ok;
-          operations = List.length report.operations;
-          messages = report.messages;
-          events = report.events;
-          pending = report.pending;
-          truncated = report.truncated;
-          retransmits =
-            (match report.channel with
-            | None -> 0
-            | Some ch -> ch.stats.Core.Reliable.retransmits);
-          latency = Metrics.Acc.summary lat;
-          hist = report.hist;
-          by_op = report.by_op;
-          by_kind = report.by_kind;
-          bounds;
-        }
+  match E.config_of s with
+  | Error msg -> Error (Printf.sprintf "%s: %s" key msg)
+  | Ok cfg -> (
+      match R.run { cfg with R.Config.deadline } with
+      | exception Lin.Checker.Node_budget_exceeded { nodes; prefix; total } ->
+          Error
+            (Format.asprintf "%s: %a (max_check_nodes)" key
+               Lin.Checker.pp_budget_exceeded (nodes, prefix, total))
+      | exception Sim.Engine.Deadline_exceeded _ ->
+          Error
+            (Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
+               (Option.value wall_budget_s ~default:0.0))
+      | exception Invalid_argument msg ->
+          Error (Printf.sprintf "%s: %s" key msg)
+      | report ->
+          let judged =
+            match report.channel with Some ch -> ch.effective | None -> m
+          in
+          let x = resolve_x m c.algo in
+          let bounds =
+            List.map
+              (fun (kind, (s : Metrics.summary)) ->
+                (kind, s.max, bound_for ~algo:c.algo ~judged ~x kind))
+              report.by_kind
+          in
+          let bound_ok =
+            List.for_all (fun (_, worst, ub) -> Rat.le worst ub) bounds
+          in
+          let lat = Metrics.Acc.create () in
+          List.iter (fun (_, s) -> Metrics.Acc.absorb lat s) report.by_kind;
+          let ok = R.ok report in
+          Ok
+            {
+              key;
+              run_seed = seed;
+              ok;
+              bound_ok;
+              certified = ok && bound_ok;
+              operations = List.length report.operations;
+              messages = report.messages;
+              events = report.events;
+              pending = report.pending;
+              truncated = report.truncated;
+              retransmits =
+                (match report.channel with
+                | None -> 0
+                | Some ch -> ch.stats.Core.Reliable.retransmits);
+              latency = Metrics.Acc.summary lat;
+              hist = report.hist;
+              by_op = report.by_op;
+              by_kind = report.by_kind;
+              bounds;
+            })
 
 (* ---------- bounded retry with exponential backoff ---------- *)
 
@@ -550,31 +430,30 @@ let pp_json ppf t =
    did), so the matrix is identical for every [jobs] count and is
    always returned in (type, case) order.  fail_fast is deliberately
    not offered: certification semantics require every cell's verdict. *)
-let robustness ?(jobs = 1) ?should_stop ?per_proc ~model ~x ~seed types =
+let robustness ?(jobs = 1) ?should_stop ~model ~x ~seed types =
   let work =
     Array.of_list
       (List.concat_map
          (fun dt ->
            List.map
              (fun case -> (dt, case))
-             (Core.Robustness.default_cases ~seed model))
+             (Scenario.Robustness.default_cases ~seed model))
          types)
   in
   let results =
     Pool.map ?should_stop ~jobs ~fail_fast:false ~n:(Array.length work)
       (fun i ->
         let dt, case = work.(i) in
-        let (module T : Spec.Data_type.S) = Packed_type.modl dt in
-        let module M = Core.Robustness.Make (T) in
-        Ok (M.run_cell ?per_proc ~model ~x ~seed case))
+        Ok (Scenario.Robustness.run_cell ~model ~x ~seed dt case))
   in
   Array.to_list
     (Array.mapi
        (fun i outcome ->
          let aborted msg =
            let dt, case = work.(i) in
-           let leg = Core.Robustness.aborted_leg msg in
-           Core.Robustness.cell_of_legs ~data_type:(Packed_type.spec_name dt)
+           let leg = Scenario.Robustness.aborted_leg msg in
+           Scenario.Robustness.cell_of_legs
+             ~data_type:(Scenario.Packed_type.spec_name dt)
              case ~raw:leg ~recovered:leg
          in
          match outcome with

@@ -31,17 +31,6 @@ let rec mkdir_p dir =
 let magic = "RJ1\n"
 let frame_overhead = String.length magic + 8
 
-(* FNV-1a, 32-bit: the one stable hash behind frame checksums, derived
-   seeds and input fingerprints.  Not [Hashtbl.hash]: that function is
-   not specified across OCaml versions, and recorded fingerprints must
-   stay comparable. *)
-let fnv1a s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun ch -> h := (!h lxor Char.code ch) * 0x01000193 land 0xFFFFFFFF)
-    s;
-  !h
-
 (* The caller's part of the header line binds the file to a record
    schema and to the compiler (Marshal compatibility). *)
 let header schema = Printf.sprintf "%s;ocaml=%s" schema Sys.ocaml_version
@@ -121,7 +110,7 @@ let scan (type a) ~path ~fp () :
                     (file_len - pos_in ic)
                 else
                   let body = really_input_string ic len in
-                  if fnv1a body <> sum then
+                  if Core.Hash.fnv1a body <> sum then
                     stop acc offset
                       "record checksum mismatch (%d remaining bytes dropped)" rest
                   else
@@ -199,7 +188,7 @@ let append w ~key ~input_fp payload =
         output_char w.oc (Char.chr (v land 0xff))
       in
       put_u32 (String.length body);
-      put_u32 (fnv1a body);
+      put_u32 (Core.Hash.fnv1a body);
       output_string w.oc body;
       w.pending <- w.pending + 1;
       if w.pending >= w.sync_every then sync_locked w)

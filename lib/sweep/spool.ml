@@ -35,7 +35,7 @@ let grid_fingerprint grid =
       Buffer.add_char buf '\n')
     cells;
   Printf.sprintf "cells=%d;fp=%08x" (List.length cells)
-    (Journal.fnv1a (Buffer.contents buf))
+    (Core.Hash.fnv1a (Buffer.contents buf))
 
 let init ~dir grid =
   Journal.mkdir_p dir;

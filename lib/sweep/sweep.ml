@@ -1,5 +1,5 @@
 module Pool = Pool
-module Packed_type = Packed_type
+module Packed_type = Scenario.Packed_type
 module Journal = Journal
 module Lease = Lease
 module Runner = Runner

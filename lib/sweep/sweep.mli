@@ -3,7 +3,8 @@
     A {e sweep} evaluates a declarative campaign {!grid} — data type x
     algorithm x model point x fault plan x channel leg x seed — by
     sharding cells across a fixed pool of OCaml domains ({!Pool}).
-    Each cell builds one [Runtime.Config.t], runs it, and is judged
+    Each cell is a scenario ([Scenario.of_sweep_cell]), lowered by
+    [Scenario.Exec.Run(T).config_of] and run, and is judged
     both end-to-end ([Runtime.ok]) and against the paper's Table 5
     upper-bound formula for its class and algorithm.
 
@@ -16,7 +17,7 @@
     are excluded from it. *)
 
 module Pool = Pool
-module Packed_type = Packed_type
+module Packed_type = Scenario.Packed_type
 
 module Journal = Journal
 (** Checksummed append-only checkpoint journal (durable campaigns). *)
@@ -28,82 +29,13 @@ module Runner = Runner
 (** The one campaign runner: journal replay, pool execution, journal
     append (sweeps, load shards, spool merges). *)
 
-(** {1 Grid axes} *)
+(** {1 The grid}
 
-(** Algorithm axis.  Wtlw's tradeoff parameter is a fraction of
-    [d - eps], so one entry stays valid at every model point (Lemma 4
-    requires X in [[0, d - eps]]). *)
-type algo =
-  | Wtlw of { frac : Rat.t }
-  | Centralized
-  | Tob
+    The grid and its cells are {!Scenario.Grid}, re-exported here. *)
 
-val algo_label : algo -> string
-val resolve_x : Sim.Model.t -> algo -> Rat.t
-(** The concrete X at a model point ([frac * (d - eps)]; zero for the
-    baselines). *)
-
-type channel_leg =
-  | Raw  (** the algorithm straight on the network *)
-  | Recovered
-      (** wrapped in the {!Core.Reliable} channel and judged against
-          the inflated model *)
-
-val leg_label : channel_leg -> string
-
-(** Delay-schedule axis: seeded random admissible delays, or the
-    all-max / all-min adversarial schedules the table measurements use
-    to realize worst cases. *)
-type delays = Random_delays | Max_delays | Min_delays
-
-val delays_label : delays -> string
-
-type grid = {
-  types : Packed_type.t list;
-  algos : algo list;
-  points : Sim.Model.t list;
-  delays : delays list;
-  plans : (string * Sim.Fault.plan) list;  (** labelled fault plans *)
-  legs : channel_leg list;
-  seeds : int list;
-  per_proc : int;  (** closed-loop operations per process *)
-  max_events : int;
-  max_check_nodes : int option;
-      (** DFS budget per cell; an exceeded search fails the cell with a
-          named diagnostic instead of hanging the sweep *)
-  checker : Core.Runtime.checker;
-      (** certification engine for every cell (default [Monitor]: the
-          specialized per-type monitors, Wing-Gong on fallback) *)
-}
-
-val default_points : Sim.Model.t list
-
-val default_grid : grid
-(** The reference grid: all ten bundled types x three algorithms x two
-    model points x raw/recovered, fault-free, one seed. *)
-
-type cell = {
-  dt : Packed_type.t;
-  algo : algo;
-  point : Sim.Model.t;
-  delays : delays;
-  plan_label : string;
-  plan : Sim.Fault.plan;
-  leg : channel_leg;
-  seed : int;  (** the grid's base seed; the run uses {!derived_seed} *)
-}
-
-val cells : grid -> cell list
-(** Cartesian product of the grid's axes, in a fixed order (types
-    outermost, seeds innermost). *)
-
-val cell_key : grid -> cell -> string
-(** Canonical coordinates — the cell id in reports and the input to
-    the seed hash. *)
-
-val derived_seed : grid -> cell -> int
-(** FNV-1a (32-bit) of {!cell_key}: stable across OCaml versions and
-    independent of which domain claims the cell. *)
+include module type of struct
+  include Scenario.Grid
+end
 
 (** {1 Evaluation} *)
 
@@ -304,12 +236,11 @@ end
 val robustness :
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
-  ?per_proc:int ->
   model:Sim.Model.t ->
   x:Rat.t ->
   seed:int ->
   Packed_type.t list ->
-  Core.Robustness.cell list
+  Scenario.Robustness.cell list
 (** The full (data type x nemesis case) robustness matrix, one pool
     job per cell, always in (type, case) order and identical for every
     [jobs] count.  [fail_fast] is deliberately not offered —

@@ -148,7 +148,7 @@ let test_robustness_golden () =
       [ packed "register" ]
   in
   Alcotest.(check string) "pp_json" robustness_golden
-    (md5 (Format.asprintf "%a" Core.Robustness.pp_json cells))
+    (md5 (Format.asprintf "%a" Scenario.Robustness.pp_json cells))
 
 let () =
   Alcotest.run "golden"

@@ -1,23 +1,25 @@
 (* Tests for the robustness matrix: full certification on a register,
-   JSON enumeration of every cell, and the step-limit truncation path
-   of the runtime (a truncated run is a partial report, not an
-   exception). *)
+   JSON enumeration of every cell, each leg replayed as a scenario, and
+   the step-limit truncation path of the runtime (a truncated run is a
+   partial report, not an exception). *)
 
 let rat = Rat.make
 let model = Sim.Model.make ~n:3 ~d:(rat 10 1) ~u:(rat 4 1) ~eps:(rat 1 1)
 let x = rat 5 1
 let seed = 7
 
-module Rob = Core.Robustness.Make (Spec.Register)
+module Rob = Scenario.Robustness
 module R = Core.Runtime.Make (Spec.Register)
+
+let register = Option.get (Scenario.Packed_type.find "register")
 
 (* The sequential per-type matrix: every nemesis case through
    [run_cell].  (The full multi-type driver is [Sweep.robustness],
    covered by test_sweep.) *)
 let run_matrix () =
   List.map
-    (Rob.run_cell ~model ~x ~seed)
-    (Core.Robustness.default_cases ~seed model)
+    (Rob.run_cell ~model ~x ~seed register)
+    (Rob.default_cases ~seed model)
 
 let matrix = lazy (run_matrix ())
 
@@ -25,21 +27,21 @@ let test_matrix_certified () =
   let cells = Lazy.force matrix in
   Alcotest.(check int) "six nemesis cases" 6 (List.length cells);
   List.iter
-    (fun (c : Core.Robustness.cell) ->
+    (fun (c : Rob.cell) ->
       Alcotest.(check bool) (c.case ^ " certified") true c.certified)
     cells;
   Alcotest.(check bool) "aggregate verdict" true
-    (Core.Robustness.all_certified cells)
+    (Rob.all_certified cells)
 
 let test_matrix_verdict_shape () =
   let cells = Lazy.force matrix in
   List.iter
-    (fun (c : Core.Robustness.cell) ->
+    (fun (c : Rob.cell) ->
       match c.expectation with
-      | Core.Robustness.Recover ->
+      | Rob.Recover ->
           Alcotest.(check bool) (c.case ^ ": recovered leg ok") true
             c.recovered.ok
-      | Core.Robustness.Detect ->
+      | Rob.Detect ->
           Alcotest.(check bool) (c.case ^ ": raw leg flagged") true
             c.raw.flagged)
     cells
@@ -47,7 +49,7 @@ let test_matrix_verdict_shape () =
 let test_matrix_deterministic () =
   let fingerprints cells =
     List.map
-      (fun (c : Core.Robustness.cell) ->
+      (fun (c : Rob.cell) ->
         (c.case, c.certified, c.raw.faults, c.recovered.retransmits))
       cells
   in
@@ -56,11 +58,11 @@ let test_matrix_deterministic () =
 
 let test_empty_matrix_not_certified () =
   Alcotest.(check bool) "vacuous certification rejected" false
-    (Core.Robustness.all_certified [])
+    (Rob.all_certified [])
 
 let test_json_enumerates_every_cell () =
   let cells = Lazy.force matrix in
-  let json = Format.asprintf "%a" Core.Robustness.pp_json cells in
+  let json = Format.asprintf "%a" Rob.pp_json cells in
   let contains needle =
     let nlen = String.length needle and jlen = String.length json in
     let rec at i =
@@ -69,7 +71,7 @@ let test_json_enumerates_every_cell () =
     at 0
   in
   List.iter
-    (fun (c : Core.Robustness.cell) ->
+    (fun (c : Rob.cell) ->
       Alcotest.(check bool) ("cell " ^ c.case ^ " present") true
         (contains (Printf.sprintf "\"case\":\"%s\"" c.case)))
     cells;
@@ -77,6 +79,24 @@ let test_json_enumerates_every_cell () =
     (contains (Printf.sprintf "\"cells\":%d" (List.length cells)));
   Alcotest.(check bool) "aggregate verdict present" true
     (contains "\"certified\":true")
+
+(* Every leg is a scenario: the leg's scenario, rendered and parsed
+   back as a saved file would be, reproduces the leg's verdict through
+   the scenario executor, so a saved leg is a faithful repro file. *)
+let test_legs_replay_as_scenarios () =
+  List.iter2
+    (fun case (c : Rob.cell) ->
+      List.iter
+        (fun (recovered, (leg : Rob.leg)) ->
+          let s = Rob.scenario ~model ~x ~seed ~recovered register case in
+          match Scenario.of_string (Scenario.to_string s) with
+          | Error msg -> Alcotest.failf "%s does not parse back: %s" s.name msg
+          | Ok saved ->
+              Alcotest.(check bool) (s.name ^ " ok") leg.ok
+                (Scenario.run saved).Scenario.Exec.ok)
+        [ (false, c.raw); (true, c.recovered) ])
+    (Rob.default_cases ~seed model)
+    (Lazy.force matrix)
 
 (* Satellite regression: exceeding the step limit yields a partial
    report flagged [truncated], never an escaped exception. *)
@@ -120,6 +140,8 @@ let () =
             test_empty_matrix_not_certified;
           Alcotest.test_case "JSON enumerates every cell" `Quick
             test_json_enumerates_every_cell;
+          Alcotest.test_case "legs replay as scenarios" `Quick
+            test_legs_replay_as_scenarios;
         ] );
       ( "truncation",
         [

@@ -1,9 +1,8 @@
 (* Scenario DSL tests: the canonical codec round-trips, generation and
    shrinking are seed-deterministic, the shrinker minimizes the seeded
    ablation failure to (at most) the hand-written counterexample and
-   reaches a fixpoint, the shrunk matrix witnesses bound tightness,
-   and the sweep/shard projections agree with the engines they lower
-   onto. *)
+   reaches a fixpoint, and the shrunk matrix witnesses bound
+   tightness. *)
 
 let counterexample = Scenario.Builtin.ablation_counterexample
 
@@ -27,7 +26,23 @@ let test_round_trip () =
           (Scenario.to_string s) (Scenario.to_string s')
   in
   List.iter check_one Scenario.Builtin.all;
-  List.iter check_one (Scenario.Generate.batch ~seed:1 ~count:15)
+  List.iter check_one (Scenario.Generate.batch ~seed:1 ~count:15);
+  (* Sweep cells and fault-matrix legs are scenarios too. *)
+  let grid = Sweep.default_grid in
+  List.iter
+    (fun cell -> check_one (Scenario.of_sweep_cell grid cell))
+    (Sweep.cells grid);
+  let model = List.hd Sweep.default_points in
+  let register = Option.get (Scenario.Packed_type.find "register") in
+  List.iter
+    (fun case ->
+      List.iter
+        (fun recovered ->
+          check_one
+            (Scenario.Robustness.scenario ~model ~x:(Rat.of_int 4) ~seed:7
+               ~recovered register case))
+        [ false; true ])
+    (Scenario.Robustness.default_cases ~seed:7 model)
 
 let test_file_round_trip () =
   let path = Filename.temp_file "scenario" ".scn" in
@@ -191,54 +206,6 @@ let test_probe_needs_matrix () =
   | Error _ -> ()  (* seed 1 generates a symbolic delay family *)
   | Ok _ -> ()
 
-(* ------------------------------------------------------------------ *)
-(* Projections *)
-
-let test_sweep_projection () =
-  let grid = Sweep.default_grid in
-  List.iteri
-    (fun i cell ->
-      if i mod 17 = 0 then
-        let s = Scenario.of_sweep_cell grid cell in
-        let o = Scenario.run s in
-        match Sweep.eval grid cell with
-        | Error e -> Alcotest.failf "sweep eval failed: %s" e
-        | Ok v ->
-            Alcotest.(check bool)
-              (Sweep.cell_key grid cell ^ ": verdicts agree")
-              v.Sweep.ok o.Scenario.Exec.ok)
-    (Sweep.cells grid)
-
-let test_shard_projection () =
-  let s = Scenario.gen ~seed:2 in
-  let s =
-    {
-      s with
-      Scenario.workload =
-        Scenario.Generated
-          {
-            arrival = Core.Workload.Poisson { rate = Rat.make 1 4 };
-            zipf = 0.9;
-            keys = 16;
-            ops = 120;
-          };
-      reliable = false;
-      faults = Sim.Fault.none;
-      algorithm = Scenario.Wtlw { x = Rat.zero; knob = Core.Ablation.Paper };
-    }
-  in
-  match Scenario.to_shard_config ~shards:2 s with
-  | Error e -> Alcotest.failf "shard lowering failed: %s" e
-  | Ok cfg ->
-      let pt = Option.get (Sweep.Packed_type.find s.Scenario.dt) in
-      let r = Shard.run ~jobs:1 cfg pt in
-      Alcotest.(check bool) "sharded scenario certifies" true
-        r.Shard.certified;
-      (* explicit schedules have no key structure to shard *)
-      (match Scenario.to_shard_config ~shards:2 counterexample with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "explicit workload must not shard")
-
 let () =
   Alcotest.run "scenario"
     [
@@ -270,10 +237,5 @@ let () =
         [
           Alcotest.test_case "tightness witness" `Quick test_probe_tightness;
           Alcotest.test_case "needs a matrix" `Quick test_probe_needs_matrix;
-        ] );
-      ( "projections",
-        [
-          Alcotest.test_case "sweep cell" `Quick test_sweep_projection;
-          Alcotest.test_case "shard config" `Quick test_shard_projection;
         ] );
     ]

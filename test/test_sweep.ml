@@ -42,15 +42,20 @@ let test_fingerprint_jobs_independent () =
     (Sweep.fingerprint t1) (Sweep.fingerprint t4)
 
 (* The per-cell seed is the FNV-1a hash of the canonical cell key, so
-   it can never depend on the claiming domain or the wall clock. *)
+   it can never depend on the claiming domain or the wall clock; the
+   cell's scenario, which [Sweep.eval] runs, carries that key and seed. *)
 let test_derived_seed_is_fnv_of_key () =
-  Alcotest.(check int) "FNV-1a offset basis" 0x811c9dc5 (Sweep.Journal.fnv1a "");
-  Alcotest.(check int) "FNV-1a of \"a\"" 0xe40c292c (Sweep.Journal.fnv1a "a");
+  Alcotest.(check int) "FNV-1a offset basis" 0x811c9dc5 (Core.Hash.fnv1a "");
+  Alcotest.(check int) "FNV-1a of \"a\"" 0xe40c292c (Core.Hash.fnv1a "a");
   List.iter
     (fun cell ->
       let key = Sweep.cell_key small_grid cell in
-      Alcotest.(check int) (key ^ " seed") (Sweep.Journal.fnv1a key)
-        (Sweep.derived_seed small_grid cell))
+      Alcotest.(check int) (key ^ " seed") (Core.Hash.fnv1a key)
+        (Sweep.derived_seed small_grid cell);
+      let s = Scenario.of_sweep_cell small_grid cell in
+      Alcotest.(check string) "scenario named by the key" key s.Scenario.name;
+      Alcotest.(check int) (key ^ " scenario seed")
+        (Sweep.derived_seed small_grid cell) s.Scenario.seed)
     (Sweep.cells small_grid)
 
 let test_budget_diagnostic_is_named () =
@@ -111,10 +116,10 @@ let test_robustness_pool () =
   let cells4 = Sweep.robustness ~jobs:4 ~model ~x ~seed:7 [ packed "register" ] in
   Alcotest.(check int) "six nemesis cases" 6 (List.length cells1);
   Alcotest.(check bool) "certified" true
-    (Core.Robustness.all_certified cells1);
+    (Scenario.Robustness.all_certified cells1);
   let fingerprints cells =
     List.map
-      (fun (c : Core.Robustness.cell) ->
+      (fun (c : Scenario.Robustness.cell) ->
         (c.data_type, c.case, c.certified, c.raw.faults,
          c.recovered.retransmits))
       cells
