@@ -73,14 +73,15 @@ module Gen = struct
     ops : int;
     invocation : Random.State.t -> key:int -> seq:int -> 'inv;
     mutable emitted : int;
-    mutable now : Rat.t;
+    mutable now : int;  (* in quanta *)
     mutable burst_left : int;
   }
 
   (* Sampled durations are rounded to this denominator so generated
      times are exact small rationals: simulation arithmetic stays on
      the unboxed [Rat] fast path and admissibility checks are free of
-     float noise. *)
+     float noise.  Time is kept as an integer count of quanta, and an
+     arrival's [Rat.t] is built only when the arrival is emitted. *)
   let quantum = 1024
 
   let zipf_cum ~keys ~s =
@@ -105,20 +106,19 @@ module Gen = struct
       ops;
       invocation;
       emitted = 0;
-      now = Rat.zero;
+      now = 0;
       burst_left = 0;
     }
 
-  (* Positive quantized duration (at least one quantum, capping the
+  (* Positive quantized duration, in quanta (at least one, capping the
      effective rate at [quantum] per time unit). *)
-  let quantize f =
-    let n = int_of_float (Float.round (f *. float_of_int quantum)) in
-    Rat.make (Stdlib.max 1 n) quantum
+  let[@inline] quantize f =
+    Stdlib.max 1 (int_of_float (Float.round (f *. float_of_int quantum)))
 
   (* Inverse-CDF exponential with u drawn uniformly from a fixed
      million-point lattice: seed-deterministic and bounded away from
      log 0. *)
-  let exp_gap rng ~mean =
+  let[@inline] exp_gap rng ~mean =
     let u = (float_of_int (Random.State.int rng 1_000_000) +. 1.0) /. 1_000_001. in
     -.log u *. mean
 
@@ -130,7 +130,7 @@ module Gen = struct
     | Bursty { rate; size } ->
         if t.burst_left > 0 then begin
           t.burst_left <- t.burst_left - 1;
-          Rat.zero
+          0
         end
         else begin
           t.burst_left <- size - 1;
@@ -141,7 +141,10 @@ module Gen = struct
         (* Thin a base Poisson stream by the day curve: the sampled gap
            stretches when the instantaneous intensity is low. *)
         let base = exp_gap t.rng ~mean:(1.0 /. Rat.to_float rate) in
-        let phase = two_pi *. Rat.to_float t.now /. Rat.to_float period in
+        (* [now / quantum] is the exact value [Rat.to_float] gave for
+           the reduced fraction: both divide by a power of two. *)
+        let now = float_of_int t.now /. float_of_int quantum in
+        let phase = two_pi *. now /. Rat.to_float period in
         let tr = Rat.to_float trough in
         let intensity = tr +. ((1.0 -. tr) *. (1.0 +. sin phase) /. 2.0) in
         quantize (base /. intensity)
@@ -159,15 +162,23 @@ module Gen = struct
       !lo
     end
 
-  let next t =
+  (* The one generation step: the next arrival whose key [keep]
+     accepts.  Arrivals on other keys draw their gap, key and
+     invocation exactly as kept ones do, so every filter sees the same
+     global stream, but build no time, record or option. *)
+  let rec next_kept t ~keep =
     if t.emitted >= t.ops then None
     else begin
-      t.now <- Rat.add t.now (gap t);
+      t.now <- t.now + gap t;
       let key = draw_key t in
       let inv = t.invocation t.rng ~key ~seq:t.emitted in
       t.emitted <- t.emitted + 1;
-      Some { at = t.now; key; inv }
+      if keep key then Some { at = Rat.make t.now quantum; key; inv }
+      else next_kept t ~keep
     end
+
+  let keep_all _ = true
+  let next t = next_kept t ~keep:keep_all
 
   let emitted t = t.emitted
   let remaining t = t.ops - t.emitted
@@ -212,40 +223,38 @@ module Route = struct
       if not (Queue.is_empty t.buffers.(proc)) then
         Some (Queue.pop t.buffers.(proc))
       else
-        match Gen.next t.gen with
+        match Gen.next_kept t.gen ~keep:t.keep with
         | None -> None
         | Some item ->
-            if t.keep item.key then begin
-              let p = t.next_proc in
-              t.next_proc <- (p + 1) mod t.procs;
-              let at = Rat.max item.at (Rat.add t.last.(p) t.min_gap) in
-              t.last.(p) <- at;
-              Queue.add (at, item) t.buffers.(p)
-            end;
+            let p = t.next_proc in
+            t.next_proc <- (p + 1) mod t.procs;
+            let floor =
+              if Rat.sign t.min_gap = 0 then t.last.(p)
+              else Rat.add t.last.(p) t.min_gap
+            in
+            let at = Rat.max item.at floor in
+            t.last.(p) <- at;
+            Queue.add (at, item) t.buffers.(p);
             refill ()
     in
     refill ()
 end
 
-(* Drain a generator into an explicit schedule, assigning arrivals
-   round-robin and clamping per-process invocation times [min_gap]
-   apart (pass the model's [2d + eps] for an always-safe open loop).
-   Same assignment policy as [Route] with every key kept. *)
+(* Drain a generator into an explicit schedule: a [Route] with every
+   key kept, pulled round-robin.  Route deals the k-th arrival to
+   process [k mod procs], so pulling processes in that cycle yields
+   the entries in generation order, and the first exhausted process
+   marks the end of the stream. *)
 let materialize ~procs ~min_gap gen =
   if procs < 1 then invalid_arg "Workload.materialize: procs < 1";
-  let last = Array.make procs (Rat.neg min_gap) in
-  let next_proc = ref 0 in
-  let rec loop acc =
-    match Gen.next gen with
+  let route = Route.create ~min_gap ~procs ~keep:Gen.keep_all gen in
+  let rec loop proc acc =
+    match Route.next route ~proc with
     | None -> List.rev acc
-    | Some item ->
-        let proc = !next_proc in
-        next_proc := (proc + 1) mod procs;
-        let at = Rat.max item.at (Rat.add last.(proc) min_gap) in
-        last.(proc) <- at;
-        loop ({ proc; at; inv = item } :: acc)
+    | Some (at, item) ->
+        loop ((proc + 1) mod procs) ({ proc; at; inv = item } :: acc)
   in
-  loop []
+  loop 0 []
 
 (* ------------------------------------------------------------------ *)
 (* Fixed schedules.                                                    *)

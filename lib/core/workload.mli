@@ -103,11 +103,13 @@ end
 
 val materialize :
   procs:int -> min_gap:Rat.t -> 'inv Gen.t -> 'inv keyed entry list
-(** Drain a generator into an explicit schedule: arrivals are assigned
-    round-robin (the same policy as {!Route} with every key kept) and
-    per-process invocation times are clamped at least [min_gap] apart —
-    pass the model's [2d + eps] for an always-safe open loop.  Intended
-    for small schedules; a streamed run should use {!Route}. *)
+(** Drain a generator into an explicit schedule, in generation order:
+    a {!Route} with every key kept, so arrivals are assigned
+    round-robin and per-process invocation times are clamped at least
+    [min_gap] apart — pass the model's [2d + eps] for an always-safe
+    open loop.  Intended for small schedules; a streamed run should use
+    {!Route}.  Raises [Invalid_argument] on [procs < 1] or a negative
+    [min_gap]. *)
 
 (** {1 Fixed schedules} *)
 

@@ -94,9 +94,7 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
   Array.iteri
     (fun proc offset ->
       if Rat.sign offset <> 0 then
-        Trace.record t.trace
-          (Trace.Fault
-             { time = Rat.zero; fault = Fault.Skewed { proc; offset } }))
+        Trace.fault t.trace ~time:Rat.zero (Fault.Skewed { proc; offset }))
     skews;
   t
 
@@ -116,35 +114,31 @@ let schedule_invoke t ~at ~proc inv =
 
 let set_response_callback t callback = t.on_response <- callback
 
+(* One copy of a message that travels.  Priority 0: deliveries precede
+   timers and invocations at the same instant (closed-interval delay
+   semantics).  One Send per copy that actually travels; a dropped
+   message keeps its Send (with the fault-free delay) but gets no
+   Deliver. *)
+let travel t ~src ~dst ~seq msg delay =
+  Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg;
+  Event_queue.push t.queue ~priority:0
+    ~time:(Rat.add t.now delay)
+    (Ev_deliver { src; dst; msg })
+
 let send_message t ~src ~dst msg =
   if dst < 0 || dst >= t.model.n || dst = src then
     invalid_arg "Engine: bad send destination";
   let seq = t.send_seq.(src).(dst) in
   t.send_seq.(src).(dst) <- seq + 1;
   let delay = Net.delay t.delay ~src ~dst ~time:t.now ~seq in
-  let delays, injected =
-    match t.injector with
-    | None -> ([ delay ], [])
-    | Some inj -> Fault.on_send inj ~src ~dst ~seq ~delay
-  in
-  (* Priority 0: deliveries precede timers and invocations at the same
-     instant (closed-interval delay semantics).  One Send per copy that
-     actually travels; a dropped message keeps its Send (with the
-     fault-free delay) but gets no Deliver. *)
-  (match delays with
-  | [] -> Trace.record t.trace (Send { time = t.now; src; dst; seq; delay; msg })
-  | delays ->
-      List.iter
-        (fun delay ->
-          Trace.record t.trace
-            (Send { time = t.now; src; dst; seq; delay; msg });
-          Event_queue.push t.queue ~priority:0
-            ~time:(Rat.add t.now delay)
-            (Ev_deliver { src; dst; msg }))
-        delays);
-  List.iter
-    (fun fault -> Trace.record t.trace (Fault { time = t.now; fault }))
-    injected
+  match t.injector with
+  | None -> travel t ~src ~dst ~seq msg delay
+  | Some inj ->
+      let delays, injected = Fault.on_send inj ~src ~dst ~seq ~delay in
+      (match delays with
+      | [] -> Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg
+      | delays -> List.iter (travel t ~src ~dst ~seq msg) delays);
+      List.iter (fun fault -> Trace.fault t.trace ~time:t.now fault) injected
 
 (* Build process [self]'s reusable ctx: the closures consult [t.now] at
    call time, so only the two clock fields need re-stamping per event
@@ -155,21 +149,20 @@ let build_ctx t ~self =
     let id = t.next_timer_id in
     t.next_timer_id <- id + 1;
     let expiry = Rat.add t.now dur in
-    Trace.record t.trace (Timer_set { time = t.now; proc = self; id; expiry });
+    Trace.timer_set t.trace ~time:t.now ~proc:self ~id ~expiry;
     Event_queue.push t.queue ~time:expiry (Ev_timer { proc = self; id; tag });
     id
   in
   let cancel_timer id =
     Hashtbl.replace t.cancelled id ();
-    Trace.record t.trace (Timer_cancel { time = t.now; proc = self; id })
+    Trace.timer_cancel t.trace ~time:t.now ~proc:self ~id
   in
   let respond resp =
     match t.pending.(self) with
     | None -> invalid_arg "Engine: respond with no pending operation"
     | Some inv ->
         t.pending.(self) <- None;
-        Trace.record t.trace
-          (Respond { time = t.now; proc = self; inv; resp });
+        Trace.respond t.trace ~time:t.now ~proc:self ~inv resp;
         t.on_response ~proc:self ~inv ~resp ~time:t.now
   in
   let broadcast msg =
@@ -194,7 +187,10 @@ let get_ctx t ~self =
     t.ctxs <- Array.init t.model.n (fun self -> build_ctx t ~self);
   let c = t.ctxs.(self) in
   c.real_time <- t.now;
-  c.local_time <- Rat.add t.now t.local_offset.(self);
+  (* Most runs have zero offsets: skip the add, which would allocate a
+     fresh fraction whenever [now] is one. *)
+  let offset = t.local_offset.(self) in
+  c.local_time <- (if Rat.sign offset = 0 then t.now else Rat.add t.now offset);
   c
 
 (* Crash-stop: the process handles no event at real time >= its crash
@@ -204,8 +200,7 @@ let crashed t proc =
   | Some at when Rat.ge t.now at ->
       if not t.crash_logged.(proc) then begin
         t.crash_logged.(proc) <- true;
-        Trace.record t.trace
-          (Fault { time = t.now; fault = Fault.Crashed { proc; at } })
+        Trace.fault t.trace ~time:t.now (Fault.Crashed { proc; at })
       end;
       true
   | _ -> false
@@ -220,7 +215,7 @@ let dispatch t event =
            process are swallowed so the trace stays well-formed. *)
         if t.pending.(proc) = None then begin
           t.pending.(proc) <- Some inv;
-          Trace.record t.trace (Invoke { time = t.now; proc; inv })
+          Trace.invoke t.trace ~time:t.now ~proc inv
         end
       end
       else begin
@@ -229,12 +224,12 @@ let dispatch t event =
             invalid_arg "Engine: invocation while an operation is pending"
         | None -> ());
         t.pending.(proc) <- Some inv;
-        Trace.record t.trace (Invoke { time = t.now; proc; inv });
+        Trace.invoke t.trace ~time:t.now ~proc inv;
         t.handlers.on_invoke (get_ctx t ~self:proc) inv
       end
   | Ev_deliver { src; dst; msg } ->
       if not (crashed t dst) then begin
-        Trace.record t.trace (Deliver { time = t.now; src; dst; msg });
+        Trace.deliver t.trace ~time:t.now ~src ~dst msg;
         t.handlers.on_receive (get_ctx t ~self:dst) ~src msg
       end
   | Ev_timer { proc; id; tag } ->
@@ -244,7 +239,7 @@ let dispatch t event =
       let was_cancelled = Hashtbl.mem t.cancelled id in
       if was_cancelled then Hashtbl.remove t.cancelled id;
       if (not (crashed t proc)) && not was_cancelled then begin
-        Trace.record t.trace (Timer_fire { time = t.now; proc; id });
+        Trace.timer_fire t.trace ~time:t.now ~proc ~id;
         t.handlers.on_timer (get_ctx t ~self:proc) tag
       end
 

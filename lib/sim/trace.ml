@@ -49,11 +49,17 @@ let no_faults =
 
 let total_faults c = c.dropped + c.duplicated + c.spiked + c.crashed + c.skewed
 
-(* Every built-in view below is maintained incrementally by [record]:
-   no accessor re-walks the event list.  The full event list itself is
-   just one more sink — the retention sink — and the only one that
-   costs O(events) memory; everything else is O(operations) (the
-   pairing sink) or O(1) (counters, delay envelope, admissibility). *)
+(* Every built-in view below is maintained incrementally as events
+   arrive: no accessor re-walks the event list.  The full event list
+   itself is just one more sink — the retention sink — and the only one
+   that costs O(events) memory; everything else is O(operations) (the
+   pairing sink) or O(1) (counters, delay envelope, admissibility).
+
+   Each event kind has its own entry point ([invoke], [send], ...) that
+   does the bookkeeping from the event's fields and builds the event
+   value only when something keeps it: the retention sink or a user
+   sink.  With retention off and no sink, recording an event allocates
+   nothing but what the pairing sink stores. *)
 type ('msg, 'inv, 'resp) t = {
   retain : bool;
   mutable rev_events : ('msg, 'inv, 'resp) event list;
@@ -62,16 +68,25 @@ type ('msg, 'inv, 'resp) t = {
   mutable delivers : int;
   (* Operation-pairing sink: invoke/response matching done online.
      The at-most-one-pending-operation constraint (§2.2) makes the
-     pairing unambiguous. *)
-  pending : (int, Rat.t * 'inv) Hashtbl.t;
-  mutable rev_finished : ('inv, 'resp) operation list;
+     pairing unambiguous, so one slot per process suffices.  The slot
+     arrays are created (and grown) on demand, filled with the
+     invocation that needed them, since there is no other ['inv] to
+     fill them with. *)
+  mutable pending_live : bool array;
+  mutable pending_time : Rat.t array;
+  mutable pending_inv : 'inv array;
+  mutable pending : int;
+  (* Completed operations in response order; the first [finished]
+     slots are used, and the array doubles when full. *)
+  mutable done_ops : ('inv, 'resp) operation array;
   mutable finished : int;
   mutable malformed : string option;
   mutable op_observers : (('inv, 'resp) operation -> unit) list;
-  (* Delay envelope: min/max over all sends.  Delay admissibility is an
-     interval test, so the envelope answers [delays_admissible] for any
-     model in O(1). *)
-  mutable delay_env : (Rat.t * Rat.t) option;
+  (* Delay envelope: min/max over all sends (meaningless while [sends]
+     is 0).  Delay admissibility is an interval test, so the envelope
+     answers [delays_admissible] for any model in O(1). *)
+  mutable delay_lo : Rat.t;
+  mutable delay_hi : Rat.t;
   (* Admissibility monitor: flags the first out-of-bounds delay as it
      is recorded, against the model fixed at attach time. *)
   mutable monitor : Model.t option;
@@ -89,12 +104,16 @@ let create ?(retain_events = true) ?monitor () =
     count = 0;
     sends = 0;
     delivers = 0;
-    pending = Hashtbl.create 16;
-    rev_finished = [];
+    pending_live = [||];
+    pending_time = [||];
+    pending_inv = [||];
+    pending = 0;
+    done_ops = [||];
     finished = 0;
     malformed = None;
     op_observers = [];
-    delay_env = None;
+    delay_lo = Rat.zero;
+    delay_hi = Rat.zero;
     monitor;
     first_violation = None;
     faults = no_faults;
@@ -118,53 +137,166 @@ let event_time = function
   | Timer_cancel { time; _ }
   | Fault { time; _ } -> time
 
-let record t event =
+(* ---- bookkeeping, one function per event kind ---- *)
+
+let tick t time =
   t.count <- t.count + 1;
-  t.last <- event_time event;
-  (match event with
-  | Invoke { time; proc; inv } ->
-      if t.malformed = None then
-        if Hashtbl.mem t.pending proc then
-          t.malformed <-
-            Some "Trace.operations: overlapping invocations at a process"
-        else Hashtbl.replace t.pending proc (time, inv)
-  | Respond { time; proc; resp; _ } ->
-      if t.malformed = None then (
-        match Hashtbl.find_opt t.pending proc with
-        | None ->
-            t.malformed <-
-              Some "Trace.operations: response without invocation"
-        | Some (inv_time, inv) ->
-            Hashtbl.remove t.pending proc;
-            let op = { proc; inv; resp; inv_time; resp_time = time } in
-            t.rev_finished <- op :: t.rev_finished;
-            t.finished <- t.finished + 1;
-            List.iter (fun observe -> observe op) t.op_observers)
-  | Send { time; src; dst; seq; delay; _ } ->
-      t.sends <- t.sends + 1;
-      t.delay_env <-
-        (match t.delay_env with
-        | None -> Some (delay, delay)
-        | Some (lo, hi) -> Some (Rat.min lo delay, Rat.max hi delay));
-      (match t.monitor with
-      | Some model
-        when t.first_violation = None && not (Model.delay_valid model delay)
-        ->
-          t.first_violation <- Some { at = time; src; dst; seq; delay }
-      | _ -> ())
-  | Deliver _ -> t.delivers <- t.delivers + 1
-  | Fault { fault; _ } ->
-      let c = t.faults in
-      t.faults <-
-        (match fault with
-        | Fault.Dropped _ -> { c with dropped = c.dropped + 1 }
-        | Fault.Duplicated _ -> { c with duplicated = c.duplicated + 1 }
-        | Fault.Spiked _ -> { c with spiked = c.spiked + 1 }
-        | Fault.Crashed _ -> { c with crashed = c.crashed + 1 }
-        | Fault.Skewed _ -> { c with skewed = c.skewed + 1 })
-  | Timer_set _ | Timer_fire _ | Timer_cancel _ -> ());
+  t.last <- time
+
+(* Grow [a] to hold index [i], filling new slots with [fill]. *)
+let grow a i fill =
+  let len = Array.length a in
+  if i < len then a
+  else begin
+    let b = Array.make (Stdlib.max (i + 1) (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let is_pending t proc =
+  proc >= 0 && proc < Array.length t.pending_live && t.pending_live.(proc)
+
+let note_invoke t ~time ~proc inv =
+  tick t time;
+  if t.malformed = None then
+    if is_pending t proc then
+      t.malformed <-
+        Some "Trace.operations: overlapping invocations at a process"
+    else if proc < 0 then
+      t.malformed <- Some "Trace.operations: negative process id"
+    else begin
+      if proc >= Array.length t.pending_live then begin
+        t.pending_live <- grow t.pending_live proc false;
+        t.pending_time <- grow t.pending_time proc time;
+        t.pending_inv <- grow t.pending_inv proc inv
+      end;
+      t.pending_live.(proc) <- true;
+      t.pending_time.(proc) <- time;
+      t.pending_inv.(proc) <- inv;
+      t.pending <- t.pending + 1
+    end
+
+let rec observe op = function
+  | [] -> ()
+  | f :: rest ->
+      f op;
+      observe op rest
+
+let note_respond t ~time ~proc resp =
+  tick t time;
+  if t.malformed = None then
+    if not (is_pending t proc) then
+      t.malformed <- Some "Trace.operations: response without invocation"
+    else begin
+      t.pending_live.(proc) <- false;
+      t.pending <- t.pending - 1;
+      let op =
+        {
+          proc;
+          inv = t.pending_inv.(proc);
+          resp;
+          inv_time = t.pending_time.(proc);
+          resp_time = time;
+        }
+      in
+      t.done_ops <- grow t.done_ops t.finished op;
+      t.done_ops.(t.finished) <- op;
+      t.finished <- t.finished + 1;
+      observe op t.op_observers
+    end
+
+let note_send t ~time ~src ~dst ~seq ~delay =
+  tick t time;
+  if t.sends = 0 then begin
+    t.delay_lo <- delay;
+    t.delay_hi <- delay
+  end
+  else if Rat.lt delay t.delay_lo then t.delay_lo <- delay
+  else if Rat.gt delay t.delay_hi then t.delay_hi <- delay;
+  t.sends <- t.sends + 1;
+  match t.monitor with
+  | Some model
+    when t.first_violation = None && not (Model.delay_valid model delay) ->
+      t.first_violation <- Some { at = time; src; dst; seq; delay }
+  | _ -> ()
+
+let note_deliver t ~time =
+  tick t time;
+  t.delivers <- t.delivers + 1
+
+let note_fault t ~time (fault : Fault.kind) =
+  tick t time;
+  let c = t.faults in
+  t.faults <-
+    (match fault with
+    | Fault.Dropped _ -> { c with dropped = c.dropped + 1 }
+    | Fault.Duplicated _ -> { c with duplicated = c.duplicated + 1 }
+    | Fault.Spiked _ -> { c with spiked = c.spiked + 1 }
+    | Fault.Crashed _ -> { c with crashed = c.crashed + 1 }
+    | Fault.Skewed _ -> { c with skewed = c.skewed + 1 })
+
+(* ---- the sinks that keep events ---- *)
+
+let[@inline] keeps t = match t.extra_sinks with [] -> t.retain | _ -> true
+
+let rec feed event = function
+  | [] -> ()
+  | sink :: rest ->
+      sink.on_event event;
+      feed event rest
+
+let keep t event =
   if t.retain then t.rev_events <- event :: t.rev_events;
-  List.iter (fun sink -> sink.on_event event) t.extra_sinks
+  feed event t.extra_sinks
+
+(* ---- entry points ---- *)
+
+let invoke t ~time ~proc inv =
+  note_invoke t ~time ~proc inv;
+  if keeps t then keep t (Invoke { time; proc; inv })
+
+let respond t ~time ~proc ~inv resp =
+  note_respond t ~time ~proc resp;
+  if keeps t then keep t (Respond { time; proc; inv; resp })
+
+let send t ~time ~src ~dst ~seq ~delay msg =
+  note_send t ~time ~src ~dst ~seq ~delay;
+  if keeps t then keep t (Send { time; src; dst; seq; delay; msg })
+
+let deliver t ~time ~src ~dst msg =
+  note_deliver t ~time;
+  if keeps t then keep t (Deliver { time; src; dst; msg })
+
+let timer_set t ~time ~proc ~id ~expiry =
+  tick t time;
+  if keeps t then keep t (Timer_set { time; proc; id; expiry })
+
+let timer_fire t ~time ~proc ~id =
+  tick t time;
+  if keeps t then keep t (Timer_fire { time; proc; id })
+
+let timer_cancel t ~time ~proc ~id =
+  tick t time;
+  if keeps t then keep t (Timer_cancel { time; proc; id })
+
+let fault t ~time fault =
+  note_fault t ~time fault;
+  if keeps t then keep t (Fault { time; fault })
+
+(* A pre-built event goes through the same bookkeeping and is kept as
+   is, never rebuilt. *)
+let record t event =
+  (match event with
+  | Invoke { time; proc; inv } -> note_invoke t ~time ~proc inv
+  | Respond { time; proc; resp; _ } -> note_respond t ~time ~proc resp
+  | Send { time; src; dst; seq; delay; _ } ->
+      note_send t ~time ~src ~dst ~seq ~delay
+  | Deliver { time; _ } -> note_deliver t ~time
+  | Fault { time; fault } -> note_fault t ~time fault
+  | Timer_set { time; _ } | Timer_fire { time; _ } | Timer_cancel { time; _ }
+    ->
+      tick t time);
+  if keeps t then keep t event
 
 let of_events events =
   let t = create () in
@@ -181,16 +313,21 @@ let last_time t = t.last
 let check_well_formed t =
   match t.malformed with None -> () | Some msg -> invalid_arg msg
 
+(* A stable sort of the response-ordered array: the same order a
+   stable list sort gives, without a cons cell per operation. *)
 let operations t =
   check_well_formed t;
-  List.stable_sort
-    (fun a b -> Rat.compare a.inv_time b.inv_time)
-    (List.rev t.rev_finished)
+  let ops = Array.sub t.done_ops 0 t.finished in
+  Array.stable_sort (fun a b -> Rat.compare a.inv_time b.inv_time) ops;
+  Array.to_list ops
 
 let pending_invocations t =
   check_well_formed t;
-  Hashtbl.fold (fun proc (_, inv) acc -> (proc, inv) :: acc) t.pending []
-  |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  let acc = ref [] in
+  for proc = Array.length t.pending_live - 1 downto 0 do
+    if t.pending_live.(proc) then acc := (proc, t.pending_inv.(proc)) :: !acc
+  done;
+  !acc
 
 let message_delays t =
   List.filter_map
@@ -200,14 +337,14 @@ let message_delays t =
       | Timer_cancel _ | Fault _ -> None)
     (events t)
 
-let delay_bounds t = t.delay_env
+let delay_bounds t =
+  if t.sends = 0 then None else Some (t.delay_lo, t.delay_hi)
 
 (* The envelope suffices: all delays lie in [d - u, d] iff the extreme
    ones do. *)
 let delays_admissible model t =
-  match t.delay_env with
-  | None -> true
-  | Some (lo, hi) -> Model.delay_valid model lo && Model.delay_valid model hi
+  t.sends = 0
+  || (Model.delay_valid model t.delay_lo && Model.delay_valid model t.delay_hi)
 
 let monitor_admissibility t model =
   t.monitor <- Some model;
@@ -236,7 +373,7 @@ let operation_count t =
 
 let pending_count t =
   check_well_formed t;
-  Hashtbl.length t.pending
+  t.pending
 
 let pp_summary ppf t =
   Format.fprintf ppf "trace: %d events, %d operations, %d messages, last=%a"

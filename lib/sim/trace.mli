@@ -5,8 +5,9 @@
     and receive, and timer event, stamped with the real time at which it
     occurred.
 
-    Events flow through {!record} exactly once and fan out to a set of
-    incremental sinks:
+    Events flow through {!record} (or the per-kind entry point that
+    stands for it, such as {!send}) exactly once and fan out to a set
+    of incremental sinks:
 
     - {b counters} — events, sends, deliveries ({!event_count},
       {!send_count}, {!deliver_count});
@@ -103,6 +104,42 @@ val record : ('msg, 'inv, 'resp) t -> ('msg, 'inv, 'resp) event -> unit
 (** Feed one event to every sink.  Total: ill-formed histories (an
     overlapping invocation, a response without an invocation) are
     remembered and reported by the pairing accessors, not raised here. *)
+
+(** {2 One entry point per event kind}
+
+    Each is equivalent to {!record} of the corresponding event, but
+    builds the event value only when something keeps it (retention is
+    on or a user sink is attached); otherwise only the counters,
+    pairing, envelope and monitor see the event's fields.  The engine
+    records through these. *)
+
+val invoke : ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> 'inv -> unit
+
+val respond :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> inv:'inv -> 'resp -> unit
+
+val send :
+  ('msg, 'inv, 'resp) t ->
+  time:Rat.t ->
+  src:int ->
+  dst:int ->
+  seq:int ->
+  delay:Rat.t ->
+  'msg ->
+  unit
+
+val deliver :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> src:int -> dst:int -> 'msg -> unit
+
+val timer_set :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> id:int -> expiry:Rat.t -> unit
+
+val timer_fire : ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> id:int -> unit
+
+val timer_cancel :
+  ('msg, 'inv, 'resp) t -> time:Rat.t -> proc:int -> id:int -> unit
+
+val fault : ('msg, 'inv, 'resp) t -> time:Rat.t -> Fault.kind -> unit
 
 val add_sink : ('msg, 'inv, 'resp) t -> ('msg, 'inv, 'resp) sink -> unit
 (** Attach a user sink; it sees events recorded from now on. *)

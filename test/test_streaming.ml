@@ -219,6 +219,37 @@ let closed_loop_identical (type s i r) seed
     (retained = streamed);
   Alcotest.(check bool) (T.name ^ ": run ok") true (R.ok streamed)
 
+(* The same comparison on a faulted run: drops and duplicates under the
+   reliable channel, and a crash.  This takes the engine's injector
+   send path (copies, dropped sends, fault events) where the runs
+   above take the fault-free one. *)
+let faulted_identical () =
+  let module R = Core.Runtime.Make (Spec.Register) in
+  let run_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let faults =
+    Sim.Fault.plan ~seed:7
+      [
+        Sim.Fault.drops 0.1;
+        Sim.Fault.duplicates 0.1;
+        Sim.Fault.crash ~proc:3 ~at:(rat 60 1);
+      ]
+  in
+  let go retain =
+    R.run
+      (R.Config.reliable
+         (R.Config.make ~retain_events:retain ~faults ~model:run_model
+            ~offsets:(Array.make 4 Rat.zero)
+            ~delay:(Sim.Net.random_model ~seed:3 run_model)
+            ~algorithm:(R.Wtlw { x = rat 9 2 })
+            ~workload:(R.Closed_loop { per_proc = 6; think = rat 1 2; seed = 3 })
+            ()))
+  in
+  let retained = go true and streamed = go false in
+  let f = streamed.R.faults in
+  Alcotest.(check bool) "drops, duplicates and the crash were injected" true
+    (f.dropped > 0 && f.duplicated > 0 && f.crashed = 1);
+  Alcotest.(check bool) "reports identical" true (retained = streamed)
+
 let all_types_cases =
   [
     Alcotest.test_case "register" `Quick
@@ -245,5 +276,9 @@ let () =
   Alcotest.run "streaming"
     [
       ("properties", List.map QCheck_alcotest.to_alcotest properties);
-      ("retained vs streamed", all_types_cases);
+      ( "retained vs streamed",
+        all_types_cases
+        @ [
+            Alcotest.test_case "faulted register" `Quick faulted_identical;
+          ] );
     ]

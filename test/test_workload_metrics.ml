@@ -125,7 +125,34 @@ let test_gen_deterministic_and_monotone () =
   Alcotest.(check bool) "seq = position" true
     (List.for_all2
        (fun i (a : (int * int) Core.Workload.keyed) -> snd a.inv = i)
-       (List.init 500 Fun.id) arrivals)
+       (List.init 500 Fun.id) arrivals);
+  (* Stream digests pinned before generator time moved to integer
+     quanta: every arrival kind must emit the same times, keys and
+     invocations, byte for byte. *)
+  let digest arrival =
+    let b = Buffer.create 65536 in
+    List.iter
+      (fun (a : (int * int) Core.Workload.keyed) ->
+        Printf.bprintf b "%s %d %d\n" (Rat.to_string a.at) a.key (snd a.inv))
+      (drain (mk_gen ~arrival ~zipf:0.9 ~keys:16 ~ops:5000 ~seed:3 ()));
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (label, arrival, expected) ->
+      Alcotest.(check string) (label ^ " stream digest") expected
+        (digest arrival))
+    [
+      ( "poisson",
+        Core.Workload.Poisson { rate = rat 1 4 },
+        "211406802cb8d266ac9a01e1d50d8756" );
+      ( "bursty",
+        Core.Workload.Bursty { rate = rat 3 2; size = 4 },
+        "8381de83b59ae139baa5fbb9b62e3482" );
+      ( "diurnal",
+        Core.Workload.Diurnal
+          { rate = rat 1 4; period = rat 400 1; trough = rat 1 10 },
+        "d83481c81261775708354a5a8147c400" );
+    ]
 
 let test_gen_zipf_skew () =
   let count key arrivals =
