@@ -1090,7 +1090,7 @@ let bench_cmd =
     match Perf.Suite.find name with
     | None -> `Error (false, Printf.sprintf "unknown bench section %S" name)
     | Some s ->
-        let events, m = Perf.Measure.measure s.run in
+        let events, m = Perf.Measure.measure (s.prepare ()) in
         let dp = Perf.History.of_metrics ~commit ~bench:s.name ~events m in
         let line = Perf.History.to_line dp in
         let instr =

@@ -21,11 +21,31 @@
    array visits every value O(1) amortized times. *)
 
 type relation = {
-  fkey : Rat.t option array;
-      (** [None]: the value exerts no constraint through this relation *)
-  skey : Rat.t option array;
-      (** [None]: the value is never blocked by this relation *)
+  f : int array;
+      (** per value, the record whose response is its [fkey]; [-1]: the
+          value exerts no constraint through this relation *)
+  s : int array;
+      (** per value, the record whose invocation is its [skey]; [-1]:
+          the value is never blocked by this relation *)
 }
+
+(* Forced pairs [(u, w)] (u first) that fit no interval-order
+   relation, in discovery order. *)
+module Edges = struct
+  type t = { mutable src : int array; mutable dst : int array; mutable n : int }
+
+  let create () = { src = [||]; dst = [||]; n = 0 }
+
+  let add e u w =
+    if e.n = Array.length e.src then begin
+      let grow a = Array.append a (Array.make (max 16 e.n) 0) in
+      e.src <- grow e.src;
+      e.dst <- grow e.dst
+    end;
+    e.src.(e.n) <- u;
+    e.dst.(e.n) <- w;
+    e.n <- e.n + 1
+end
 
 type rstate = {
   rel : relation;
@@ -46,17 +66,19 @@ let rec find_alive st (alive : bool array) i =
     j
   end
 
-(* the minimum alive fkey, excluding value [w] itself *)
+(* the record holding the minimum alive fkey, excluding value [w]
+   itself; [-1] when there is none *)
 let min_fkey_excluding st alive w =
   let len = Array.length st.sort_f in
   let i = find_alive st alive 0 in
-  if i >= len then None
-  else if st.sort_f.(i) <> w then st.rel.fkey.(st.sort_f.(i))
+  if i >= len then -1
+  else if st.sort_f.(i) <> w then st.rel.f.(st.sort_f.(i))
   else
     let j = find_alive st alive (i + 1) in
-    if j >= len then None else st.rel.fkey.(st.sort_f.(j))
+    if j >= len then -1 else st.rel.f.(st.sort_f.(j))
 
-(* a tiny binary min-heap over ints *)
+(* a tiny binary min-heap over non-negative ints; [pop] is [-1] when
+   empty *)
 module Heap = struct
   type t = { mutable a : int array; mutable n : int; cmp : int -> int -> int }
 
@@ -88,7 +110,7 @@ module Heap = struct
     done
 
   let pop h =
-    if h.n = 0 then None
+    if h.n = 0 then -1
     else begin
       let top = h.a.(0) in
       h.n <- h.n - 1;
@@ -108,127 +130,127 @@ module Heap = struct
           i := !s
         end
       done;
-      Some top
+      top
     end
 end
 
-let sorted_by m key =
-  let idx = Array.init m Fun.id in
-  let idx = Array.of_list (List.filter (fun i -> key.(i) <> None) (Array.to_list idx)) in
-  Array.sort
-    (fun a b -> Rat.compare (Option.get key.(a)) (Option.get key.(b)))
-    idx;
-  idx
-
-(* [solve ~m ~relations ~edges ~prefer] returns a linear extension of
-   the union, or [None] if the constraints are cyclic (real violation)
-   or the greedy cannot certify one.  [edges] carries forced pairs
-   [(u, w)] (u first) that fit no interval-order relation; they are
-   resolved Kahn-style.  [prefer] ranks available sources: lower
-   (rank, key) first. *)
-let solve ~m ~(relations : relation list) ?(edges : (int * int) list = [])
-    (prefer : int -> int * Rat.t) : int list option =
-  if m = 0 then Some []
-  else begin
-    let alive = Array.make m true in
-    let nrel = List.length relations + if edges = [] then 0 else 1 in
-    let sat = Array.make m 0 in
-    let pkey = Array.init m prefer in
-    let cmp a b =
-      let ra, ka = pkey.(a) and rb, kb = pkey.(b) in
-      match Int.compare ra rb with 0 -> Rat.compare ka kb | c -> c
-    in
-    let sources = Heap.create cmp in
-    let bump v =
-      sat.(v) <- sat.(v) + 1;
-      if sat.(v) = nrel then Heap.push sources v
-    in
-    let states =
-      List.map
-        (fun rel ->
-          let sort_f = sorted_by m rel.fkey in
-          {
-            rel;
-            sort_s = sorted_by m rel.skey;
-            sptr = 0;
-            sort_f;
-            nxt = Array.init (Array.length sort_f) (fun i -> i + 1);
-            bumped = Array.make m false;
-          })
-        relations
-    in
-    let succ = Array.make m [] in
-    let npred = Array.make m 0 in
-    if edges <> [] then begin
-      List.iter
-        (fun (u, w) ->
-          succ.(u) <- w :: succ.(u);
-          npred.(w) <- npred.(w) + 1)
-        edges;
-      for v = 0 to m - 1 do
-        if npred.(v) = 0 then bump v
-      done
-    end;
-    (* values with no skey are never blocked by that relation *)
-    List.iter
-      (fun st ->
-        for v = 0 to m - 1 do
-          if st.rel.skey.(v) = None then begin
-            st.bumped.(v) <- true;
-            bump v
-          end
-        done)
-      states;
-    let unblocked st w =
-      match min_fkey_excluding st alive w with
-      | None -> true
-      | Some f -> not (Rat.lt f (Option.get st.rel.skey.(w)))
-    in
-    let advance st =
-      (* the skey pointer: for a non-owner the blocking test compares
-         the global min alive fkey against its skey, so unblocking is
-         monotone in skey and a single pointer suffices *)
-      let len = Array.length st.sort_s in
-      let walking = ref true in
-      while !walking && st.sptr < len do
-        let w = st.sort_s.(st.sptr) in
-        if (not alive.(w)) || st.bumped.(w) then st.sptr <- st.sptr + 1
-        else if unblocked st w then begin
-          st.bumped.(w) <- true;
-          bump w;
-          st.sptr <- st.sptr + 1
-        end
-        else walking := false
-      done;
-      (* the one exception: the owner of the min alive fkey tests
-         against the {e second} minimum (its own fkey is excluded), so
-         it can unblock ahead of its skey turn *)
-      let i = find_alive st alive 0 in
-      if i < Array.length st.sort_f then begin
-        let o = st.sort_f.(i) in
-        if (not st.bumped.(o)) && unblocked st o then begin
-          st.bumped.(o) <- true;
-          bump o
-        end
-      end
-    in
-    List.iter advance states;
-    let order = ref [] in
-    let emitted = ref 0 in
-    let stuck = ref false in
-    while !emitted < m && not !stuck do
-      match Heap.pop sources with
-      | None -> stuck := true
-      | Some v ->
-          alive.(v) <- false;
-          order := v :: !order;
-          incr emitted;
-          List.iter
-            (fun w ->
-              npred.(w) <- npred.(w) - 1;
-              if npred.(w) = 0 then bump w)
-            succ.(v);
-          List.iter advance states
+(* [solve ~records ~m ~relations ~edges prefer] returns a linear
+   extension of the union (values first to last), or [None] if the
+   constraints are cyclic (real violation) or the greedy cannot certify
+   one.  [edges] are resolved Kahn-style.  [prefer] orders available
+   sources: lower first. *)
+let solve ~(records : Record.t array) ~m ~(relations : relation list)
+    ~(edges : Edges.t) (prefer : int -> int -> int) : int array option =
+  let finish id = records.(id).Record.finish
+  and start id = records.(id).Record.start in
+  let alive = Array.make m true in
+  let nrel = List.length relations + if edges.n = 0 then 0 else 1 in
+  let sat = Array.make m 0 in
+  let sources = Heap.create prefer in
+  let bump v =
+    sat.(v) <- sat.(v) + 1;
+    if sat.(v) = nrel then Heap.push sources v
+  in
+  let states =
+    List.map
+      (fun rel ->
+        let sorted key time =
+          Record.sorted_ids m
+            ~keep:(fun v -> key.(v) >= 0)
+            (fun a b -> Rat.compare (time key.(a)) (time key.(b)))
+        in
+        let sort_f = sorted rel.f finish in
+        {
+          rel;
+          sort_s = sorted rel.s start;
+          sptr = 0;
+          sort_f;
+          nxt = Array.init (Array.length sort_f) succ;
+          bumped = Array.make m false;
+        })
+      relations
+  in
+  (* successor lists in edge order: [out.(out_at.(u)) ..
+     out.(out_at.(u + 1) - 1)] *)
+  let out_at = Array.make (m + 1) 0 in
+  let npred = Array.make m 0 in
+  for k = 0 to edges.n - 1 do
+    out_at.(edges.src.(k) + 1) <- out_at.(edges.src.(k) + 1) + 1;
+    npred.(edges.dst.(k)) <- npred.(edges.dst.(k)) + 1
+  done;
+  for v = 0 to m - 1 do
+    out_at.(v + 1) <- out_at.(v + 1) + out_at.(v)
+  done;
+  let out = Array.make edges.n 0 in
+  let fill = Array.sub out_at 0 m in
+  for k = 0 to edges.n - 1 do
+    let u = edges.src.(k) in
+    out.(fill.(u)) <- edges.dst.(k);
+    fill.(u) <- fill.(u) + 1
+  done;
+  if edges.n > 0 then
+    for v = 0 to m - 1 do
+      if npred.(v) = 0 then bump v
     done;
-    if !stuck then None else Some (List.rev !order)
-  end
+  (* values with no skey are never blocked by that relation *)
+  List.iter
+    (fun st ->
+      for v = 0 to m - 1 do
+        if st.rel.s.(v) < 0 then begin
+          st.bumped.(v) <- true;
+          bump v
+        end
+      done)
+    states;
+  let unblocked st w =
+    let g = min_fkey_excluding st alive w in
+    g < 0 || not (Rat.lt (finish g) (start st.rel.s.(w)))
+  in
+  let advance st =
+    (* the skey pointer: for a non-owner the blocking test compares
+       the global min alive fkey against its skey, so unblocking is
+       monotone in skey and a single pointer suffices *)
+    let len = Array.length st.sort_s in
+    let walking = ref true in
+    while !walking && st.sptr < len do
+      let w = st.sort_s.(st.sptr) in
+      if (not alive.(w)) || st.bumped.(w) then st.sptr <- st.sptr + 1
+      else if unblocked st w then begin
+        st.bumped.(w) <- true;
+        bump w;
+        st.sptr <- st.sptr + 1
+      end
+      else walking := false
+    done;
+    (* the one exception: the owner of the min alive fkey tests
+       against the {e second} minimum (its own fkey is excluded), so
+       it can unblock ahead of its skey turn *)
+    let i = find_alive st alive 0 in
+    if i < Array.length st.sort_f then begin
+      let o = st.sort_f.(i) in
+      if (not st.bumped.(o)) && unblocked st o then begin
+        st.bumped.(o) <- true;
+        bump o
+      end
+    end
+  in
+  List.iter advance states;
+  let order = Array.make m 0 in
+  let emitted = ref 0 in
+  let stuck = ref false in
+  while !emitted < m && not !stuck do
+    let v = Heap.pop sources in
+    if v < 0 then stuck := true
+    else begin
+      alive.(v) <- false;
+      order.(!emitted) <- v;
+      incr emitted;
+      for k = out_at.(v) to out_at.(v + 1) - 1 do
+        let w = out.(k) in
+        npred.(w) <- npred.(w) - 1;
+        if npred.(w) = 0 then bump w
+      done;
+      List.iter advance states
+    end
+  done;
+  if !stuck then None else Some order

@@ -112,22 +112,18 @@ module Make (T : Spec.Data_type.S) = struct
     if !dup || !count <> n then Error "certificate is not a permutation"
     else
       let lin = List.map (fun id -> arr.(id)) order in
-      let replay =
-        List.fold_left
-          (fun acc (o : op) ->
-            match acc with
-            | None -> None
-            | Some st ->
-                let st', resp = T.apply st o.inv in
-                if T.equal_response resp o.resp then Some st' else None)
-          (Some T.initial) lin
+      let st = ref T.initial in
+      let replays (o : op) =
+        let st', resp = T.apply !st o.inv in
+        st := st';
+        T.equal_response resp o.resp
       in
-      match replay with
-      | None -> Error "certificate fails semantic replay"
-      | Some _ -> (
-          match Record.real_time_conflict records order with
-          | Some _ -> Error "certificate breaks real-time order"
-          | None -> Ok lin)
+      if not (List.for_all replays lin) then
+        Error "certificate fails semantic replay"
+      else
+        match Record.real_time_conflict records order with
+        | Some _ -> Error "certificate breaks real-time order"
+        | None -> Ok lin
 
   let check ?max_nodes (ops : op list) : result =
     match viewer with

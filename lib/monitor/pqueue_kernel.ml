@@ -21,13 +21,12 @@ let check (records : Record.t array) : Record.outcome =
   | Ok classes -> (
       match
         Sweeps.forced_above ~kind ~rule:"pqueue.priority-order"
-          ~describe:(fun c v ->
-            Printf.sprintf
-              "value %d observed as the maximum but larger value %d is \
-               forced present"
-              c.Record.value v.Record.value)
-          ~key:(fun v -> Rat.of_int v.Record.value)
-          ~threshold:(fun c _o -> Rat.of_int c.Record.value)
+          ~describe:
+            (Printf.sprintf
+               "value %d observed as the maximum but larger value %d is \
+                forced present")
+          ~key:(fun v -> Rat.of_int classes.Record.value.(v))
+          ~threshold:(fun c -> Rat.of_int classes.Record.value.(c))
           classes
       with
       | Some o -> o
@@ -40,5 +39,4 @@ let check (records : Record.t array) : Record.outcome =
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"
               | Some order ->
-                  Schedule.run ~shape:Schedule.Priority_shape ~order
-                    ~empties:classes.empties)))
+                  Schedule.run ~shape:Schedule.Priority_shape classes ~order)))

@@ -26,5 +26,4 @@ let check (records : Record.t array) : Record.outcome =
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"
               | Some order ->
-                  Schedule.run ~shape:Schedule.Queue_shape ~order
-                    ~empties:classes.empties)))
+                  Schedule.run ~shape:Schedule.Queue_shape classes ~order)))

@@ -21,167 +21,184 @@
    Acceptance is certificate-backed: writes ordered by response time,
    each followed by its reads (by response time), form a candidate
    linearization that the dispatcher re-verifies by replay and a
-   real-time sweep. *)
+   real-time sweep.
+
+   One table maps each written value to its write's position in the
+   invocation order; the reads are grouped per write block by one
+   stable sort, and the suffix minima are positions too. *)
 
 module V = Spec.Adt_view
 
 let kind = V.Register
 
 let check (records : Record.t array) : Record.outcome =
-  let writes : (int, Record.t) Hashtbl.t = Hashtbl.create 97 in
-  let reads : (int, Record.t list) Hashtbl.t = Hashtbl.create 97 in
+  let n = Array.length records in
+  let writes = Record.Itbl.create 97 in
   let bad = ref None in
   let flag o = if !bad = None then bad := Some o in
-  Array.iter
-    (fun (r : Record.t) ->
+  let reads_initial = ref false in
+  Array.iteri
+    (fun i (r : Record.t) ->
       match r.obs with
-      | V.Put v -> (
-          match Hashtbl.find_opt writes v with
-          | Some _ ->
-              flag
-                (Record.Unknown
-                   (Printf.sprintf "value %d written twice; ambiguous" v))
-          | None -> Hashtbl.add writes v r)
-      | V.Peek (Some v) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt reads v) in
-          Hashtbl.replace reads v (r :: prev)
+      | V.Put v ->
+          if Record.Itbl.mem writes v then
+            flag
+              (Record.Unknown
+                 (Printf.sprintf "value %d written twice; ambiguous" v))
+          else Record.Itbl.add writes v i
+      | V.Peek (Some v) -> if v = 0 then reads_initial := true
       | _ ->
           flag
             (Record.Unknown
                (Printf.sprintf "observation %s outside register vocabulary"
                   (V.obs_to_string r.obs))))
     records;
-  (match !bad with
-  | None when Hashtbl.mem writes 0 && Hashtbl.mem reads 0 ->
-      (* reads of 0 could bind to the initial value or to the write *)
-      flag (Record.Unknown "value 0 both initial and written; ambiguous")
-  | _ -> ());
+  if !bad = None && !reads_initial && Record.Itbl.mem writes 0 then
+    (* reads of 0 could bind to the initial value or to the write *)
+    flag (Record.Unknown "value 0 both initial and written; ambiguous");
   match !bad with
   | Some o -> o
   | None -> (
-      (* writes sorted by invocation, suffix-min of response times *)
+      let start i = records.(i).Record.start
+      and finish i = records.(i).Record.finish in
+      (* writes sorted by invocation; the table now maps each written
+         value to its position here *)
       let ws =
-        Record.sorted_by_start
-          (Array.of_seq (Hashtbl.to_seq_values writes))
+        Record.sorted_ids n
+          ~keep:(fun i ->
+            match records.(i).obs with V.Put _ -> true | _ -> false)
+          (fun a b -> Rat.compare (start a) (start b))
       in
       let k = Array.length ws in
-      let suffix = Array.make (k + 1) None in
+      Array.iteri
+        (fun j w ->
+          match records.(w).obs with
+          | V.Put v -> Record.Itbl.replace writes v j
+          | _ -> ())
+        ws;
+      (* [suffix.(i)]: the position in [ws.(i ..)] of the earliest
+         response; [-1] past the end *)
+      let suffix = Array.make (k + 1) (-1) in
       for i = k - 1 downto 0 do
         suffix.(i) <-
-          (match suffix.(i + 1) with
-          | Some (f, _) as s when Rat.le f ws.(i).Record.finish -> s
-          | _ -> Some (ws.(i).Record.finish, i))
+          (let s = suffix.(i + 1) in
+           if s >= 0 && Rat.le (finish ws.(s)) (finish ws.(i)) then s else i)
       done;
-      let first_invoked_after threshold =
-        (* least index with start > threshold; [None] = from 0 *)
-        match threshold with
-        | None -> 0
-        | Some t ->
-            let lo = ref 0 and hi = ref k in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              if Rat.le ws.(mid).Record.start t then lo := mid + 1
-              else hi := mid
-            done;
-            !lo
+      (* least position with start > t *)
+      let first_invoked_after t =
+        let lo = ref 0 and hi = ref k in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if Rat.le (start ws.(mid)) t then lo := mid + 1 else hi := mid
+        done;
+        !lo
       in
-      let check_read v (r : Record.t) =
-        if !bad <> None then ()
-        else
-          match (Hashtbl.find_opt writes v, v) with
-          | None, 0 -> (
+      (* [block.(i)]: the write position of read [i]; [-1] for a read of
+         the initial value *)
+      let block = Array.make n (-1) in
+      let check_read i (r : Record.t) v =
+        match Record.Itbl.find writes v with
+        | exception Not_found ->
+            if v = 0 then (
               (* initial value: stale iff any write finishes before r starts *)
-              match suffix.(0) with
-              | Some (f, j) when Rat.lt f r.start ->
-                  flag
-                    (Record.violation ~kind ~rule:"register.stale"
-                       [ r; ws.(j) ]
-                       "read of the initial value after a completed write")
-              | _ -> ())
-          | None, _ ->
+              let j = suffix.(0) in
+              if j >= 0 && Rat.lt (finish ws.(j)) r.start then
+                flag
+                  (Record.violation ~kind ~rule:"register.stale"
+                     [ r; records.(ws.(j)) ]
+                     "read of the initial value after a completed write"))
+            else
               flag
                 (Record.violation ~kind ~rule:"register.fresh" [ r ]
                    (Printf.sprintf "read returned %d, never written" v))
-          | Some w, _ ->
-              if Rat.lt r.finish w.start then
+        | b ->
+            block.(i) <- b;
+            let w = records.(ws.(b)) in
+            if Rat.lt r.finish w.start then
+              flag
+                (Record.violation ~kind ~rule:"register.before-write" [ r; w ]
+                   (Printf.sprintf "read returned %d entirely before its write"
+                      v))
+            else
+              let j = suffix.(first_invoked_after w.finish) in
+              if j >= 0 && Rat.lt (finish ws.(j)) r.start then
                 flag
-                  (Record.violation ~kind ~rule:"register.before-write"
-                     [ r; w ]
-                     (Printf.sprintf
-                        "read returned %d entirely before its write" v))
-              else
-                let idx = first_invoked_after (Some w.finish) in
-                (match suffix.(idx) with
-                | Some (f, j) when Rat.lt f r.start ->
-                    flag
-                      (Record.violation ~kind ~rule:"register.stale"
-                         [ r; w; ws.(j) ]
-                         (Printf.sprintf
-                            "read returned %d after a forced overwrite" v))
-                | _ -> ())
+                  (Record.violation ~kind ~rule:"register.stale"
+                     [ r; w; records.(ws.(j)) ]
+                     (Printf.sprintf "read returned %d after a forced overwrite"
+                        v))
       in
-      Hashtbl.iter (fun v rs -> List.iter (check_read v) rs) reads;
+      Array.iteri
+        (fun i (r : Record.t) ->
+          match r.obs with V.Peek (Some v) -> check_read i r v | _ -> ())
+        records;
       match !bad with
       | Some o -> o
       | None -> (
           (* certificate: each write and its reads form one atomic
              block; the block order is a linear extension of the single
              forced-precedence relation (min block finish vs max block
-             start), with the initial-value reads emitted first *)
-          let reads_of v =
-            List.sort
-              (fun (a : Record.t) b -> Rat.compare a.finish b.finish)
-              (Option.value ~default:[] (Hashtbl.find_opt reads v))
+             start), with the initial-value reads emitted first.  The
+             reads are sorted once by (block, response): group [0] holds
+             the initial-value reads and group [b + 1] the reads of
+             block [b], at [reads.(first.(g)) .. reads.(first.(g + 1) - 1)]. *)
+          let reads =
+            Record.sorted_ids n
+              ~keep:(fun i ->
+                match records.(i).obs with V.Peek (Some _) -> true | _ -> false)
+              (fun a b ->
+                match Int.compare block.(a) block.(b) with
+                | 0 -> Rat.compare (finish a) (finish b)
+                | c -> c)
           in
-          let blocks =
-            Array.map
-              (fun (w : Record.t) ->
-                let v = match w.obs with V.Put v -> v | _ -> assert false in
-                w :: reads_of v)
-              ws
+          let first = Array.make (k + 2) 0 in
+          Array.iter
+            (fun i -> first.(block.(i) + 2) <- first.(block.(i) + 2) + 1)
+            reads;
+          for g = 1 to k + 1 do
+            first.(g) <- first.(g) + first.(g - 1)
+          done;
+          let reads_of g f =
+            for j = first.(g) to first.(g + 1) - 1 do
+              f reads.(j)
+            done
           in
-          let fkey =
-            Array.map
-              (fun ops ->
-                Some
-                  (Rat.min_list
-                     (List.map (fun (r : Record.t) -> r.finish) ops)))
-              blocks
-          and skey =
-            Array.map
-              (fun ops ->
-                Some
-                  (Rat.max_list
-                     (List.map (fun (r : Record.t) -> r.start) ops)))
-              blocks
-          in
-          let init = if Hashtbl.mem writes 0 then [] else reads_of 0 in
+          let fkey = Array.copy ws and skey = Array.copy ws in
+          for b = 0 to k - 1 do
+            reads_of (b + 1) (fun i ->
+                if Rat.lt (finish i) (finish fkey.(b)) then fkey.(b) <- i;
+                if Rat.lt (start skey.(b)) (start i) then skey.(b) <- i)
+          done;
           let init_ok =
-            match init with
-            | [] -> true
-            | _ ->
-                let s =
-                  Rat.max_list (List.map (fun (r : Record.t) -> r.start) init)
-                in
-                Array.for_all
-                  (function Some f -> not (Rat.lt f s) | None -> true)
-                  fkey
+            first.(1) = 0
+            ||
+            let s = ref (start reads.(0)) in
+            reads_of 0 (fun i -> s := Rat.max !s (start i));
+            Array.for_all (fun f -> not (Rat.lt (finish f) !s)) fkey
           in
           if not init_ok then
             Record.Unknown
               "a write block is forced before a read of the initial value"
           else
             match
-              Extension.solve ~m:(Array.length blocks)
-                ~relations:[ { Extension.fkey; skey } ]
-                (fun i -> (0, Option.get fkey.(i)))
+              Extension.solve ~records ~m:k
+                ~relations:[ { Extension.f = fkey; s = skey } ]
+                ~edges:(Extension.Edges.create ())
+                (fun a b -> Rat.compare (finish fkey.(a)) (finish fkey.(b)))
             with
             | None ->
                 Record.Unknown
                   "no write order satisfies the forced precedences"
             | Some idx ->
-                let order = ref [] in
-                let emit (r : Record.t) = order := r.id :: !order in
-                List.iter emit init;
-                List.iter (fun i -> List.iter emit blocks.(i)) idx;
-                Order (List.rev !order)))
+                let out = Array.make n 0 and len = ref 0 in
+                let emit i =
+                  out.(!len) <- records.(i).id;
+                  incr len
+                in
+                reads_of 0 emit;
+                Array.iter
+                  (fun b ->
+                    emit ws.(b);
+                    reads_of (b + 1) emit)
+                  idx;
+                Record.Order (Array.to_list out)))

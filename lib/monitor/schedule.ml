@@ -20,109 +20,119 @@
    still re-verifies it (replay + real-time sweep) before accepting.
    When no operation is enabled but work remains, the scheduler gives
    up with [Unknown] and the dispatcher falls back to Wing-Gong — the
-   scheduler is sound but deliberately not complete. *)
+   scheduler is sound but deliberately not complete.
 
-type item = {
-  cls : Record.value_class;
-  mutable peeks : Record.t list;  (** remaining, sorted by response *)
-}
-
-module Imap = Map.Make (Int)
-
-type container =
-  | Fifo of item list * item list  (* front (never empty alone), back *)
-  | Lifo of item list
-  | Prio of item Imap.t
+   Items are positions in the insertion order, the container is an int
+   array of them (a FIFO window, a stack, or a max-heap on the value),
+   and each item's peeks sit in one flat array sorted once. *)
 
 type shape = Queue_shape | Stack_shape | Priority_shape
+type action = Idle | Insert | Peek | Take | Empty
 
-let create = function
-  | Queue_shape -> Fifo ([], [])
-  | Stack_shape -> Lifo []
-  | Priority_shape -> Prio Imap.empty
-
-let norm = function Fifo ([], back) -> Fifo (List.rev back, []) | c -> c
-
-let insert c it =
-  norm
-    (match c with
-    | Fifo (front, back) -> Fifo (front, it :: back)
-    | Lifo items -> Lifo (it :: items)
-    | Prio m -> Prio (Imap.add it.cls.Record.value it m))
-
-let head = function
-  | Fifo (h :: _, _) | Lifo (h :: _) -> Some h
-  | Prio m -> Option.map snd (Imap.max_binding_opt m)
-  | Fifo ([], _) | Lifo [] -> None
-
-let remove_head c =
-  norm
-    (match c with
-    | Fifo (_ :: front, back) -> Fifo (front, back)
-    | Lifo (_ :: items) -> Lifo items
-    | Prio m -> Prio (Imap.remove (fst (Imap.max_binding m)) m)
-    | Fifo ([], _) | Lifo [] -> assert false)
-
-let by_finish (a : Record.t) (b : Record.t) = Rat.compare a.finish b.finish
-
-type action = Insert | Peek of Record.t | Take of Record.t | Empty
-
-(* [run ~shape ~order ~empties]: [order] is the insertion sequence over
-   value classes (every class has a put — the cheap patterns rejected
-   fresh observations already). *)
-let run ~shape ~(order : Record.value_class list)
-    ~(empties : Record.t list) : Record.outcome =
-  let items =
-    Array.of_list
-      (List.map
-         (fun c -> { cls = c; peeks = List.sort by_finish c.Record.peeks })
-         order)
-  in
-  let put it = Option.get it.cls.Record.put in
-  let deadline it =
-    let d = (put it).Record.finish in
-    let d =
-      match it.cls.Record.take with
-      | Some (t : Record.t) -> Rat.min d t.finish
-      | None -> d
-    in
-    List.fold_left (fun acc (p : Record.t) -> Rat.min acc p.finish) d it.peeks
-  in
-  let deadlines = Array.map deadline items in
-  (* earliest deadline among the insertions from [i] on: a later value
+(* [run ~shape cl ~order]: [order] is the insertion sequence over value
+   classes (every class has a put — the cheap patterns rejected fresh
+   observations already). *)
+let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
+  let r = cl.records and take = cl.take in
+  let finish id = r.(id).Record.finish in
+  let m = Array.length order in
+  let pos = Array.make cl.count 0 in
+  Array.iteri (fun k c -> pos.(c) <- k) order;
+  (* item [k]'s peeks, by response time, are
+     [peeks.(peek_at.(k)) .. peeks.(peek_at.(k + 1) - 1)] *)
+  let first_peek c = cl.phase_at.(c) + if take.(c) >= 0 then 1 else 0 in
+  let peek_at = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun k c ->
+      peek_at.(k + 1) <- peek_at.(k) + cl.phase_at.(c + 1) - first_peek c)
+    order;
+  let peeks = Array.make peek_at.(m) 0 in
+  Array.iteri
+    (fun k c ->
+      Array.blit cl.phase (first_peek c) peeks peek_at.(k)
+        (peek_at.(k + 1) - peek_at.(k)))
+    order;
+  Array.stable_sort
+    (fun a b ->
+      match Int.compare pos.(cl.owner.(a)) pos.(cl.owner.(b)) with
+      | 0 -> Rat.compare (finish a) (finish b)
+      | c -> c)
+    peeks;
+  let next_peek = Array.sub peek_at 0 m in
+  (* earliest deadline among the insertions from [k] on: a later value
      being forced pulls every insertion ordered before it along *)
-  let n_items = Array.length items in
-  let sufmin = Array.make (n_items + 1) None in
-  for i = n_items - 1 downto 0 do
-    sufmin.(i) <-
-      (match sufmin.(i + 1) with
-      | Some d -> Some (Rat.min d deadlines.(i))
-      | None -> Some deadlines.(i))
+  let deadline k =
+    let c = order.(k) in
+    let d = ref (finish cl.put.(c)) in
+    for j = cl.phase_at.(c) to cl.phase_at.(c + 1) - 1 do
+      d := Rat.min !d (finish cl.phase.(j))
+    done;
+    !d
+  in
+  let sufmin = Array.make m Rat.zero in
+  for k = m - 1 downto 0 do
+    sufmin.(k) <-
+      (if k = m - 1 then deadline k else Rat.min sufmin.(k + 1) (deadline k))
   done;
-  let empties = Array.of_list (List.sort by_finish empties) in
-  let total =
-    Array.fold_left
-      (fun acc it ->
-        acc + 1
-        + (match it.cls.Record.take with Some _ -> 1 | None -> 0)
-        + List.length it.peeks)
-      0 items
-    + Array.length empties
+  let empties = Array.copy cl.empties in
+  Array.stable_sort (fun a b -> Rat.compare (finish a) (finish b)) empties;
+  let ne = Array.length empties in
+  let total = m + Array.length cl.phase + ne in
+  (* the container holds items [cont.(lo) .. cont.(hi - 1)]; for the
+     priority shape it is a max-heap on the value with [lo] = 0 *)
+  let cont = Array.make m 0 in
+  let lo = ref 0 and hi = ref 0 in
+  let value k = cl.value.(order.(k)) in
+  let swap i j =
+    let t = cont.(i) in
+    cont.(i) <- cont.(j);
+    cont.(j) <- t
   in
-  let acc = ref [] in
+  let head () =
+    if !lo = !hi then -1
+    else match shape with Stack_shape -> cont.(!hi - 1) | _ -> cont.(!lo)
+  in
+  let insert k =
+    cont.(!hi) <- k;
+    incr hi;
+    match shape with
+    | Queue_shape | Stack_shape -> ()
+    | Priority_shape ->
+        let i = ref (!hi - 1) in
+        while !i > 0 && value cont.((!i - 1) / 2) < value cont.(!i) do
+          swap !i ((!i - 1) / 2);
+          i := (!i - 1) / 2
+        done
+  in
+  let remove_head () =
+    match shape with
+    | Queue_shape -> incr lo
+    | Stack_shape -> decr hi
+    | Priority_shape ->
+        decr hi;
+        cont.(0) <- cont.(!hi);
+        let i = ref 0 and sifting = ref true in
+        while !sifting do
+          let l = (2 * !i) + 1 in
+          let big =
+            if l + 1 < !hi && value cont.(l) < value cont.(l + 1) then l + 1
+            else l
+          in
+          if big < !hi && value cont.(!i) < value cont.(big) then begin
+            swap !i big;
+            i := big
+          end
+          else sifting := false
+        done
+  in
+  let out = Array.make total 0 in
   let emitted = ref 0 in
-  let next_ins = ref 0 and next_emp = ref 0 in
-  let cont = ref (create shape) in
-  let stuck = ref false in
-  (* the head's pending operation, if any: first peek, else the take *)
-  let head_op h =
-    match h.peeks with
-    | (p : Record.t) :: _ -> Some (Peek p, p)
-    | [] -> (
-        match h.cls.Record.take with
-        | Some (t : Record.t) -> Some (Take t, t)
-        | None -> None)
+  let emit id =
+    out.(!emitted) <- r.(id).Record.id;
+    incr emitted
   in
+  let next_ins = ref 0 and next_emp = ref 0 in
+  let stuck = ref false in
   while !emitted < total && not !stuck do
     (* Lazy insertion: keep servicing the access point and only grow
        the container when real time forces it — some operation of the
@@ -130,49 +140,51 @@ let run ~shape ~(order : Record.value_class list)
        before the head's current operation starts.  Every operation
        emitted while the insertion stays deferred is then conflict-free
        against all of the deferred value's operations: its deadline
-       (the minimum of those finishes) was >= the emitted op's start. *)
-    let head_cand =
-      match head !cont with
-      | Some h -> Option.map (fun (a, (o : Record.t)) -> (o, a)) (head_op h)
-      | None ->
-          if !next_emp < Array.length empties then
-            Some (empties.(!next_emp), Empty)
-          else None
+       (the minimum of those finishes) was >= the emitted op's start.
+       The head's pending operation is its first peek, else its take. *)
+    let h = head () in
+    let o = ref (-1) in
+    let pending =
+      if h >= 0 then
+        if next_peek.(h) < peek_at.(h + 1) then begin
+          o := peeks.(next_peek.(h));
+          Peek
+        end
+        else if take.(order.(h)) >= 0 then begin
+          o := take.(order.(h));
+          Take
+        end
+        else Idle
+      else if !next_emp < ne then begin
+        o := empties.(!next_emp);
+        Empty
+      end
+      else Idle
     in
-    let insert_ready = !next_ins < Array.length items in
-    let chosen =
-      match head_cand with
-      | Some ((o : Record.t), a) ->
-          let forced =
-            insert_ready
-            &&
-            match sufmin.(!next_ins) with
-            | Some d -> Rat.lt d o.start
-            | None -> false
-          in
-          if forced then Some Insert else Some a
-      | None -> if insert_ready then Some Insert else None
+    let insert_ready = !next_ins < m in
+    let action =
+      match pending with
+      | Idle -> if insert_ready then Insert else Idle
+      | _ ->
+          if insert_ready && Rat.lt sufmin.(!next_ins) r.(!o).start then
+            Insert
+          else pending
     in
-    match chosen with
-    | None -> stuck := true
-    | Some action ->
-        (match action with
-        | Insert ->
-            let it = items.(!next_ins) in
-            incr next_ins;
-            acc := (put it).Record.id :: !acc;
-            cont := insert !cont it
-        | Peek p ->
-            let h = Option.get (head !cont) in
-            h.peeks <- List.tl h.peeks;
-            acc := p.Record.id :: !acc
-        | Take t ->
-            cont := remove_head !cont;
-            acc := t.Record.id :: !acc
-        | Empty ->
-            acc := empties.(!next_emp).Record.id :: !acc;
-            incr next_emp);
-        incr emitted
+    match action with
+    | Idle -> stuck := true
+    | Insert ->
+        emit cl.put.(order.(!next_ins));
+        insert !next_ins;
+        incr next_ins
+    | Peek ->
+        next_peek.(h) <- next_peek.(h) + 1;
+        emit !o
+    | Take ->
+        remove_head ();
+        emit !o
+    | Empty ->
+        incr next_emp;
+        emit !o
   done;
   if !stuck then
     Record.Unknown
@@ -180,10 +192,6 @@ let run ~shape ~(order : Record.value_class list)
          "greedy scheduler stuck after %d/%d operations (head %s, next \
           insertion %s)"
          !emitted total
-         (match head !cont with
-         | Some h -> string_of_int h.cls.Record.value
-         | None -> "-")
-         (if !next_ins < Array.length items then
-            string_of_int items.(!next_ins).cls.Record.value
-          else "-"))
-  else Record.Order (List.rev !acc)
+         (match head () with -1 -> "-" | h -> string_of_int (value h))
+         (if !next_ins < m then string_of_int (value !next_ins) else "-"))
+  else Record.Order (Array.to_list out)

@@ -17,15 +17,14 @@ let check (records : Record.t array) : Record.outcome =
   match Record.classify ~kind records with
   | Error o -> o
   | Ok classes -> (
-      let put c = Option.get c.Record.put in
+      let put c = classes.Record.records.(classes.put.(c)) in
       match
         Sweeps.forced_above ~kind ~rule:"stack.lifo-order"
-          ~describe:(fun c v ->
-            Printf.sprintf
-              "value %d observed at the top but value %d is forced above it"
-              c.Record.value v.Record.value)
-          ~key:(fun v -> (put v).Record.start)
-          ~threshold:(fun c _o -> (put c).Record.finish)
+          ~describe:
+            (Printf.sprintf
+               "value %d observed at the top but value %d is forced above it")
+          ~key:(fun v -> (put v).start)
+          ~threshold:(fun c -> (put c).finish)
           classes
       with
       | Some o -> o
@@ -38,5 +37,4 @@ let check (records : Record.t array) : Record.outcome =
                   Record.Unknown
                     "no insertion order satisfies the forced precedences"
               | Some order ->
-                  Schedule.run ~shape:Schedule.Stack_shape ~order
-                    ~empties:classes.empties)))
+                  Schedule.run ~shape:Schedule.Stack_shape classes ~order)))

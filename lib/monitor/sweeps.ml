@@ -14,238 +14,175 @@
      keyed by a rational — start of the push for LIFO ("pushed later"),
      the priority itself for the priority queue ("bigger") — absorbed in
      response-of-insert order and queried by a Fenwick tree holding the
-     latest forced removal per key suffix. *)
+     latest forced removal per key suffix.
 
-module V = Spec.Adt_view
+   Values are the class numbers of {!Record.classes} and operations
+   their record ids; every ordering is one stable sort of an index
+   array. *)
 
-(* How long a candidate value provably stays in the container: forever
-   if never taken, else until its take could earliest linearize. *)
-type avail =
-  | Never of Record.value_class
-  | Until of Rat.t * Record.value_class
-
-let better a b =
-  match (a, b) with
-  | Never _, _ -> a
-  | _, Never _ -> b
-  | Until (x, _), Until (y, _) -> if Rat.le y x then a else b
+(* The classes, stably sorted by the response of their put. *)
+let by_put_finish (cl : Record.classes) =
+  let r = cl.records and put = cl.put in
+  Record.sorted_ids cl.count (fun a b ->
+      Rat.compare r.(put.(a)).finish r.(put.(b)).finish)
 
 (* --- queue: FIFO order -------------------------------------------- *)
 
-(* Values with head evidence (a take or peek returning them), iterated
-   by start of their put; candidates absorbed once their put's finish
-   drops below that start.  One running "first untaken" plus a running
-   max of take starts decides both branches of the pattern. *)
-let queue_fifo ~kind (classes : Record.classes) : Record.outcome option =
-  let with_put = List.filter (fun c -> c.Record.put <> None) classes.values in
-  let put c = Option.get c.Record.put in
-  let evidence c =
-    let ops =
-      (match c.Record.take with Some t -> [ t ] | None -> []) @ c.Record.peeks
-    in
-    match ops with
-    | [] -> None
-    | o :: rest ->
-        Some
-          (List.fold_left
-             (fun (best : Record.t) (o : Record.t) ->
-               if Rat.lt o.finish best.finish then o else best)
-             o rest)
-  in
+(* Values with head evidence (the earliest-responding take or peek
+   returning them), iterated by start of their put; candidates absorbed
+   once their put's finish drops below that start.  One running "first
+   untaken" plus a running max of take starts decides both branches of
+   the pattern. *)
+let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
+  let r = cl.records and put = cl.put and take = cl.take in
+  let evidence = Array.init cl.count (Record.phase_first_finish cl) in
   let observed =
-    List.filter_map
-      (fun c -> Option.map (fun o -> (c, o)) (evidence c))
-      with_put
+    Record.sorted_ids cl.count
+      ~keep:(fun c -> evidence.(c) >= 0)
+      (fun a b -> Rat.compare r.(put.(a)).start r.(put.(b)).start)
   in
-  let observed =
-    List.sort
-      (fun (a, _) (b, _) -> Rat.compare (put a).Record.start (put b).Record.start)
-      observed
-  in
-  let candidates =
-    Array.of_list
-      (List.sort
-         (fun a b -> Rat.compare (put a).Record.finish (put b).Record.finish)
-         with_put)
-  in
+  let candidates = by_put_finish cl in
   let nc = Array.length candidates in
   let i = ref 0 in
-  let untaken = ref None in
-  let latest = ref None in
-  (* max take start among absorbed taken candidates *)
-  List.find_map
-    (fun (c, (o : Record.t)) ->
-      let s_put = (put c).Record.start in
-      while !i < nc && Rat.lt (put candidates.(!i)).Record.finish s_put do
+  let untaken = ref (-1) in
+  let latest = ref (-1) in
+  (* the absorbed taken candidate whose take starts last *)
+  let rec scan k =
+    if k = Array.length observed then None
+    else
+      let c = observed.(k) in
+      let o = r.(evidence.(c)) in
+      let s_put = r.(put.(c)).start in
+      while !i < nc && Rat.lt r.(put.(candidates.(!i))).finish s_put do
         let u = candidates.(!i) in
-        (match u.Record.take with
-        | None -> if !untaken = None then untaken := Some u
-        | Some t ->
-            let beats =
-              match !latest with
-              | Some (s, _) -> Rat.lt s t.Record.start
-              | None -> true
-            in
-            if beats then latest := Some (t.Record.start, u));
+        (if take.(u) < 0 then (if !untaken < 0 then untaken := u)
+         else if
+           !latest < 0 || Rat.lt r.(take.(!latest)).start r.(take.(u)).start
+         then latest := u);
         incr i
       done;
-      match !untaken with
-      | Some u ->
-          Some
-            (Record.violation ~kind ~rule:"queue.fifo-order"
-               [ o; put c; put u ]
-               (Printf.sprintf
-                  "value %d observed at the head but value %d is forced \
-                   ahead of it and never taken"
-                  c.Record.value u.Record.value))
-      | None -> (
-          match !latest with
-          | Some (s, u) when Rat.lt o.finish s ->
-              Some
-                (Record.violation ~kind ~rule:"queue.fifo-order"
-                   [ o; put c; put u; Option.get u.Record.take ]
-                   (Printf.sprintf
-                      "value %d observed at the head before value %d, forced \
-                       ahead of it, could be taken"
-                      c.Record.value u.Record.value))
-          | _ -> None))
-    observed
+      if !untaken >= 0 then
+        let u = !untaken in
+        Some
+          (Record.violation ~kind ~rule:"queue.fifo-order"
+             [ o; r.(put.(c)); r.(put.(u)) ]
+             (Printf.sprintf
+                "value %d observed at the head but value %d is forced ahead \
+                 of it and never taken"
+                cl.value.(c) cl.value.(u)))
+      else if !latest >= 0 && Rat.lt o.finish r.(take.(!latest)).start then
+        let u = !latest in
+        Some
+          (Record.violation ~kind ~rule:"queue.fifo-order"
+             [ o; r.(put.(c)); r.(put.(u)); r.(take.(u)) ]
+             (Printf.sprintf
+                "value %d observed at the head before value %d, forced ahead \
+                 of it, could be taken"
+                cl.value.(c) cl.value.(u)))
+      else scan (k + 1)
+  in
+  scan 0
 
 (* --- stack / priority queue: forced-above ------------------------- *)
 
-(* Max-Fenwick over dense key ranks; [query t r] is the best avail
-   among ranks >= r (stored reversed so the suffix is a prefix). *)
-module Fenwick = struct
-  type t = { size : int; cells : avail option array }
-
-  let make size = { size; cells = Array.make (size + 1) None }
-
-  let update t rank v =
-    let i = ref (t.size - rank + 1) in
-    while !i <= t.size do
-      (t.cells).(!i) <-
-        (match (t.cells).(!i) with
-        | None -> Some v
-        | Some w -> Some (better v w));
-      i := !i + (!i land - !i)
-    done
-
-  let query_suffix t rank =
-    let i = ref (t.size - rank + 1) in
-    let acc = ref None in
-    while !i > 0 do
-      (match (t.cells).(!i) with
-      | Some v ->
-          acc := Some (match !acc with None -> v | Some w -> better v w)
-      | None -> ());
-      i := !i - (!i land - !i)
-    done;
-    !acc
-end
-
-(* [forced_above ~kind ~rule ~key ~threshold classes]: for each take or
-   peek observation [o] returning value [x], a violation exists iff
+(* [forced_above ~kind ~rule ~describe ~key ~threshold cl]: for each
+   take or peek observation [o] of class [c], a violation exists iff
    some candidate [v] with [finish (put v) < start o] and
-   [key v > threshold x o] is forced present at [o]'s linearization
-   point (never taken, or its take starts after [o] finishes). *)
-let forced_above ~kind ~rule ~describe ~key ~threshold
-    (classes : Record.classes) : Record.outcome option =
-  let with_put = List.filter (fun c -> c.Record.put <> None) classes.values in
-  let put c = Option.get c.Record.put in
-  let evidence =
-    List.concat_map
-      (fun c ->
-        let ops =
-          (match c.Record.take with Some t -> [ t ] | None -> [])
-          @ c.Record.peeks
-        in
-        List.map (fun o -> (c, o)) ops)
-      with_put
+   [key v > threshold c] is forced present at [o]'s linearization
+   point (never taken, or its take starts after [o] finishes).
+
+   The candidates live in a max-Fenwick tree over dense key ranks,
+   stored reversed so that a key suffix is a prefix; each cell holds
+   the class that stays longest (never taken beats any take start). *)
+let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
+    Record.outcome option =
+  let r = cl.records and put = cl.put and take = cl.take in
+  (* [better a b]: the class that provably stays longer, [a] on ties *)
+  let better a b =
+    if b < 0 || take.(a) < 0 then a
+    else if take.(b) < 0 then b
+    else if Rat.le r.(take.(b)).start r.(take.(a)).start then a
+    else b
   in
   let evidence =
-    List.sort
-      (fun ((_, a) : _ * Record.t) ((_, b) : _ * Record.t) ->
-        Rat.compare a.start b.start)
-      evidence
+    Record.sorted_ids (Array.length cl.phase) (fun a b ->
+        Rat.compare r.(cl.phase.(a)).start r.(cl.phase.(b)).start)
   in
-  (* dense ranks for candidate keys *)
-  let keys = List.map key with_put in
-  let sorted_keys = List.sort_uniq Rat.compare keys in
-  let rank_of =
-    let tbl = Hashtbl.create 97 in
-    List.iteri (fun i k -> Hashtbl.add tbl (Rat.to_string k) (i + 1)) sorted_keys;
-    fun k -> Hashtbl.find tbl (Rat.to_string k)
+  (* dense ranks, 1-based: equal keys share a rank, and [reps.(q - 1)]
+     is one class of rank [q] *)
+  let by_key =
+    Record.sorted_ids cl.count (fun a b -> Rat.compare (key a) (key b))
   in
-  let rank_arr = Array.of_list sorted_keys in
-  let m = Array.length rank_arr in
-  (* least rank with key strictly above the threshold *)
+  let rank = Array.make cl.count 0 in
+  let reps = Array.make (Array.length by_key) 0 in
+  let m = ref 0 in
+  Array.iter
+    (fun c ->
+      if !m = 0 || not (Rat.equal (key c) (key reps.(!m - 1))) then begin
+        reps.(!m) <- c;
+        incr m
+      end;
+      rank.(c) <- !m)
+    by_key;
+  let m = !m in
+  (* least rank with key strictly above [t] *)
   let rank_above t =
     let lo = ref 0 and hi = ref m in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if Rat.le rank_arr.(mid) t then lo := mid + 1 else hi := mid
+      if Rat.le (key reps.(mid)) t then lo := mid + 1 else hi := mid
     done;
     !lo + 1
   in
-  let fen = Fenwick.make m in
-  let candidates =
-    Array.of_list
-      (List.sort
-         (fun a b -> Rat.compare (put a).Record.finish (put b).Record.finish)
-         with_put)
+  let cells = Array.make (m + 1) (-1) in
+  let update rank v =
+    let i = ref (m - rank + 1) in
+    while !i <= m do
+      cells.(!i) <- better v cells.(!i);
+      i := !i + (!i land - !i)
+    done
   in
+  let query_suffix rank =
+    let i = ref (m - rank + 1) in
+    let acc = ref (-1) in
+    while !i > 0 do
+      if cells.(!i) >= 0 then acc := better cells.(!i) !acc;
+      i := !i - (!i land - !i)
+    done;
+    !acc
+  in
+  let candidates = by_put_finish cl in
   let nc = Array.length candidates in
   let i = ref 0 in
-  List.find_map
-    (fun (c, (o : Record.t)) ->
-      while !i < nc && Rat.lt (put candidates.(!i)).Record.finish o.start do
+  let rec scan k =
+    if k = Array.length evidence then None
+    else
+      let oi = cl.phase.(evidence.(k)) in
+      let o = r.(oi) and c = cl.owner.(oi) in
+      while !i < nc && Rat.lt r.(put.(candidates.(!i))).finish o.start do
         let v = candidates.(!i) in
-        let a =
-          match v.Record.take with
-          | None -> Never v
-          | Some t -> Until (t.Record.start, v)
-        in
-        Fenwick.update fen (rank_of (key v)) a;
+        update rank.(v) v;
         incr i
       done;
-      let r = rank_above (threshold c o) in
-      if r > m then None
-      else
-        match Fenwick.query_suffix fen r with
-        | Some (Never v) when v != c ->
-            Some
-              (Record.violation ~kind ~rule
-                 [ o; put c; put v ]
-                 (describe c v ^ " and never taken"))
-        | Some (Until (s, v)) when v != c && Rat.lt o.finish s ->
-            Some
-              (Record.violation ~kind ~rule
-                 [ o; put c; put v; Option.get v.Record.take ]
-                 (describe c v ^ " until after the observation"))
-        | _ -> None)
-    evidence
+      let q = rank_above (threshold c) in
+      let v = if q > m then -1 else query_suffix q in
+      if v < 0 || v = c then scan (k + 1)
+      else if take.(v) < 0 then
+        Some
+          (Record.violation ~kind ~rule
+             [ o; r.(put.(c)); r.(put.(v)) ]
+             (describe cl.value.(c) cl.value.(v) ^ " and never taken"))
+      else if Rat.lt o.finish r.(take.(v)).start then
+        Some
+          (Record.violation ~kind ~rule
+             [ o; r.(put.(c)); r.(put.(v)); r.(take.(v)) ]
+             (describe cl.value.(c) cl.value.(v)
+             ^ " until after the observation"))
+      else scan (k + 1)
+  in
+  scan 0
 
 (* --- value insertion order ---------------------------------------- *)
-
-(* The phase of a value: its take plus its peeks — the operations that
-   observe it at the container's access point. *)
-let phase_keys (c : Record.value_class) =
-  let ops =
-    (match c.Record.take with Some t -> [ t ] | None -> []) @ c.Record.peeks
-  in
-  match ops with
-  | [] -> (None, None)
-  | (o : Record.t) :: rest ->
-      let fmin =
-        List.fold_left
-          (fun a (r : Record.t) -> Rat.min a r.finish)
-          o.finish rest
-      and smax =
-        List.fold_left
-          (fun a (r : Record.t) -> Rat.max a r.start)
-          o.start rest
-      in
-      (Some fmin, Some smax)
 
 type order_style =
   | Fifo_order
@@ -267,26 +204,14 @@ type order_style =
    - u's whole phase entirely before put(v): u was inserted, observed
      and removed before v existed;
    - (FIFO only) u's phase entirely before v's phase: the head reigns
-     happen in insertion order. *)
-let value_order ~style (classes : Record.classes) :
-    Record.value_class list option =
-  let vals =
-    Array.of_list
-      (List.filter (fun c -> c.Record.put <> None) classes.values)
-  in
-  let m = Array.length vals in
-  let put i = Option.get vals.(i).Record.put in
-  let fe = Array.init m (fun i -> Some (put i).Record.finish) in
-  let se = Array.init m (fun i -> Some (put i).Record.start) in
-  let fp = Array.make m None and sp = Array.make m None in
-  Array.iteri
-    (fun i c ->
-      let f, s = phase_keys c in
-      fp.(i) <- f;
-      sp.(i) <- s)
-    vals;
-  let put_order = { Extension.fkey = fe; skey = se } in
-  let gone_before_put = { Extension.fkey = fp; skey = se } in
+     happen in insertion order.
+   Returns the classes in insertion order. *)
+let value_order ~style (cl : Record.classes) : int array option =
+  let r = cl.records and put = cl.put and take = cl.take in
+  let m = cl.count in
+  let fp = Array.init m (Record.phase_first_finish cl) in
+  let put_order = { Extension.f = put; s = put } in
+  let gone_before_put = { Extension.f = fp; s = put } in
   (* LIFO residency edges: an observation of [w] forced to happen while
      [u] is provably in the container (put finished before the
      observation starts, take starts after it finishes) pins [u] below
@@ -295,72 +220,65 @@ let value_order ~style (classes : Record.classes) :
      skipped, so only values with overlapping puts are scanned — the
      candidate range is bounded by the history's concurrency width. *)
   let residency_edges () =
-    let by_fe =
-      let a = Array.init m Fun.id in
-      Array.sort
-        (fun i j -> Rat.compare (Option.get fe.(i)) (Option.get fe.(j)))
-        a;
-      a
-    in
+    let fe i = r.(put.(i)).finish in
+    let by_fe = Record.sorted_ids m (fun i j -> Rat.compare (fe i) (fe j)) in
     (* first position in [by_fe] with fe >= x *)
     let lower x =
       let lo = ref 0 and hi = ref m in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if Rat.lt (Option.get fe.(by_fe.(mid))) x then lo := mid + 1
-        else hi := mid
+        if Rat.lt (fe by_fe.(mid)) x then lo := mid + 1 else hi := mid
       done;
       !lo
     in
-    let edges = ref [] in
+    let edges = Extension.Edges.create () in
     for w = 0 to m - 1 do
-      let obs =
-        (match vals.(w).Record.take with Some t -> [ t ] | None -> [])
-        @ vals.(w).Record.peeks
-      in
-      List.iter
-        (fun (o : Record.t) ->
-          let lo = lower (Option.get se.(w)) and hi = lower o.start in
-          for k = lo to hi - 1 do
-            let u = by_fe.(k) in
-            if
-              u <> w
-              && Rat.lt (Option.get fe.(u)) o.start
-              &&
-              match vals.(u).Record.take with
-              | None -> true
-              | Some (t : Record.t) -> Rat.lt o.finish t.start
-            then edges := (u, w) :: !edges
-          done)
-        obs
+      for j = cl.phase_at.(w) to cl.phase_at.(w + 1) - 1 do
+        let o = r.(cl.phase.(j)) in
+        for k = lower r.(put.(w)).start to lower o.start - 1 do
+          let u = by_fe.(k) in
+          if
+            u <> w
+            && Rat.lt (fe u) o.start
+            && (take.(u) < 0 || Rat.lt o.finish r.(take.(u)).start)
+          then Extension.Edges.add edges u w
+        done
+      done
     done;
-    !edges
+    edges
   in
+  let finish_of ids i j = Rat.compare r.(ids.(i)).finish r.(ids.(j)).finish in
   let relations, prefer =
     match style with
     | Fifo_order ->
-        let phase_order = { Extension.fkey = fp; skey = sp } in
+        let phase_order =
+          { Extension.f = fp; s = Array.init m (Record.phase_last_start cl) }
+        in
+        (* takes run in insertion order; peeked but never taken values
+           go near the end, never observed ones last *)
+        let tier = Array.make m 0 and key = Array.copy put in
+        for i = 0 to m - 1 do
+          if take.(i) >= 0 then key.(i) <- take.(i)
+          else if fp.(i) >= 0 then begin
+            tier.(i) <- 1;
+            key.(i) <- fp.(i)
+          end
+          else tier.(i) <- 2
+        done;
         ( [ put_order; phase_order; gone_before_put ],
-          fun i ->
-            match (vals.(i).Record.take, fp.(i)) with
-            | Some (t : Record.t), _ ->
-                (0, t.finish)  (* takes run in insertion order *)
-            | None, Some f -> (1, f)  (* peeked but never taken: near the end *)
-            | None, None -> (2, (put i).Record.finish) (* never observed: last *)
-        )
-    | Push_order ->
-        (* the residency edges pin every observably-forced depth
-           relation; among the rest, put-finish order is the best guess
-           at the real push order *)
-        ( [ put_order; gone_before_put ],
-          fun i -> (0, (put i).Record.finish) )
-    | Prio_order ->
-        ( [ put_order; gone_before_put ],
-          fun i -> (0, (put i).Record.finish) )
+          fun i j ->
+            match Int.compare tier.(i) tier.(j) with
+            | 0 -> finish_of key i j
+            | c -> c )
+    | Push_order | Prio_order ->
+        (* for a stack the residency edges pin every observably-forced
+           depth relation; among the rest, put-finish order is the best
+           guess at the real push order *)
+        ([ put_order; gone_before_put ], finish_of put)
   in
   let edges =
-    match style with Push_order -> residency_edges () | _ -> []
+    match style with
+    | Push_order -> residency_edges ()
+    | Fifo_order | Prio_order -> Extension.Edges.create ()
   in
-  match Extension.solve ~m ~relations ~edges prefer with
-  | None -> None
-  | Some idx -> Some (List.map (fun i -> vals.(i)) idx)
+  Extension.solve ~records:r ~m ~relations ~edges prefer

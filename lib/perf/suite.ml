@@ -1,4 +1,8 @@
-type section = { name : string; description : string; run : unit -> int }
+type section = {
+  name : string;
+  description : string;
+  prepare : unit -> unit -> int;
+}
 
 (* Small fractions with denominators from a fixed set (lcm <= 420), so
    running sums stay far from Overflow while still exercising the
@@ -122,39 +126,66 @@ let scenario_events ~ops () =
     failwith "scenario bench section: run did not certify";
   o.Scenario.Exec.events
 
+(* The [repro check] path on one queue history: the records, the
+   queue kernel and the certificate replay of
+   [Monitor.Make(Fifo_queue).check].  The history is generated while
+   preparing, outside the measurement, and holds an empty observation,
+   so the empty-coverage check runs too. *)
+let monitor_queue ~ops () =
+  let module M = Monitor.Make (Spec.Fifo_queue) in
+  let history = M.generate ~seed:3 ~n:ops () in
+  if
+    not
+      (List.exists
+         (fun (o : M.op) -> o.resp = Spec.Fifo_queue.Got None)
+         history)
+  then failwith "monitor bench section: history has no empty observation";
+  fun () ->
+    let r = M.check history in
+    if r.method_ <> Monitor.Specialized Spec.Adt_view.Queue then
+      failwith "monitor bench section: queue monitor did not certify";
+    ops
+
 let sections =
   [
     {
       name = "rat-kernel";
       description = "300k-op rational arithmetic loop (add/sub/mul/compare)";
-      run = rat_kernel;
+      prepare = (fun () -> rat_kernel);
     };
     {
       name = "engine-queue-8k";
       description =
         "8000-op closed-loop FIFO queue, 4 processes, optimal-epsilon model";
-      run = queue_events ~per_proc:2000;
+      prepare = (fun () -> queue_events ~per_proc:2000);
     };
     {
       name = "load-shard-4k";
       description =
         "4000-op diurnal Zipf load over 4 FIFO-queue shards, certified per \
          key";
-      run = load_events ~ops:4_000;
+      prepare = (fun () -> load_events ~ops:4_000);
     };
     {
       name = "journal-1k";
       description =
         "1000 checkpoint records framed, checksummed, appended and scanned \
          back";
-      run = journal_roundtrip ~records:1_000;
+      prepare = (fun () -> journal_roundtrip ~records:1_000);
     };
     {
       name = "scenario-1k";
       description =
         "1000-op generated-workload scenario lowered, run, certified and \
          judged against its temporal predicate";
-      run = scenario_events ~ops:1_000;
+      prepare = (fun () -> scenario_events ~ops:1_000);
+    };
+    {
+      name = "monitor-queue-64k";
+      description =
+        "64 000-operation generated queue history with an empty \
+         observation, certified by the queue monitor";
+      prepare = monitor_queue ~ops:64_000;
     };
   ]
 

@@ -9,7 +9,9 @@
 type section = {
   name : string;
   description : string;
-  run : unit -> int;  (** run the workload, return its event count *)
+  prepare : unit -> unit -> int;
+      (** build the workload's input (not measured) and return the
+          measured run, which returns its event count *)
 }
 
 val sections : section list
@@ -22,7 +24,10 @@ val sections : section list
     FIFO-queue shards, certified per key, run inline on one domain.
     ["scenario-1k"]: a pinned 1000-operation generated-workload
     scenario lowered through the scenario executor, certified and
-    judged against its temporal predicate. *)
+    judged against its temporal predicate.  ["monitor-queue-64k"]: a
+    generated 64 000-operation queue history holding an empty
+    observation, certified by [Monitor.Make(Fifo_queue).check]; its
+    events are the operations. *)
 
 val find : string -> section option
 

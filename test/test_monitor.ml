@@ -10,12 +10,30 @@ let rat = Rat.make
 (* Histories are kept small so the exponential fallback terminates
    quickly even on rejections; the monitors themselves are exercised at
    scale in [test_specialized_scale] and the benchmark. *)
+(* Floor every invocation and ceil every response to an integer.
+   Widening intervals keeps a history linearizable, and the generator's
+   jitter is below 2 with same-process operations at least 5 apart, so
+   each process's operations stay disjoint.  Equal endpoints become
+   common, which exercises every tie in the kernels' sorts. *)
+let widen (o : ('i, 'r) Sim.Trace.operation) =
+  let floor q =
+    let n = Rat.num q and d = Rat.den q in
+    if n >= 0 then n / d else -((-n + d - 1) / d)
+  in
+  let ceil q = -floor (Rat.neg q) in
+  {
+    o with
+    inv_time = Rat.of_int (floor o.inv_time);
+    resp_time = Rat.of_int (ceil o.resp_time);
+  }
+
 module Agree (T : Spec.Data_type.S) = struct
   module M = Monitor.Make (T)
 
-  let run ~seeds ~n () =
+  let run ?(tied = false) ~seeds ~n () =
     for seed = 0 to seeds - 1 do
       let clean = M.generate ~seed ~n () in
+      let clean = if tied then List.map widen clean else clean in
       let r = M.check clean in
       Alcotest.(check bool)
         (Printf.sprintf "%s seed %d: clean history accepted" T.name seed)
@@ -54,6 +72,18 @@ let test_agreement_pqueue () =
   let module A = Agree (Spec.Priority_queue) in
   A.run ~seeds:12 ~n:16 ()
 
+let test_agreement_tied () =
+  (let module A = Agree (Spec.Register) in
+   A.run ~tied:true ~seeds:12 ~n:16 ());
+  (let module A = Agree (Spec.Fifo_queue) in
+   A.run ~tied:true ~seeds:12 ~n:16 ());
+  (let module A = Agree (Spec.Stack_type) in
+   A.run ~tied:true ~seeds:12 ~n:16 ());
+  (let module A = Agree (Spec.Set_type) in
+   A.run ~tied:true ~seeds:12 ~n:16 ());
+  let module A = Agree (Spec.Priority_queue) in
+  A.run ~tied:true ~seeds:12 ~n:16 ()
+
 (* ---------- the fast path actually runs (and scales) -------------- *)
 
 module Fast (T : Spec.Data_type.S) = struct
@@ -90,6 +120,157 @@ let test_queue_20k () =
   Alcotest.(check bool)
     "via the queue monitor" true
     (r.M.method_ = Monitor.Specialized Spec.Adt_view.Queue)
+
+(* A draining history: sequential [put v], [take -> v], [take -> empty]
+   on integer times.  Every empty observation needs its coverage
+   decided against every value put before it, which cost the
+   rescan-from-zero coverage check O(empties x values) time and
+   allocation (about 11 850 minor words per operation at 30 000
+   operations).  The cover-chain check allocates nothing per
+   observation, so the whole certification stays within a small
+   per-operation budget. *)
+module Drain (T : Spec.Data_type.S) = struct
+  module M = Monitor.Make (T)
+
+  let history ~n : M.op list =
+    let vw = Option.get M.viewer in
+    let take = Option.get vw.Spec.Adt_view.take in
+    let st = ref T.initial in
+    List.init n (fun i ->
+        let inv = if i mod 3 = 0 then vw.put ((i / 3) + 1) else take in
+        let st', resp = T.apply !st inv in
+        st := st';
+        let t = Rat.of_int (2 * i) in
+        {
+          Sim.Trace.proc = i mod 4;
+          inv;
+          resp;
+          inv_time = t;
+          resp_time = Rat.add t Rat.one;
+        })
+
+  let run () =
+    let n = 30_000 in
+    let ops = history ~n in
+    let w0 = Gc.minor_words () in
+    let r = M.check ops in
+    let per_op = (Gc.minor_words () -. w0) /. float_of_int n in
+    Alcotest.(check bool) (T.name ^ ": drain accepted") true r.M.linearizable;
+    Alcotest.(check bool)
+      (T.name ^ ": by its own monitor, no fallback")
+      true
+      (match (r.M.method_, r.M.fallback) with
+      | Monitor.Specialized _, None -> true
+      | _ -> false);
+    if per_op > 300. then
+      Alcotest.failf "%s: %.1f minor words per operation (budget 300)" T.name
+        per_op
+end
+
+let test_drain_cliff () =
+  (let module D = Drain (Spec.Fifo_queue) in
+   D.run ());
+  (let module D = Drain (Spec.Stack_type) in
+   D.run ());
+  let module D = Drain (Spec.Priority_queue) in
+  D.run ()
+
+(* [Record.empty_uncoverable] against the definition, on random small
+   classes with integer times (so endpoints tie often).  A closed
+   [s, f] is covered by the open covers (put.finish, take.start) iff
+   [s] and every cover close inside [s, f] lie strictly inside some
+   cover: the leftmost uncovered point, if any, is one of those.  A
+   reported violation must also be justified by its own witness: the
+   covers its culprits name cover its empty observation. *)
+let test_empty_coverage_reference () =
+  let module R = Monitor.Record in
+  let kind = Spec.Adt_view.Queue in
+  let inside covers x =
+    List.exists
+      (fun (lo, hi) ->
+        Rat.lt lo x && match hi with None -> true | Some h -> Rat.lt x h)
+      covers
+  in
+  let covered covers (e : R.t) =
+    inside covers e.start
+    && List.for_all
+         (function
+           | _, Some h when Rat.le e.start h && Rat.le h e.finish ->
+               inside covers h
+           | _ -> true)
+         covers
+  in
+  let covers_of (ops : R.t list) =
+    let rec go = function
+      | [] -> []
+      | ({ R.obs = Put v; _ } as p) :: ({ R.obs = Take (Some w); _ } as t)
+        :: rest
+        when v = w ->
+          (p.finish, Some t.start) :: go rest
+      | ({ R.obs = Put _; _ } as p) :: rest -> (p.finish, None) :: go rest
+      | _ :: rest -> go rest
+    in
+    go ops
+  in
+  for seed = 0 to 1999 do
+    let rng = Random.State.make [| 0xc0e4; seed |] in
+    let time lo span = Rat.of_int (lo + Random.State.int rng (span + 1)) in
+    let records = ref [] in
+    let add obs start finish =
+      let id = List.length !records in
+      records := { R.id; proc = id; obs; start; finish } :: !records
+    in
+    for v = 1 to 1 + Random.State.int rng 5 do
+      let s = Random.State.int rng 16 in
+      let put_finish = time s 4 in
+      add (Put v) (Rat.of_int s) put_finish;
+      if Random.State.bool rng then begin
+        let ts = time s 8 in
+        add (Take (Some v)) ts (Rat.max put_finish (time (Rat.num ts) 4))
+      end
+    done;
+    for _ = 1 to 1 + Random.State.int rng 3 do
+      let s = Random.State.int rng 20 in
+      add (Take None) (Rat.of_int s) (time s 6)
+    done;
+    let records = Array.of_list (List.rev !records) in
+    match R.classify ~kind records with
+    | Error _ -> Alcotest.failf "seed %d: a well-formed history was flagged" seed
+    | Ok cl ->
+        let all =
+          covers_of
+            (List.filter
+               (fun (r : R.t) ->
+                 match r.obs with Put _ | Take (Some _) -> true | _ -> false)
+               (Array.to_list records))
+        in
+        let expected =
+          List.exists
+            (fun (r : R.t) -> r.obs = Take None && covered all r)
+            (Array.to_list records)
+        in
+        let got = R.empty_uncoverable ~kind cl in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: same verdict as the definition" seed)
+          expected (got <> None);
+        (match got with
+        | Some (R.Violation v) -> (
+            let ops =
+              List.map
+                (fun (c : Monitor.Violation.culprit) -> records.(c.index))
+                v.culprits
+            in
+            match ops with
+            | e :: chain ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d: the witness covers its observation"
+                     seed)
+                  true
+                  (covered (covers_of chain) e)
+            | [] -> Alcotest.fail "empty witness")
+        | Some _ -> Alcotest.fail "coverage gave a non-violation outcome"
+        | None -> ())
+  done
 
 (* unmonitored types route to Wing-Gong with a reason *)
 let test_unmonitored_fallback () =
@@ -564,12 +745,18 @@ let () =
           Alcotest.test_case "stack" `Quick test_agreement_stack;
           Alcotest.test_case "set" `Quick test_agreement_set;
           Alcotest.test_case "priority queue" `Quick test_agreement_pqueue;
+          Alcotest.test_case "all five, tied timestamps" `Quick
+            test_agreement_tied;
         ] );
       ( "fast path",
         [
           Alcotest.test_case "all five kinds, no fallback" `Quick
             test_specialized_scale;
           Alcotest.test_case "20k-op queue" `Quick test_queue_20k;
+          Alcotest.test_case "draining histories, no quadratic cliff" `Quick
+            test_drain_cliff;
+          Alcotest.test_case "empty coverage matches its definition" `Quick
+            test_empty_coverage_reference;
           Alcotest.test_case "unmonitored type falls back" `Quick
             test_unmonitored_fallback;
         ] );
