@@ -81,4 +81,9 @@ val wrap :
     etc.): the algorithm runs unmodified, every [ctx.send]/[broadcast]
     it performs is wrapped in a {!Payload}, and its handlers see only
     deduplicated, per-edge-FIFO application messages.  The returned
-    stats are live — read them after the run. *)
+    stats are live — read them after the run.
+
+    The algorithm's handlers get one ctx per process, reused across
+    events exactly as {!Sim.Engine} reuses its own: the clock fields
+    are re-stamped before each handler runs, so the ctx is valid only
+    for the handler call it was passed to. *)

@@ -17,8 +17,104 @@ let le a b = compare a b <= 0
 let lt a b = compare a b < 0
 let pp ppf t = Format.fprintf ppf "(%a, p%d)" Rat.pp t.time t.proc
 
-module Map = Stdlib.Map.Make (struct
-  type nonrec t = t
+module Heap = struct
+  (* A binary min-heap over two parallel arrays.  Slots at index >= size
+     hold [dummy] as key; their values are left as they were until the
+     slot is reused, so at most the heap's capacity (its largest size
+     so far) of finished values stays reachable. *)
+  type key = t
 
-  let compare = compare
-end)
+  type 'a t = {
+    mutable keys : key array;
+    mutable values : 'a array;
+    mutable size : int;
+  }
+
+  let dummy = { time = Rat.zero; proc = -1 }
+  let create () = { keys = [||]; values = [||]; size = 0 }
+  let length h = h.size
+
+  (* Index of the entry whose key equals [ts], or -1.  A subtree whose
+     root is above [ts] holds nothing equal to it, so only the entries
+     below [ts] (and their children) are visited. *)
+  let rec find h ts i =
+    if i >= h.size then -1
+    else
+      let c = compare ts h.keys.(i) in
+      if c = 0 then i
+      else if c < 0 then -1
+      else
+        let l = find h ts ((2 * i) + 1) in
+        if l >= 0 then l else find h ts ((2 * i) + 2)
+
+  let grow h v =
+    let capacity = Array.length h.keys in
+    if h.size = capacity then begin
+      let fresh = max 8 (2 * capacity) in
+      let keys = Array.make fresh dummy and values = Array.make fresh v in
+      Array.blit h.keys 0 keys 0 h.size;
+      Array.blit h.values 0 values 0 h.size;
+      h.keys <- keys;
+      h.values <- values
+    end
+
+  let add h ts v =
+    let found = find h ts 0 in
+    if found >= 0 then h.values.(found) <- v
+    else begin
+      grow h v;
+      let i = ref h.size in
+      let continue = ref true in
+      while !continue && !i > 0 do
+        let parent = (!i - 1) / 2 in
+        if compare ts h.keys.(parent) < 0 then begin
+          h.keys.(!i) <- h.keys.(parent);
+          h.values.(!i) <- h.values.(parent);
+          i := parent
+        end
+        else continue := false
+      done;
+      h.keys.(!i) <- ts;
+      h.values.(!i) <- v;
+      h.size <- h.size + 1
+    end
+
+  (* Remove the root: move the last entry into the hole and sift it
+     down. *)
+  let remove_min h =
+    let last = h.size - 1 in
+    let ts = h.keys.(last) and v = h.values.(last) in
+    h.size <- last;
+    h.keys.(last) <- dummy;
+    if last > 0 then begin
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let left = (2 * !i) + 1 in
+        if left >= last then continue := false
+        else begin
+          let right = left + 1 in
+          let child =
+            if right < last && compare h.keys.(right) h.keys.(left) < 0 then
+              right
+            else left
+          in
+          if compare h.keys.(child) ts < 0 then begin
+            h.keys.(!i) <- h.keys.(child);
+            h.values.(!i) <- h.values.(child);
+            i := child
+          end
+          else continue := false
+        end
+      done;
+      h.keys.(!i) <- ts;
+      h.values.(!i) <- v
+    end
+
+  let drain h ~upto f x y =
+    while h.size > 0 && compare h.keys.(0) upto <= 0 do
+      let ts = h.keys.(0) and v = h.values.(0) in
+      remove_min h;
+      f x y ts v
+    done
+end

@@ -16,6 +16,29 @@ val le : t -> t -> bool
 val lt : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** Maps keyed by timestamp: Algorithm 1's [To_Execute] priority
-    queues. *)
-module Map : Stdlib.Map.S with type key = t
+(** A mutable min-heap keyed by timestamp: the [To_Execute] priority
+    queues of Algorithm 1 and of the total-order-broadcast baseline.
+    Neither ever needs more than "add" and "pop every entry up to a
+    timestamp, smallest first", and both run once per mutator at every
+    replica, so adds and pops write arrays in place instead of copying
+    a path of a persistent map. *)
+module Heap : sig
+  type key = t
+  type 'a t
+
+  val create : unit -> 'a t
+  val length : 'a t -> int
+
+  val add : 'a t -> key -> 'a -> unit
+  (** Insert an entry.  If an entry with an equal timestamp is already
+      queued, its value is replaced instead, as a map would — a
+      duplicated message arriving before its original was executed is
+      queued once. *)
+
+  val drain :
+    'a t -> upto:key -> ('x -> 'y -> key -> 'a -> unit) -> 'x -> 'y -> unit
+  (** [drain h ~upto f x y] removes every entry with timestamp [<= upto]
+      in increasing timestamp order, calling [f x y ts v] on each just
+      after it is removed.  Passing the context as [x] and [y] instead
+      of closing [f] over it lets a caller drain without allocating. *)
+end

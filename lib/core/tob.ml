@@ -19,11 +19,9 @@ module Make (T : Spec.Data_type.S) = struct
   type tag = Execute of Timestamp.t
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
-  type queued = { inv : T.invocation }
-
   type pstate = {
     mutable store : T.state;
-    mutable queue : queued Timestamp.Map.t;
+    queue : T.invocation Timestamp.Heap.t;
     mutable awaiting : Timestamp.t option;
   }
 
@@ -31,7 +29,7 @@ module Make (T : Spec.Data_type.S) = struct
 
   let fresh_states ~n =
     Array.init n (fun _ ->
-        { store = T.initial; queue = Timestamp.Map.empty; awaiting = None })
+        { store = T.initial; queue = Timestamp.Heap.create (); awaiting = None })
 
   (* The handler triple, decoupled from engine construction so the
      protocol can also run wrapped by the reliable channel.  Only the
@@ -39,28 +37,23 @@ module Make (T : Spec.Data_type.S) = struct
   let protocol ~(model : Sim.Model.t) states =
     let horizon = Rat.add model.d model.eps in
     let deliver p (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
-      p.queue <- Timestamp.Map.add ts { inv } p.queue;
+      Timestamp.Heap.add p.queue ts inv;
       (* Fire when the local clock reaches ts + d + eps; the wait is
          never negative because delay <= d and skew <= eps. *)
       let wait = Rat.sub (Rat.add ts.Timestamp.time horizon) ctx.local_time in
       ignore (ctx.set_timer_after (Rat.max Rat.zero wait) (Execute ts))
     in
-    let execute_up_to p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts =
-      let rec drain () =
-        match Timestamp.Map.min_binding_opt p.queue with
-        | Some (ts', { inv }) when Timestamp.le ts' ts ->
-            p.queue <- Timestamp.Map.remove ts' p.queue;
-            let store', ret = T.apply p.store inv in
-            p.store <- store';
-            (match p.awaiting with
-            | Some awaited when Timestamp.equal awaited ts' ->
-                p.awaiting <- None;
-                ctx.respond ret
-            | Some _ | None -> ());
-            drain ()
-        | Some _ | None -> ()
-      in
-      drain ()
+    let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts inv =
+      let store', ret = T.apply p.store inv in
+      p.store <- store';
+      match p.awaiting with
+      | Some awaited when Timestamp.equal awaited ts ->
+          p.awaiting <- None;
+          ctx.respond ret
+      | Some _ | None -> ()
+    in
+    let execute_up_to p ctx ts =
+      Timestamp.Heap.drain p.queue ~upto:ts execute_one p ctx
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
       let p = states.(ctx.self) in

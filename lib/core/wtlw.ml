@@ -94,7 +94,7 @@ module Make (T : Spec.Data_type.S) = struct
 
   type pstate = {
     mutable store : T.state;  (* local replica, maintained by replay *)
-    mutable to_execute : queued Timestamp.Map.t;
+    to_execute : queued Timestamp.Heap.t;
     mutable awaiting : Timestamp.t option;
         (* timestamp of the pending OOP invoked here, if any *)
   }
@@ -106,29 +106,25 @@ module Make (T : Spec.Data_type.S) = struct
   type t = { engine : engine; states : pstate array; timing : timing }
 
   let fresh_pstate () =
-    { store = T.initial; to_execute = Timestamp.Map.empty; awaiting = None }
+    { store = T.initial; to_execute = Timestamp.Heap.create (); awaiting = None }
+
+  (* Apply one mutator taken off [To_Execute], cancelling its execute
+     timer; respond if it is the OOP pending at this process. *)
+  let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts
+      { inv; exec_timer } =
+    ctx.cancel_timer exec_timer;
+    let store', ret = T.apply p.store inv in
+    p.store <- store';
+    match p.awaiting with
+    | Some awaited when Timestamp.equal awaited ts ->
+        p.awaiting <- None;
+        ctx.respond ret
+    | Some _ | None -> ()
 
   (* Apply every queued mutator with timestamp at most [ts], in
-     timestamp order, cancelling their execute timers; respond if one
-     of them is the OOP pending at this process (pseudocode lines
-     4-8 and 22-29). *)
-  let execute_up_to p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts =
-    let rec drain () =
-      match Timestamp.Map.min_binding_opt p.to_execute with
-      | Some (ts', { inv; exec_timer }) when Timestamp.le ts' ts ->
-          p.to_execute <- Timestamp.Map.remove ts' p.to_execute;
-          ctx.cancel_timer exec_timer;
-          let store', ret = T.apply p.store inv in
-          p.store <- store';
-          (match p.awaiting with
-          | Some awaited when Timestamp.equal awaited ts' ->
-              p.awaiting <- None;
-              ctx.respond ret
-          | Some _ | None -> ());
-          drain ()
-      | Some _ | None -> ()
-    in
-    drain ()
+     timestamp order (pseudocode lines 4-8 and 22-29). *)
+  let execute_up_to p ctx ts =
+    Timestamp.Heap.drain p.to_execute ~upto:ts execute_one p ctx
 
   let fresh_states ~n = Array.init n (fun _ -> fresh_pstate ())
 
@@ -138,7 +134,7 @@ module Make (T : Spec.Data_type.S) = struct
   let protocol ~timing states =
     let add_to_queue p (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
       let exec_timer = ctx.set_timer_after timing.execute_wait (Execute ts) in
-      p.to_execute <- Timestamp.Map.add ts { inv; exec_timer } p.to_execute
+      Timestamp.Heap.add p.to_execute ts { inv; exec_timer }
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
       let p = states.(ctx.self) in

@@ -76,6 +76,28 @@ let load_events ~ops () =
   if not t.certified then failwith "load bench section: run not certified";
   t.events
 
+(* The same pipeline on its lossy leg: a register over the reliable
+   channel, with 5% of transmissions dropped and 2% duplicated, so the
+   retransmission timers, acks, hold-back buffers and the wrapped ctx
+   all run.  Poisson arrivals over a Zipf(1.0) keyspace of 64 keys. *)
+let lossy_load_events ~ops () =
+  let rat = Rat.make in
+  let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let module Sh = Shard.Make (Spec.Register) in
+  let cfg =
+    Shard.Config.reliable
+      (Shard.Config.make ~keys:64 ~zipf:1.0 ~seed:9 ~shards:4 ~ops
+         ~faults:
+           (Sim.Fault.plan [ Sim.Fault.drops 0.05; Sim.Fault.duplicates 0.02 ])
+         ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+         ~model
+         ~algorithm:(Core.Runtime.Wtlw { x = rat 9 2 })
+         ())
+  in
+  let t = Sh.run ~jobs:1 cfg in
+  if not t.certified then failwith "lossy load bench section: run not certified";
+  t.events
+
 (* The durable-campaign checkpoint path: frame, checksum and append
    [records] journal records to a scratch file (one fsync at the end,
    so the metric tracks the framing cost, not disk latency), then scan
@@ -165,6 +187,13 @@ let sections =
         "4000-op diurnal Zipf load over 4 FIFO-queue shards, certified per \
          key";
       prepare = (fun () -> load_events ~ops:4_000);
+    };
+    {
+      name = "load-lossy-4k";
+      description =
+        "4000-op Poisson Zipf load of a register over the reliable channel, \
+         5% drops and 2% duplicates, 4 shards, certified per key";
+      prepare = (fun () -> lossy_load_events ~ops:4_000);
     };
     {
       name = "journal-1k";

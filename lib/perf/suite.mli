@@ -22,6 +22,9 @@ val sections : section list
     [bench/main.ml].  ["load-shard-4k"]: the [repro load] pipeline at
     bench scale — a 4000-operation diurnal Zipf stream over 4
     FIFO-queue shards, certified per key, run inline on one domain.
+    ["load-lossy-4k"]: the same pipeline's lossy leg — a 4000-operation
+    Poisson Zipf stream over 4 register shards behind the reliable
+    channel, with 5% drops and 2% duplicates.
     ["scenario-1k"]: a pinned 1000-operation generated-workload
     scenario lowered through the scenario executor, certified and
     judged against its temporal predicate.  ["monitor-queue-64k"]: a

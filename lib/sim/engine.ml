@@ -16,10 +16,15 @@ type ('msg, 'tag, 'inv, 'resp) handlers = {
   on_timer : ('msg, 'tag, 'resp) ctx -> 'tag -> unit;
 }
 
-type ('msg, 'tag, 'inv) queued =
-  | Ev_invoke of { proc : int; inv : 'inv }
-  | Ev_deliver of { src : int; dst : int; msg : 'msg }
-  | Ev_timer of { proc : int; id : int; tag : 'tag }
+(* Queued events are flat [Event_queue] slots: the kind and two int
+   fields say what the event is, and the payload is the invocation, the
+   message or the timer tag.  The payload's type is fixed by the kind,
+   which is the invariant behind the three casts in [dispatch] — it is
+   established by [schedule_invoke], [travel] and [set_timer_after],
+   the only pushes. *)
+let ev_invoke = 0 (* fst = proc *)
+let ev_deliver = 1 (* fst = src, snd = dst *)
+let ev_timer = 2 (* fst = proc, snd = timer id *)
 
 type ('msg, 'tag, 'inv, 'resp) t = {
   model : Model.t;
@@ -36,9 +41,15 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   crash_logged : bool array;
   delay : Net.t;
   handlers : ('msg, 'tag, 'inv, 'resp) handlers;
-  queue : ('msg, 'tag, 'inv) queued Event_queue.t;
+  queue : Obj.t Event_queue.t;
   trace : ('msg, 'inv, 'resp) Trace.t;
-  cancelled : (int, unit) Hashtbl.t;
+  (* Timer id [i] is live while bit [i] is set: from [set_timer_after]
+     until its queue entry pops or it is cancelled, whichever comes
+     first.  Cancelling clears the bit, so a fired, cancelled or
+     unknown id is left alone, and nothing outlives the queue entry. *)
+  mutable live_timers : Bytes.t;
+  (* Cancelled timers whose queue entry has not popped yet. *)
+  mutable cancelled : int;
   pending : 'inv option array;
   send_seq : int array array;
   (* One ctx per process, built at creation and reused for every
@@ -82,7 +93,8 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
       handlers;
       queue = Event_queue.create ();
       trace = Trace.create ~retain_events ~monitor:model ();
-      cancelled = Hashtbl.create 64;
+      live_timers = Bytes.make 64 '\000';
+      cancelled = 0;
       pending = Array.make n None;
       send_seq = Array.make_matrix n n 0;
       ctxs = [||];
@@ -110,7 +122,8 @@ let schedule_invoke t ~at ~proc inv =
   if Rat.lt at t.now then invalid_arg "Engine.schedule_invoke: time in past";
   if proc < 0 || proc >= t.model.n then
     invalid_arg "Engine.schedule_invoke: bad process id";
-  Event_queue.push t.queue ~time:at (Ev_invoke { proc; inv })
+  Event_queue.push t.queue ~priority:1 ~time:at ~kind:ev_invoke ~fst:proc ~snd:0
+    (Obj.repr inv)
 
 let set_response_callback t callback = t.on_response <- callback
 
@@ -123,7 +136,7 @@ let travel t ~src ~dst ~seq msg delay =
   Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg;
   Event_queue.push t.queue ~priority:0
     ~time:(Rat.add t.now delay)
-    (Ev_deliver { src; dst; msg })
+    ~kind:ev_deliver ~fst:src ~snd:dst (Obj.repr msg)
 
 let send_message t ~src ~dst msg =
   if dst < 0 || dst >= t.model.n || dst = src then
@@ -140,6 +153,25 @@ let send_message t ~src ~dst msg =
       | delays -> List.iter (travel t ~src ~dst ~seq msg) delays);
       List.iter (fun fault -> Trace.fault t.trace ~time:t.now fault) injected
 
+let timer_live t id =
+  id >= 0 && id < t.next_timer_id
+  && Char.code (Bytes.get t.live_timers (id lsr 3)) land (1 lsl (id land 7)) <> 0
+
+let flip_timer t id =
+  let byte = id lsr 3 in
+  Bytes.set t.live_timers byte
+    (Char.chr (Char.code (Bytes.get t.live_timers byte) lxor (1 lsl (id land 7))))
+
+(* A fresh id starts live; the bitmap doubles when the ids outgrow it. *)
+let arm_timer t id =
+  let len = Bytes.length t.live_timers in
+  if id lsr 3 >= len then begin
+    let bits = Bytes.make (2 * len) '\000' in
+    Bytes.blit t.live_timers 0 bits 0 len;
+    t.live_timers <- bits
+  end;
+  flip_timer t id
+
 (* Build process [self]'s reusable ctx: the closures consult [t.now] at
    call time, so only the two clock fields need re-stamping per event
    (done by [get_ctx]). *)
@@ -150,11 +182,16 @@ let build_ctx t ~self =
     t.next_timer_id <- id + 1;
     let expiry = Rat.add t.now dur in
     Trace.timer_set t.trace ~time:t.now ~proc:self ~id ~expiry;
-    Event_queue.push t.queue ~time:expiry (Ev_timer { proc = self; id; tag });
+    arm_timer t id;
+    Event_queue.push t.queue ~priority:1 ~time:expiry ~kind:ev_timer ~fst:self
+      ~snd:id (Obj.repr tag);
     id
   in
   let cancel_timer id =
-    Hashtbl.replace t.cancelled id ();
+    if timer_live t id then begin
+      flip_timer t id;
+      t.cancelled <- t.cancelled + 1
+    end;
     Trace.timer_cancel t.trace ~time:t.now ~proc:self ~id
   in
   let respond resp =
@@ -205,45 +242,51 @@ let crashed t proc =
       true
   | _ -> false
 
-let dispatch t event =
-  match event with
-  | Ev_invoke { proc; inv } ->
-      if crashed t proc then begin
-        (* The invocation still happens from the client's point of view:
-           record it (it will stay pending forever, which flags the run)
-           but never run the handler.  Later invocations at a dead
-           process are swallowed so the trace stays well-formed. *)
-        if t.pending.(proc) = None then begin
-          t.pending.(proc) <- Some inv;
-          Trace.invoke t.trace ~time:t.now ~proc inv
-        end
-      end
-      else begin
-        (match t.pending.(proc) with
-        | Some _ ->
-            invalid_arg "Engine: invocation while an operation is pending"
-        | None -> ());
+let dispatch t ~kind ~fst ~snd payload =
+  if kind = ev_invoke then begin
+    let proc = fst and inv : 'inv = Obj.obj payload in
+    if crashed t proc then begin
+      (* The invocation still happens from the client's point of view:
+         record it (it will stay pending forever, which flags the run)
+         but never run the handler.  Later invocations at a dead
+         process are swallowed so the trace stays well-formed. *)
+      if t.pending.(proc) = None then begin
         t.pending.(proc) <- Some inv;
-        Trace.invoke t.trace ~time:t.now ~proc inv;
-        t.handlers.on_invoke (get_ctx t ~self:proc) inv
+        Trace.invoke t.trace ~time:t.now ~proc inv
       end
-  | Ev_deliver { src; dst; msg } ->
-      if not (crashed t dst) then begin
-        Trace.deliver t.trace ~time:t.now ~src ~dst msg;
-        t.handlers.on_receive (get_ctx t ~self:dst) ~src msg
-      end
-  | Ev_timer { proc; id; tag } ->
-      (* This queue entry is the cancelled id's only consumer: drop the
-         table entry now (whether or not the process also crashed) or a
-         timer-churning run grows [cancelled] without bound. *)
-      let was_cancelled = Hashtbl.mem t.cancelled id in
-      if was_cancelled then Hashtbl.remove t.cancelled id;
-      if (not (crashed t proc)) && not was_cancelled then begin
+    end
+    else begin
+      (match t.pending.(proc) with
+      | Some _ -> invalid_arg "Engine: invocation while an operation is pending"
+      | None -> ());
+      t.pending.(proc) <- Some inv;
+      Trace.invoke t.trace ~time:t.now ~proc inv;
+      t.handlers.on_invoke (get_ctx t ~self:proc) inv
+    end
+  end
+  else if kind = ev_deliver then begin
+    let src = fst and dst = snd and msg : 'msg = Obj.obj payload in
+    if not (crashed t dst) then begin
+      Trace.deliver t.trace ~time:t.now ~src ~dst msg;
+      t.handlers.on_receive (get_ctx t ~self:dst) ~src msg
+    end
+  end
+  else begin
+    (* This queue entry ends the timer either way: a live id is retired
+       here (whether or not the process also crashed), a cancelled one
+       stops counting as pending. *)
+    let proc = fst and id = snd and tag : 'tag = Obj.obj payload in
+    if timer_live t id then begin
+      flip_timer t id;
+      if not (crashed t proc) then begin
         Trace.timer_fire t.trace ~time:t.now ~proc ~id;
         t.handlers.on_timer (get_ctx t ~self:proc) tag
       end
+    end
+    else t.cancelled <- t.cancelled - 1
+  end
 
-let cancelled_timers t = Hashtbl.length t.cancelled
+let cancelled_timers t = t.cancelled
 
 exception Deadline_exceeded of { events : int }
 
@@ -251,8 +294,12 @@ let run ?(max_events = 1_000_000) ?deadline t =
   let steps = ref 0 in
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin
-      let time = Event_queue.min_time t.queue in
-      let event = Event_queue.pop_min t.queue in
+      let q = t.queue in
+      let time = Event_queue.min_time q
+      and kind = Event_queue.min_kind q
+      and fst = Event_queue.min_fst q
+      and snd = Event_queue.min_snd q in
+      let payload = Event_queue.pop_min q in
       incr steps;
       if !steps > max_events then raise (Step_limit_exceeded max_events);
       (* Poll the deadline on the first event and then every 64th: often
@@ -264,7 +311,7 @@ let run ?(max_events = 1_000_000) ?deadline t =
       | _ -> ());
       assert (Rat.ge time t.now);
       t.now <- time;
-      dispatch t event;
+      dispatch t ~kind ~fst ~snd payload;
       loop ()
     end
   in

@@ -33,6 +33,10 @@ type ('msg, 'tag, 'resp) ctx = {
           from now (durations are identical in local and real time since
           clocks do not drift); returns a timer id for cancellation. *)
   cancel_timer : int -> unit;
+      (** Cancel a timer that has not fired yet.  Cancelling a timer
+          that has already fired or been cancelled, or an id never
+          issued, changes nothing; every call is still recorded as a
+          {!Trace.Timer_cancel} event. *)
   respond : 'resp -> unit;
       (** Complete the pending operation at this process.
           @raise Invalid_argument if no operation is pending. *)
@@ -95,10 +99,11 @@ val set_response_callback :
     workloads. *)
 
 val cancelled_timers : ('msg, 'tag, 'inv, 'resp) t -> int
-(** Number of cancelled-timer ids whose queue entry has not yet been
-    consumed.  After a completed {!run} this is 0 — the dispatcher
-    drops each id when it skips the cancelled entry — which the leak
-    regression test asserts. *)
+(** Number of cancelled timers whose queue entry has not popped yet.
+    Only a live timer counts when cancelled, and its entry's pop
+    uncounts it, so after a completed {!run} this is 0 — also when
+    handlers cancel timers that have already fired, as Algorithm 1's
+    execute drain does — which the leak regression tests assert. *)
 
 exception Step_limit_exceeded of int
 

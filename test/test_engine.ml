@@ -307,6 +307,136 @@ let test_cancelled_table_drains_after_crash () =
   Alcotest.(check int) "cancelled table drained despite crash" 0
     (Sim.Engine.cancelled_timers e)
 
+(* Algorithm 1's Execute handler cancels its own timer after it has
+   fired (the drain cancels every queued mutator's execute timer, the
+   one that triggered it included).  Such a cancel must leave nothing
+   behind: the cancelled-timer count ends a long keyed-queue run at 0. *)
+let test_fired_cancels_leave_nothing () =
+  let module KQ = Spec.Keyed.Make (Spec.Fifo_queue) in
+  let module W = Core.Wtlw.Make (KQ) in
+  let ops = 20_000 in
+  let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let cluster =
+    W.create ~retain_events:false ~model ~x:(rat 3 1)
+      ~offsets:[| Rat.zero; rat 1 1; rat (-1) 1; rat 3 2 |]
+      ~delay:(Sim.Net.random_model ~seed:5 model)
+      ()
+  in
+  let e = cluster.engine in
+  let rng = Random.State.make [| 5 |] in
+  let issued = ref 0 in
+  let issue ~at ~proc =
+    incr issued;
+    Sim.Engine.schedule_invoke e ~at ~proc (KQ.gen_invocation rng)
+  in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+      if !issued < ops then issue ~at:(Rat.add time (rat 1 2)) ~proc);
+  for proc = 0 to model.n - 1 do
+    issue ~at:(rat proc 8) ~proc
+  done;
+  Sim.Engine.run ~max_events:10_000_000 e;
+  Alcotest.(check int) "every operation completed" ops
+    (Sim.Trace.operation_count (Sim.Engine.trace e));
+  Alcotest.(check int) "no cancelled timer left" 0
+    (Sim.Engine.cancelled_timers e)
+
+(* The reliable channel cancels a retransmission timer on every first
+   ack; with drops and duplicates some acks come after the timer has
+   fired or twice.  Nothing may be left once the run drains. *)
+let test_reliable_cancels_leave_nothing () =
+  let module W = Core.Wtlw.Make (Spec.Register) in
+  let model = Sim.Model.make ~n:3 ~d:(rat 10 1) ~u:(rat 4 1) ~eps:(rat 1 1) in
+  let handlers, stats =
+    Core.Reliable.wrap
+      ~config:(Core.Reliable.default_config model)
+      ~n:model.n
+      (W.protocol
+         ~timing:(Core.Wtlw.default_timing model ~x:(rat 2 1))
+         (W.fresh_states ~n:model.n))
+  in
+  let faults =
+    Sim.Fault.plan ~seed:3 [ Sim.Fault.drops 0.2; Sim.Fault.duplicates 0.2 ]
+  in
+  let e =
+    Sim.Engine.create ~retain_events:false ~faults ~model
+      ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.random_model ~seed:3 model)
+      ~handlers ()
+  in
+  let rng = Random.State.make [| 3 |] in
+  let left = Array.make model.n 40 in
+  let issue ~at ~proc =
+    left.(proc) <- left.(proc) - 1;
+    Sim.Engine.schedule_invoke e ~at ~proc (Spec.Register.gen_invocation rng)
+  in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+      if left.(proc) > 0 then issue ~at:(Rat.add time Rat.one) ~proc);
+  for proc = 0 to model.n - 1 do
+    issue ~at:Rat.zero ~proc
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check bool) "acks were cancelled" true (stats.acked > 0);
+  Alcotest.(check bool) "payloads were retransmitted" true
+    (stats.retransmits > 0);
+  Alcotest.(check int) "no cancelled timer left" 0
+    (Sim.Engine.cancelled_timers e)
+
+(* Cancelling a timer that has fired, one already cancelled, or an id
+   that was never issued changes nothing — but each call still records
+   exactly one Timer_cancel event. *)
+let test_cancel_is_idempotent () =
+  let engine = ref None in
+  let get () = Option.get !engine in
+  let events () = Sim.Trace.event_count (Sim.Engine.trace (get ())) in
+  let cancel_counted (ctx : (unit, string, string) Sim.Engine.ctx) id =
+    let before = events () in
+    ctx.cancel_timer id;
+    Alcotest.(check int)
+      (Printf.sprintf "cancel %d records one event" id)
+      (before + 1) (events ())
+  in
+  let late = ref (-1) in
+  let on_invoke (ctx : (unit, string, string) Sim.Engine.ctx) _ =
+    let doomed = ctx.set_timer_after (rat 5 1) "doomed" in
+    cancel_counted ctx doomed;
+    Alcotest.(check int) "one pending cancel" 1
+      (Sim.Engine.cancelled_timers (get ()));
+    cancel_counted ctx doomed;
+    Alcotest.(check int) "cancelling twice counts once" 1
+      (Sim.Engine.cancelled_timers (get ()));
+    List.iter (cancel_counted ctx) [ 1000; -1 ];
+    Alcotest.(check int) "unknown ids change nothing" 1
+      (Sim.Engine.cancelled_timers (get ()));
+    late := ctx.set_timer_after (rat 1 1) "late"
+  in
+  let on_timer (ctx : (unit, string, string) Sim.Engine.ctx) tag =
+    if tag = "doomed" then Alcotest.fail "cancelled timer fired";
+    (* The timer being handled has fired: cancelling it is a no-op. *)
+    cancel_counted ctx !late;
+    Alcotest.(check int) "fired timer not counted" 1
+      (Sim.Engine.cancelled_timers (get ()));
+    ctx.respond tag
+  in
+  let e =
+    Sim.Engine.create ~model ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~handlers:{ on_invoke; on_receive = (fun _ ~src:_ () -> ()); on_timer }
+      ()
+  in
+  engine := Some e;
+  Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc:0 "go";
+  Sim.Engine.run e;
+  Alcotest.(check int) "the late timer responded" 1
+    (Sim.Trace.operation_count (Sim.Engine.trace e));
+  Alcotest.(check int) "drained" 0 (Sim.Engine.cancelled_timers e);
+  let cancels =
+    List.length
+      (List.filter
+         (function Sim.Trace.Timer_cancel _ -> true | _ -> false)
+         (Sim.Trace.events (Sim.Engine.trace e)))
+  in
+  Alcotest.(check int) "five Timer_cancel events" 5 cancels
+
 let () =
   Alcotest.run "engine"
     [
@@ -334,5 +464,11 @@ let () =
             test_cancelled_table_drains;
           Alcotest.test_case "cancelled table drains after crash" `Quick
             test_cancelled_table_drains_after_crash;
+          Alcotest.test_case "cancelling a fired timer is a no-op" `Quick
+            test_cancel_is_idempotent;
+          Alcotest.test_case "wtlw keyed queue leaves no cancelled timer"
+            `Quick test_fired_cancels_leave_nothing;
+          Alcotest.test_case "reliable channel leaves no cancelled timer"
+            `Quick test_reliable_cancels_leave_nothing;
         ] );
     ]

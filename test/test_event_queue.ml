@@ -3,6 +3,11 @@
 
 let rat = Rat.make
 
+(* The tests exercise ordering only: the kind and int fields ride along
+   as zeros (the engine's own use is covered by test_engine). *)
+let push q ?(priority = 1) ~time x =
+  Sim.Event_queue.push q ~priority ~time ~kind:0 ~fst:0 ~snd:0 x
+
 let test_empty () =
   let q = Sim.Event_queue.create () in
   Alcotest.(check bool) "is_empty" true (Sim.Event_queue.is_empty q);
@@ -12,9 +17,9 @@ let test_empty () =
 
 let test_ordering () =
   let q = Sim.Event_queue.create () in
-  Sim.Event_queue.push q ~time:(rat 3 1) "c";
-  Sim.Event_queue.push q ~time:(rat 1 1) "a";
-  Sim.Event_queue.push q ~time:(rat 2 1) "b";
+  push q ~time:(rat 3 1) "c";
+  push q ~time:(rat 1 1) "a";
+  push q ~time:(rat 2 1) "b";
   Alcotest.(check (option string))
     "peek time is 1" (Some "1")
     (Option.map Rat.to_string (Sim.Event_queue.peek_time q));
@@ -26,8 +31,8 @@ let test_ordering () =
 
 let test_fifo_ties () =
   let q = Sim.Event_queue.create () in
-  List.iter (fun s -> Sim.Event_queue.push q ~time:Rat.one s) [ "x"; "y"; "z" ];
-  Sim.Event_queue.push q ~time:Rat.zero "first";
+  List.iter (fun s -> push q ~time:Rat.one s) [ "x"; "y"; "z" ];
+  push q ~time:Rat.zero "first";
   let order = List.init 4 (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
   Alcotest.(check (list string))
     "FIFO among equal times"
@@ -36,14 +41,14 @@ let test_fifo_ties () =
 
 let test_interleaved () =
   let q = Sim.Event_queue.create () in
-  Sim.Event_queue.push q ~time:(rat 5 1) 5;
-  Sim.Event_queue.push q ~time:(rat 1 1) 1;
+  push q ~time:(rat 5 1) 5;
+  push q ~time:(rat 1 1) 1;
   Alcotest.(check (option (pair string int)))
     "pop 1"
     (Some ("1", 1))
     (Option.map (fun (t, v) -> (Rat.to_string t, v)) (Sim.Event_queue.pop q));
-  Sim.Event_queue.push q ~time:(rat 3 1) 3;
-  Sim.Event_queue.push q ~time:(rat 2 1) 2;
+  push q ~time:(rat 3 1) 3;
+  push q ~time:(rat 2 1) 2;
   let rest = List.init 3 (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
   Alcotest.(check (list int)) "sorted rest" [ 2; 3; 5 ] rest
 
@@ -58,8 +63,8 @@ let test_min_time_pop_min () =
   Alcotest.check_raises "pop_min on empty"
     (Invalid_argument "Event_queue.pop_min: empty queue") (fun () ->
       ignore (Sim.Event_queue.pop_min q));
-  Sim.Event_queue.push q ~time:(rat 7 2) "late";
-  Sim.Event_queue.push q ~time:(rat 1 2) "early";
+  push q ~time:(rat 7 2) "late";
+  push q ~time:(rat 1 2) "early";
   Alcotest.(check string)
     "min_time is earliest" "1/2"
     (Rat.to_string (Sim.Event_queue.min_time q));
@@ -69,6 +74,33 @@ let test_min_time_pop_min () =
     (Rat.to_string (Sim.Event_queue.min_time q));
   Alcotest.(check string) "drains" "late" (Sim.Event_queue.pop_min q);
   Alcotest.(check bool) "empty again" true (Sim.Event_queue.is_empty q)
+
+(* Each event's kind and int fields travel with it through the heap's
+   reorderings, and are readable before the pop. *)
+let test_flat_slots () =
+  let q = Sim.Event_queue.create () in
+  List.iter
+    (fun (t, p, v) ->
+      Sim.Event_queue.push q ~priority:p ~time:(Rat.of_int t) ~kind:(v mod 3)
+        ~fst:(10 * v) ~snd:(-v) v)
+    [ (4, 1, 1); (2, 1, 2); (2, 0, 3); (9, 0, 4); (1, 1, 5); (2, 1, 6) ];
+  let rec drain acc =
+    if Sim.Event_queue.is_empty q then List.rev acc
+    else begin
+      let kind = Sim.Event_queue.min_kind q
+      and fst = Sim.Event_queue.min_fst q
+      and snd = Sim.Event_queue.min_snd q in
+      let v = Sim.Event_queue.pop_min q in
+      Alcotest.(check (list int))
+        (Printf.sprintf "fields of %d" v)
+        [ v mod 3; 10 * v; -v ] [ kind; fst; snd ];
+      drain (v :: acc)
+    end
+  in
+  Alcotest.(check (list int)) "order" [ 5; 3; 2; 6; 1; 4 ] (drain []);
+  Alcotest.check_raises "min_kind on empty"
+    (Invalid_argument "Event_queue.min_kind: empty queue") (fun () ->
+      ignore (Sim.Event_queue.min_kind q))
 
 (* Property: interleaving pushes with pop_min drains exactly like the
    Option-returning pop, across growth boundaries of the flat arrays. *)
@@ -82,8 +114,8 @@ let prop_pop_min_agrees_with_pop =
       List.iteri
         (fun i (n, d) ->
           let time = Rat.make n d in
-          Sim.Event_queue.push q1 ~time i;
-          Sim.Event_queue.push q2 ~time i)
+          push q1 ~time i;
+          push q2 ~time i)
         entries;
       let rec drain acc =
         if Sim.Event_queue.is_empty q1 then List.rev acc
@@ -113,7 +145,7 @@ let arb_times =
 let prop_sorted_drain =
   QCheck.Test.make ~name:"drain is sorted" ~count:200 arb_times (fun times ->
       let q = Sim.Event_queue.create () in
-      List.iteri (fun i t -> Sim.Event_queue.push q ~time:t i) times;
+      List.iteri (fun i t -> push q ~time:t i) times;
       let rec drain acc =
         match Sim.Event_queue.pop q with
         | None -> List.rev acc
@@ -128,7 +160,7 @@ let prop_fifo_stability =
     QCheck.(int_range 1 50)
     (fun n ->
       let q = Sim.Event_queue.create () in
-      List.iter (fun i -> Sim.Event_queue.push q ~time:Rat.one i) (List.init n Fun.id);
+      List.iter (fun i -> push q ~time:Rat.one i) (List.init n Fun.id);
       let popped = List.init n (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
       popped = List.init n Fun.id)
 
@@ -151,7 +183,7 @@ let prop_duplicate_stability =
       in
       List.iter
         (fun ((t, p, _) as v) ->
-          Sim.Event_queue.push q ~priority:p ~time:(Rat.of_int t) v)
+          push q ~priority:p ~time:(Rat.of_int t) v)
         pushed;
       let popped =
         List.init (List.length pushed) (fun _ ->
@@ -174,6 +206,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_interleaved;
           Alcotest.test_case "min_time / pop_min" `Quick test_min_time_pop_min;
+          Alcotest.test_case "flat slots" `Quick test_flat_slots;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

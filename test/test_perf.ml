@@ -112,15 +112,17 @@ let test_gate () =
     (pass (dp ~events:2000 ~minor:20000. ~promoted:1000. ()))
 
 (* The allocation budget of the hot path, in minor words per dispatched
-   event on a 10k-operation closed-loop queue workload.  Building trace
-   events only when something keeps them, pushing fault-free sends
-   straight to the queue and skipping zero clock offsets land this
-   around 15; before that the flattened event queue + cached ctx +
-   unboxed Rat sat around 27, and the entry-record heap with per-event
-   ctx allocation around 48.  The budget leaves headroom for noise but
+   event on a 10k-operation closed-loop queue workload.  Flat event
+   slots (no per-event variant block), a timer bitmap instead of a
+   cancelled-id table and a mutable To_Execute heap instead of a
+   persistent map land this around 7; building trace events only when
+   something keeps them and pushing fault-free sends straight to the
+   queue had it around 15, the flattened event queue + cached ctx +
+   unboxed Rat around 27, and the entry-record heap with per-event ctx
+   allocation around 48.  The budget leaves headroom for noise but
    fails loudly if per-event allocation creeps back up. *)
 let test_allocation_budget () =
-  let budget = 22.0 in
+  let budget = 12.0 in
   let events, m =
     Perf.Measure.measure (fun () -> Perf.Suite.queue_events ~per_proc:2500 ())
   in

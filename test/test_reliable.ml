@@ -120,6 +120,65 @@ let test_recovers_from_storm () =
   Alcotest.(check bool) "linearizable under combined faults" true
     (R.ok report)
 
+(* The wrapped handlers get one cached ctx per process.  It must read
+   the current clocks on every event: with nonzero offsets, each
+   application timer and each application receive compares the ctx's
+   [real_time]/[local_time] with the engine's clock, over several
+   operations per process so a ctx stamped once would be caught. *)
+type ping = Ping | Pong
+
+let test_cached_ctx_restamped ~faults () =
+  let offsets = [| Rat.zero; rat 1 2; rat (-1) 2 |] in
+  let engine = ref None in
+  let timers = ref 0 and receives = ref 0 in
+  let check_clocks what (ctx : (ping, unit, unit) Sim.Engine.ctx) =
+    let now = Sim.Engine.now (Option.get !engine) in
+    Alcotest.(check string) (what ^ ": real time") (Rat.to_string now)
+      (Rat.to_string ctx.real_time);
+    Alcotest.(check string) (what ^ ": local time")
+      (Rat.to_string (Rat.add now offsets.(ctx.self)))
+      (Rat.to_string ctx.local_time)
+  in
+  let app : (ping, unit, unit, unit) Sim.Engine.handlers =
+    {
+      on_invoke =
+        (fun ctx () ->
+          check_clocks "invoke" ctx;
+          ctx.send ~dst:((ctx.self + 1) mod ctx.n) Ping;
+          ignore (ctx.set_timer_after (rat 3 1) ()));
+      on_receive =
+        (fun ctx ~src msg ->
+          incr receives;
+          check_clocks "receive" ctx;
+          match msg with Ping -> ctx.send ~dst:src Pong | Pong -> ());
+      on_timer =
+        (fun ctx () ->
+          incr timers;
+          check_clocks "timer" ctx;
+          ctx.respond ());
+    }
+  in
+  let handlers, _ =
+    Core.Reliable.wrap ~config:(Core.Reliable.default_config model) ~n:3 app
+  in
+  let e =
+    Sim.Engine.create ~faults ~model ~offsets
+      ~delay:(Sim.Net.random_model ~seed:11 model)
+      ~handlers ()
+  in
+  engine := Some e;
+  let left = Array.make 3 4 in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+      left.(proc) <- left.(proc) - 1;
+      if left.(proc) > 0 then
+        Sim.Engine.schedule_invoke e ~at:(Rat.add time (rat 7 3)) ~proc ());
+  Array.iteri
+    (fun proc _ -> Sim.Engine.schedule_invoke e ~at:(rat proc 5) ~proc ())
+    left;
+  Sim.Engine.run e;
+  Alcotest.(check int) "every application timer fired" 12 !timers;
+  Alcotest.(check bool) "application receives happened" true (!receives >= 12)
+
 let () =
   Alcotest.run "reliable"
     [
@@ -143,5 +202,12 @@ let () =
             test_recovers_from_duplicates;
           Alcotest.test_case "recovers from a storm" `Quick
             test_recovers_from_storm;
+          Alcotest.test_case "cached ctx reads the current clocks" `Quick
+            (test_cached_ctx_restamped ~faults:Sim.Fault.none);
+          Alcotest.test_case "cached ctx reads the clocks under drops" `Quick
+            (test_cached_ctx_restamped
+               ~faults:
+                 (Sim.Fault.plan ~seed:5
+                    [ Sim.Fault.drops 0.3; Sim.Fault.duplicates 0.2 ]));
         ] );
     ]

@@ -301,6 +301,73 @@ let prop_queue_runs_linearizable =
       in
       report.delays_admissible && Option.is_some report.linearization)
 
+(* The To_Execute heap against a persistent map, the structure it
+   replaced: over a random interleaving of adds and drains up to a
+   timestamp, both must drain the same (timestamp, value) sequences.
+   Times are small so that many timestamps tie on time and are ordered
+   by process id alone.  With [~repeats] timestamps may recur, as a
+   duplicated message's does; the map then replaces the queued value,
+   and so must the heap. *)
+module Ts_map = Map.Make (Core.Timestamp)
+
+let heap_agrees_with_map ~repeats =
+  let gen_ts =
+    QCheck.Gen.(
+      map2
+        (fun n p -> Core.Timestamp.make ~time:(rat n 2) ~proc:p)
+        (int_range 0 12) (int_range 0 3))
+  in
+  let gen_step =
+    QCheck.Gen.(
+      frequency [ (3, map (fun ts -> `Add ts) gen_ts); (1, map (fun ts -> `Drain ts) gen_ts) ])
+  in
+  let print_step = function
+    | `Add ts -> Fmt.str "add %a" Core.Timestamp.pp ts
+    | `Drain ts -> Fmt.str "drain %a" Core.Timestamp.pp ts
+  in
+  QCheck.Test.make
+    ~name:
+      (if repeats then "to_execute heap = map, repeated timestamps"
+       else "to_execute heap = map, unique timestamps")
+    ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print_step)
+       QCheck.Gen.(list_size (int_range 0 80) gen_step))
+    (fun steps ->
+      let seen = Hashtbl.create 16 in
+      (* Without repeats, a timestamp is added at most once. *)
+      let steps =
+        List.filter
+          (function
+            | `Drain _ -> true
+            | `Add ts ->
+                repeats
+                || (not (Hashtbl.mem seen ts))
+                   && (Hashtbl.replace seen ts ();
+                       true))
+          steps
+      in
+      let heap = Core.Timestamp.Heap.create () in
+      let map = ref Ts_map.empty in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i step ->
+             match step with
+             | `Add ts ->
+                 Core.Timestamp.Heap.add heap ts i;
+                 map := Ts_map.add ts i !map;
+                 Core.Timestamp.Heap.length heap = Ts_map.cardinal !map
+             | `Drain upto ->
+                 let from_heap = ref [] in
+                 Core.Timestamp.Heap.drain heap ~upto
+                   (fun acc () ts v -> acc := (ts, v) :: !acc)
+                   from_heap ();
+                 let below, above =
+                   Ts_map.partition (fun ts _ -> Core.Timestamp.le ts upto) !map
+                 in
+                 map := above;
+                 List.rev !from_heap = Ts_map.bindings below)
+           steps))
+
 let () =
   Alcotest.run "wtlw"
     [
@@ -319,6 +386,11 @@ let () =
             test_concurrent_writes_converge;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_queue_runs_linearizable ]
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_queue_runs_linearizable;
+            heap_agrees_with_map ~repeats:false;
+            heap_agrees_with_map ~repeats:true;
+          ]
       );
     ]
