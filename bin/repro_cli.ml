@@ -1056,7 +1056,8 @@ let bench_cmd =
       & info [ "compare" ]
           ~doc:
             "Gate the run against the recorded history and exit nonzero on \
-             an allocation regression beyond the tolerance.")
+             an allocation regression beyond the tolerance, or on an \
+             improvement beyond it that the history has no datapoint for.")
   in
   let baseline_arg =
     Arg.(
@@ -1072,8 +1073,8 @@ let bench_cmd =
       value & opt float 0.02
       & info [ "tolerance" ]
           ~doc:
-            "Allowed fractional growth of per-event allocation before the \
-             gate fails.")
+            "Allowed fractional change of per-event allocation, either \
+             way, before the gate fails.")
   in
   let history_arg =
     Arg.(
@@ -1174,9 +1175,15 @@ let bench_cmd =
                               vacuously\n"
                              ""
                        | Ok (Some b) -> (
+                           let recorded =
+                             List.find_opt
+                               (fun (p : Perf.History.datapoint) ->
+                                 p.commit = commit)
+                               hist
+                           in
                            match
-                             Perf.History.gate ~baseline:b ~current:dp
-                               ~tolerance
+                             Perf.History.gate ~recorded ~baseline:b
+                               ~current:dp ~tolerance
                            with
                            | Ok msg -> Printf.printf "%-16s PASS %s\n" "" msg
                            | Error msg ->
@@ -1195,8 +1202,9 @@ let bench_cmd =
           for a deterministic workload) are recorded per commit under \
           bench/history/, and $(b,--compare) gates the run against the \
           recorded baseline, failing on per-event allocation growth beyond \
-          the tolerance.  Wall time and the hardware instruction counter \
-          (when the kernel allows it) are reported but never gated on.")
+          the tolerance and on an unrecorded drop beyond it.  Wall time and \
+          the hardware instruction counter (when the kernel allows it) are \
+          reported but never gated on.")
     Term.(
       ret
         (const run $ compare_arg $ baseline_arg $ tolerance_arg $ history_arg

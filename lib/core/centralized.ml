@@ -16,30 +16,33 @@ module Make (T : Spec.Data_type.S) = struct
 
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
-  (* The single authoritative copy held at the coordinator. *)
-  type hub = { mutable master : T.state }
+  (* The single authoritative copy held at the coordinator, and its
+     apply log: the invoking process of each apply, latest first. *)
+  type hub = { mutable master : T.state; mutable applied : int list }
 
   type t = { engine : engine; hub : hub }
 
   let coordinator = 0
 
-  let fresh_hub () = { master = T.initial }
+  let fresh_hub () = { master = T.initial; applied = [] }
 
   let protocol hub =
-    let apply_master inv =
+    let apply_master ~proc inv =
       let state', resp = T.apply hub.master inv in
       hub.master <- state';
+      hub.applied <- proc :: hub.applied;
       resp
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
-      if ctx.self = coordinator then ctx.respond (apply_master inv)
+      if ctx.self = coordinator then
+        ctx.respond (apply_master ~proc:coordinator inv)
       else ctx.send ~dst:coordinator (Request { inv })
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src msg =
       match msg with
       | Request { inv } ->
           assert (ctx.self = coordinator);
-          ctx.send ~dst:src (Reply { resp = apply_master inv })
+          ctx.send ~dst:src (Reply { resp = apply_master ~proc:src inv })
       | Reply { resp } -> ctx.respond resp
     in
     let on_timer _ctx (() : tag) = assert false (* no timers are set *) in
@@ -55,4 +58,33 @@ module Make (T : Spec.Data_type.S) = struct
     { engine; hub }
 
   let master t = t.hub.master
+
+  (* A process has at most one operation pending, so the [k]-th apply
+     on behalf of process [p] is [p]'s [k]-th invocation.  An apply
+     with no completed operation to match (its reply never arrived) is
+     skipped; a duplicated request shifts the match, which the checker
+     then refuses. *)
+  let linearization hub
+      (ops : (T.invocation, T.response) Sim.Trace.operation array) =
+    let procs =
+      Array.fold_left
+        (fun m (o : _ Sim.Trace.operation) -> max m (o.proc + 1))
+        0 ops
+    in
+    (* each process's operations, in the order [ops] lists them *)
+    let unmatched = Array.make procs [] in
+    for i = Array.length ops - 1 downto 0 do
+      let p = ops.(i).proc in
+      unmatched.(p) <- i :: unmatched.(p)
+    done;
+    List.fold_left
+      (fun order p ->
+        match if p < procs then unmatched.(p) else [] with
+        | i :: rest ->
+            unmatched.(p) <- rest;
+            i :: order
+        | [] -> order)
+      []
+      (List.rev hub.applied)
+    |> List.rev
 end

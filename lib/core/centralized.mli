@@ -38,4 +38,12 @@ module Make (T : Spec.Data_type.S) : sig
 
   val master : t -> T.state
   (** Read-only view of the authoritative copy. *)
+
+  val linearization :
+    hub -> (T.invocation, T.response) Sim.Trace.operation array -> int list
+  (** The order this algorithm linearized a run in, as positions in
+      [ops]: the coordinator's apply order, which [hub] logs as one int
+      (the invoking process) per apply.  Each process's operations must
+      appear in [ops] in invocation order, as {!Sim.Trace.operations}
+      lists them.  A candidate only: the checker verifies it. *)
 end

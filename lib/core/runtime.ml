@@ -21,11 +21,12 @@ let algorithm_name = function
   | Tob -> "total-order-broadcast"
 
 (* Which linearizability engine certifies the run.  [Monitor] routes
-   through the per-type O(n log n) monitors ({!Monitor.Make}), which
-   themselves fall back to Wing-Gong for unmonitored types and
-   uncertifiable histories, so it is always a safe default; [Wing_gong]
-   forces the exponential DFS, kept as a cross-validation escape
-   hatch. *)
+   through the per-type O(n log n) monitors ({!Monitor.Make}); a
+   history no monitor decides is checked against the order the
+   algorithm itself linearized in, and only when that order is refused
+   does Wing-Gong run, so it is always a safe default.  [Wing_gong]
+   forces the exponential DFS, kept as the independent oracle for
+   cross-validation. *)
 type checker = Monitor | Wing_gong
 
 let checker_name = function Monitor -> "monitor" | Wing_gong -> "wing-gong"
@@ -76,8 +77,11 @@ module Make (T : Spec.Data_type.S) = struct
     channel : channel option;
     checked_by : string option;
         (** which engine produced [linearization] ("wing-gong", a
-            per-type monitor, or a monitor-to-Wing-Gong fallback);
-            [None] when checking was off *)
+            per-type monitor, "protocol-order", or a monitor-to-Wing-Gong
+            fallback); [None] when checking was off *)
+    order_failure : Monitor.order_failure option;
+        (** why the checker refused the algorithm's own order, when it
+            did (indices into [operations]) *)
     converged : bool option;
         (** for Wtlw runs: do all replicas hold equal states at
             quiescence?  [None] for the baselines (centralized and TOB
@@ -136,21 +140,24 @@ module Make (T : Spec.Data_type.S) = struct
 
   let kind_of inv = Sem.kind_of inv
 
-  (* Certify a completed history with the configured engine.  Returns
-     the linearization witness (when one exists) and the engine label
-     for the report. *)
-  let certify ?max_nodes ~checker operations =
+  (* Certify a completed history with the configured engine: the
+     per-type monitor, then the algorithm's own order [order] when the
+     monitor does not decide, then Wing-Gong.  [Wing_gong] is the
+     independent oracle and never consults [order].  Returns the
+     linearization witness (when one exists), the engine label for the
+     report, and why [order] was refused, when it was. *)
+  let certify ?max_nodes ?order ~checker operations =
     match checker with
-    | Wing_gong -> (Checker.check ?max_nodes operations, "wing-gong")
+    | Wing_gong -> (Checker.check ?max_nodes operations, "wing-gong", None)
     | Monitor ->
-        let r = Mon.check ?max_nodes operations in
+        let r = Mon.check ?max_nodes ?order operations in
         let label =
-          match r.Mon.fallback with
-          | Some _ when r.Mon.method_ = Monitor.Wing_gong ->
+          match r.Mon.method_ with
+          | Monitor.Wing_gong when Option.is_some r.Mon.fallback ->
               "monitor, fell back to wing-gong"
-          | _ -> Monitor.method_to_string r.Mon.method_
+          | m -> Monitor.method_to_string m
         in
-        (r.Mon.linearization, label)
+        (r.Mon.linearization, label, r.Mon.order_failure)
 
   (* Drive one engine (of any algorithm) through the workload. *)
   let drive (type m g) ?max_events ?deadline ~(model : Sim.Model.t)
@@ -203,11 +210,11 @@ module Make (T : Spec.Data_type.S) = struct
   let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
       ~algorithm ~check trace =
     let operations = Sim.Trace.operations trace in
-    let linearization, checked_by =
+    let linearization, checked_by, order_failure =
       if check then
-        let lin, label = certify ~checker operations in
-        (lin, Some label)
-      else (None, None)
+        let lin, label, failure = certify ~checker operations in
+        (lin, Some label, failure)
+      else (None, None, None)
     in
     let hist = Metrics.Hist.create () in
     List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
@@ -216,6 +223,7 @@ module Make (T : Spec.Data_type.S) = struct
       operations;
       linearization;
       checked_by;
+      order_failure;
       by_op = Metrics.by_op ~op_of:T.op_of operations;
       by_kind = Metrics.by_kind ~kind_of operations;
       hist;
@@ -238,7 +246,8 @@ module Make (T : Spec.Data_type.S) = struct
      [truncated = true] (and typically [pending > 0]). *)
   let report_of_run (type m g) ?max_events ?max_check_nodes ?deadline
       ?(checker = Monitor) ?channel ~(model : Sim.Model.t) ~algorithm ~check
-      (engine : (m, g, T.invocation, T.response) Sim.Engine.t) workload =
+      ~order (engine : (m, g, T.invocation, T.response) Sim.Engine.t)
+      workload =
     let trace = Sim.Engine.trace engine in
     let by_op_acc = Metrics.Grouped.create () in
     let by_kind_acc = Metrics.Grouped.create () in
@@ -260,45 +269,52 @@ module Make (T : Spec.Data_type.S) = struct
       | exception Sim.Engine.Step_limit_exceeded _ -> true
     in
     let operations = Sim.Trace.operations trace in
-    let linearization, checked_by =
+    (* the algorithm's own order, over the clock offsets the run used;
+       computed only if the checker asks for it *)
+    let order ops = order ~offsets:(Sim.Engine.effective_offsets engine) ops in
+    let linearization, checked_by, order_failure =
       if check then
-        let lin, label =
-          certify ?max_nodes:max_check_nodes ~checker operations
+        let lin, label, failure =
+          certify ?max_nodes:max_check_nodes ~order ~checker operations
         in
-        (lin, Some label)
-      else (None, None)
+        (lin, Some label, failure)
+      else (None, None, None)
     in
-    {
-      algorithm;
-      operations;
-      linearization;
-      checked_by;
-      by_op = Metrics.Grouped.summaries by_op_acc;
-      by_kind = Metrics.Grouped.summaries by_kind_acc;
-      hist;
-      messages = Sim.Trace.send_count trace;
-      events = Sim.Trace.event_count trace;
-      pending = Sim.Trace.pending_count trace;
-      delays_admissible = Sim.Trace.delays_admissible model trace;
-      skew_admissible =
-        Sim.Model.skew_valid model (Sim.Engine.effective_offsets engine);
-      faults = Sim.Trace.fault_counts trace;
-      truncated;
-      channel;
-      converged = None;
-    }
+    let report =
+      {
+        algorithm;
+        operations;
+        linearization;
+        checked_by;
+        order_failure;
+        by_op = Metrics.Grouped.summaries by_op_acc;
+        by_kind = Metrics.Grouped.summaries by_kind_acc;
+        hist;
+        messages = Sim.Trace.send_count trace;
+        events = Sim.Trace.event_count trace;
+        pending = Sim.Trace.pending_count trace;
+        delays_admissible = Sim.Trace.delays_admissible model trace;
+        skew_admissible =
+          Sim.Model.skew_valid model (Sim.Engine.effective_offsets engine);
+        faults = Sim.Trace.fault_counts trace;
+        truncated;
+        channel;
+        converged = None;
+      }
+    in
+    (report, order)
 
   (* Direct leg: the algorithm straight on the configured network,
      judged against the configured model. *)
   let run_direct (cfg : Config.t) =
     let { Config.model; offsets; delay; algorithm; workload; _ } = cfg in
     let name = algorithm_name algorithm in
-    let finish (type m g)
+    let finish (type m g) ~order
         (engine : (m, g, T.invocation, T.response) Sim.Engine.t) =
       report_of_run ?max_events:cfg.max_events
         ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
-        ~checker:cfg.checker ~model ~algorithm:name ~check:cfg.check engine
-        workload
+        ~checker:cfg.checker ~model ~algorithm:name ~check:cfg.check
+        ~order engine workload
     in
     let retain_events = cfg.retain_events and faults = cfg.faults in
     match algorithm with
@@ -315,19 +331,26 @@ module Make (T : Spec.Data_type.S) = struct
               Wtlw_impl.create_with_timing ~retain_events ~faults ~model
                 ~timing:(timing_of model ~x) ~offsets ~delay ()
         in
-        let report = finish cluster.engine in
-        { report with converged = Some (Wtlw_impl.replicas_converged cluster) }
+        let report, order =
+          finish
+            ~order:(Wtlw_impl.linearization ~timing:cluster.timing)
+            cluster.engine
+        in
+        let converged = Wtlw_impl.replicas_converged cluster in
+        ({ report with converged = Some converged }, order)
     | Centralized ->
         let cluster =
           Centralized_impl.create ~retain_events ~faults ~model ~offsets
             ~delay ()
         in
-        finish cluster.engine
+        finish
+          ~order:(fun ~offsets:_ -> Centralized_impl.linearization cluster.hub)
+          cluster.engine
     | Tob ->
         let cluster =
           Tob_impl.create ~retain_events ~faults ~model ~offsets ~delay ()
         in
-        finish cluster.engine
+        finish ~order:Tob_impl.linearization cluster.engine
 
   (* Recovered leg: run the algorithm unmodified over the reliable
      channel ([Reliable.wrap]) on a faulty network, and judge the
@@ -344,13 +367,14 @@ module Make (T : Spec.Data_type.S) = struct
         ~max_spike:(Sim.Fault.max_spike faults) config model
     in
     let name = algorithm_name algorithm ^ "+reliable" in
-    let finish (type m g)
+    let finish (type m g) ~order
         (engine : (m, g, T.invocation, T.response) Sim.Engine.t) stats =
       report_of_run ?max_events:cfg.max_events
         ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
         ~checker:cfg.checker
         ~channel:{ config; effective; stats }
-        ~model:effective ~algorithm:name ~check:cfg.check engine workload
+        ~model:effective ~algorithm:name ~check:cfg.check
+        ~order engine workload
     in
     let create_engine handlers =
       Sim.Engine.create ~retain_events:cfg.retain_events ~faults
@@ -375,26 +399,35 @@ module Make (T : Spec.Data_type.S) = struct
           Reliable.wrap ~config ~n:effective.n
             (Wtlw_impl.protocol ~timing states)
         in
-        let report = finish (create_engine handlers) stats in
-        { report with converged = Some (Wtlw_impl.states_converged states) }
-    | Centralized ->
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Centralized_impl.protocol (Centralized_impl.fresh_hub ()))
+        let report, order =
+          finish
+            ~order:(Wtlw_impl.linearization ~timing)
+            (create_engine handlers) stats
         in
-        finish (create_engine handlers) stats
+        let converged = Wtlw_impl.states_converged states in
+        ({ report with converged = Some converged }, order)
+    | Centralized ->
+        let hub = Centralized_impl.fresh_hub () in
+        let handlers, stats =
+          Reliable.wrap ~config ~n:effective.n (Centralized_impl.protocol hub)
+        in
+        finish
+          ~order:(fun ~offsets:_ -> Centralized_impl.linearization hub)
+          (create_engine handlers) stats
     | Tob ->
         let states = Tob_impl.fresh_states ~n:effective.n in
         let handlers, stats =
           Reliable.wrap ~config ~n:effective.n
             (Tob_impl.protocol ~model:effective states)
         in
-        finish (create_engine handlers) stats
+        finish ~order:Tob_impl.linearization (create_engine handlers) stats
 
-  let run (cfg : Config.t) =
+  let run_with_order (cfg : Config.t) =
     match cfg.channel with
     | None -> run_direct cfg
     | Some config -> run_recovered cfg config
+
+  let run cfg = fst (run_with_order cfg)
 
   (* A run is accepted when every operation completed, the run was not
      truncated, delays and clock skew were admissible, and a
@@ -406,6 +439,12 @@ module Make (T : Spec.Data_type.S) = struct
     && report.skew_admissible
     && Option.is_some report.linearization
 
+  let order_finding r =
+    Option.map
+      (Format.asprintf "%a"
+         (Mon.pp_order_failure (Array.of_list r.operations)))
+      r.order_failure
+
   let pp_report ppf r =
     Format.fprintf ppf "@[<v>%s: %d operations, %d messages, %d events@,"
       r.algorithm
@@ -416,6 +455,9 @@ module Make (T : Spec.Data_type.S) = struct
       r.delays_admissible r.pending;
     (match r.checked_by with
     | Some engine -> Format.fprintf ppf "checked by: %s@," engine
+    | None -> ());
+    (match order_finding r with
+    | Some f -> Format.fprintf ppf "protocol order refused: %s@," f
     | None -> ());
     (match r.converged with
     | Some c -> Format.fprintf ppf "replicas converged: %b@," c

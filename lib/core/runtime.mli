@@ -15,9 +15,10 @@ val algorithm_name : algorithm -> string
 
 type checker =
   | Monitor
-      (** per-type O(n log n) monitors ({!Monitor.Make}), falling back
-          to Wing-Gong for unmonitored types and uncertifiable
-          histories — the default *)
+      (** per-type O(n log n) monitors ({!Monitor.Make}); a history no
+          monitor decides is checked against the algorithm's own
+          linearization order, and goes to Wing-Gong only when that
+          order is refused — the default *)
   | Wing_gong  (** force the exponential DFS (cross-validation) *)
 
 val checker_name : checker -> string
@@ -34,7 +35,9 @@ module Make (T : Spec.Data_type.S) : sig
   val algorithm_name : algorithm -> string
 
   type nonrec checker = checker =
-    | Monitor  (** per-type monitors with Wing-Gong fallback (default) *)
+    | Monitor
+        (** per-type monitors, then the algorithm's own order, then
+            Wing-Gong (default) *)
     | Wing_gong  (** force the exponential DFS *)
 
   val checker_name : checker -> string
@@ -90,9 +93,15 @@ module Make (T : Spec.Data_type.S) : sig
             prefix up to that point *)
     channel : channel option;  (** present for reliable-channel runs *)
     checked_by : string option;
-        (** which engine produced [linearization] ("wing-gong", a
-            per-type monitor, or a monitor-to-Wing-Gong fallback);
-            [None] when checking was off *)
+        (** which engine produced [linearization]: a per-type monitor
+            (["queue monitor"], ...), ["protocol-order"] (the
+            algorithm's own order, verified), ["wing-gong"] (the
+            [Wing_gong] checker), or ["monitor, fell back to
+            wing-gong"]; [None] when checking was off *)
+    order_failure : Monitor.order_failure option;
+        (** why the checker refused the algorithm's own order, when it
+            did — a named finding; Wing-Gong then decided.  Indices are
+            positions in [operations] *)
     converged : bool option;
         (** for Wtlw runs: do all replicas hold equal states at
             quiescence?  [None] for the baselines (the centralized and
@@ -186,6 +195,17 @@ module Make (T : Spec.Data_type.S) : sig
       @raise Sim.Engine.Deadline_exceeded when [deadline] is set and
       reports expiry mid-run. *)
 
+  val run_with_order :
+    Config.t ->
+    report
+    * ((T.invocation, T.response) Sim.Trace.operation array -> int list)
+  (** {!run}, also returning the order the algorithm linearized the run
+      in ({!Wtlw.Make.linearization}, {!Tob.Make.linearization},
+      {!Centralized.Make.linearization}) as a function of
+      [Array.of_list report.operations], giving positions in it.  It is
+      the order the [Monitor] checker consults when no monitor decides;
+      exposed so tests can cross-check it against the other oracles. *)
+
   val report_of_trace :
     ?skew_admissible:bool ->
     ?checker:checker ->
@@ -203,6 +223,9 @@ module Make (T : Spec.Data_type.S) : sig
   (** Every operation completed ([pending = 0]), the run was not
       truncated, delays and skew admissible, and a linearization
       found. *)
+
+  val order_finding : report -> string option
+  (** [order_failure], rendered with the operations it names. *)
 
   val pp_report : Format.formatter -> report -> unit
 end

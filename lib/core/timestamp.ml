@@ -17,6 +17,19 @@ let le a b = compare a b <= 0
 let lt a b = compare a b < 0
 let pp ppf t = Format.fprintf ppf "(%a, p%d)" Rat.pp t.time t.proc
 
+let order ~n ~time ~proc ~late =
+  let times = Array.init n time in
+  let ids = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Rat.compare times.(a) times.(b) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (proc a) (proc b) in
+        if c <> 0 then c else Bool.compare (late a) (late b))
+    ids;
+  Array.to_list ids
+
 module Heap = struct
   (* A binary min-heap over two parallel arrays.  Slots at index >= size
      hold [dummy] as key; their values are left as they were until the

@@ -16,6 +16,18 @@ val le : t -> t -> bool
 val lt : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val order :
+  n:int ->
+  time:(int -> Rat.t) ->
+  proc:(int -> int) ->
+  late:(int -> bool) ->
+  int list
+(** The indices [0, n) in timestamp order [(time i, proc i)]; at an
+    equal timestamp an index with [late i] goes after one without.
+    This is how Algorithm 1 and the total-order baseline hand the order
+    they linearized a run in to the verifier: [i] is an operation's
+    position in the history, [time i] its (local-clock) timestamp. *)
+
 (** A mutable min-heap keyed by timestamp: the [To_Execute] priority
     queues of Algorithm 1 and of the total-order-broadcast baseline.
     Neither ever needs more than "add" and "pop every entry up to a

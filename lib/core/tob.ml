@@ -71,6 +71,15 @@ module Make (T : Spec.Data_type.S) = struct
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
+  (* Every replica executes every operation in timestamp order, and an
+     operation's response is its result there. *)
+  let linearization ~offsets
+      (ops : (T.invocation, T.response) Sim.Trace.operation array) =
+    Timestamp.order ~n:(Array.length ops)
+      ~time:(fun i -> Rat.add ops.(i).inv_time offsets.(ops.(i).proc))
+      ~proc:(fun i -> ops.(i).proc)
+      ~late:(fun _ -> false)
+
   let create ?retain_events ?faults ~(model : Sim.Model.t) ~offsets ~delay ()
       =
     let states = fresh_states ~n:model.n in

@@ -28,6 +28,16 @@ module Make (T : Spec.Data_type.S) : sig
       decoupled from engine construction so it can also run wrapped by
       the reliable channel ([Core.Reliable]). *)
 
+  val linearization :
+    offsets:Rat.t array ->
+    (T.invocation, T.response) Sim.Trace.operation array ->
+    int list
+  (** The order this algorithm linearizes a run in, as positions in
+      [ops]: by timestamp [(inv_time + offsets.(proc), proc)], the
+      total order every replica executes in.  [offsets] are the clock
+      offsets the run used ({!Sim.Engine.effective_offsets}).  A
+      candidate only: the checker verifies it. *)
+
   val create :
     ?retain_events:bool ->
     ?faults:Sim.Fault.plan ->

@@ -187,6 +187,22 @@ module Make (T : Spec.Data_type.S) = struct
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
+  (* Construction 1: every replica applies the mutators in timestamp
+     order, and a pure accessor reads its replica at its backdated
+     timestamp after draining every mutator up to it — inclusively, so
+     it follows a mutator with the same timestamp.  A timestamp is the
+     local clock at invocation, [inv_time + offsets.(proc)]. *)
+  let linearization ~timing ~offsets
+      (ops : (T.invocation, T.response) Sim.Trace.operation array) =
+    let accessor i = Sem.kind_of ops.(i).inv = Spec.Op_kind.Pure_accessor in
+    Timestamp.order ~n:(Array.length ops)
+      ~time:(fun i ->
+        let o = ops.(i) in
+        let local = Rat.add o.inv_time offsets.(o.proc) in
+        if accessor i then Rat.sub local timing.accessor_backdate else local)
+      ~proc:(fun i -> ops.(i).proc)
+      ~late:accessor
+
   let create_with_timing ?retain_events ?faults ~(model : Sim.Model.t) ~timing
       ~offsets ~delay () =
     let states = fresh_states ~n:model.n in

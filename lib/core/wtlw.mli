@@ -59,6 +59,20 @@ module Make (T : Spec.Data_type.S) : sig
       decoupled from engine construction so it can also run wrapped by
       the reliable channel ([Core.Reliable]) over a lossy network. *)
 
+  val linearization :
+    timing:timing ->
+    offsets:Rat.t array ->
+    (T.invocation, T.response) Sim.Trace.operation array ->
+    int list
+  (** The order this algorithm linearizes a run in (Construction 1 of
+      the paper), as positions in [ops]: by timestamp — the local clock
+      at invocation, [inv_time + offsets.(proc)], backdated by
+      [timing.accessor_backdate] for pure accessors — then by process,
+      with an accessor after a mutator of the same timestamp.
+      [offsets] are the clock offsets the run used
+      ({!Sim.Engine.effective_offsets}).  A candidate only: the
+      checker verifies it (Lemma 5 is what makes it legal). *)
+
   val create :
     ?retain_events:bool ->
     ?faults:Sim.Fault.plan ->

@@ -4,9 +4,10 @@
    the canonical-observation viewer each specification optionally
    declares — and routes complete histories to the specialized
    O(n log n) kernel for the declared shape (register, set, queue,
-   stack, priority queue), falling back to the Wing-Gong DFS
-   ([Lin.Checker]) for arbitrary types and for histories the kernels
-   cannot certify.
+   stack, priority queue).  A history no kernel decides — any history
+   of an unmonitored type among them — is checked against the order
+   the protocol linearized it in, when the caller supplies one, and
+   goes to the Wing-Gong DFS ([Lin.Checker]) only when that fails.
 
    The monitors are {e certifying}, which is what makes the fast path
    safe to trust by default:
@@ -17,8 +18,15 @@
      dispatcher re-verifies — a full semantic replay against [T.apply]
      plus an O(n) real-time sweep — before reporting;
    - anything else (ambiguous values, out-of-vocabulary observations,
-     greedy incompleteness) falls back to Wing-Gong, so the monitor
-     path never changes an answer, only the time it takes.
+     greedy incompleteness, types with no monitor) goes to the next
+     stage: the supplied order ([check ?order]), checked by the same
+     verifier; and only when that order is refused (a named
+     {!order_failure}) or absent, to Wing-Gong.  So the monitor path
+     never changes an answer, only the time it takes.
+
+   One verifier ([verify_order]) checks both kernel certificates and
+   supplied orders: a supplied order is only ever a candidate, so a
+   wrong one costs a Wing-Gong run, never a wrong verdict.
 
    [Make (T)] also carries the workload side of the tooling: a
    seed-deterministic generator of unambiguous concurrent histories
@@ -31,10 +39,11 @@ module Violation = Violation
 module Record = Record
 module Online = Online
 
-type method_ = Specialized of V.kind | Wing_gong
+type method_ = Specialized of V.kind | Protocol_order | Wing_gong
 
 let method_to_string = function
   | Specialized k -> V.kind_to_string k ^ " monitor"
+  | Protocol_order -> "protocol-order"
   | Wing_gong -> "wing-gong"
 
 let pp_method ppf m = Format.pp_print_string ppf (method_to_string m)
@@ -50,6 +59,26 @@ let kernel_for = function
   | V.Set -> Set_kernel.check
   | V.Priority_queue -> Pqueue_kernel.check
 
+(* Why the verifier refused a candidate linearization.  Every index is
+   a position in the checked history. *)
+type order_failure =
+  | Out_of_range of int  (** an index outside the history *)
+  | Duplicated of int  (** an operation placed twice *)
+  | Dropped of int  (** an operation the order leaves out *)
+  | Replay_mismatch of { op : int; overtook : int option }
+      (** [op]'s response is not what the specification returns at its
+          place in the order.  [overtook]: the nearest operation placed
+          before [op] without which [op]'s response would replay — the
+          operation [op] was answered without *)
+  | Real_time_inversion of { first : int; second : int }
+      (** [second] responded before [first] was invoked, yet the order
+          places it after [first] *)
+
+let order_failure_reason = function
+  | Out_of_range _ | Duplicated _ | Dropped _ -> "is not a permutation"
+  | Replay_mismatch _ -> "fails semantic replay"
+  | Real_time_inversion _ -> "breaks real-time order"
+
 module Make (T : Spec.Data_type.S) = struct
   module Fallback = Lin.Checker.Make (T)
 
@@ -59,8 +88,13 @@ module Make (T : Spec.Data_type.S) = struct
     linearizable : bool;
     linearization : op list option;  (** witness order when linearizable *)
     method_ : method_;  (** which engine produced the verdict *)
-    fallback : string option;  (** why Wing-Gong ran, when it did *)
+    fallback : string option;
+        (** why the kernel did not decide, when it did not (the verdict
+            then came from the supplied order or from Wing-Gong) *)
     violation : Violation.t option;  (** monitor witness when rejected *)
+    order_failure : order_failure option;
+        (** why the supplied order was refused, when it was; Wing-Gong
+            then decided *)
   }
 
   let viewer = T.monitor
@@ -74,66 +108,172 @@ module Make (T : Spec.Data_type.S) = struct
       finish = o.resp_time;
     }
 
-  let fallback_check ?max_nodes ops reason =
-    match Fallback.check ?max_nodes ops with
-    | Some w ->
-        {
-          linearizable = true;
-          linearization = Some w;
-          method_ = Wing_gong;
-          fallback = Some reason;
-          violation = None;
-        }
-    | None ->
-        {
-          linearizable = false;
-          linearization = None;
-          method_ = Wing_gong;
-          fallback = Some reason;
-          violation = None;
-        }
+  let fallback_check ?max_nodes ?order_failure ops reason =
+    let linearization = Fallback.check ?max_nodes ops in
+    {
+      linearizable = Option.is_some linearization;
+      linearization;
+      method_ = Wing_gong;
+      fallback = Some reason;
+      violation = None;
+      order_failure;
+    }
 
-  (* The accept certificate: [order] must be a permutation of the
-     history that replays against the sequential specification and
-     never places an operation after one it precedes in real time. *)
-  let verify (arr : op array) (records : Record.t array) order =
+  (* How far back [explain_replay] looks for the operation a
+     non-replaying response was answered without. *)
+  let overtake_window = 64
+
+  (* [order.(p)] does not replay: find the nearest earlier position [j]
+     (within [overtake_window]) such that replaying the prefix without
+     [order.(j)] gives [order.(p)] its recorded response.  Runs only on
+     a failed check, so it may replay the prefix again. *)
+  let explain_replay (arr : op array) (order : int array) p =
+    let lo = max 0 (p - overtake_window) in
+    let st = ref T.initial in
+    for i = 0 to lo - 1 do
+      st := fst (T.apply !st arr.(order.(i)).inv)
+    done;
+    let before = Array.make (p - lo + 1) !st in
+    for i = lo to p - 1 do
+      before.(i - lo + 1) <-
+        fst (T.apply before.(i - lo) arr.(order.(i)).inv)
+    done;
+    let target = arr.(order.(p)) in
+    let replays_without j =
+      let st = ref before.(j - lo) in
+      for i = j + 1 to p - 1 do
+        st := fst (T.apply !st arr.(order.(i)).inv)
+      done;
+      T.equal_response (snd (T.apply !st target.inv)) target.resp
+    in
+    let rec scan j =
+      if j < lo then None
+      else if replays_without j then Some order.(j)
+      else scan (j - 1)
+    in
+    scan (p - 1)
+
+  (* The one trusted checker.  [order] (history indices, first to
+     last) must be a permutation of the history that replays against
+     the sequential specification and never places an operation after
+     one it precedes in real time.  The real-time test is a prefix
+     maximum: an order is real-time consistent iff no operation
+     responds before the latest invocation placed ahead of it.  Kernel
+     certificates and protocol-supplied orders alike pass through
+     here. *)
+  let verify_order (arr : op array) (order : int list) :
+      (op list, order_failure) Stdlib.result =
     let n = Array.length arr in
     let seen = Array.make n false in
-    let count = ref 0 in
-    let dup = ref false in
-    List.iter
-      (fun id ->
-        if id < 0 || id >= n || seen.(id) then dup := true
-        else begin
-          seen.(id) <- true;
-          incr count
-        end)
-      order;
-    if !dup || !count <> n then Error "certificate is not a permutation"
-    else
-      let lin = List.map (fun id -> arr.(id)) order in
-      let st = ref T.initial in
-      let replays (o : op) =
-        let st', resp = T.apply !st o.inv in
-        st := st';
-        T.equal_response resp o.resp
-      in
-      if not (List.for_all replays lin) then
-        Error "certificate fails semantic replay"
-      else
-        match Record.real_time_conflict records order with
-        | Some _ -> Error "certificate breaks real-time order"
-        | None -> Ok lin
+    let rec permutation count = function
+      | [] ->
+          if count = n then None
+          else
+            let rec first_unseen i =
+              if seen.(i) then first_unseen (i + 1) else i
+            in
+            Some (Dropped (first_unseen 0))
+      | id :: rest ->
+          if id < 0 || id >= n then Some (Out_of_range id)
+          else if seen.(id) then Some (Duplicated id)
+          else begin
+            seen.(id) <- true;
+            permutation (count + 1) rest
+          end
+    in
+    let rec replay st p = function
+      | [] -> None
+      | id :: rest ->
+          let o = arr.(id) in
+          let st', resp = T.apply st o.inv in
+          if T.equal_response resp o.resp then replay st' (p + 1) rest
+          else
+            let overtook = explain_replay arr (Array.of_list order) p in
+            Some (Replay_mismatch { op = id; overtook })
+    in
+    let rec real_time worst = function
+      | [] -> None
+      | id :: rest ->
+          let o = arr.(id) in
+          if worst >= 0 && Rat.lt o.resp_time arr.(worst).inv_time then
+            Some (Real_time_inversion { first = worst; second = id })
+          else if worst >= 0 && Rat.le o.inv_time arr.(worst).inv_time then
+            real_time worst rest
+          else real_time id rest
+    in
+    match permutation 0 order with
+    | Some f -> Error f
+    | None -> (
+        match replay T.initial 0 order with
+        | Some f -> Error f
+        | None -> (
+            match real_time (-1) order with
+            | Some f -> Error f
+            | None -> Ok (List.map (fun id -> arr.(id)) order)))
 
-  let check ?max_nodes (ops : op list) : result =
+  let pp_order_failure (arr : op array) ppf f =
+    (* each operation on one line, whatever the enclosing margin *)
+    let op ppf i =
+      let b = Buffer.create 64 in
+      let f = Format.formatter_of_buffer b in
+      Format.pp_set_margin f 1_000_000;
+      Format.fprintf f "%a@?" Fallback.pp_op arr.(i);
+      Format.pp_print_string ppf (Buffer.contents b)
+    in
+    match f with
+    | Out_of_range i -> Format.fprintf ppf "index %d is outside the history" i
+    | Duplicated i -> Format.fprintf ppf "%a is placed twice" op i
+    | Dropped i -> Format.fprintf ppf "%a is left out" op i
+    | Replay_mismatch { op = i; overtook = Some j } ->
+        Format.fprintf ppf
+          "%a does not replay; it was answered without %a, placed before it"
+          op i op j
+    | Replay_mismatch { op = i; overtook = None } ->
+        Format.fprintf ppf "%a does not replay" op i
+    | Real_time_inversion { first; second } ->
+        Format.fprintf ppf
+          "%a is placed after %a, which it precedes in real time" op second
+          op first
+
+  (* The kernel-certificate form of [verify_order], as the split
+     monitor stages call it; [records] are the kernel's view of [arr]
+     and carry nothing the verifier needs. *)
+  let verify (arr : op array) (_ : Record.t array) order =
+    Result.map_error
+      (fun f -> "certificate " ^ order_failure_reason f)
+      (verify_order arr order)
+
+  (* The kernel did not decide, for [reason]: try the protocol's own
+     order, if one was supplied, then Wing-Gong. *)
+  let undecided ?max_nodes ?order arr ops reason =
+    match order with
+    | None -> fallback_check ?max_nodes ops reason
+    | Some order_of -> (
+        let arr =
+          match arr with Some arr -> arr | None -> Array.of_list ops
+        in
+        match verify_order arr (order_of arr) with
+        | Ok lin ->
+            {
+              linearizable = true;
+              linearization = Some lin;
+              method_ = Protocol_order;
+              fallback = Some reason;
+              violation = None;
+              order_failure = None;
+            }
+        | Error f -> fallback_check ?max_nodes ~order_failure:f ops reason)
+
+  let check ?max_nodes ?order (ops : op list) : result =
     match viewer with
     | None ->
-        fallback_check ?max_nodes ops "no specialized monitor for this type"
+        undecided ?max_nodes ?order None ops
+          "no specialized monitor for this type"
     | Some vw -> (
         let arr = Array.of_list ops in
         let records = Array.mapi (record_of vw) arr in
         if Array.exists (fun r -> r.Record.obs = V.Opaque) records then
-          fallback_check ?max_nodes ops
+          undecided ?max_nodes ?order (Some arr) ops
             "history contains an observation outside the monitor vocabulary"
         else
           match kernel_for vw.V.kind records with
@@ -144,10 +284,11 @@ module Make (T : Spec.Data_type.S) = struct
                 method_ = Specialized vw.V.kind;
                 fallback = None;
                 violation = Some v;
+                order_failure = None;
               }
-          | Record.Unknown why -> fallback_check ?max_nodes ops why
-          | Record.Order order -> (
-              match verify arr records order with
+          | Record.Unknown why -> undecided ?max_nodes ?order (Some arr) ops why
+          | Record.Order order' -> (
+              match verify_order arr order' with
               | Ok lin ->
                   {
                     linearizable = true;
@@ -155,8 +296,11 @@ module Make (T : Spec.Data_type.S) = struct
                     method_ = Specialized vw.V.kind;
                     fallback = None;
                     violation = None;
+                    order_failure = None;
                   }
-              | Error why -> fallback_check ?max_nodes ops why))
+              | Error f ->
+                  undecided ?max_nodes ?order (Some arr) ops
+                    ("certificate " ^ order_failure_reason f)))
 
   let is_linearizable ?max_nodes ops = (check ?max_nodes ops).linearizable
 

@@ -4,8 +4,9 @@
    into a record carrying only its canonical observation
    ([Spec.Adt_view.obs]) and real-time interval.  Everything the
    per-type monitors do — necessary-pattern scans, greedy
-   linearization, the real-time sweep — works on arrays of these, so
-   the kernels stay generic over data types.
+   linearization — works on arrays of these, so the kernels stay
+   generic over data types.  The certificate check that follows
+   ([Monitor.Make.verify_order]) reads the operations themselves.
 
    Conventions shared by all kernels:
    - records are indexed by [id], their position in the checked history;
@@ -58,26 +59,6 @@ let sorted_ids ?(keep = fun _ -> true) n cmp =
   done;
   Array.stable_sort cmp a;
   a
-
-(* Real-time sweep (paper §2.3): an order [pi] respects real time iff
-   no operation finishes before an earlier-placed one starts.  Keep the
-   latest invocation over the prefix; a later operation whose response
-   time is below it was forced before some already placed operation.
-   O(n) over the proposed order; returns the offending pair
-   (earlier-placed, misplaced) for diagnostics. *)
-let real_time_conflict (records : t array) (order : int list) :
-    (t * t) option =
-  let rec go worst = function
-    | [] -> None
-    | id :: rest ->
-        let r = records.(id) in
-        if worst >= 0 && Rat.lt r.finish records.(worst).start then
-          Some (records.(worst), r)
-        else if worst >= 0 && Rat.le r.start records.(worst).start then
-          go worst rest
-        else go id rest
-  in
-  go (-1) order
 
 (* --- Per-value classes -------------------------------------------------
 

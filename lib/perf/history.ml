@@ -148,22 +148,39 @@ let pick_baseline ?ref_prefix ~head points =
       | Some p -> Ok (Some p)
       | None -> Ok (last (fun _ -> true)))
 
-let gate ~baseline ~current ~tolerance =
-  let per_event v d = v /. float_of_int (Stdlib.max 1 d.events) in
-  let check name base cur =
-    let b = per_event base baseline and c = per_event cur current in
+(* Per-event [minor_words] and [promoted_words] of [d]. *)
+let rates d =
+  let per_event v = v /. float_of_int (Stdlib.max 1 d.events) in
+  [
+    ("minor_words", per_event d.minor_words);
+    ("promoted_words", per_event d.promoted_words);
+  ]
+
+let gate ~recorded ~baseline ~current ~tolerance =
+  (* An improvement passes only once a datapoint for it is in the
+     history: otherwise the next change is gated against the old
+     number and may give the gain back unnoticed. *)
+  let improvement_recorded =
+    match recorded with
+    | None -> false
+    | Some r ->
+        List.for_all2
+          (fun (_, a) (_, b) -> Float.abs (b -. a) <= a *. tolerance)
+          (rates r) (rates current)
+  in
+  let judge (name, b) (_, c) =
     let line =
       Printf.sprintf "%s/event: %.2f -> %.2f (baseline %s)" name b c
         (String.sub baseline.commit 0
            (Stdlib.min 12 (String.length baseline.commit)))
     in
-    if c <= b *. (1. +. tolerance) then Ok line else Error line
+    if c > b *. (1. +. tolerance) then Error ("REGRESSION " ^ line)
+    else if c < b *. (1. -. tolerance) && not improvement_recorded then
+      Error ("UNRECORDED IMPROVEMENT " ^ line)
+    else Ok line
   in
-  match
-    ( check "minor_words" baseline.minor_words current.minor_words,
-      check "promoted_words" baseline.promoted_words current.promoted_words )
-  with
-  | Ok a, Ok b -> Ok (a ^ "; " ^ b)
-  | Error a, Ok b | Ok b, Error a ->
-      Error (Printf.sprintf "REGRESSION %s; %s" a b)
-  | Error a, Error b -> Error (Printf.sprintf "REGRESSION %s; REGRESSION %s" a b)
+  let results = List.map2 judge (rates baseline) (rates current) in
+  let summary =
+    String.concat "; " (List.map (function Ok l | Error l -> l) results)
+  in
+  if List.exists Result.is_error results then Error summary else Ok summary

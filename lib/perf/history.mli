@@ -55,10 +55,16 @@ val pick_baseline :
     history. *)
 
 val gate :
+  recorded:datapoint option ->
   baseline:datapoint ->
   current:datapoint ->
   tolerance:float ->
   (string, string) result
-(** [Ok summary] when [current]'s per-event [minor_words] and
-    [promoted_words] are within [(1 + tolerance)] of [baseline]'s;
-    [Error summary] otherwise.  Improvements always pass. *)
+(** Two-sided: [Ok summary] when [current]'s per-event [minor_words]
+    and [promoted_words] are each within [(1 ± tolerance)] of
+    [baseline]'s; [Error summary] otherwise.  Growth beyond the
+    tolerance is a ["REGRESSION"].  A drop beyond it is an
+    ["UNRECORDED IMPROVEMENT"] unless [recorded] — the history's
+    datapoint for the commit being measured, if it has one — is within
+    the tolerance of [current]: a gain passes only once it is in the
+    history, so the next change is gated against the new number. *)

@@ -168,6 +168,21 @@ let monitor_queue ~ops () =
       failwith "monitor bench section: queue monitor did not certify";
     ops
 
+(* The [repro sweep] path: the reference grid (every bundled type x
+   three algorithms x two model points x both channel legs) at seeds 1
+   and 2 — 240 small closed-loop cells lowered, run and certified
+   inline.  Most cells have no monitor or fall outside its vocabulary,
+   so this is the section that measures the certification stage after
+   the kernels.  Its events are the cells' operations. *)
+let sweep_cells ~seeds () =
+  let t = Sweep.run { Sweep.default_grid with seeds } in
+  Array.fold_left
+    (fun ops -> function
+      | Sweep.Pool.Done (v : Sweep.verdict) when v.certified ->
+          ops + v.operations
+      | _ -> failwith "sweep bench section: a cell did not certify")
+    0 t.results
+
 let sections =
   [
     {
@@ -208,6 +223,13 @@ let sections =
         "1000-op generated-workload scenario lowered, run, certified and \
          judged against its temporal predicate";
       prepare = (fun () -> scenario_events ~ops:1_000);
+    };
+    {
+      name = "sweep-cells-240";
+      description =
+        "the reference sweep grid at seeds 1 and 2: 240 closed-loop cells \
+         over every type, algorithm, model point and channel leg, certified";
+      prepare = (fun () -> sweep_cells ~seeds:[ 1; 2 ]);
     };
     {
       name = "monitor-queue-64k";

@@ -31,6 +31,9 @@ type outcome = {
   skew_admissible : bool;
   faults : int;  (** total injected faults *)
   checked_by : string option;
+  order_failure : string option;
+      (** why the checker refused the algorithm's own linearization
+          order, when it did (the operations it names) *)
   diagnostic : string option;
       (** named abort (node budget, bad config, ...); the run produced
           no report *)
@@ -243,6 +246,7 @@ module Run (T : Spec.Data_type.S) = struct
       skew_admissible = true;
       faults = 0;
       checked_by = None;
+      order_failure = None;
       diagnostic = Some msg;
       witness = None;
       by_kind = [];
@@ -282,6 +286,7 @@ module Run (T : Spec.Data_type.S) = struct
       skew_admissible = r.skew_admissible;
       faults = Sim.Trace.total_faults r.faults;
       checked_by = r.checked_by;
+      order_failure = R.order_finding r;
       diagnostic = None;
       witness;
       by_kind =
@@ -337,6 +342,9 @@ let pp_outcome ppf (o : outcome) =
       | None -> ());
       (match o.checked_by with
       | Some c -> Format.fprintf ppf "checked by: %s@," c
+      | None -> ());
+      (match o.order_failure with
+      | Some f -> Format.fprintf ppf "protocol order refused: %s@," f
       | None -> ());
       (match o.witness with
       | Some w -> Format.fprintf ppf "witness: %s@," w

@@ -8,8 +8,18 @@
     an arbitrary element" (our framework requires determinism — §2.1 —
     and the paper's proofs rely on it). *)
 
-type state = int list (* strictly increasing *)
-[@@deriving show { with_path = false }, eq]
+(* A balanced tree, so [add], [remove] and [contains] are O(log size)
+   and replaying an n-operation history is O(n log n).  States render
+   as the sorted element list. *)
+module Elements = Set.Make (Int)
+
+type state = Elements.t
+type sorted = int list [@@deriving show { with_path = false }]
+
+let elements = Elements.elements
+let pp_state ppf s = pp_sorted ppf (elements s)
+let show_state s = show_sorted (elements s)
+let equal_state = Elements.equal
 
 type invocation = Add of int | Remove of int | Contains of int | Extract_min
 [@@deriving show { with_path = false }, eq]
@@ -18,23 +28,16 @@ type response = Ack | Mem of bool | Min of int option
 [@@deriving show { with_path = false }, eq]
 
 let name = "int-set"
-let initial = []
-
-let rec insert_sorted v = function
-  | [] -> [ v ]
-  | x :: rest ->
-      if v < x then v :: x :: rest
-      else if v = x then x :: rest
-      else x :: insert_sorted v rest
+let initial = Elements.empty
 
 let apply state = function
-  | Add v -> (insert_sorted v state, Ack)
-  | Remove v -> (List.filter (fun x -> x <> v) state, Ack)
-  | Contains v -> (state, Mem (List.mem v state))
+  | Add v -> (Elements.add v state, Ack)
+  | Remove v -> (Elements.remove v state, Ack)
+  | Contains v -> (state, Mem (Elements.mem v state))
   | Extract_min -> (
-      match state with
-      | [] -> ([], Min None)
-      | min :: rest -> (rest, Min (Some min)))
+      match Elements.min_elt_opt state with
+      | None -> (state, Min None)
+      | Some min -> (Elements.remove min state, Min (Some min)))
 
 let op_of = function
   | Add _ -> "add"
@@ -50,10 +53,8 @@ let operations =
     ("extract-min", Op_kind.Mixed);
   ]
 
-let equal_state = equal_state
 let equal_invocation = equal_invocation
 let equal_response = equal_response
-let show_state = show_state
 
 let sample_invocations = function
   | "add" -> [ Add 1; Add 2; Add 3; Add 4 ]

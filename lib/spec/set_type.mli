@@ -5,7 +5,9 @@
     pure accessor and [extract_min] the deterministic stand-in for the
     paper's "extract an arbitrary element" (pair-free). *)
 
-type state = int list  (** strictly increasing *)
+type state
+(** A set of ints; [show_state] renders it as its sorted element list,
+    e.g. [[1; 3]]. *)
 
 type invocation = Add of int | Remove of int | Contains of int | Extract_min
 type response = Ack | Mem of bool | Min of int option
@@ -15,3 +17,6 @@ include
     with type state := state
      and type invocation := invocation
      and type response := response
+
+val elements : state -> int list
+(** The members, in increasing order. *)

@@ -68,6 +68,64 @@ let test_paper_verbatim_counterexample () =
 let test_paper_verbatim_register () =
   expect_counterexample Scenario.Builtin.ablation_register
 
+(* Where the counterexample is caught: Algorithm 1's own order (by
+   timestamp, accessors backdated) is refused by the verifier at the
+   accessor that was answered without a mutator placed before it — the
+   Lemma 5 break — and Wing-Gong, run as the fallback, rejects the
+   history too.  The Wing-Gong checker alone rejects it as well. *)
+module Order_finding (T : Spec.Data_type.S) = struct
+  module E = Scenario.Exec.Run (T)
+  module Sem = Spec.Data_type.Semantics (T)
+
+  let check (s : Scenario.t) ~accessor:(acc_proc, acc_at) ~mutator_proc =
+    let cfg =
+      match E.config_of s with Ok cfg -> cfg | Error e -> Alcotest.fail e
+    in
+    let r = E.R.run cfg in
+    let arr = Array.of_list r.operations in
+    let name = s.Scenario.name in
+    (match r.order_failure with
+    | Some (Monitor.Replay_mismatch { op; overtook = Some m }) ->
+        let a = arr.(op) and w = arr.(m) in
+        Alcotest.(check bool)
+          (name ^ ": the accessor is named") true
+          (Sem.kind_of a.inv = Spec.Op_kind.Pure_accessor
+          && a.proc = acc_proc
+          && Rat.equal a.inv_time (Rat.of_int acc_at));
+        Alcotest.(check bool)
+          (name ^ ": the mutator it overtook is named") true
+          (Sem.kind_of w.inv = Spec.Op_kind.Pure_mutator
+          && w.proc = mutator_proc)
+    | _ ->
+        Alcotest.failf "%s: supplied order not refused at an accessor (%s)"
+          name
+          (Option.value (E.R.order_finding r) ~default:"accepted"));
+    Alcotest.(check (option string))
+      (name ^ ": Wing-Gong ran as the fallback")
+      (Some "monitor, fell back to wing-gong") r.checked_by;
+    Alcotest.(check bool) (name ^ ": and rejected") false
+      (Option.is_some r.linearization);
+    let wg = E.R.run { cfg with checker = Core.Runtime.Wing_gong } in
+    Alcotest.(check (option string))
+      (name ^ ": wing-gong checker on its own")
+      (Some "wing-gong") wg.checked_by;
+    Alcotest.(check bool) (name ^ ": rejects it too") false
+      (Option.is_some wg.linearization)
+end
+
+(* The queue's probe at p1 peeks before the slow enqueue from p3
+   arrives; the register's late read at p1 sees p3's write applied
+   after p2's. *)
+let test_queue_order_finding () =
+  let module F = Order_finding (Spec.Fifo_queue) in
+  F.check Scenario.Builtin.ablation_counterexample ~accessor:(1, 100)
+    ~mutator_proc:3
+
+let test_register_order_finding () =
+  let module F = Order_finding (Spec.Register) in
+  F.check Scenario.Builtin.ablation_register ~accessor:(1, 141)
+    ~mutator_proc:2
+
 (* The scenario encoding and the hand-written harness describe the
    same run: both verdicts agree, leg by leg. *)
 let test_scenario_matches_harness () =
@@ -125,5 +183,10 @@ let () =
             test_paper_verbatim_register;
           Alcotest.test_case "scenario matches harness" `Quick
             test_scenario_matches_harness;
+          Alcotest.test_case "queue: supplied order refused at the accessor"
+            `Quick test_queue_order_finding;
+          Alcotest.test_case
+            "register: supplied order refused at the accessor" `Quick
+            test_register_order_finding;
         ] );
     ]

@@ -92,15 +92,29 @@ let test_pick_baseline () =
 
 let test_gate () =
   let baseline = dp () in
-  let pass d =
-    match Perf.History.gate ~baseline ~current:d ~tolerance:0.02 with
-    | Ok _ -> true
-    | Error _ -> false
+  let gate ?recorded d =
+    Perf.History.gate ~recorded ~baseline ~current:d ~tolerance:0.02
   in
+  let pass ?recorded d = Result.is_ok (gate ?recorded d) in
   Alcotest.(check bool) "identical rerun passes" true (pass (dp ()));
   Alcotest.(check bool) "within tolerance passes" true
     (pass (dp ~minor:10100. ()));
-  Alcotest.(check bool) "improvement passes" true (pass (dp ~minor:8000. ()));
+  Alcotest.(check bool) "small improvement passes" true
+    (pass (dp ~minor:9900. ()));
+  (* Two-sided: a gain beyond the tolerance fails by name until the
+     history holds a datapoint for it. *)
+  (match gate (dp ~minor:8000. ()) with
+  | Ok _ -> Alcotest.fail "unrecorded improvement passed"
+  | Error msg ->
+      Alcotest.(check bool) "named unrecorded improvement" true
+        (String.length msg >= 22
+        && String.sub msg 0 22 = "UNRECORDED IMPROVEMENT"));
+  Alcotest.(check bool) "recorded improvement passes" true
+    (pass ~recorded:(dp ~commit:"head" ~minor:8000. ()) (dp ~minor:8000. ()));
+  Alcotest.(check bool) "a different recorded number does not count" false
+    (pass ~recorded:(dp ~commit:"head" ~minor:9000. ()) (dp ~minor:8000. ()));
+  Alcotest.(check bool) "improved promoted words fails unrecorded" false
+    (pass (dp ~promoted:400. ()));
   (* A synthetically inflated current datapoint must fail the gate. *)
   Alcotest.(check bool) "inflated minor words fails" false
     (pass (dp ~minor:12000. ()));

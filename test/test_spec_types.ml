@@ -165,17 +165,33 @@ let test_tree_delete () =
 
 let test_set () =
   let s = apply_seq Set.apply Set.initial [ Set.Add 3; Set.Add 1; Set.Add 3 ] in
-  Alcotest.(check bool) "sorted canonical state" true (s = [ 1; 3 ]);
+  Alcotest.(check (list int))
+    "sorted canonical state" [ 1; 3 ] (Set.elements s);
   Alcotest.(check bool) "contains" true
     (snd (Set.apply s (Set.Contains 3)) = Set.Mem true
     && snd (Set.apply s (Set.Contains 2)) = Set.Mem false);
   let s1, r1 = Set.apply s Set.Extract_min in
   Alcotest.(check bool) "extract min returns 1" true (r1 = Set.Min (Some 1));
-  Alcotest.(check bool) "extract removes" true (s1 = [ 3 ]);
+  Alcotest.(check (list int)) "extract removes" [ 3 ] (Set.elements s1);
   Alcotest.(check bool) "extract empty" true
     (snd (Set.apply Set.initial Set.Extract_min) = Set.Min None);
   let s2 = fst (Set.apply s (Set.Remove 3)) in
-  Alcotest.(check bool) "remove" true (s2 = [ 1 ])
+  Alcotest.(check (list int)) "remove" [ 1 ] (Set.elements s2)
+
+(* States render as the sorted element list, byte for byte as when the
+   state was that list: Wing-Gong interns states by this rendering. *)
+let test_set_rendering () =
+  let state invs = apply_seq Set.apply Set.initial invs in
+  Alcotest.(check string) "empty" "[]" (Set.show_state Set.initial);
+  Alcotest.(check string) "one" "[7]" (Set.show_state (state [ Set.Add 7 ]));
+  Alcotest.(check string) "sorted" "[-2; 1; 3]"
+    (Set.show_state (state [ Set.Add 3; Set.Add (-2); Set.Add 1; Set.Add 3 ]));
+  Alcotest.(check string) "pp_state" "[1; 3]"
+    (Format.asprintf "%a" Set.pp_state (state [ Set.Add 3; Set.Add 1 ]));
+  Alcotest.(check string) "after remove and extract" "[5]"
+    (Set.show_state
+       (state
+          [ Set.Add 5; Set.Add 2; Set.Add 9; Set.Remove 9; Set.Extract_min ]))
 
 (* --- counter --- *)
 
@@ -341,7 +357,7 @@ let prop_set_sorted =
         | [] | [ _ ] -> true
         | a :: (b :: _ as rest) -> a < b && sorted rest
       in
-      sorted state)
+      sorted (Set.elements state))
 
 let () =
   Alcotest.run "spec_types"
@@ -358,6 +374,7 @@ let () =
           Alcotest.test_case "tree insert noops" `Quick test_tree_insert_noops;
           Alcotest.test_case "tree delete" `Quick test_tree_delete;
           Alcotest.test_case "set" `Quick test_set;
+          Alcotest.test_case "set rendering" `Quick test_set_rendering;
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "priority queue" `Quick test_priority_queue;
           Alcotest.test_case "log" `Quick test_log;
