@@ -91,16 +91,6 @@ let jobs_arg =
            deterministic: every cell derives its RNG seed from its own \
            coordinates, so the report is byte-identical for every N.")
 
-let no_retain_arg =
-  Arg.(
-    value & flag
-    & info [ "no-retain-events" ]
-        ~doc:
-          "Do not keep the per-message event list in memory; the report is \
-           built entirely from the trace's streaming sinks (O(operations) \
-           instead of O(events) memory) and is identical to a retained \
-           run's, including the linearizability check.")
-
 (* ---------------- data type / algorithm / checker ---------------- *)
 
 (* Every bundled type, dispatched through its first-class packing — no

@@ -55,14 +55,13 @@ let run_scenario_ref ref_ =
               s.Scenario.name )
 
 let simulate_cmd =
-  let run n d u eps x algo seed ops no_retain checker pt scenario =
+  let run n d u eps x algo seed ops checker pt scenario =
     match scenario with
     | Some ref_ -> run_scenario_ref ref_
     | None ->
     let model = make_model n d u eps in
     let x = make_x model x in
-    let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
-    let module E = Scenario.Exec.Run (T) in
+    let (module E : Sweep.Packed_type.RUNNER) = Sweep.Packed_type.runner pt in
     let module R = E.R in
     let algorithm =
       match algo with
@@ -80,9 +79,9 @@ let simulate_cmd =
     match E.config_of s with
     | Error msg -> `Error (false, msg)
     | Ok cfg ->
-    let report = R.run { cfg with R.Config.retain_events = not no_retain } in
+    let report = R.run cfg in
     Format.printf "model: %a, X = %a, data type: %s@.@." Sim.Model.pp model
-      Rat.pp x T.name;
+      Rat.pp x E.T.name;
     Format.printf "%a@." R.pp_report report;
     (* Exit nonzero on any failed verification — truncation, pending
        operations, inadmissible delays or skew, or no linearization — so
@@ -104,7 +103,7 @@ let simulate_cmd =
     Term.(
       ret
         (const run $ n_arg $ d_arg $ u_arg $ eps_arg $ x_arg $ algo_arg
-       $ seed_arg $ ops_arg $ no_retain_arg $ checker_arg $ type_arg
+       $ seed_arg $ ops_arg $ checker_arg $ type_arg
        $ scenario_arg))
 
 (* ---------------- load ---------------- *)
@@ -1091,7 +1090,7 @@ let bench_cmd =
     match Perf.Suite.find name with
     | None -> `Error (false, Printf.sprintf "unknown bench section %S" name)
     | Some s ->
-        let events, m = Perf.Measure.measure (s.prepare ()) in
+        let events, m = Perf.Suite.measure s in
         let dp = Perf.History.of_metrics ~commit ~bench:s.name ~events m in
         let line = Perf.History.to_line dp in
         let instr =

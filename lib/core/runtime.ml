@@ -4,11 +4,12 @@
     summaries per operation and per class.
 
     There is a single entry point, [run : Config.t -> report]: the
-    [Config] record names every knob (checking, event retention, fault
-    plan, step limit, reliable-channel leg, model, offsets, delay,
-    algorithm, workload).  Sweep cells, fault-matrix legs and
-    [repro simulate] reach it through one lowering,
-    [Scenario.Exec.Run(T).config_of]. *)
+    [Config] record names every knob (checking, fault plan, step limit,
+    reliable-channel leg, model, offsets, delay, algorithm, workload).
+    A report is built from the trace's streaming sinks alone, so every
+    engine is created with event retention off.  Sweep cells,
+    fault-matrix legs and [repro simulate] reach it through one
+    lowering, [Scenario.Exec.Run(T).config_of]. *)
 
 (* The algorithm choice does not depend on the data type, so it lives
    outside the functor — the sweep engine enumerates algorithms without
@@ -91,7 +92,6 @@ module Make (T : Spec.Data_type.S) = struct
   module Config = struct
     type t = {
       check : bool;
-      retain_events : bool;
       faults : Sim.Fault.plan;
       max_events : int option;
       max_check_nodes : int option;
@@ -106,13 +106,11 @@ module Make (T : Spec.Data_type.S) = struct
       workload : workload;
     }
 
-    let make ?(check = true) ?(retain_events = true)
-        ?(faults = Sim.Fault.none) ?max_events ?max_check_nodes ?deadline
-        ?(checker = Monitor) ?channel ?timing ~model ~offsets ~delay
-        ~algorithm ~workload () =
+    let make ?(check = true) ?(faults = Sim.Fault.none) ?max_events
+        ?max_check_nodes ?deadline ?(checker = Monitor) ?channel ?timing
+        ~model ~offsets ~delay ~algorithm ~workload () =
       {
         check;
-        retain_events;
         faults;
         max_events;
         max_check_nodes;
@@ -139,6 +137,10 @@ module Make (T : Spec.Data_type.S) = struct
   end
 
   let kind_of inv = Sem.kind_of inv
+
+  (* No report reads the event list: every field comes from the
+     trace's streaming sinks. *)
+  let retain_events = false
 
   (* Certify a completed history with the configured engine: the
      per-type monitor, then the algorithm's own order [order] when the
@@ -316,7 +318,7 @@ module Make (T : Spec.Data_type.S) = struct
         ~checker:cfg.checker ~model ~algorithm:name ~check:cfg.check
         ~order engine workload
     in
-    let retain_events = cfg.retain_events and faults = cfg.faults in
+    let faults = cfg.faults in
     match algorithm with
     | Wtlw { x } ->
         (* An explicit timing override (the ablation knobs) bypasses
@@ -377,7 +379,7 @@ module Make (T : Spec.Data_type.S) = struct
         ~order engine workload
     in
     let create_engine handlers =
-      Sim.Engine.create ~retain_events:cfg.retain_events ~faults
+      Sim.Engine.create ~retain_events ~faults
         ~model:effective ~offsets ~delay ~handlers ()
     in
     match algorithm with

@@ -113,10 +113,6 @@ module Make (T : Spec.Data_type.S) : sig
   module Config : sig
     type t = {
       check : bool;  (** run the linearizability checker (default true) *)
-      retain_events : bool;
-          (** keep the per-message event list in memory (default true);
-              with [false] the report is built entirely from the
-              trace's streaming sinks *)
       faults : Sim.Fault.plan;  (** injected nemesis (default none) *)
       max_events : int option;
           (** engine step limit; an exceeded run is returned as a
@@ -159,7 +155,6 @@ module Make (T : Spec.Data_type.S) : sig
 
     val make :
       ?check:bool ->
-      ?retain_events:bool ->
       ?faults:Sim.Fault.plan ->
       ?max_events:int ->
       ?max_check_nodes:int ->
@@ -184,8 +179,9 @@ module Make (T : Spec.Data_type.S) : sig
 
   val run : Config.t -> report
   (** Build, drive to quiescence, and summarize in one pass over the
-      trace's streaming sinks.  Counts, latency summaries, pairing and
-      admissibility are identical with [retain_events] on or off.
+      trace's streaming sinks.  The engine never retains its event
+      list: counts, latency summaries, pairing and admissibility all
+      come from the sinks.
       Injected faults show up in the report's [faults] counters and its
       admissibility / pending / linearization verdicts.  A run
       exceeding [max_events] is returned as a partial report with

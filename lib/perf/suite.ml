@@ -241,3 +241,12 @@ let sections =
   ]
 
 let find name = List.find_opt (fun s -> s.name = name) sections
+
+(* The minor heap is emptied between preparing and measuring, so young
+   data left by module initialisation (the executor instances, any
+   toplevel table) or by [prepare] is never promoted on the section's
+   account: promoted words then move only with the measured run. *)
+let measure s =
+  let run = s.prepare () in
+  Gc.minor ();
+  Measure.measure run

@@ -38,6 +38,12 @@ val sections : section list
 
 val find : string -> section option
 
+val measure : section -> int * Measure.metrics
+(** Prepare the section, run one minor collection, then measure the
+    run ({!Measure.measure}).  What module initialisation or
+    preparation left in the minor heap is thus never promoted on the
+    section's account. *)
+
 val queue_events : per_proc:int -> unit -> int
 (** The closed-loop queue workload at an arbitrary scale:
     [per_proc * 4] operations.  Runs the simulation to completion and

@@ -5,7 +5,9 @@
    [Run(T).config_of] is the one lowering in the library: sweep cells
    ([Sweep.eval]), fault-matrix legs ([Robustness.run_cell]) and
    [repro simulate] all describe their runs as scenarios and lower them
-   here.  The scenario seed drives delay sampling and workload
+   here.  [Run] is applied once per bundled type, when [Packed_type]
+   is initialised; [Packed_type.run] dispatches a scenario to its
+   type's instance.  The scenario seed drives delay sampling and workload
    generation, and nothing else is random. *)
 
 open Types
@@ -72,6 +74,46 @@ let timing_override (s : t) =
   | Wtlw { knob; _ } ->
       Some (fun model ~x -> Core.Ablation.timing_of_knob model ~x knob)
   | Centralized | Tob -> None
+
+(* A run that produced no report: a bad scenario or a named abort.  It
+   passes only a [Diagnostic] expectation naming [msg]. *)
+let aborted (s : t) ~wall_s msg =
+  let passed =
+    match s.expect with
+    | Diagnostic sub ->
+        (* substring match, so "node budget" matches the checker's
+           full message *)
+        let len = String.length sub in
+        let n = String.length msg in
+        len = 0
+        || Seq.exists
+             (fun i -> String.equal (String.sub msg i len) sub)
+             (Seq.init (max 0 (n - len + 1)) Fun.id)
+    | Certify | Violate -> false
+  in
+  {
+    scenario = s.name;
+    passed;
+    certified = false;
+    ok = false;
+    linearizable = false;
+    converged = None;
+    predicate_holds = false;
+    operations = 0;
+    pending = 0;
+    messages = 0;
+    events = 0;
+    truncated = false;
+    delays_admissible = true;
+    skew_admissible = true;
+    faults = 0;
+    checked_by = None;
+    order_failure = None;
+    diagnostic = Some msg;
+    witness = None;
+    by_kind = [];
+    wall_s;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Per-type executor                                                   *)
@@ -215,44 +257,6 @@ module Run (T : Spec.Data_type.S) = struct
     else if not predicate_holds then Some "temporal predicate violated"
     else None
 
-  let aborted (s : t) ~wall_s msg =
-    let passed =
-      match s.expect with
-      | Diagnostic sub ->
-          (* substring match, so "node budget" matches the checker's
-             full message *)
-          let len = String.length sub in
-          let n = String.length msg in
-          len = 0
-          || Seq.exists
-               (fun i -> String.equal (String.sub msg i len) sub)
-               (Seq.init (max 0 (n - len + 1)) Fun.id)
-      | Certify | Violate -> false
-    in
-    {
-      scenario = s.name;
-      passed;
-      certified = false;
-      ok = false;
-      linearizable = false;
-      converged = None;
-      predicate_holds = false;
-      operations = 0;
-      pending = 0;
-      messages = 0;
-      events = 0;
-      truncated = false;
-      delays_admissible = true;
-      skew_admissible = true;
-      faults = 0;
-      checked_by = None;
-      order_failure = None;
-      diagnostic = Some msg;
-      witness = None;
-      by_kind = [];
-      wall_s;
-    }
-
   let of_report (s : t) ~wall_s (r : R.report) =
     let converged = r.converged in
     let states = List.mapi (fun i op -> (i, op)) (observed_states r) in
@@ -310,19 +314,6 @@ module Run (T : Spec.Data_type.S) = struct
         | exception Invalid_argument m ->
             aborted s ~wall_s:(wall_s ()) ("invalid run: " ^ m))
 end
-
-(* ------------------------------------------------------------------ *)
-(* Type dispatch                                                       *)
-
-let run (s : t) : outcome =
-  match Packed_type.find s.dt with
-  | None ->
-      let module RQ = Run (Spec.Fifo_queue) in
-      RQ.aborted s ~wall_s:0. (Printf.sprintf "unknown data type %S" s.dt)
-  | Some pt ->
-      let (module T : Spec.Data_type.S) = Packed_type.modl pt in
-      let module E = Run (T) in
-      E.run s
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

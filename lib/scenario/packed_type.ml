@@ -1,20 +1,48 @@
-(* First-class packing of the bundled data types.
+(* First-class packing of the bundled data types, each with its
+   executor.
 
    [Spec.Data_type.S] bundles the sequential specification with its
    generators ([gen_invocation], [sample_invocations]), so a packed
    module is everything the sweep engine, the CLI and the bench need to
-   run a workload — dispatch is a list lookup plus one functor
-   application, with no per-type match arms at every call site. *)
+   run a workload.  [Exec.Run] is applied once per type, here, while
+   the module initialises: every run of that type — a sweep cell, a
+   scenario, a fault-matrix leg — dispatches to the same instance
+   instead of re-applying the functor stack ([Runtime.Make],
+   [Monitor.Make], [Lin.Checker.Make], the three algorithms) per run.
 
-type t = { key : string; modl : (module Spec.Data_type.S) }
+   Sharing an instance across domains is safe because it holds no
+   mutable state: the functor bodies only define types and functions,
+   and everything a run mutates (engine, trace, replicas, RNG, checker
+   tables) is allocated inside the call.  The instances exist before
+   any pool starts, so no domain ever builds one. *)
 
-let pack key modl = { key; modl }
+module type RUNNER = sig
+  module T : Spec.Data_type.S
+  include module type of Exec.Run (T)
+end
+
+type t = { key : string; runner : (module RUNNER) }
+
+let pack key (module T : Spec.Data_type.S) =
+  {
+    key;
+    runner =
+      (module struct
+        module T = T
+        include Exec.Run (T)
+      end);
+  }
+
 let key t = t.key
-let modl t = t.modl
+let runner t = t.runner
+
+let modl t =
+  let (module E : RUNNER) = t.runner in
+  (module E.T : Spec.Data_type.S)
 
 let spec_name t =
-  let (module T : Spec.Data_type.S) = t.modl in
-  T.name
+  let (module E : RUNNER) = t.runner in
+  E.T.name
 
 (* The product type exercises multi-object locality (paper §2.3)
    through the single-object machinery. *)
@@ -36,3 +64,11 @@ let all =
 
 let keys = List.map key all
 let find k = List.find_opt (fun t -> t.key = k) all
+
+let run (s : Types.t) =
+  match find s.dt with
+  | None ->
+      Exec.aborted s ~wall_s:0. (Printf.sprintf "unknown data type %S" s.dt)
+  | Some t ->
+      let (module E : RUNNER) = t.runner in
+      E.run s

@@ -1,15 +1,26 @@
 (** First-class packing of the bundled data types.
 
     A value of {!t} wraps a [Spec.Data_type.S] module (specification
-    {e and} generators) under a stable CLI key, so the sweep engine,
-    the CLI and the bench dispatch over all ten bundled types by list
-    lookup plus one functor application — no per-type match arms. *)
+    {e and} generators) under a stable CLI key, together with its
+    executor [Exec.Run(T)], applied once per type when this module
+    initialises.  The sweep engine, the fault matrix, the CLI and the
+    bench dispatch over all ten bundled types by list lookup — no
+    per-type match arms, and no functor application per run. *)
+
+(** A type's executor: the type itself and [Exec.Run] applied to it. *)
+module type RUNNER = sig
+  module T : Spec.Data_type.S
+  include module type of Exec.Run (T)
+end
 
 type t
 
-val pack : string -> (module Spec.Data_type.S) -> t
 val key : t -> string
 (** Stable CLI name, e.g. ["rmw-register"]. *)
+
+val runner : t -> (module RUNNER)
+(** The type's one executor instance.  It holds no mutable state, so
+    every run and every domain shares it. *)
 
 val modl : t -> (module Spec.Data_type.S)
 
@@ -22,3 +33,7 @@ val all : t list
 
 val keys : string list
 val find : string -> t option
+
+val run : Types.t -> Exec.outcome
+(** Run a scenario on its data type's executor; an unknown [dt] is a
+    named diagnostic. *)

@@ -36,7 +36,7 @@ let probe (s : t) : (report, string) result =
           predicate = True;
         }
       in
-      let exec = Exec.run repaired in
+      let exec = Packed_type.run repaired in
       (match exec.Exec.diagnostic with
       | Some d -> Error ("repaired rerun aborted: " ^ d)
       | None ->

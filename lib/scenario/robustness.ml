@@ -187,8 +187,7 @@ let scenario ~(model : Sim.Model.t) ~x ~seed ~recovered dt (case : case) =
     ()
 
 let run_cell ~model ~x ~seed dt (case : case) =
-  let (module T : Spec.Data_type.S) = Packed_type.modl dt in
-  let module E = Exec.Run (T) in
+  let (module E : Packed_type.RUNNER) = Packed_type.runner dt in
   let leg recovered =
     match E.config_of (scenario ~model ~x ~seed ~recovered dt case) with
     | Error msg -> aborted_leg msg
@@ -215,4 +214,4 @@ let run_cell ~model ~x ~seed dt (case : case) =
               exhausted = stats (fun s -> s.Core.Reliable.exhausted);
             })
   in
-  cell_of_legs ~data_type:T.name case ~raw:(leg false) ~recovered:(leg true)
+  cell_of_legs ~data_type:E.T.name case ~raw:(leg false) ~recovered:(leg true)

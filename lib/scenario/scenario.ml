@@ -30,18 +30,20 @@ let of_string = Codec.of_string
 let save = Codec.save
 let load = Codec.load
 
-let run = Exec.run
+let run = Packed_type.run
 let shrink = Shrink.shrink
 let gen = Generate.gen
 
 (* A sweep cell as a scenario, named by its canonical key and seeded by
    the key's hash (the seed drives both the delay sampling and the
    closed loop; offsets zero; think 1/2).  [Sweep.eval] runs exactly
-   this scenario.  The key is built once: it is the per-cell cost the
-   sweep pays for the lowering. *)
-let of_sweep_cell (grid : Grid.grid) (cell : Grid.cell) : t =
+   this scenario.  A campaign renders each key once and passes it as
+   [key]; without it the key is rendered here. *)
+let of_sweep_cell ?key (grid : Grid.grid) (cell : Grid.cell) : t =
   let model = cell.point in
-  let key = Grid.cell_key grid cell in
+  let key =
+    match key with Some k -> k | None -> Grid.cell_key grid cell
+  in
   let algorithm =
     match cell.algo with
     | Grid.Wtlw _ ->

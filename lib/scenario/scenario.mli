@@ -55,7 +55,8 @@ val shrink : ?max_attempts:int -> t -> (Shrink.outcome, string) result
 
 (** {1 Sweep cells} *)
 
-val of_sweep_cell : Grid.grid -> Grid.cell -> t
+val of_sweep_cell : ?key:string -> Grid.grid -> Grid.cell -> t
 (** A sweep cell as a scenario, named by {!Grid.cell_key} and seeded by
     {!Grid.derived_seed}.  [Sweep.eval] lowers and runs exactly this
-    scenario. *)
+    scenario.  [key], when given, must be [Grid.cell_key grid cell]:
+    a campaign renders each key once and reuses it. *)

@@ -75,89 +75,87 @@ let to_string_hum t =
 
 exception Parse_error of string
 
+(* The scan reads [s] by index and allocates nothing per character,
+   only the atoms and lists it returns.  [pos] is the next unread byte;
+   every error names it. *)
 let parse (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let error msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | Some ';' ->
-        (* comment to end of line *)
-        while !pos < n && s.[!pos] <> '\n' do
-          advance ()
-        done;
-        skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' ->
+          incr pos;
+          skip_ws ()
+      | ';' ->
+          (* comment to end of line *)
+          while !pos < n && s.[!pos] <> '\n' do
+            incr pos
+          done;
+          skip_ws ()
+      | _ -> ()
   in
   let parse_quoted () =
-    advance ();
+    incr pos;
     (* opening quote *)
     let b = Buffer.create 16 in
     let rec loop () =
-      match peek () with
-      | None -> error "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' ->
-              Buffer.add_char b '"';
-              advance ();
-              loop ()
-          | Some '\\' ->
-              Buffer.add_char b '\\';
-              advance ();
-              loop ()
-          | Some 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              loop ()
-          | _ -> error "bad escape")
-      | Some c ->
+      if !pos >= n then error "unterminated string";
+      match s.[!pos] with
+      | '"' -> incr pos
+      | '\\' ->
+          incr pos;
+          (if !pos >= n then error "bad escape";
+           match s.[!pos] with
+           | '"' -> Buffer.add_char b '"'
+           | '\\' -> Buffer.add_char b '\\'
+           | 'n' -> Buffer.add_char b '\n'
+           | _ -> error "bad escape");
+          incr pos;
+          loop ()
+      | c ->
           Buffer.add_char b c;
-          advance ();
+          incr pos;
           loop ()
     in
     loop ();
     Atom (Buffer.contents b)
   in
+  (* At a byte that starts no list, string or comment, so the atom is
+     at least one byte long. *)
   let parse_bare () =
     let start = !pos in
-    let rec loop () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';') | None -> ()
-      | Some _ ->
-          advance ();
-          loop ()
-    in
-    loop ();
-    if !pos = start then error "expected atom";
+    while
+      !pos < n
+      &&
+      match s.[!pos] with
+      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> false
+      | _ -> true
+    do
+      incr pos
+    done;
     Atom (String.sub s start (!pos - start))
   in
   let rec parse_one () =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some '(' ->
-        advance ();
+    if !pos >= n then error "unexpected end of input";
+    match s.[!pos] with
+    | '(' ->
+        incr pos;
         let rec items acc =
           skip_ws ();
-          match peek () with
-          | None -> error "unterminated list"
-          | Some ')' ->
-              advance ();
-              List (List.rev acc)
-          | Some _ -> items (parse_one () :: acc)
+          if !pos >= n then error "unterminated list";
+          if s.[!pos] = ')' then begin
+            incr pos;
+            List (List.rev acc)
+          end
+          else items (parse_one () :: acc)
         in
         items []
-    | Some ')' -> error "unexpected ')'"
-    | Some '"' -> parse_quoted ()
-    | Some _ -> parse_bare ()
+    | ')' -> error "unexpected ')'"
+    | '"' -> parse_quoted ()
+    | _ -> parse_bare ()
   in
   match
     let v = parse_one () in

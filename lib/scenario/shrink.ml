@@ -109,7 +109,7 @@ let candidates (s : t) : t Seq.t =
 (* The greedy loop                                                     *)
 
 let shrink ?(max_attempts = 2000) (s0 : t) : (outcome, string) result =
-  let o0 = Exec.run s0 in
+  let o0 = Packed_type.run s0 in
   if Exec.passes o0 then
     Error
       (Printf.sprintf "scenario %s passes its expectation; nothing to shrink"
@@ -123,7 +123,7 @@ let shrink ?(max_attempts = 2000) (s0 : t) : (outcome, string) result =
           if !attempts >= max_attempts then None
           else begin
             incr attempts;
-            let o = Exec.run c in
+            let o = Packed_type.run c in
             if Exec.passes o then first_failing rest else Some (c, o)
           end
     in

@@ -195,7 +195,7 @@ module Make (T : Spec.Data_type.S) = struct
       | None -> (200 * (cfg.ops / cfg.shards)) + 200_000
     in
     let rcfg =
-      R.Config.make ~check:false ~retain_events:false
+      R.Config.make ~check:false
         ~faults:{ cfg.faults with seed = sseed }
         ~max_events ~model:m
         ~offsets:(Array.make m.n Rat.zero)

@@ -50,14 +50,16 @@ let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   | Tob -> Bounds.Theorems.ub_tob judged
 
 (* A cell is a scenario ([Scenario.of_sweep_cell]), lowered by the one
-   lowering, [Scenario.Exec.Run(T).config_of]; only the wall budget is
-   added here. *)
-let eval ?wall_budget_s grid (c : cell) : (verdict, string) result =
-  let s = Scenario.of_sweep_cell grid c in
+   lowering, [config_of] of its type's executor instance
+   ([Scenario.Packed_type.runner]); only the wall budget is added
+   here. *)
+let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
+  let s = Scenario.of_sweep_cell ?key grid c in
   let key = s.name and seed = s.seed in
   let m = c.point in
-  let (module T : Spec.Data_type.S) = Scenario.Packed_type.modl c.dt in
-  let module E = Scenario.Exec.Run (T) in
+  let (module E : Scenario.Packed_type.RUNNER) =
+    Scenario.Packed_type.runner c.dt
+  in
   let module R = E.R in
   (* Per-cell wall budget: a closure over the start time, polled by the
      simulation loop.  An exhausted budget (deliberately including 0.0,
@@ -142,13 +144,14 @@ let cell_timed_out msg =
    diagnostic after [attempts] tries).  Non-timeout failures are
    deterministic — retrying them would only repeat the work — so they
    return immediately.  Also returns the number of attempts spent. *)
-let eval_with_retry ?retry grid (c : cell) : (verdict, string) result * int =
+let eval_with_retry ?retry ?key grid (c : cell) :
+    (verdict, string) result * int =
   match retry with
-  | None -> (eval grid c, 1)
+  | None -> (eval ?key grid c, 1)
   | Some { attempts; budget_s; backoff } ->
       let attempts = max 1 attempts in
       let rec go k budget =
-        match eval ~wall_budget_s:budget grid c with
+        match eval ~wall_budget_s:budget ?key grid c with
         | Error msg when cell_timed_out msg ->
             if k < attempts then go (k + 1) (budget *. backoff)
             else
@@ -161,11 +164,13 @@ let eval_with_retry ?retry grid (c : cell) : (verdict, string) result * int =
 
 (* ---------- campaign execution ---------- *)
 
+(* The input fingerprint of a rendered cell key. *)
+let key_fingerprint ?code_fp grid =
+  Runner.input_fingerprint ?code_fp ~max_events:(Some grid.max_events)
+    ~max_check_nodes:grid.max_check_nodes grid.checker
+
 let input_fingerprint ?code_fp grid =
-  let fp =
-    Runner.input_fingerprint ?code_fp ~max_events:(Some grid.max_events)
-      ~max_check_nodes:grid.max_check_nodes grid.checker
-  in
+  let fp = key_fingerprint ?code_fp grid in
   fun c -> fp (cell_key grid c)
 
 (* The compiler is in the header; the code fingerprint is deliberately
@@ -190,6 +195,7 @@ type resume_stats = Runner.resume_stats = {
 type t = {
   grid : grid;
   cells : cell array;
+  keys : string array;
   results : verdict Pool.outcome array;
   meta : cell_meta array;
   total : Metrics.summary option;
@@ -204,16 +210,18 @@ type t = {
    summaries once over the positional outcomes.  Because Acc/Hist/
    Grouped merging is exact, a replayed verdict counts exactly like a
    re-run one: resumed and spool-merged fingerprints are byte-identical
-   to a fresh single-process run's. *)
+   to a fresh single-process run's.  Each cell's key is rendered once,
+   before the pool starts, and serves the lowering, the journal, the
+   input fingerprint and the reports. *)
 let execute ?code_fp ~jobs ~fail_fast ~should_stop ~journal ~eval grid =
   let cells = Array.of_list (cells grid) in
-  let input_fp = input_fingerprint ?code_fp grid in
+  let keys = Array.map (cell_key grid) cells in
+  let input_fp = key_fingerprint ?code_fp grid in
   let r =
-    Runner.run ~jobs ~fail_fast ~should_stop ~journal
-      ~key:(fun i -> cell_key grid cells.(i))
-      ~input_fp:(fun i -> input_fp cells.(i))
+    Runner.run ~jobs ~fail_fast ~should_stop ~journal ~key:(Array.get keys)
+      ~input_fp:(fun i -> input_fp keys.(i))
       ~n:(Array.length cells)
-      (fun i -> eval cells.(i))
+      (fun i -> eval ~key:keys.(i) cells.(i))
   in
   let lat = Metrics.Acc.create () in
   let hist = Metrics.Hist.create () in
@@ -229,6 +237,7 @@ let execute ?code_fp ~jobs ~fail_fast ~should_stop ~journal ~eval grid =
   {
     grid;
     cells;
+    keys;
     results = r.outcomes;
     meta = r.meta;
     total = Metrics.Acc.summary lat;
@@ -245,7 +254,7 @@ let execute ?code_fp ~jobs ~fail_fast ~should_stop ~journal ~eval grid =
 
 let run ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop grid =
   execute ~jobs ~fail_fast ~should_stop ~journal:None
-    ~eval:(eval_with_retry ?retry grid) grid
+    ~eval:(fun ~key -> eval_with_retry ?retry ~key grid) grid
 
 let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
     ?(sync_every = 1) ?(replay_failures = true) ?code_fp ~dir grid =
@@ -254,7 +263,7 @@ let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
       (Some
          (Runner.in_dir ~header:journal_header ~sync_every ~replay_failures
             dir))
-    ~eval:(eval_with_retry ?retry grid) grid
+    ~eval:(fun ~key -> eval_with_retry ?retry ~key grid) grid
 
 let certified t =
   Array.length t.results > 0
@@ -283,8 +292,8 @@ let summary_str (s : Metrics.summary) =
 let fingerprint t =
   let buf = Buffer.create 4096 in
   Array.iteri
-    (fun i c ->
-      Buffer.add_string buf (cell_key t.grid c);
+    (fun i key ->
+      Buffer.add_string buf key;
       Buffer.add_string buf " => ";
       (match t.results.(i) with
       | Pool.Skipped -> Buffer.add_string buf "skipped"
@@ -300,7 +309,7 @@ let fingerprint t =
                | None -> ""
                | Some s -> " " ^ summary_str s)));
       Buffer.add_char buf '\n')
-    t.cells;
+    t.keys;
   (match t.total with
   | None -> ()
   | Some s -> Buffer.add_string buf ("total: " ^ summary_str s ^ "\n"));
@@ -325,7 +334,7 @@ let pp ppf t =
   let done_, cert, failed, skipped = counts t in
   Format.fprintf ppf "@[<v>";
   Array.iteri
-    (fun i c ->
+    (fun i key ->
       let verdict =
         match t.results.(i) with
         | Pool.Skipped -> "SKIPPED"
@@ -335,8 +344,8 @@ let pp ppf t =
             else if v.ok then "BOUND-VIOLATION"
             else "FLAGGED"
       in
-      Format.fprintf ppf "%-16s %s@," verdict (cell_key t.grid c))
-    t.cells;
+      Format.fprintf ppf "%-16s %s@," verdict key)
+    t.keys;
   (match t.total with
   | None -> ()
   | Some s ->
@@ -385,10 +394,9 @@ let pp_json ppf t =
   let done_, cert, failed, skipped = counts t in
   Format.fprintf ppf "{\"cells\":[";
   Array.iteri
-    (fun i c ->
+    (fun i key ->
       if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "{\"key\":%s,\"verdict\":"
-        (Core.Json.quote (cell_key t.grid c));
+      Format.fprintf ppf "{\"key\":%s,\"verdict\":" (Core.Json.quote key);
       (match t.results.(i) with
       | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
       | Pool.Failed msg ->
@@ -399,7 +407,7 @@ let pp_json ppf t =
       let m = t.meta.(i) in
       Format.fprintf ppf ",\"wall_s\":%.3f,\"attempts\":%d,\"replayed\":%b}"
         m.wall_s m.attempts m.replayed)
-    t.cells;
+    t.keys;
   Format.fprintf ppf "],\"summary\":{";
   (match t.total with
   | None -> ()

@@ -62,6 +62,15 @@ let elapsed t0 = Core.Clock.now_s () -. t0
 
 let run ~jobs ~fail_fast ~should_stop ~journal ~key ~input_fp ~n eval =
   let t0 = Core.Clock.now_s () in
+  (* Every key and input fingerprint is rendered here, before the pool
+     starts: [input_fp] forces the code digest's [Lazy], and forcing a
+     lazy from two domains at once raises [CamlinternalLazy.Undefined]
+     (OCaml 5).  Workers only read the arrays. *)
+  let keys, fps =
+    match journal with
+    | None -> ([||], [||])
+    | Some _ -> (Array.init n key, Array.init n input_fp)
+  in
   let outcomes = Array.make n Pool.Skipped in
   let meta = Array.make n { wall_s = 0.0; attempts = 0; replayed = false } in
   let replayed = ref 0 and invalidated = ref 0 and diagnostics = ref [] in
@@ -89,8 +98,8 @@ let run ~jobs ~fail_fast ~should_stop ~journal ~key ~input_fp ~n eval =
           loaded;
       let tbl = Journal.index (List.concat_map (fun (_, (r, _)) -> r) loaded) in
       for i = 0 to n - 1 do
-        match Hashtbl.find_opt tbl (key i) with
-        | Some r when r.Journal.input_fp <> input_fp i -> incr invalidated
+        match Hashtbl.find_opt tbl keys.(i) with
+        | Some r when r.Journal.input_fp <> fps.(i) -> incr invalidated
         | Some { Journal.payload = Ok v; _ } -> replay i (Pool.Done v)
         | Some { Journal.payload = Error msg; _ } when j.replay_failures ->
             replay i (Pool.Failed msg)
@@ -120,7 +129,7 @@ let run ~jobs ~fail_fast ~should_stop ~journal ~key ~input_fp ~n eval =
             let r, attempts = eval i in
             meta.(i) <- { wall_s = elapsed c0; attempts; replayed = false };
             Option.iter
-              (fun w -> Journal.append w ~key:(key i) ~input_fp:(input_fp i) r)
+              (fun w -> Journal.append w ~key:keys.(i) ~input_fp:fps.(i) r)
               writer;
             r))
   in

@@ -71,7 +71,8 @@ val run :
   'r t
 (** [run ... eval] answers items [0 .. n-1]; [eval i] returns the
     result and the attempts it spent.  [key] and [input_fp] are only
-    consulted when [journal] is set.  [jobs], [fail_fast] and
-    [should_stop] are {!Pool.map}'s; [should_stop] is polled once more
+    consulted when [journal] is set, then once per item and before the
+    pool starts, so they may force lazies that are not domain-safe.
+    [jobs], [fail_fast] and [should_stop] are {!Pool.map}'s; [should_stop] is polled once more
     at the end to report [interrupted].  An [eval] that raises leaves
     its item [Failed] and unjournaled. *)

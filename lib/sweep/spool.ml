@@ -103,7 +103,7 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
       in
       let cells = Array.of_list (Engine.cells grid) in
       let n = Array.length cells in
-      let input_fp = Engine.input_fingerprint ?code_fp grid in
+      let input_fp = Engine.key_fingerprint ?code_fp grid in
       let leases = Filename.concat dir "leases" in
       let done_dir = Filename.concat dir "done" in
       let jpath =
@@ -152,11 +152,9 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
             Domain.join hb;
             Lease.release lease)
           (fun () ->
-            let c = cells.(i) in
-            let r, _attempts = Engine.eval_with_retry ?retry grid c in
-            Journal.append w ~key:(Engine.cell_key grid c)
-              ~input_fp:(input_fp c)
-              r;
+            let key = Engine.cell_key grid cells.(i) in
+            let r, _attempts = Engine.eval_with_retry ?retry ~key grid cells.(i) in
+            Journal.append w ~key ~input_fp:(input_fp key) r;
             Journal.flush w;
             incr completed;
             (match r with Error _ -> incr failed | Ok _ -> ());
@@ -234,7 +232,7 @@ let merge ?code_fp ~dir grid =
                  sync_every = 1;
                  replay_failures = true;
                })
-          ~eval:(fun _ -> (Error "not journaled", 0))
+          ~eval:(fun ~key:_ _ -> (Error "not journaled", 0))
           grid
       in
       if t.resume.executed > 0 then

@@ -64,8 +64,11 @@ type verdict = {
           for recovered legs *)
 }
 
-val eval : ?wall_budget_s:float -> grid -> cell -> (verdict, string) result
-(** Evaluate one cell.  [Error] carries a named diagnostic: the
+val eval :
+  ?wall_budget_s:float -> ?key:string -> grid -> cell -> (verdict, string) result
+(** Evaluate one cell.  [key], when given, must be [cell_key grid cell]
+    (a campaign renders it once and reuses it); without it the key is
+    rendered here.  [Error] carries a named diagnostic: the
     checker's node budget was exceeded ([Node_budget_exceeded]), the
     per-cell wall budget expired ([Cell_timeout] — set
     [wall_budget_s]; 0.0 expires deterministically on the first
@@ -81,7 +84,11 @@ val cell_timed_out : string -> bool
 (** Whether a cell diagnostic is a [Cell_timeout]. *)
 
 val eval_with_retry :
-  ?retry:retry -> grid -> cell -> (verdict, string) result * int
+  ?retry:retry ->
+  ?key:string ->
+  grid ->
+  cell ->
+  (verdict, string) result * int
 (** Evaluate under the retry policy (no policy: one plain {!eval});
     also returns the number of attempts spent. *)
 
@@ -110,6 +117,8 @@ type resume_stats = Runner.resume_stats = {
 type t = {
   grid : grid;
   cells : cell array;
+  keys : string array;
+      (** [cell_key grid] of each cell, positional, rendered once *)
   results : verdict Pool.outcome array;  (** positional, same order *)
   meta : cell_meta array;  (** positional, same order *)
   total : Core.Metrics.summary option;

@@ -404,6 +404,37 @@ let test_shard_resume_identical () =
   Alcotest.(check string) "fingerprint byte-identical to a fresh run"
     (Shard.fingerprint fresh) (Shard.fingerprint t2)
 
+(* ---------------- fresh journals at jobs > 1 ---------------- *)
+
+(* A fresh journal on several domains: the runner renders every item's
+   input fingerprint, and the lazy code digest behind it, before the
+   pool starts, so no two workers force the same lazy (which raises
+   [CamlinternalLazy.Undefined] in OCaml 5).  The real code digest is
+   used, not [code_fp]: hashing the binary is the widest window. *)
+let test_parallel_fresh_journal () =
+  for round = 1 to 3 do
+    let t = Sweep.run_durable ~jobs:4 ~dir:(temp_dir "parallel-sweep") small_grid in
+    Alcotest.(check bool)
+      (Printf.sprintf "sweep round %d: every cell certified" round)
+      true (Sweep.certified t);
+    Alcotest.(check string)
+      (Printf.sprintf "sweep round %d: jobs-1 fingerprint" round)
+      (Lazy.force fresh_fingerprint) (Sweep.fingerprint t)
+  done;
+  let pt = packed "counter" in
+  let reference = Shard.fingerprint (Shard.run shard_cfg pt) in
+  for round = 1 to 3 do
+    let t =
+      Shard.run ~jobs:2 ~journal_dir:(temp_dir "parallel-shard") shard_cfg pt
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "shard round %d: every shard certified" round)
+      true t.Shard.certified;
+    Alcotest.(check string)
+      (Printf.sprintf "shard round %d: jobs-1 fingerprint" round)
+      reference (Shard.fingerprint t)
+  done
+
 let () =
   Alcotest.run "durable"
     [
@@ -419,6 +450,8 @@ let () =
         ] );
       ( "resume",
         [
+          Alcotest.test_case "fresh journal at jobs > 1" `Quick
+            test_parallel_fresh_journal;
           QCheck_alcotest.to_alcotest prop_resume_any_boundary;
           Alcotest.test_case "complete journal replays everything" `Quick
             test_resume_complete_journal;

@@ -24,9 +24,10 @@ let verdicts (s : Scenario.t) : verdicts =
   match Scenario.Packed_type.find s.Scenario.dt with
   | None -> Alcotest.failf "%s: unknown type %s" s.name s.dt
   | Some pt -> (
-      let (module T : Spec.Data_type.S) = Scenario.Packed_type.modl pt in
-      let module E = Scenario.Exec.Run (T) in
-      let module M = Monitor.Make (T) in
+      let (module E : Scenario.Packed_type.RUNNER) =
+        Scenario.Packed_type.runner pt
+      in
+      let module M = Monitor.Make (E.T) in
       match E.config_of s with
       | Error e -> Alcotest.failf "%s: %s" s.name e
       | Ok cfg ->

@@ -112,17 +112,32 @@ let test_ok_rejects_pending () =
   Alcotest.(check int) "no pending" 0 good.pending;
   Alcotest.(check bool) "complete run ok" true (R.ok good)
 
+(* [Runtime.run] never retains events; retention lives at the cluster.
+   The same Algorithm 1 run with and without the event list gives the
+   same report from its trace, and matches what [Runtime.run] reports
+   for it in operations, counts and admissibility. *)
 let test_retention_off_report_identical () =
-  let retained = run ~algorithm:(R.Wtlw { x = rat 2 1 }) ~workload:closed () in
-  let streamed =
-    R.run
-      (R.Config.make ~retain_events:false ~model ~offsets
-         ~delay:(Sim.Net.random_model ~seed:3 model)
-         ~algorithm:(R.Wtlw { x = rat 2 1 })
-         ~workload:closed ())
+  let module W = Core.Wtlw.Make (Spec.Register) in
+  let go retain_events =
+    let cluster =
+      W.create ~retain_events ~model ~x:(rat 2 1) ~offsets
+        ~delay:(Sim.Net.random_model ~seed:3 model)
+        ()
+    in
+    Closed_loop.run cluster.engine ~n:4 ~per_proc:5 ~think:(rat 1 2) ~seed:4
+      Spec.Register.gen_invocation
+    |> R.report_of_trace ~model ~algorithm:"wtlw(X=2)" ~check:true
   in
+  let retained = go true and streamed = go false in
   Alcotest.(check bool) "reports identical" true (retained = streamed);
-  Alcotest.(check bool) "streamed run ok" true (R.ok streamed)
+  Alcotest.(check bool) "streamed run ok" true (R.ok streamed);
+  let via_runtime = run ~algorithm:(R.Wtlw { x = rat 2 1 }) ~workload:closed () in
+  Alcotest.(check bool) "same run as Runtime.run" true
+    (via_runtime.operations = streamed.operations
+    && via_runtime.messages = streamed.messages
+    && via_runtime.events = streamed.events
+    && via_runtime.pending = streamed.pending
+    && via_runtime.delays_admissible = streamed.delays_admissible)
 
 let test_pp_report_mentions_everything () =
   let report = run ~algorithm:(R.Wtlw { x = rat 2 1 }) ~workload:closed () in

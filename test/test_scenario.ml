@@ -206,6 +206,75 @@ let test_probe_needs_matrix () =
   | Error _ -> ()  (* seed 1 generates a symbolic delay family *)
   | Ok _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Sexp parser *)
+
+(* Messages and offsets of [Sexp.parse], pinned byte for byte (taken
+   from the option-per-character scanner the index scan replaced). *)
+let test_sexp_pinned () =
+  let expect label input expected =
+    let got =
+      match Scenario.Sexp.parse input with
+      | Ok t -> "ok " ^ Scenario.Sexp.to_string t
+      | Error e -> "error " ^ e
+    in
+    Alcotest.(check string) label expected got
+  in
+  expect "unterminated string" "(a \"bc" "error unterminated string at offset 6";
+  expect "unterminated string after an escape" "(\"a\\nb"
+    "error unterminated string at offset 6";
+  expect "unterminated list" "(a (b c)" "error unterminated list at offset 8";
+  expect "bad escape" "(a \"b\\qc\")" "error bad escape at offset 6";
+  expect "escape at end of input" "\"ab\\" "error bad escape at offset 4";
+  expect "trailing input" "(a b) c" "error trailing input at offset 6";
+  expect "unexpected ')'" ")" "error unexpected ')' at offset 0";
+  expect "extra ')' is trailing input" "(a ))" "error trailing input at offset 4";
+  expect "empty input" "" "error unexpected end of input at offset 0";
+  expect "whitespace only" "  \n\t " "error unexpected end of input at offset 5";
+  expect "comment only" "; just a comment\n; another"
+    "error unexpected end of input at offset 26";
+  expect "NUL inside a bare atom" "(a\000b c)" "ok (\"a\000b\" c)";
+  expect "non-ASCII inside a bare atom" "(caf\xc3\xa9 x)" "ok (caf\xc3\xa9 x)";
+  expect "escapes" "(\"a b\" \"c\\\\d\\n\\\"\")" "ok (\"a b\" \"c\\\\d\\n\\\"\")";
+  expect "comment between items" "(a ; c\n b)" "ok (a b)"
+
+(* Trees whose atoms are drawn mostly from bytes that force quoting
+   (delimiters, quotes, backslashes, control bytes), plus the empty
+   atom and non-ASCII bytes: [to_string] then [parse] is the identity. *)
+let arb_sexp =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [
+        (3, oneofl [ ' '; '\t'; '\n'; '\r'; '('; ')'; '"'; '\\'; ';'; '\000' ]);
+        (3, char_range 'a' 'z');
+        (1, map Char.chr (int_range 0x80 0xff));
+        (1, map Char.chr (int_range 0 0x1f));
+      ]
+  in
+  let atom = map (fun s -> Scenario.Sexp.Atom s) (string_size ~gen:byte (0 -- 6)) in
+  let tree =
+    sized_size (0 -- 4)
+    @@ fix (fun self depth ->
+           if depth = 0 then atom
+           else
+             frequency
+               [
+                 (1, atom);
+                 ( 2,
+                   map
+                     (fun l -> Scenario.Sexp.List l)
+                     (list_size (0 -- 4) (self (depth - 1))) );
+               ])
+  in
+  QCheck.make ~print:Scenario.Sexp.to_string tree
+
+let sexp_round_trip =
+  QCheck.Test.make ~name:"parse (to_string t) = Ok t" ~count:500 arb_sexp
+    (fun t ->
+      Scenario.Sexp.parse (Scenario.Sexp.to_string t) = Ok t
+      && Scenario.Sexp.parse (Scenario.Sexp.to_string_hum t) = Ok t)
+
 let () =
   Alcotest.run "scenario"
     [
@@ -214,6 +283,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_round_trip;
           Alcotest.test_case "file round trip" `Quick test_file_round_trip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "sexp messages pinned" `Quick test_sexp_pinned;
+          QCheck_alcotest.to_alcotest sexp_round_trip;
         ] );
       ( "generate",
         [

@@ -198,26 +198,46 @@ let properties =
 
 (* ---------------- retained vs streamed, all bundled types ---------------- *)
 
+(* [Core.Runtime] never retains events, so retention is compared where
+   it still exists, at the cluster: the same run twice, with the event
+   list kept and without, each summarized from its trace by
+   [Runtime.report_of_trace].  The reports — operations, counts,
+   latency, admissibility, fault counters, linearization — must be
+   identical, and only the retained trace may hold events. *)
+let check_retention ~name (retained_trace, retained) (streamed_trace, streamed)
+    =
+  Alcotest.(check bool) (name ^ ": retained trace holds every event") true
+    (List.length (Sim.Trace.events retained_trace)
+     = Sim.Trace.event_count retained_trace);
+  Alcotest.(check bool) (name ^ ": streamed trace holds none") true
+    (not (Sim.Trace.retains_events streamed_trace));
+  Alcotest.(check bool) (name ^ ": reports identical") true
+    (retained = streamed)
+
 let closed_loop_identical (type s i r) seed
     (module T : Spec.Data_type.S
       with type state = s
        and type invocation = i
        and type response = r) () =
   let module R = Core.Runtime.Make (T) in
+  let module W = Core.Wtlw.Make (T) in
   let run_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
   let offsets = [| Rat.zero; rat 1 1; rat (-1) 1; rat 1 2 |] in
-  let go retain =
-    R.run
-      (R.Config.make ~retain_events:retain ~model:run_model ~offsets
-         ~delay:(Sim.Net.random_model ~seed run_model)
-         ~algorithm:(R.Wtlw { x = rat 3 1 })
-         ~workload:(R.Closed_loop { per_proc = 4; think = rat 1 2; seed })
-         ())
+  let go retain_events =
+    let cluster =
+      W.create ~retain_events ~model:run_model ~x:(rat 3 1) ~offsets
+        ~delay:(Sim.Net.random_model ~seed run_model)
+        ()
+    in
+    let trace =
+      Closed_loop.run cluster.engine ~n:4 ~per_proc:4 ~think:(rat 1 2) ~seed
+        T.gen_invocation
+    in
+    (trace, R.report_of_trace ~model:run_model ~algorithm:"wtlw" ~check:true trace)
   in
   let retained = go true and streamed = go false in
-  Alcotest.(check bool) (T.name ^ ": reports identical") true
-    (retained = streamed);
-  Alcotest.(check bool) (T.name ^ ": run ok") true (R.ok streamed)
+  check_retention ~name:T.name retained streamed;
+  Alcotest.(check bool) (T.name ^ ": run ok") true (R.ok (snd streamed))
 
 (* The same comparison on a faulted run: drops and duplicates under the
    reliable channel, and a crash.  This takes the engine's injector
@@ -225,6 +245,7 @@ let closed_loop_identical (type s i r) seed
    above take the fault-free one. *)
 let faulted_identical () =
   let module R = Core.Runtime.Make (Spec.Register) in
+  let module W = Core.Wtlw.Make (Spec.Register) in
   let run_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
   let faults =
     Sim.Fault.plan ~seed:7
@@ -234,21 +255,37 @@ let faulted_identical () =
         Sim.Fault.crash ~proc:3 ~at:(rat 60 1);
       ]
   in
-  let go retain =
-    R.run
-      (R.Config.reliable
-         (R.Config.make ~retain_events:retain ~faults ~model:run_model
-            ~offsets:(Array.make 4 Rat.zero)
-            ~delay:(Sim.Net.random_model ~seed:3 run_model)
-            ~algorithm:(R.Wtlw { x = rat 9 2 })
-            ~workload:(R.Closed_loop { per_proc = 6; think = rat 1 2; seed = 3 })
-            ()))
+  let config = Core.Reliable.default_config run_model in
+  let effective =
+    Core.Reliable.inflated_model ~extra_skew:(Sim.Fault.extra_skew faults)
+      ~max_spike:(Sim.Fault.max_spike faults) config run_model
+  in
+  let go retain_events =
+    let handlers, _ =
+      Core.Reliable.wrap ~config ~n:4
+        (W.protocol
+           ~timing:(Core.Wtlw.default_timing effective ~x:(rat 9 2))
+           (W.fresh_states ~n:4))
+    in
+    let engine =
+      Sim.Engine.create ~retain_events ~faults ~model:effective
+        ~offsets:(Array.make 4 Rat.zero)
+        ~delay:(Sim.Net.random_model ~seed:3 run_model)
+        ~handlers ()
+    in
+    let trace =
+      Closed_loop.run engine ~n:4 ~per_proc:6 ~think:(rat 1 2) ~seed:3
+        Spec.Register.gen_invocation
+    in
+    ( trace,
+      R.report_of_trace ~model:effective ~algorithm:"wtlw+reliable"
+        ~check:true trace )
   in
   let retained = go true and streamed = go false in
-  let f = streamed.R.faults in
+  let f = (snd streamed).R.faults in
   Alcotest.(check bool) "drops, duplicates and the crash were injected" true
     (f.dropped > 0 && f.duplicated > 0 && f.crashed = 1);
-  Alcotest.(check bool) "reports identical" true (retained = streamed)
+  check_retention ~name:"faulted register" retained streamed
 
 let all_types_cases =
   [
