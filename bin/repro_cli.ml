@@ -158,7 +158,10 @@ let load_cmd =
       value
       & opt rat_conv (Rat.make 1 5)
       & info [ "trough" ] ~docv:"F"
-          ~doc:"Diurnal trough intensity as a fraction of the peak, in [0,1].")
+          ~doc:
+            "Diurnal trough intensity as a fraction of the peak, in (0,1]: \
+             at 0 the gap drawn at the trough is infinite, and the run is \
+             refused as an unrepresentable arrival gap.")
   in
   let burst_arg =
     Arg.(

@@ -85,34 +85,25 @@ module Grouped = struct
 
   let create () = { table = Hashtbl.create 8; rev_order = [] }
 
-  let add g k x =
-    let acc =
-      match Hashtbl.find_opt g.table k with
-      | Some acc -> acc
-      | None ->
-          let acc = Acc.create () in
-          Hashtbl.add g.table k acc;
-          g.rev_order <- k :: g.rev_order;
-          acc
-    in
-    Acc.add acc x
+  (* [k]'s accumulator, created on first sight.  A hit allocates
+     nothing: no option per operation. *)
+  let acc g k =
+    match Hashtbl.find g.table k with
+    | acc -> acc
+    | exception Not_found ->
+        let acc = Acc.create () in
+        Hashtbl.add g.table k acc;
+        g.rev_order <- k :: g.rev_order;
+        acc
+
+  let add g k x = Acc.add (acc g k) x
 
   let summaries g =
     List.rev_map
       (fun k -> (k, Option.get (Acc.summary (Hashtbl.find g.table k))))
       g.rev_order
 
-  let absorb g k (s : summary) =
-    let acc =
-      match Hashtbl.find_opt g.table k with
-      | Some acc -> acc
-      | None ->
-          let acc = Acc.create () in
-          Hashtbl.add g.table k acc;
-          g.rev_order <- k :: g.rev_order;
-          acc
-    in
-    Acc.absorb acc s
+  let absorb g k (s : summary) = Acc.absorb (acc g k) s
 
   let merge g other = List.iter (fun (k, s) -> absorb g k s) (summaries other)
 end

@@ -66,9 +66,17 @@ type 'inv keyed = { at : Rat.t; key : int; inv : 'inv }
 (* Streaming generator.                                                *)
 
 module Gen = struct
+  (* An arrival process lowered to floats once, at [create]: the draw
+     loop reads the means it needs instead of converting the process's
+     rationals on every draw. *)
+  type shape =
+    | Exp of { mean : float }
+    | Burst of { mean : float; size : int }
+    | Day of { mean : float; period : float; trough : float }
+
   type 'inv t = {
     rng : Random.State.t;
-    arrival : arrival;
+    shape : shape;
     cum : float array;  (* cumulative Zipf key weights *)
     ops : int;
     invocation : Random.State.t -> key:int -> seq:int -> 'inv;
@@ -81,8 +89,28 @@ module Gen = struct
      times are exact small rationals: simulation arithmetic stays on
      the unboxed [Rat] fast path and admissibility checks are free of
      float noise.  Time is kept as an integer count of quanta, and an
-     arrival's [Rat.t] is built only when the arrival is emitted. *)
+     arrival's [Rat.t] is built only when the arrival is kept. *)
   let quantum = 1024
+
+  let lower = function
+    | Poisson { rate } -> Exp { mean = 1.0 /. Rat.to_float rate }
+    | Bursty { rate; size } ->
+        Burst { mean = float_of_int size /. Rat.to_float rate; size }
+    | Diurnal { rate; period; trough } ->
+        Day
+          {
+            mean = 1.0 /. Rat.to_float rate;
+            period = Rat.to_float period;
+            trough = Rat.to_float trough;
+          }
+
+  (* [exp_gap] draws u from the lattice [i / 1_000_001], i >= 1, so the
+     longest gap it can return is [-log (1 / 1_000_001)], about 13.82
+     means; a diurnal gap is further divided by the intensity, which
+     never falls below [trough]. *)
+  let max_gap = function
+    | Exp { mean } | Burst { mean; _ } -> log 1_000_001. *. mean
+    | Day { mean; trough; _ } -> log 1_000_001. *. mean /. trough
 
   let zipf_cum ~keys ~s =
     let w = Array.init keys (fun k -> 1.0 /. (float_of_int (k + 1) ** s)) in
@@ -94,14 +122,32 @@ module Gen = struct
         !acc)
       w
 
-  let create ~arrival ?(zipf = 0.0) ~keys ~ops ~seed ~invocation () =
+  let validate ~arrival ?(zipf = 0.0) ~keys ~ops () =
     validate_arrival arrival;
     if keys < 1 then invalid_arg "Workload.Gen.create: keys < 1";
     if ops < 0 then invalid_arg "Workload.Gen.create: ops < 0";
     if zipf < 0.0 then invalid_arg "Workload.Gen.create: zipf < 0";
+    (* Every time in the stream is an int count of quanta, so [ops]
+       gaps of the longest drawable length must fit in one; the test
+       is false for an infinite or nan gap too. *)
+    let gap = max_gap (lower arrival) in
+    if
+      not
+        (((gap *. float_of_int quantum) +. 1.0)
+         *. float_of_int (Stdlib.max ops 1)
+        < float_of_int max_int)
+    then
+      invalid_arg
+        (Printf.sprintf
+           "Workload.Gen.create: unrepresentable arrival gap: %s can draw a \
+            gap of %g time units, and %d of them do not fit in int quanta"
+           (arrival_label arrival) gap ops)
+
+  let create ~arrival ?(zipf = 0.0) ~keys ~ops ~seed ~invocation () =
+    validate ~arrival ~zipf ~keys ~ops ();
     {
       rng = Random.State.make [| 0x6c6f6164; seed |];
-      arrival;
+      shape = lower arrival;
       cum = zipf_cum ~keys ~s:zipf;
       ops;
       invocation;
@@ -125,28 +171,28 @@ module Gen = struct
   let two_pi = 8.0 *. atan 1.0
 
   let gap t =
-    match t.arrival with
-    | Poisson { rate } -> quantize (exp_gap t.rng ~mean:(1.0 /. Rat.to_float rate))
-    | Bursty { rate; size } ->
+    match t.shape with
+    | Exp { mean } -> quantize (exp_gap t.rng ~mean)
+    | Burst { mean; size } ->
         if t.burst_left > 0 then begin
           t.burst_left <- t.burst_left - 1;
           0
         end
         else begin
           t.burst_left <- size - 1;
-          quantize
-            (exp_gap t.rng ~mean:(float_of_int size /. Rat.to_float rate))
+          quantize (exp_gap t.rng ~mean)
         end
-    | Diurnal { rate; period; trough } ->
+    | Day { mean; period; trough } ->
         (* Thin a base Poisson stream by the day curve: the sampled gap
            stretches when the instantaneous intensity is low. *)
-        let base = exp_gap t.rng ~mean:(1.0 /. Rat.to_float rate) in
+        let base = exp_gap t.rng ~mean in
         (* [now / quantum] is the exact value [Rat.to_float] gave for
            the reduced fraction: both divide by a power of two. *)
         let now = float_of_int t.now /. float_of_int quantum in
-        let phase = two_pi *. now /. Rat.to_float period in
-        let tr = Rat.to_float trough in
-        let intensity = tr +. ((1.0 -. tr) *. (1.0 +. sin phase) /. 2.0) in
+        let phase = two_pi *. now /. period in
+        let intensity =
+          trough +. ((1.0 -. trough) *. (1.0 +. sin phase) /. 2.0)
+        in
         quantize (base /. intensity)
 
   let draw_key t =
@@ -162,23 +208,27 @@ module Gen = struct
       !lo
     end
 
-  (* The one generation step: the next arrival whose key [keep]
-     accepts.  Arrivals on other keys draw their gap, key and
-     invocation exactly as kept ones do, so every filter sees the same
-     global stream, but build no time, record or option. *)
-  let rec next_kept t ~keep =
-    if t.emitted >= t.ops then None
+  (* The one generation step: draw arrivals until [keep] accepts one
+     and return [kept now key inv] for it (its time in quanta), or
+     [exhausted] once [ops] arrivals are drawn.  Arrivals on other
+     keys draw their gap, key and invocation exactly as kept ones do,
+     so every filter sees the same global stream, but build nothing
+     else. *)
+  let rec pull t ~keep ~kept ~exhausted =
+    if t.emitted >= t.ops then exhausted
     else begin
       t.now <- t.now + gap t;
       let key = draw_key t in
       let inv = t.invocation t.rng ~key ~seq:t.emitted in
       t.emitted <- t.emitted + 1;
-      if keep key then Some { at = Rat.make t.now quantum; key; inv }
-      else next_kept t ~keep
+      if keep key then kept t.now key inv else pull t ~keep ~kept ~exhausted
     end
 
   let keep_all _ = true
-  let next t = next_kept t ~keep:keep_all
+
+  let next t =
+    pull t ~keep:keep_all ~exhausted:None ~kept:(fun now key inv ->
+        Some { at = Rat.make now quantum; key; inv })
 
   let emitted t = t.emitted
   let remaining t = t.ops - t.emitted
@@ -188,56 +238,144 @@ end
 (* Routing a stream onto processes.                                    *)
 
 module Route = struct
+  (* One process's dealt but not yet pulled arrivals: a ring of
+     parallel arrays, so dealing an arrival writes four slots and
+     allocates nothing beyond its time.  The arrays start empty and are created (and
+     doubled) on demand, filled with the invocation that needed them,
+     since there is no other ['inv] to fill them with. *)
+  type 'inv ring = {
+    mutable at : Rat.t array;  (* clamped invocation times *)
+    mutable quanta : int array;  (* generated times, in quanta *)
+    mutable key : int array;
+    mutable inv : 'inv array;
+    mutable head : int;
+    mutable len : int;
+  }
+
   type 'inv t = {
     gen : 'inv Gen.t;
     keep : int -> bool;
     procs : int;
-    buffers : (Rat.t * 'inv keyed) Queue.t array;
+    rings : 'inv ring array;
     last : Rat.t array;  (* last assigned arrival per process *)
     min_gap : Rat.t;
     mutable next_proc : int;
+    deal : int -> int -> 'inv -> bool;  (* [Gen.pull]'s [kept] *)
   }
+
+  let grow r inv =
+    let cap = Array.length r.key in
+    let cap' = Stdlib.max 4 (2 * cap) in
+    let at = Array.make cap' Rat.zero
+    and quanta = Array.make cap' 0
+    and key = Array.make cap' 0
+    and inv = Array.make cap' inv in
+    for j = 0 to r.len - 1 do
+      let i = (r.head + j) mod cap in
+      at.(j) <- r.at.(i);
+      quanta.(j) <- r.quanta.(i);
+      key.(j) <- r.key.(i);
+      inv.(j) <- r.inv.(i)
+    done;
+    r.at <- at;
+    r.quanta <- quanta;
+    r.key <- key;
+    r.inv <- inv;
+    r.head <- 0
+
+  (* Deal a kept arrival to the next process in the round, clamped to
+     that process's previous arrival plus [min_gap].  Returns [true],
+     which [fill]'s [Gen.pull] passes back. *)
+  let deal_to t now key inv =
+    let p = t.next_proc in
+    t.next_proc <- (if p + 1 = t.procs then 0 else p + 1);
+    let floor =
+      if Rat.sign t.min_gap = 0 then t.last.(p)
+      else Rat.add t.last.(p) t.min_gap
+    in
+    let at = Rat.max (Rat.make now Gen.quantum) floor in
+    t.last.(p) <- at;
+    let r = t.rings.(p) in
+    if r.len = Array.length r.key then grow r inv;
+    let cap = Array.length r.key in
+    let i = r.head + r.len in
+    let i = if i >= cap then i - cap else i in
+    r.at.(i) <- at;
+    r.quanta.(i) <- now;
+    r.key.(i) <- key;
+    r.inv.(i) <- inv;
+    r.len <- r.len + 1;
+    true
 
   let create ?(min_gap = Rat.zero) ~procs ~keep gen =
     if procs < 1 then invalid_arg "Workload.Route.create: procs < 1";
     if Rat.sign min_gap < 0 then
       invalid_arg "Workload.Route.create: min_gap < 0";
-    {
-      gen;
-      keep;
-      procs;
-      buffers = Array.init procs (fun _ -> Queue.create ());
-      (* Seeded so the first clamp is a no-op. *)
-      last = Array.make procs (Rat.neg min_gap);
-      min_gap;
-      next_proc = 0;
-    }
-
-  (* Pull the next kept arrival assigned to [proc].  Kept arrivals are
-     dealt round-robin across processes as they are generated; items
-     for other processes are buffered until their process pulls, so
-     buffers stay O(procs) deep and nothing is materialized. *)
-  let next t ~proc =
-    if proc < 0 || proc >= t.procs then invalid_arg "Workload.Route.next";
-    let rec refill () =
-      if not (Queue.is_empty t.buffers.(proc)) then
-        Some (Queue.pop t.buffers.(proc))
-      else
-        match Gen.next_kept t.gen ~keep:t.keep with
-        | None -> None
-        | Some item ->
-            let p = t.next_proc in
-            t.next_proc <- (p + 1) mod t.procs;
-            let floor =
-              if Rat.sign t.min_gap = 0 then t.last.(p)
-              else Rat.add t.last.(p) t.min_gap
-            in
-            let at = Rat.max item.at floor in
-            t.last.(p) <- at;
-            Queue.add (at, item) t.buffers.(p);
-            refill ()
+    let rec t =
+      {
+        gen;
+        keep;
+        procs;
+        rings =
+          Array.init procs (fun _ ->
+              {
+                at = [||];
+                quanta = [||];
+                key = [||];
+                inv = [||];
+                head = 0;
+                len = 0;
+              });
+        (* Seeded so the first clamp is a no-op. *)
+        last = Array.make procs (Rat.neg min_gap);
+        min_gap;
+        next_proc = 0;
+        deal = (fun now key inv -> deal_to t now key inv);
+      }
     in
-    refill ()
+    t
+
+  (* Generate until ring [r] holds an arrival; false once the stream is
+     exhausted.  Arrivals are dealt round-robin as they are generated;
+     those for other processes wait in their rings until their process
+     pulls, so nothing is materialized. *)
+  let rec fill t r =
+    r.len > 0
+    || (Gen.pull t.gen ~keep:t.keep ~kept:t.deal ~exhausted:false && fill t r)
+
+  (* Dequeue [proc]'s next arrival and return its ring slot, or -1
+     when the stream is exhausted for [proc].  The slot stays intact
+     until the next deal. *)
+  let pop t ~proc =
+    if proc < 0 || proc >= t.procs then invalid_arg "Workload.Route.next";
+    let r = t.rings.(proc) in
+    if fill t r then begin
+      let i = r.head in
+      r.head <- (if i + 1 = Array.length r.key then 0 else i + 1);
+      r.len <- r.len - 1;
+      i
+    end
+    else -1
+
+  let take t ~proc f =
+    let i = pop t ~proc in
+    if i < 0 then None
+    else
+      let r = t.rings.(proc) in
+      Some (f r.at.(i) ~key:r.key.(i) r.inv.(i))
+
+  let next t ~proc =
+    let i = pop t ~proc in
+    if i < 0 then None
+    else
+      let r = t.rings.(proc) in
+      Some
+        ( r.at.(i),
+          {
+            at = Rat.make r.quanta.(i) Gen.quantum;
+            key = r.key.(i);
+            inv = r.inv.(i);
+          } )
 end
 
 (* Drain a generator into an explicit schedule: a [Route] with every

@@ -68,8 +68,19 @@ module Gen : sig
       ([fun rng ~key:_ ~seq -> T.gen_tagged rng ~tag:seq]) produce
       unambiguous histories that the per-type monitors certify in
       O(n log n) instead of falling back to Wing-Gong.  Raises
-      [Invalid_argument] on non-positive rates, [keys < 1], [ops < 0]
-      or negative [zipf]. *)
+      [Invalid_argument] as {!validate} does. *)
+
+  val validate :
+    arrival:arrival -> ?zipf:float -> keys:int -> ops:int -> unit -> unit
+  (** The checks {!create} makes, for callers that validate a run's
+      description before generating it.  Raises [Invalid_argument] on
+      non-positive rates, a burst size below 1, a period that is not
+      positive, a trough outside [[0, 1]], [keys < 1], [ops < 0] or
+      negative [zipf]; and, naming it an ["unrepresentable arrival
+      gap"], on an arrival whose longest drawable gap (about 13.82
+      means, divided by [trough] for [Diurnal]) times [ops] does not
+      fit in int quanta of 1/1024 — a [Diurnal] trough of 0 among
+      them. *)
 
   val next : 'inv t -> 'inv keyed option
   (** The next arrival, or [None] once [ops] arrivals have been
@@ -81,9 +92,10 @@ end
 
 (** Demultiplex one generated stream onto processes.  Kept arrivals are
     dealt round-robin across [procs] processes in generation order;
-    each process pulls its own feed with {!Route.next}.  Buffers stay
-    O(procs) deep, so routing a million-op stream is O(1) memory per
-    pull. *)
+    each process pulls its own feed with {!Route.take}.  Each process's
+    buffer is a ring of parallel arrays, so dealing an arrival
+    allocates nothing beyond its time; buffers stay as deep as the
+    furthest a process falls behind the others. *)
 module Route : sig
   type 'inv t
 
@@ -95,10 +107,14 @@ module Route : sig
       [min_gap] (default 0) additionally spaces consecutive arrivals
       assigned to the same process. *)
 
+  val take : 'inv t -> proc:int -> (Rat.t -> key:int -> 'inv -> 'a) -> 'a option
+  (** [take t ~proc f] applies [f] to the clamped invocation time, key
+      and invocation of the next arrival assigned to [proc]; [None]
+      when the stream is exhausted for that process. *)
+
   val next : 'inv t -> proc:int -> (Rat.t * 'inv keyed) option
-  (** Next arrival assigned to [proc] (with its clamped invocation
-      time), or [None] when the stream is exhausted for that
-      process. *)
+  (** {!take} returning the arrival as generated, next to its clamped
+      invocation time. *)
 end
 
 val materialize :

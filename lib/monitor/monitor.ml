@@ -108,7 +108,11 @@ module Make (T : Spec.Data_type.S) = struct
       finish = o.resp_time;
     }
 
-  let fallback_check ?max_nodes ?order_failure ops reason =
+  (* Wing-Gong on the history as a list: [ops] when the caller passed
+     one, else built from [arr] — the only place the array entry
+     builds a list of the history. *)
+  let fallback_check ?max_nodes ?order_failure arr ops reason =
+    let ops = match ops with Some ops -> ops | None -> Array.to_list arr in
     let linearization = Fallback.check ?max_nodes ops in
     {
       linearizable = Option.is_some linearization;
@@ -247,11 +251,8 @@ module Make (T : Spec.Data_type.S) = struct
      order, if one was supplied, then Wing-Gong. *)
   let undecided ?max_nodes ?order arr ops reason =
     match order with
-    | None -> fallback_check ?max_nodes ops reason
+    | None -> fallback_check ?max_nodes arr ops reason
     | Some order_of -> (
-        let arr =
-          match arr with Some arr -> arr | None -> Array.of_list ops
-        in
         match verify_order arr (order_of arr) with
         | Ok lin ->
             {
@@ -262,18 +263,18 @@ module Make (T : Spec.Data_type.S) = struct
               violation = None;
               order_failure = None;
             }
-        | Error f -> fallback_check ?max_nodes ~order_failure:f ops reason)
+        | Error f -> fallback_check ?max_nodes ~order_failure:f arr ops reason)
 
-  let check ?max_nodes ?order (ops : op list) : result =
+  (* The one check; [ops] is [arr] as a list when the caller has one. *)
+  let check_with ?max_nodes ?order (arr : op array) ops : result =
     match viewer with
     | None ->
-        undecided ?max_nodes ?order None ops
+        undecided ?max_nodes ?order arr ops
           "no specialized monitor for this type"
     | Some vw -> (
-        let arr = Array.of_list ops in
         let records = Array.mapi (record_of vw) arr in
         if Array.exists (fun r -> r.Record.obs = V.Opaque) records then
-          undecided ?max_nodes ?order (Some arr) ops
+          undecided ?max_nodes ?order arr ops
             "history contains an observation outside the monitor vocabulary"
         else
           match kernel_for vw.V.kind records with
@@ -286,7 +287,7 @@ module Make (T : Spec.Data_type.S) = struct
                 violation = Some v;
                 order_failure = None;
               }
-          | Record.Unknown why -> undecided ?max_nodes ?order (Some arr) ops why
+          | Record.Unknown why -> undecided ?max_nodes ?order arr ops why
           | Record.Order order' -> (
               match verify_order arr order' with
               | Ok lin ->
@@ -299,8 +300,13 @@ module Make (T : Spec.Data_type.S) = struct
                     order_failure = None;
                   }
               | Error f ->
-                  undecided ?max_nodes ?order (Some arr) ops
+                  undecided ?max_nodes ?order arr ops
                     ("certificate " ^ order_failure_reason f)))
+
+  let check_array ?max_nodes ?order arr = check_with ?max_nodes ?order arr None
+
+  let check ?max_nodes ?order ops =
+    check_with ?max_nodes ?order (Array.of_list ops) (Some ops)
 
   let is_linearizable ?max_nodes ops = (check ?max_nodes ops).linearizable
 

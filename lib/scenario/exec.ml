@@ -178,9 +178,8 @@ module Run (T : Spec.Data_type.S) = struct
                  {
                    next =
                      (fun ~proc ->
-                       Option.map
-                         (fun (at, k) -> (at, k.Core.Workload.inv))
-                         (Core.Workload.Route.next route ~proc));
+                       Core.Workload.Route.take route ~proc
+                         (fun at ~key:_ inv -> (at, inv)));
                  })
         | exception Invalid_argument m -> Error ("generated workload: " ^ m))
 

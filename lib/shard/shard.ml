@@ -48,6 +48,7 @@ module Config = struct
     if shards < 1 then invalid_arg "Shard.Config.make: shards < 1";
     if ops < 0 then invalid_arg "Shard.Config.make: ops < 0";
     if keys < 1 then invalid_arg "Shard.Config.make: keys < 1";
+    Workload.Gen.validate ~arrival ~zipf ~keys ~ops ();
     {
       shards;
       ops;
@@ -182,9 +183,8 @@ module Make (T : Spec.Data_type.S) = struct
         gen
     in
     let next ~proc =
-      match Workload.Route.next route ~proc with
-      | None -> None
-      | Some (at, item) -> Some (at, { KT.key = item.key; inv = item.inv })
+      Workload.Route.take route ~proc (fun at ~key inv ->
+          (at, { KT.key; inv }))
     in
     (* The engine's default step limit is sized for single small runs;
        a million-op shard needs headroom proportional to its share of
@@ -210,17 +210,21 @@ module Make (T : Spec.Data_type.S) = struct
       | Some config -> R.Config.reliable ~config rcfg
     in
     let report = R.run rcfg in
-    (* Certify per key, exploiting locality: group the shard's
-       completed operations by key (preserving invocation order) and
-       run the per-type checker on each projection. *)
-    let by_key : (int, (T.invocation, T.response) Sim.Trace.operation list ref)
-        Hashtbl.t =
-      Hashtbl.create 64
-    in
+    (* Certify per key, exploiting locality: a counting sort deals the
+       shard's completed operations (in invocation order) into one
+       array per key, and each key's array is certified on its own. *)
+    let counts = Array.make cfg.keys 0 in
     List.iter
       (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
         let key = op.inv.KT.key in
-        let projected =
+        counts.(key) <- counts.(key) + 1)
+      report.operations;
+    let by_key = Array.make cfg.keys [||]
+    and filled = Array.make cfg.keys 0 in
+    List.iter
+      (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
+        let key = op.inv.KT.key in
+        let projected : Mon.op =
           {
             Sim.Trace.proc = op.proc;
             inv = op.inv.KT.inv;
@@ -229,35 +233,31 @@ module Make (T : Spec.Data_type.S) = struct
             resp_time = op.resp_time;
           }
         in
-        let cell =
-          match Hashtbl.find_opt by_key key with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.add by_key key r;
-              r
-        in
-        cell := projected :: !cell)
+        if filled.(key) = 0 then
+          by_key.(key) <- Array.make counts.(key) projected
+        else by_key.(key).(filled.(key)) <- projected;
+        filled.(key) <- filled.(key) + 1)
       report.operations;
-    let keys =
-      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key [])
-    in
-    let uncertified = ref [] and fallbacks = ref 0 in
-    List.iter
-      (fun key ->
-        let ops = List.rev !(Hashtbl.find by_key key) in
-        let linearizable =
-          match cfg.checker with
-          | Core.Runtime.Wing_gong ->
-              Option.is_some
-                (Checker.check ?max_nodes:cfg.max_check_nodes ops)
-          | Core.Runtime.Monitor ->
-              let r = Mon.check ?max_nodes:cfg.max_check_nodes ops in
-              if Option.is_some r.Mon.fallback then incr fallbacks;
-              r.Mon.linearizable
-        in
-        if not linearizable then uncertified := key :: !uncertified)
-      keys;
+    let keys = ref 0 and uncertified = ref [] and fallbacks = ref 0 in
+    Array.iteri
+      (fun key ops ->
+        if Array.length ops > 0 then begin
+          incr keys;
+          let linearizable =
+            match cfg.checker with
+            | Core.Runtime.Wing_gong ->
+                Option.is_some
+                  (Checker.check ?max_nodes:cfg.max_check_nodes
+                     (Array.to_list ops))
+            | Core.Runtime.Monitor ->
+                let r = Mon.check_array ?max_nodes:cfg.max_check_nodes ops in
+                if Option.is_some r.Mon.fallback then incr fallbacks;
+                r.Mon.linearizable
+          in
+          if not linearizable then uncertified := key :: !uncertified
+        end)
+      by_key;
+    let keys = !keys in
     let uncertified_keys = List.rev !uncertified in
     let linearizable = uncertified_keys = [] in
     let healthy =
@@ -268,14 +268,14 @@ module Make (T : Spec.Data_type.S) = struct
     let checked_by =
       match cfg.checker with
       | Core.Runtime.Wing_gong ->
-          Printf.sprintf "per-key wing-gong (%d keys)" (List.length keys)
+          Printf.sprintf "per-key wing-gong (%d keys)" keys
       | Core.Runtime.Monitor ->
-          Printf.sprintf "per-key monitor (%d keys, %d fallbacks)"
-            (List.length keys) !fallbacks
+          Printf.sprintf "per-key monitor (%d keys, %d fallbacks)" keys
+            !fallbacks
     in
     {
       shard;
-      keys = List.length keys;
+      keys;
       operations = List.length report.operations;
       messages = report.messages;
       events = report.events;

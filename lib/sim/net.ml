@@ -18,11 +18,13 @@ let random ~seed ~lo ~hi ~granularity =
   if Rat.gt lo hi then invalid_arg "Net.random: lo > hi";
   let state = Random.State.make [| seed |] in
   let step = Rat.div_int (Rat.sub hi lo) granularity in
-  let pick ~src:_ ~dst:_ ~time:_ ~seq:_ =
-    let k = Random.State.int state (granularity + 1) in
-    Rat.add lo (Rat.mul_int step k)
+  (* The grid is built once, so a draw is an index and builds no
+     rational. *)
+  let grid =
+    Array.init (granularity + 1) (fun k -> Rat.add lo (Rat.mul_int step k))
   in
-  Fn pick
+  Fn (fun ~src:_ ~dst:_ ~time:_ ~seq:_ ->
+      grid.(Random.State.int state (granularity + 1)))
 
 let random_model ~seed (m : Model.t) =
   random ~seed ~lo:(Model.min_delay m) ~hi:m.d ~granularity:16

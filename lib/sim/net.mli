@@ -20,8 +20,8 @@ val fn : (src:int -> dst:int -> time:Rat.t -> seq:int -> Rat.t) -> t
 
 val random : seed:int -> lo:Rat.t -> hi:Rat.t -> granularity:int -> t
 (** Delays drawn independently and uniformly from the [granularity + 1]
-    evenly spaced rationals spanning [[lo, hi]].  Deterministic for a
-    fixed seed. *)
+    evenly spaced rationals spanning [[lo, hi]], built once at
+    creation.  Deterministic for a fixed seed. *)
 
 val random_model : seed:int -> Model.t -> t
 (** {!random} spanning the model's admissible interval [[d - u, d]] with

@@ -11,39 +11,48 @@
     the sharded runtime in [lib/shard] does; like {!Product}, the
     fused family itself carries no single-shape monitor).
 
-    States are canonical up to [equal_state]: the state is a
-    key-sorted association list, and [equal_state]/[show_state]
-    disregard keys that are still in (or back at) their initial state
-    — so two family states are [equal_state] iff they are
-    observationally indistinguishable, provided [T]'s states are
-    themselves canonical.  The filtering happens at comparison time,
-    not on every [apply]: probing [T.equal_state s T.initial] per
-    update would cost O(|sub-state|) on types whose equality
-    normalizes (the batched queue), turning a long single-key run
-    quadratic. *)
+    States are canonical up to [equal_state]: the state is a flat
+    key-sorted chain, one block per touched key, and
+    [equal_state]/[show_state] disregard keys that are still in (or
+    back at) their initial state — so two family states are
+    [equal_state] iff they are observationally indistinguishable,
+    provided [T]'s states are themselves canonical.  The filtering
+    happens at comparison time, not on every [apply]: probing
+    [T.equal_state s T.initial] per update would cost O(|sub-state|)
+    on types whose equality normalizes (the batched queue), turning a
+    long single-key run quadratic. *)
 
 module Make (T : Data_type.S) = struct
-  type state = (int * T.state) list
+  (* [Node (k, s, rest)]: key [k] has sub-state [s]; keys ascend along
+     the chain. *)
+  type state = Nil | Node of int * T.state * state
   type invocation = { key : int; inv : T.invocation }
   type response = T.response
 
   let name = "keyed-" ^ T.name
-  let initial = []
+  let initial = Nil
 
-  (* Replace [key]'s sub-state, keeping the list key-sorted.  Keys
-     that have returned to their initial sub-state stay in the list
-     (filtered out only by [strip] below, at comparison time). *)
+  let rec find key = function
+    | Nil -> T.initial
+    | Node (k, s, rest) ->
+        if k < key then find key rest else if k = key then s else T.initial
+
+  (* Replace [key]'s sub-state, keeping the chain key-sorted.  Keys
+     that have returned to their initial sub-state stay in the chain
+     (skipped only at comparison time, below). *)
   let rec update key s' = function
-    | [] -> [ (key, s') ]
-    | ((k, _) as entry) :: rest ->
-        if k < key then entry :: update key s' rest
-        else if k = key then (key, s') :: rest
-        else (key, s') :: entry :: rest
+    | Nil -> Node (key, s', Nil)
+    | Node (k, s, rest) as node ->
+        if k < key then Node (k, s, update key s' rest)
+        else if k = key then Node (key, s', rest)
+        else Node (key, s', node)
 
+  (* An operation that leaves its key's sub-state physically unchanged
+     (a read, a failed take) leaves the chain as it is. *)
   let apply st { key; inv } =
-    let s = match List.assoc_opt key st with Some s -> s | None -> T.initial in
+    let s = find key st in
     let s', resp = T.apply s inv in
-    (update key s' st, resp)
+    ((if s' == s then st else update key s' st), resp)
 
   (* Operation names are the underlying type's, untagged: the family
      has the same operation set (and classification) as its element
@@ -52,16 +61,18 @@ module Make (T : Data_type.S) = struct
   let op_of { inv; _ } = T.op_of inv
   let operations = T.operations
 
-  (* Canonical view: drop keys indistinguishable from untouched. *)
-  let strip st =
-    List.filter (fun (_, s) -> not (T.equal_state s T.initial)) st
+  (* Canonical view: the first node at or after [st] whose sub-state
+     is distinguishable from untouched. *)
+  let rec strip = function
+    | Node (_, s, rest) when T.equal_state s T.initial -> strip rest
+    | st -> st
 
-  let equal_state st1 st2 =
-    let st1 = strip st1 and st2 = strip st2 in
-    List.length st1 = List.length st2
-    && List.for_all2
-         (fun (k1, s1) (k2, s2) -> k1 = k2 && T.equal_state s1 s2)
-         st1 st2
+  let rec equal_state st1 st2 =
+    match (strip st1, strip st2) with
+    | Nil, Nil -> true
+    | Node (k1, s1, r1), Node (k2, s2, r2) ->
+        k1 = k2 && T.equal_state s1 s2 && equal_state r1 r2
+    | Nil, Node _ | Node _, Nil -> false
 
   let equal_invocation i1 i2 =
     i1.key = i2.key && T.equal_invocation i1.inv i2.inv
@@ -69,12 +80,13 @@ module Make (T : Data_type.S) = struct
   let equal_response = T.equal_response
 
   let show_state st =
-    "{"
-    ^ String.concat "; "
-        (List.map
-           (fun (k, s) -> Printf.sprintf "%d:%s" k (T.show_state s))
-           (strip st))
-    ^ "}"
+    let rec shown acc st =
+      match strip st with
+      | Nil -> List.rev acc
+      | Node (k, s, rest) ->
+          shown (Printf.sprintf "%d:%s" k (T.show_state s) :: acc) rest
+    in
+    "{" ^ String.concat "; " (shown [] st) ^ "}"
 
   let pp_state ppf st = Format.pp_print_string ppf (show_state st)
 

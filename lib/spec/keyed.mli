@@ -16,7 +16,6 @@ module Make (T : Data_type.S) : sig
 
   include
     Data_type.S
-      with type state = (int * T.state) list
-       and type invocation := invocation
+      with type invocation := invocation
        and type response = T.response
 end

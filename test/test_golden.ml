@@ -82,8 +82,41 @@ let lossy_register_cfg =
        ~algorithm:(Core.Runtime.Wtlw { x = Rat.make 9 2 })
        ~seed:11 ())
 
+(* The same queue load under bursty and diurnal arrivals, and the
+   lossy register leg under diurnal arrivals: every arrival kind's
+   generation, routing and clamping feeds a pinned fingerprint. *)
+let bursty_queue_cfg =
+  Shard.Config.make ~shards:3 ~ops:600 ~keys:16 ~zipf:0.8
+    ~arrival:(Core.Workload.Bursty { rate = Rat.one; size = 4 })
+    ~model
+    ~algorithm:(Core.Runtime.Wtlw { x = Rat.of_int 3 })
+    ~seed:5 ()
+
+let diurnal =
+  Core.Workload.Diurnal
+    { rate = Rat.one; period = Rat.of_int 50; trough = Rat.make 1 5 }
+
+let diurnal_queue_cfg =
+  Shard.Config.make ~shards:3 ~ops:600 ~keys:16 ~zipf:0.8 ~arrival:diurnal
+    ~model
+    ~algorithm:(Core.Runtime.Wtlw { x = Rat.of_int 3 })
+    ~seed:5 ()
+
+let lossy_diurnal_register_cfg =
+  Shard.Config.reliable
+    (Shard.Config.make ~shards:3 ~ops:600 ~keys:16
+       ~faults:
+         (Sim.Fault.plan ~seed:3
+            [ Sim.Fault.drops 0.05; Sim.Fault.duplicates 0.02 ])
+       ~arrival:diurnal ~model
+       ~algorithm:(Core.Runtime.Wtlw { x = Rat.make 9 2 })
+       ~seed:11 ())
+
 let queue_golden = "5a121aed2770c595d5dd0f135aa1b344"
 let register_golden = "cac0e63077294ba777e506c3582bff73"
+let bursty_queue_golden = "8853b859aaaa2a953458b5b3a8aab449"
+let diurnal_queue_golden = "9e905352f8e987e5fa0eacdf8ede32c7"
+let lossy_diurnal_golden = "2d261b29dc564bb85d97895b7398914a"
 
 let shard_golden ~name ~golden cfg pt () =
   let fp1 = Shard.fingerprint (Shard.run ~jobs:1 cfg pt) in
@@ -166,6 +199,17 @@ let () =
           Alcotest.test_case "lossy register at jobs 1, 2 and resumed" `Quick
             (shard_golden ~name:"register" ~golden:register_golden
                lossy_register_cfg (packed "register"));
+          Alcotest.test_case "bursty queue at jobs 1, 2 and resumed" `Quick
+            (shard_golden ~name:"bursty-queue" ~golden:bursty_queue_golden
+               bursty_queue_cfg (packed "queue"));
+          Alcotest.test_case "diurnal queue at jobs 1, 2 and resumed" `Quick
+            (shard_golden ~name:"diurnal-queue" ~golden:diurnal_queue_golden
+               diurnal_queue_cfg (packed "queue"));
+          Alcotest.test_case "lossy diurnal register at jobs 1, 2 and resumed"
+            `Quick
+            (shard_golden ~name:"diurnal-register"
+               ~golden:lossy_diurnal_golden lossy_diurnal_register_cfg
+               (packed "register"));
           Alcotest.test_case "schema-1 shard journal is refused" `Quick
             test_schema1_shard_journal_refused;
         ] );

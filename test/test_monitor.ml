@@ -315,6 +315,97 @@ let deq ~proc ~s ~e v = qop ~proc ~s ~e Spec.Fifo_queue.Dequeue (Got v)
 let qpeek ~proc ~s ~e v = qop ~proc ~s ~e Spec.Fifo_queue.Peek (Got v)
 let verdict (r : MQ.result) = (r.linearizable, r.violation)
 
+(* ---------- the array and list entries agree ---------------------- *)
+
+(* [check] is [check_array] over [Array.of_list]; the array entry
+   builds a list only for Wing-Gong.  Both must return the same result
+   — verdict, method, reasons, witness and linearization — on every
+   path: kernel accept, kernel reject, opaque fallback, unmonitored
+   types, and a supplied order that replays or is refused. *)
+module Entries (T : Spec.Data_type.S) = struct
+  module M = Monitor.Make (T)
+
+  let agree label ?order ops =
+    let l = M.check ?order ops in
+    let a = M.check_array ?order (Array.of_list ops) in
+    Alcotest.(check bool) (T.name ^ " " ^ label ^ ": same result") true (l = a);
+    l
+
+  (* Every generated history, and its corruption, on both entries. *)
+  let generated ~seeds ~n =
+    for seed = 0 to seeds - 1 do
+      let clean = M.generate ~seed ~n () in
+      let r = agree (Printf.sprintf "seed %d clean" seed) clean in
+      Alcotest.(check bool) "clean accepted" true r.M.linearizable;
+      let bad, injected = M.corrupt clean in
+      if injected then
+        ignore (agree (Printf.sprintf "seed %d corrupt" seed) bad)
+    done
+
+  (* A sequential history: each operation answered as [T.apply] does,
+     one after another; identity is its linearization. *)
+  let sequential ~seed ~n : M.op list =
+    let rng = Random.State.make [| seed |] in
+    let st = ref T.initial in
+    List.init n (fun i ->
+        let inv = T.gen_invocation rng in
+        let st', resp = T.apply !st inv in
+        st := st';
+        {
+          Sim.Trace.proc = i mod 3;
+          inv;
+          resp;
+          inv_time = rat (10 * i) 1;
+          resp_time = rat ((10 * i) + 5) 1;
+        })
+end
+
+let test_entries_agree () =
+  let module Q = Entries (Spec.Fifo_queue) in
+  Q.generated ~seeds:8 ~n:14;
+  let r = Q.agree "large clean" (Q.M.generate ~seed:3 ~n:400 ()) in
+  Alcotest.(check bool) "certified by the queue kernel" true
+    (r.Q.M.method_ = Monitor.Specialized Spec.Adt_view.Queue);
+  let violating =
+    [
+      enq ~proc:0 ~s:0 ~e:10 1;
+      enq ~proc:1 ~s:20 ~e:30 2;
+      deq ~proc:0 ~s:40 ~e:50 (Some 2);
+    ]
+  in
+  let r = Q.agree "fifo violated" violating in
+  Alcotest.(check bool) "rejected by the kernel" true
+    (r.Q.M.violation <> None);
+  (* an enqueue answered like a dequeue is outside the vocabulary *)
+  let opaque =
+    List.mapi
+      (fun i (o : MQ.op) ->
+        if i = 0 then { o with resp = Spec.Fifo_queue.Got (Some 7) } else o)
+      (Q.M.generate ~seed:5 ~n:10 ())
+  in
+  let r = Q.agree "opaque" opaque in
+  Alcotest.(check bool) "opaque goes to wing-gong" true
+    (r.Q.M.method_ = Monitor.Wing_gong);
+  let identity arr = List.init (Array.length arr) Fun.id in
+  let r = Q.agree "opaque, order supplied" ~order:identity opaque in
+  Alcotest.(check bool) "opaque order refused" true
+    (r.Q.M.order_failure <> None);
+  let module C = Entries (Spec.Counter_type) in
+  let seq = C.sequential ~seed:2 ~n:12 in
+  let r = C.agree "unmonitored" seq in
+  Alcotest.(check bool) "unmonitored by wing-gong" true
+    (r.C.M.method_ = Monitor.Wing_gong);
+  let r = C.agree "unmonitored, order supplied" ~order:identity seq in
+  Alcotest.(check bool) "unmonitored by its order" true
+    (r.C.M.method_ = Monitor.Protocol_order);
+  let r =
+    C.agree "unmonitored, order refused"
+      ~order:(fun arr -> List.rev (identity arr))
+      seq
+  in
+  Alcotest.(check bool) "reversed order refused" true
+    (r.C.M.order_failure <> None)
+
 let test_queue_adversarial () =
   (* concurrent enqueues: the dequeue order decides, accept *)
   let r =
@@ -759,6 +850,8 @@ let () =
             test_empty_coverage_reference;
           Alcotest.test_case "unmonitored type falls back" `Quick
             test_unmonitored_fallback;
+          Alcotest.test_case "array and list entries agree" `Quick
+            test_entries_agree;
         ] );
       ( "adversarial histories",
         [

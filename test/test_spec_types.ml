@@ -327,6 +327,70 @@ let prop_queue_fifo =
       in
       is_prefix dequeued enqueued)
 
+(* qcheck: the keyed family's flat chain against a reference model, a
+   map from key to sub-state in which a missing key is in its initial
+   state.  Over random operation scripts on a few keys, [apply] returns
+   the model's responses, and [equal_state] and [show_state] agree with
+   the model's, which ignores sub-states equal to the initial one.
+   Small keys and values make equal and emptied states common. *)
+module Keyed_model (T : Spec.Data_type.S) = struct
+  module K = Spec.Keyed.Make (T)
+  module M = Map.Make (Int)
+
+  let visible m = M.filter (fun _ s -> not (T.equal_state s T.initial)) m
+  let equal m1 m2 = M.equal T.equal_state (visible m1) (visible m2)
+
+  let show m =
+    "{"
+    ^ String.concat "; "
+        (List.map
+           (fun (k, s) -> Printf.sprintf "%d:%s" k (T.show_state s))
+           (M.bindings (visible m)))
+    ^ "}"
+
+  (* Run [invs] on both; [None] once a response differs. *)
+  let run invs =
+    List.fold_left
+      (fun acc ({ K.key; inv } as i) ->
+        Option.bind acc (fun (st, m) ->
+            let st', r = K.apply st i in
+            let sub = Option.value (M.find_opt key m) ~default:T.initial in
+            let sub', r' = T.apply sub inv in
+            if T.equal_response r r' then Some (st', M.add key sub' m)
+            else None))
+      (Some (K.initial, M.empty))
+      invs
+
+  let prop ~decode =
+    QCheck.Test.make
+      ~name:(K.name ^ ": flat chain agrees with a map of sub-states")
+      ~count:300
+      (let script =
+         QCheck.(
+           list_of_size (QCheck.Gen.int_range 0 30)
+             (pair (int_range 0 3) (int_range 0 5)))
+       in
+       QCheck.pair script script)
+      (fun (a, b) ->
+        let invs = List.map (fun (key, c) -> { K.key; inv = decode c }) in
+        match (run (invs a), run (invs b)) with
+        | Some (st1, m1), Some (st2, m2) ->
+            K.show_state st1 = show m1
+            && K.show_state st2 = show m2
+            && K.equal_state st1 st2 = equal m1 m2
+            && K.equal_state st1 st1
+        | _ -> false)
+end
+
+let prop_keyed_queue =
+  let module KM = Keyed_model (Q) in
+  KM.prop ~decode:(fun c ->
+      if c < 2 then Q.Enqueue c else if c < 5 then Q.Dequeue else Q.Peek)
+
+let prop_keyed_register =
+  let module KM = Keyed_model (Reg) in
+  KM.prop ~decode:(fun c -> if c < 3 then Reg.Write (c mod 2) else Reg.Read)
+
 (* qcheck: tree invariant — every stored node has a well-defined
    positive depth (parents exist, no cycles), under any sequence. *)
 let prop_tree_well_formed =
@@ -388,5 +452,11 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_queue_fifo; prop_tree_well_formed; prop_set_sorted ] );
+          [
+            prop_queue_fifo;
+            prop_tree_well_formed;
+            prop_set_sorted;
+            prop_keyed_queue;
+            prop_keyed_register;
+          ] );
     ]

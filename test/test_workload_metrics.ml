@@ -237,6 +237,139 @@ let test_route_round_robin_and_min_gap () =
        kept);
   Alcotest.(check bool) "some were dropped" true (List.length kept < 200)
 
+let contains haystack needle =
+  let nlen = String.length needle and hlen = String.length haystack in
+  let rec at i =
+    i + nlen <= hlen && (String.sub haystack i nlen = needle || at (i + 1))
+  in
+  at 0
+
+(* At a diurnal trough of 0 the intensity vanishes and the gap drawn
+   there is infinite.  Quantized, such a gap (or any finite one too
+   long for int quanta) wraps to one quantum, so the next arrival would
+   come 1/1024 later instead of never.  Every entry that lowers an
+   arrival refuses it by name: the generator, the sharded run's config
+   and the scenario lowering. *)
+let test_unrepresentable_gap_rejected () =
+  let named f =
+    match f () with
+    | exception Invalid_argument m -> contains m "unrepresentable arrival gap"
+    | _ -> false
+  in
+  let zero_trough =
+    Core.Workload.Diurnal
+      { rate = rat 4 1; period = Rat.one; trough = Rat.zero }
+  in
+  Alcotest.(check bool) "trough 0 refused by Gen.create" true
+    (named (fun () -> mk_gen ~arrival:zero_trough ()));
+  Alcotest.(check bool) "trough 0 refused even for 0 ops" true
+    (named (fun () -> mk_gen ~arrival:zero_trough ~ops:0 ()));
+  (* Longest Poisson gap at rate 2^-40: about 1.5e13 time units, 1.6e16
+     quanta; a hundred fit in an int, a thousand do not. *)
+  let slow = Core.Workload.Poisson { rate = rat 1 (1 lsl 40) } in
+  Alcotest.(check bool) "100 slow gaps fit" false
+    (named (fun () -> mk_gen ~arrival:slow ~ops:100 ()));
+  Alcotest.(check bool) "1000 slow gaps refused" true
+    (named (fun () -> mk_gen ~arrival:slow ~ops:1000 ()));
+  Alcotest.(check bool) "a small positive trough is accepted" false
+    (named (fun () ->
+         mk_gen
+           ~arrival:
+             (Core.Workload.Diurnal
+                { rate = rat 4 1; period = Rat.one; trough = rat 1 1000 })
+           ()));
+  let model = Sim.Model.make_optimal_eps ~n:3 ~d:(rat 10 1) ~u:(rat 4 1) in
+  Alcotest.(check bool) "trough 0 refused by Shard.Config.make" true
+    (named (fun () ->
+         Shard.Config.make ~shards:2 ~ops:100 ~arrival:zero_trough ~model
+           ~algorithm:(Core.Runtime.Wtlw { x = rat 3 1 })
+           ()));
+  let o =
+    Scenario.run
+      (Scenario.make ~name:"zero-trough" ~dt:"queue" ~model
+         ~algorithm:
+           (Scenario.Wtlw { x = rat 3 1; knob = Core.Ablation.Paper })
+         ~workload:
+           (Scenario.Generated
+              { arrival = zero_trough; zipf = 0.0; keys = 4; ops = 100 })
+         ())
+  in
+  Alcotest.(check bool) "trough 0 refused by scenario lowering" true
+    (match o.Scenario.Exec.diagnostic with
+    | Some d -> contains d "unrepresentable arrival gap"
+    | None -> false)
+
+(* Every process's [Route] feed is the reference deal: the [keep]-
+   filtered [Gen.next] stream dealt round-robin in generation order,
+   each arrival clamped to its process's previous one plus [min_gap].
+   Processes pull in a random order, so one process can run far ahead
+   of the others and their buffers grow and wrap. *)
+let prop_route_is_round_robin_deal =
+  QCheck.Test.make ~name:"route feeds equal a round-robin deal of the stream"
+    ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 1 6) (int_range 0 8) (int_range 1 4) (int_range 0 3))
+        (pair (int_range 0 300) (int_range 0 1_000_000)))
+    (fun ((procs, gap, modulus, residue), (ops, seed)) ->
+      let min_gap = rat gap 4 in
+      let keep k = k mod modulus = residue mod modulus in
+      let arrival = Core.Workload.Bursty { rate = rat 3 2; size = 3 } in
+      let expected = Array.make procs [] in
+      let last = Array.make procs (Rat.neg min_gap) in
+      let dealt = ref 0 in
+      List.iter
+        (fun (a : (int * int) Core.Workload.keyed) ->
+          if keep a.key then begin
+            let p = !dealt mod procs in
+            incr dealt;
+            let at = Rat.max a.at (Rat.add last.(p) min_gap) in
+            last.(p) <- at;
+            expected.(p) <- (at, a) :: expected.(p)
+          end)
+        (drain (mk_gen ~arrival ~zipf:0.7 ~ops ~seed ()));
+      let route =
+        Core.Workload.Route.create ~min_gap ~procs ~keep
+          (mk_gen ~arrival ~zipf:0.7 ~ops ~seed ())
+      in
+      let got = Array.make procs [] in
+      let live = ref (List.init procs Fun.id) in
+      let rng = Random.State.make [| seed |] in
+      while !live <> [] do
+        let proc = List.nth !live (Random.State.int rng (List.length !live)) in
+        match Core.Workload.Route.next route ~proc with
+        | Some item -> got.(proc) <- item :: got.(proc)
+        | None -> live := List.filter (( <> ) proc) !live
+      done;
+      Array.for_all2
+        (fun e g ->
+          List.equal
+            (fun (t1, (a1 : (int * int) Core.Workload.keyed)) (t2, a2) ->
+              Rat.equal t1 t2 && Rat.equal a1.at a2.at && a1.key = a2.key
+              && a1.inv = a2.inv)
+            e g)
+        expected got)
+
+(* ---------------- delay model ---------------- *)
+
+(* Delays [Net.random] draws for two seeds, pinned before its grid of
+   [granularity + 1] delays was precomputed: a seed must keep drawing
+   the same delays, in the same order. *)
+let test_net_random_pinned () =
+  let draws net =
+    String.concat " "
+      (List.init 16 (fun seq ->
+           Rat.to_string
+             (Sim.Net.delay net ~src:(seq mod 3) ~dst:((seq + 1) mod 3)
+                ~time:(rat seq 2) ~seq)))
+  in
+  let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  Alcotest.(check string) "random_model, seed 9" "39/4 19/2 37/4 21/2 10 47/4 41/4 11 11 11 43/4 35/4 8 37/4 19/2 10"
+    (draws (Sim.Net.random_model ~seed:9 model));
+  Alcotest.(check string) "lo 3/2, hi 7, granularity 5, seed 1234" "37/10 13/5 7 3/2 37/10 24/5 7 3/2 59/10 3/2 13/5 7 3/2 59/10 7 59/10"
+    (draws
+       (Sim.Net.random ~seed:1234 ~lo:(rat 3 2) ~hi:(rat 7 1) ~granularity:5))
+
 (* ---------------- histogram ---------------- *)
 
 let test_hist_quantiles () =
@@ -344,6 +477,14 @@ let () =
             test_gen_bursty_and_diurnal;
           Alcotest.test_case "route round-robin, min gap" `Quick
             test_route_round_robin_and_min_gap;
+          QCheck_alcotest.to_alcotest prop_route_is_round_robin_deal;
+          Alcotest.test_case "unrepresentable gaps refused" `Quick
+            test_unrepresentable_gap_rejected;
+        ] );
+      ( "delay model",
+        [
+          Alcotest.test_case "random draws pinned" `Quick
+            test_net_random_pinned;
         ] );
       ( "metrics",
         [
