@@ -109,16 +109,20 @@ module Grouped = struct
 end
 
 (* Streaming log-bucketed latency histogram.  Values land in
-   geometrically sized buckets (16 per octave, ~4.4% relative width), so
-   state is a few hundred ints regardless of how many million samples
-   stream through, and merging two histograms is bucket-wise integer
-   addition — commutative and associative, so a merged campaign
-   histogram does not depend on the order of its parts.  Count, min,
+   geometrically sized buckets (16 per octave, ~4.4% relative width),
+   and only the window of buckets between the smallest and the largest
+   one seen is stored: nothing before the first sample, typically a
+   few dozen ints after, however many million samples stream through.
+   Merging two histograms is bucket-wise integer addition —
+   commutative and associative, so a merged campaign histogram does
+   not depend on the order of its parts; the window is a function of
+   the samples alone, so equal contents are equal values.  Count, min,
    max and sum stay exact rationals; only quantiles are bucket
    approximations. *)
 module Hist = struct
   type t = {
-    mutable buckets : int array;
+    mutable first : int;  (** bucket index of [buckets.(0)] *)
+    mutable buckets : int array;  (** empty until the first sample *)
     mutable count : int;
     mutable min : Rat.t;
     mutable max : Rat.t;
@@ -135,7 +139,8 @@ module Hist = struct
 
   let create () =
     {
-      buckets = Array.make 64 0;
+      first = 0;
+      buckets = [||];
       count = 0;
       min = Rat.zero;
       max = Rat.zero;
@@ -151,19 +156,26 @@ module Hist = struct
      tail quantiles. *)
   let edge_of i = if i = 0 then 0.0 else lo *. exp (float_of_int i *. log_g)
 
-  let ensure t i =
+  (* Widen the window to cover buckets [a, b], exactly. *)
+  let cover t a b =
     let n = Array.length t.buckets in
-    if i >= n then begin
-      let n' = Stdlib.max (i + 1) (2 * n) in
-      let b = Array.make n' 0 in
-      Array.blit t.buckets 0 b 0 n;
-      t.buckets <- b
+    if n = 0 then begin
+      t.first <- a;
+      t.buckets <- Array.make (b - a + 1) 0
+    end
+    else if a < t.first || b >= t.first + n then begin
+      let first = Stdlib.min a t.first in
+      let last = Stdlib.max b (t.first + n - 1) in
+      let w = Array.make (last - first + 1) 0 in
+      Array.blit t.buckets 0 w (t.first - first) n;
+      t.first <- first;
+      t.buckets <- w
     end
 
   let add t x =
     let i = bucket_of x in
-    ensure t i;
-    t.buckets.(i) <- t.buckets.(i) + 1;
+    cover t i i;
+    t.buckets.(i - t.first) <- t.buckets.(i - t.first) + 1;
     if t.count = 0 then begin
       t.min <- x;
       t.max <- x;
@@ -180,9 +192,11 @@ module Hist = struct
 
   let merge t other =
     if other.count > 0 then begin
-      ensure t (Array.length other.buckets - 1);
+      cover t other.first (other.first + Array.length other.buckets - 1);
       Array.iteri
-        (fun i c -> if c > 0 then t.buckets.(i) <- t.buckets.(i) + c)
+        (fun i c ->
+          let j = other.first + i - t.first in
+          t.buckets.(j) <- t.buckets.(j) + c)
         other.buckets;
       if t.count = 0 then begin
         t.min <- other.min;
@@ -218,7 +232,7 @@ module Hist = struct
       let n = Array.length t.buckets in
       while !found < 0 && !i < n do
         cum := !cum + t.buckets.(!i);
-        if !cum >= rank then found := !i;
+        if !cum >= rank then found := t.first + !i;
         incr i
       done;
       let est = edge_of (Stdlib.max 0 !found) in

@@ -58,10 +58,13 @@ end
 
 (** Streaming log-bucketed latency histogram for tail quantiles.
     Values land in geometric buckets (16 per octave, ~4.4% relative
-    width), so state stays a few hundred ints however many million
-    samples stream through.  Count, min, max and mean remain exact
-    rationals; quantiles are bucket upper edges (conservative for the
-    tail), clamped into the observed [min, max] range. *)
+    width).  Only the buckets between the smallest and the largest one
+    seen are stored (none before the first sample), so state stays a
+    few dozen ints however many million samples stream through, and
+    equal contents are structurally equal.  Count, min, max and mean
+    remain exact rationals; quantiles are bucket upper edges
+    (conservative for the tail), clamped into the observed [min, max]
+    range. *)
 module Hist : sig
   type t
 

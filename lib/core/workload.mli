@@ -75,12 +75,12 @@ module Gen : sig
   (** The checks {!create} makes, for callers that validate a run's
       description before generating it.  Raises [Invalid_argument] on
       non-positive rates, a burst size below 1, a period that is not
-      positive, a trough outside [[0, 1]], [keys < 1], [ops < 0] or
-      negative [zipf]; and, naming it an ["unrepresentable arrival
-      gap"], on an arrival whose longest drawable gap (about 13.82
-      means, divided by [trough] for [Diurnal]) times [ops] does not
-      fit in int quanta of 1/1024 — a [Diurnal] trough of 0 among
-      them. *)
+      positive, a trough outside [[0, 1]], [keys < 1], [ops < 0], a
+      negative [zipf] or a nan one (["zipf is nan"]); and, naming it
+      an ["unrepresentable arrival gap"], on an arrival whose longest
+      drawable gap (about 13.82 means, divided by [trough] for
+      [Diurnal]) times [ops] does not fit in int quanta of 1/1024 — a
+      [Diurnal] trough of 0 among them. *)
 
   val next : 'inv t -> 'inv keyed option
   (** The next arrival, or [None] once [ops] arrivals have been

@@ -148,6 +148,21 @@ let scenario_events ~ops () =
     failwith "scenario bench section: run did not certify";
   o.Scenario.Exec.events
 
+(* The scenario codec on its own: [count] generated scenarios (drawn
+   while preparing, outside the measurement) each rendered and decoded
+   again, which must give back an equal scenario.  One event per
+   scenario. *)
+let codec_round_trips ~count () =
+  let scenarios = Scenario.Generate.batch ~seed:1 ~count in
+  fun () ->
+    List.iter
+      (fun s ->
+        match Scenario.of_string (Scenario.to_string s) with
+        | Ok s' when Scenario.equal s s' -> ()
+        | _ -> failwith "codec bench section: a round trip changed a scenario")
+      scenarios;
+    count
+
 (* The [repro check] path on one queue history: the records, the
    queue kernel and the certificate replay of
    [Monitor.Make(Fifo_queue).check].  The history is generated while
@@ -223,6 +238,13 @@ let sections =
         "1000-op generated-workload scenario lowered, run, certified and \
          judged against its temporal predicate";
       prepare = (fun () -> scenario_events ~ops:1_000);
+    };
+    {
+      name = "codec-1k";
+      description =
+        "1000 generated scenarios each rendered and decoded again, one \
+         event per scenario";
+      prepare = codec_round_trips ~count:1_000;
     };
     {
       name = "sweep-cells-240";

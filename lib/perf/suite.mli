@@ -27,8 +27,11 @@ val sections : section list
     channel, with 5% drops and 2% duplicates.
     ["scenario-1k"]: a pinned 1000-operation generated-workload
     scenario lowered through the scenario executor, certified and
-    judged against its temporal predicate.  ["sweep-cells-240"]: the
-    reference sweep grid ([Sweep.default_grid]) at seeds 1 and 2 — 240
+    judged against its temporal predicate.  ["codec-1k"]: 1000
+    generated scenarios, drawn while preparing, each rendered and
+    decoded again by the scenario codec; one event per scenario.
+    ["sweep-cells-240"]: the reference sweep grid
+    ([Sweep.default_grid]) at seeds 1 and 2 — 240
     closed-loop cells over every type, algorithm, model point and
     channel leg — run inline and certified; its events are the cells'
     operations.  ["monitor-queue-64k"]: a

@@ -1,555 +1,858 @@
 (* Stable textual encoding of scenarios.
 
-   [to_sexp] always emits every field, in a fixed order, with
-   canonical atom renderings (rationals as "n/d", floats via the
-   round-trip-exact printer in [Sexp]), so the composition
-   [Sexp.to_string % to_sexp] is an injection: two scenarios are equal
+   The printer writes every field straight into one buffer, in a fixed
+   order, with canonical atom renderings (integers and rationals digit
+   by digit, "n/d" for fractions, floats via a round-trip-exact
+   printer), so [to_string] is an injection: two scenarios are equal
    iff their renderings are byte-identical, and
-   [of_sexp (to_sexp s) = Ok s] for every well-formed scenario. *)
+   [of_string (to_string s) = Ok s] for every well-formed scenario.
+
+   The decoder reads the text by index and builds no tree.  One
+   [Sexp.scan] checks the syntax and, in the same pass, records where
+   each top-level field first occurs; each field is then decoded in
+   place.  Keywords are compared where they stand, numbers are parsed
+   from their digits, and a string is built only for a value the
+   scenario keeps. *)
 
 open Types
 
-let ( let* ) r f = Result.bind r f
-
-let in_field name r =
-  Result.map_error (fun e -> Printf.sprintf "%s: %s" name e) r
-
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
+(* Printing                                                            *)
 
-let sexp_of_edges : Sim.Fault.edges -> Sexp.t = function
-  | Sim.Fault.All -> Sexp.atom "all"
-  | Sim.Fault.Edges l ->
-      Sexp.list
-        (Sexp.atom "edges"
-        :: List.map
-             (fun (s, d) -> Sexp.list [ Sexp.of_int s; Sexp.of_int d ])
-             l)
+(* Digits of [n <= 0], most significant first. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
 
-let sexp_of_spec : Sim.Fault.spec -> Sexp.t = function
-  | Sim.Fault.Drop { p; edges } ->
-      Sexp.list [ Sexp.atom "drop"; Sexp.of_float p; sexp_of_edges edges ]
+let add_int b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b i
+  end
+  else add_digits b (-i)
+
+let add_rat b r =
+  add_int b (Rat.num r);
+  if Rat.den r <> 1 then begin
+    Buffer.add_char b '/';
+    add_int b (Rat.den r)
+  end
+
+(* [%.12g] when that re-parses bit-exactly, hexadecimal [%h]
+   otherwise: both read back as the identical float. *)
+let add_float b f =
+  let s = Printf.sprintf "%.12g" f in
+  Buffer.add_string b
+    (if float_of_string s = f then s else Printf.sprintf "%h" f)
+
+let add_bool b v = Buffer.add_string b (if v then "true" else "false")
+
+let add_name = Sexp.add_atom
+let add_kw = Buffer.add_string
+let close b = Buffer.add_char b ')'
+
+(* A list is written as [(kw], then [ v] per value, then [)].  The
+   printers passed around are toplevel functions, so passing them
+   allocates nothing. *)
+let open_ b kw =
+  Buffer.add_char b '(';
+  Buffer.add_string b kw
+
+let arg b add v =
+  Buffer.add_char b ' ';
+  add b v
+
+let form1 b kw add v =
+  open_ b kw;
+  arg b add v;
+  close b
+
+let form2 b kw add v add' w =
+  open_ b kw;
+  arg b add v;
+  arg b add' w;
+  close b
+
+let form_list b kw add l =
+  open_ b kw;
+  List.iter (fun v -> arg b add v) l;
+  close b
+
+let add_edge b (src, dst) =
+  open_ b "";
+  add_int b src;
+  arg b add_int dst;
+  close b
+
+let add_edges b = function
+  | Sim.Fault.All -> add_kw b "all"
+  | Sim.Fault.Edges l -> form_list b "edges" add_edge l
+
+let add_spec b = function
+  | Sim.Fault.Drop { p; edges } -> form2 b "drop" add_float p add_edges edges
   | Sim.Fault.Duplicate { p; edges } ->
-      Sexp.list [ Sexp.atom "duplicate"; Sexp.of_float p; sexp_of_edges edges ]
+      form2 b "duplicate" add_float p add_edges edges
   | Sim.Fault.Spike { p; edges; margin; below } ->
-      Sexp.list
-        [
-          Sexp.atom "spike";
-          Sexp.of_float p;
-          Sexp.of_rat margin;
-          Sexp.atom (if below then "below" else "above");
-          sexp_of_edges edges;
-        ]
-  | Sim.Fault.Crash { proc; at } ->
-      Sexp.list [ Sexp.atom "crash"; Sexp.of_int proc; Sexp.of_rat at ]
+      open_ b "spike";
+      arg b add_float p;
+      arg b add_rat margin;
+      arg b add_kw (if below then "below" else "above");
+      arg b add_edges edges;
+      close b
+  | Sim.Fault.Crash { proc; at } -> form2 b "crash" add_int proc add_rat at
   | Sim.Fault.Skew { proc; offset } ->
-      Sexp.list [ Sexp.atom "skew"; Sexp.of_int proc; Sexp.of_rat offset ]
+      form2 b "skew" add_int proc add_rat offset
 
-let sexp_of_knob : Core.Ablation.knob -> Sexp.t = function
-  | Core.Ablation.Paper -> Sexp.atom "paper"
-  | Core.Ablation.Paper_verbatim -> Sexp.atom "paper-verbatim"
-  | Core.Ablation.No_execute_wait -> Sexp.atom "no-execute-wait"
-  | Core.Ablation.Short_execute_wait r ->
-      Sexp.list [ Sexp.atom "short-execute-wait"; Sexp.of_rat r ]
-  | Core.Ablation.No_add_wait -> Sexp.atom "no-add-wait"
-  | Core.Ablation.Eager_accessor r ->
-      Sexp.list [ Sexp.atom "eager-accessor"; Sexp.of_rat r ]
-  | Core.Ablation.No_accessor_backdate -> Sexp.atom "no-accessor-backdate"
+let add_knob b = function
+  | Core.Ablation.Paper -> add_kw b "paper"
+  | Core.Ablation.Paper_verbatim -> add_kw b "paper-verbatim"
+  | Core.Ablation.No_execute_wait -> add_kw b "no-execute-wait"
+  | Core.Ablation.Short_execute_wait r -> form1 b "short-execute-wait" add_rat r
+  | Core.Ablation.No_add_wait -> add_kw b "no-add-wait"
+  | Core.Ablation.Eager_accessor r -> form1 b "eager-accessor" add_rat r
+  | Core.Ablation.No_accessor_backdate -> add_kw b "no-accessor-backdate"
 
-let sexp_of_algorithm = function
-  | Wtlw { x; knob } ->
-      Sexp.list [ Sexp.atom "wtlw"; Sexp.of_rat x; sexp_of_knob knob ]
-  | Centralized -> Sexp.atom "centralized"
-  | Tob -> Sexp.atom "tob"
+let add_algorithm b = function
+  | Wtlw { x; knob } -> form2 b "wtlw" add_rat x add_knob knob
+  | Centralized -> add_kw b "centralized"
+  | Tob -> add_kw b "tob"
 
-let sexp_of_delays = function
-  | Random_delays -> Sexp.atom "random"
-  | Max_delays -> Sexp.atom "max"
-  | Min_delays -> Sexp.atom "min"
+let add_row b row =
+  open_ b "";
+  Array.iteri (fun j r -> if j = 0 then add_rat b r else arg b add_rat r) row;
+  close b
+
+let add_delays b = function
+  | Random_delays -> add_kw b "random"
+  | Max_delays -> add_kw b "max"
+  | Min_delays -> add_kw b "min"
   | Matrix m ->
-      Sexp.list
-        (Sexp.atom "matrix"
-        :: Array.to_list
-             (Array.map
-                (fun row ->
-                  Sexp.list (Array.to_list (Array.map Sexp.of_rat row)))
-                m))
+      open_ b "matrix";
+      Array.iter (fun row -> arg b add_row row) m;
+      close b
 
-let sexp_of_arrival : Core.Workload.arrival -> Sexp.t = function
-  | Core.Workload.Poisson { rate } ->
-      Sexp.list [ Sexp.atom "poisson"; Sexp.of_rat rate ]
+let add_arrival b = function
+  | Core.Workload.Poisson { rate } -> form1 b "poisson" add_rat rate
   | Core.Workload.Bursty { rate; size } ->
-      Sexp.list [ Sexp.atom "bursty"; Sexp.of_rat rate; Sexp.of_int size ]
+      form2 b "bursty" add_rat rate add_int size
   | Core.Workload.Diurnal { rate; period; trough } ->
-      Sexp.list
-        [
-          Sexp.atom "diurnal";
-          Sexp.of_rat rate;
-          Sexp.of_rat period;
-          Sexp.of_rat trough;
-        ]
+      open_ b "diurnal";
+      arg b add_rat rate;
+      arg b add_rat period;
+      arg b add_rat trough;
+      close b
 
-let sexp_of_op_ref = function
-  | Sample { op; index } ->
-      Sexp.list [ Sexp.atom "sample"; Sexp.atom op; Sexp.of_int index ]
-  | Tagged { op; tag } ->
-      Sexp.list [ Sexp.atom "tagged"; Sexp.atom op; Sexp.of_int tag ]
+let add_op_ref b = function
+  | Sample { op; index } -> form2 b "sample" add_name op add_int index
+  | Tagged { op; tag } -> form2 b "tagged" add_name op add_int tag
 
-let sexp_of_entry { proc; at; op } =
-  Sexp.list [ Sexp.of_int proc; Sexp.of_rat at; sexp_of_op_ref op ]
+let add_entry b { proc; at; op } =
+  open_ b "";
+  add_int b proc;
+  arg b add_rat at;
+  arg b add_op_ref op;
+  close b
 
-let sexp_of_workload = function
-  | Explicit l -> Sexp.list (Sexp.atom "explicit" :: List.map sexp_of_entry l)
+let add_workload b = function
+  | Explicit l -> form_list b "explicit" add_entry l
   | Closed_loop { per_proc; think } ->
-      Sexp.list
-        [ Sexp.atom "closed-loop"; Sexp.of_int per_proc; Sexp.of_rat think ]
+      form2 b "closed-loop" add_int per_proc add_rat think
   | Generated { arrival; zipf; keys; ops } ->
-      Sexp.list
-        [
-          Sexp.atom "generated";
-          sexp_of_arrival arrival;
-          Sexp.of_float zipf;
-          Sexp.of_int keys;
-          Sexp.of_int ops;
-        ]
+      open_ b "generated";
+      arg b add_arrival arrival;
+      arg b add_float zipf;
+      arg b add_int keys;
+      arg b add_int ops;
+      close b
 
-let sexp_of_state_atom = function
-  | Completed_ge k -> Sexp.list [ Sexp.atom "completed-ge"; Sexp.of_int k ]
-  | Latency_le t -> Sexp.list [ Sexp.atom "latency-le"; Sexp.of_rat t ]
-  | Op_is s -> Sexp.list [ Sexp.atom "op-is"; Sexp.atom s ]
-  | Resp_by t -> Sexp.list [ Sexp.atom "resp-by"; Sexp.of_rat t ]
+let add_state_atom b = function
+  | Completed_ge k -> form1 b "completed-ge" add_int k
+  | Latency_le t -> form1 b "latency-le" add_rat t
+  | Op_is s -> form1 b "op-is" add_name s
+  | Resp_by t -> form1 b "resp-by" add_rat t
 
-let sexp_of_final_atom = function
-  | Pending_le k -> Sexp.list [ Sexp.atom "pending-le"; Sexp.of_int k ]
-  | Messages_le k -> Sexp.list [ Sexp.atom "messages-le"; Sexp.of_int k ]
-  | Faults_le k -> Sexp.list [ Sexp.atom "faults-le"; Sexp.of_int k ]
-  | Linearizable -> Sexp.atom "linearizable"
-  | Converged -> Sexp.atom "converged"
+let add_final_atom b = function
+  | Pending_le k -> form1 b "pending-le" add_int k
+  | Messages_le k -> form1 b "messages-le" add_int k
+  | Faults_le k -> form1 b "faults-le" add_int k
+  | Linearizable -> add_kw b "linearizable"
+  | Converged -> add_kw b "converged"
 
-let rec sexp_of_pred = function
-  | True -> Sexp.atom "true"
-  | Not p -> Sexp.list [ Sexp.atom "not"; sexp_of_pred p ]
-  | And (p, q) -> Sexp.list [ Sexp.atom "and"; sexp_of_pred p; sexp_of_pred q ]
-  | Or (p, q) -> Sexp.list [ Sexp.atom "or"; sexp_of_pred p; sexp_of_pred q ]
-  | Always a -> Sexp.list [ Sexp.atom "always"; sexp_of_state_atom a ]
-  | Eventually a -> Sexp.list [ Sexp.atom "eventually"; sexp_of_state_atom a ]
-  | Finally a -> Sexp.list [ Sexp.atom "finally"; sexp_of_final_atom a ]
+let rec add_pred b = function
+  | True -> add_kw b "true"
+  | Not p -> form1 b "not" add_pred p
+  | And (p, q) -> form2 b "and" add_pred p add_pred q
+  | Or (p, q) -> form2 b "or" add_pred p add_pred q
+  | Always a -> form1 b "always" add_state_atom a
+  | Eventually a -> form1 b "eventually" add_state_atom a
+  | Finally a -> form1 b "finally" add_final_atom a
 
-let sexp_of_expect = function
-  | Certify -> Sexp.atom "certify"
-  | Violate -> Sexp.atom "violate"
-  | Diagnostic s -> Sexp.list [ Sexp.atom "diagnostic"; Sexp.atom s ]
+let add_expect b = function
+  | Certify -> add_kw b "certify"
+  | Violate -> add_kw b "violate"
+  | Diagnostic s -> form1 b "diagnostic" add_name s
 
-let sexp_of_opt_int = function
-  | None -> Sexp.atom "none"
-  | Some i -> Sexp.of_int i
+let add_opt_int b = function
+  | None -> add_kw b "none"
+  | Some i -> add_int b i
 
-let to_sexp (s : t) : Sexp.t =
+let add_checker b c = add_kw b (Core.Runtime.checker_name c)
+
+(* Each top-level field on its own line. *)
+let line b = Buffer.add_string b "\n  "
+
+let add_field b key add v =
+  line b;
+  form1 b key add v
+
+let to_string (s : t) =
+  let b = Buffer.create 512 in
   let m = s.model in
-  Sexp.list
-    [
-      Sexp.atom "scenario";
-      Sexp.list [ Sexp.atom "name"; Sexp.atom s.name ];
-      Sexp.list [ Sexp.atom "type"; Sexp.atom s.dt ];
-      Sexp.list
-        [
-          Sexp.atom "model";
-          Sexp.of_int m.Sim.Model.n;
-          Sexp.of_rat m.Sim.Model.d;
-          Sexp.of_rat m.Sim.Model.u;
-          Sexp.of_rat m.Sim.Model.eps;
-        ];
-      Sexp.list
-        (Sexp.atom "offsets"
-        :: Array.to_list (Array.map Sexp.of_rat s.offsets));
-      Sexp.list [ Sexp.atom "delays"; sexp_of_delays s.delays ];
-      Sexp.list
-        (Sexp.atom "faults"
-        :: Sexp.of_int s.faults.Sim.Fault.seed
-        :: List.map sexp_of_spec s.faults.Sim.Fault.specs);
-      Sexp.list [ Sexp.atom "reliable"; Sexp.of_bool s.reliable ];
-      Sexp.list
-        [
-          Sexp.atom "checker";
-          Sexp.atom (Core.Runtime.checker_name s.checker);
-        ];
-      Sexp.list [ Sexp.atom "algorithm"; sexp_of_algorithm s.algorithm ];
-      Sexp.list [ Sexp.atom "workload"; sexp_of_workload s.workload ];
-      Sexp.list [ Sexp.atom "seed"; Sexp.of_int s.seed ];
-      Sexp.list [ Sexp.atom "max-events"; sexp_of_opt_int s.max_events ];
-      Sexp.list
-        [ Sexp.atom "max-check-nodes"; sexp_of_opt_int s.max_check_nodes ];
-      Sexp.list [ Sexp.atom "expect"; sexp_of_expect s.expect ];
-      Sexp.list [ Sexp.atom "predicate"; sexp_of_pred s.predicate ];
-    ]
+  add_kw b "(scenario";
+  add_field b "name" add_name s.name;
+  add_field b "type" add_name s.dt;
+  line b;
+  open_ b "model";
+  arg b add_int m.Sim.Model.n;
+  arg b add_rat m.Sim.Model.d;
+  arg b add_rat m.Sim.Model.u;
+  arg b add_rat m.Sim.Model.eps;
+  close b;
+  line b;
+  open_ b "offsets";
+  Array.iter (fun r -> arg b add_rat r) s.offsets;
+  close b;
+  add_field b "delays" add_delays s.delays;
+  line b;
+  open_ b "faults";
+  arg b add_int s.faults.Sim.Fault.seed;
+  List.iter (fun spec -> arg b add_spec spec) s.faults.Sim.Fault.specs;
+  close b;
+  add_field b "reliable" add_bool s.reliable;
+  add_field b "checker" add_checker s.checker;
+  add_field b "algorithm" add_algorithm s.algorithm;
+  add_field b "workload" add_workload s.workload;
+  add_field b "seed" add_int s.seed;
+  add_field b "max-events" add_opt_int s.max_events;
+  add_field b "max-check-nodes" add_opt_int s.max_check_nodes;
+  add_field b "expect" add_expect s.expect;
+  add_field b "predicate" add_pred s.predicate;
+  add_kw b ")\n";
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
 
-let edges_of_sexp = function
-  | Sexp.Atom "all" -> Ok Sim.Fault.All
-  | Sexp.List (Sexp.Atom "edges" :: pairs) ->
-      let* l =
-        List.fold_right
-          (fun p acc ->
-            let* acc = acc in
-            match p with
-            | Sexp.List [ a; b ] ->
-                let* s = Sexp.as_int a in
-                let* d = Sexp.as_int b in
-                Ok ((s, d) :: acc)
-            | _ -> Error "bad edge")
-          pairs (Ok [])
+(* A read position in scanned text.  A decoder reads the element at
+   [pos] and leaves [pos] on the element after it, or on the enclosing
+   [)], so a field's bytes are read once, front to back. *)
+type cursor = { s : string; mutable pos : int }
+
+exception Fail of string
+
+(* The element being read is not the form expected: a list one element
+   short or long, or a list where a name belongs.  The form's decoder
+   turns it into its own complaint ([misfit]). *)
+exception Shape
+
+let fail msg = raise (Fail msg)
+let at_close c = Sexp.is_close c.s c.pos
+let step c = c.pos <- Sexp.sibling c.s c.pos
+
+(* A [)] where an element belongs means the form is short. *)
+let value c = if at_close c then raise Shape
+
+(* An atom spelled [kw] at [pos] is read; [false], reading nothing,
+   otherwise. *)
+let keyword c kw =
+  Sexp.atom_is c.s c.pos kw
+  && begin
+       step c;
+       true
+     end
+
+(* The [)] ending the list being read. *)
+let leave c =
+  if at_close c then c.pos <- Sexp.skip c.s (c.pos + 1) else raise Shape
+
+(* A list at [pos] is entered: [pos] moves to its first element. *)
+let enter_list c = c.pos <- Sexp.first c.s c.pos
+
+(* Forms are lists headed by a keyword: [(tag, keyword, arity)], the
+   arity counting the head, -1 for any length.  [form_index] finds the
+   keyword the atom at [h] spells. *)
+let rec form_index s h forms k =
+  if k = Array.length forms then -1
+  else
+    let _, kw, _ = forms.(k) in
+    if Sexp.atom_is s h kw then k else form_index s h forms (k + 1)
+
+(* The tag of the form at [pos], with [pos] moved past its head;
+   [`Other], reading nothing, when [pos] holds none of [forms]. *)
+let enter c forms =
+  if not (Sexp.is_list c.s c.pos) then `Other
+  else
+    let h = Sexp.first c.s c.pos in
+    let k = form_index c.s h forms 0 in
+    if k < 0 then `Other
+    else begin
+      c.pos <- Sexp.sibling c.s h;
+      let tag, _, _ = forms.(k) in
+      tag
+    end
+
+(* Forms are read before their length is known.  A failure inside the
+   form at [i] is reported as the form's own [msg] when the form turns
+   out to have the wrong length (or [Shape] says so), exactly as if
+   its shape had been checked first; otherwise it stands. *)
+let misfit c i forms msg e =
+  match e with
+  | Shape -> fail msg
+  | e ->
+      let fits =
+        Sexp.is_list c.s i
+        &&
+        let h = Sexp.first c.s i in
+        let k = form_index c.s h forms 0 in
+        k >= 0
+        &&
+        let _, _, arity = forms.(k) in
+        arity = -1 || arity = Sexp.count c.s h
       in
-      Ok (Sim.Fault.Edges l)
-  | _ -> Error "bad edges"
+      if fits then raise e else fail msg
 
-let spec_of_sexp = function
-  | Sexp.List [ Sexp.Atom "drop"; p; e ] ->
-      let* p = Sexp.as_float p in
-      let* edges = edges_of_sexp e in
-      Ok (Sim.Fault.Drop { p; edges })
-  | Sexp.List [ Sexp.Atom "duplicate"; p; e ] ->
-      let* p = Sexp.as_float p in
-      let* edges = edges_of_sexp e in
-      Ok (Sim.Fault.Duplicate { p; edges })
-  | Sexp.List [ Sexp.Atom "spike"; p; margin; dir; e ] ->
-      let* p = Sexp.as_float p in
-      let* margin = Sexp.as_rat margin in
-      let* below =
-        match dir with
-        | Sexp.Atom "below" -> Ok true
-        | Sexp.Atom "above" -> Ok false
-        | _ -> Error "spike direction must be above|below"
-      in
-      let* edges = edges_of_sexp e in
-      Ok (Sim.Fault.Spike { p; edges; margin; below })
-  | Sexp.List [ Sexp.Atom "crash"; proc; at ] ->
-      let* proc = Sexp.as_int proc in
-      let* at = Sexp.as_rat at in
-      Ok (Sim.Fault.Crash { proc; at })
-  | Sexp.List [ Sexp.Atom "skew"; proc; offset ] ->
-      let* proc = Sexp.as_int proc in
-      let* offset = Sexp.as_rat offset in
-      Ok (Sim.Fault.Skew { proc; offset })
-  | _ -> Error "bad fault spec"
+(* The form at [pos] among [forms], read by [body] from the tag
+   [enter] returns; [body] raises [Shape] on [`Other].  Failures are
+   [misfit]'s to judge. *)
+let form c forms msg body =
+  let i = c.pos in
+  match
+    let v = body c (enter c forms) in
+    leave c;
+    v
+  with
+  | v -> v
+  | exception e -> misfit c i forms msg e
 
-let knob_of_sexp = function
-  | Sexp.Atom "paper" -> Ok Core.Ablation.Paper
-  | Sexp.Atom "paper-verbatim" -> Ok Core.Ablation.Paper_verbatim
-  | Sexp.Atom "no-execute-wait" -> Ok Core.Ablation.No_execute_wait
-  | Sexp.Atom "no-add-wait" -> Ok Core.Ablation.No_add_wait
-  | Sexp.Atom "no-accessor-backdate" -> Ok Core.Ablation.No_accessor_backdate
-  | Sexp.List [ Sexp.Atom "short-execute-wait"; r ] ->
-      let* r = Sexp.as_rat r in
-      Ok (Core.Ablation.Short_execute_wait r)
-  | Sexp.List [ Sexp.Atom "eager-accessor"; r ] ->
-      let* r = Sexp.as_rat r in
-      Ok (Core.Ablation.Eager_accessor r)
-  | _ -> Error "bad knob"
+(* The atoms *)
 
-let algorithm_of_sexp = function
-  | Sexp.Atom "centralized" -> Ok Centralized
-  | Sexp.Atom "tob" -> Ok Tob
-  | Sexp.List [ Sexp.Atom "wtlw"; x; knob ] ->
-      let* x = Sexp.as_rat x in
-      let* knob = knob_of_sexp knob in
-      Ok (Wtlw { x; knob })
-  | _ -> Error "bad algorithm"
+let as_atom c =
+  value c;
+  if Sexp.is_list c.s c.pos then fail "expected atom";
+  let a = Sexp.atom_at c.s c.pos in
+  step c;
+  a
 
-let delays_of_sexp = function
-  | Sexp.Atom "random" -> Ok Random_delays
-  | Sexp.Atom "max" -> Ok Max_delays
-  | Sexp.Atom "min" -> Ok Min_delays
-  | Sexp.List (Sexp.Atom "matrix" :: rows) ->
-      let* rows =
-        List.fold_right
-          (fun row acc ->
-            let* acc = acc in
-            let* cells = Sexp.as_list row in
-            let* cells =
-              List.fold_right
-                (fun c acc ->
-                  let* acc = acc in
-                  let* r = Sexp.as_rat c in
-                  Ok (r :: acc))
-                cells (Ok [])
-            in
-            Ok (Array.of_list cells :: acc))
-          rows (Ok [])
-      in
-      Ok (Matrix (Array.of_list rows))
-  | _ -> Error "bad delays"
+(* A name the scenario keeps, where the form allows only an atom. *)
+let name c =
+  value c;
+  if Sexp.is_list c.s c.pos then raise Shape;
+  as_atom c
 
-let arrival_of_sexp = function
-  | Sexp.List [ Sexp.Atom "poisson"; rate ] ->
-      let* rate = Sexp.as_rat rate in
-      Ok (Core.Workload.Poisson { rate })
-  | Sexp.List [ Sexp.Atom "bursty"; rate; size ] ->
-      let* rate = Sexp.as_rat rate in
-      let* size = Sexp.as_int size in
-      Ok (Core.Workload.Bursty { rate; size })
-  | Sexp.List [ Sexp.Atom "diurnal"; rate; period; trough ] ->
-      let* rate = Sexp.as_rat rate in
-      let* period = Sexp.as_rat period in
-      let* trough = Sexp.as_rat trough in
-      Ok (Core.Workload.Diurnal { rate; period; trough })
-  | _ -> Error "bad arrival"
+(* A bare [-?[0-9]{1,18}] spanning exactly [i, e), which cannot
+   overflow; [Exit] for every other spelling. *)
+let decimal s i e =
+  let j = if i < e && s.[i] = '-' then i + 1 else i in
+  if e - j < 1 || e - j > 18 then raise_notrace Exit;
+  let v = ref 0 in
+  for k = j to e - 1 do
+    match s.[k] with
+    | '0' .. '9' as c -> v := (!v * 10) + (Char.code c - 48)
+    | _ -> raise_notrace Exit
+  done;
+  if j > i then - !v else !v
 
-let op_ref_of_sexp = function
-  | Sexp.List [ Sexp.Atom "sample"; Sexp.Atom op; i ] ->
-      let* index = Sexp.as_int i in
-      Ok (Sample { op; index })
-  | Sexp.List [ Sexp.Atom "tagged"; Sexp.Atom op; t ] ->
-      let* tag = Sexp.as_int t in
-      Ok (Tagged { op; tag })
-  | _ -> Error "bad op reference"
+(* Canonical spellings take the digit path; anything else (quoted,
+   hexadecimal, underscores, a leading [+]) falls back to
+   [int_of_string] on the atom's text, which also names a bad one. *)
+let as_int c =
+  value c;
+  let e = Sexp.bare_end c.s c.pos in
+  match decimal c.s c.pos e with
+  | v ->
+      c.pos <- Sexp.skip c.s e;
+      v
+  | exception Exit -> (
+      let a = as_atom c in
+      match int_of_string_opt a with
+      | Some v -> v
+      | None -> fail ("bad int: " ^ a))
 
-let entry_of_sexp = function
-  | Sexp.List [ proc; at; op ] ->
-      let* proc = Sexp.as_int proc in
-      let* at = Sexp.as_rat at in
-      let* op = op_ref_of_sexp op in
-      Ok { proc; at; op }
-  | _ -> Error "bad entry"
+let rat_of_string a =
+  match String.index_opt a '/' with
+  | None -> Option.map Rat.of_int (int_of_string_opt a)
+  | Some k -> (
+      let num = String.sub a 0 k
+      and den = String.sub a (k + 1) (String.length a - k - 1) in
+      match (int_of_string_opt num, int_of_string_opt den) with
+      | Some n, Some d when d <> 0 -> Some (Rat.make n d)
+      | _ -> None)
 
-let workload_of_sexp = function
-  | Sexp.List (Sexp.Atom "explicit" :: entries) ->
-      let* l =
-        List.fold_right
-          (fun e acc ->
-            let* acc = acc in
-            let* e = entry_of_sexp e in
-            Ok (e :: acc))
-          entries (Ok [])
-      in
-      Ok (Explicit l)
-  | Sexp.List [ Sexp.Atom "closed-loop"; per_proc; think ] ->
-      let* per_proc = Sexp.as_int per_proc in
-      let* think = Sexp.as_rat think in
-      Ok (Closed_loop { per_proc; think })
-  | Sexp.List [ Sexp.Atom "generated"; arrival; zipf; keys; ops ] ->
-      let* arrival = arrival_of_sexp arrival in
-      let* zipf = Sexp.as_float zipf in
-      let* keys = Sexp.as_int keys in
-      let* ops = Sexp.as_int ops in
-      Ok (Generated { arrival; zipf; keys; ops })
-  | _ -> Error "bad workload"
+let rec slash s j e = if j = e || s.[j] = '/' then j else slash s (j + 1) e
 
-let state_atom_of_sexp = function
-  | Sexp.List [ Sexp.Atom "completed-ge"; k ] ->
-      let* k = Sexp.as_int k in
-      Ok (Completed_ge k)
-  | Sexp.List [ Sexp.Atom "latency-le"; t ] ->
-      let* t = Sexp.as_rat t in
-      Ok (Latency_le t)
-  | Sexp.List [ Sexp.Atom "op-is"; Sexp.Atom s ] -> Ok (Op_is s)
-  | Sexp.List [ Sexp.Atom "resp-by"; t ] ->
-      let* t = Sexp.as_rat t in
-      Ok (Resp_by t)
-  | _ -> Error "bad state atom"
+let as_rat c =
+  value c;
+  let s = c.s and i = c.pos in
+  let e = Sexp.bare_end s i in
+  match
+    let k = slash s i e in
+    if k = e then Rat.of_int (decimal s i e)
+    else
+      let d = decimal s (k + 1) e in
+      if d = 0 then raise_notrace Exit;
+      Rat.make (decimal s i k) d
+  with
+  | r ->
+      c.pos <- Sexp.skip s e;
+      r
+  | exception Exit -> (
+      let a = as_atom c in
+      match rat_of_string a with
+      | Some r -> r
+      | None -> fail ("bad rational: " ^ a))
 
-let final_atom_of_sexp = function
-  | Sexp.List [ Sexp.Atom "pending-le"; k ] ->
-      let* k = Sexp.as_int k in
-      Ok (Pending_le k)
-  | Sexp.List [ Sexp.Atom "messages-le"; k ] ->
-      let* k = Sexp.as_int k in
-      Ok (Messages_le k)
-  | Sexp.List [ Sexp.Atom "faults-le"; k ] ->
-      let* k = Sexp.as_int k in
-      Ok (Faults_le k)
-  | Sexp.Atom "linearizable" -> Ok Linearizable
-  | Sexp.Atom "converged" -> Ok Converged
-  | _ -> Error "bad final atom"
+let as_float c =
+  let a = as_atom c in
+  match float_of_string_opt a with
+  | Some f -> f
+  | None -> fail ("bad float: " ^ a)
 
-let rec pred_of_sexp = function
-  | Sexp.Atom "true" -> Ok True
-  | Sexp.List [ Sexp.Atom "not"; p ] ->
-      let* p = pred_of_sexp p in
-      Ok (Not p)
-  | Sexp.List [ Sexp.Atom "and"; p; q ] ->
-      let* p = pred_of_sexp p in
-      let* q = pred_of_sexp q in
-      Ok (And (p, q))
-  | Sexp.List [ Sexp.Atom "or"; p; q ] ->
-      let* p = pred_of_sexp p in
-      let* q = pred_of_sexp q in
-      Ok (Or (p, q))
-  | Sexp.List [ Sexp.Atom "always"; a ] ->
-      let* a = state_atom_of_sexp a in
-      Ok (Always a)
-  | Sexp.List [ Sexp.Atom "eventually"; a ] ->
-      let* a = state_atom_of_sexp a in
-      Ok (Eventually a)
-  | Sexp.List [ Sexp.Atom "finally"; a ] ->
-      let* a = final_atom_of_sexp a in
-      Ok (Finally a)
-  | _ -> Error "bad predicate"
+let as_bool c =
+  value c;
+  if keyword c "true" then true
+  else if keyword c "false" then false
+  else fail ("bad bool: " ^ as_atom c)
 
-let expect_of_sexp = function
-  | Sexp.Atom "certify" -> Ok Certify
-  | Sexp.Atom "violate" -> Ok Violate
-  | Sexp.List [ Sexp.Atom "diagnostic"; Sexp.Atom s ] -> Ok (Diagnostic s)
-  | _ -> Error "bad expectation"
+(* The elements up to the enclosing [)], decoded in order.  When
+   several fail, the last failure is the one raised: the error scenario
+   files have always reported for such lists. *)
+let rec elements f c =
+  if at_close c then []
+  else
+    let i = c.pos in
+    match f c with
+    | v ->
+        let rest = elements f c in
+        v :: rest
+    | exception e ->
+        c.pos <- Sexp.sibling c.s i;
+        ignore (elements f c);
+        raise e
 
-let opt_int_of_sexp = function
-  | Sexp.Atom "none" -> Ok None
-  | s ->
-      let* i = Sexp.as_int s in
-      Ok (Some i)
+let rec fill f c a k =
+  if k < Array.length a then begin
+    let i = c.pos in
+    match f c with
+    | v ->
+        a.(k) <- v;
+        fill f c a (k + 1)
+    | exception e ->
+        c.pos <- Sexp.sibling c.s i;
+        fill f c a (k + 1);
+        raise e
+  end
 
-let checker_of_string = function
-  | "monitor" -> Ok Core.Runtime.Monitor
-  | "wing-gong" -> Ok Core.Runtime.Wing_gong
-  | s -> Error ("bad checker: " ^ s)
+(* [elements] into an array; [dummy] holds each slot until decoded. *)
+let array f c dummy =
+  let a = Array.make (Sexp.count c.s c.pos) dummy in
+  fill f c a 0;
+  a
 
-let require name sexp =
-  match Sexp.field name sexp with
-  | Some v -> Ok v
-  | None -> Error ("missing field " ^ name)
+(* The structures *)
 
-let of_sexp (sexp : Sexp.t) : (t, string) result =
-  let* () =
-    match sexp with
-    | Sexp.List (Sexp.Atom "scenario" :: _) -> Ok ()
-    | _ -> Error "not a (scenario ...) form"
-  in
-  let req1 name =
-    let* f = require name sexp in
-    in_field name (Sexp.one f)
-  in
-  let* name =
-    let* v = req1 "name" in
-    in_field "name" (Sexp.as_atom v)
-  in
-  let* dt =
-    let* v = req1 "type" in
-    in_field "type" (Sexp.as_atom v)
-  in
-  let* model =
-    let* f = require "model" sexp in
-    in_field "model"
-      (match f with
-      | Sexp.List [ n; d; u; eps ] -> (
-          let* n = Sexp.as_int n in
-          let* d = Sexp.as_rat d in
-          let* u = Sexp.as_rat u in
-          let* eps = Sexp.as_rat eps in
-          try Ok (Sim.Model.make ~n ~d ~u ~eps)
-          with Invalid_argument m -> Error m)
-      | _ -> Error "expected (model N D U EPS)")
-  in
-  let* offsets =
-    let* f = require "offsets" sexp in
-    in_field "offsets"
-      (let* l = Sexp.as_list f in
-       let* l =
-         List.fold_right
-           (fun x acc ->
-             let* acc = acc in
-             let* r = Sexp.as_rat x in
-             Ok (r :: acc))
-           l (Ok [])
-       in
-       if List.length l <> model.Sim.Model.n then
-         Error "offsets length must equal the model's n"
-       else Ok (Array.of_list l))
-  in
-  let* delays =
-    let* v = req1 "delays" in
-    in_field "delays" (delays_of_sexp v)
-  in
-  let* () =
-    match delays with
-    | Matrix m
-      when Array.length m <> model.Sim.Model.n
-           || Array.exists (fun r -> Array.length r <> model.Sim.Model.n) m ->
-        Error "delays: matrix must be n x n"
-    | _ -> Ok ()
-  in
-  let* faults =
-    let* f = require "faults" sexp in
-    in_field "faults"
-      (match f with
-      | Sexp.List (seed :: specs) ->
-          let* seed = Sexp.as_int seed in
-          let* specs =
-            List.fold_right
-              (fun s acc ->
-                let* acc = acc in
-                let* s = spec_of_sexp s in
-                Ok (s :: acc))
-              specs (Ok [])
-          in
-          Ok { Sim.Fault.seed; specs }
-      | _ -> Error "expected (faults SEED SPEC...)")
-  in
-  let* reliable =
-    let* v = req1 "reliable" in
-    in_field "reliable" (Sexp.as_bool v)
-  in
-  let* checker =
-    let* v = req1 "checker" in
-    in_field "checker"
-      (let* s = Sexp.as_atom v in
-       checker_of_string s)
-  in
-  let* algorithm =
-    let* v = req1 "algorithm" in
-    in_field "algorithm" (algorithm_of_sexp v)
-  in
-  let* workload =
-    let* v = req1 "workload" in
-    in_field "workload" (workload_of_sexp v)
-  in
-  let* seed =
-    let* v = req1 "seed" in
-    in_field "seed" (Sexp.as_int v)
-  in
-  let* max_events =
-    let* v = req1 "max-events" in
-    in_field "max-events" (opt_int_of_sexp v)
-  in
-  let* max_check_nodes =
-    let* v = req1 "max-check-nodes" in
-    in_field "max-check-nodes" (opt_int_of_sexp v)
-  in
-  let* expect =
-    let* v = req1 "expect" in
-    in_field "expect" (expect_of_sexp v)
-  in
-  let* predicate =
-    let* v = req1 "predicate" in
-    in_field "predicate" (pred_of_sexp v)
-  in
-  Ok
-    {
-      name;
-      dt;
-      model;
-      offsets;
-      delays;
-      faults;
-      reliable;
-      checker;
-      algorithm;
-      workload;
-      seed;
-      max_events;
-      max_check_nodes;
-      expect;
-      predicate;
-    }
+let edge_of c =
+  if not (Sexp.is_list c.s c.pos && Sexp.count c.s (Sexp.first c.s c.pos) = 2)
+  then fail "bad edge";
+  enter_list c;
+  let src = as_int c in
+  let dst = as_int c in
+  leave c;
+  (src, dst)
+
+let edges_forms = [| (`Edges, "edges", -1) |]
+
+let edges_body c = function
+  | `Edges -> Sim.Fault.Edges (elements edge_of c)
+  | `Other -> raise Shape
+
+let edges_of c =
+  if keyword c "all" then Sim.Fault.All
+  else form c edges_forms "bad edges" edges_body
+
+let spec_forms =
+  [|
+    (`Drop, "drop", 3);
+    (`Duplicate, "duplicate", 3);
+    (`Spike, "spike", 5);
+    (`Crash, "crash", 3);
+    (`Skew, "skew", 3);
+  |]
+
+(* Fault specs go through [Sim.Fault]'s validating constructors, whose
+   complaint becomes the decode error. *)
+let spec_body c tag =
+  try
+    match tag with
+    | `Drop ->
+        let p = as_float c in
+        let edges = edges_of c in
+        Sim.Fault.drops ~edges p
+    | `Duplicate ->
+        let p = as_float c in
+        let edges = edges_of c in
+        Sim.Fault.duplicates ~edges p
+    | `Spike ->
+        let p = as_float c in
+        let margin = as_rat c in
+        value c;
+        let below =
+          if keyword c "below" then true
+          else if keyword c "above" then false
+          else fail "spike direction must be above|below"
+        in
+        let edges = edges_of c in
+        Sim.Fault.spikes ~edges ~below ~margin p
+    | `Crash ->
+        let proc = as_int c in
+        let at = as_rat c in
+        Sim.Fault.crash ~proc ~at
+    | `Skew ->
+        let proc = as_int c in
+        let offset = as_rat c in
+        Sim.Fault.skew ~proc ~offset
+    | `Other -> raise Shape
+  with Invalid_argument m -> fail m
+
+let spec_of c = form c spec_forms "bad fault spec" spec_body
+
+let knob_forms =
+  [|
+    (`Short_execute_wait, "short-execute-wait", 2);
+    (`Eager_accessor, "eager-accessor", 2);
+  |]
+
+let knob_body c = function
+  | `Short_execute_wait -> Core.Ablation.Short_execute_wait (as_rat c)
+  | `Eager_accessor -> Core.Ablation.Eager_accessor (as_rat c)
+  | `Other -> raise Shape
+
+let knob_of c =
+  if keyword c "paper" then Core.Ablation.Paper
+  else if keyword c "paper-verbatim" then Core.Ablation.Paper_verbatim
+  else if keyword c "no-execute-wait" then Core.Ablation.No_execute_wait
+  else if keyword c "no-add-wait" then Core.Ablation.No_add_wait
+  else if keyword c "no-accessor-backdate" then
+    Core.Ablation.No_accessor_backdate
+  else form c knob_forms "bad knob" knob_body
+
+let algorithm_forms = [| (`Wtlw, "wtlw", 3) |]
+
+let algorithm_body c = function
+  | `Wtlw ->
+      let x = as_rat c in
+      let knob = knob_of c in
+      Wtlw { x; knob }
+  | `Other -> raise Shape
+
+let algorithm_of c =
+  if keyword c "centralized" then Centralized
+  else if keyword c "tob" then Tob
+  else form c algorithm_forms "bad algorithm" algorithm_body
+
+let row_of c =
+  if not (Sexp.is_list c.s c.pos) then fail "expected list";
+  enter_list c;
+  let row = array as_rat c Rat.zero in
+  leave c;
+  row
+
+let delays_forms = [| (`Matrix, "matrix", -1) |]
+
+let delays_body c = function
+  | `Matrix -> Matrix (array row_of c [||])
+  | `Other -> raise Shape
+
+let delays_of c =
+  if keyword c "random" then Random_delays
+  else if keyword c "max" then Max_delays
+  else if keyword c "min" then Min_delays
+  else form c delays_forms "bad delays" delays_body
+
+let arrival_forms =
+  [| (`Poisson, "poisson", 2); (`Bursty, "bursty", 3); (`Diurnal, "diurnal", 4) |]
+
+let arrival_body c = function
+  | `Poisson -> Core.Workload.Poisson { rate = as_rat c }
+  | `Bursty ->
+      let rate = as_rat c in
+      let size = as_int c in
+      Core.Workload.Bursty { rate; size }
+  | `Diurnal ->
+      let rate = as_rat c in
+      let period = as_rat c in
+      let trough = as_rat c in
+      Core.Workload.Diurnal { rate; period; trough }
+  | `Other -> raise Shape
+
+let arrival_of c = form c arrival_forms "bad arrival" arrival_body
+
+let op_ref_forms = [| (`Sample, "sample", 3); (`Tagged, "tagged", 3) |]
+
+let op_ref_body c = function
+  | `Sample ->
+      let op = name c in
+      let index = as_int c in
+      Sample { op; index }
+  | `Tagged ->
+      let op = name c in
+      let tag = as_int c in
+      Tagged { op; tag }
+  | `Other -> raise Shape
+
+let entry_of c =
+  if not (Sexp.is_list c.s c.pos && Sexp.count c.s (Sexp.first c.s c.pos) = 3)
+  then fail "bad entry";
+  enter_list c;
+  let proc = as_int c in
+  let at = as_rat c in
+  let op = form c op_ref_forms "bad op reference" op_ref_body in
+  leave c;
+  { proc; at; op }
+
+let workload_forms =
+  [|
+    (`Explicit, "explicit", -1);
+    (`Closed_loop, "closed-loop", 3);
+    (`Generated, "generated", 5);
+  |]
+
+let workload_body c = function
+  | `Explicit -> Explicit (elements entry_of c)
+  | `Closed_loop ->
+      let per_proc = as_int c in
+      let think = as_rat c in
+      Closed_loop { per_proc; think }
+  | `Generated ->
+      let arrival = arrival_of c in
+      let zipf = as_float c in
+      let keys = as_int c in
+      let ops = as_int c in
+      Generated { arrival; zipf; keys; ops }
+  | `Other -> raise Shape
+
+let workload_of c = form c workload_forms "bad workload" workload_body
+
+let state_atom_forms =
+  [|
+    (`Completed_ge, "completed-ge", 2);
+    (`Latency_le, "latency-le", 2);
+    (`Op_is, "op-is", 2);
+    (`Resp_by, "resp-by", 2);
+  |]
+
+let state_atom_body c = function
+  | `Completed_ge -> Completed_ge (as_int c)
+  | `Latency_le -> Latency_le (as_rat c)
+  | `Op_is -> Op_is (name c)
+  | `Resp_by -> Resp_by (as_rat c)
+  | `Other -> raise Shape
+
+let state_atom_of c = form c state_atom_forms "bad state atom" state_atom_body
+
+let final_atom_forms =
+  [|
+    (`Pending_le, "pending-le", 2);
+    (`Messages_le, "messages-le", 2);
+    (`Faults_le, "faults-le", 2);
+  |]
+
+let final_atom_body c = function
+  | `Pending_le -> Pending_le (as_int c)
+  | `Messages_le -> Messages_le (as_int c)
+  | `Faults_le -> Faults_le (as_int c)
+  | `Other -> raise Shape
+
+let final_atom_of c =
+  if keyword c "linearizable" then Linearizable
+  else if keyword c "converged" then Converged
+  else form c final_atom_forms "bad final atom" final_atom_body
+
+let pred_forms =
+  [|
+    (`Not, "not", 2);
+    (`And, "and", 3);
+    (`Or, "or", 3);
+    (`Always, "always", 2);
+    (`Eventually, "eventually", 2);
+    (`Finally, "finally", 2);
+  |]
+
+let rec pred_body c = function
+  | `Not -> Not (pred_of c)
+  | `And ->
+      let p = pred_of c in
+      let q = pred_of c in
+      And (p, q)
+  | `Or ->
+      let p = pred_of c in
+      let q = pred_of c in
+      Or (p, q)
+  | `Always -> Always (state_atom_of c)
+  | `Eventually -> Eventually (state_atom_of c)
+  | `Finally -> Finally (final_atom_of c)
+  | `Other -> raise Shape
+
+and pred_of c =
+  if keyword c "true" then True else form c pred_forms "bad predicate" pred_body
+
+let expect_forms = [| (`Diagnostic, "diagnostic", 2) |]
+
+let expect_body c = function
+  | `Diagnostic -> Diagnostic (name c)
+  | `Other -> raise Shape
+
+let expect_of c =
+  if keyword c "certify" then Certify
+  else if keyword c "violate" then Violate
+  else form c expect_forms "bad expectation" expect_body
+
+let opt_int_of c = if keyword c "none" then None else Some (as_int c)
+
+let checker_of c =
+  if keyword c "monitor" then Core.Runtime.Monitor
+  else if keyword c "wing-gong" then Core.Runtime.Wing_gong
+  else fail ("bad checker: " ^ as_atom c)
 
 (* ------------------------------------------------------------------ *)
-(* Strings and files                                                   *)
+(* The field table                                                     *)
 
-let to_string s = Sexp.to_string_hum (to_sexp s)
+let fields =
+  [|
+    "name"; "type"; "model"; "offsets"; "delays"; "faults"; "reliable";
+    "checker"; "algorithm"; "workload"; "seed"; "max-events";
+    "max-check-nodes"; "expect"; "predicate";
+  |]
+
+(* [at.(k)] is the offset of the first top-level list headed by
+   [fields.(k)], or -1.  The scan calls [index] on every top-level
+   list; a bare key is only compared with names of its length. *)
+let rec enter_field s at i h len k =
+  if k < Array.length fields then
+    if (len < 0 || String.length fields.(k) = len) && Sexp.atom_is s h fields.(k)
+    then (if at.(k) < 0 then at.(k) <- i)
+    else enter_field s at i h len (k + 1)
+
+let index s at i =
+  let h = Sexp.first s i in
+  let len = if s.[h] = '"' then -1 else Sexp.bare_end s h - h in
+  enter_field s at i h len 0
+
+let rec slot name k =
+  if String.length fields.(k) = String.length name && String.equal fields.(k) name
+  then k
+  else slot name (k + 1)
+
+(* Moves [c] to the first value of field [name]; the offset. *)
+let values c at name =
+  let i = at.(slot name 0) in
+  if i < 0 then fail ("missing field " ^ name);
+  c.pos <- Sexp.sibling c.s (Sexp.first c.s i);
+  c.pos
+
+(* [f] over the values of field [name], its failures prefixed with the
+   name. *)
+let field c at name f =
+  ignore (values c at name);
+  match f c with
+  | v -> v
+  | exception Fail m -> fail (name ^ ": " ^ m)
+
+(* [f] over the sole value of field [name].  As with forms, a field
+   that holds more or fewer values reports that, whatever [f] found. *)
+let field1 c at name f =
+  let v = values c at name in
+  match f c with
+  | x when at_close c -> x
+  | _ -> fail (name ^ ": expected a single value")
+  | exception e -> (
+      if Sexp.count c.s v <> 1 then fail (name ^ ": expected a single value");
+      match e with Fail m -> fail (name ^ ": " ^ m) | e -> raise e)
+
+let model_of c =
+  if Sexp.count c.s c.pos <> 4 then fail "expected (model N D U EPS)";
+  let n = as_int c in
+  let d = as_rat c in
+  let u = as_rat c in
+  let eps = as_rat c in
+  try Sim.Model.make ~n ~d ~u ~eps with Invalid_argument m -> fail m
+
+let offsets_of c = array as_rat c Rat.zero
+
+let faults_of c =
+  if at_close c then fail "expected (faults SEED SPEC...)";
+  let seed = as_int c in
+  let specs = elements spec_of c in
+  { Sim.Fault.seed; specs }
+
+(* Fields are decoded in this order, so the first failure reported is
+   the same whatever order the text lists them in. *)
+let decode c at =
+  let top = Sexp.skip c.s 0 in
+  if
+    not (Sexp.is_list c.s top && Sexp.atom_is c.s (Sexp.first c.s top) "scenario")
+  then fail "not a (scenario ...) form";
+  let name = field1 c at "name" as_atom in
+  let dt = field1 c at "type" as_atom in
+  let model = field c at "model" model_of in
+  let n = model.Sim.Model.n in
+  let offsets = field c at "offsets" offsets_of in
+  if Array.length offsets <> n then
+    fail "offsets: offsets length must equal the model's n";
+  let delays = field1 c at "delays" delays_of in
+  (match delays with
+  | Matrix m
+    when Array.length m <> n || Array.exists (fun r -> Array.length r <> n) m ->
+      fail "delays: matrix must be n x n"
+  | _ -> ());
+  let faults = field c at "faults" faults_of in
+  let reliable = field1 c at "reliable" as_bool in
+  let checker = field1 c at "checker" checker_of in
+  let algorithm = field1 c at "algorithm" algorithm_of in
+  let workload = field1 c at "workload" workload_of in
+  let seed = field1 c at "seed" as_int in
+  let max_events = field1 c at "max-events" opt_int_of in
+  let max_check_nodes = field1 c at "max-check-nodes" opt_int_of in
+  let expect = field1 c at "expect" expect_of in
+  let predicate = field1 c at "predicate" pred_of in
+  {
+    name;
+    dt;
+    model;
+    offsets;
+    delays;
+    faults;
+    reliable;
+    checker;
+    algorithm;
+    workload;
+    seed;
+    max_events;
+    max_check_nodes;
+    expect;
+    predicate;
+  }
 
 let of_string str =
-  let* sexp = Sexp.parse str in
-  of_sexp sexp
+  let at = Array.make (Array.length fields) (-1) in
+  match Sexp.scan str ~field:(index str at) with
+  | Error m -> Error m
+  | Ok () -> (
+      match decode { s = str; pos = 0 } at with
+      | v -> Ok v
+      | exception Fail m -> Error m)
+
+(* ------------------------------------------------------------------ *)
+(* Files                                                               *)
 
 let save path s =
   let oc = open_out path in

@@ -22,9 +22,7 @@ module Generate = Generate
 module Probe = Probe
 module Builtin = Builtin
 
-(* Codec, re-exported flat: [Scenario.to_sexp] etc. *)
-let to_sexp = Codec.to_sexp
-let of_sexp = Codec.of_sexp
+(* Codec, re-exported flat: [Scenario.to_string] etc. *)
 let to_string = Codec.to_string
 let of_string = Codec.of_string
 let save = Codec.save

@@ -7,8 +7,8 @@
     named-diagnostic) and a temporal predicate over the observed trace.
     Around it:
 
-    - a stable textual encoding ({!to_sexp}/{!of_sexp}; canonical, so
-      [of_sexp (to_sexp s) = Ok s] and equal scenarios render
+    - a stable textual encoding ({!to_string}/{!of_string}; canonical,
+      so [of_string (to_string s) = Ok s] and equal scenarios render
       byte-identically);
     - seed-deterministic random generation over the ten bundled types
       ({!gen}: same seed, byte-identical scenario);
@@ -36,14 +36,18 @@ module Builtin = Builtin
 
 (** {1 Codec} *)
 
-val to_sexp : t -> Sexp.t
-val of_sexp : Sexp.t -> (t, string) result
-
 val to_string : t -> string
-(** Canonical rendering ({!Sexp.to_string_hum} of {!to_sexp}): one
-    field per line, byte-stable for equal scenarios. *)
+(** Canonical rendering: the [(scenario] head, then one field per
+    line, every field present, in a fixed order; byte-stable for equal
+    scenarios. *)
 
 val of_string : string -> (t, string) result
+(** Decode a rendering.  Fields may come in any order (the first
+    occurrence of each wins); unknown fields, comments and extra
+    whitespace are ignored; a quoted atom reads as its bare spelling.
+    Errors name the field, e.g. ["model: bad rational: x"] or
+    ["missing field seed"]. *)
+
 val save : string -> t -> unit
 val load : string -> (t, string) result
 

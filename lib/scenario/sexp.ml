@@ -1,11 +1,9 @@
 (* Minimal canonical s-expressions.  See sexp.mli for the format
-   contract; everything here exists to make [to_string] a canonical
-   injection so scenario equality can be tested byte-for-byte. *)
+   contract.  One scanner serves both readers: the scenario codec,
+   which decodes fields in place by offset, and [parse], which builds
+   a tree for tools and tests. *)
 
 type t = Atom of string | List of t list
-
-let atom s = Atom s
-let list l = List l
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -19,24 +17,23 @@ let needs_quoting s =
          | c -> Char.code c < 0x20)
        s
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let atom_to_string s = if needs_quoting s then escape s else s
+let add_atom b s =
+  if not (needs_quoting s) then Buffer.add_string b s
+  else begin
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+  end
 
 let rec add_sexp b = function
-  | Atom s -> Buffer.add_string b (atom_to_string s)
+  | Atom s -> add_atom b s
   | List l ->
       Buffer.add_char b '(';
       List.iteri
@@ -71,162 +68,207 @@ let to_string_hum t =
       Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Parsing                                                             *)
+(* Scanning                                                            *)
 
 exception Parse_error of string
 
-(* The scan reads [s] by index and allocates nothing per character,
-   only the atoms and lists it returns.  [pos] is the next unread byte;
-   every error names it. *)
-let parse (s : string) : (t, string) result =
+let fail msg pos =
+  raise (Parse_error (Printf.sprintf "%s at offset %d" msg pos))
+
+(* What each byte does to the scan. *)
+let plain = 0 (* may sit in a bare atom *)
+let white = 1
+let opening = 2
+let closing = 3
+let quote = 4
+let comment = 5
+
+let class_of = function
+  | ' ' | '\t' | '\n' | '\r' -> white
+  | '(' -> opening
+  | ')' -> closing
+  | '"' -> quote
+  | ';' -> comment
+  | _ -> plain
+
+(* [class_of] by byte code, looked up rather than matched so the loops
+   over ordinary bytes stay branch-predictable.  A literal, so loading
+   the module allocates nothing; checked against [class_of] below. *)
+let classes =
+  "\000\000\000\000\000\000\000\000\000\001\001\000\000\001\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \001\000\004\000\000\000\000\000\002\003\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\005\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\
+   \000\000\000\000\000\000\000\000\000\000\000\000\000\000\000\000"
+
+let () =
+  for k = 0 to 255 do
+    assert (Char.code classes.[k] = class_of (Char.chr k))
+  done
+
+(* The class of byte [i] of [s], which must exist. *)
+let cls s i = Char.code (String.unsafe_get classes (Char.code s.[i]))
+
+let rec line_end s j =
+  if j < String.length s && s.[j] <> '\n' then line_end s (j + 1) else j
+
+(* The first offset at or after [i] outside whitespace and comments. *)
+let rec skip s i =
+  if i >= String.length s then i
+  else
+    let k = cls s i in
+    if k = white then skip s (i + 1)
+    else if k = comment then skip s (line_end s i)
+    else i
+
+(* One past a bare atom starting at [i]; [i] itself when [i] holds a
+   delimiter. *)
+let rec bare_end s i =
+  if i < String.length s && cls s i = plain then bare_end s (i + 1) else i
+
+(* One past the quoted atom whose opening quote is at [j] (recursing,
+   [j] is the last byte read). *)
+let rec quoted_end s j =
   let n = String.length s in
-  let pos = ref 0 in
-  let error msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    if !pos < n then
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-          incr pos;
-          skip_ws ()
-      | ';' ->
-          (* comment to end of line *)
-          while !pos < n && s.[!pos] <> '\n' do
-            incr pos
-          done;
-          skip_ws ()
-      | _ -> ()
-  in
-  let parse_quoted () =
-    incr pos;
-    (* opening quote *)
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then error "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-          incr pos;
-          (if !pos >= n then error "bad escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'
-           | '\\' -> Buffer.add_char b '\\'
-           | 'n' -> Buffer.add_char b '\n'
-           | _ -> error "bad escape");
-          incr pos;
-          loop ()
-      | c ->
-          Buffer.add_char b c;
-          incr pos;
-          loop ()
-    in
-    loop ();
-    Atom (Buffer.contents b)
-  in
-  (* At a byte that starts no list, string or comment, so the atom is
-     at least one byte long. *)
-  let parse_bare () =
-    let start = !pos in
-    while
-      !pos < n
-      &&
-      match s.[!pos] with
-      | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | ';' -> false
-      | _ -> true
-    do
-      incr pos
+  if j + 1 >= n then fail "unterminated string" n
+  else
+    match s.[j + 1] with
+    | '"' -> j + 2
+    | '\\' ->
+        if j + 2 >= n then fail "bad escape" (j + 2)
+        else (
+          match s.[j + 2] with
+          | '"' | '\\' | 'n' -> quoted_end s (j + 2)
+          | _ -> fail "bad escape" (j + 2))
+    | _ -> quoted_end s (j + 1)
+
+(* One past the list opening at [i], found by a byte loop with a depth
+   counter: outside quoted atoms and comments, parentheses only ever
+   delimit.  [field] gets the offset of each list directly inside it
+   once that list has closed, so its contents are already checked. *)
+let list_end s i ~field =
+  let n = String.length s in
+  let depth = ref 1 and j = ref (i + 1) and child = ref i in
+  while !depth > 0 do
+    while !j < n && cls s !j <= white do
+      incr j
     done;
-    Atom (String.sub s start (!pos - start))
-  in
-  let rec parse_one () =
-    skip_ws ();
-    if !pos >= n then error "unexpected end of input";
-    match s.[!pos] with
-    | '(' ->
-        incr pos;
-        let rec items acc =
-          skip_ws ();
-          if !pos >= n then error "unterminated list";
-          if s.[!pos] = ')' then begin
-            incr pos;
-            List (List.rev acc)
-          end
-          else items (parse_one () :: acc)
-        in
-        items []
-    | ')' -> error "unexpected ')'"
-    | '"' -> parse_quoted ()
-    | _ -> parse_bare ()
-  in
+    if !j >= n then fail "unterminated list" n;
+    let k = cls s !j in
+    if k = opening then begin
+      if !depth = 1 then child := !j;
+      incr depth;
+      incr j
+    end
+    else if k = closing then begin
+      decr depth;
+      incr j;
+      if !depth = 1 then field !child
+    end
+    else if k = quote then j := quoted_end s !j
+    else (* comment *) j := line_end s !j
+  done;
+  !j
+
+let scan s ~field =
   match
-    let v = parse_one () in
-    skip_ws ();
-    if !pos <> n then error "trailing input";
-    v
+    let i = skip s 0 in
+    if i >= String.length s then fail "unexpected end of input" i;
+    let i =
+      match s.[i] with
+      | ')' -> fail "unexpected ')'" i
+      | '(' -> list_end s i ~field
+      | '"' -> quoted_end s i
+      | _ -> bare_end s i
+    in
+    let i = skip s i in
+    if i <> String.length s then fail "trailing input" i
   with
-  | v -> Ok v
+  | () -> Ok ()
   | exception Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Decoding helpers                                                    *)
+(* Reading scanned text                                                *)
 
-let field key = function
-  | Atom _ -> None
-  | List children ->
-      List.find_map
-        (function
-          | List (Atom k :: rest) when k = key -> Some (List rest)
-          | _ -> None)
-        children
+let is_list s i = cls s i = opening
+let is_close s i = cls s i = closing
+let first s i = skip s (i + 1)
 
-let one = function
-  | List [ v ] -> Ok v
-  | List _ -> Error "expected a single value"
-  | Atom _ -> Error "expected a list"
+let next s i =
+  match s.[i] with
+  | '(' -> list_end s i ~field:ignore
+  | '"' -> quoted_end s i
+  | _ -> bare_end s i
 
-let as_atom = function
-  | Atom s -> Ok s
-  | List _ -> Error "expected atom"
+let sibling s i = skip s (next s i)
 
-let as_list = function
-  | List l -> Ok l
-  | Atom _ -> Error "expected list"
+let rec count_from s j acc =
+  if is_close s j then acc else count_from s (sibling s j) (acc + 1)
 
-let as_int t =
-  match as_atom t with
+let count s j = count_from s j 0
+
+let atom_at s i =
+  match s.[i] with
+  | '"' ->
+      let b = Buffer.create 16 in
+      let j = ref (i + 1) in
+      while s.[!j] <> '"' do
+        (match s.[!j] with
+        | '\\' ->
+            incr j;
+            Buffer.add_char b (if s.[!j] = 'n' then '\n' else s.[!j])
+        | c -> Buffer.add_char b c);
+        incr j
+      done;
+      Buffer.contents b
+  | _ -> String.sub s i (bare_end s i - i)
+
+(* [kw] against the unescaped bytes of the quoted atom from [j] on. *)
+let rec quoted_is s j kw k =
+  match s.[j] with
+  | '"' -> k = String.length kw
+  | '\\' ->
+      let c = if s.[j + 1] = 'n' then '\n' else s.[j + 1] in
+      k < String.length kw && kw.[k] = c && quoted_is s (j + 2) kw (k + 1)
+  | c -> k < String.length kw && kw.[k] = c && quoted_is s (j + 1) kw (k + 1)
+
+let rec bare_is s i kw k =
+  k = String.length kw || (s.[i + k] = kw.[k] && bare_is s i kw (k + 1))
+
+let atom_is s i kw =
+  let k = cls s i in
+  if k = quote then quoted_is s (i + 1) kw 0
+  else
+    let m = String.length kw in
+    k = plain
+    && i + m <= String.length s
+    && bare_is s i kw 0
+    && (i + m = String.length s || cls s (i + m) <> plain)
+
+(* ------------------------------------------------------------------ *)
+(* Trees                                                               *)
+
+let rec tree s i =
+  if is_list s i then List (children s (first s i)) else Atom (atom_at s i)
+
+and children s j =
+  if is_close s j then []
+  else
+    let x = tree s j in
+    x :: children s (sibling s j)
+
+let parse s =
+  match scan s ~field:ignore with
   | Error _ as e -> e
-  | Ok s -> ( match int_of_string_opt s with Some i -> Ok i | None -> Error ("bad int: " ^ s))
-
-let rat_of_string s =
-  match String.index_opt s '/' with
-  | None -> ( match int_of_string_opt s with Some i -> Some (Rat.of_int i) | None -> None)
-  | Some i -> (
-      let num = String.sub s 0 i and den = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt num, int_of_string_opt den) with
-      | Some n, Some d when d <> 0 -> Some (Rat.make n d)
-      | _ -> None)
-
-let as_rat t =
-  match as_atom t with
-  | Error _ as e -> e
-  | Ok s -> ( match rat_of_string s with Some r -> Ok r | None -> Error ("bad rational: " ^ s))
-
-let as_float t =
-  match as_atom t with
-  | Error _ as e -> e
-  | Ok s -> ( match float_of_string_opt s with Some f -> Ok f | None -> Error ("bad float: " ^ s))
-
-let as_bool t =
-  match as_atom t with
-  | Error _ as e -> e
-  | Ok "true" -> Ok true
-  | Ok "false" -> Ok false
-  | Ok s -> Error ("bad bool: " ^ s)
-
-let of_rat r = Atom (Rat.to_string r)
-let of_int i = Atom (string_of_int i)
-
-let of_float f =
-  let s = Printf.sprintf "%.12g" f in
-  if float_of_string s = f then Atom s else Atom (Printf.sprintf "%h" f)
-
-let of_bool b = Atom (if b then "true" else "false")
+  | Ok () -> Ok (tree s (skip s 0))

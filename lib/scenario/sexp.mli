@@ -1,17 +1,23 @@
 (** Minimal s-expressions: the textual substrate of scenario files.
 
     Scenarios must round-trip through files, journals and the CLI with
-    byte-identical rendering ([of_string (to_string s) = Ok s] and
-    [to_string] canonical), so this module is deliberately tiny and
+    byte-identical rendering, so the format is deliberately tiny and
     fully specified: atoms are printed bare when they contain no
     whitespace, parentheses, quotes or control characters, and quoted
     with backslash escapes otherwise; lists print as space-separated
-    children inside parentheses. *)
+    children inside parentheses; [;] starts a comment to the end of the
+    line.
+
+    One scanner ({!scan}) checks the syntax.  The scenario codec then
+    reads the scanned text in place, by offset, without building a
+    tree; {!parse} builds one over the same scanner. *)
 
 type t = Atom of string | List of t list
 
-val atom : string -> t
-val list : t list -> t
+val add_atom : Buffer.t -> string -> unit
+(** Append an atom in its canonical spelling: bare when possible,
+    quoted otherwise, with backslash escapes for the double quote, the
+    backslash and newline. *)
 
 val to_string : t -> string
 (** Canonical single-line rendering. *)
@@ -20,32 +26,44 @@ val to_string_hum : t -> string
 (** Indented rendering for files and terminals: the top-level list
     breaks one child per line.  Parses back to the same value. *)
 
+val scan : string -> field:(int -> unit) -> (unit, string) result
+(** Check that the string holds exactly one s-expression (surrounding
+    whitespace and comments allowed), in one pass.  Errors name the
+    offset they were found at.  When the expression is a list, [field]
+    receives, in order, the offset of every list directly inside it,
+    once that list has been checked. *)
+
 val parse : string -> (t, string) result
-(** Parse one s-expression (surrounding whitespace allowed; trailing
-    non-whitespace is an error). *)
+(** {!scan}, then the tree. *)
 
-(** {1 Decoding helpers} *)
+(** {1 Reading scanned text}
 
-val field : string -> t -> t option
-(** [field k (List [...; List (Atom k :: v); ...])] finds the first
-    child list headed by atom [k] and returns [List v] ([v] as a list;
-    a single-value field decodes via {!one}). *)
+    These read a string {!scan} accepted.  An offset names the first
+    byte of an element, or the [)] closing the enclosing list. *)
 
-val one : t -> (t, string) result
-(** The sole element of a singleton list. *)
+val skip : string -> int -> int
+(** The first offset at or after the given one outside whitespace and
+    comments. *)
 
-val as_atom : t -> (string, string) result
-val as_list : t -> (t list, string) result
-val as_int : t -> (int, string) result
-val as_rat : t -> (Rat.t, string) result
-val as_float : t -> (float, string) result
-val as_bool : t -> (bool, string) result
+val is_list : string -> int -> bool
+val is_close : string -> int -> bool
 
-val of_rat : Rat.t -> t
-val of_int : int -> t
-val of_float : float -> t
-(** Floats print via [%.12g] when that round-trips bit-exactly, and
-    hexadecimal [%h] otherwise — both re-parse to the identical
-    value. *)
+val first : string -> int -> int
+(** The first element of a list, or its [)] when empty. *)
 
-val of_bool : bool -> t
+val sibling : string -> int -> int
+(** The element after this one, or the enclosing [)]. *)
+
+val count : string -> int -> int
+(** Elements from this offset up to the enclosing [)]. *)
+
+val bare_end : string -> int -> int
+(** One past the bare atom at this offset; the offset itself when it
+    holds a list, a quoted atom or a [)]. *)
+
+val atom_is : string -> int -> string -> bool
+(** Whether the element is an atom spelling the given text, bare or
+    quoted.  Allocates nothing. *)
+
+val atom_at : string -> int -> string
+(** The text of the atom at this offset, escapes resolved. *)

@@ -82,6 +82,533 @@ let test_parse_errors () =
        (Scenario.to_string counterexample))
 
 (* ------------------------------------------------------------------ *)
+(* Pinned decoding *)
+
+(* A small valid scenario, edited below one field at a time. *)
+let base_text =
+  "(scenario (name base) (type queue) (model 3 10 4 1) (offsets 0 0 0) \
+   (delays random) (faults 0) (reliable false) (checker monitor) \
+   (algorithm (wtlw 3 paper)) (workload (closed-loop 2 1/2)) (seed 1) \
+   (max-events none) (max-check-nodes none) (expect certify) \
+   (predicate true))"
+
+let base_fields =
+  [ "(name base)"; "(type queue)"; "(model 3 10 4 1)"; "(offsets 0 0 0)";
+    "(delays random)"; "(faults 0)"; "(reliable false)"; "(checker monitor)";
+    "(algorithm (wtlw 3 paper))"; "(workload (closed-loop 2 1/2))"; "(seed 1)";
+    "(max-events none)"; "(max-check-nodes none)"; "(expect certify)";
+    "(predicate true)" ]
+
+let edit a b = replace ~sub:a ~by:b base_text
+
+let decode_inputs =
+  [
+    ("empty input", "");
+    ("unterminated list", "(scenario (name x)");
+    ("unterminated string", edit "(name base)" "(name \"ba");
+    ("bad escape", edit "(name base)" "(name \"a\\qb\")");
+    ("trailing input", base_text ^ " x");
+    ("unexpected ')'", ")");
+    ("not a scenario", "(not a scenario)");
+    ("atom", "scenario");
+    ("empty list", "()");
+    ("list head", "((scenario))");
+  ]
+  @ List.map
+      (fun f ->
+        (* the last field has a space before it, not after *)
+        if f = "(predicate true)" then ("missing " ^ f, edit (" " ^ f) "")
+        else ("missing " ^ f, edit (f ^ " ") ""))
+      base_fields
+  @ [
+      ("name is a list", edit "(name base)" "(name (base))");
+      ("name has two values", edit "(name base)" "(name a b)");
+      ("name has no value", edit "(name base)" "(name)");
+      ("bad int", edit "(seed 1)" "(seed x)");
+      ("float seed", edit "(seed 1)" "(seed 1.5)");
+      ("overlong int", edit "(seed 1)" "(seed 99999999999999999999)");
+      ("list seed", edit "(seed 1)" "(seed (1))");
+      ("model shape", edit "(model 3 10 4 1)" "(model 3 10 4)");
+      ("model bad int", edit "(model 3 10 4 1)" "(model three 10 4 1)");
+      ("model bad rational", edit "(model 3 10 4 1)" "(model 3 x 4 1)");
+      ("model zero denominator", edit "(model 3 10 4 1)" "(model 3 1/0 4 1)");
+      ("model double slash", edit "(model 3 10 4 1)" "(model 3 1/2/3 4 1)");
+      ("model u > d", edit "(model 3 10 4 1)" "(model 3 10 11 1)");
+      ("model n < 2", edit "(model 3 10 4 1)" "(model 1 10 4 1)");
+      ("offsets length", edit "(offsets 0 0 0)" "(offsets 0 0)");
+      ("offsets last error wins", edit "(offsets 0 0 0)" "(offsets x 0 y)");
+      ("offsets list", edit "(offsets 0 0 0)" "(offsets (0) 0 0)");
+      ("delays atom", edit "(delays random)" "(delays foo)");
+      ("delays list", edit "(delays random)" "(delays (random))");
+      ("matrix shape", edit "(delays random)" "(delays (matrix (10 10 10) (10 10 10)))");
+      ("matrix ragged", edit "(delays random)" "(delays (matrix (10 10 10) (10 10) (10 10 10)))");
+      ("matrix last error wins", edit "(delays random)" "(delays (matrix (10 x 10) (10 10 y) (z 10 10)))");
+      ("matrix row atom", edit "(delays random)" "(delays (matrix 10 (1 2 3) (x 2 3)))");
+      ("faults empty", edit "(faults 0)" "(faults)");
+      ("faults seed", edit "(faults 0)" "(faults x)");
+      ("fault bad float", edit "(faults 0)" "(faults 0 (drop x all))");
+      ("fault bad edges", edit "(faults 0)" "(faults 0 (drop 0.1 none))");
+      ("fault bad edge", edit "(faults 0)" "(faults 0 (duplicate 0.1 (edges (0 1 2))))");
+      ("fault edge int", edit "(faults 0)" "(faults 0 (drop 0.1 (edges (0 1) (a b))))");
+      ("fault spike direction", edit "(faults 0)" "(faults 0 (spike 0.5 1 sideways all))");
+      ("fault spike margin", edit "(faults 0)" "(faults 0 (spike 0.5 x above all))");
+      ("fault unknown", edit "(faults 0)" "(faults 0 (explode))");
+      ("fault crash", edit "(faults 0)" "(faults 0 (crash p0 5))");
+      ("fault skew", edit "(faults 0)" "(faults 0 (skew 0 x))");
+      ("faults last error wins", edit "(faults 0)" "(faults 0 (drop x all) (drop 0.1 (edges (0 y))))");
+      ("bad bool", edit "(reliable false)" "(reliable yes)");
+      ("bad checker", edit "(checker monitor)" "(checker fast)");
+      ("checker list", edit "(checker monitor)" "(checker (monitor))");
+      ("algorithm atom", edit "(algorithm (wtlw 3 paper))" "(algorithm wtlw)");
+      ("bad knob", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw 3 weird))");
+      ("knob rational", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw 3 (eager-accessor x)))");
+      ("algorithm rational", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw x paper))");
+      ("bad workload", edit "(workload (closed-loop 2 1/2))" "(workload (open-loop))");
+      ("closed-loop int", edit "(workload (closed-loop 2 1/2))" "(workload (closed-loop two 1/2))");
+      ("bad entry", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1)))");
+      ("bad op reference", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1 (sample (enqueue) 0))))");
+      ("entries last error wins", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (x 1 (sample enqueue 0)) (0 y (tagged enqueue 1))))");
+      ("generated bad float", edit "(workload (closed-loop 2 1/2))" "(workload (generated (poisson 1/4) x 8 16))");
+      ("generated bad arrival", edit "(workload (closed-loop 2 1/2))" "(workload (generated (uniform 1) 0.9 8 16))");
+      ("generated bursty size", edit "(workload (closed-loop 2 1/2))" "(workload (generated (bursty 1/4 x) 0.9 8 16))");
+      ("bad expectation", edit "(expect certify)" "(expect maybe)");
+      ("diagnostic list", edit "(expect certify)" "(expect (diagnostic (x)))");
+      ("max-events", edit "(max-events none)" "(max-events many)");
+      ("max-check-nodes", edit "(max-check-nodes none)" "(max-check-nodes (none))");
+      ("bad predicate", edit "(predicate true)" "(predicate maybe)");
+      ("predicate arity", edit "(predicate true)" "(predicate (and true))");
+      ("bad state atom", edit "(predicate true)" "(predicate (always (op-is)))");
+      ("bad final atom", edit "(predicate true)" "(predicate (finally done))");
+      ("nested predicate", edit "(predicate true)" "(predicate (or (not (eventually (completed-ge x))) true))");
+      (* shapes: too few and too many elements, and lists where atoms belong *)
+      ("drop short", edit "(faults 0)" "(faults 0 (drop x))");
+      ("drop long", edit "(faults 0)" "(faults 0 (drop x all all))");
+      ("spike short", edit "(faults 0)" "(faults 0 (spike 0.5 x above))");
+      ("crash long", edit "(faults 0)" "(faults 0 (crash x 1 2))");
+      ("skew short", edit "(faults 0)" "(faults 0 (skew x))");
+      ("edges with a list edge", edit "(faults 0)" "(faults 0 (drop 0.1 (edges (0 (1)))))");
+      ("edges short", edit "(faults 0)" "(faults 0 (drop 0.1 (edges (0))))");
+      ("edges head only", edit "(faults 0)" "(faults 0 (drop 0.1 (edges)))");
+      ("all as a list", edit "(faults 0)" "(faults 0 (drop 0.1 (all)))");
+      ("wtlw short", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw x))");
+      ("wtlw long", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw x paper paper))");
+      ("knob long", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw 3 (eager-accessor x 1)))");
+      ("knob short", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw 3 (short-execute-wait)))");
+      ("knob atom as list", edit "(algorithm (wtlw 3 paper))" "(algorithm (wtlw 3 (paper)))");
+      ("tob as list", edit "(algorithm (wtlw 3 paper))" "(algorithm (tob))");
+      ("matrix empty", edit "(delays random)" "(delays (matrix))");
+      ("matrix atom head", edit "(delays random)" "(delays matrix)");
+      ("closed-loop long", edit "(workload (closed-loop 2 1/2))" "(workload (closed-loop x 1/2 1))");
+      ("closed-loop short", edit "(workload (closed-loop 2 1/2))" "(workload (closed-loop x))");
+      ("generated long", edit "(workload (closed-loop 2 1/2))" "(workload (generated (poisson 1/4) x 8 16 1))");
+      ("generated short", edit "(workload (closed-loop 2 1/2))" "(workload (generated (poisson x) 0.5 8))");
+      ("poisson long", edit "(workload (closed-loop 2 1/2))" "(workload (generated (poisson x 1) 0.5 8 16))");
+      ("diurnal short", edit "(workload (closed-loop 2 1/2))" "(workload (generated (diurnal x 1) 0.5 8 16))");
+      ("entry long", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (x 1 (sample enqueue 0) 4)))");
+      ("entry short", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (x 1)))");
+      ("sample long", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1 (sample enqueue x 1))))");
+      ("sample short", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1 (sample enqueue))))");
+      ("tagged op list", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1 (tagged (enqueue) x))))");
+      ("tagged bad int", edit "(workload (closed-loop 2 1/2))" "(workload (explicit (0 1 (tagged enqueue x))))");
+      ("explicit empty", edit "(workload (closed-loop 2 1/2))" "(workload (explicit))");
+      ("explicit entry atom", edit "(workload (closed-loop 2 1/2))" "(workload (explicit x (0 1 (sample enqueue 0))))");
+      ("not long", edit "(predicate true)" "(predicate (not (finally x) true))");
+      ("or short", edit "(predicate true)" "(predicate (or (finally x)))");
+      ("always long", edit "(predicate true)" "(predicate (always (completed-ge x) 1))");
+      ("completed-ge long", edit "(predicate true)" "(predicate (always (completed-ge x 1)))");
+      ("op-is list", edit "(predicate true)" "(predicate (always (op-is (enqueue))))");
+      ("op-is long", edit "(predicate true)" "(predicate (always (op-is enqueue x)))");
+      ("pending-le short", edit "(predicate true)" "(predicate (finally (pending-le)))");
+      ("linearizable as list", edit "(predicate true)" "(predicate (finally (linearizable)))");
+      ("true as list", edit "(predicate true)" "(predicate (true))");
+      ("diagnostic long", edit "(expect certify)" "(expect (diagnostic x y))");
+      ("diagnostic short", edit "(expect certify)" "(expect (diagnostic))");
+      ("certify as list", edit "(expect certify)" "(expect (certify))");
+      ("none as list", edit "(max-events none)" "(max-events (none))");
+      ("quoted none", edit "(max-events none)" "(max-events \"none\")");
+      ("bool as list", edit "(reliable false)" "(reliable (true))");
+      ("model list value", edit "(model 3 10 4 1)" "(model 3 (10) 4 1)");
+      ("model long", edit "(model 3 10 4 1)" "(model x 10 4 1 5)");
+      ("offsets empty", edit "(offsets 0 0 0)" "(offsets)");
+      ("faults seed list", edit "(faults 0)" "(faults (0) (drop x all))");
+      ("field with list key", edit "(seed 1)" "((seed) 2) (seed 3)");
+      ("empty field list", edit "(seed 1)" "() (seed 3)");
+      ("quoted key with escape", edit "(seed 1)" "(\"se\\\"ed\" 2) (seed 3)");
+      ("name quoted escapes", edit "(name base)" "(name \"a\\nb\\\\c\")");
+      ("deep nesting", edit "(predicate true)" ("(predicate " ^ String.concat "" (List.init 200 (fun _ -> "(not ")) ^ "true" ^ String.make 200 ')' ^ ")"));
+      ("float spellings", edit "(workload (closed-loop 2 1/2))" "(workload (generated (poisson 1/4) 0x1.8p-1 8 16))");
+      ("int min", edit "(seed 1)" "(seed -4611686018427387904)");
+      ("int max", edit "(seed 1)" "(seed 4611686018427387903)");
+      ("int too big", edit "(seed 1)" "(seed 4611686018427387904)");
+      ("nineteen digits", edit "(seed 1)" "(seed 1000000000000000000)");
+      ("leading zeros", edit "(seed 1)" "(seed 007)");
+      ("minus only", edit "(seed 1)" "(seed -)");
+      ("rat negative denominator", edit "(offsets 0 0 0)" "(offsets 1/-2 -3/-6 0/5)");
+      ("rat spaces", edit "(offsets 0 0 0)" "(offsets 1/ /2 0)");
+      (* accepted spellings *)
+      ("base", base_text);
+      ("hex, underscores and plus", edit "(seed 1)" "(seed 0x1F)" |> replace ~sub:"(model 3 10 4 1)" ~by:"(model +3 1_0 0b100 0o1)");
+      ("rational spellings", edit "(offsets 0 0 0)" "(offsets -0 2/4 0x10/-0x4)");
+      ("quoted keys and atoms", edit "(seed 1)" "(\"seed\" \"7\")" |> replace ~sub:"(scenario" ~by:"(\"scenario\"" |> replace ~sub:"(delays random)" ~by:"(delays \"random\")");
+      ("comments and whitespace", edit "(seed 1)" "; a comment\n\t(seed ; inner\n 3)  \r\n");
+      ("first occurrence wins", edit "(seed 1)" "(seed 4) (seed 5) (unknown 1 2) junk");
+      ("bad duplicate ignored", edit "(seed 1)" "(seed 4) (seed x)");
+      ("every construct",
+       "(scenario (name \"a b\\\"c\") (type queue) (model 3 10 4 1) (offsets 0 1/2 -1) \
+        (delays (matrix (8 9 10) (10 10 10) (6 7 17/2))) \
+        (faults 9 (drop 0.05 all) (duplicate 0.25 (edges (0 1) (2 0))) (spike 0.5 3/2 below (edges)) (spike 1 5 above all) (crash 1 40) (skew 2 -1/3)) \
+        (reliable true) (checker wing-gong) (algorithm (wtlw 3 (short-execute-wait 1/2))) \
+        (workload (explicit (0 1 (sample enqueue 0)) (2 3/2 (tagged dequeue 4)))) (seed -9) (max-events 100) (max-check-nodes 7) \
+        (expect (diagnostic \"node budget\")) \
+        (predicate (and (or (not (always (completed-ge 1))) (eventually (latency-le 7/2))) (and (always (op-is \"enq ueue\")) (and (eventually (resp-by 100)) (and (finally (pending-le 0)) (and (finally (messages-le 9)) (and (finally (faults-le 3)) (or (finally linearizable) (finally converged))))))))))");
+      ("generated arrivals",
+       edit "(workload (closed-loop 2 1/2))" "(workload (generated (diurnal 1/4 400 1/10) 1e-05 8 16))");
+      ("bursty and knobs",
+       edit "(workload (closed-loop 2 1/2))" "(workload (generated (bursty 1/4 3) 0.9 8 16))"
+       |> replace ~sub:"(algorithm (wtlw 3 paper))" ~by:"(algorithm (wtlw 0 no-accessor-backdate))");
+      ("algorithms", edit "(algorithm (wtlw 3 paper))" "(algorithm tob)");
+    ]
+
+(* Fault specs the decoder used to build without validation: each of
+   these decoded, and ran. *)
+let validation_inputs =
+  [
+    ("drop above one", edit "(faults 0)" "(faults 0 (drop 2.0 all))");
+    ("drop nan", edit "(faults 0)" "(faults 0 (drop nan all))");
+    ("duplicate negative", edit "(faults 0)" "(faults 0 (duplicate -0.1 all))");
+    ("spike negative margin", edit "(faults 0)" "(faults 0 (spike 0.5 -3 above all))");
+    ("spike zero margin", edit "(faults 0)" "(faults 0 (spike 0.5 0 below all))");
+    ("spike bad probability and margin", edit "(faults 0)" "(faults 0 (spike 7 -3 above all))");
+  ]
+
+(* [Scenario.of_string] of each input above, as "ok <MD5 of the
+   re-rendering>" or "error <message>", pinned before the s-expression
+   tree was taken out of the codec. *)
+let decode_expected =
+  [
+    ("empty input", "error unexpected end of input at offset 0");
+    ("unterminated list", "error unterminated list at offset 18");
+    ("unterminated string", "error unterminated string at offset 270");
+    ("bad escape", "error bad escape at offset 19");
+    ("trailing input", "error trailing input at offset 273");
+    ("unexpected ')'", "error unexpected ')' at offset 0");
+    ("not a scenario", "error not a (scenario ...) form");
+    ("atom", "error not a (scenario ...) form");
+    ("empty list", "error not a (scenario ...) form");
+    ("list head", "error not a (scenario ...) form");
+    ("missing (name base)", "error missing field name");
+    ("missing (type queue)", "error missing field type");
+    ("missing (model 3 10 4 1)", "error missing field model");
+    ("missing (offsets 0 0 0)", "error missing field offsets");
+    ("missing (delays random)", "error missing field delays");
+    ("missing (faults 0)", "error missing field faults");
+    ("missing (reliable false)", "error missing field reliable");
+    ("missing (checker monitor)", "error missing field checker");
+    ("missing (algorithm (wtlw 3 paper))", "error missing field algorithm");
+    ("missing (workload (closed-loop 2 1/2))", "error missing field workload");
+    ("missing (seed 1)", "error missing field seed");
+    ("missing (max-events none)", "error missing field max-events");
+    ("missing (max-check-nodes none)", "error missing field max-check-nodes");
+    ("missing (expect certify)", "error missing field expect");
+    ("missing (predicate true)", "error missing field predicate");
+    ("name is a list", "error name: expected atom");
+    ("name has two values", "error name: expected a single value");
+    ("name has no value", "error name: expected a single value");
+    ("bad int", "error seed: bad int: x");
+    ("float seed", "error seed: bad int: 1.5");
+    ("overlong int", "error seed: bad int: 99999999999999999999");
+    ("list seed", "error seed: expected atom");
+    ("model shape", "error model: expected (model N D U EPS)");
+    ("model bad int", "error model: bad int: three");
+    ("model bad rational", "error model: bad rational: x");
+    ("model zero denominator", "error model: bad rational: 1/0");
+    ("model double slash", "error model: bad rational: 1/2/3");
+    ("model u > d", "error model: Model.make: u must be at most d");
+    ("model n < 2", "error model: Model.make: need at least 2 processes");
+    ("offsets length", "error offsets: offsets length must equal the model's n");
+    ("offsets last error wins", "error offsets: bad rational: y");
+    ("offsets list", "error offsets: expected atom");
+    ("delays atom", "error delays: bad delays");
+    ("delays list", "error delays: bad delays");
+    ("matrix shape", "error delays: matrix must be n x n");
+    ("matrix ragged", "error delays: matrix must be n x n");
+    ("matrix last error wins", "error delays: bad rational: z");
+    ("matrix row atom", "error delays: bad rational: x");
+    ("faults empty", "error faults: expected (faults SEED SPEC...)");
+    ("faults seed", "error faults: bad int: x");
+    ("fault bad float", "error faults: bad float: x");
+    ("fault bad edges", "error faults: bad edges");
+    ("fault bad edge", "error faults: bad edge");
+    ("fault edge int", "error faults: bad int: a");
+    ("fault spike direction", "error faults: spike direction must be above|below");
+    ("fault spike margin", "error faults: bad rational: x");
+    ("fault unknown", "error faults: bad fault spec");
+    ("fault crash", "error faults: bad int: p0");
+    ("fault skew", "error faults: bad rational: x");
+    ("faults last error wins", "error faults: bad int: y");
+    ("bad bool", "error reliable: bad bool: yes");
+    ("bad checker", "error checker: bad checker: fast");
+    ("checker list", "error checker: expected atom");
+    ("algorithm atom", "error algorithm: bad algorithm");
+    ("bad knob", "error algorithm: bad knob");
+    ("knob rational", "error algorithm: bad rational: x");
+    ("algorithm rational", "error algorithm: bad rational: x");
+    ("bad workload", "error workload: bad workload");
+    ("closed-loop int", "error workload: bad int: two");
+    ("bad entry", "error workload: bad entry");
+    ("bad op reference", "error workload: bad op reference");
+    ("entries last error wins", "error workload: bad rational: y");
+    ("generated bad float", "error workload: bad float: x");
+    ("generated bad arrival", "error workload: bad arrival");
+    ("generated bursty size", "error workload: bad int: x");
+    ("bad expectation", "error expect: bad expectation");
+    ("diagnostic list", "error expect: bad expectation");
+    ("max-events", "error max-events: bad int: many");
+    ("max-check-nodes", "error max-check-nodes: expected atom");
+    ("bad predicate", "error predicate: bad predicate");
+    ("predicate arity", "error predicate: bad predicate");
+    ("bad state atom", "error predicate: bad state atom");
+    ("bad final atom", "error predicate: bad final atom");
+    ("nested predicate", "error predicate: bad int: x");
+    ("drop short", "error faults: bad fault spec");
+    ("drop long", "error faults: bad fault spec");
+    ("spike short", "error faults: bad fault spec");
+    ("crash long", "error faults: bad fault spec");
+    ("skew short", "error faults: bad fault spec");
+    ("edges with a list edge", "error faults: expected atom");
+    ("edges short", "error faults: bad edge");
+    ("edges head only", "ok 25892b2732245233e4421166c858ccd9");
+    ("all as a list", "error faults: bad edges");
+    ("wtlw short", "error algorithm: bad algorithm");
+    ("wtlw long", "error algorithm: bad algorithm");
+    ("knob long", "error algorithm: bad knob");
+    ("knob short", "error algorithm: bad knob");
+    ("knob atom as list", "error algorithm: bad knob");
+    ("tob as list", "error algorithm: bad algorithm");
+    ("matrix empty", "error delays: matrix must be n x n");
+    ("matrix atom head", "error delays: bad delays");
+    ("closed-loop long", "error workload: bad workload");
+    ("closed-loop short", "error workload: bad workload");
+    ("generated long", "error workload: bad workload");
+    ("generated short", "error workload: bad workload");
+    ("poisson long", "error workload: bad arrival");
+    ("diurnal short", "error workload: bad arrival");
+    ("entry long", "error workload: bad entry");
+    ("entry short", "error workload: bad entry");
+    ("sample long", "error workload: bad op reference");
+    ("sample short", "error workload: bad op reference");
+    ("tagged op list", "error workload: bad op reference");
+    ("tagged bad int", "error workload: bad int: x");
+    ("explicit empty", "ok bf2905ec7f2524b0de6e78edd600cc85");
+    ("explicit entry atom", "error workload: bad entry");
+    ("not long", "error predicate: bad predicate");
+    ("or short", "error predicate: bad predicate");
+    ("always long", "error predicate: bad predicate");
+    ("completed-ge long", "error predicate: bad state atom");
+    ("op-is list", "error predicate: bad state atom");
+    ("op-is long", "error predicate: bad state atom");
+    ("pending-le short", "error predicate: bad final atom");
+    ("linearizable as list", "error predicate: bad final atom");
+    ("true as list", "error predicate: bad predicate");
+    ("diagnostic long", "error expect: bad expectation");
+    ("diagnostic short", "error expect: bad expectation");
+    ("certify as list", "error expect: bad expectation");
+    ("none as list", "error max-events: expected atom");
+    ("quoted none", "ok f59221197b4da90dad9d1d25872f3eec");
+    ("bool as list", "error reliable: expected atom");
+    ("model list value", "error model: expected atom");
+    ("model long", "error model: expected (model N D U EPS)");
+    ("offsets empty", "error offsets: offsets length must equal the model's n");
+    ("faults seed list", "error faults: expected atom");
+    ("field with list key", "ok fbc3eca12b2bb27c67049e162a26b65e");
+    ("empty field list", "ok fbc3eca12b2bb27c67049e162a26b65e");
+    ("quoted key with escape", "ok fbc3eca12b2bb27c67049e162a26b65e");
+    ("name quoted escapes", "ok 3d634c94e03127a57d325b9b27bb5ce7");
+    ("deep nesting", "ok ead7e494e8ddeeade2afd8a24a59a6b6");
+    ("float spellings", "ok 25d411b26da7b846eda21b742ca5c1ef");
+    ("int min", "ok 5fbd08f2f54ba21aaa20bde3e42b5fd5");
+    ("int max", "ok 05008f44ec5358ad7f3b58fd633f5de7");
+    ("int too big", "error seed: bad int: 4611686018427387904");
+    ("nineteen digits", "ok 76adccd105fe64a2f651e02815da80e1");
+    ("leading zeros", "ok af35a4f9d6b9cc3739b8d85c65d591f1");
+    ("minus only", "error seed: bad int: -");
+    ("rat negative denominator", "ok 7cfd5bd921754b18e6b58fc4d7cd322f");
+    ("rat spaces", "error offsets: bad rational: /2");
+    ("base", "ok f59221197b4da90dad9d1d25872f3eec");
+    ("hex, underscores and plus", "ok f5298bda39cf0f79e727ce294da8efda");
+    ("rational spellings", "ok 603915cd9a76a777980f04c9255a9b84");
+    ("quoted keys and atoms", "ok af35a4f9d6b9cc3739b8d85c65d591f1");
+    ("comments and whitespace", "ok fbc3eca12b2bb27c67049e162a26b65e");
+    ("first occurrence wins", "ok d8905b615f7ab3ad96603f8724a290b8");
+    ("bad duplicate ignored", "ok d8905b615f7ab3ad96603f8724a290b8");
+    ("every construct", "ok bf0ee33ffe7495a66045d7eaac98d403");
+    ("generated arrivals", "ok 1d8ef220bb1d444fb0da01f5a503ed70");
+    ("bursty and knobs", "ok 6b2a0fcaa716b5176ed13c9d53a599f3");
+    ("algorithms", "ok ca6d1cc69c4c794e0d995eac82aaf9b1");
+  ]
+
+(* The same for [validation_inputs]: before fault specs were validated,
+   every one of them decoded. *)
+let validation_expected =
+  [
+    ("drop above one", "error faults: Fault: probability must lie in [0, 1]");
+    ("drop nan", "error faults: Fault: probability must lie in [0, 1]");
+    ("duplicate negative", "error faults: Fault: probability must lie in [0, 1]");
+    ("spike negative margin", "error faults: Fault.spikes: margin must be positive");
+    ("spike zero margin", "error faults: Fault.spikes: margin must be positive");
+    ("spike bad probability and margin", "error faults: Fault: probability must lie in [0, 1]");
+  ]
+
+let every_construct_rendering =
+  {|(scenario
+  (name "a b\"c")
+  (type queue)
+  (model 3 10 4 1)
+  (offsets 0 1/2 -1)
+  (delays (matrix (8 9 10) (10 10 10) (6 7 17/2)))
+  (faults 9 (drop 0.05 all) (duplicate 0.25 (edges (0 1) (2 0))) (spike 0.5 3/2 below (edges)) (spike 1 5 above all) (crash 1 40) (skew 2 -1/3))
+  (reliable true)
+  (checker wing-gong)
+  (algorithm (wtlw 3 (short-execute-wait 1/2)))
+  (workload (explicit (0 1 (sample enqueue 0)) (2 3/2 (tagged dequeue 4))))
+  (seed -9)
+  (max-events 100)
+  (max-check-nodes 7)
+  (expect (diagnostic "node budget"))
+  (predicate (and (or (not (always (completed-ge 1))) (eventually (latency-le 7/2))) (and (always (op-is "enq ueue")) (and (eventually (resp-by 100)) (and (finally (pending-le 0)) (and (finally (messages-le 9)) (and (finally (faults-le 3)) (or (finally linearizable) (finally converged))))))))))
+|}
+
+let decode_result s =
+  match Scenario.of_string s with
+  | Ok t -> "ok " ^ Digest.to_hex (Digest.string (Scenario.to_string t))
+  | Error e -> "error " ^ e
+
+let check_rows inputs expected =
+  Alcotest.(check int) "row count" (List.length expected) (List.length inputs);
+  List.iter2
+    (fun (label, input) (label', want) ->
+      Alcotest.(check string) "row label" label' label;
+      Alcotest.(check string) label want (decode_result input))
+    inputs expected
+
+(* Renderings pinned byte for byte: the MD5 of a 500-scenario batch and
+   the builtins, and one scenario using every constructor, bare and
+   quoted names, negative and fractional rationals, and floats. *)
+let test_rendering_pinned () =
+  let all = Scenario.Generate.batch ~seed:1 ~count:500 @ Scenario.Builtin.all in
+  let text = String.concat "" (List.map Scenario.to_string all) in
+  Alcotest.(check string) "batch and builtins" "44b930a8c3372cb760a07f128bf58a61"
+    (Digest.to_hex (Digest.string text));
+  match Scenario.of_string (List.assoc "every construct" decode_inputs) with
+  | Error e -> Alcotest.failf "every construct: %s" e
+  | Ok s ->
+      Alcotest.(check string) "every construct" every_construct_rendering
+        (Scenario.to_string s)
+
+let test_decode_pinned () = check_rows decode_inputs decode_expected
+
+(* A drop probability of 2 used to run (and fail linearizability), a
+   nan one or a negative spike margin to run and pass.  Decoding now
+   builds specs through [Sim.Fault]'s constructors and reports their
+   complaint. *)
+let test_fault_specs_validated () =
+  check_rows validation_inputs validation_expected;
+  let path = Filename.temp_file "scenario" ".scn" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (List.assoc "drop above one" validation_inputs));
+      Alcotest.(check (result reject string)) "load refuses the file"
+        (Error "faults: Fault: probability must lie in [0, 1]")
+        (Result.map ignore (Scenario.load path)))
+
+(* The rendering's top-level fields, without the [(scenario] head:
+   one per line, the last one carrying the closing parenthesis. *)
+let rendered_fields r =
+  match String.split_on_char '\n' r with
+  | _head :: rest ->
+      let fields = List.filter (fun l -> l <> "") rest in
+      let strip l = String.sub l 2 (String.length l - 2) in
+      let n = List.length fields in
+      List.mapi
+        (fun i l ->
+          let l = strip l in
+          if i = n - 1 then String.sub l 0 (String.length l - 1) else l)
+        fields
+  | [] -> []
+
+(* [(key rest] as [("key" rest]. *)
+let quote_key f =
+  let k = String.index f ' ' in
+  "(\"" ^ String.sub f 1 (k - 1) ^ "\"" ^ String.sub f k (String.length f - k)
+
+(* A rendering decoded again after its fields are shuffled, separated
+   by random whitespace and comments, keys quoted, a comment put after
+   a key, unknown fields and atoms added, and some fields repeated with
+   a later, unreadable value: the first occurrence wins. *)
+let relayout rng r =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let fields = Array.of_list (rendered_fields r) in
+  for i = Array.length fields - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = fields.(i) in
+    fields.(i) <- fields.(j);
+    fields.(j) <- t
+  done;
+  let fields =
+    Array.map
+      (fun f ->
+        let f = if Random.State.int rng 4 = 0 then quote_key f else f in
+        if Random.State.int rng 6 = 0 then
+          let k = String.index f ' ' in
+          String.sub f 0 k ^ " ; note (\n" ^ String.sub f k (String.length f - k)
+        else f)
+      fields
+  in
+  let repeats =
+    List.filter_map
+      (fun f ->
+        if Random.State.int rng 5 = 0 then
+          Some (String.sub f 0 (String.index f ' ') ^ " (not a value) x)")
+        else None)
+      (Array.to_list fields)
+  in
+  let extras =
+    List.filter
+      (fun _ -> Random.State.bool rng)
+      [ "(unknown-field 1 (2 \"x y\") ())"; "stray-atom"; "()"; "((seed) 9)" ]
+  in
+  let sep () =
+    pick [ " "; "\n  "; "\t"; "\r\n"; " ; a comment\n"; "\n;; (\") comment\n  " ]
+  in
+  let items = Array.to_list fields @ repeats @ extras in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (pick [ "(scenario"; "(\"scenario\""; "  ; lead\n(scenario" ]);
+  List.iter
+    (fun item ->
+      Buffer.add_string b (sep ());
+      Buffer.add_string b item)
+    items;
+  Buffer.add_string b (pick [ ")"; " )\n"; ") ; trailing\n" ]);
+  Buffer.contents b
+
+let decode_ignores_layout =
+  QCheck.Test.make ~name:"decode ignores field order and layout" ~count:300
+    QCheck.(pair (int_range 1 1_000_000) int)
+    (fun (seed, layout) ->
+      let s =
+        match seed mod 10 with
+        | 0 -> counterexample
+        | 1 -> Scenario.Builtin.ablation_register
+        | _ -> Scenario.gen ~seed
+      in
+      let text = relayout (Random.State.make [| layout |]) (Scenario.to_string s) in
+      match Scenario.of_string text with
+      | Ok s' -> Scenario.equal s s' || QCheck.Test.fail_reportf "changed:\n%s" text
+      | Error e -> QCheck.Test.fail_reportf "%s:\n%s" e text)
+
+(* ------------------------------------------------------------------ *)
 (* Generation *)
 
 let test_gen_deterministic () =
@@ -284,6 +811,11 @@ let () =
           Alcotest.test_case "file round trip" `Quick test_file_round_trip;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "sexp messages pinned" `Quick test_sexp_pinned;
+          Alcotest.test_case "rendering pinned" `Quick test_rendering_pinned;
+          Alcotest.test_case "decode results pinned" `Quick test_decode_pinned;
+          Alcotest.test_case "fault specs validated" `Quick
+            test_fault_specs_validated;
+          QCheck_alcotest.to_alcotest decode_ignores_layout;
           QCheck_alcotest.to_alcotest sexp_round_trip;
         ] );
       ( "generate",

@@ -299,6 +299,33 @@ let test_unrepresentable_gap_rejected () =
     | Some d -> contains d "unrepresentable arrival gap"
     | None -> false)
 
+(* A nan skew exponent passes a [zipf < 0] test; its cumulative
+   weights are all nan, so every draw lands on the last key.  It is
+   refused by name, by the generator and by the sharded run's
+   config. *)
+let test_nan_zipf_rejected () =
+  let named f =
+    match f () with
+    | exception Invalid_argument m -> contains m "zipf is nan"
+    | _ -> false
+  in
+  Alcotest.(check bool) "nan refused by Gen.validate" true
+    (named (fun () ->
+         Core.Workload.Gen.validate ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+           ~zipf:Float.nan ~keys:8 ~ops:10 ()));
+  Alcotest.(check bool) "nan refused by Gen.create" true
+    (named (fun () -> mk_gen ~zipf:Float.nan ()));
+  let model = Sim.Model.make_optimal_eps ~n:3 ~d:(rat 10 1) ~u:(rat 4 1) in
+  Alcotest.(check bool) "nan refused by Shard.Config.make" true
+    (named (fun () ->
+         Shard.Config.make ~shards:2 ~ops:2000 ~zipf:Float.nan
+           ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+           ~model
+           ~algorithm:(Core.Runtime.Wtlw { x = rat 3 1 })
+           ()));
+  Alcotest.(check bool) "infinite skew still accepted" false
+    (named (fun () -> mk_gen ~zipf:Float.infinity ()))
+
 (* Every process's [Route] feed is the reference deal: the [keep]-
    filtered [Gen.next] stream dealt round-robin in generation order,
    each arrival clamped to its process's previous one plus [min_gap].
@@ -413,6 +440,98 @@ let test_hist_merge_partition_independent () =
   let render h = Format.asprintf "%a" Core.Metrics.Hist.pp h in
   Alcotest.(check string) "identical rendering" (render whole) (render merged)
 
+(* The windowed histogram against a dense reference: counts indexed
+   from bucket 0, the layout it replaced, with the same bucketing and
+   the same quantile walk.  Samples span zero latencies, values below
+   the bucket-0 edge and some forty octaves; histograms are combined
+   by random merge trees. *)
+module Dense = struct
+  let lo = 1.0 /. 1024.0
+  let log_g = log 2.0 /. 16.0
+
+  let bucket v =
+    let f = Rat.to_float v in
+    if f <= lo then 0 else 1 + int_of_float (Float.floor (log (f /. lo) /. log_g))
+
+  let edge i = if i = 0 then 0.0 else lo *. exp (float_of_int i *. log_g)
+
+  let quantile samples q =
+    let count = List.length samples in
+    if count = 0 then nan
+    else begin
+      let counts = Array.make (1 + List.fold_left (fun m v -> max m (bucket v)) 0 samples) 0 in
+      List.iter (fun v -> counts.(bucket v) <- counts.(bucket v) + 1) samples;
+      let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int count))) in
+      let cum = ref 0 and found = ref (-1) in
+      Array.iteri
+        (fun i c ->
+          cum := !cum + c;
+          if !found < 0 && !cum >= rank then found := i)
+        counts;
+      let lo_v = Rat.to_float (Rat.min_list samples)
+      and hi_v = Rat.to_float (Rat.max_list samples) in
+      Float.min (Float.max (edge (max 0 !found)) lo_v) hi_v
+    end
+end
+
+type hist_tree = Leaf of Rat.t list | Node of hist_tree * hist_tree
+
+let rec tree_samples = function
+  | Leaf l -> l
+  | Node (a, b) -> tree_samples a @ tree_samples b
+
+let rec tree_hist = function
+  | Leaf l ->
+      let h = Core.Metrics.Hist.create () in
+      List.iter (Core.Metrics.Hist.add h) l;
+      h
+  | Node (a, b) ->
+      let h = tree_hist a in
+      Core.Metrics.Hist.merge h (tree_hist b);
+      h
+
+let arb_hist_tree =
+  let open QCheck.Gen in
+  let sample =
+    frequency
+      [
+        (1, return Rat.zero);
+        (1, map (fun k -> rat k 4096) (int_range 1 4));
+        (3, map2 rat (int_range 1 (1 lsl 30)) (oneofl [ 1; 3; 1024; 4096 ]));
+        (3, map (fun k -> rat (k + 10) 1) (int_range 0 40));
+      ]
+  in
+  let leaf = map (fun l -> Leaf l) (list_size (0 -- 12) sample) in
+  let tree =
+    sized_size (0 -- 5)
+    @@ fix (fun self depth ->
+           if depth = 0 then leaf
+           else
+             frequency
+               [ (1, leaf); (2, map2 (fun a b -> Node (a, b)) (self (depth - 1)) (self (depth - 1))) ])
+  in
+  QCheck.make
+    ~print:(fun t ->
+      String.concat " " (List.map Rat.to_string (tree_samples t)))
+    tree
+
+let prop_hist_matches_dense =
+  QCheck.Test.make ~name:"windowed hist matches a dense reference" ~count:500
+    arb_hist_tree (fun t ->
+      let samples = tree_samples t in
+      let h = tree_hist t in
+      let flat = Core.Metrics.Hist.create () in
+      List.iter (Core.Metrics.Hist.add flat) samples;
+      let same_float a b = (Float.is_nan a && Float.is_nan b) || a = b in
+      Core.Metrics.Hist.count h = List.length samples
+      && Core.Metrics.Hist.summary h = Core.Metrics.summarize samples
+      && List.for_all
+           (fun q -> same_float (Core.Metrics.Hist.quantile h q) (Dense.quantile samples q))
+           [ 0.01; 0.25; 0.5; 0.9; 0.99; 0.999; 1.0 ]
+      (* the window is a function of the samples: merge order and
+         partition leave no trace in the value *)
+      && h = flat)
+
 let mk_op ~proc ~inv ~s ~e : (string, unit) Sim.Trace.operation =
   { proc; inv; resp = (); inv_time = rat s 1; resp_time = rat e 1 }
 
@@ -480,6 +599,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_route_is_round_robin_deal;
           Alcotest.test_case "unrepresentable gaps refused" `Quick
             test_unrepresentable_gap_rejected;
+          Alcotest.test_case "nan zipf refused" `Quick test_nan_zipf_rejected;
         ] );
       ( "delay model",
         [
@@ -495,5 +615,6 @@ let () =
           Alcotest.test_case "hist quantiles" `Quick test_hist_quantiles;
           Alcotest.test_case "hist merge partition-independent" `Quick
             test_hist_merge_partition_independent;
+          QCheck_alcotest.to_alcotest prop_hist_matches_dense;
         ] );
     ]
