@@ -331,8 +331,9 @@ let check_cmd =
     match resolved with
     | Error msg -> `Error (false, msg)
     | Ok (pt, count, seed, checker) ->
-    let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
-    let module M = Monitor.Make (T) in
+    let (module E : Sweep.Packed_type.RUNNER) = Sweep.Packed_type.runner pt in
+    let module T = E.T in
+    let module M = E.R.Mon in
     match Monitor.monitored_kind (module T) with
     | None ->
         let monitored =
@@ -414,17 +415,13 @@ let check_cmd =
                 Some detail )
             end
             else
-              match checker with
-              | Core.Runtime.Wing_gong ->
-                  let module F = Lin.Checker.Make (T) in
-                  (Option.is_some (F.check ops), "wing-gong", None, None, None)
-              | Core.Runtime.Monitor ->
-                  let r = M.check ops in
-                  ( r.M.linearizable,
-                    Monitor.method_to_string r.M.method_,
-                    r.M.fallback,
-                    r.M.violation,
-                    None )
+              (* a generated history has no protocol, so no order *)
+              let r = E.R.certify ~checker (Array.of_list ops) in
+              ( r.M.linearizable,
+                Monitor.method_to_string r.M.method_,
+                r.M.fallback,
+                r.M.violation,
+                None )
           in
           let check_s = Core.Clock.now_s () -. t1 in
           Format.printf "verdict: %s (%s) in %.2fs@."

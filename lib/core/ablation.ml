@@ -72,8 +72,18 @@ let pp_outcome ppf o =
     (if sound o then "" else "  <- VIOLATION CAUGHT")
 
 module Make (T : Spec.Data_type.S) = struct
-  module Algo = Wtlw.Make (T)
-  module Checker = Lin.Checker.Make (T)
+  module R = Runtime.Make (T)
+
+  (* Algorithm 1 under [timing_of], wired by [Runtime] and judged by
+     Wing-Gong: [(linearizable, replicas_converged)]. *)
+  let judge ~model ~x ~timing_of ~offsets ~matrix schedule =
+    let r =
+      R.run
+        (R.Config.make ~checker:R.Wing_gong ~timing:timing_of ~model ~offsets
+           ~delay:(Sim.Net.matrix matrix) ~algorithm:(R.Wtlw { x })
+           ~workload:(R.Schedule schedule) ())
+    in
+    (Option.is_some r.linearization, r.converged = Some true)
 
   (* One adversarial scenario: maximal clock skew between p1 and p2,
      and a delay matrix that delivers p1's messages as fast as possible
@@ -93,11 +103,6 @@ module Make (T : Spec.Data_type.S) = struct
        two racing mutators arrive in opposite orders at p0 and p3. *)
     matrix.(1).(0) <- Sim.Model.min_delay model;
     matrix.(2).(3) <- Sim.Model.min_delay model;
-    let timing = timing_of_knob model ~x knob in
-    let cluster =
-      Algo.create_with_timing ~model ~timing ~offsets
-        ~delay:(Sim.Net.matrix matrix) ()
-    in
     let rng = Random.State.make [| seed |] in
     let mutator_invocations proc count start spacing =
       List.init count (fun k ->
@@ -154,23 +159,16 @@ module Make (T : Spec.Data_type.S) = struct
       ]
     in
     let start = Rat.mul_int spacing 1 in
-    let schedule =
-      race
+    judge ~model ~x
+      ~timing_of:(fun model ~x -> timing_of_knob model ~x knob)
+      ~offsets ~matrix
+      (race
       @ mutator_invocations 1 4 start spacing
       @ mutator_invocations 2 4 (Rat.add start (Rat.make 1 10)) spacing
       @ accessor_invocations 0 4 (Rat.mul_int spacing 6) spacing
       @ accessor_invocations 3 4
           (Rat.add (Rat.mul_int spacing 6) (Rat.make 1 7))
-          spacing
-    in
-    List.iter
-      (fun { Workload.proc; at; inv } ->
-        Sim.Engine.schedule_invoke cluster.engine ~at ~proc inv)
-      (Workload.sort_schedule schedule);
-    Sim.Engine.run cluster.engine;
-    let trace = Sim.Engine.trace cluster.engine in
-    ( Checker.trace_linearizable trace,
-      Algo.replicas_converged cluster )
+          spacing)
 
   let evaluate ~model ~x ~seeds knob =
     let results =
@@ -219,18 +217,12 @@ module Make (T : Spec.Data_type.S) = struct
     let matrix = Sim.Net.uniform_matrix ~n:4 (rat 10 1) in
     matrix.(2).(1) <- rat 8 1;
     matrix.(3).(1) <- rat 12 1;
-    let cluster =
-      Algo.create_with_timing ~model ~timing:(timing_of model ~x) ~offsets
-        ~delay:(Sim.Net.matrix matrix) ()
-    in
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 197 2) ~proc:3
-      slow_mutator;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 99 1) ~proc:2
-      fast_mutator;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 100 1) ~proc:1 probe;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 140 1) ~proc:0 probe;
-    Sim.Engine.schedule_invoke cluster.engine ~at:(rat 141 1) ~proc:1 probe;
-    Sim.Engine.run cluster.engine;
-    ( Checker.trace_linearizable (Sim.Engine.trace cluster.engine),
-      Algo.replicas_converged cluster )
+    judge ~model ~x ~timing_of ~offsets ~matrix
+      [
+        Workload.entry ~proc:3 ~at:(rat 197 2) slow_mutator;
+        Workload.entry ~proc:2 ~at:(rat 99 1) fast_mutator;
+        Workload.entry ~proc:1 ~at:(rat 100 1) probe;
+        Workload.entry ~proc:0 ~at:(rat 140 1) probe;
+        Workload.entry ~proc:1 ~at:(rat 141 1) probe;
+      ]
 end

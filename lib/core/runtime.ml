@@ -34,8 +34,8 @@ let checker_name = function Monitor -> "monitor" | Wing_gong -> "wing-gong"
 
 module Make (T : Spec.Data_type.S) = struct
   module Sem = Spec.Data_type.Semantics (T)
-  module Checker = Lin.Checker.Make (T)
   module Mon = Monitor.Make (T)
+  module Checker = Mon.Fallback
   module Wtlw_impl = Wtlw.Make (T)
   module Centralized_impl = Centralized.Make (T)
   module Tob_impl = Tob.Make (T)
@@ -142,24 +142,21 @@ module Make (T : Spec.Data_type.S) = struct
      trace's streaming sinks. *)
   let retain_events = false
 
-  (* Certify a completed history with the configured engine: the
-     per-type monitor, then the algorithm's own order [order] when the
-     monitor does not decide, then Wing-Gong.  [Wing_gong] is the
-     independent oracle and never consults [order].  Returns the
-     linearization witness (when one exists), the engine label for the
-     report, and why [order] was refused, when it was. *)
-  let certify ?max_nodes ?order ~checker operations =
+  (* The one certify path, shared by [run], [Shard]'s per-key loop and
+     [repro check]: the per-type monitor, then the algorithm's own
+     order [order] when the monitor does not decide, then Wing-Gong.
+     [Wing_gong] is the independent oracle and never consults
+     [order]. *)
+  let certify ?max_nodes ?order ~checker arr =
     match checker with
-    | Wing_gong -> (Checker.check ?max_nodes operations, "wing-gong", None)
-    | Monitor ->
-        let r = Mon.check ?max_nodes ?order operations in
-        let label =
-          match r.Mon.method_ with
-          | Monitor.Wing_gong when Option.is_some r.Mon.fallback ->
-              "monitor, fell back to wing-gong"
-          | m -> Monitor.method_to_string m
-        in
-        (r.Mon.linearization, label, r.Mon.order_failure)
+    | Wing_gong -> Mon.wing_gong ?max_nodes arr None
+    | Monitor -> Mon.check_array ?max_nodes ?order arr
+
+  let checked_by (r : Mon.result) =
+    match r.method_ with
+    | Monitor.Wing_gong when Option.is_some r.fallback ->
+        "monitor, fell back to wing-gong"
+    | m -> Monitor.method_to_string m
 
   (* Drive one engine (of any algorithm) through the workload. *)
   let drive (type m g) ?max_events ?deadline ~(model : Sim.Model.t)
@@ -205,29 +202,29 @@ module Make (T : Spec.Data_type.S) = struct
         done);
     Sim.Engine.run ?max_events ?deadline engine
 
-  (* Assemble a report from the trace's incremental sink snapshots:
-     counters, pairing and admissibility are O(1) lookups, so the only
-     remaining pass is over completed operations (for the checker),
-     never over raw events. *)
-  let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
-      ~algorithm ~check trace =
-    let operations = Sim.Trace.operations trace in
+  (* The one report builder: certify [operations] when [check] is set,
+     and read everything else off the trace's incremental sink
+     snapshots — counters, pairing and admissibility are O(1) lookups,
+     so no pass ever goes over raw events. *)
+  let build_report ?max_nodes ?order ~checker ~check ~model ~algorithm
+      ~skew_admissible ~truncated ~channel ~converged ~by_op ~by_kind ~hist
+      trace operations =
     let linearization, checked_by, order_failure =
       if check then
-        let lin, label, failure = certify ~checker operations in
-        (lin, Some label, failure)
+        let r =
+          certify ?max_nodes ?order ~checker (Array.of_list operations)
+        in
+        (r.Mon.linearization, Some (checked_by r), r.Mon.order_failure)
       else (None, None, None)
     in
-    let hist = Metrics.Hist.create () in
-    List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
     {
       algorithm;
       operations;
       linearization;
       checked_by;
       order_failure;
-      by_op = Metrics.by_op ~op_of:T.op_of operations;
-      by_kind = Metrics.by_kind ~kind_of operations;
+      by_op;
+      by_kind;
       hist;
       messages = Sim.Trace.send_count trace;
       events = Sim.Trace.event_count trace;
@@ -235,199 +232,135 @@ module Make (T : Spec.Data_type.S) = struct
       delays_admissible = Sim.Trace.delays_admissible model trace;
       skew_admissible;
       faults = Sim.Trace.fault_counts trace;
-      truncated = false;
-      channel = None;
-      converged = None;
+      truncated;
+      channel;
+      converged;
     }
 
-  (* Streaming variant used by [run]: latency summaries accumulate in
-     [Metrics.Grouped] sinks as responses are recorded, so the report
-     needs no per-operation metric pass afterwards.  A run that hits
-     the step limit is not lost: the sinks hold everything up to the
-     truncation point, so the report is returned with
-     [truncated = true] (and typically [pending > 0]). *)
-  let report_of_run (type m g) ?max_events ?max_check_nodes ?deadline
-      ?(checker = Monitor) ?channel ~(model : Sim.Model.t) ~algorithm ~check
-      ~order (engine : (m, g, T.invocation, T.response) Sim.Engine.t)
-      workload =
-    let trace = Sim.Engine.trace engine in
-    let by_op_acc = Metrics.Grouped.create () in
-    let by_kind_acc = Metrics.Grouped.create () in
-    let hist = Metrics.Hist.create () in
-    Sim.Trace.on_operation trace (fun op ->
-        let l = Metrics.latency op in
-        Metrics.Grouped.add by_op_acc (T.op_of op.inv) l;
-        Metrics.Grouped.add by_kind_acc (kind_of op.inv) l;
-        Metrics.Hist.add hist l);
-    (* A deadline expiry is deliberately NOT caught here: unlike the
-       step limit (whose partial report is still meaningful), a wall
-       budget means the caller wants the cell abandoned — the campaign
-       layer turns the escaping [Sim.Engine.Deadline_exceeded] into a
-       named [Cell_timeout] diagnostic, mirroring how
-       [Lin.Checker.Node_budget_exceeded] is surfaced. *)
-    let truncated =
-      match drive ?max_events ?deadline ~model engine workload with
-      | () -> false
-      | exception Sim.Engine.Step_limit_exceeded _ -> true
-    in
+  let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
+      ~algorithm ~check trace =
     let operations = Sim.Trace.operations trace in
-    (* the algorithm's own order, over the clock offsets the run used;
-       computed only if the checker asks for it *)
-    let order ops = order ~offsets:(Sim.Engine.effective_offsets engine) ops in
-    let linearization, checked_by, order_failure =
-      if check then
-        let lin, label, failure =
-          certify ?max_nodes:max_check_nodes ~order ~checker operations
-        in
-        (lin, Some label, failure)
-      else (None, None, None)
-    in
-    let report =
-      {
-        algorithm;
-        operations;
-        linearization;
-        checked_by;
-        order_failure;
-        by_op = Metrics.Grouped.summaries by_op_acc;
-        by_kind = Metrics.Grouped.summaries by_kind_acc;
-        hist;
-        messages = Sim.Trace.send_count trace;
-        events = Sim.Trace.event_count trace;
-        pending = Sim.Trace.pending_count trace;
-        delays_admissible = Sim.Trace.delays_admissible model trace;
-        skew_admissible =
-          Sim.Model.skew_valid model (Sim.Engine.effective_offsets engine);
-        faults = Sim.Trace.fault_counts trace;
-        truncated;
-        channel;
-        converged = None;
-      }
-    in
-    (report, order)
+    let hist = Metrics.Hist.create () in
+    List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
+    build_report ~checker ~check ~model ~algorithm ~skew_admissible
+      ~truncated:false ~channel:None ~converged:None
+      ~by_op:(Metrics.by_op ~op_of:T.op_of operations)
+      ~by_kind:(Metrics.by_kind ~kind_of operations)
+      ~hist trace operations
 
-  (* Direct leg: the algorithm straight on the configured network,
-     judged against the configured model. *)
-  let run_direct (cfg : Config.t) =
-    let { Config.model; offsets; delay; algorithm; workload; _ } = cfg in
-    let name = algorithm_name algorithm in
-    let finish (type m g) ~order
-        (engine : (m, g, T.invocation, T.response) Sim.Engine.t) =
-      report_of_run ?max_events:cfg.max_events
-        ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
-        ~checker:cfg.checker ~model ~algorithm:name ~check:cfg.check
-        ~order engine workload
-    in
-    let faults = cfg.faults in
-    match algorithm with
-    | Wtlw { x } ->
-        (* An explicit timing override (the ablation knobs) bypasses
-           [create]'s X-validity check on purpose: the overridden
-           timings are deliberately outside the sound envelope. *)
-        let cluster =
-          match cfg.timing with
-          | None ->
-              Wtlw_impl.create ~retain_events ~faults ~model ~x ~offsets
-                ~delay ()
-          | Some timing_of ->
-              Wtlw_impl.create_with_timing ~retain_events ~faults ~model
-                ~timing:(timing_of model ~x) ~offsets ~delay ()
-        in
-        let report, order =
-          finish
-            ~order:(Wtlw_impl.linearization ~timing:cluster.timing)
-            cluster.engine
-        in
-        let converged = Wtlw_impl.replicas_converged cluster in
-        ({ report with converged = Some converged }, order)
-    | Centralized ->
-        let cluster =
-          Centralized_impl.create ~retain_events ~faults ~model ~offsets
-            ~delay ()
-        in
-        finish
-          ~order:(fun ~offsets:_ -> Centralized_impl.linearization cluster.hub)
-          cluster.engine
-    | Tob ->
-        let cluster =
-          Tob_impl.create ~retain_events ~faults ~model ~offsets ~delay ()
-        in
-        finish ~order:Tob_impl.linearization cluster.engine
-
-  (* Recovered leg: run the algorithm unmodified over the reliable
-     channel ([Reliable.wrap]) on a faulty network, and judge the
-     result against the inflated model [d' = d + retry budget] the
-     channel implements.  The report's admissibility/skew verdicts, the
-     algorithm's internal timing, and the checker all use that inflated
-     model — this is the "recovered" leg of the robustness matrix. *)
-  let run_recovered (cfg : Config.t) config =
+  (* Build the chosen algorithm, drive it through the workload and
+     report.  Each algorithm supplies its handlers, the order it
+     linearizes in and its convergence check once; the reliable leg
+     only wraps the handlers in [Reliable.wrap] and judges the run —
+     the algorithm's timing, the admissibility verdicts and the
+     checker — against the inflated model [d' = d + retry budget] the
+     channel implements (the "recovered" leg of the robustness
+     matrix).  Latency summaries accumulate in [Metrics.Grouped] sinks
+     as responses are recorded.  A run that hits the step limit is not
+     lost: the sinks hold everything up to the truncation point, so the
+     report is returned with [truncated = true]. *)
+  let run_with_order (cfg : Config.t) =
     let { Config.model; offsets; delay; algorithm; workload; faults; _ } =
       cfg
     in
-    let effective =
-      Reliable.inflated_model ~extra_skew:(Sim.Fault.extra_skew faults)
-        ~max_spike:(Sim.Fault.max_spike faults) config model
+    let judged, name =
+      match cfg.channel with
+      | None -> (model, algorithm_name algorithm)
+      | Some config ->
+          ( Reliable.inflated_model ~extra_skew:(Sim.Fault.extra_skew faults)
+              ~max_spike:(Sim.Fault.max_spike faults) config model,
+            algorithm_name algorithm ^ "+reliable" )
     in
-    let name = algorithm_name algorithm ^ "+reliable" in
-    let finish (type m g) ~order
-        (engine : (m, g, T.invocation, T.response) Sim.Engine.t) stats =
-      report_of_run ?max_events:cfg.max_events
-        ?max_check_nodes:cfg.max_check_nodes ?deadline:cfg.deadline
-        ~checker:cfg.checker
-        ~channel:{ config; effective; stats }
-        ~model:effective ~algorithm:name ~check:cfg.check
-        ~order engine workload
+    (* [go] is polymorphic in the message and timer types, which the
+       reliable channel changes. *)
+    let go (type m g) ~order ~converged ~channel
+        (handlers : (m, g, T.invocation, T.response) Sim.Engine.handlers) =
+      let engine =
+        Sim.Engine.create ~retain_events ~faults ~model:judged ~offsets ~delay
+          ~handlers ()
+      in
+      let trace = Sim.Engine.trace engine in
+      let by_op = Metrics.Grouped.create () in
+      let by_kind = Metrics.Grouped.create () in
+      let hist = Metrics.Hist.create () in
+      Sim.Trace.on_operation trace (fun op ->
+          let l = Metrics.latency op in
+          Metrics.Grouped.add by_op (T.op_of op.inv) l;
+          Metrics.Grouped.add by_kind (kind_of op.inv) l;
+          Metrics.Hist.add hist l);
+      (* A deadline expiry is deliberately NOT caught here: unlike the
+         step limit (whose partial report is still meaningful), a wall
+         budget means the caller wants the cell abandoned — the
+         campaign layer turns the escaping [Sim.Engine.Deadline_exceeded]
+         into a named [Cell_timeout] diagnostic, mirroring how
+         [Lin.Checker.Node_budget_exceeded] is surfaced. *)
+      let truncated =
+        match
+          drive ?max_events:cfg.max_events ?deadline:cfg.deadline
+            ~model:judged engine workload
+        with
+        | () -> false
+        | exception Sim.Engine.Step_limit_exceeded _ -> true
+      in
+      (* the algorithm's own order, over the clock offsets the run used;
+         computed only if the checker asks for it *)
+      let ran_offsets = Sim.Engine.effective_offsets engine in
+      let order ops = order ~offsets:ran_offsets ops in
+      ( build_report ?max_nodes:cfg.max_check_nodes ~order ~checker:cfg.checker
+          ~check:cfg.check ~model:judged ~algorithm:name
+          ~skew_admissible:(Sim.Model.skew_valid judged ran_offsets)
+          ~truncated ~channel ~converged:(converged ())
+          ~by_op:(Metrics.Grouped.summaries by_op)
+          ~by_kind:(Metrics.Grouped.summaries by_kind)
+          ~hist trace
+          (Sim.Trace.operations trace),
+        order )
     in
-    let create_engine handlers =
-      Sim.Engine.create ~retain_events ~faults
-        ~model:effective ~offsets ~delay ~handlers ()
+    let finish ~order ~converged handlers =
+      match cfg.channel with
+      | None -> go ~order ~converged ~channel:None handlers
+      | Some config ->
+          let handlers, stats = Reliable.wrap ~config ~n:judged.n handlers in
+          go ~order ~converged
+            ~channel:(Some { config; effective = judged; stats })
+            handlers
     in
     match algorithm with
     | Wtlw { x } ->
+        (* An explicit timing override (the ablation knobs) skips the
+           X-validity check on purpose: the overridden timings are
+           deliberately outside the sound envelope. *)
         let timing =
           match cfg.timing with
+          | Some timing_of -> timing_of judged ~x
           | None ->
               if
                 not
-                  (Rat.in_range ~lo:Rat.zero
-                     ~hi:(Rat.sub effective.d effective.eps)
+                  (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub judged.d judged.eps)
                      x)
-              then invalid_arg "Runtime.run: X outside [0, d' - eps']";
-              Wtlw.default_timing effective ~x
-          | Some timing_of -> timing_of effective ~x
+              then
+                invalid_arg
+                  (match cfg.channel with
+                  | None -> "Wtlw.create: X must lie in [0, d - eps]"
+                  | Some _ -> "Runtime.run: X outside [0, d' - eps']");
+              Wtlw.default_timing judged ~x
         in
-        let states = Wtlw_impl.fresh_states ~n:effective.n in
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Wtlw_impl.protocol ~timing states)
-        in
-        let report, order =
-          finish
-            ~order:(Wtlw_impl.linearization ~timing)
-            (create_engine handlers) stats
-        in
-        let converged = Wtlw_impl.states_converged states in
-        ({ report with converged = Some converged }, order)
+        let states = Wtlw_impl.fresh_states ~n:judged.n in
+        finish
+          ~order:(Wtlw_impl.linearization ~timing)
+          ~converged:(fun () -> Some (Wtlw_impl.states_converged states))
+          (Wtlw_impl.protocol ~timing states)
     | Centralized ->
         let hub = Centralized_impl.fresh_hub () in
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n (Centralized_impl.protocol hub)
-        in
         finish
           ~order:(fun ~offsets:_ -> Centralized_impl.linearization hub)
-          (create_engine handlers) stats
+          ~converged:(fun () -> None)
+          (Centralized_impl.protocol hub)
     | Tob ->
-        let states = Tob_impl.fresh_states ~n:effective.n in
-        let handlers, stats =
-          Reliable.wrap ~config ~n:effective.n
-            (Tob_impl.protocol ~model:effective states)
-        in
-        finish ~order:Tob_impl.linearization (create_engine handlers) stats
-
-  let run_with_order (cfg : Config.t) =
-    match cfg.channel with
-    | None -> run_direct cfg
-    | Some config -> run_recovered cfg config
+        let states = Tob_impl.fresh_states ~n:judged.n in
+        finish ~order:Tob_impl.linearization
+          ~converged:(fun () -> None)
+          (Tob_impl.protocol ~model:judged states)
 
   let run cfg = fst (run_with_order cfg)
 

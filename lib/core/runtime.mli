@@ -25,6 +25,7 @@ val checker_name : checker -> string
 
 module Make (T : Spec.Data_type.S) : sig
   module Sem : module type of Spec.Data_type.Semantics (T)
+  module Mon : module type of Monitor.Make (T)
   module Checker : module type of Lin.Checker.Make (T)
 
   type nonrec algorithm = algorithm =
@@ -141,8 +142,8 @@ module Make (T : Spec.Data_type.S) : sig
           (** override Algorithm 1's five waiting periods (the ablation
               knobs, [Core.Ablation.timing_of_knob]); applied to the
               model the run is judged against (the inflated model on
-              reliable legs).  Overrides skip [Wtlw.Make.create]'s
-              X-validity check — ablation timings are deliberately
+              reliable legs).  Overrides skip the run's X-validity
+              check — ablation timings are deliberately
               outside the sound envelope.  Ignored by the baselines.
               [None] (the default): the repaired
               {!Wtlw.default_timing}. *)
@@ -176,6 +177,21 @@ module Make (T : Spec.Data_type.S) : sig
   end
 
   val kind_of : T.invocation -> Spec.Op_kind.t
+
+  val certify :
+    ?max_nodes:int ->
+    ?order:(Mon.op array -> int list) ->
+    checker:checker ->
+    Mon.op array ->
+    Mon.result
+  (** The one certify path, used by {!run}, [Shard]'s per-key loop and
+      [repro check].  [Monitor]: the per-type monitor, then the
+      candidate order [order] (positions in the array, first to last)
+      when no monitor decides, then Wing-Gong when [order] is absent or
+      refused.  [Wing_gong]: the exhaustive search alone; [order] is
+      never consulted.
+      @raise Lin.Checker.Node_budget_exceeded when Wing-Gong runs and
+      exceeds [max_nodes]. *)
 
   val run : Config.t -> report
   (** Build, drive to quiescence, and summarize in one pass over the

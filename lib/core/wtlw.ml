@@ -27,7 +27,7 @@
     mutator speed (following Chaudhuri–Gawlick–Lynch). *)
 
 (* The five waiting periods Algorithm 1 is built from.  The default
-   values below are exactly the paper's; {!Make.create_with_timing}
+   values below are exactly the paper's; [Runtime.Config.timing]
    accepts altered values so that the ablation harness can demonstrate
    that each wait is load-bearing (see [Core.Ablation]). *)
 type timing = {
@@ -203,8 +203,13 @@ module Make (T : Spec.Data_type.S) = struct
       ~proc:(fun i -> ops.(i).proc)
       ~late:accessor
 
-  let create_with_timing ?retain_events ?faults ~(model : Sim.Model.t) ~timing
-      ~offsets ~delay () =
+  (* Algorithm 1 with the default timing derived from the model and
+     the tradeoff parameter X in [0, d - eps]. *)
+  let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
+      () =
+    if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
+      invalid_arg "Wtlw.create: X must lie in [0, d - eps]";
+    let timing = default_timing model ~x in
     let states = fresh_states ~n:model.n in
     let engine =
       Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
@@ -212,15 +217,6 @@ module Make (T : Spec.Data_type.S) = struct
         ()
     in
     { engine; states; timing }
-
-  (* Algorithm 1 exactly as published: the default timing derived from
-     the model and the tradeoff parameter X in [0, d - eps]. *)
-  let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
-      () =
-    if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
-      invalid_arg "Wtlw.create: X must lie in [0, d - eps]";
-    create_with_timing ?retain_events ?faults ~model
-      ~timing:(default_timing model ~x) ~offsets ~delay ()
 
   let replica_state t i = t.states.(i).store
 

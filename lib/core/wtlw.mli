@@ -85,17 +85,6 @@ module Make (T : Spec.Data_type.S) : sig
   (** Algorithm 1 with the (repaired) default timing.
       @raise Invalid_argument if [x] is outside [[0, d - eps]]. *)
 
-  val create_with_timing :
-    ?retain_events:bool ->
-    ?faults:Sim.Fault.plan ->
-    model:Sim.Model.t ->
-    timing:timing ->
-    offsets:Rat.t array ->
-    delay:Sim.Net.t ->
-    unit ->
-    t
-  (** Arbitrary timing — for fault injection; no validity checks. *)
-
   val replica_state : t -> int -> T.state
   (** Read-only view of one replica, for convergence checks. *)
 

@@ -110,15 +110,16 @@ module Make (T : Spec.Data_type.S) = struct
 
   (* Wing-Gong on the history as a list: [ops] when the caller passed
      one, else built from [arr] — the only place the array entry
-     builds a list of the history. *)
-  let fallback_check ?max_nodes ?order_failure arr ops reason =
+     builds a list of the history.  [reason] is why the kernel did not
+     decide; it is absent when Wing-Gong runs as the oracle. *)
+  let wing_gong ?max_nodes ?order_failure ?reason arr ops =
     let ops = match ops with Some ops -> ops | None -> Array.to_list arr in
     let linearization = Fallback.check ?max_nodes ops in
     {
       linearizable = Option.is_some linearization;
       linearization;
       method_ = Wing_gong;
-      fallback = Some reason;
+      fallback = reason;
       violation = None;
       order_failure;
     }
@@ -251,7 +252,7 @@ module Make (T : Spec.Data_type.S) = struct
      order, if one was supplied, then Wing-Gong. *)
   let undecided ?max_nodes ?order arr ops reason =
     match order with
-    | None -> fallback_check ?max_nodes arr ops reason
+    | None -> wing_gong ?max_nodes ~reason arr ops
     | Some order_of -> (
         match verify_order arr (order_of arr) with
         | Ok lin ->
@@ -263,7 +264,7 @@ module Make (T : Spec.Data_type.S) = struct
               violation = None;
               order_failure = None;
             }
-        | Error f -> fallback_check ?max_nodes ~order_failure:f arr ops reason)
+        | Error f -> wing_gong ?max_nodes ~order_failure:f ~reason arr ops)
 
   (* The one check; [ops] is [arr] as a list when the caller has one. *)
   let check_with ?max_nodes ?order (arr : op array) ops : result =

@@ -56,13 +56,14 @@ let queue_events ~per_proc () =
   Sim.Trace.event_count (Sim.Engine.trace engine)
 
 (* The [repro load] pipeline at bench scale: tagged diurnal generator
-   over a Zipf keyspace, sharded clusters, per-key monitor
-   certification, merged histograms — run inline (jobs = 1) so the
-   allocation profile has no domain-spawn noise. *)
-let load_events ~ops () =
+   over a Zipf keyspace, sharded clusters, per-key certification,
+   merged histograms — run inline (jobs = 1) so the allocation profile
+   has no domain-spawn noise. *)
+let load_events ~data_type ~ops () =
   let rat = Rat.make in
   let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
-  let module Sh = Shard.Make (Spec.Fifo_queue) in
+  let module T = (val data_type : Spec.Data_type.S) in
+  let module Sh = Shard.Make (T) in
   let cfg =
     Shard.Config.make ~keys:32 ~zipf:0.8 ~seed:9 ~shards:4 ~ops
       ~arrival:
@@ -216,7 +217,17 @@ let sections =
       description =
         "4000-op diurnal Zipf load over 4 FIFO-queue shards, certified per \
          key";
-      prepare = (fun () -> load_events ~ops:4_000);
+      prepare =
+        (fun () -> load_events ~data_type:(module Spec.Fifo_queue) ~ops:4_000);
+    };
+    {
+      name = "load-tree-4k";
+      description =
+        "the load-shard-4k stream over 4 rooted-tree shards: no kernel \
+         decides a key, so each is certified by the shard's own order \
+         projected onto it";
+      prepare =
+        (fun () -> load_events ~data_type:(module Spec.Tree_type) ~ops:4_000);
     };
     {
       name = "load-lossy-4k";

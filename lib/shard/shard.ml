@@ -89,8 +89,11 @@ type shard_report = {
   faults : Sim.Trace.fault_counts;
   linearizable : bool;  (** every key's projection certified *)
   uncertified_keys : int list;
-  fallbacks : int;  (** per-key checks that fell back to Wing-Gong *)
+  fallbacks : int;  (** keys Wing-Gong decided after the monitor *)
   checked_by : string;
+  order_failure : (int * string) option;
+      (** the first key whose projected protocol order was refused,
+          with the failure naming its operations *)
   certified : bool;
       (** run healthy (complete, admissible, untruncated) and
           [linearizable] *)
@@ -122,11 +125,12 @@ type t = {
   wall_s : float;
 }
 
-(* Journal header for [repro load --resume].  Schema 2 records are
-   [(shard_report, string) result]s; schema 1 held bare reports.  The
-   code digest lives in the per-shard input fingerprint instead, so a
-   rebuild invalidates shards individually. *)
-let journal_header = Sweep.Journal.header "repro-load-shards;schema=2"
+(* Journal header for [repro load --resume].  Schema 3 records are
+   [(shard_report, string) result]s whose reports carry
+   [order_failure]; schema 2 reports did not, and schema 1 held bare
+   reports.  The code digest lives in the per-shard input fingerprint
+   instead, so a rebuild invalidates shards individually. *)
+let journal_header = Sweep.Journal.header "repro-load-shards;schema=3"
 
 (* Canonical shard coordinates: the input to the per-shard seed hash
    and the shard id in diagnostics.  Everything that can change a
@@ -160,14 +164,14 @@ let total_faults (counts : Sim.Trace.fault_counts list) =
 module Make (T : Spec.Data_type.S) = struct
   module KT = Spec.Keyed.Make (T)
   module R = Core.Runtime.Make (KT)
-  module Mon = Monitor.Make (T)
-  module Checker = Lin.Checker.Make (T)
+  module C = Core.Runtime.Make (T)
 
-  (* One shard: re-derive the global stream, keep [key mod shards =
-     shard], drive a full cluster over the keyed family with the
-     backpressure-clamped [Paced] workload, then certify each key's
-     projection independently. *)
-  let run_shard (cfg : Config.t) ~shard =
+  (* One shard's run: re-derive the global stream, keep [key mod
+     shards = shard], drive a full cluster over the keyed family with
+     the backpressure-clamped [Paced] workload, and deal the completed
+     operations into per-key histories.  Also returns each key's
+     candidate order. *)
+  let simulate (cfg : Config.t) ~shard =
     let m = cfg.model in
     let skey = shard_key cfg ~data_type:T.name ~shard in
     let sseed = Core.Hash.fnv1a skey in
@@ -209,7 +213,7 @@ module Make (T : Spec.Data_type.S) = struct
       | None -> rcfg
       | Some config -> R.Config.reliable ~config rcfg
     in
-    let report = R.run rcfg in
+    let report, order = R.run_with_order rcfg in
     (* Certify per key, exploiting locality: a counting sort deals the
        shard's completed operations (in invocation order) into one
        array per key, and each key's array is certified on its own. *)
@@ -224,7 +228,7 @@ module Make (T : Spec.Data_type.S) = struct
     List.iter
       (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
         let key = op.inv.KT.key in
-        let projected : Mon.op =
+        let projected : C.Mon.op =
           {
             Sim.Trace.proc = op.proc;
             inv = op.inv.KT.inv;
@@ -238,23 +242,58 @@ module Make (T : Spec.Data_type.S) = struct
         else by_key.(key).(filled.(key)) <- projected;
         filled.(key) <- filled.(key) + 1)
       report.operations;
-    let keys = ref 0 and uncertified = ref [] and fallbacks = ref 0 in
+    (* The order the algorithm linearized the shard in, projected onto
+       each key: by locality (paper §2.3) a valid order of the keyed
+       run restricts to a valid order of each key, and [certify]
+       verifies every projection anyway.  Computed at most once, and
+       only when some key's kernel does not decide. *)
+    let key_orders =
+      lazy
+        (let shard_ops = Array.of_list report.operations in
+         let key_of i = shard_ops.(i).inv.KT.key in
+         (* each operation's index in its key's array *)
+         let next = Array.make cfg.keys 0 in
+         let pos =
+           Array.init (Array.length shard_ops) (fun i ->
+               next.(key_of i) <- next.(key_of i) + 1;
+               next.(key_of i) - 1)
+         in
+         let orders = Array.make cfg.keys [] in
+         List.iter
+           (fun i -> orders.(key_of i) <- pos.(i) :: orders.(key_of i))
+           (List.rev (order shard_ops));
+         orders)
+    in
+    (report, by_key, fun key -> (Lazy.force key_orders).(key))
+
+  let key_histories cfg ~shard =
+    let _, by_key, _ = simulate cfg ~shard in
+    by_key
+
+  (* Certify each key's projection independently. *)
+  let run_shard (cfg : Config.t) ~shard =
+    let report, by_key, key_order = simulate cfg ~shard in
+    let keys = ref 0 and uncertified = ref [] in
+    let protocol = ref 0 and fallbacks = ref 0 and order_failure = ref None in
     Array.iteri
       (fun key ops ->
         if Array.length ops > 0 then begin
           incr keys;
-          let linearizable =
-            match cfg.checker with
-            | Core.Runtime.Wing_gong ->
-                Option.is_some
-                  (Checker.check ?max_nodes:cfg.max_check_nodes
-                     (Array.to_list ops))
-            | Core.Runtime.Monitor ->
-                let r = Mon.check_array ?max_nodes:cfg.max_check_nodes ops in
-                if Option.is_some r.Mon.fallback then incr fallbacks;
-                r.Mon.linearizable
+          let r =
+            C.certify ?max_nodes:cfg.max_check_nodes
+              ~order:(fun _ -> key_order key)
+              ~checker:cfg.checker ops
           in
-          if not linearizable then uncertified := key :: !uncertified
+          (match r.method_ with
+          | Monitor.Protocol_order -> incr protocol
+          | Monitor.Wing_gong when Option.is_some r.fallback -> incr fallbacks
+          | _ -> ());
+          (match r.order_failure with
+          | Some f when Option.is_none !order_failure ->
+              order_failure :=
+                Some (key, Format.asprintf "%a" (C.Mon.pp_order_failure ops) f)
+          | _ -> ());
+          if not r.linearizable then uncertified := key :: !uncertified
         end)
       by_key;
     let keys = !keys in
@@ -266,12 +305,12 @@ module Make (T : Spec.Data_type.S) = struct
       && report.delays_admissible && report.skew_admissible
     in
     let checked_by =
-      match cfg.checker with
-      | Core.Runtime.Wing_gong ->
-          Printf.sprintf "per-key wing-gong (%d keys)" keys
-      | Core.Runtime.Monitor ->
-          Printf.sprintf "per-key monitor (%d keys, %d fallbacks)" keys
-            !fallbacks
+      if cfg.checker = Core.Runtime.Wing_gong then
+        Printf.sprintf "per-key wing-gong (%d keys)" keys
+      else
+        Printf.sprintf
+          "per-key monitor (%d keys, %d protocol-order, %d fallbacks)" keys
+          !protocol !fallbacks
     in
     {
       shard;
@@ -288,6 +327,7 @@ module Make (T : Spec.Data_type.S) = struct
       uncertified_keys;
       fallbacks = !fallbacks;
       checked_by;
+      order_failure = !order_failure;
       certified = healthy && linearizable;
       hist = report.hist;
       by_op = report.by_op;
@@ -411,7 +451,12 @@ let pp ppf t =
              else "VIOLATION")
             r.operations r.keys (hist_str r.hist) r.messages r.events
             (if r.pending > 0 then Printf.sprintf ", %d pending" r.pending
-             else ""))
+             else "");
+          Option.iter
+            (fun (key, f) ->
+              Format.fprintf ppf "    protocol order refused on key %d: %s@,"
+                key f)
+            r.order_failure)
     t.reports;
   if Sim.Trace.total_faults t.faults > 0 then
     Format.fprintf ppf
@@ -454,6 +499,12 @@ let pp_json ppf t =
           (if r.uncertified_keys <> [] then
              Format.fprintf ppf ",\"uncertified_keys\":[%s]"
                (String.concat "," (List.map string_of_int r.uncertified_keys)));
+          Option.iter
+            (fun (key, f) ->
+              Format.fprintf ppf
+                ",\"order_failure\":{\"key\":%d,\"failure\":%s}" key
+                (Core.Json.quote f))
+            r.order_failure;
           Format.fprintf ppf "}")
     t.reports;
   Format.fprintf ppf

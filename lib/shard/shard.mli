@@ -79,8 +79,18 @@ type shard_report = {
   faults : Sim.Trace.fault_counts;
   linearizable : bool;  (** every key's projection certified *)
   uncertified_keys : int list;
-  fallbacks : int;  (** per-key checks that fell back to Wing-Gong *)
+  fallbacks : int;
+      (** keys that Wing-Gong decided because neither the per-type
+          monitor nor the projected protocol order certified them; 0
+          under the [Wing_gong] checker *)
   checked_by : string;
+      (** ["per-key monitor (K keys, P protocol-order, F fallbacks)"],
+          or ["per-key wing-gong (K keys)"] under the [Wing_gong]
+          checker *)
+  order_failure : (int * string) option;
+      (** the first key whose projected protocol order was refused,
+          with the failure rendered by [Monitor.Make.pp_order_failure]
+          over that key's operations; Wing-Gong then decided it *)
   certified : bool;
       (** run healthy (complete, admissible, untruncated) and
           [linearizable] *)
@@ -115,11 +125,18 @@ type t = {
 
 val journal_header : string
 (** {!Sweep.Journal.header} of shard journals, whose records are
-    [(shard_report, string) result]s (schema 2). *)
+    [(shard_report, string) result]s (schema 3). *)
 
 module Make (T : Spec.Data_type.S) : sig
   val run_shard : Config.t -> shard:int -> shard_report
   (** Run one shard inline (used by {!run}; exposed for tests). *)
+
+  val key_histories :
+    Config.t ->
+    shard:int ->
+    (T.invocation, T.response) Sim.Trace.operation array array
+  (** The per-key histories {!run_shard} certifies, indexed by key
+      ([[||]] for a key with no completed operation in this shard). *)
 
   val run :
     ?jobs:int ->

@@ -134,6 +134,102 @@ let test_multi_key_run_certified_and_conserved () =
     (List.fold_left (fun acc (r : Shard.shard_report) -> acc + r.keys) 0 reports
     <= 12)
 
+(* Order-first certification changes only who certifies a key, never
+   the verdict: over every bundled type and all three algorithms, the
+   per-key monitor path — kernel, then the shard's own order projected
+   onto the key — gives the fingerprint the exhaustive Wing-Gong
+   oracle gives, and never needs Wing-Gong itself. *)
+let test_monitor_matches_wing_gong () =
+  List.iter
+    (fun pt ->
+      List.iter
+        (fun algorithm ->
+          let cfg checker =
+            Shard.Config.make ~checker ~seed:4 ~shards:2 ~ops:2_000 ~arrival
+              ~model ~algorithm ()
+          in
+          let name =
+            Printf.sprintf "%s/%s" (Sweep.Packed_type.key pt)
+              (Core.Runtime.algorithm_name algorithm)
+          in
+          let mon = Shard.run (cfg Core.Runtime.Monitor) pt in
+          let wg = Shard.run (cfg Core.Runtime.Wing_gong) pt in
+          Alcotest.(check bool) (name ^ " certified") true mon.certified;
+          Alcotest.(check string)
+            (name ^ " fingerprint monitor = wing-gong")
+            (Shard.fingerprint wg) (Shard.fingerprint mon);
+          List.iter
+            (fun (r : Shard.shard_report) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s shard %d: no Wing-Gong key" name r.shard)
+                0 r.fallbacks)
+            (done_reports mon))
+        [ algorithm; Core.Runtime.Centralized; Core.Runtime.Tob ])
+    Sweep.Packed_type.all
+
+module ShC = Shard.Make (Spec.Counter_type)
+module CheckC = Lin.Checker.Make (Spec.Counter_type)
+
+let one_line_op op =
+  let b = Buffer.create 64 in
+  let f = Format.formatter_of_buffer b in
+  Format.pp_set_margin f 1_000_000;
+  Format.fprintf f "%a@?" CheckC.pp_op op;
+  Buffer.contents b
+
+let occurrences s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* Without the reliable channel a dropped broadcast leaves a replica
+   without a counter update, so the timestamp order no longer replays.
+   Such keys go to Wing-Gong: each key's verdict must still be the
+   oracle's, and the shard must name the first refused order by the
+   operations of its key. *)
+let test_refused_order_named () =
+  let cfg checker =
+    Shard.Config.make ~checker ~faults:(Sim.Fault.plan [ Sim.Fault.drops 0.05 ])
+      ~seed:1 ~shards:2 ~ops:2_000 ~arrival ~model ~algorithm ()
+  in
+  let mon = ShC.run (cfg Core.Runtime.Monitor) in
+  let wg = ShC.run (cfg Core.Runtime.Wing_gong) in
+  List.iter2
+    (fun (m : Shard.shard_report) (w : Shard.shard_report) ->
+      let shard = Printf.sprintf "shard %d" m.shard in
+      Alcotest.(check (list int))
+        (shard ^ ": per-key verdicts match Wing-Gong")
+        w.uncertified_keys m.uncertified_keys;
+      Alcotest.(check bool) (shard ^ ": some key fell back") true
+        (m.fallbacks > 0);
+      Alcotest.(check int) (shard ^ ": the oracle counts no fallback") 0
+        w.fallbacks;
+      Alcotest.(check bool) (shard ^ ": oracle never consults the order")
+        true (w.order_failure = None);
+      match m.order_failure with
+      | None -> Alcotest.fail (shard ^ ": refused order not named")
+      | Some (key, failure) ->
+          let history =
+            (ShC.key_histories (cfg Core.Runtime.Monitor) ~shard:m.shard).(key)
+          in
+          (* every operation the failure names ("p: inv -> resp @ [..]")
+             is one of this key's *)
+          let named = occurrences failure " @ [" in
+          let of_key =
+            Array.fold_left
+              (fun acc op -> acc + occurrences failure (one_line_op op))
+              0 history
+          in
+          Alcotest.(check bool) (shard ^ ": failure names operations") true
+            (named > 0);
+          Alcotest.(check int)
+            (shard ^ ": every named operation is of its key")
+            named of_key)
+    (done_reports mon) (done_reports wg)
+
 let () =
   Alcotest.run "shard"
     [
@@ -145,5 +241,9 @@ let () =
             test_fingerprint_independent_of_jobs;
           Alcotest.test_case "multi-key certified, ops conserved" `Quick
             test_multi_key_run_certified_and_conserved;
+          Alcotest.test_case "monitor matches wing-gong, no fallback" `Slow
+            test_monitor_matches_wing_gong;
+          Alcotest.test_case "refused per-key order named" `Quick
+            test_refused_order_named;
         ] );
     ]
