@@ -113,6 +113,10 @@ let simulate_cmd =
    key's projection with the per-type monitors, and report per-shard
    plus aggregate tail quantiles. *)
 
+(* Wing-Gong node budget per key: a key whose search exceeds it is
+   reported uncertified by name instead of exhausting memory. *)
+let load_max_check_nodes = 200_000
+
 let load_cmd =
   let shards_arg =
     Arg.(
@@ -212,8 +216,9 @@ let load_cmd =
     | Error msg -> `Error (false, msg)
     | Ok faults -> (
         match
-          Shard.Config.make ~keys ~zipf ~faults ~checker ~seed ~shards ~ops
-            ~arrival ~model ~algorithm ()
+          Shard.Config.make ~keys ~zipf ~faults ~checker
+            ~max_check_nodes:load_max_check_nodes ~seed ~shards ~ops ~arrival
+            ~model ~algorithm ()
         with
         | exception Invalid_argument msg -> `Error (false, msg)
         | cfg ->

@@ -12,6 +12,9 @@ type summary = { count : int; min : Rat.t; max : Rat.t; mean : Rat.t }
 let latency (op : ('inv, 'resp) Sim.Trace.operation) =
   Rat.sub op.resp_time op.inv_time
 
+(* A sample counted in quanta of [1/q], in time units. *)
+let div_quanta x q = if q = 1 then x else Rat.div_int x q
+
 (* Streaming accumulator: O(1) state per stream, exact rational mean. *)
 module Acc = struct
   type t = {
@@ -40,15 +43,19 @@ module Acc = struct
 
   let count acc = acc.count
 
-  let summary acc =
+  let summary ?(quantum = 1) acc =
     if acc.count = 0 then None
     else
+      (* equal extremes share one rational, as they shared one sample *)
+      let min = div_quanta acc.min quantum in
       Some
         {
           count = acc.count;
-          min = acc.min;
-          max = acc.max;
-          mean = Rat.div_int acc.sum acc.count;
+          min;
+          max =
+            (if Rat.equal acc.max acc.min then min
+             else div_quanta acc.max quantum);
+          mean = Rat.div_int acc.sum (acc.count * quantum);
         }
 
   (* Fold a finished summary into the accumulator.  The summary's sum
@@ -98,9 +105,9 @@ module Grouped = struct
 
   let add g k x = Acc.add (acc g k) x
 
-  let summaries g =
+  let summaries ?quantum g =
     List.rev_map
-      (fun k -> (k, Option.get (Acc.summary (Hashtbl.find g.table k))))
+      (fun k -> (k, Option.get (Acc.summary ?quantum (Hashtbl.find g.table k))))
       g.rev_order
 
   let absorb g k (s : summary) = Acc.absorb (acc g k) s
@@ -109,10 +116,13 @@ module Grouped = struct
 end
 
 (* Streaming log-bucketed latency histogram.  Values land in
-   geometrically sized buckets (16 per octave, ~4.4% relative width),
-   and only the window of buckets between the smallest and the largest
-   one seen is stored: nothing before the first sample, typically a
-   few dozen ints after, however many million samples stream through.
+   geometrically sized buckets (16 per octave, ~4.4% relative width).
+   Bucket 0, where zero latencies land, is a plain count, and only the
+   window of buckets between the smallest and the largest other one
+   seen is stored: nothing before the first sample, typically a few
+   dozen ints after, however many million samples stream through — and
+   an instant operation next to slow ones does not stretch the window
+   over the two hundred buckets between them.
    Merging two histograms is bucket-wise integer addition —
    commutative and associative, so a merged campaign histogram does
    not depend on the order of its parts; the window is a function of
@@ -121,8 +131,11 @@ end
    approximations. *)
 module Hist = struct
   type t = {
-    mutable first : int;  (** bucket index of [buckets.(0)] *)
-    mutable buckets : int array;  (** empty until the first sample *)
+    mutable quantum : int;  (** samples are in units of [1/quantum] *)
+    mutable zeros : int;  (** samples in bucket 0, kept out of the window *)
+    mutable first : int;  (** bucket index of [buckets.(0)], at least 1 *)
+    mutable buckets : int array;
+        (** empty until the first sample above bucket 0 *)
     mutable count : int;
     mutable min : Rat.t;
     mutable max : Rat.t;
@@ -137,8 +150,11 @@ module Hist = struct
   let lo = 1.0 /. 1024.0
   let log_g = log 2.0 /. 16.0
 
-  let create () =
+  let create ?(quantum = 1) () =
+    if quantum < 1 then invalid_arg "Metrics.Hist.create: quantum < 1";
     {
+      quantum;
+      zeros = 0;
       first = 0;
       buckets = [||];
       count = 0;
@@ -147,8 +163,20 @@ module Hist = struct
       sum = Rat.zero;
     }
 
-  let bucket_of v =
-    let f = Rat.to_float v in
+  (* A sample in time units, as a float.  An integer sample below 2^53
+     converts exactly, so dividing it by the quantum rounds the same
+     rational [Rat.to_float] rounds once: the bucket is the one the
+     sample divided by the quantum lands in. *)
+  let to_units_float t v =
+    if t.quantum = 1 then Rat.to_float v
+    else if Rat.den v = 1 && Int.abs (Rat.num v) < 1 lsl 53 then
+      float_of_int (Rat.num v) /. float_of_int t.quantum
+    else Rat.to_float (Rat.div_int v t.quantum)
+
+  let in_units t v = div_quanta v t.quantum
+
+  let bucket_of t v =
+    let f = to_units_float t v in
     if f <= lo then 0
     else 1 + int_of_float (Float.floor (log (f /. lo) /. log_g))
 
@@ -172,10 +200,16 @@ module Hist = struct
       t.buckets <- w
     end
 
+  (* Count one more sample in bucket [i]. *)
+  let bump t i =
+    if i = 0 then t.zeros <- t.zeros + 1
+    else begin
+      cover t i i;
+      t.buckets.(i - t.first) <- t.buckets.(i - t.first) + 1
+    end
+
   let add t x =
-    let i = bucket_of x in
-    cover t i i;
-    t.buckets.(i - t.first) <- t.buckets.(i - t.first) + 1;
+    bump t (bucket_of t x);
     if t.count = 0 then begin
       t.min <- x;
       t.max <- x;
@@ -190,23 +224,37 @@ module Hist = struct
 
   let count t = t.count
 
+  let settle t =
+    if t.quantum > 1 then begin
+      let min = in_units t t.min in
+      t.max <- (if Rat.equal t.max t.min then min else in_units t t.max);
+      t.min <- min;
+      t.sum <- in_units t t.sum;
+      t.quantum <- 1
+    end
+
   let merge t other =
     if other.count > 0 then begin
-      cover t other.first (other.first + Array.length other.buckets - 1);
-      Array.iteri
-        (fun i c ->
-          let j = other.first + i - t.first in
-          t.buckets.(j) <- t.buckets.(j) + c)
-        other.buckets;
+      settle t;
+      let in_units = in_units other in
+      t.zeros <- t.zeros + other.zeros;
+      if Array.length other.buckets > 0 then begin
+        cover t other.first (other.first + Array.length other.buckets - 1);
+        Array.iteri
+          (fun i c ->
+            let j = other.first + i - t.first in
+            t.buckets.(j) <- t.buckets.(j) + c)
+          other.buckets
+      end;
       if t.count = 0 then begin
-        t.min <- other.min;
-        t.max <- other.max;
-        t.sum <- other.sum
+        t.min <- in_units other.min;
+        t.max <- in_units other.max;
+        t.sum <- in_units other.sum
       end
       else begin
-        t.min <- Rat.min t.min other.min;
-        t.max <- Rat.max t.max other.max;
-        t.sum <- Rat.add t.sum other.sum
+        t.min <- Rat.min t.min (in_units other.min);
+        t.max <- Rat.max t.max (in_units other.max);
+        t.sum <- Rat.add t.sum (in_units other.sum)
       end;
       t.count <- t.count + other.count
     end
@@ -217,9 +265,9 @@ module Hist = struct
       Some
         {
           count = t.count;
-          min = t.min;
-          max = t.max;
-          mean = Rat.div_int t.sum t.count;
+          min = in_units t t.min;
+          max = in_units t t.max;
+          mean = Rat.div_int (in_units t t.sum) t.count;
         }
 
   let quantile t q =
@@ -228,7 +276,8 @@ module Hist = struct
       let rank =
         Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int t.count)))
       in
-      let cum = ref 0 and i = ref 0 and found = ref (-1) in
+      let cum = ref t.zeros and i = ref 0 in
+      let found = ref (if t.zeros >= rank then 0 else -1) in
       let n = Array.length t.buckets in
       while !found < 0 && !i < n do
         cum := !cum + t.buckets.(!i);
@@ -239,7 +288,7 @@ module Hist = struct
       (* The bucket edge over-estimates by at most one bucket width;
          clamping into the exact observed range makes degenerate
          distributions (all-equal samples) report exact quantiles. *)
-      Float.min (Float.max est (Rat.to_float t.min)) (Rat.to_float t.max)
+      Float.min (Float.max est (to_units_float t t.min)) (to_units_float t t.max)
     end
 
   let quantiles t =

@@ -21,8 +21,10 @@ module Acc : sig
   val add : t -> Rat.t -> unit
   val count : t -> int
 
-  val summary : t -> summary option
-  (** [None] before the first {!add}. *)
+  val summary : ?quantum:int -> t -> summary option
+  (** [None] before the first {!add}.  [quantum] (default 1): the
+      samples were counted in units of [1/quantum]; the summary is in
+      time units. *)
 
   val absorb : t -> summary -> unit
   (** Fold a finished summary into the accumulator exactly (the
@@ -44,8 +46,8 @@ module Grouped : sig
   val create : unit -> 'k t
   val add : 'k t -> 'k -> Rat.t -> unit
 
-  val summaries : 'k t -> ('k * summary) list
-  (** In first-seen key order. *)
+  val summaries : ?quantum:int -> 'k t -> ('k * summary) list
+  (** In first-seen key order; [quantum] as in {!Acc.summary}. *)
 
   val absorb : 'k t -> 'k -> summary -> unit
   (** Keyed {!Acc.absorb}. *)
@@ -58,25 +60,42 @@ end
 
 (** Streaming log-bucketed latency histogram for tail quantiles.
     Values land in geometric buckets (16 per octave, ~4.4% relative
-    width).  Only the buckets between the smallest and the largest one
-    seen are stored (none before the first sample), so state stays a
-    few dozen ints however many million samples stream through, and
-    equal contents are structurally equal.  Count, min, max and mean
+    width).  The bucket of zero latencies is a count; of the others,
+    only the buckets between the smallest and the largest one seen are
+    stored (none before the first sample), so state stays a few dozen
+    ints however many million samples stream through, and equal
+    contents are structurally equal.  Count, min, max and mean
     remain exact rationals; quantiles are bucket upper edges
     (conservative for the tail), clamped into the observed [min, max]
-    range. *)
+    range.
+
+    A histogram may take its samples in units of [1/quantum] time
+    units, as a run that counts time in integer quanta produces them:
+    buckets, summaries and quantiles are still those of the samples in
+    time units. *)
 module Hist : sig
   type t
 
   type quantiles = { p50 : float; p99 : float; p999 : float }
 
-  val create : unit -> t
+  val create : ?quantum:int -> unit -> t
+  (** [quantum] (default 1): {!add} takes samples counted in units of
+      [1/quantum].
+      @raise Invalid_argument if [quantum < 1]. *)
+
   val add : t -> Rat.t -> unit
   val count : t -> int
 
+  val settle : t -> unit
+  (** Divide the exact accumulators by the quantum and make it 1: the
+      histogram reads the same and now takes samples in time units.
+      Histograms with equal samples in time units are then
+      structurally equal. *)
+
   val merge : t -> t -> unit
   (** [merge t other] adds [other]'s buckets and exact accumulators
-      into [t]; [other] is left untouched.  Bucket-wise integer
+      into [t], after settling [t] ({!settle}); [other] is left
+      untouched.  Bucket-wise integer
       addition is commutative and associative, so a merged histogram
       does not depend on the order of its parts. *)
 

@@ -9,7 +9,16 @@
     A report is built from the trace's streaming sinks alone, so every
     engine is created with event retention off.  Sweep cells,
     fault-matrix legs and [repro simulate] reach it through one
-    lowering, [Scenario.Exec.Run(T).config_of]. *)
+    lowering, [Scenario.Exec.Run(T).config_of].
+
+    Time in a run is counted in one integer quantum.  [run] first
+    computes everything the run reads in model units, takes the least
+    common multiple [q] of their denominators, multiplies them all by
+    [q], and runs the engine and the protocols on integers, which
+    [Rat] carries unboxed.  It divides by [q] only where a time leaves
+    the run: the report's operations, latency summaries and histogram.
+    Scaling by a positive integer preserves every comparison and every
+    tie in the event heap, so the run is the same run. *)
 
 (* The algorithm choice does not depend on the data type, so it lives
    outside the functor — the sweep engine enumerates algorithms without
@@ -32,6 +41,61 @@ type checker = Monitor | Wing_gong
 
 let checker_name = function Monitor -> "monitor" | Wing_gong -> "wing-gong"
 
+(* An operation whose times count quanta of [1/q], in time units. *)
+let unscale_operation q (op : ('i, 'r) Sim.Trace.operation) =
+  if q = 1 then op
+  else
+    {
+      op with
+      inv_time = Rat.div_int op.inv_time q;
+      resp_time = Rat.div_int op.resp_time q;
+    }
+
+(* The run's quantum: the least common multiple of the denominators of
+   every time it reads, refused by name when it does not fit in an
+   int. *)
+let lcm q d =
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let k = d / gcd q d in
+  if q > max_int / k then
+    invalid_arg
+      "Runtime.run: unrepresentable time quantum: the least common multiple \
+       of the run's time denominators does not fit in an int"
+  else q * k
+
+(* What a run's times give its quantum: the lcm of their denominators,
+   and the largest of them for the horizon. *)
+type extent = { mutable q : int; mutable top : Rat.t }
+
+let note s t =
+  s.q <- lcm s.q (Rat.den t);
+  s.top <- Rat.max s.top (Rat.abs t)
+
+let unrepresentable_horizon detail =
+  invalid_arg ("Runtime.run: unrepresentable time horizon: " ^ detail)
+
+(* Refuse a run whose last event could lie beyond int quanta.  Every
+   event comes at most one delay plus one spike margin, or one timer
+   (a wait, a retransmission timeout, the total-order horizon plus a
+   clock offset), after the event that scheduled it, and no such step
+   exceeds twice the largest time [top] the run reads; explicit
+   invocations come at times among those.  So [max_events] events end
+   by [(2 * max_events + 1) * top]. *)
+let check_horizon ~q ~max_events top =
+  match
+    let top = Rat.mul_int top q in
+    Rat.add (Rat.mul_int (Rat.mul_int top 2) max_events) top
+  with
+  | _ -> ()
+  | exception Rat.Overflow ->
+      unrepresentable_horizon
+        (Printf.sprintf
+           "%d events of up to %s time units each do not fit in int quanta \
+            of 1/%d"
+           max_events
+           (Rat.to_string (Rat.mul_int top 2))
+           q)
+
 module Make (T : Spec.Data_type.S) = struct
   module Sem = Spec.Data_type.Semantics (T)
   module Mon = Monitor.Make (T)
@@ -49,7 +113,7 @@ module Make (T : Spec.Data_type.S) = struct
   type workload =
     | Schedule of T.invocation Workload.entry list
     | Closed_loop of { per_proc : int; think : Rat.t; seed : int }
-    | Paced of { next : proc:int -> (Rat.t * T.invocation) option }
+    | Paced of { next : proc:int -> (int * T.invocation) option }
 
   (* Description of the reliable channel a run was layered over, when
      [Config.channel] was set: the retransmission config, the inflated
@@ -158,18 +222,22 @@ module Make (T : Spec.Data_type.S) = struct
         "monitor, fell back to wing-gong"
     | m -> Monitor.method_to_string m
 
-  (* Drive one engine (of any algorithm) through the workload. *)
-  let drive (type m g) ?max_events ?deadline ~(model : Sim.Model.t)
+  (* Drive one engine (of any algorithm) through the workload, whose
+     times are in model units: each reaches the engine multiplied by
+     the run's quantum [q]. *)
+  let drive (type m g) ?max_events ?deadline ~n ~q
       (engine : (m, g, T.invocation, T.response) Sim.Engine.t) workload =
+    let in_quanta t = if q = 1 then t else Rat.mul_int t q in
     (match workload with
     | Schedule entries ->
         List.iter
           (fun { Workload.proc; at; inv } ->
-            Sim.Engine.schedule_invoke engine ~at ~proc inv)
+            Sim.Engine.schedule_invoke engine ~at:(in_quanta at) ~proc inv)
           (Workload.sort_schedule entries)
     | Closed_loop { per_proc; think; seed } ->
+        let think = in_quanta think in
         let rng = Random.State.make [| seed |] in
-        let remaining = Array.make model.n per_proc in
+        let remaining = Array.make n per_proc in
         Sim.Engine.set_response_callback engine
           (fun ~proc ~inv:_ ~resp:_ ~time ->
             if remaining.(proc) > 0 then begin
@@ -177,28 +245,41 @@ module Make (T : Spec.Data_type.S) = struct
               Sim.Engine.schedule_invoke engine ~at:(Rat.add time think) ~proc
                 (T.gen_invocation rng)
             end);
-        for proc = 0 to model.n - 1 do
+        for proc = 0 to n - 1 do
           remaining.(proc) <- remaining.(proc) - 1;
           Sim.Engine.schedule_invoke engine
-            ~at:(Rat.make proc (2 * model.n))
+            ~at:(Rat.make (proc * q) (2 * n))
             ~proc (T.gen_invocation rng)
         done
     | Paced { next } ->
         (* Open loop with backpressure: each process holds at most one
            pending invocation; the next arrival is scheduled when the
            previous operation responds, clamped forward to the response
-           time if the process fell behind its arrival stream. *)
+           time if the process fell behind its arrival stream.  An
+           arrival counts generator quanta, which divide [q]. *)
+        let k = q / Workload.Gen.quantum in
+        let arrival at =
+          if at > max_int / k then
+            unrepresentable_horizon
+              (Printf.sprintf
+                 "an arrival at %d/%d time units does not fit in int quanta \
+                  of 1/%d"
+                 at Workload.Gen.quantum q);
+          Rat.of_int (at * k)
+        in
         Sim.Engine.set_response_callback engine
           (fun ~proc ~inv:_ ~resp:_ ~time ->
             match next ~proc with
             | None -> ()
             | Some (at, inv) ->
-                Sim.Engine.schedule_invoke engine ~at:(Rat.max at time) ~proc
-                  inv);
-        for proc = 0 to model.n - 1 do
+                Sim.Engine.schedule_invoke engine
+                  ~at:(Rat.max (arrival at) time)
+                  ~proc inv);
+        for proc = 0 to n - 1 do
           match next ~proc with
           | None -> ()
-          | Some (at, inv) -> Sim.Engine.schedule_invoke engine ~at ~proc inv
+          | Some (at, inv) ->
+              Sim.Engine.schedule_invoke engine ~at:(arrival at) ~proc inv
         done);
     Sim.Engine.run ?max_events ?deadline engine
 
@@ -248,41 +329,159 @@ module Make (T : Spec.Data_type.S) = struct
       ~by_kind:(Metrics.by_kind ~kind_of operations)
       ~hist trace operations
 
-  (* Build the chosen algorithm, drive it through the workload and
-     report.  Each algorithm supplies its handlers, the order it
-     linearizes in and its convergence check once; the reliable leg
-     only wraps the handlers in [Reliable.wrap] and judges the run —
-     the algorithm's timing, the admissibility verdicts and the
-     checker — against the inflated model [d' = d + retry budget] the
-     channel implements (the "recovered" leg of the robustness
-     matrix).  Latency summaries accumulate in [Metrics.Grouped] sinks
-     as responses are recorded.  A run that hits the step limit is not
-     lost: the sinks hold everything up to the truncation point, so the
-     report is returned with [truncated = true]. *)
-  let run_with_order (cfg : Config.t) =
-    let { Config.model; offsets; delay; algorithm; workload; faults; _ } =
-      cfg
+  (* The model a run is judged against, in model units: the inflated
+     model [d' = d + retry budget] the reliable channel implements, or
+     the configured one. *)
+  let judged_model (cfg : Config.t) =
+    match cfg.channel with
+    | None -> cfg.model
+    | Some config ->
+        Reliable.inflated_model
+          ~extra_skew:(Sim.Fault.extra_skew cfg.faults)
+          ~max_spike:(Sim.Fault.max_spike cfg.faults)
+          config cfg.model
+
+  (* Algorithm 1's five waits, in model units.  An explicit timing
+     override (the ablation knobs) skips the X-validity check on
+     purpose: the overridden timings are deliberately outside the sound
+     envelope. *)
+  let wtlw_timing (cfg : Config.t) ~(judged : Sim.Model.t) ~x =
+    match cfg.timing with
+    | Some timing_of -> timing_of judged ~x
+    | None ->
+        if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub judged.d judged.eps) x)
+        then
+          invalid_arg
+            (match cfg.channel with
+            | None -> "Wtlw.create: X must lie in [0, d - eps]"
+            | Some _ -> "Runtime.run: X outside [0, d' - eps']");
+        Wtlw.default_timing judged ~x
+
+  (* Note every time the run reads, in model units. *)
+  let note_times (cfg : Config.t) ~(judged : Sim.Model.t) ~timing s =
+    note s judged.d;
+    note s judged.u;
+    note s judged.eps;
+    Array.iter (fun t -> note s t) cfg.offsets;
+    ignore (Sim.Net.fold (fun t s -> note s t; s) cfg.delay s);
+    List.iter
+      (function
+        | Sim.Fault.Spike { margin = t; _ }
+        | Crash { at = t; _ }
+        | Skew { offset = t; _ } ->
+            note s t
+        | Drop _ | Duplicate _ -> ())
+      cfg.faults.specs;
+    Option.iter (fun (c : Reliable.config) -> note s c.rto) cfg.channel;
+    (match timing with
+    | Some (t : Wtlw.timing) ->
+        note s t.accessor_wait;
+        note s t.accessor_backdate;
+        note s t.mutator_ack_wait;
+        note s t.add_wait;
+        note s t.execute_wait
+    | None -> ());
+    (match cfg.algorithm with Wtlw { x } -> note s x | Centralized | Tob -> ());
+    match cfg.workload with
+    | Schedule entries ->
+        List.iter (fun (e : _ Workload.entry) -> note s e.at) entries
+    | Closed_loop { think; _ } ->
+        note s think;
+        (* first invocations at multiples of 1/(2n), all below 1/2 *)
+        s.q <- lcm s.q (2 * judged.n)
+    | Paced _ -> s.q <- lcm s.q Workload.Gen.quantum
+
+  (* Everything a run is set up from, in model units, and its quantum:
+     the judged model, Algorithm 1's timing, and [q], refused by name
+     when it or the run's horizon in quanta does not fit in an int. *)
+  let setup (cfg : Config.t) =
+    let judged = judged_model cfg in
+    let timing =
+      match cfg.algorithm with
+      | Wtlw { x } -> Some (wtlw_timing cfg ~judged ~x)
+      | Centralized | Tob -> None
     in
-    let judged, name =
+    let s = { q = 1; top = Rat.zero } in
+    note_times cfg ~judged ~timing s;
+    check_horizon ~q:s.q
+      ~max_events:
+        (Option.value cfg.max_events ~default:Sim.Engine.default_max_events)
+      s.top;
+    (judged, timing, s.q)
+
+  let quantum cfg =
+    let _, _, q = setup cfg in
+    q
+
+  (* Build the chosen algorithm, drive it through the workload and
+     report.  The run is set up in model units, then everything it
+     reads is multiplied by its quantum [q], so the engine, the
+     protocols and the reliable channel see integer times.  Each
+     algorithm supplies its handlers, the order it linearizes in and
+     its convergence check once; the reliable leg only wraps the
+     handlers in [Reliable.wrap] and judges the run — the algorithm's
+     timing, the admissibility verdicts and the checker — against the
+     inflated model [d' = d + retry budget] the channel implements
+     (the "recovered" leg of the robustness matrix).  Latency
+     summaries accumulate in [Metrics.Grouped] sinks as responses are
+     recorded.  A run that hits the step limit is not
+     lost: the sinks hold everything up to the truncation point, so the
+     report is returned with [truncated = true].
+
+     [in_quanta]: leave the report's operations, the latencies the
+     sinks see and the order's input in quanta, and divide only the
+     summaries.  Otherwise the trace pairs each operation in model
+     units, and everything downstream of it stays in them. *)
+  let run_at ~in_quanta (cfg : Config.t) =
+    let { Config.offsets; delay; algorithm; workload; faults; _ } = cfg in
+    let judged, timing, q = setup cfg in
+    let name =
       match cfg.channel with
-      | None -> (model, algorithm_name algorithm)
-      | Some config ->
-          ( Reliable.inflated_model ~extra_skew:(Sim.Fault.extra_skew faults)
-              ~max_spike:(Sim.Fault.max_spike faults) config model,
-            algorithm_name algorithm ^ "+reliable" )
+      | None -> algorithm_name algorithm
+      | Some _ -> algorithm_name algorithm ^ "+reliable"
+    in
+    let in_q t = if q = 1 then t else Rat.mul_int t q in
+    let model_q =
+      if q = 1 then judged
+      else
+        Sim.Model.make ~n:judged.n ~d:(in_q judged.d) ~u:(in_q judged.u)
+          ~eps:(in_q judged.eps)
+    in
+    let faults_q =
+      if q = 1 || faults.specs = [] then faults
+      else
+        {
+          faults with
+          specs =
+            List.map
+              (function
+                | Sim.Fault.Spike sp ->
+                    Sim.Fault.Spike { sp with margin = in_q sp.margin }
+                | Crash c -> Crash { c with at = in_q c.at }
+                | Skew sk -> Skew { sk with offset = in_q sk.offset }
+                | (Drop _ | Duplicate _) as spec -> spec)
+              faults.specs;
+        }
     in
     (* [go] is polymorphic in the message and timer types, which the
        reliable channel changes. *)
     let go (type m g) ~order ~converged ~channel
         (handlers : (m, g, T.invocation, T.response) Sim.Engine.handlers) =
       let engine =
-        Sim.Engine.create ~retain_events ~faults ~model:judged ~offsets ~delay
+        Sim.Engine.create ~retain_events ~faults:faults_q ~model:model_q
+          ~offsets:(Array.map in_q offsets)
+          ~delay:(if q = 1 then delay else Sim.Net.map in_q delay)
           ~handlers ()
       in
       let trace = Sim.Engine.trace engine in
       let by_op = Metrics.Grouped.create () in
       let by_kind = Metrics.Grouped.create () in
-      let hist = Metrics.Hist.create () in
+      (* The operations, and the latencies the sinks see, are in
+         quanta of [1/op_quantum]: time units unless the caller
+         certifies in quanta. *)
+      let op_quantum = if in_quanta then q else 1 in
+      Sim.Trace.set_operation_quantum trace (q / op_quantum);
+      let hist = Metrics.Hist.create ~quantum:op_quantum () in
       Sim.Trace.on_operation trace (fun op ->
           let l = Metrics.latency op in
           Metrics.Grouped.add by_op (T.op_of op.inv) l;
@@ -296,72 +495,87 @@ module Make (T : Spec.Data_type.S) = struct
          [Lin.Checker.Node_budget_exceeded] is surfaced. *)
       let truncated =
         match
-          drive ?max_events:cfg.max_events ?deadline:cfg.deadline
-            ~model:judged engine workload
+          drive ?max_events:cfg.max_events ?deadline:cfg.deadline ~n:judged.n
+            ~q engine workload
         with
         | () -> false
         | exception Sim.Engine.Step_limit_exceeded _ -> true
       in
-      (* the algorithm's own order, over the clock offsets the run used;
-         computed only if the checker asks for it *)
+      (* the algorithm's own order, over the clock offsets the run used
+         in the operations' units; computed only if the checker asks
+         for it *)
       let ran_offsets = Sim.Engine.effective_offsets engine in
-      let order ops = order ~offsets:ran_offsets ops in
+      let order =
+        if in_quanta || q = 1 then order ~in_quanta:true ~offsets:ran_offsets
+        else fun ops ->
+          order ~in_quanta:false
+            ~offsets:(Array.map (fun o -> Rat.div_int o q) ran_offsets)
+            ops
+      in
+      Metrics.Hist.settle hist;
+      let summaries g = Metrics.Grouped.summaries ~quantum:op_quantum g in
       ( build_report ?max_nodes:cfg.max_check_nodes ~order ~checker:cfg.checker
-          ~check:cfg.check ~model:judged ~algorithm:name
-          ~skew_admissible:(Sim.Model.skew_valid judged ran_offsets)
-          ~truncated ~channel ~converged:(converged ())
-          ~by_op:(Metrics.Grouped.summaries by_op)
-          ~by_kind:(Metrics.Grouped.summaries by_kind)
-          ~hist trace
+          ~check:cfg.check ~model:model_q ~algorithm:name
+          ~skew_admissible:(Sim.Model.skew_valid model_q ran_offsets)
+          ~truncated ~channel ~converged:(converged ()) ~by_op:(summaries by_op)
+          ~by_kind:(summaries by_kind) ~hist trace
           (Sim.Trace.operations trace),
-        order )
+        order,
+        q )
     in
     let finish ~order ~converged handlers =
       match cfg.channel with
       | None -> go ~order ~converged ~channel:None handlers
       | Some config ->
-          let handlers, stats = Reliable.wrap ~config ~n:judged.n handlers in
+          let handlers, stats =
+            Reliable.wrap
+              ~config:{ config with rto = in_q config.rto }
+              ~n:judged.n handlers
+          in
           go ~order ~converged
             ~channel:(Some { config; effective = judged; stats })
             handlers
     in
-    match algorithm with
-    | Wtlw { x } ->
-        (* An explicit timing override (the ablation knobs) skips the
-           X-validity check on purpose: the overridden timings are
-           deliberately outside the sound envelope. *)
-        let timing =
-          match cfg.timing with
-          | Some timing_of -> timing_of judged ~x
-          | None ->
-              if
-                not
-                  (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub judged.d judged.eps)
-                     x)
-              then
-                invalid_arg
-                  (match cfg.channel with
-                  | None -> "Wtlw.create: X must lie in [0, d - eps]"
-                  | Some _ -> "Runtime.run: X outside [0, d' - eps']");
-              Wtlw.default_timing judged ~x
+    match (algorithm, timing) with
+    | Wtlw _, Some timing ->
+        let timing_q =
+          if q = 1 then timing
+          else
+            {
+              Wtlw.accessor_wait = in_q timing.accessor_wait;
+              accessor_backdate = in_q timing.accessor_backdate;
+              mutator_ack_wait = in_q timing.mutator_ack_wait;
+              add_wait = in_q timing.add_wait;
+              execute_wait = in_q timing.execute_wait;
+            }
         in
         let states = Wtlw_impl.fresh_states ~n:judged.n in
         finish
-          ~order:(Wtlw_impl.linearization ~timing)
+          ~order:(fun ~in_quanta ->
+            Wtlw_impl.linearization
+              ~timing:(if in_quanta then timing_q else timing))
           ~converged:(fun () -> Some (Wtlw_impl.states_converged states))
-          (Wtlw_impl.protocol ~timing states)
-    | Centralized ->
+          (Wtlw_impl.protocol ~timing:timing_q states)
+    | Centralized, _ ->
         let hub = Centralized_impl.fresh_hub () in
         finish
-          ~order:(fun ~offsets:_ -> Centralized_impl.linearization hub)
+          ~order:(fun ~in_quanta:_ ~offsets:_ ->
+            Centralized_impl.linearization hub)
           ~converged:(fun () -> None)
           (Centralized_impl.protocol hub)
-    | Tob ->
+    | Tob, _ ->
         let states = Tob_impl.fresh_states ~n:judged.n in
-        finish ~order:Tob_impl.linearization
+        finish
+          ~order:(fun ~in_quanta:_ -> Tob_impl.linearization)
           ~converged:(fun () -> None)
-          (Tob_impl.protocol ~model:judged states)
+          (Tob_impl.protocol ~model:model_q states)
+    | Wtlw _, None -> assert false
 
+  let run_with_order cfg =
+    let report, order, _ = run_at ~in_quanta:false cfg in
+    (report, order)
+
+  let run_in_quanta cfg = run_at ~in_quanta:true cfg
   let run cfg = fst (run_with_order cfg)
 
   (* A run is accepted when every operation completed, the run was not

@@ -4,7 +4,12 @@
     summaries per operation and per class.
 
     The single entry point is {!Make.run}, which takes a
-    {!Make.Config.t} record naming every knob of a run. *)
+    {!Make.Config.t} record naming every knob of a run.
+
+    A run counts time in one integer quantum [1/q] ({!Make.quantum}):
+    everything it reads is computed in model units, multiplied by [q],
+    and run on integers; times are divided by [q] only where they leave
+    the run, in the report. *)
 
 type algorithm =
   | Wtlw of { x : Rat.t }  (** the paper's Algorithm 1 (repaired timing) *)
@@ -22,6 +27,11 @@ type checker =
   | Wing_gong  (** force the exponential DFS (cross-validation) *)
 
 val checker_name : checker -> string
+
+val unscale_operation :
+  int -> ('inv, 'resp) Sim.Trace.operation -> ('inv, 'resp) Sim.Trace.operation
+(** [unscale_operation q op]: [op], whose times count quanta of [1/q],
+    with its times in time units ([op] itself when [q = 1]). *)
 
 module Make (T : Spec.Data_type.S) : sig
   module Sem : module type of Spec.Data_type.Semantics (T)
@@ -50,15 +60,17 @@ module Make (T : Spec.Data_type.S) : sig
     | Closed_loop of { per_proc : int; think : Rat.t; seed : int }
         (** each process performs [per_proc] random operations, each
             invoked [think] after the previous response *)
-    | Paced of { next : proc:int -> (Rat.t * T.invocation) option }
+    | Paced of { next : proc:int -> (int * T.invocation) option }
         (** streamed open loop with backpressure: [next ~proc] yields
             process [proc]'s next arrival ([None] = stream exhausted
-            for that process), pulled once at start-up and then on each
-            response; an arrival earlier than the response that pulled
-            it is clamped forward, so the one-pending-operation
-            constraint holds for any arrival rate.  Feed it from a
-            {!Workload.Route} for generator-driven million-op runs that
-            never materialize a schedule. *)
+            for that process), its time counted in
+            {!Workload.Gen.quantum} units, pulled once at start-up and
+            then on each response; an arrival earlier than the response
+            that pulled it is clamped forward, so the
+            one-pending-operation constraint holds for any arrival
+            rate.  Feed it from a {!Workload.Route.take} for
+            generator-driven million-op runs that never materialize a
+            schedule. *)
 
   (** Description of the reliable channel a run was layered over
       ([Config.channel]): its retransmission config, the inflated model
@@ -193,6 +205,21 @@ module Make (T : Spec.Data_type.S) : sig
       @raise Lin.Checker.Node_budget_exceeded when Wing-Gong runs and
       exceeds [max_nodes]. *)
 
+  val quantum : Config.t -> int
+  (** The run's quantum [q]: the least common multiple of the
+      denominators of every time the run reads, in model units — the
+      judged model's [d], [u] and [eps], the offsets, every delay
+      value, the fault plan's margins and times, the reliable
+      channel's [rto], Algorithm 1's X and timing (an override
+      included), and the workload's times: schedule entries, the think
+      time and first invocations of a closed loop, and
+      {!Workload.Gen.quantum} for a paced one.
+      @raise Invalid_argument naming an ["unrepresentable time
+      quantum"] when [q] does not fit in an int, or an
+      ["unrepresentable time horizon"] when [(2 * max_events + 1)]
+      times the largest of those times, in quanta, does not; as {!run}
+      does before it runs. *)
+
   val run : Config.t -> report
   (** Build, drive to quiescence, and summarize in one pass over the
       trace's streaming sinks.  The engine never retains its event
@@ -217,6 +244,18 @@ module Make (T : Spec.Data_type.S) : sig
       [Array.of_list report.operations], giving positions in it.  It is
       the order the [Monitor] checker consults when no monitor decides;
       exposed so tests can cross-check it against the other oracles. *)
+
+  val run_in_quanta :
+    Config.t ->
+    report
+    * ((T.invocation, T.response) Sim.Trace.operation array -> int list)
+    * int
+  (** {!run_with_order}, with the report's [operations] and
+      [linearization], and the order's input, left in the run's quanta
+      of [1/q], next to [q] ({!quantum}).  Every other field of the
+      report is in time units.  Checkers only compare times, so a
+      caller can certify in quanta and divide by [q]
+      ({!unscale_operation}) only what it renders. *)
 
   val report_of_trace :
     ?skew_admissible:bool ->

@@ -241,12 +241,11 @@ end
 
 module Route = struct
   (* One process's dealt but not yet pulled arrivals: a ring of
-     parallel arrays, so dealing an arrival writes four slots and
-     allocates nothing beyond its time.  The arrays start empty and are created (and
+     parallel arrays, so dealing an arrival writes three slots and
+     allocates nothing.  The arrays start empty and are created (and
      doubled) on demand, filled with the invocation that needed them,
      since there is no other ['inv] to fill them with. *)
   type 'inv ring = {
-    mutable at : Rat.t array;  (* clamped invocation times *)
     mutable quanta : int array;  (* generated times, in quanta *)
     mutable key : int array;
     mutable inv : 'inv array;
@@ -259,7 +258,7 @@ module Route = struct
     keep : int -> bool;
     procs : int;
     rings : 'inv ring array;
-    last : Rat.t array;  (* last assigned arrival per process *)
+    last : Rat.t array;  (* last clamped arrival {!next} gave per process *)
     min_gap : Rat.t;
     mutable next_proc : int;
     deal : int -> int -> 'inv -> bool;  (* [Gen.pull]'s [kept] *)
@@ -268,41 +267,30 @@ module Route = struct
   let grow r inv =
     let cap = Array.length r.key in
     let cap' = Stdlib.max 4 (2 * cap) in
-    let at = Array.make cap' Rat.zero
-    and quanta = Array.make cap' 0
+    let quanta = Array.make cap' 0
     and key = Array.make cap' 0
     and inv = Array.make cap' inv in
     for j = 0 to r.len - 1 do
       let i = (r.head + j) mod cap in
-      at.(j) <- r.at.(i);
       quanta.(j) <- r.quanta.(i);
       key.(j) <- r.key.(i);
       inv.(j) <- r.inv.(i)
     done;
-    r.at <- at;
     r.quanta <- quanta;
     r.key <- key;
     r.inv <- inv;
     r.head <- 0
 
-  (* Deal a kept arrival to the next process in the round, clamped to
-     that process's previous arrival plus [min_gap].  Returns [true],
-     which [fill]'s [Gen.pull] passes back. *)
+  (* Deal a kept arrival to the next process in the round.  Returns
+     [true], which [fill]'s [Gen.pull] passes back. *)
   let deal_to t now key inv =
     let p = t.next_proc in
     t.next_proc <- (if p + 1 = t.procs then 0 else p + 1);
-    let floor =
-      if Rat.sign t.min_gap = 0 then t.last.(p)
-      else Rat.add t.last.(p) t.min_gap
-    in
-    let at = Rat.max (Rat.make now Gen.quantum) floor in
-    t.last.(p) <- at;
     let r = t.rings.(p) in
     if r.len = Array.length r.key then grow r inv;
     let cap = Array.length r.key in
     let i = r.head + r.len in
     let i = if i >= cap then i - cap else i in
-    r.at.(i) <- at;
     r.quanta.(i) <- now;
     r.key.(i) <- key;
     r.inv.(i) <- inv;
@@ -320,14 +308,7 @@ module Route = struct
         procs;
         rings =
           Array.init procs (fun _ ->
-              {
-                at = [||];
-                quanta = [||];
-                key = [||];
-                inv = [||];
-                head = 0;
-                len = 0;
-              });
+              { quanta = [||]; key = [||]; inv = [||]; head = 0; len = 0 });
         (* Seeded so the first clamp is a no-op. *)
         last = Array.make procs (Rat.neg min_gap);
         min_gap;
@@ -359,25 +340,34 @@ module Route = struct
     end
     else -1
 
+  (* Without a [min_gap] the clamp is the identity: a process's
+     arrivals come out of one nondecreasing stream, so each is no
+     earlier than the one before it, and the generated time in quanta
+     is the invocation time. *)
   let take t ~proc f =
+    if Rat.sign t.min_gap > 0 then
+      invalid_arg "Workload.Route.take: a route with a min_gap needs next";
     let i = pop t ~proc in
     if i < 0 then None
     else
       let r = t.rings.(proc) in
-      Some (f r.at.(i) ~key:r.key.(i) r.inv.(i))
+      Some (f r.quanta.(i) ~key:r.key.(i) r.inv.(i))
 
+  (* A process's arrivals are clamped in the order it pulls them, which
+     is the order they were dealt to it. *)
   let next t ~proc =
     let i = pop t ~proc in
     if i < 0 then None
     else
       let r = t.rings.(proc) in
-      Some
-        ( r.at.(i),
-          {
-            at = Rat.make r.quanta.(i) Gen.quantum;
-            key = r.key.(i);
-            inv = r.inv.(i);
-          } )
+      let generated = Rat.make r.quanta.(i) Gen.quantum in
+      let floor =
+        if Rat.sign t.min_gap = 0 then t.last.(proc)
+        else Rat.add t.last.(proc) t.min_gap
+      in
+      let at = Rat.max generated floor in
+      t.last.(proc) <- at;
+      Some (at, { at = generated; key = r.key.(i); inv = r.inv.(i) })
 end
 
 (* Drain a generator into an explicit schedule: a [Route] with every

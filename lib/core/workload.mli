@@ -51,6 +51,10 @@ type 'inv keyed = { at : Rat.t; key : int; inv : 'inv }
 module Gen : sig
   type 'inv t
 
+  val quantum : int
+  (** Generated times are whole multiples of [1/quantum] (1/1024): the
+      stream counts time in these quanta. *)
+
   val create :
     arrival:arrival ->
     ?zipf:float ->
@@ -93,9 +97,9 @@ end
 (** Demultiplex one generated stream onto processes.  Kept arrivals are
     dealt round-robin across [procs] processes in generation order;
     each process pulls its own feed with {!Route.take}.  Each process's
-    buffer is a ring of parallel arrays, so dealing an arrival
-    allocates nothing beyond its time; buffers stay as deep as the
-    furthest a process falls behind the others. *)
+    buffer is a ring of parallel arrays holding times in {!Gen.quantum}
+    units, so dealing an arrival allocates nothing; buffers stay as
+    deep as the furthest a process falls behind the others. *)
 module Route : sig
   type 'inv t
 
@@ -107,14 +111,20 @@ module Route : sig
       [min_gap] (default 0) additionally spaces consecutive arrivals
       assigned to the same process. *)
 
-  val take : 'inv t -> proc:int -> (Rat.t -> key:int -> 'inv -> 'a) -> 'a option
-  (** [take t ~proc f] applies [f] to the clamped invocation time, key
-      and invocation of the next arrival assigned to [proc]; [None]
-      when the stream is exhausted for that process. *)
+  val take : 'inv t -> proc:int -> (int -> key:int -> 'inv -> 'a) -> 'a option
+  (** [take t ~proc f] applies [f] to the invocation time, in
+      {!Gen.quantum} units, key and invocation of the next arrival
+      assigned to [proc]; [None] when the stream is exhausted for that
+      process.  It builds no rational: without a [min_gap] a process's
+      arrivals are already nondecreasing, so the time is the generated
+      one.
+      @raise Invalid_argument on a route created with a positive
+      [min_gap] (use {!next}). *)
 
   val next : 'inv t -> proc:int -> (Rat.t * 'inv keyed) option
-  (** {!take} returning the arrival as generated, next to its clamped
-      invocation time. *)
+  (** The next arrival assigned to [proc] as generated, next to its
+      invocation time clamped to at least [min_gap] after the previous
+      one {!next} gave [proc]. *)
 end
 
 val materialize :

@@ -179,7 +179,7 @@ module Run (T : Spec.Data_type.S) = struct
                    next =
                      (fun ~proc ->
                        Core.Workload.Route.take route ~proc
-                         (fun at ~key:_ inv -> (at, inv)));
+                         (fun quanta ~key:_ inv -> (quanta, inv)));
                  })
         | exception Invalid_argument m -> Error ("generated workload: " ^ m))
 

@@ -94,6 +94,9 @@ type shard_report = {
   order_failure : (int * string) option;
       (** the first key whose projected protocol order was refused,
           with the failure naming its operations *)
+  budget_exhausted : (int * int) list;
+      (** keys whose Wing-Gong search exceeded the node budget, with
+          the nodes it visited; each is uncertified, undecided *)
   certified : bool;
       (** run healthy (complete, admissible, untruncated) and
           [linearizable] *)
@@ -125,12 +128,13 @@ type t = {
   wall_s : float;
 }
 
-(* Journal header for [repro load --resume].  Schema 3 records are
+(* Journal header for [repro load --resume].  Schema 4 records are
    [(shard_report, string) result]s whose reports carry
-   [order_failure]; schema 2 reports did not, and schema 1 held bare
-   reports.  The code digest lives in the per-shard input fingerprint
-   instead, so a rebuild invalidates shards individually. *)
-let journal_header = Sweep.Journal.header "repro-load-shards;schema=3"
+   [budget_exhausted]; schema 3 reports did not, schema 2 reports
+   lacked [order_failure] too, and schema 1 held bare reports.  The
+   code digest lives in the per-shard input fingerprint instead, so a
+   rebuild invalidates shards individually. *)
+let journal_header = Sweep.Journal.header "repro-load-shards;schema=4"
 
 (* Canonical shard coordinates: the input to the per-shard seed hash
    and the shard id in diagnostics.  Everything that can change a
@@ -213,10 +217,12 @@ module Make (T : Spec.Data_type.S) = struct
       | None -> rcfg
       | Some config -> R.Config.reliable ~config rcfg
     in
-    let report, order = R.run_with_order rcfg in
+    let report, order, quantum = R.run_in_quanta rcfg in
     (* Certify per key, exploiting locality: a counting sort deals the
        shard's completed operations (in invocation order) into one
-       array per key, and each key's array is certified on its own. *)
+       array per key, and each key's array is certified on its own.
+       The operations count the run's time quanta: checkers only
+       compare times, so only a rendered failure divides them. *)
     let counts = Array.make cfg.keys 0 in
     List.iter
       (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
@@ -264,36 +270,49 @@ module Make (T : Spec.Data_type.S) = struct
            (List.rev (order shard_ops));
          orders)
     in
-    (report, by_key, fun key -> (Lazy.force key_orders).(key))
+    (report, quantum, by_key, fun key -> (Lazy.force key_orders).(key))
 
   let key_histories cfg ~shard =
-    let _, by_key, _ = simulate cfg ~shard in
-    by_key
+    let _, quantum, by_key, _ = simulate cfg ~shard in
+    Array.map (Array.map (Core.Runtime.unscale_operation quantum)) by_key
 
-  (* Certify each key's projection independently. *)
+  (* Certify each key's projection independently.  A key whose
+     Wing-Gong search exceeds the node budget is left uncertified and
+     named; the other keys' verdicts stand. *)
   let run_shard (cfg : Config.t) ~shard =
-    let report, by_key, key_order = simulate cfg ~shard in
+    let report, quantum, by_key, key_order = simulate cfg ~shard in
     let keys = ref 0 and uncertified = ref [] in
     let protocol = ref 0 and fallbacks = ref 0 and order_failure = ref None in
+    let budget_exhausted = ref [] in
     Array.iteri
       (fun key ops ->
         if Array.length ops > 0 then begin
           incr keys;
-          let r =
+          match
             C.certify ?max_nodes:cfg.max_check_nodes
               ~order:(fun _ -> key_order key)
               ~checker:cfg.checker ops
-          in
-          (match r.method_ with
-          | Monitor.Protocol_order -> incr protocol
-          | Monitor.Wing_gong when Option.is_some r.fallback -> incr fallbacks
-          | _ -> ());
-          (match r.order_failure with
-          | Some f when Option.is_none !order_failure ->
-              order_failure :=
-                Some (key, Format.asprintf "%a" (C.Mon.pp_order_failure ops) f)
-          | _ -> ());
-          if not r.linearizable then uncertified := key :: !uncertified
+          with
+          | r ->
+              (match r.method_ with
+              | Monitor.Protocol_order -> incr protocol
+              | Monitor.Wing_gong when Option.is_some r.fallback ->
+                  incr fallbacks
+              | _ -> ());
+              (match r.order_failure with
+              | Some f when Option.is_none !order_failure ->
+                  let ops =
+                    Array.map (Core.Runtime.unscale_operation quantum) ops
+                  in
+                  order_failure :=
+                    Some
+                      (key, Format.asprintf "%a" (C.Mon.pp_order_failure ops) f)
+              | _ -> ());
+              if not r.linearizable then uncertified := key :: !uncertified
+          | exception Lin.Checker.Node_budget_exceeded { nodes; _ } ->
+              if cfg.checker = Core.Runtime.Monitor then incr fallbacks;
+              budget_exhausted := (key, nodes) :: !budget_exhausted;
+              uncertified := key :: !uncertified
         end)
       by_key;
     let keys = !keys in
@@ -328,6 +347,7 @@ module Make (T : Spec.Data_type.S) = struct
       fallbacks = !fallbacks;
       checked_by;
       order_failure = !order_failure;
+      budget_exhausted = List.rev !budget_exhausted;
       certified = healthy && linearizable;
       hist = report.hist;
       by_op = report.by_op;
@@ -397,6 +417,21 @@ let run ?jobs ?should_stop ?journal_dir ?sync_every ?code_fp cfg pt =
 
 (* ---------- deterministic fingerprint and reports ---------- *)
 
+let budget_diagnostic (key, nodes) =
+  Printf.sprintf "node budget exhausted on key %d after %d nodes" key nodes
+
+(* A shard's verdict.  A shard whose only uncertified keys ran out of
+   node budget is undecided, not a violation. *)
+let verdict (r : shard_report) =
+  if r.certified then "certified"
+  else if r.linearizable then "flagged"
+  else if
+    List.for_all
+      (fun k -> List.mem_assoc k r.budget_exhausted)
+      r.uncertified_keys
+  then "undecided"
+  else "VIOLATION"
+
 let hist_str h =
   match Metrics.Hist.quantiles h with
   | None -> "empty"
@@ -419,11 +454,7 @@ let fingerprint t =
             (Printf.sprintf
                "shard=%d %s keys=%d ops=%d messages=%d events=%d pending=%d \
                 %s"
-               r.shard
-               (if r.certified then "certified"
-                else if r.linearizable then "flagged"
-                else "VIOLATION")
-               r.keys r.operations r.messages r.events r.pending
+               r.shard (verdict r) r.keys r.operations r.messages r.events r.pending
                (hist_str r.hist)));
       Buffer.add_char buf '\n')
     t.reports;
@@ -446,9 +477,8 @@ let pp ppf t =
           Format.fprintf ppf
             "  shard %d: %-9s %7d ops %3d keys  %s  (%d msgs, %d events%s)@,"
             r.shard
-            (if r.certified then "certified"
-             else if r.linearizable then "FLAGGED"
-             else "VIOLATION")
+            (if r.certified then verdict r
+             else String.uppercase_ascii (verdict r))
             r.operations r.keys (hist_str r.hist) r.messages r.events
             (if r.pending > 0 then Printf.sprintf ", %d pending" r.pending
              else "");
@@ -456,7 +486,11 @@ let pp ppf t =
             (fun (key, f) ->
               Format.fprintf ppf "    protocol order refused on key %d: %s@,"
                 key f)
-            r.order_failure)
+            r.order_failure;
+          List.iter
+            (fun budget ->
+              Format.fprintf ppf "    %s@," (budget_diagnostic budget))
+            r.budget_exhausted)
     t.reports;
   if Sim.Trace.total_faults t.faults > 0 then
     Format.fprintf ppf
@@ -505,6 +539,16 @@ let pp_json ppf t =
                 ",\"order_failure\":{\"key\":%d,\"failure\":%s}" key
                 (Core.Json.quote f))
             r.order_failure;
+          (if r.budget_exhausted <> [] then
+             Format.fprintf ppf ",\"budget_exhausted\":[%s]"
+               (String.concat ","
+                  (List.map
+                     (fun ((key, nodes) as budget) ->
+                       Printf.sprintf
+                         "{\"key\":%d,\"nodes\":%d,\"diagnostic\":%s}" key
+                         nodes
+                         (Core.Json.quote (budget_diagnostic budget)))
+                     r.budget_exhausted)));
           Format.fprintf ppf "}")
     t.reports;
   Format.fprintf ppf

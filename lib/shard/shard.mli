@@ -91,6 +91,12 @@ type shard_report = {
       (** the first key whose projected protocol order was refused,
           with the failure rendered by [Monitor.Make.pp_order_failure]
           over that key's operations; Wing-Gong then decided it *)
+  budget_exhausted : (int * int) list;
+      (** keys whose Wing-Gong search exceeded [max_check_nodes], with
+          the nodes it visited, in key order: each is uncertified (a
+          shard with no other uncertified key is "undecided", not a
+          violation) and the other keys' verdicts stand.  Reported as
+          ["node budget exhausted on key K after N nodes"] *)
   certified : bool;
       (** run healthy (complete, admissible, untruncated) and
           [linearizable] *)
@@ -125,7 +131,7 @@ type t = {
 
 val journal_header : string
 (** {!Sweep.Journal.header} of shard journals, whose records are
-    [(shard_report, string) result]s (schema 3). *)
+    [(shard_report, string) result]s (schema 4). *)
 
 module Make (T : Spec.Data_type.S) : sig
   val run_shard : Config.t -> shard:int -> shard_report

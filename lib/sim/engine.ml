@@ -290,7 +290,9 @@ let cancelled_timers t = t.cancelled
 
 exception Deadline_exceeded of { events : int }
 
-let run ?(max_events = 1_000_000) ?deadline t =
+let default_max_events = 1_000_000
+
+let run ?(max_events = default_max_events) ?deadline t =
   let steps = ref 0 in
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin

@@ -113,6 +113,10 @@ exception Deadline_exceeded of { events : int }
     far.  The engine stays clock-agnostic: the closure decides what
     "expired" means (wall clock, cooperative cancellation, ...). *)
 
+val default_max_events : int
+(** The step limit {!run} applies when no [max_events] is given
+    (1 000 000). *)
+
 val run :
   ?max_events:int ->
   ?deadline:(unit -> bool) ->
@@ -126,7 +130,7 @@ val run :
     {!Deadline_exceeded}.  A deadline that is already expired on entry
     therefore aborts deterministically after exactly one event.
     @raise Step_limit_exceeded if more than [max_events] (default
-    1_000_000) events are dispatched, which indicates a bug such as a
+    {!default_max_events}) events are dispatched, which indicates a bug such as a
     timer loop.
     @raise Deadline_exceeded if [deadline] reports expiry. *)
 

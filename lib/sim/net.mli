@@ -4,7 +4,8 @@
     to [dst], sent at real time [time], take to arrive?".  The paper's
     lower-bound constructions use {e pair-wise uniform} delays (a fixed
     n-by-n matrix); stress tests use randomized delays drawn from
-    [[d - u, d]]; adversarial schedules are arbitrary functions. *)
+    [[d - u, d]].  Every model exposes its delay values ({!fold},
+    {!map}), so a run can rescale them all to one time quantum. *)
 
 type t
 
@@ -15,13 +16,11 @@ val matrix : Rat.t array array -> t
 (** Pair-wise uniform delays: message from [src] to [dst] always takes
     [m.(src).(dst)].  The matrix must be square. *)
 
-val fn : (src:int -> dst:int -> time:Rat.t -> seq:int -> Rat.t) -> t
-(** Fully general (adversarial) delay schedule. *)
-
 val random : seed:int -> lo:Rat.t -> hi:Rat.t -> granularity:int -> t
 (** Delays drawn independently and uniformly from the [granularity + 1]
     evenly spaced rationals spanning [[lo, hi]], built once at
-    creation.  Deterministic for a fixed seed. *)
+    creation.  Deterministic for a fixed seed.
+    @raise Invalid_argument if [granularity <= 0] or [lo > hi]. *)
 
 val random_model : seed:int -> Model.t -> t
 (** {!random} spanning the model's admissible interval [[d - u, d]] with
@@ -36,6 +35,16 @@ val min_delay_model : Model.t -> t
 val delay : t -> src:int -> dst:int -> time:Rat.t -> seq:int -> Rat.t
 (** Evaluate the model.
     @raise Invalid_argument for out-of-range indices of a {!matrix}. *)
+
+val fold : (Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over every delay value the model can return: the constant,
+    every matrix entry (diagonal included), or every grid point. *)
+
+val map : (Rat.t -> Rat.t) -> t -> t
+(** The same model with every delay value mapped.  A mapped {!random}
+    model shares the original's random state, so the two draw one
+    stream of grid indices between them: a run given the mapped model
+    draws the same indices the original would have. *)
 
 val uniform_matrix : n:int -> Rat.t -> Rat.t array array
 (** Fresh [n]-by-[n] matrix filled with one delay value. *)

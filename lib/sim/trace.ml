@@ -80,6 +80,8 @@ type ('msg, 'inv, 'resp) t = {
      slots are used, and the array doubles when full. *)
   mutable done_ops : ('inv, 'resp) operation array;
   mutable finished : int;
+  (* Stored operations' times are the recorded ones divided by this. *)
+  mutable op_quantum : int;
   mutable malformed : string option;
   mutable op_observers : (('inv, 'resp) operation -> unit) list;
   (* Delay envelope: min/max over all sends (meaningless while [sends]
@@ -110,6 +112,7 @@ let create ?(retain_events = true) ?monitor () =
     pending = 0;
     done_ops = [||];
     finished = 0;
+    op_quantum = 1;
     malformed = None;
     op_observers = [];
     delay_lo = Rat.zero;
@@ -190,20 +193,28 @@ let note_respond t ~time ~proc resp =
     else begin
       t.pending_live.(proc) <- false;
       t.pending <- t.pending - 1;
+      let inv_time = t.pending_time.(proc) in
       let op =
-        {
-          proc;
-          inv = t.pending_inv.(proc);
-          resp;
-          inv_time = t.pending_time.(proc);
-          resp_time = time;
-        }
+        if t.op_quantum = 1 then
+          { proc; inv = t.pending_inv.(proc); resp; inv_time; resp_time = time }
+        else
+          {
+            proc;
+            inv = t.pending_inv.(proc);
+            resp;
+            inv_time = Rat.div_int inv_time t.op_quantum;
+            resp_time = Rat.div_int time t.op_quantum;
+          }
       in
       t.done_ops <- grow t.done_ops t.finished op;
       t.done_ops.(t.finished) <- op;
       t.finished <- t.finished + 1;
       observe op t.op_observers
     end
+
+let set_operation_quantum t q =
+  if q < 1 then invalid_arg "Trace.set_operation_quantum: q < 1";
+  t.op_quantum <- q
 
 let note_send t ~time ~src ~dst ~seq ~delay =
   tick t time;

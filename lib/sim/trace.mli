@@ -149,6 +149,14 @@ val on_operation :
 (** Attach an observer called once per completed operation, at the
     moment its response is recorded. *)
 
+val set_operation_quantum : ('msg, 'inv, 'resp) t -> int -> unit
+(** [set_operation_quantum t q]: the run records times in quanta of
+    [1/q], and each operation completed from now on is paired with its
+    times divided by [q], in time units — as {!operations} returns it
+    and {!on_operation} observers see it.  Every other view stays in
+    quanta.  The default is 1.
+    @raise Invalid_argument if [q < 1]. *)
+
 val retains_events : ('msg, 'inv, 'resp) t -> bool
 
 val events : ('msg, 'inv, 'resp) t -> ('msg, 'inv, 'resp) event list

@@ -95,6 +95,233 @@ let prop_random_in_range =
             (Sim.Net.delay net ~src:1 ~dst:2 ~time:Rat.zero ~seq))
         (List.init 50 Fun.id))
 
+(* ---------- the run's time quantum (Core.Runtime) ---------- *)
+
+module RQ = Core.Runtime.Make (Spec.Fifo_queue)
+
+let check_quantum label expected cfg =
+  Alcotest.(check int) label expected (RQ.quantum cfg)
+
+let load_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1)
+
+(* The load benchmark's run: d = 12, u = 4, eps = 3 and X = 3 are
+   integers and so are Algorithm 1's waits; the delay grid steps by
+   u/16 = 1/4, and generator arrivals by 1/1024. *)
+let test_quantum_load_model () =
+  let gen =
+    Core.Workload.Gen.create
+      ~arrival:(Core.Workload.Poisson { rate = rat 1 4 })
+      ~keys:4 ~ops:10 ~seed:1
+      ~invocation:(fun rng ~key:_ ~seq -> Spec.Fifo_queue.gen_tagged rng ~tag:seq)
+      ()
+  in
+  let route = Core.Workload.Route.create ~procs:4 ~keep:(fun _ -> true) gen in
+  let cfg ~workload =
+    RQ.Config.make ~model:load_model
+      ~offsets:(Array.make 4 Rat.zero)
+      ~delay:(Sim.Net.random_model ~seed:1 load_model)
+      ~algorithm:(RQ.Wtlw { x = rat 3 1 })
+      ~workload ()
+  in
+  check_quantum "generator arrivals" 1024
+    (cfg
+       ~workload:
+         (RQ.Paced
+            {
+              next =
+                (fun ~proc ->
+                  Core.Workload.Route.take route ~proc (fun at ~key:_ inv ->
+                      (at, inv)));
+            }));
+  check_quantum "integer schedule: the delay grid's 1/4" 4
+    (cfg
+       ~workload:
+         (RQ.Schedule
+            [ Core.Workload.entry ~proc:0 ~at:(rat 5 1) (Spec.Fifo_queue.Enqueue 1) ]))
+
+(* A generated scenario on the 3-process point (d = 10, u = 4,
+   eps = 1): X = (d - eps)/2 = 9/2, the delay grid steps by 1/4, and
+   the closed loop's first invocations come at multiples of 1/6 — an
+   odd denominator. *)
+let test_quantum_generated_scenario () =
+  let rec find seed =
+    let s = Scenario.gen ~seed in
+    match (s.model.Sim.Model.n, s.delays, s.workload, s.algorithm) with
+    | ( 3,
+        Scenario.Random_delays,
+        Scenario.Closed_loop _,
+        Scenario.Wtlw { knob = Core.Ablation.Paper; x } )
+      when (not s.reliable) && String.equal s.dt "queue"
+           && Rat.equal x (rat 9 2) ->
+        s
+    | _ -> find (seed + 1)
+  in
+  let s = find 1 in
+  let module E = Scenario.Exec.Run (Spec.Fifo_queue) in
+  match E.config_of s with
+  | Error e -> Alcotest.fail e
+  | Ok cfg ->
+      check_quantum "lcm of 2, 4 and 6" 12 cfg
+
+(* Odd denominators everywhere: d = 22/3, u = 2/7, eps = 1/5, so
+   X = (d - eps)/2 = 107/30, the add wait d - u = 148/21, the execute
+   wait u + eps = 17/35, and a closed loop of n = 3 starts at
+   multiples of 1/6. *)
+let test_quantum_odd_denominators () =
+  let model = Sim.Model.make ~n:3 ~d:(rat 22 3) ~u:(rat 2 7) ~eps:(rat 1 5) in
+  check_quantum "lcm of 3, 7, 5, 30, 21, 35 and 6" 210
+    (RQ.Config.make ~model
+       ~offsets:(Array.make 3 Rat.zero)
+       ~delay:(Sim.Net.max_delay_model model)
+       ~algorithm:(RQ.Wtlw { x = rat 107 30 })
+       ~workload:(RQ.Closed_loop { per_proc = 1; think = Rat.one; seed = 1 })
+       ())
+
+(* An ablation override is part of the run: shortening the execute
+   wait to (u + eps)/4 = 5/4 brings in a 4 that the repaired timing,
+   all integers here, does not have. *)
+let test_quantum_ablation_timing () =
+  let model = Sim.Model.make ~n:3 ~d:(rat 12 1) ~u:(rat 4 1) ~eps:(rat 1 1) in
+  let cfg ?timing () =
+    RQ.Config.make ?timing ~model
+      ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.max_delay_model model)
+      ~algorithm:(RQ.Wtlw { x = rat 3 1 })
+      ~workload:
+        (RQ.Schedule
+           [ Core.Workload.entry ~proc:0 ~at:(rat 2 1) (Spec.Fifo_queue.Enqueue 1) ])
+      ()
+  in
+  check_quantum "repaired timing" 1 (cfg ());
+  let knob = Core.Ablation.Short_execute_wait (Rat.div_int (Rat.add model.u model.eps) 4) in
+  check_quantum "execute wait (u + eps)/4" 4
+    (cfg ~timing:(fun m ~x -> Core.Ablation.timing_of_knob m ~x knob) ())
+
+let expect_refused label ~sub f =
+  match f () with
+  | exception Invalid_argument msg ->
+      let n = String.length sub in
+      if
+        not
+          (Seq.exists
+             (fun i -> String.sub msg i n = sub)
+             (Seq.init (String.length msg - n + 1) Fun.id))
+      then Alcotest.failf "%s: refused as %S, not by %S" label msg sub
+  | _ -> Alcotest.failf "%s should be refused" label
+
+(* A quantum, or a horizon in quanta, beyond an int is refused by
+   name before anything runs. *)
+let test_quantum_limits () =
+  let cfg ?max_events ~offsets () =
+    RQ.Config.make ?max_events ~model:load_model ~offsets
+      ~delay:(Sim.Net.random_model ~seed:1 load_model)
+      ~algorithm:(RQ.Wtlw { x = rat 3 1 })
+      ~workload:(RQ.Closed_loop { per_proc = 1; think = Rat.one; seed = 1 })
+      ()
+  in
+  let zero = Array.make 4 Rat.zero in
+  check_quantum "closed loop of 4" 8 (cfg ~offsets:zero ());
+  expect_refused "horizon" ~sub:"unrepresentable time horizon" (fun () ->
+      RQ.quantum (cfg ~max_events:(max_int / 4) ~offsets:zero ()));
+  expect_refused "horizon, run" ~sub:"unrepresentable time horizon" (fun () ->
+      RQ.run (cfg ~max_events:(max_int / 4) ~offsets:zero ()));
+  (* three primes near 2^21: their product does not fit in 63 bits *)
+  let offsets = [| Rat.zero; rat 1 2097143; rat 1 2097169; rat 1 2097191 |] in
+  expect_refused "quantum" ~sub:"unrepresentable time quantum" (fun () ->
+      RQ.quantum (cfg ~offsets ()))
+
+(* ---------- scale invariance ---------- *)
+
+(* Multiplying every time a run reads by [k] — model, X, offsets,
+   delays, fault times, the channel's timeout and the workload's
+   times — gives the same run with every time multiplied by [k].
+   Closed-loop runs start at fixed multiples of 1/(2n) that no config
+   field scales, so they are left out. *)
+module Scaled (X : Scenario.Packed_type.RUNNER) = struct
+  let scale k (cfg : X.R.Config.t) : X.R.Config.t =
+    let s r = Rat.mul_int r k in
+    let m = cfg.model in
+    {
+      cfg with
+      model = Sim.Model.make ~n:m.n ~d:(s m.d) ~u:(s m.u) ~eps:(s m.eps);
+      offsets = Array.map s cfg.offsets;
+      delay = Sim.Net.map s cfg.delay;
+      faults =
+        {
+          cfg.faults with
+          specs =
+            List.map
+              (function
+                | Sim.Fault.Spike sp -> Sim.Fault.Spike { sp with margin = s sp.margin }
+                | Crash c -> Crash { c with at = s c.at }
+                | Skew sk -> Skew { sk with offset = s sk.offset }
+                | spec -> spec)
+              cfg.faults.specs;
+        };
+      channel =
+        Option.map (fun (c : Core.Reliable.config) -> { c with rto = s c.rto }) cfg.channel;
+      algorithm =
+        (match cfg.algorithm with
+        | Core.Runtime.Wtlw { x } -> Core.Runtime.Wtlw { x = s x }
+        | a -> a);
+      workload =
+        (match cfg.workload with
+        | X.R.Schedule entries ->
+            X.R.Schedule
+              (List.map (fun (e : _ Core.Workload.entry) -> { e with at = s e.at }) entries)
+        | X.R.Paced { next } ->
+            X.R.Paced
+              { next = (fun ~proc -> Option.map (fun (at, inv) -> (at * k, inv)) (next ~proc)) }
+        | w -> w);
+    }
+
+  let same_times k (a : Core.Metrics.summary) (b : Core.Metrics.summary) =
+    a.count = b.count
+    && Rat.equal (Rat.mul_int a.min k) b.min
+    && Rat.equal (Rat.mul_int a.max k) b.max
+    && Rat.equal (Rat.mul_int a.mean k) b.mean
+
+  let invariant k (s : Scenario.t) =
+    match (X.config_of s, X.config_of s) with
+    | Error _, _ | _, Error _ -> true
+    | Ok base, Ok fresh ->
+        let a = X.R.run base and b = X.R.run (scale k fresh) in
+        List.length a.operations = List.length b.operations
+        && a.messages = b.messages && a.events = b.events
+        && a.pending = b.pending && a.truncated = b.truncated
+        && a.delays_admissible = b.delays_admissible
+        && a.skew_admissible = b.skew_admissible
+        && Option.is_some a.linearization = Option.is_some b.linearization
+        && a.checked_by = b.checked_by && a.converged = b.converged
+        && X.R.ok a = X.R.ok b
+        && List.for_all2
+             (fun (x : _ Sim.Trace.operation) (y : _ Sim.Trace.operation) ->
+               x.proc = y.proc
+               && Rat.equal (Rat.mul_int x.inv_time k) y.inv_time
+               && Rat.equal (Rat.mul_int x.resp_time k) y.resp_time)
+             a.operations b.operations
+        && List.for_all2
+             (fun (o, x) (o', y) -> o = o' && same_times k x y)
+             a.by_op b.by_op
+        &&
+        match (Core.Metrics.Hist.summary a.hist, Core.Metrics.Hist.summary b.hist) with
+        | Some x, Some y -> same_times k x y
+        | None, None -> true
+        | _ -> false
+end
+
+let prop_scale_invariance =
+  QCheck.Test.make ~name:"scaling every time by k scales the run by k" ~count:60
+    QCheck.(pair (int_range 1 5000) (int_range 2 7))
+    (fun (seed, k) ->
+      let s = Scenario.gen ~seed in
+      QCheck.assume
+        (match s.workload with Scenario.Closed_loop _ -> false | _ -> true);
+      let pt = Option.get (Scenario.Packed_type.find s.dt) in
+      let (module X) = Scenario.Packed_type.runner pt in
+      let module S = Scaled (X) in
+      S.invariant k s)
+
 let () =
   Alcotest.run "model_net"
     [
@@ -111,6 +338,17 @@ let () =
           Alcotest.test_case "matrix_valid" `Quick test_matrix_valid;
           Alcotest.test_case "random deterministic" `Quick test_random_deterministic;
         ] );
+      ( "quantum",
+        [
+          Alcotest.test_case "load model" `Quick test_quantum_load_model;
+          Alcotest.test_case "generated scenario" `Quick
+            test_quantum_generated_scenario;
+          Alcotest.test_case "odd denominators" `Quick
+            test_quantum_odd_denominators;
+          Alcotest.test_case "ablation timing" `Quick test_quantum_ablation_timing;
+          Alcotest.test_case "limits refused by name" `Quick test_quantum_limits;
+        ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_random_in_range ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_in_range; prop_scale_invariance ] );
     ]

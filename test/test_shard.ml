@@ -230,6 +230,57 @@ let test_refused_order_named () =
             named of_key)
     (done_reports mon) (done_reports wg)
 
+module ShL = Shard.Make (Spec.Log_type)
+
+(* [repro load -t log --ops 4000 --faults spike=0.2]: spikes beyond
+   [d] make the per-key timestamp order of the log fail replay, so
+   Wing-Gong decides those keys, and without a budget one of them ran
+   out of memory.  With a per-key node budget the run ends promptly: a
+   key that exhausts it is uncertified and named, and every shard
+   still reports. *)
+let test_budget_names_key () =
+  let load_model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let cfg =
+    Shard.Config.make ~keys:64 ~zipf:1.0
+      ~faults:
+        (Sim.Fault.plan
+           [ Sim.Fault.spikes ~margin:(Rat.add load_model.u Rat.one) 0.2 ])
+      ~max_check_nodes:1_000 ~seed:1 ~shards:4 ~ops:4_000
+      ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+      ~model:load_model
+      ~algorithm:
+        (Core.Runtime.Wtlw
+           { x = Rat.div_int (Rat.sub load_model.d load_model.eps) 2 })
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let t = ShL.run cfg in
+  let wall = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "ends within a second" true (wall < 1.0);
+  let reports = done_reports t in
+  Alcotest.(check int) "every shard reports" 4 (List.length reports);
+  let exhausted =
+    List.concat_map (fun (r : Shard.shard_report) -> r.budget_exhausted) reports
+  in
+  Alcotest.(check bool) "some key exhausted its budget" true (exhausted <> []);
+  List.iter
+    (fun (r : Shard.shard_report) ->
+      List.iter
+        (fun (key, nodes) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "key %d is uncertified" key)
+            true
+            (List.mem key r.uncertified_keys);
+          Alcotest.(check bool) "past the budget" true (nodes > 1_000))
+        r.budget_exhausted)
+    reports;
+  let key, nodes = List.hd exhausted in
+  let named = Printf.sprintf "node budget exhausted on key %d after %d nodes" key nodes in
+  let text = Format.asprintf "%a" Shard.pp t in
+  let json = Format.asprintf "%a" Shard.pp_json t in
+  Alcotest.(check bool) "report names the key" true (occurrences text named = 1);
+  Alcotest.(check bool) "json names the key" true (occurrences json named = 1)
+
 let () =
   Alcotest.run "shard"
     [
@@ -245,5 +296,7 @@ let () =
             test_monitor_matches_wing_gong;
           Alcotest.test_case "refused per-key order named" `Quick
             test_refused_order_named;
+          Alcotest.test_case "node budget names the exhausted key" `Quick
+            test_budget_names_key;
         ] );
     ]
