@@ -1054,6 +1054,16 @@ let bench_cmd =
       & info [ "commit" ]
           ~doc:"Internal: commit sha to stamp on the datapoint.")
   in
+  let phase_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "phase" ] ~docv:"J"
+          ~doc:
+            "Internal: with $(b,--section), start the run J/64 of the way \
+             into the minor heap.  The parent driver measures every \
+             section at each phase and records the mean, so promoted words \
+             do not depend on where the minor heap happens to fill.")
+  in
   let compare_arg =
     Arg.(
       value & flag
@@ -1091,11 +1101,11 @@ let bench_cmd =
       value & flag
       & info [ "no-record" ] ~doc:"Do not update the history files.")
   in
-  let run_child name commit =
+  let run_child name commit phase =
     match Perf.Suite.find name with
     | None -> `Error (false, Printf.sprintf "unknown bench section %S" name)
     | Some s ->
-        let events, m = Perf.Suite.measure s in
+        let events, m = Perf.Suite.measure ~phase s in
         let dp = Perf.History.of_metrics ~commit ~bench:s.name ~events m in
         let line = Perf.History.to_line dp in
         let instr =
@@ -1108,22 +1118,30 @@ let bench_cmd =
         Printf.printf "%s,\"wall_ns\":%d,\"instructions\":%s}\n"
           (String.sub line 0 (String.length line - 1))
           m.wall_ns instr;
-        Printf.printf "wall=%.1fms minor=%.0f (%.2f/event) promoted=%.0f instr=%s\n"
+        Printf.printf "wall=%.1fms minor=%.0f (%.2f/event) instr=%s\n"
           (float_of_int m.wall_ns /. 1e6)
           m.minor_words
           (m.minor_words /. float_of_int (max 1 events))
-          m.promoted_words
           (match m.instructions with
           | Some n -> Int64.to_string n
           | None -> "n/a");
         `Ok ()
   in
-  let run_section_subprocess ~commit name =
+  let run_section_subprocess ~commit name phase =
     let exe = Sys.executable_name in
     let r_fd, w_fd = Unix.pipe () in
     let pid =
       Unix.create_process exe
-        [| exe; "bench"; "--section"; name; "--commit"; commit |]
+        [|
+          exe;
+          "bench";
+          "--section";
+          name;
+          "--commit";
+          commit;
+          "--phase";
+          string_of_int phase;
+        |]
         Unix.stdin w_fd Unix.stderr
     in
     Unix.close w_fd;
@@ -1136,13 +1154,34 @@ let bench_cmd =
      with End_of_file -> ());
     close_in ic;
     let _, status = Unix.waitpid [] pid in
-    match status with
-    | Unix.WEXITED 0 -> Ok (String.trim (Buffer.contents buf))
+    match (status, String.split_on_char '\n' (Buffer.contents buf)) with
+    | Unix.WEXITED 0, json :: human :: _ -> (
+        match Perf.History.of_line json with
+        | Some dp -> Ok (dp, human)
+        | None -> Error (name ^ ": unparseable datapoint"))
     | _ -> Error (Printf.sprintf "bench section %s failed" name)
   in
-  let run compare baseline tolerance history_dir no_record section commit =
+  (* One datapoint per section, the mean over every phase of the minor
+     heap, each phase measured in a fresh process; and phase 0's line of
+     wall time and minor words. *)
+  let measure_section ~commit name =
+    let rec go phase acc =
+      if phase = Perf.Suite.phases then
+        let points = List.rev acc in
+        Result.map
+          (fun dp -> (dp, snd (List.hd points)))
+          (Perf.History.average (List.map fst points))
+      else
+        match run_section_subprocess ~commit name phase with
+        | Ok point -> go (phase + 1) (point :: acc)
+        | Error _ as e -> e
+    in
+    go 0 []
+  in
+  let run compare baseline tolerance history_dir no_record section commit
+      phase =
     match section with
-    | Some name -> run_child name (Option.value commit ~default:"unknown")
+    | Some name -> run_child name (Option.value commit ~default:"unknown") phase
     | None ->
         let commit =
           match commit with Some c -> c | None -> head_commit ()
@@ -1151,49 +1190,42 @@ let bench_cmd =
         let fail msg = failures := msg :: !failures in
         List.iter
           (fun (s : Perf.Suite.section) ->
-            match run_section_subprocess ~commit s.name with
+            match measure_section ~commit s.name with
             | Error msg -> fail msg
-            | Ok out -> (
-                let lines = String.split_on_char '\n' out in
-                let json = match lines with l :: _ -> l | [] -> "" in
-                match Perf.History.of_line json with
-                | None -> fail (s.name ^ ": unparseable datapoint")
-                | Some dp ->
-                    let human =
-                      match lines with _ :: h :: _ -> h | _ -> ""
-                    in
-                    Printf.printf "%-16s %s\n" s.name human;
-                    let file =
-                      Filename.concat history_dir (s.name ^ ".jsonl")
-                    in
-                    let hist = Perf.History.load ~file in
-                    (if compare then
+            | Ok (dp, human) ->
+                Printf.printf "%-16s %s promoted=%.0f (mean of %d phases)\n"
+                  s.name human dp.promoted_words Perf.Suite.phases;
+                let file =
+                  Filename.concat history_dir (s.name ^ ".jsonl")
+                in
+                let hist = Perf.History.load ~file in
+                (if compare then
+                   match
+                     Perf.History.pick_baseline ?ref_prefix:baseline
+                       ~head:commit hist
+                   with
+                   | Error msg -> fail (s.name ^ ": " ^ msg)
+                   | Ok None ->
+                       Printf.printf
+                         "%-16s no recorded baseline; gate passes \
+                          vacuously\n"
+                         ""
+                   | Ok (Some b) -> (
+                       let recorded =
+                         List.find_opt
+                           (fun (p : Perf.History.datapoint) ->
+                             p.commit = commit)
+                           hist
+                       in
                        match
-                         Perf.History.pick_baseline ?ref_prefix:baseline
-                           ~head:commit hist
+                         Perf.History.gate ~recorded ~baseline:b
+                           ~current:dp ~tolerance
                        with
-                       | Error msg -> fail (s.name ^ ": " ^ msg)
-                       | Ok None ->
-                           Printf.printf
-                             "%-16s no recorded baseline; gate passes \
-                              vacuously\n"
-                             ""
-                       | Ok (Some b) -> (
-                           let recorded =
-                             List.find_opt
-                               (fun (p : Perf.History.datapoint) ->
-                                 p.commit = commit)
-                               hist
-                           in
-                           match
-                             Perf.History.gate ~recorded ~baseline:b
-                               ~current:dp ~tolerance
-                           with
-                           | Ok msg -> Printf.printf "%-16s PASS %s\n" "" msg
-                           | Error msg ->
-                               Printf.printf "%-16s FAIL %s\n" "" msg;
-                               fail (s.name ^ ": " ^ msg)));
-                    if not no_record then Perf.History.upsert ~file dp))
+                       | Ok msg -> Printf.printf "%-16s PASS %s\n" "" msg
+                       | Error msg ->
+                           Printf.printf "%-16s FAIL %s\n" "" msg;
+                           fail (s.name ^ ": " ^ msg)));
+                if not no_record then Perf.History.upsert ~file dp)
           Perf.Suite.sections;
         if !failures = [] then `Ok ()
         else `Error (false, String.concat "\n" (List.rev !failures))
@@ -1202,8 +1234,10 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Run the deterministic perf suite: each section is measured in a \
-          fresh subprocess, its allocation counters (exactly reproducible \
-          for a deterministic workload) are recorded per commit under \
+          fresh subprocess at each of 64 phases of the minor heap, its \
+          allocation counters (exactly reproducible for a deterministic \
+          workload; promoted words averaged over the phases) are recorded \
+          per commit under \
           bench/history/, and $(b,--compare) gates the run against the \
           recorded baseline, failing on per-event allocation growth beyond \
           the tolerance and on an unrecorded drop beyond it.  Wall time and \
@@ -1212,7 +1246,7 @@ let bench_cmd =
     Term.(
       ret
         (const run $ compare_arg $ baseline_arg $ tolerance_arg $ history_arg
-       $ no_record_arg $ section_arg $ commit_arg))
+       $ no_record_arg $ section_arg $ commit_arg $ phase_arg))
 
 (* ---------------- finding ---------------- *)
 

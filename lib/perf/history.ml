@@ -21,6 +21,31 @@ let of_metrics ~commit ~bench ~events (m : Measure.metrics) =
     major_collections = m.major_collections;
   }
 
+let average = function
+  | [] -> Error "no datapoint to average"
+  | first :: _ as points -> (
+      match List.find_opt (fun p -> p.events <> first.events) points with
+      | Some p ->
+          Error
+            (Printf.sprintf "%s: phases disagree: %d events vs %d" first.bench
+               first.events p.events)
+      | None ->
+          let mean f =
+            Float.round
+              (List.fold_left (fun acc p -> acc +. f p) 0. points
+              /. float_of_int (List.length points))
+          in
+          Ok
+            {
+              first with
+              promoted_words = mean (fun p -> p.promoted_words);
+              major_words = mean (fun p -> p.major_words);
+              minor_collections =
+                int_of_float (mean (fun p -> float_of_int p.minor_collections));
+              major_collections =
+                int_of_float (mean (fun p -> float_of_int p.major_collections));
+            })
+
 (* Allocation counters are integral word counts that fit comfortably
    in 53 bits, so %.0f round-trips them exactly and keeps the encoding
    canonical (no float noise, equal datapoints -> equal bytes). *)

@@ -8,6 +8,14 @@
     the gate relies on: re-running an unchanged workload rewrites the
     history file byte-for-byte identically.
 
+    Promoted words are the mean over {!Suite.phases} runs, each started
+    at a different phase of the minor heap ({!Suite.measure},
+    {!average}): a single run's count depends on which young blocks its
+    few minor collections happen to find live.  Older datapoints in a
+    history file counted one unshifted run without the final
+    collection; they stay for the record, and the gate reads only the
+    most recent one.
+
     Comparison normalizes by the event count, so a deliberate workload
     resize does not masquerade as an allocation regression. *)
 
@@ -24,6 +32,15 @@ type datapoint = {
 
 val of_metrics :
   commit:string -> bench:string -> events:int -> Measure.metrics -> datapoint
+
+val average : datapoint list -> (datapoint, string) result
+(** One datapoint for a section measured at several phases of the
+    minor heap ({!Suite.measure}), phase 0 first: promoted and major
+    words and both collection counts are the means over the points,
+    rounded to a whole word or collection; everything else, minor
+    words included, is the first point's, so the minor-words gate reads
+    the unshifted run as before.  [Error] on an empty list or on points
+    that disagree on the event count. *)
 
 val to_line : datapoint -> string
 (** One JSON object, no trailing newline.  Field order is fixed so

@@ -275,11 +275,33 @@ let sections =
 
 let find name = List.find_opt (fun s -> s.name = name) sections
 
+let phases = 64
+
+(* [words] words of blocks that die at once: they only move the point
+   at which the minor heap next fills. *)
+let advance words =
+  for i = 1 to words / 2 do
+    ignore (Sys.opaque_identity (ref i))
+  done
+
 (* The minor heap is emptied between preparing and measuring, so young
    data left by module initialisation (the executor instances, any
    toplevel table) or by [prepare] is never promoted on the section's
-   account: promoted words then move only with the measured run. *)
-let measure s =
+   account.  The run then starts [phase] sixty-fourths of the minor
+   heap into it, and a last minor collection after the run promotes
+   what the run left live, so that counts whatever the phase. *)
+let measure ?(phase = 0) s =
   let run = s.prepare () in
   Gc.minor ();
-  Measure.measure run
+  advance (phase mod phases * (Gc.get ()).minor_heap_size / phases);
+  let events, m = Measure.measure run in
+  let before = Gc.quick_stat () in
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  ( events,
+    {
+      m with
+      promoted_words =
+        m.promoted_words +. after.promoted_words -. before.promoted_words;
+      major_words = m.major_words +. after.major_words -. before.major_words;
+    } )

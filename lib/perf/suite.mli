@@ -44,11 +44,23 @@ val sections : section list
 
 val find : string -> section option
 
-val measure : section -> int * Measure.metrics
+val phases : int
+(** How many phases of the minor heap a section is measured at (64). *)
+
+val measure : ?phase:int -> section -> int * Measure.metrics
 (** Prepare the section, run one minor collection, then measure the
-    run ({!Measure.measure}).  What module initialisation or
-    preparation left in the minor heap is thus never promoted on the
-    section's account. *)
+    run ({!Measure.measure}) started [phase / phases] of the way into
+    the minor heap (default [0]), and end it with one more minor
+    collection.  What module initialisation or preparation left in the
+    minor heap is thus never promoted on the section's account, and
+    what the run leaves live is promoted on it at every phase.
+
+    Which young blocks a minor collection finds live depends on where
+    in the run the minor heap happens to fill, so one run's promoted
+    words move with any allocation before that point.  The mean over
+    all [phases] phases ({!History.average}) does not: it is the
+    expected promotion of a run started at a uniformly random phase.
+    Minor words do not depend on the phase. *)
 
 val queue_events : per_proc:int -> unit -> int
 (** The closed-loop queue workload at an arbitrary scale:
