@@ -15,37 +15,44 @@
     ([X + eps]). *)
 
 module Make (T : Spec.Data_type.S) = struct
+  module Replica = Replica.Make (T)
+
   type msg = Op_msg of { inv : T.invocation; ts : Timestamp.t }
   type tag = Execute of Timestamp.t
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   type pstate = {
-    mutable store : T.state;
     queue : T.invocation Timestamp.Heap.t;
     mutable awaiting : Timestamp.t option;
   }
 
-  type t = { engine : engine; states : pstate array }
+  (* The replicas, maintained by replay through their shared log, and
+     each process's queue. *)
+  type states = { replicas : Replica.t; procs : pstate array }
+  type t = { engine : engine; states : states }
 
   let fresh_states ~n =
-    Array.init n (fun _ ->
-        { store = T.initial; queue = Timestamp.Heap.create (); awaiting = None })
+    {
+      replicas = Replica.create ~n;
+      procs =
+        Array.init n (fun _ ->
+            { queue = Timestamp.Heap.create (); awaiting = None });
+    }
 
   (* The handler triple, decoupled from engine construction so the
      protocol can also run wrapped by the reliable channel.  Only the
      execution horizon [d + eps] is taken from the model. *)
   let protocol ~(model : Sim.Model.t) states =
     let horizon = Rat.add model.d model.eps in
-    let deliver p (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
-      Timestamp.Heap.add p.queue ts inv;
+    let deliver (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
+      Timestamp.Heap.add states.procs.(ctx.self).queue ts inv;
       (* Fire when the local clock reaches ts + d + eps; the wait is
          never negative because delay <= d and skew <= eps. *)
       let wait = Rat.sub (Rat.add ts.Timestamp.time horizon) ctx.local_time in
       ignore (ctx.set_timer_after (Rat.max Rat.zero wait) (Execute ts))
     in
     let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts inv =
-      let store', ret = T.apply p.store inv in
-      p.store <- store';
+      let ret = Replica.apply states.replicas ctx.self inv in
       match p.awaiting with
       | Some awaited when Timestamp.equal awaited ts ->
           p.awaiting <- None;
@@ -56,18 +63,16 @@ module Make (T : Spec.Data_type.S) = struct
       Timestamp.Heap.drain p.queue ~upto:ts execute_one p ctx
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
-      let p = states.(ctx.self) in
       let ts = Timestamp.make ~time:ctx.local_time ~proc:ctx.self in
-      p.awaiting <- Some ts;
-      deliver p ctx inv ts;
+      states.procs.(ctx.self).awaiting <- Some ts;
+      deliver ctx inv ts;
       ctx.broadcast (Op_msg { inv; ts })
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src:_ msg =
-      match msg with
-      | Op_msg { inv; ts } -> deliver states.(ctx.self) ctx inv ts
+      match msg with Op_msg { inv; ts } -> deliver ctx inv ts
     in
     let on_timer (ctx : (msg, tag, T.response) Sim.Engine.ctx) tag =
-      match tag with Execute ts -> execute_up_to states.(ctx.self) ctx ts
+      match tag with Execute ts -> execute_up_to states.procs.(ctx.self) ctx ts
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
@@ -90,5 +95,5 @@ module Make (T : Spec.Data_type.S) = struct
     in
     { engine; states }
 
-  let replica_state t i = t.states.(i).store
+  let replica_state t i = Replica.state t.states.replicas i
 end

@@ -11,17 +11,20 @@
 module Make (T : Spec.Data_type.S) : sig
   type msg
   type tag
-  type pstate
+  type states
+  (** The algorithm state of a cluster: the replicas with their shared
+      replay log ({!Replica}), and each process's queue. *)
+
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
-  type t = { engine : engine; states : pstate array }
+  type t = { engine : engine; states : states }
 
-  val fresh_states : n:int -> pstate array
-  (** One initial replica state per process. *)
+  val fresh_states : n:int -> states
+  (** [n] processes, each replica in the initial state. *)
 
   val protocol :
     model:Sim.Model.t ->
-    pstate array ->
+    states ->
     (msg, tag, T.invocation, T.response) Sim.Engine.handlers
   (** The algorithm's handler triple over the given replica states
       (only the execution horizon [d + eps] is read from the model),

@@ -81,6 +81,7 @@ let default_timing (model : Sim.Model.t) ~x =
 
 module Make (T : Spec.Data_type.S) = struct
   module Sem = Spec.Data_type.Semantics (T)
+  module Replica = Replica.Make (T)
 
   type msg = Op_msg of { inv : T.invocation; ts : Timestamp.t }
 
@@ -93,28 +94,36 @@ module Make (T : Spec.Data_type.S) = struct
   type queued = { inv : T.invocation; exec_timer : int }
 
   type pstate = {
-    mutable store : T.state;  (* local replica, maintained by replay *)
     to_execute : queued Timestamp.Heap.t;
     mutable awaiting : Timestamp.t option;
         (* timestamp of the pending OOP invoked here, if any *)
   }
 
+  (* The replicas, maintained by replay through their shared log, and
+     each process's [To_Execute] queue. *)
+  type states = { replicas : Replica.t; procs : pstate array }
+
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   (* A running cluster: the engine plus the replicas' states (exposed
      read-only for convergence checks in tests and examples). *)
-  type t = { engine : engine; states : pstate array; timing : timing }
+  type t = { engine : engine; states : states; timing : timing }
 
-  let fresh_pstate () =
-    { store = T.initial; to_execute = Timestamp.Heap.create (); awaiting = None }
+  let fresh_states ~n =
+    {
+      replicas = Replica.create ~n;
+      procs =
+        Array.init n (fun _ ->
+            { to_execute = Timestamp.Heap.create (); awaiting = None });
+    }
 
   (* Apply one mutator taken off [To_Execute], cancelling its execute
      timer; respond if it is the OOP pending at this process. *)
-  let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts
+  let execute_one states (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts
       { inv; exec_timer } =
     ctx.cancel_timer exec_timer;
-    let store', ret = T.apply p.store inv in
-    p.store <- store';
+    let ret = Replica.apply states.replicas ctx.self inv in
+    let p = states.procs.(ctx.self) in
     match p.awaiting with
     | Some awaited when Timestamp.equal awaited ts ->
         p.awaiting <- None;
@@ -123,21 +132,20 @@ module Make (T : Spec.Data_type.S) = struct
 
   (* Apply every queued mutator with timestamp at most [ts], in
      timestamp order (pseudocode lines 4-8 and 22-29). *)
-  let execute_up_to p ctx ts =
-    Timestamp.Heap.drain p.to_execute ~upto:ts execute_one p ctx
-
-  let fresh_states ~n = Array.init n (fun _ -> fresh_pstate ())
+  let execute_up_to states (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts =
+    Timestamp.Heap.drain states.procs.(ctx.self).to_execute ~upto:ts
+      execute_one states ctx
 
   (* The handler triple, separated from engine construction so the
      same protocol can run either directly on an engine or wrapped by
      the reliable channel ([Core.Reliable]) over a lossy one. *)
   let protocol ~timing states =
-    let add_to_queue p (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
+    let add_to_queue (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
       let exec_timer = ctx.set_timer_after timing.execute_wait (Execute ts) in
-      Timestamp.Heap.add p.to_execute ts { inv; exec_timer }
+      Timestamp.Heap.add states.procs.(ctx.self).to_execute ts
+        { inv; exec_timer }
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
-      let p = states.(ctx.self) in
       match Sem.kind_of inv with
       | Spec.Op_kind.Pure_accessor ->
           (* Timestamp backdated by X; respond after d - X (line 2). *)
@@ -156,7 +164,7 @@ module Make (T : Spec.Data_type.S) = struct
                  (lines 11-13, 16-17). *)
               ignore
                 (ctx.set_timer_after timing.mutator_ack_wait (Respond_ack inv))
-          | Spec.Op_kind.Mixed -> p.awaiting <- Some ts
+          | Spec.Op_kind.Mixed -> states.procs.(ctx.self).awaiting <- Some ts
           | Spec.Op_kind.Pure_accessor -> assert false);
           (* Simulate the minimum delay locally before queueing the own
              operation (line 14), and tell everyone else (line 15). *)
@@ -164,26 +172,25 @@ module Make (T : Spec.Data_type.S) = struct
           ctx.broadcast (Op_msg { inv; ts })
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src:_ msg =
-      let p = states.(ctx.self) in
-      match msg with Op_msg { inv; ts } -> add_to_queue p ctx inv ts
+      match msg with Op_msg { inv; ts } -> add_to_queue ctx inv ts
     in
     let on_timer (ctx : (msg, tag, T.response) Sim.Engine.ctx) tag =
-      let p = states.(ctx.self) in
       match tag with
       | Respond_aop { inv; ts } ->
           (* Execute smaller-timestamped mutators first, then evaluate
              the accessor on the replica (lines 3-9). *)
-          execute_up_to p ctx ts;
-          let _, ret = T.apply p.store inv in
+          execute_up_to states ctx ts;
+          let _, ret = T.apply (Replica.state states.replicas ctx.self) inv in
           ctx.respond ret
       | Respond_ack inv ->
           (* A pure mutator's response cannot depend on the state
              (otherwise the operation would be an accessor), so the
              current replica determines it even though the mutation
              itself executes later. *)
-          ctx.respond (snd (T.apply p.store inv))
-      | Add { inv; ts } -> add_to_queue p ctx inv ts
-      | Execute ts -> execute_up_to p ctx ts
+          ctx.respond
+            (snd (T.apply (Replica.state states.replicas ctx.self) inv))
+      | Add { inv; ts } -> add_to_queue ctx inv ts
+      | Execute ts -> execute_up_to states ctx ts
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
@@ -218,13 +225,7 @@ module Make (T : Spec.Data_type.S) = struct
     in
     { engine; states; timing }
 
-  let replica_state t i = t.states.(i).store
-
-  let states_converged states =
-    if Array.length states = 0 then true
-    else
-      let reference = states.(0).store in
-      Array.for_all (fun p -> T.equal_state p.store reference) states
-
+  let replica_state t i = Replica.state t.states.replicas i
+  let states_converged states = Replica.converged states.replicas
   let replicas_converged t = states_converged t.states
 end

@@ -39,21 +39,22 @@ module Make (T : Spec.Data_type.S) : sig
   type tag
   (** Timer tags (respond / add / execute). *)
 
-  type pstate
-  (** Per-replica algorithm state (local copy + [To_Execute] queue). *)
+  type states
+  (** The algorithm state of a cluster: the replicas with their shared
+      replay log ({!Replica}), and each process's [To_Execute] queue. *)
 
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   (** A running cluster: drive it through {!Sim.Engine.schedule_invoke}
       and {!Sim.Engine.run} on [engine]. *)
-  type t = { engine : engine; states : pstate array; timing : timing }
+  type t = { engine : engine; states : states; timing : timing }
 
-  val fresh_states : n:int -> pstate array
-  (** One initial replica state per process. *)
+  val fresh_states : n:int -> states
+  (** [n] processes, each replica in the initial state. *)
 
   val protocol :
     timing:timing ->
-    pstate array ->
+    states ->
     (msg, tag, T.invocation, T.response) Sim.Engine.handlers
   (** The algorithm's handler triple over the given replica states,
       decoupled from engine construction so it can also run wrapped by
@@ -91,7 +92,7 @@ module Make (T : Spec.Data_type.S) : sig
   val replicas_converged : t -> bool
   (** After quiescence, do all replicas hold equal states? *)
 
-  val states_converged : pstate array -> bool
+  val states_converged : states -> bool
   (** {!replicas_converged} on bare replica states — for runs whose
       handlers were wrapped (e.g. by the reliable channel) and so never
       materialized a [t]. *)
