@@ -290,16 +290,6 @@ let check_cmd =
       & info [ "n"; "ops" ] ~docv:"OPS"
           ~doc:"Number of operations in the generated history.")
   in
-  let online_arg =
-    Arg.(
-      value & flag
-      & info [ "online" ]
-          ~doc:
-            "Stream the history through a live trace with the monitor \
-             attached as a sink, and report the event index at which a \
-             violation first becomes visible, instead of checking the \
-             completed history offline.")
-  in
   let inject_arg =
     Arg.(
       value & flag
@@ -312,7 +302,7 @@ let check_cmd =
   let json_arg =
     json_path_arg ~doc:"Append a one-line JSON record of the verdict to $(docv)."
   in
-  let run pt count seed checker online inject json_path scenario =
+  let run pt count seed checker inject json_path scenario =
     (* A scenario pins the history's shape: its data type, seed,
        checker and invocation count replace the individual flags. *)
     let resolved =
@@ -355,7 +345,7 @@ let check_cmd =
               T.name
               (String.concat ", "
                  (List.map Sweep.Packed_type.key monitored)) )
-    | Some kind -> (
+    | Some _ -> (
         let t0 = Core.Clock.now_s () in
         let ops = M.generate ~seed ~n:count () in
         let ops, injected = if inject then M.corrupt ops else (ops, false) in
@@ -369,82 +359,28 @@ let check_cmd =
             T.name count seed gen_s
             (if injected then ", violation injected" else "");
           let t1 = Core.Clock.now_s () in
-          let linearizable, method_s, fallback, violation, detail =
-            if online then begin
-              let trace : (unit, T.invocation, T.response) Sim.Trace.t =
-                Sim.Trace.create ()
-              in
-              let h = M.attach trace in
-              let events =
-                List.concat_map
-                  (fun (o : M.op) ->
-                    [
-                      (o.Sim.Trace.inv_time, 0, o);
-                      (o.Sim.Trace.resp_time, 1, o);
-                    ])
-                  ops
-                |> List.stable_sort (fun (t1, k1, _) (t2, k2, _) ->
-                       match Rat.compare t1 t2 with
-                       | 0 -> Int.compare k1 k2
-                       | c -> c)
-              in
-              let detected = ref None in
-              List.iteri
-                (fun i (time, k, (o : M.op)) ->
-                  Sim.Trace.record trace
-                    (if k = 0 then
-                       Sim.Trace.Invoke { time; proc = o.proc; inv = o.inv }
-                     else
-                       Sim.Trace.Respond
-                         { time; proc = o.proc; inv = o.inv; resp = o.resp });
-                  if !detected = None && M.online_violation h <> None then
-                    detected := Some i)
-                events;
-              let violation =
-                match M.online_violation h with
-                | Some v -> Some v
-                | None -> M.online_finalize h
-              in
-              let detail =
-                match !detected with
-                | Some i ->
-                    Printf.sprintf "violation visible at event %d of %d" i
-                      (List.length events)
-                | None ->
-                    Printf.sprintf "%d events streamed" (List.length events)
-              in
-              ( violation = None,
-                "online " ^ Monitor.method_to_string (Monitor.Specialized kind),
-                None,
-                violation,
-                Some detail )
-            end
-            else
-              (* a generated history has no protocol, so no order *)
-              let r = E.R.certify ~checker (Array.of_list ops) in
-              ( r.M.linearizable,
-                Monitor.method_to_string r.M.method_,
-                r.M.fallback,
-                r.M.violation,
-                None )
-          in
+          (* a generated history has no protocol, so no order *)
+          let r = E.R.certify ~checker (Array.of_list ops) in
+          let linearizable = r.M.linearizable in
+          let method_s = Monitor.method_to_string r.M.method_ in
           let check_s = Core.Clock.now_s () -. t1 in
           Format.printf "verdict: %s (%s) in %.2fs@."
             (if linearizable then "linearizable" else "NOT linearizable")
             method_s check_s;
-          Option.iter (Format.printf "  %s@.") detail;
-          Option.iter (Format.printf "  fell back to wing-gong: %s@.") fallback;
-          Option.iter (Format.printf "  %a@." Monitor.Violation.pp) violation;
+          Option.iter
+            (Format.printf "  fell back to wing-gong: %s@.")
+            r.M.fallback;
+          Option.iter (Format.printf "  %a@." Monitor.Violation.pp) r.M.violation;
           Option.iter
             (fun path ->
               append_json path
                 (Printf.sprintf
                    "{ \"bench\": \"monitor-check\", \"type\": %s, \"ops\": \
-                    %d, \"seed\": %d, \"online\": %b, \"injected\": %b, \
+                    %d, \"seed\": %d, \"injected\": %b, \
                     \"linearizable\": %b, \"method\": %s, \"fallback\": %b, \
                     \"gen_s\": %.6f, \"check_s\": %.6f }"
-                   (Core.Json.quote T.name) count seed online injected
-                   linearizable (Core.Json.quote method_s) (fallback <> None)
+                   (Core.Json.quote T.name) count seed injected linearizable
+                   (Core.Json.quote method_s) (r.M.fallback <> None)
                    gen_s check_s);
               Format.printf "appended %s@." path)
             json_path;
@@ -463,14 +399,14 @@ let check_cmd =
        ~doc:
          "Generate a seed-deterministic concurrent history for a monitored \
           data type and certify it with the specialized O(n log n) monitor \
-          (or Wing-Gong, or the streaming online sink).  With \
+          (or Wing-Gong).  With \
           $(b,--inject-violation) the verdict must flip for the command to \
           succeed.  With $(b,--scenario) the data type, seed, checker and \
           operation count come from a scenario file.")
     Term.(
       ret
         (const run $ type_arg $ count_arg $ seed_arg $ checker_arg
-       $ online_arg $ inject_arg $ json_arg $ scenario_arg))
+       $ inject_arg $ json_arg $ scenario_arg))
 
 (* ---------------- classify ---------------- *)
 

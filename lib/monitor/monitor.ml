@@ -30,14 +30,13 @@
 
    [Make (T)] also carries the workload side of the tooling: a
    seed-deterministic generator of unambiguous concurrent histories
-   (linearizable by construction), a response-swapping corruptor for
-   injecting violations, and the streaming {!Online} sink that watches
-   a live [Sim.Trace] and flags violations mid-run. *)
+   (linearizable by construction) and a response-swapping corruptor
+   for injecting violations.  Completed histories are the only input:
+   the kernels are the one copy of the rules. *)
 
 module V = Spec.Adt_view
 module Violation = Violation
 module Record = Record
-module Online = Online
 
 type method_ = Specialized of V.kind | Protocol_order | Wing_gong
 
@@ -308,44 +307,6 @@ module Make (T : Spec.Data_type.S) = struct
 
   let check ?max_nodes ?order ops =
     check_with ?max_nodes ?order (Array.of_list ops) (Some ops)
-
-  let is_linearizable ?max_nodes ops = (check ?max_nodes ops).linearizable
-
-  let check_trace ?max_nodes trace =
-    check ?max_nodes (Sim.Trace.operations trace)
-
-  (* --- online ----------------------------------------------------- *)
-
-  exception Violation_detected of Violation.t
-
-  type online = {
-    state : Online.t option;  (** [None]: type has no monitor, inert *)
-    mutable seen : int;
-  }
-
-  let attach ?(abort = false) trace =
-    match viewer with
-    | None -> { state = None; seen = 0 }
-    | Some vw ->
-        let st = Online.create vw.V.kind in
-        let h = { state = Some st; seen = 0 } in
-        Sim.Trace.on_operation trace (fun (o : op) ->
-            let r = record_of vw h.seen o in
-            h.seen <- h.seen + 1;
-            match Online.observe st r with
-            | Some v when abort -> raise (Violation_detected v)
-            | _ -> ());
-        h
-
-  let online_violation h = Option.bind h.state Online.violation
-
-  let online_finalize h =
-    match h.state with None -> None | Some st -> Online.finalize st
-
-  let online_status h =
-    match h.state with
-    | None -> `Inert "no specialized monitor for this type"
-    | Some st -> Online.status st
 
   (* --- workload generation ---------------------------------------- *)
 

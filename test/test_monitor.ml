@@ -1,7 +1,7 @@
 (* Per-type monitor tests: agreement with Wing-Gong on random
    seed-deterministic histories (clean and with injected violations),
    hand-written adversarial histories with the expected rejection
-   rules, the online sink, and the Wing-Gong budget payload. *)
+   rules, and the Wing-Gong budget payload. *)
 
 let rat = Rat.make
 
@@ -89,16 +89,30 @@ let test_agreement_tied () =
 module Fast (T : Spec.Data_type.S) = struct
   module M = Monitor.Make (T)
 
-  let run ~n () =
-    let r = M.check (M.generate ~seed:1 ~n ()) in
+  let kernel_decided label (r : M.result) =
     Alcotest.(check bool)
-      (T.name ^ ": large clean history accepted") true r.M.linearizable;
-    Alcotest.(check bool)
-      (T.name ^ ": no wing-gong fallback")
+      (T.name ^ ": " ^ label ^ " decided without wing-gong")
       true
       (match (r.M.method_, r.M.fallback) with
       | Monitor.Specialized _, None -> true
       | _ -> false)
+
+  (* Clean and corrupted, at a size Wing-Gong cannot reach: the kernel
+     alone must accept the one and reject the other with a witness. *)
+  let run ~n () =
+    let clean = M.generate ~seed:1 ~n () in
+    let r = M.check clean in
+    Alcotest.(check bool)
+      (T.name ^ ": large clean history accepted") true r.M.linearizable;
+    kernel_decided "clean history" r;
+    let bad, injected = M.corrupt clean in
+    Alcotest.(check bool) (T.name ^ ": violation injected") true injected;
+    let r = M.check bad in
+    Alcotest.(check bool)
+      (T.name ^ ": large corrupted history rejected") false r.M.linearizable;
+    kernel_decided "corrupted history" r;
+    Alcotest.(check bool)
+      (T.name ^ ": reject carries a witness") true (r.M.violation <> None)
 end
 
 let test_specialized_scale () =
@@ -669,138 +683,6 @@ let test_set_adversarial () =
             smem ~proc:1 ~s:40 ~e:50 1 true;
           ]))
 
-(* ---------- online sink ------------------------------------------- *)
-
-(* Replay a completed history through a live trace in event-time order
-   (invocation before response on a tied timestamp), sampling the sink
-   after every event.  Returns the handle, the event index at which the
-   violation was first visible, and the event count. *)
-module Stream (T : Spec.Data_type.S) = struct
-  module M = Monitor.Make (T)
-
-  let run (ops : M.op list) =
-    let trace : (unit, T.invocation, T.response) Sim.Trace.t =
-      Sim.Trace.create ()
-    in
-    let h = M.attach trace in
-    let events =
-      List.concat_map
-        (fun (o : M.op) ->
-          [ (o.Sim.Trace.inv_time, 0, o); (o.Sim.Trace.resp_time, 1, o) ])
-        ops
-      |> List.stable_sort (fun (t1, k1, _) (t2, k2, _) ->
-             match Rat.compare t1 t2 with 0 -> Int.compare k1 k2 | c -> c)
-    in
-    let detected = ref None in
-    List.iteri
-      (fun i (time, k, (o : M.op)) ->
-        Sim.Trace.record trace
-          (if k = 0 then Sim.Trace.Invoke { time; proc = o.proc; inv = o.inv }
-           else
-             Sim.Trace.Respond
-               { time; proc = o.proc; inv = o.inv; resp = o.resp });
-        if !detected = None && M.online_violation h <> None then
-          detected := Some i)
-      events;
-    (h, !detected, List.length events)
-end
-
-let test_online_clean () =
-  let clean_q () =
-    let module S = Stream (Spec.Fifo_queue) in
-    let h, detected, _ = S.run (S.M.generate ~seed:2 ~n:150 ()) in
-    Alcotest.(check bool) "queue: no mid-run violation" true (detected = None);
-    Alcotest.(check bool)
-      "queue: finalize clean" true
-      (S.M.online_finalize h = None);
-    Alcotest.(check bool)
-      "queue: still armed" true
-      (S.M.online_status h = `Armed)
-  in
-  let clean_r () =
-    let module S = Stream (Spec.Register) in
-    let h, detected, _ = S.run (S.M.generate ~seed:2 ~n:150 ()) in
-    Alcotest.(check bool)
-      "register: no mid-run violation" true (detected = None);
-    Alcotest.(check bool)
-      "register: finalize clean" true
-      (S.M.online_finalize h = None)
-  in
-  let clean_s () =
-    let module S = Stream (Spec.Set_type) in
-    let h, detected, _ = S.run (S.M.generate ~seed:2 ~n:150 ()) in
-    Alcotest.(check bool) "set: no mid-run violation" true (detected = None);
-    Alcotest.(check bool)
-      "set: finalize clean" true
-      (S.M.online_finalize h = None)
-  in
-  clean_q ();
-  clean_r ();
-  clean_s ()
-
-let test_online_detects_midrun () =
-  let module S = Stream (Spec.Fifo_queue) in
-  let clean = S.M.generate ~seed:3 ~n:200 () in
-  let bad, injected = S.M.corrupt clean in
-  Alcotest.(check bool) "violation injected" true injected;
-  let _, detected, total = S.run bad in
-  match detected with
-  | None -> Alcotest.fail "online sink missed the injected violation"
-  | Some i ->
-      Alcotest.(check bool)
-        (Printf.sprintf "detected at event %d of %d, before end-of-run" i
-           total)
-        true
-        (i < total - 1)
-
-let test_online_register_midrun () =
-  let module S = Stream (Spec.Register) in
-  let clean = S.M.generate ~seed:5 ~n:200 () in
-  let bad, injected = S.M.corrupt clean in
-  Alcotest.(check bool) "violation injected" true injected;
-  let _, detected, total = S.run bad in
-  match detected with
-  | None -> Alcotest.fail "online sink missed the stale read"
-  | Some i ->
-      Alcotest.(check bool)
-        (Printf.sprintf "detected at event %d of %d, before end-of-run" i
-           total)
-        true
-        (i < total - 1)
-
-let test_online_finalize_catches () =
-  (* a set false-read is only refutable once the run is over: the sink
-     stays quiet mid-run and flags it at finalize *)
-  let module S = Stream (Spec.Set_type) in
-  let h, detected, _ =
-    S.run [ sadd ~proc:0 ~s:0 ~e:10 1; smem ~proc:1 ~s:20 ~e:30 1 false ]
-  in
-  Alcotest.(check bool) "quiet mid-run" true (detected = None);
-  match S.M.online_finalize h with
-  | Some v -> Alcotest.(check string) "rule" "set.false-read" v.rule
-  | None -> Alcotest.fail "finalize missed the false read"
-
-let test_online_abort_raises () =
-  let trace : (unit, Spec.Fifo_queue.invocation, Spec.Fifo_queue.response)
-      Sim.Trace.t =
-    Sim.Trace.create ()
-  in
-  let _h = MQ.attach ~abort:true trace in
-  let feed (o : MQ.op) =
-    Sim.Trace.record trace
-      (Sim.Trace.Invoke { time = o.inv_time; proc = o.proc; inv = o.inv });
-    Sim.Trace.record trace
-      (Sim.Trace.Respond
-         { time = o.resp_time; proc = o.proc; inv = o.inv; resp = o.resp })
-  in
-  feed (enq ~proc:0 ~s:0 ~e:10 1);
-  feed (deq ~proc:0 ~s:11 ~e:20 (Some 1));
-  match feed (deq ~proc:0 ~s:21 ~e:30 (Some 1)) with
-  | exception MQ.Violation_detected v ->
-      Alcotest.(check string) "abort carries the rule" "container.repeat"
-        v.Monitor.Violation.rule
-  | () -> Alcotest.fail "abort mode did not raise"
-
 (* ---------- wing-gong budget payload ------------------------------ *)
 
 let test_budget_payload () =
@@ -860,19 +742,6 @@ let () =
           Alcotest.test_case "stack" `Quick test_stack_adversarial;
           Alcotest.test_case "priority queue" `Quick test_pqueue_adversarial;
           Alcotest.test_case "set" `Quick test_set_adversarial;
-        ] );
-      ( "online sink",
-        [
-          Alcotest.test_case "clean streams stay quiet" `Quick
-            test_online_clean;
-          Alcotest.test_case "queue violation before end-of-run" `Quick
-            test_online_detects_midrun;
-          Alcotest.test_case "register violation before end-of-run" `Quick
-            test_online_register_midrun;
-          Alcotest.test_case "finalize catches deferred rules" `Quick
-            test_online_finalize_catches;
-          Alcotest.test_case "abort mode raises" `Quick
-            test_online_abort_raises;
         ] );
       ( "wing-gong budget",
         [ Alcotest.test_case "payload and rendering" `Quick
