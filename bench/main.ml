@@ -349,6 +349,14 @@ let figure11 () =
 (* ------------------------------------------------------------------ *)
 (* Lemma 4 and baselines.                                              *)
 
+(* Algorithm 1 at the reference X on a closed-loop queue workload. *)
+let wtlw_queue ~name ~offsets ~delays ~per_proc ~seed =
+  Scenario.run
+    (Scenario.make ~name ~dt:"queue" ~model ~offsets ~delays
+       ~algorithm:(Scenario.Wtlw { x; knob = Core.Ablation.Paper })
+       ~workload:(Scenario.Closed_loop { per_proc; think = rat 1 2 })
+       ~seed ())
+
 let lemma4_and_baselines () =
   section "Lemma 4: measured per-class latency of Algorithm 1 vs formulas";
   let expected =
@@ -362,24 +370,19 @@ let lemma4_and_baselines () =
       (Spec.Op_kind.Mixed, "d + eps", Bounds.Theorems.ub_mixed model);
     ]
   in
-  let module R = Core.Runtime.Make (Spec.Fifo_queue) in
-  let report =
-    R.run
-      (R.Config.make ~check:false ~model ~offsets
-         ~delay:(Sim.Net.max_delay_model model)
-         ~algorithm:(R.Wtlw { x })
-         ~workload:(R.Closed_loop { per_proc = 20; think = rat 1 2; seed = 3 })
-         ())
+  let run =
+    wtlw_queue ~name:"lemma4" ~offsets ~delays:Scenario.Max_delays
+      ~per_proc:20 ~seed:3
   in
   List.iter
     (fun (kind, formula, bound) ->
-      match List.assoc_opt kind report.by_kind with
+      match List.assoc_opt kind run.by_kind with
       | None -> ()
-      | Some (s : Core.Metrics.summary) ->
+      | Some max ->
           Format.printf "  %-18s measured max = %-6s  %s = %-6s  %s@."
             (Spec.Op_kind.to_string kind)
-            (Rat.to_string s.max) formula (Rat.to_string bound)
-            (if Rat.le s.max bound then "ok" else "VIOLATION"))
+            (Rat.to_string max) formula (Rat.to_string bound)
+            (if Rat.le max bound then "ok" else "VIOLATION"))
     expected;
   section "Folklore baselines on the same queue workload (worst case per op)";
   let show name measured =
@@ -425,18 +428,13 @@ let clock_sync_section () =
     (Rat.to_string model.eps);
   (* Bootstrap: the synchronized offsets drive Algorithm 1 at optimal
      eps. *)
-  let module R = Core.Runtime.Make (Spec.Fifo_queue) in
-  let report =
-    R.run
-      (R.Config.make ~model
-         ~offsets:(Sim.Clock_sync.centered result)
-         ~delay:(Sim.Net.random_model ~seed:78 model)
-         ~algorithm:(R.Wtlw { x })
-         ~workload:(R.Closed_loop { per_proc = 6; think = rat 1 2; seed = 78 })
-         ())
+  let run =
+    wtlw_queue ~name:"sync-bootstrap"
+      ~offsets:(Sim.Clock_sync.centered result)
+      ~delays:Scenario.Random_delays ~per_proc:6 ~seed:78
   in
   Format.printf "bootstrapped Algorithm 1 run: linearizable = %b@."
-    (Option.is_some report.linearization)
+    run.linearizable
 
 (* ------------------------------------------------------------------ *)
 (* Parameter sweeps: the X tradeoff, tightness as n grows, and the     *)
@@ -534,31 +532,24 @@ let sweep_section () =
 
 let ablation_section () =
   section "Ablations: fault-injected timing variants (queue workloads)";
-  let module A = Core.Ablation.Make (Spec.Fifo_queue) in
   Format.printf
     "each row: %d adversarial runs; a violation is a non-linearizable@."
     8;
   Format.printf "history or diverged replicas caught by the checker@.@.";
   List.iter
-    (fun outcome -> Format.printf "  %a@." Core.Ablation.pp_outcome outcome)
-    (A.report ~model ~x ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+    (fun outcome -> Format.printf "  %a@." Scenario.Ablation.pp_outcome outcome)
+    (Scenario.Ablation.report ~model ~x ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]);
   Format.printf
     "@.reproduction finding: the paper-verbatim accessor wait (d - X)@.";
   Format.printf
     "admits the deterministic counterexample below; the repaired wait@.";
   Format.printf "(d - X + eps, the library default) survives it:@.";
-  let describe label (lin, converged) =
-    Format.printf "  %-22s linearizable=%b replicas-converged=%b@." label lin
-      converged
-  in
-  describe "paper-verbatim"
-    (A.counterexample_run
-       ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-       ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek);
-  describe "repaired (default)"
-    (A.counterexample_run
-       ~timing_of:(fun model ~x -> Core.Wtlw.default_timing model ~x)
-       ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek)
+  List.iter
+    (fun knob ->
+      let lin, converged = Scenario.Ablation.finding knob in
+      Format.printf "  %-22s linearizable=%b replicas-converged=%b@."
+        (Core.Ablation.knob_name knob) lin converged)
+    [ Core.Ablation.Paper_verbatim; Core.Ablation.Paper ]
 
 (* ------------------------------------------------------------------ *)
 (* Streaming trace pipeline: retention on vs off.                      *)

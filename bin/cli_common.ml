@@ -68,9 +68,17 @@ let make_model n d u eps =
   | Some eps -> Sim.Model.make ~n ~d ~u ~eps
   | None -> Sim.Model.make_optimal_eps ~n ~d ~u
 
-let make_x (model : Sim.Model.t) = function
-  | Some x -> x
-  | None -> Rat.div_int (Rat.sub model.d model.eps) 2
+(* An X outside [0, d - eps] makes one of Algorithm 1's waits
+   negative: refuse it by name before any run starts. *)
+let make_x (model : Sim.Model.t) x =
+  let hi = Rat.sub model.d model.eps in
+  match x with
+  | None -> Ok (Rat.div_int hi 2)
+  | Some x when Rat.le Rat.zero x && Rat.le x hi -> Ok x
+  | Some x ->
+      Error
+        (Printf.sprintf "X = %s lies outside [0, d - eps] = [0, %s]"
+           (Rat.to_string x) (Rat.to_string hi))
 
 (* ---------------- seeds and budgets ---------------- *)
 

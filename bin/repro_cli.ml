@@ -25,7 +25,9 @@ open Cli_common
 let tables_cmd =
   let run n d u eps x =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    match make_x model x with
+    | Error msg -> `Error (false, msg)
+    | Ok x ->
     Format.printf "model: %a, X = %a@." Sim.Model.pp model Rat.pp x;
     List.iter
       (fun table -> Format.printf "@.%a@." Bounds.Tables.pp_table table)
@@ -38,29 +40,12 @@ let tables_cmd =
 
 (* ---------------- simulate ---------------- *)
 
-(* Run one scenario through the executor and gate on its expectation;
-   the shared tail for [--scenario] on simulate and for [repro
-   scenario run]. *)
-let run_scenario_ref ref_ =
-  match load_scenario ref_ with
-  | Error msg -> `Error (false, msg)
-  | Ok s ->
-      let o = Scenario.run s in
-      Format.printf "%a@." Scenario.Exec.pp_outcome o;
-      if Scenario.Exec.passes o then `Ok ()
-      else
-        `Error
-          ( false,
-            Printf.sprintf "scenario %s did not meet its expectation"
-              s.Scenario.name )
-
 let simulate_cmd =
-  let run n d u eps x algo seed ops checker pt scenario =
-    match scenario with
-    | Some ref_ -> run_scenario_ref ref_
-    | None ->
+  let run n d u eps x algo seed ops checker pt =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    match make_x model x with
+    | Error msg -> `Error (false, msg)
+    | Ok x ->
     let (module E : Sweep.Packed_type.RUNNER) = Sweep.Packed_type.runner pt in
     let module R = E.R in
     let algorithm =
@@ -97,14 +82,11 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:
          "Run a closed-loop workload on a linearizable shared object and \
-          report latencies plus the machine-checked linearization.  With \
-          $(b,--scenario) the whole run description comes from a scenario \
-          file instead of the flags.")
+          report latencies plus the machine-checked linearization.")
     Term.(
       ret
         (const run $ n_arg $ d_arg $ u_arg $ eps_arg $ x_arg $ algo_arg
-       $ seed_arg $ ops_arg $ checker_arg $ type_arg
-       $ scenario_arg))
+       $ seed_arg $ ops_arg $ checker_arg $ type_arg))
 
 (* ---------------- load ---------------- *)
 
@@ -199,7 +181,9 @@ let load_cmd =
   let run n d u eps x algo seed jobs checker pt shards ops keys arrival rate
       period trough burst zipf faults_s reliable json resume_dir journal_sync =
     let model = make_model n d u eps in
-    let x = make_x model x in
+    match make_x model x with
+    | Error msg -> `Error (false, msg)
+    | Ok x ->
     let algorithm =
       match algo with
       | `Wtlw -> Core.Runtime.Wtlw { x }
@@ -553,12 +537,15 @@ let claims_cmd =
 let ablate_cmd =
   let run n d u eps x seed =
     let model = make_model n d u eps in
-    let x = make_x model x in
-    let module A = Core.Ablation.Make (Spec.Fifo_queue) in
+    match make_x model x with
+    | Error msg -> `Error (false, msg)
+    | Ok x ->
     Format.printf "model: %a, X = %a@.@." Sim.Model.pp model Rat.pp x;
     List.iter
-      (fun outcome -> Format.printf "%a@." Core.Ablation.pp_outcome outcome)
-      (A.report ~model ~x ~seeds:(List.init 8 (fun i -> seed + i)));
+      (fun outcome ->
+        Format.printf "%a@." Scenario.Ablation.pp_outcome outcome)
+      (Scenario.Ablation.report ~model ~x
+         ~seeds:(List.init 8 (fun i -> seed + i)));
     `Ok ()
   in
   Cmd.v
@@ -629,22 +616,23 @@ let faults_cmd =
       match scenario with
       | None ->
           let model = make_model n d u eps in
-          Ok (model, make_x model x, seed, dtype)
+          Result.map (fun x -> (model, x, seed, dtype)) (make_x model x)
       | Some ref_ -> (
           match load_scenario ref_ with
           | Error msg -> Error msg
           | Ok s ->
               let x =
                 match s.Scenario.algorithm with
-                | Scenario.Wtlw { x; _ } -> x
-                | Scenario.Centralized | Scenario.Tob ->
-                    make_x s.Scenario.model None
+                | Scenario.Wtlw { x; _ } -> Some x
+                | Scenario.Centralized | Scenario.Tob -> None
               in
-              Ok
-                ( s.Scenario.model,
-                  x,
-                  s.Scenario.seed,
-                  Sweep.Packed_type.find s.Scenario.dt ))
+              Result.map
+                (fun x ->
+                  ( s.Scenario.model,
+                    x,
+                    s.Scenario.seed,
+                    Sweep.Packed_type.find s.Scenario.dt ))
+                (make_x s.Scenario.model x))
     in
     match resolved with
     | Error msg -> `Error (false, msg)
@@ -1188,28 +1176,18 @@ let bench_cmd =
 
 let finding_cmd =
   let run () =
-    let module A = Core.Ablation.Make (Spec.Fifo_queue) in
     Format.printf
       "Reproduction finding: the paper's accessor wait (d - X) is an eps \
        too@.short.  Deterministic counterexample (d=12, u=4, eps=3, X=3):@.\
        two concurrent enqueues with timestamps 197/2 < 99; the accessor \
        drain@.at p1 executes the later-stamped one first.@.@.";
-    let show label (lin, conv) =
+    let show label knob =
+      let lin, conv = Scenario.Ablation.finding knob in
       Format.printf "  %-20s linearizable=%-5b replicas-converged=%b@." label
         lin conv
     in
-    show "paper-verbatim"
-      (A.counterexample_run
-         ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-         ~fast_mutator:(Spec.Fifo_queue.Enqueue 55)
-         ~slow_mutator:(Spec.Fifo_queue.Enqueue 66)
-         ~probe:Spec.Fifo_queue.Peek);
-    show "repaired"
-      (A.counterexample_run
-         ~timing_of:(fun model ~x -> Core.Wtlw.default_timing model ~x)
-         ~fast_mutator:(Spec.Fifo_queue.Enqueue 55)
-         ~slow_mutator:(Spec.Fifo_queue.Enqueue 66)
-         ~probe:Spec.Fifo_queue.Peek);
+    show "paper-verbatim" Core.Ablation.Paper_verbatim;
+    show "repaired" Core.Ablation.Paper;
     `Ok ()
   in
   Cmd.v

@@ -1,14 +1,14 @@
-(** Ablation harness: demonstrate that every wait in Algorithm 1 is
-    load-bearing.
+(** Ablation knobs: each one removes or shortens one of Algorithm 1's
+    waiting periods.
 
-    Each {!knob} removes or shortens one of the algorithm's waiting
-    periods; {!Make.evaluate} runs adversarial scenarios against the
-    variant and reports whether the linearizability checker catches a
-    violation or the replicas diverge.  {!Make.counterexample_run} is
-    the deterministic scenario behind the reproduction finding: the
-    paper's verbatim accessor wait produces a non-linearizable
-    admissible run, the repaired default survives the identical
-    schedule. *)
+    A knob is part of a scenario's algorithm: [Scenario.Exec] lowers it
+    through {!timing_of_knob}, and [Scenario.Ablation] runs adversarial
+    scenarios against each variant, reporting whether the
+    linearizability checker catches a violation or the replicas
+    diverge.  [Scenario.Builtin.ablation_counterexample] is the
+    deterministic run behind the reproduction finding: the paper's
+    verbatim accessor wait produces a non-linearizable admissible run,
+    the repaired default survives the identical schedule. *)
 
 type knob =
   | Paper  (** the repaired Algorithm 1 (library default), the control *)
@@ -21,46 +21,3 @@ type knob =
 
 val knob_name : knob -> string
 val timing_of_knob : Sim.Model.t -> x:Rat.t -> knob -> Wtlw.timing
-
-type outcome = {
-  knob : knob;
-  runs : int;
-  linearizable_runs : int;
-  converged_runs : int;
-}
-
-val violations : outcome -> int
-val sound : outcome -> bool
-(** All runs linearizable with converged replicas. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit
-
-module Make (T : Spec.Data_type.S) : sig
-  val adversarial_run :
-    model:Sim.Model.t -> x:Rat.t -> knob:knob -> seed:int -> bool * bool
-  (** One adversarial scenario (skewed clocks, asymmetric delays,
-      accessor racing a fresh mutator); returns
-      [(linearizable, replicas_converged)]. *)
-
-  val evaluate :
-    model:Sim.Model.t -> x:Rat.t -> seeds:int list -> knob -> outcome
-
-  val default_knobs : Sim.Model.t -> x:Rat.t -> knob list
-
-  val report :
-    model:Sim.Model.t -> x:Rat.t -> seeds:int list -> outcome list
-  (** {!evaluate} over {!default_knobs}. *)
-
-  val counterexample_run :
-    timing_of:(Sim.Model.t -> x:Rat.t -> Wtlw.timing) ->
-    fast_mutator:T.invocation ->
-    slow_mutator:T.invocation ->
-    probe:T.invocation ->
-    bool * bool
-  (** The deterministic finding scenario (EXPERIMENTS.md §Finding):
-      [slow_mutator] gets the smaller timestamp but the longer delay to
-      the probing process.  Requires the two mutators to be
-      non-commuting pure mutators and [probe] a pure accessor that
-      distinguishes their orders.  Returns
-      [(linearizable, replicas_converged)]. *)
-end

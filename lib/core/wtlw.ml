@@ -28,8 +28,9 @@
 
 (* The five waiting periods Algorithm 1 is built from.  The default
    values below are exactly the paper's; [Runtime.Config.timing]
-   accepts altered values so that the ablation harness can demonstrate
-   that each wait is load-bearing (see [Core.Ablation]). *)
+   accepts altered values so that the ablation legs can demonstrate
+   that each wait is load-bearing (see [Core.Ablation] for the knobs,
+   [Scenario.Ablation] for the legs). *)
 type timing = {
   accessor_wait : Rat.t;  (** respond a pure accessor after this; paper: d - X *)
   accessor_backdate : Rat.t;  (** subtract from accessor timestamps; paper: X *)
@@ -49,7 +50,8 @@ type timing = {
    two mutators in the opposite order from every other replica, and
    later accessors observe the divergence: a machine-checked
    non-linearizable admissible run (see [Core.Ablation.Paper_verbatim]
-   and the deterministic counterexample in test/test_ablation.ml, or
+   and the deterministic counterexample
+   [Scenario.Builtin.ablation_counterexample], or
    EXPERIMENTS.md for the full scenario).  Lemma 5 of the paper proves
    same-order execution only for the [u + eps] execute timers and
    overlooks the early executions at line 6. *)

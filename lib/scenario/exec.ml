@@ -3,12 +3,13 @@
    temporal predicate.
 
    [Run(T).config_of] is the one lowering in the library: sweep cells
-   ([Sweep.eval]), fault-matrix legs ([Robustness.run_cell]) and
-   [repro simulate] all describe their runs as scenarios and lower them
-   here.  [Run] is applied once per bundled type, when [Packed_type]
-   is initialised; [Packed_type.run] dispatches a scenario to its
-   type's instance.  The scenario seed drives delay sampling and workload
-   generation, and nothing else is random. *)
+   ([Sweep.eval]), fault-matrix legs ([Robustness.run_cell]), ablation
+   legs ([Ablation.scenario]) and [repro simulate] all describe their
+   runs as scenarios and lower them here.  [Run] is applied once per
+   bundled type, when [Packed_type] is initialised; [Packed_type.run]
+   dispatches a scenario to its type's instance.  The scenario seed
+   drives delay sampling and workload generation, and nothing else is
+   random. *)
 
 open Types
 

@@ -4,7 +4,8 @@
    temporal predicate — plus the machinery around it: a stable textual
    encoding, a seed-deterministic generator, the one executor lowering
    onto [Runtime.Config], and a counterexample shrinker.  The sweep
-   grid and the fault matrix are enumerators of scenarios.
+   grid, the fault matrix and the ablation legs are enumerators of
+   scenarios.
 
    This is the library's public face; the submodules stay accessible
    ([Scenario.Exec], [Scenario.Shrink], ...) for code that wants the
@@ -15,6 +16,7 @@ include Types
 module Packed_type = Packed_type
 module Grid = Grid
 module Robustness = Robustness
+module Ablation = Ablation
 module Sexp = Sexp
 module Exec = Exec
 module Shrink = Shrink

@@ -14,8 +14,9 @@
       ({!gen}: same seed, byte-identical scenario);
     - the one executor lowering scenarios onto [Runtime.Config]
       ({!run}, [Exec.Run(T).config_of]); sweep cells ({!Grid},
-      {!of_sweep_cell}), fault-matrix legs ({!Robustness}) and
-      [repro simulate] are all scenarios lowered by it;
+      {!of_sweep_cell}), fault-matrix legs ({!Robustness}), ablation
+      legs ({!Ablation}) and [repro simulate] are all scenarios lowered
+      by it;
     - a greedy deterministic counterexample shrinker ({!shrink}: drop
       invocations, move delay matrices toward the uniform point, drop
       fault specs, shrink seeds — to a fixpoint);
@@ -27,6 +28,7 @@ include module type of Types
 module Packed_type = Packed_type
 module Grid = Grid
 module Robustness = Robustness
+module Ablation = Ablation
 module Sexp = Sexp
 module Exec = Exec
 module Shrink = Shrink

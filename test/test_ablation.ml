@@ -10,22 +10,22 @@ let x = rat 3 1
 let seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 module Q = Spec.Fifo_queue
-module A = Core.Ablation.Make (Q)
+module A = Scenario.Ablation
 
 let evaluate knob = A.evaluate ~model ~x ~seeds knob
 
 let test_control_sound () =
   let outcome = evaluate Core.Ablation.Paper in
   Alcotest.(check bool) "repaired default: all runs sound" true
-    (Core.Ablation.sound outcome);
-  Alcotest.(check int) "zero violations" 0 (Core.Ablation.violations outcome)
+    (A.sound outcome);
+  Alcotest.(check int) "zero violations" 0 (A.violations outcome)
 
 let expect_violation name knob =
   let outcome = evaluate knob in
   Alcotest.(check bool)
     (name ^ ": at least one violation caught")
     true
-    (Core.Ablation.violations outcome > 0)
+    (A.violations outcome > 0)
 
 let test_no_execute_wait_caught () =
   expect_violation "no-execute-wait" Core.Ablation.No_execute_wait
@@ -126,30 +126,78 @@ let test_register_order_finding () =
   F.check Scenario.Builtin.ablation_register ~accessor:(1, 141)
     ~mutator_proc:2
 
-(* The scenario encoding and the hand-written harness describe the
-   same run: both verdicts agree, leg by leg. *)
-let test_scenario_matches_harness () =
-  let lin_paper, conv_paper =
-    A.counterexample_run
-      ~timing_of:(fun model ~x -> Core.Wtlw.paper_timing model ~x)
-      ~fast_mutator:(Q.Enqueue 55) ~slow_mutator:(Q.Enqueue 66) ~probe:Q.Peek
-  in
-  let o = Scenario.run Scenario.Builtin.ablation_counterexample in
-  Alcotest.(check bool) "linearizability verdicts agree" lin_paper
-    o.Scenario.Exec.linearizable;
-  Alcotest.(check (option bool)) "convergence verdicts agree"
-    (Some conv_paper) o.Scenario.Exec.converged
-
 let test_report_shape () =
   let report = A.report ~model ~x ~seeds:[ 1; 2 ] in
   Alcotest.(check int) "seven knobs" 7 (List.length report);
   (* First knob is the control and must be sound. *)
   Alcotest.(check bool) "control first and sound" true
-    (Core.Ablation.sound (List.hd report));
+    (A.sound (List.hd report));
   List.iter
-    (fun (o : Core.Ablation.outcome) ->
-      Alcotest.(check int) "runs counted" 2 o.runs)
+    (fun (o : A.outcome) -> Alcotest.(check int) "runs counted" 2 o.runs)
     report
+
+let legs () =
+  List.concat_map
+    (fun knob -> List.map (fun seed -> A.scenario ~model ~x ~seed knob) seeds)
+    (A.default_knobs model ~x)
+
+(* Every leg is a self-contained file: it decodes to itself and the
+   decoded copy reruns to the same verdict. *)
+let test_legs_round_trip () =
+  let verdict s =
+    let o = Scenario.run s in
+    (o.Scenario.Exec.linearizable, o.Scenario.Exec.converged)
+  in
+  List.iter
+    (fun (s : Scenario.t) ->
+      match Scenario.of_string (Scenario.to_string s) with
+      | Error e -> Alcotest.failf "%s: %s" s.name e
+      | Ok s' ->
+          Alcotest.(check bool) (s.name ^ ": decodes to itself") true
+            (Scenario.equal s s');
+          Alcotest.(check (pair bool (option bool)))
+            (s.name ^ ": same verdict") (verdict s) (verdict s'))
+    (legs ())
+
+(* A leg's operations are its seed's draws, in this order: the
+   accessor of the opening race, its pure mutator, four accessors for
+   p3 and four for p0, then four mutators for p2 and four for p1, each
+   redrawn until its class fits.  Listed in schedule order, every
+   reference resolves to the invocation drawn for it. *)
+let test_op_refs_resolve () =
+  let module E = Scenario.Exec.Run (Q) in
+  let kind inv = List.assoc (Q.op_of inv) Q.operations in
+  let accessor k = k = Spec.Op_kind.Pure_accessor in
+  let pure_mutator k = k = Spec.Op_kind.Pure_mutator in
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rec draw fits =
+        let inv = Q.gen_invocation rng in
+        if fits (kind inv) then inv else draw fits
+      in
+      let four fits = List.init 4 (fun _ -> draw fits) in
+      let race_accessor = draw accessor in
+      let race_mutator = draw pure_mutator in
+      let reads3 = four accessor in
+      let reads0 = four accessor in
+      let writes2 = four Spec.Op_kind.is_mutator in
+      let writes1 = four Spec.Op_kind.is_mutator in
+      let drawn =
+        (race_mutator :: race_accessor :: writes1) @ writes2 @ reads0 @ reads3
+      in
+      match (A.scenario ~model ~x ~seed Core.Ablation.Paper).workload with
+      | Scenario.Explicit entries ->
+          List.iter2
+            (fun (e : Scenario.entry) inv ->
+              Alcotest.(check bool)
+                (Printf.sprintf "seed %d: p%d at %s resolves to its draw" seed
+                   e.proc (Rat.to_string e.at))
+                true
+                (E.resolve_op e.op = Ok inv))
+            entries drawn
+      | _ -> Alcotest.fail "ablation leg without an explicit schedule")
+    seeds
 
 (* The short-execute-wait variant degrades gracefully as the wait
    approaches the correct u + eps: with the full wait it is sound. *)
@@ -157,7 +205,7 @@ let test_execute_wait_boundary () =
   let full = Rat.add model.u model.eps in
   let outcome = evaluate (Core.Ablation.Short_execute_wait full) in
   Alcotest.(check bool) "full execute wait sound" true
-    (Core.Ablation.sound outcome)
+    (A.sound outcome)
 
 let () =
   Alcotest.run "ablation"
@@ -174,6 +222,10 @@ let () =
           Alcotest.test_case "execute wait boundary" `Quick
             test_execute_wait_boundary;
           Alcotest.test_case "report shape" `Quick test_report_shape;
+          Alcotest.test_case "legs round-trip and rerun" `Quick
+            test_legs_round_trip;
+          Alcotest.test_case "op refs resolve to the draws" `Quick
+            test_op_refs_resolve;
         ] );
       ( "paper finding",
         [
@@ -181,8 +233,6 @@ let () =
             test_paper_verbatim_counterexample;
           Alcotest.test_case "register counterexample" `Quick
             test_paper_verbatim_register;
-          Alcotest.test_case "scenario matches harness" `Quick
-            test_scenario_matches_harness;
           Alcotest.test_case "queue: supplied order refused at the accessor"
             `Quick test_queue_order_finding;
           Alcotest.test_case

@@ -203,16 +203,9 @@ let test_window () =
    and computes its own steps, so the run still ends diverged.  The
    repaired wait converges on the same schedule. *)
 let test_paper_verbatim_diverges () =
-  let module A = Core.Ablation.Make (Spec.Fifo_queue) in
-  let run timing_of =
-    A.counterexample_run ~timing_of ~fast_mutator:(Spec.Fifo_queue.Enqueue 55)
-      ~slow_mutator:(Spec.Fifo_queue.Enqueue 66) ~probe:Spec.Fifo_queue.Peek
-  in
-  let _, converged = run (fun model ~x -> Core.Wtlw.paper_timing model ~x) in
+  let _, converged = Scenario.Ablation.finding Core.Ablation.Paper_verbatim in
   Alcotest.(check bool) "paper-verbatim replicas diverge" false converged;
-  let linearizable, converged =
-    run (fun model ~x -> Core.Wtlw.default_timing model ~x)
-  in
+  let linearizable, converged = Scenario.Ablation.finding Core.Ablation.Paper in
   Alcotest.(check bool) "repaired run linearizable" true linearizable;
   Alcotest.(check bool) "repaired replicas converge" true converged
 
