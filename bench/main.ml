@@ -538,7 +538,8 @@ let ablation_section () =
   Format.printf "history or diverged replicas caught by the checker@.@.";
   List.iter
     (fun outcome -> Format.printf "  %a@." Scenario.Ablation.pp_outcome outcome)
-    (Scenario.Ablation.report ~model ~x ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+    (Result.get_ok
+       (Scenario.Ablation.report ~model ~x ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]));
   Format.printf
     "@.reproduction finding: the paper-verbatim accessor wait (d - X)@.";
   Format.printf

@@ -84,12 +84,6 @@ type verdict = {
 let appendable_ok v =
   v.prefix_complete && v.offsets_match && v.times_ordered && v.states_agree
 
-let pp_verdict ppf v =
-  Format.fprintf ppf
-    "complete=%b offsets=%b ordered=%b states=%b => appendable=%b"
-    v.prefix_complete v.offsets_match v.times_ordered v.states_agree
-    (appendable_ok v)
-
 let check_appendable ~states_agree r1 r2 =
   {
     prefix_complete = complete r1;

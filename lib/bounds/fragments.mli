@@ -38,7 +38,6 @@ type verdict = {
 }
 
 val appendable_ok : verdict -> bool
-val pp_verdict : Format.formatter -> verdict -> unit
 
 val check_appendable :
   states_agree:bool ->

@@ -8,8 +8,8 @@
     reliable-channel leg, model, offsets, delay, algorithm, workload).
     A report is built from the trace's streaming sinks alone, so every
     engine is created with event retention off.  Sweep cells,
-    fault-matrix legs and [repro simulate] reach it through one
-    lowering, [Scenario.Exec.Run(T).config_of].
+    fault-matrix legs and [repro simulate] reach it through one site,
+    [Scenario.Exec.Run(T).run_report].
 
     Time in a run is counted in one integer quantum.  [run] first
     computes everything the run reads in model units, takes the least

@@ -18,8 +18,6 @@ external perf_stop : int -> int64 = "repro_perf_stop"
    allocation metrics alone. *)
 let counter_fd = lazy (perf_open ())
 
-let instructions_available () = Lazy.force counter_fd >= 0
-
 let measure f =
   let fd = Lazy.force counter_fd in
   let s0 = Gc.quick_stat () in

@@ -32,10 +32,6 @@ val monotonic_ns : unit -> int
 (** Nanoseconds on the monotonic clock.  Only differences are
     meaningful. *)
 
-val instructions_available : unit -> bool
-(** Whether the hardware instruction counter can be opened.  Probed
-    once; typically [false] inside containers and VMs. *)
-
 val measure : (unit -> 'a) -> 'a * metrics
 (** [measure f] runs [f ()] and returns its result together with the
     deltas of every metric across the call.  No GC is forced before

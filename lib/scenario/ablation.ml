@@ -119,8 +119,13 @@ let default_knobs (model : Sim.Model.t) ~x =
       No_accessor_backdate;
     ]
 
-let report ~model ~x ~seeds =
-  List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x)
+(* The schedule races processes 1 and 2 and reads from 0 and 3. *)
+let report ~(model : Sim.Model.t) ~x ~seeds =
+  if model.n < 4 then
+    Error
+      (Printf.sprintf
+         "ablation legs need n >= 4 processes (p0 to p3); got n = %d" model.n)
+  else Ok (List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x))
 
 let finding knob =
   verdict

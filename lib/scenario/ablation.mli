@@ -45,8 +45,10 @@ val default_knobs : Sim.Model.t -> x:Rat.t -> Core.Ablation.knob list
 (** The repaired control first, then the paper's verbatim timing and
     one variant per wait. *)
 
-val report : model:Sim.Model.t -> x:Rat.t -> seeds:int list -> outcome list
-(** {!evaluate} over {!default_knobs}. *)
+val report :
+  model:Sim.Model.t -> x:Rat.t -> seeds:int list -> (outcome list, string) result
+(** {!evaluate} over {!default_knobs}; a model with fewer than 4
+    processes is refused by name. *)
 
 val finding : Core.Ablation.knob -> bool * bool
 (** [(linearizable, replicas_converged)] of

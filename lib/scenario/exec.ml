@@ -2,14 +2,15 @@
    run it, and judge the result against the scenario's expectation and
    temporal predicate.
 
-   [Run(T).config_of] is the one lowering in the library: sweep cells
-   ([Sweep.eval]), fault-matrix legs ([Robustness.run_cell]), ablation
-   legs ([Ablation.scenario]) and [repro simulate] all describe their
-   runs as scenarios and lower them here.  [Run] is applied once per
-   bundled type, when [Packed_type] is initialised; [Packed_type.run]
-   dispatches a scenario to its type's instance.  The scenario seed
-   drives delay sampling and workload generation, and nothing else is
-   random. *)
+   [Run(T).run_report] is the one place in the library that lowers a
+   scenario ([config_of]) and runs it: sweep cells ([Sweep.eval]),
+   fault-matrix and ablation legs ([Scenario.run]) and [repro simulate]
+   all describe their runs as scenarios and end here, and every way a
+   run can end without a report is one named {!abort}.  [Run] is
+   applied once per bundled type, when [Packed_type] is initialised;
+   [Packed_type.run] dispatches a scenario to its type's instance.  The
+   scenario seed drives delay sampling and workload generation, and
+   nothing else is random. *)
 
 open Types
 
@@ -32,7 +33,10 @@ type outcome = {
   truncated : bool;
   delays_admissible : bool;
   skew_admissible : bool;
-  faults : int;  (** total injected faults *)
+  faults : int;  (** total injected faults: [fault_counts] summed *)
+  fault_counts : Sim.Trace.fault_counts;
+  retransmits : int;  (** reliable-channel retransmissions (0 without it) *)
+  exhausted : int;  (** payloads the reliable channel gave up on *)
   checked_by : string option;
   order_failure : string option;
       (** why the checker refused the algorithm's own linearization
@@ -51,6 +55,24 @@ type outcome = {
 }
 
 let passes o = o.passed
+
+(* Every way a run can end without a report. *)
+type abort =
+  | Bad_scenario of string  (** [config_of] refused the scenario *)
+  | Node_budget of { nodes : int; prefix : int; total : int }
+      (** the checker's node budget ([max_check_nodes]) ran out *)
+  | Deadline  (** the wall deadline passed *)
+  | Invalid_run of string  (** the runtime refused the configuration *)
+  | Overflow  (** a time left the exact [Rat] arithmetic's range *)
+
+let abort_message = function
+  | Bad_scenario e -> "bad scenario: " ^ e
+  | Node_budget { nodes; _ } ->
+      Printf.sprintf "node budget exceeded after %d nodes" nodes
+  | Deadline -> "deadline exceeded"
+  | Invalid_run m -> "invalid run: " ^ m
+  | Overflow ->
+      "time overflow: a time left the 63-bit range of Rat (Rat.Overflow)"
 
 (* ------------------------------------------------------------------ *)
 (* Lowering helpers shared across types                                *)
@@ -108,6 +130,9 @@ let aborted (s : t) ~wall_s msg =
     delays_admissible = true;
     skew_admissible = true;
     faults = 0;
+    fault_counts = Sim.Trace.no_faults;
+    retransmits = 0;
+    exhausted = 0;
     checked_by = None;
     order_failure = None;
     diagnostic = Some msg;
@@ -289,6 +314,15 @@ module Run (T : Spec.Data_type.S) = struct
       delays_admissible = r.delays_admissible;
       skew_admissible = r.skew_admissible;
       faults = Sim.Trace.total_faults r.faults;
+      fault_counts = r.faults;
+      retransmits =
+        (match r.channel with
+        | None -> 0
+        | Some c -> c.stats.Core.Reliable.retransmits);
+      exhausted =
+        (match r.channel with
+        | None -> 0
+        | Some c -> c.stats.Core.Reliable.exhausted);
       checked_by = r.checked_by;
       order_failure = R.order_finding r;
       diagnostic = None;
@@ -298,21 +332,35 @@ module Run (T : Spec.Data_type.S) = struct
       wall_s;
     }
 
+  (* The one site that lowers and runs a scenario: every exception a
+     lowering or a run can end in becomes a named {!abort}.  [deadline]
+     is polled by the simulation loop. *)
+  let run_report ?deadline (s : t) : (R.report, abort) result =
+    match config_of s with
+    | Error e -> Error (Bad_scenario e)
+    | exception Rat.Overflow -> Error Overflow
+    | Ok cfg -> (
+        let cfg =
+          match deadline with
+          | None -> cfg
+          | Some _ -> { cfg with R.Config.deadline }
+        in
+        match R.run cfg with
+        | report -> Ok report
+        | exception Lin.Checker.Node_budget_exceeded { nodes; prefix; total }
+          ->
+            Error (Node_budget { nodes; prefix; total })
+        | exception Sim.Engine.Deadline_exceeded _ -> Error Deadline
+        | exception Invalid_argument m -> Error (Invalid_run m)
+        | exception Rat.Overflow -> Error Overflow)
+
   let run (s : t) =
     let t0 = Core.Clock.now_s () in
-    let wall_s () = Core.Clock.now_s () -. t0 in
-    match config_of s with
-    | Error e -> aborted s ~wall_s:(wall_s ()) ("bad scenario: " ^ e)
-    | Ok cfg -> (
-        match R.run cfg with
-        | report -> of_report s ~wall_s:(wall_s ()) report
-        | exception Lin.Checker.Node_budget_exceeded { nodes; _ } ->
-            aborted s ~wall_s:(wall_s ())
-              (Printf.sprintf "node budget exceeded after %d nodes" nodes)
-        | exception Sim.Engine.Deadline_exceeded _ ->
-            aborted s ~wall_s:(wall_s ()) "deadline exceeded"
-        | exception Invalid_argument m ->
-            aborted s ~wall_s:(wall_s ()) ("invalid run: " ^ m))
+    let result = run_report s in
+    let wall_s = Core.Clock.now_s () -. t0 in
+    match result with
+    | Ok report -> of_report s ~wall_s report
+    | Error a -> aborted s ~wall_s (abort_message a)
 end
 
 (* ------------------------------------------------------------------ *)

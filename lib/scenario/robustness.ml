@@ -55,34 +55,20 @@ let default_cases ~seed (model : Sim.Model.t) =
     };
   ]
 
-type leg = {
-  ok : bool;
-  flagged : bool;
-  pending : int;
-  delays_admissible : bool;
-  skew_admissible : bool;
-  linearizable : bool;
-  truncated : bool;
-  faults : Sim.Trace.fault_counts;
-  error : string option;
-  retransmits : int;
-  exhausted : int;
-}
-
 type cell = {
   data_type : string;
   case : string;
   plan : string;
   expectation : expectation;
-  raw : leg;
-  recovered : leg;
+  raw : Exec.outcome;
+  recovered : Exec.outcome;
   certified : bool;
 }
 
 let all_certified cells = cells <> [] && List.for_all (fun c -> c.certified) cells
 
-let pp_leg ppf l =
-  match l.error with
+let pp_leg ppf (l : Exec.outcome) =
+  match l.diagnostic with
   | Some msg -> Format.fprintf ppf "aborted (%s)" msg
   | None ->
       Format.fprintf ppf
@@ -107,48 +93,14 @@ let pp_matrix ppf cells =
     (List.length (List.filter (fun c -> c.certified) cells))
     (List.length cells)
 
-(* An injected fault can break a protocol invariant outright instead
-   of merely corrupting the outcome — e.g. a duplicated reply in the
-   centralized algorithm answers an operation that is no longer
-   pending and the engine raises.  That too is detection. *)
-let aborted_leg msg =
-  {
-    ok = false;
-    flagged = true;
-    pending = 0;
-    delays_admissible = false;
-    skew_admissible = false;
-    linearizable = false;
-    truncated = false;
-    faults = Sim.Trace.no_faults;
-    error = Some msg;
-    retransmits = 0;
-    exhausted = 0;
-  }
-
-let cell_of_legs ~data_type (case : case) ~raw ~recovered =
-  let certified =
-    match case.expectation with
-    | Recover -> recovered.ok
-    | Detect -> raw.flagged
-  in
-  {
-    data_type;
-    case = case.label;
-    plan = Sim.Fault.describe case.plan;
-    expectation = case.expectation;
-    raw;
-    recovered;
-    certified;
-  }
-
-let pp_json_leg ppf l =
+let pp_json_leg ppf (l : Exec.outcome) =
   Format.fprintf ppf
     "{\"ok\":%b,\"flagged\":%b,\"pending\":%d,\"delays_admissible\":%b,\"skew_admissible\":%b,\"linearizable\":%b,\"truncated\":%b,\"faults\":{\"dropped\":%d,\"duplicated\":%d,\"spiked\":%d,\"crashed\":%d,\"skewed\":%d},\"retransmits\":%d,\"exhausted\":%d%s}"
-    l.ok l.flagged l.pending l.delays_admissible l.skew_admissible
-    l.linearizable l.truncated l.faults.dropped l.faults.duplicated
-    l.faults.spiked l.faults.crashed l.faults.skewed l.retransmits l.exhausted
-    (match l.error with
+    l.ok (not l.ok) l.pending l.delays_admissible l.skew_admissible
+    l.linearizable l.truncated l.fault_counts.dropped
+    l.fault_counts.duplicated l.fault_counts.spiked l.fault_counts.crashed
+    l.fault_counts.skewed l.retransmits l.exhausted
+    (match l.diagnostic with
     | None -> ""
     | Some msg -> ",\"error\":" ^ Core.Json.quote msg)
 
@@ -186,32 +138,26 @@ let scenario ~(model : Sim.Model.t) ~x ~seed ~recovered dt (case : case) =
        else Types.Violate)
     ()
 
-let run_cell ~model ~x ~seed dt (case : case) =
-  let (module E : Packed_type.RUNNER) = Packed_type.runner dt in
-  let leg recovered =
-    match E.config_of (scenario ~model ~x ~seed ~recovered dt case) with
-    | Error msg -> aborted_leg msg
-    | Ok cfg -> (
-        match E.R.run cfg with
-        | exception Invalid_argument msg -> aborted_leg msg
-        | exception Assert_failure _ -> aborted_leg "assertion failure"
-        | r ->
-            let ok = E.R.ok r in
-            let stats f =
-              match r.channel with None -> 0 | Some c -> f c.stats
-            in
-            {
-              ok;
-              flagged = not ok;
-              pending = r.pending;
-              delays_admissible = r.delays_admissible;
-              skew_admissible = r.skew_admissible;
-              linearizable = Option.is_some r.linearization;
-              truncated = r.truncated;
-              faults = r.faults;
-              error = None;
-              retransmits = stats (fun s -> s.Core.Reliable.retransmits);
-              exhausted = stats (fun s -> s.Core.Reliable.exhausted);
-            })
-  in
-  cell_of_legs ~data_type:E.T.name case ~raw:(leg false) ~recovered:(leg true)
+(* Both legs of a cell, each scenario run by [leg], judged by the
+   case's expectation: a [Recover] cell by its recovered leg, a
+   [Detect] cell (crash-stop) by its raw leg being flagged.  An
+   injected fault that breaks a protocol invariant outright makes the
+   run abort with a named diagnostic; that too is detection. *)
+let judge ~model ~x ~seed dt (case : case) leg =
+  let leg recovered = leg (scenario ~model ~x ~seed ~recovered dt case) in
+  let raw = leg false and recovered = leg true in
+  {
+    data_type = Packed_type.spec_name dt;
+    case = case.label;
+    plan = Sim.Fault.describe case.plan;
+    expectation = case.expectation;
+    raw;
+    recovered;
+    certified =
+      (match case.expectation with
+      | Recover -> recovered.ok
+      | Detect -> not raw.ok);
+  }
+
+let run_cell ~model ~x ~seed dt case =
+  judge ~model ~x ~seed dt case Packed_type.run

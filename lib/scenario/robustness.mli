@@ -3,8 +3,8 @@
     Mirrors [Ablation], but for the {e model} assumptions instead of
     the algorithm's waits: each cell pairs a data type with a
     {!Sim.Fault} plan and runs the same workload twice at a fixed
-    seed, each leg a scenario ({!scenario}) lowered through
-    [Exec.Run(T).config_of] —
+    seed, each leg a scenario ({!scenario}) run by [Scenario.run], so
+    its verdict is a plain [Exec.outcome] —
 
     - {b raw}: the algorithm straight on the faulty network, judged
       against the paper's model.  The damage must be visible: pending
@@ -40,44 +40,21 @@ val default_cases : seed:int -> Sim.Model.t -> case list
     out-of-envelope delay spikes, a drop+duplicate+spike storm, a
     crash-stop, and a clock-skew burst beyond [eps]. *)
 
-(** Verdict of one leg (raw or recovered) of a cell. *)
-type leg = {
-  ok : bool;  (** [Runtime.ok] of the run's report *)
-  flagged : bool;  (** [not ok], or the run aborted on a protocol violation *)
-  pending : int;
-  delays_admissible : bool;
-  skew_admissible : bool;
-  linearizable : bool;
-  truncated : bool;
-  faults : Sim.Trace.fault_counts;
-  error : string option;
-      (** a fault broke a protocol invariant outright (e.g. a duplicated
-          reply answering a non-pending operation) — counts as flagged *)
-  retransmits : int;  (** reliable-channel retransmissions (0 for raw legs) *)
-  exhausted : int;  (** payloads the channel gave up on (0 for raw legs) *)
-}
-
 type cell = {
   data_type : string;
   case : string;  (** the {!case} label *)
   plan : string;  (** [Sim.Fault.describe] of the injected plan *)
   expectation : expectation;
-  raw : leg;
-  recovered : leg;
+  raw : Exec.outcome;
+      (** flagged when not [ok], aborted runs included; an aborted run
+          (a fault broke a protocol invariant outright) carries its
+          named [diagnostic] *)
+  recovered : Exec.outcome;
   certified : bool;
 }
 
 val all_certified : cell list -> bool
 (** No cell missing, no cell failed: every listed cell is certified. *)
-
-val aborted_leg : string -> leg
-(** The leg of a run that died on a protocol violation (or never ran):
-    flagged, with the diagnostic in [error]. *)
-
-val cell_of_legs : data_type:string -> case -> raw:leg -> recovered:leg -> cell
-(** Combine the two legs of a case into a cell, applying the
-    certification semantics (crash = detect on the raw leg, the rest =
-    recover on the reliable leg). *)
 
 val pp_cell : Format.formatter -> cell -> unit
 val pp_matrix : Format.formatter -> cell list -> unit
@@ -104,11 +81,22 @@ val scenario :
     harmless drop can leave a raw leg clean).  Saved with
     [Scenario.save], a leg is a self-contained repro file. *)
 
+val judge :
+  model:Sim.Model.t ->
+  x:Rat.t ->
+  seed:int ->
+  Packed_type.t ->
+  case ->
+  (Types.t -> Exec.outcome) ->
+  cell
+(** [judge ... leg] runs both legs' {!scenario}s through [leg] and
+    applies the certification semantics: crash = detect on the raw
+    leg (not [ok]), the rest = recover on the reliable leg ([ok]). *)
+
 val run_cell :
   model:Sim.Model.t -> x:Rat.t -> seed:int -> Packed_type.t -> case -> cell
-(** Both legs of one cell, sequentially: each {!scenario} lowered
-    through [Exec.Run(T).config_of] and run.  A run that dies on a
-    protocol violation becomes an {!aborted_leg}.
+(** Both legs of one cell, sequentially, each run by [Scenario.run]
+    ({!judge} with [Packed_type.run]).
 
     The full matrix driver lives in [Sweep.robustness]: each
     (case, data type) cell is one pool job, which is how

@@ -12,11 +12,11 @@
       byte-identically);
     - seed-deterministic random generation over the ten bundled types
       ({!gen}: same seed, byte-identical scenario);
-    - the one executor lowering scenarios onto [Runtime.Config]
-      ({!run}, [Exec.Run(T).config_of]); sweep cells ({!Grid},
-      {!of_sweep_cell}), fault-matrix legs ({!Robustness}), ablation
-      legs ({!Ablation}) and [repro simulate] are all scenarios lowered
-      by it;
+    - the one executor that lowers a scenario onto [Runtime.Config]
+      and runs it ({!run}, [Exec.Run(T).run_report]), ending every run
+      that produces no report in a named [Exec.abort]; sweep cells
+      ({!Grid}, {!of_sweep_cell}), fault-matrix legs ({!Robustness}),
+      ablation legs ({!Ablation}) and [repro simulate] all run there;
     - a greedy deterministic counterexample shrinker ({!shrink}: drop
       invocations, move delay matrices toward the uniform point, drop
       fault specs, shrink seeds — to a fixpoint);

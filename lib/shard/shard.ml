@@ -371,7 +371,11 @@ module Make (T : Spec.Data_type.S) = struct
         ~key
         ~input_fp:(fun shard -> input_fp (key shard))
         ~n:cfg.shards
-        (fun shard -> (Ok (run_shard cfg ~shard), 1))
+        (fun shard ->
+          match run_shard cfg ~shard with
+          | report -> (Ok report, 1)
+          | exception Rat.Overflow ->
+              (Error (Scenario.Exec.abort_message Overflow), 1))
     in
     let done_ : shard_report list =
       Array.to_list r.outcomes

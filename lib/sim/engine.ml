@@ -74,7 +74,7 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
     invalid_arg "Engine.create: clock offsets violate the skew bound";
   let injector =
     if Fault.is_none faults then None
-    else Some (Fault.instantiate faults ~model)
+    else Some (Fault.instantiate faults)
   in
   let skews = Fault.skew_offsets faults ~n in
   let crash_at =

@@ -13,11 +13,6 @@ let none = { seed = 0; specs = [] }
 let is_none plan = plan.specs = []
 let plan ?(seed = 0) specs = { seed; specs }
 
-(* Concatenation keeps both plans' specs (left first); the seed mix is
-   an arbitrary fixed injection so that composing distinct plans yields
-   a distinct — but still deterministic — fault stream. *)
-let compose a b = { seed = (a.seed * 31) lxor b.seed; specs = a.specs @ b.specs }
-
 let check_p p =
   if not (p >= 0. && p <= 1.) then
     invalid_arg "Fault: probability must lie in [0, 1]"
@@ -124,14 +119,10 @@ let describe plan =
   String.concat " "
     (Printf.sprintf "seed=%d" plan.seed :: List.map spec_str plan.specs)
 
-type injector = {
-  spec : plan;
-  model : Model.t;
-  rng : Random.State.t;
-}
+type injector = { spec : plan; rng : Random.State.t }
 
-let instantiate plan ~model =
-  { spec = plan; model; rng = Random.State.make [| plan.seed; 0x5eed |] }
+let instantiate plan =
+  { spec = plan; rng = Random.State.make [| plan.seed; 0x5eed |] }
 
 let roll t p = p > 0. && Random.State.float t.rng 1.0 < p
 
@@ -176,6 +167,3 @@ let on_send t ~src ~dst ~seq ~delay =
       ([ delay; delay ], spike_faults @ [ Duplicated { src; dst; seq } ])
     else ([ delay ], spike_faults)
 
-let injector_crash_time t ~proc = crash_time t.spec ~proc
-let injector_skew t ~proc =
-  (skew_offsets t.spec ~n:t.model.n).(proc)

@@ -10,7 +10,7 @@
     linearizability under an inflated model.
 
     A plan is a pure description — a seed plus a list of primitive
-    {!spec}s — and is composable by concatenation ({!compose}).  The
+    {!spec}s.  The
     engine {!instantiate}s it into a stateful {!injector} per run, so
     the same plan replayed with the same seed injects the identical
     faults. *)
@@ -45,10 +45,6 @@ val is_none : plan -> bool
 
 val plan : ?seed:int -> spec list -> plan
 (** Build a plan; [seed] defaults to [0]. *)
-
-val compose : plan -> plan -> plan
-(** Specs of both plans apply (left first); seeds are mixed
-    deterministically. *)
 
 val drops : ?edges:edges -> float -> spec
 val duplicates : ?edges:edges -> float -> spec
@@ -91,7 +87,7 @@ val describe : plan -> string
 
 type injector
 
-val instantiate : plan -> model:Model.t -> injector
+val instantiate : plan -> injector
 (** Fresh fault state (RNG seeded from the plan's seed) for one run. *)
 
 val on_send :
@@ -106,5 +102,3 @@ val on_send :
     two entries = duplicated, altered = spiked) and the fault records
     to emit.  Consumes RNG state; deterministic in engine send order. *)
 
-val injector_crash_time : injector -> proc:int -> Rat.t option
-val injector_skew : injector -> proc:int -> Rat.t

@@ -9,7 +9,9 @@ let make ~n ~d ~u ~eps =
   { n; d; u; eps }
 
 let optimal_eps_of ~n ~u = Rat.mul u (Rat.make (n - 1) n)
-let make_optimal_eps ~n ~d ~u = make ~n ~d ~u ~eps:(optimal_eps_of ~n ~u)
+(* [make] checks [n] before the optimal eps divides by it. *)
+let make_optimal_eps ~n ~d ~u =
+  { (make ~n ~d ~u ~eps:Rat.zero) with eps = optimal_eps_of ~n ~u }
 let min_delay m = Rat.sub m.d m.u
 let optimal_eps m = optimal_eps_of ~n:m.n ~u:m.u
 let delay_valid m delay = Rat.in_range ~lo:(min_delay m) ~hi:m.d delay

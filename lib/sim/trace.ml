@@ -90,8 +90,8 @@ type ('msg, 'inv, 'resp) t = {
   mutable delay_lo : Rat.t;
   mutable delay_hi : Rat.t;
   (* Admissibility monitor: flags the first out-of-bounds delay as it
-     is recorded, against the model fixed at attach time. *)
-  mutable monitor : Model.t option;
+     is recorded, against the model fixed at creation. *)
+  monitor : Model.t option;
   mutable first_violation : violation option;
   (* Fault counters: one O(1) cell per injected-fault kind. *)
   mutable faults : fault_counts;
@@ -348,28 +348,11 @@ let message_delays t =
       | Timer_cancel _ | Fault _ -> None)
     (events t)
 
-let delay_bounds t =
-  if t.sends = 0 then None else Some (t.delay_lo, t.delay_hi)
-
 (* The envelope suffices: all delays lie in [d - u, d] iff the extreme
    ones do. *)
 let delays_admissible model t =
   t.sends = 0
   || (Model.delay_valid model t.delay_lo && Model.delay_valid model t.delay_hi)
-
-let monitor_admissibility t model =
-  t.monitor <- Some model;
-  (* Catch up on already-recorded sends when they were retained, so the
-     monitor is exact regardless of attach order. *)
-  if t.first_violation = None && t.retain then
-    List.iter
-      (function
-        | Send { time; src; dst; seq; delay; _ }
-          when t.first_violation = None
-               && not (Model.delay_valid model delay) ->
-            t.first_violation <- Some { at = time; src; dst; seq; delay }
-        | _ -> ())
-      (List.rev t.rev_events)
 
 let first_inadmissible t = t.first_violation
 

@@ -177,17 +177,9 @@ val message_delays : ('msg, 'inv, 'resp) t -> (int * int * Rat.t) list
 (** [(src, dst, delay)] for every message sent.
     @raise Invalid_argument if retention is disabled. *)
 
-val delay_bounds : ('msg, 'inv, 'resp) t -> (Rat.t * Rat.t) option
-(** [(min, max)] message delay over all sends; [None] if none. *)
-
 val delays_admissible : Model.t -> ('msg, 'inv, 'resp) t -> bool
 (** Were all message delays within [[d - u, d]]?  O(1), answered from
     the delay envelope; works with retention off. *)
-
-val monitor_admissibility : ('msg, 'inv, 'resp) t -> Model.t -> unit
-(** Arm (or re-arm) the admissibility monitor against [model].  Sends
-    recorded after this call are checked online; already-retained
-    sends are replayed so the answer is exact either way. *)
 
 val first_inadmissible : ('msg, 'inv, 'resp) t -> violation option
 (** The first delay the monitor saw outside the model's bounds. *)

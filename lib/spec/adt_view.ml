@@ -27,7 +27,6 @@ let kind_to_string = function
   | Stack -> "stack"
   | Priority_queue -> "priority-queue"
 
-let equal_kind (a : kind) (b : kind) = a = b
 let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
 
 (* Canonical observation of one completed operation.  [Put v] covers
@@ -54,8 +53,6 @@ let obs_to_string = function
   | Has (v, b) -> Printf.sprintf "has %d -> %b" v b
   | Drop v -> Printf.sprintf "drop %d" v
   | Opaque -> "opaque"
-
-let pp_obs ppf o = Format.pp_print_string ppf (obs_to_string o)
 
 (* The viewer a data type bundles.  [obs] translates completed
    operations; the constructors below it are the inverse direction,

@@ -11,7 +11,6 @@
 type kind = Register | Set | Queue | Stack | Priority_queue
 
 val kind_to_string : kind -> string
-val equal_kind : kind -> kind -> bool
 val pp_kind : Format.formatter -> kind -> unit
 
 (** Canonical observation of one completed operation.  [Opaque] marks
@@ -26,7 +25,6 @@ type obs =
   | Opaque
 
 val obs_to_string : obs -> string
-val pp_obs : Format.formatter -> obs -> unit
 
 type ('inv, 'resp) viewer = {
   kind : kind;

@@ -85,8 +85,6 @@ module Semantics (T : S) = struct
   let pp_instance ppf { inv; resp } =
     Format.fprintf ppf "%a -> %a" T.pp_invocation inv T.pp_response resp
 
-  let show_instance i = Format.asprintf "%a" pp_instance i
-
   let equal_instance a b =
     T.equal_invocation a.inv b.inv && T.equal_response a.resp b.resp
 
@@ -123,15 +121,6 @@ module Semantics (T : S) = struct
       List.fold_left step ([], T.initial) invocations
     in
     (List.rev rev_instances, state)
-
-  let instances_of invocations = fst (perform_seq invocations)
-
-  (* Response of [inv] when appended to the legal sequence [instances];
-     [None] when the prefix itself is illegal. *)
-  let response_after instances inv =
-    match state_after instances with
-    | None -> None
-    | Some state -> Some (snd (T.apply state inv))
 
   (* The paper's equivalence rho1 == rho2 (same legal continuations),
      decided via canonical states.  Two illegal sequences are equivalent

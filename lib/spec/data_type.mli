@@ -81,7 +81,6 @@ module Semantics (T : S) : sig
   type nonrec instance = (T.invocation, T.response) instance
 
   val pp_instance : Format.formatter -> instance -> unit
-  val show_instance : instance -> string
   val equal_instance : instance -> instance -> bool
 
   val replay : T.state -> instance list -> T.state option
@@ -100,12 +99,6 @@ module Semantics (T : S) : sig
   val perform_seq : T.invocation list -> instance list * T.state
   (** Execute a whole invocation sequence from the initial state — how
       a context sequence rho is materialized. *)
-
-  val instances_of : T.invocation list -> instance list
-
-  val response_after : instance list -> T.invocation -> T.response option
-  (** The response an invocation would get after the given sequence;
-      [None] when the prefix itself is illegal. *)
 
   val equivalent : instance list -> instance list -> bool
   (** The paper's [rho1 == rho2] (identical legal continuations),

@@ -49,24 +49,19 @@ let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   | Centralized -> Bounds.Theorems.ub_centralized judged
   | Tob -> Bounds.Theorems.ub_tob judged
 
-(* A cell is a scenario ([Scenario.of_sweep_cell]), lowered by the one
-   lowering, [config_of] of its type's executor instance
-   ([Scenario.Packed_type.runner]); only the wall budget is added
-   here. *)
-let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
-  let s = Scenario.of_sweep_cell ?key grid c in
-  let key = s.name and seed = s.seed in
-  let m = c.point in
+(* A cell is a scenario ([Scenario.of_sweep_cell]), lowered and run
+   by its type's executor ([Exec.Run(T).run_report], through
+   [Scenario.Packed_type.runner]); only the wall deadline and the
+   bound check are added here.  The abort stays structured so the
+   retry loop can match a timeout. *)
+let attempt ?wall_budget_s s (c : cell) =
   let (module E : Scenario.Packed_type.RUNNER) =
     Scenario.Packed_type.runner c.dt
   in
-  let module R = E.R in
   (* Per-cell wall budget: a closure over the start time, polled by the
      simulation loop.  An exhausted budget (deliberately including 0.0,
-     which expires on the very first poll) surfaces below as the named
-     Cell_timeout diagnostic — the event-count is left out of the
-     message so timed-out cells render identically across runs and the
-     campaign fingerprint stays reproducible. *)
+     which expires on the very first poll) ends as the [Deadline]
+     abort. *)
   let deadline =
     Option.map
       (fun budget ->
@@ -74,69 +69,72 @@ let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
         fun () -> Core.Clock.now_s () -. t0 >= budget)
       wall_budget_s
   in
-  match E.config_of s with
-  | Error msg -> Error (Printf.sprintf "%s: %s" key msg)
-  | Ok cfg -> (
-      match R.run { cfg with R.Config.deadline } with
-      | exception Lin.Checker.Node_budget_exceeded { nodes; prefix; total } ->
-          Error
-            (Format.asprintf "%s: %a (max_check_nodes)" key
-               Lin.Checker.pp_budget_exceeded (nodes, prefix, total))
-      | exception Sim.Engine.Deadline_exceeded _ ->
-          Error
-            (Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
-               (Option.value wall_budget_s ~default:0.0))
-      | exception Invalid_argument msg ->
-          Error (Printf.sprintf "%s: %s" key msg)
-      | report ->
-          let judged =
-            match report.channel with Some ch -> ch.effective | None -> m
-          in
-          let x = resolve_x m c.algo in
-          let bounds =
-            List.map
-              (fun (kind, (s : Metrics.summary)) ->
-                (kind, s.max, bound_for ~algo:c.algo ~judged ~x kind))
-              report.by_kind
-          in
-          let bound_ok =
-            List.for_all (fun (_, worst, ub) -> Rat.le worst ub) bounds
-          in
-          let lat = Metrics.Acc.create () in
-          List.iter (fun (_, s) -> Metrics.Acc.absorb lat s) report.by_kind;
-          let ok = R.ok report in
-          Ok
-            {
-              key;
-              run_seed = seed;
-              ok;
-              bound_ok;
-              certified = ok && bound_ok;
-              operations = List.length report.operations;
-              messages = report.messages;
-              events = report.events;
-              pending = report.pending;
-              truncated = report.truncated;
-              retransmits =
-                (match report.channel with
-                | None -> 0
-                | Some ch -> ch.stats.Core.Reliable.retransmits);
-              latency = Metrics.Acc.summary lat;
-              hist = report.hist;
-              by_op = report.by_op;
-              by_kind = report.by_kind;
-              bounds;
-            })
+  match E.run_report ?deadline s with
+  | Error _ as e -> e
+  | Ok report ->
+      let m = c.point in
+      let judged =
+        match report.channel with Some ch -> ch.effective | None -> m
+      in
+      let x = resolve_x m c.algo in
+      let bounds =
+        List.map
+          (fun (kind, (s : Metrics.summary)) ->
+            (kind, s.max, bound_for ~algo:c.algo ~judged ~x kind))
+          report.by_kind
+      in
+      let bound_ok =
+        List.for_all (fun (_, worst, ub) -> Rat.le worst ub) bounds
+      in
+      let lat = Metrics.Acc.create () in
+      List.iter (fun (_, s) -> Metrics.Acc.absorb lat s) report.by_kind;
+      let ok = E.R.ok report in
+      Ok
+        {
+          key = s.name;
+          run_seed = s.seed;
+          ok;
+          bound_ok;
+          certified = ok && bound_ok;
+          operations = List.length report.operations;
+          messages = report.messages;
+          events = report.events;
+          pending = report.pending;
+          truncated = report.truncated;
+          retransmits =
+            (match report.channel with
+            | None -> 0
+            | Some ch -> ch.stats.Core.Reliable.retransmits);
+          latency = Metrics.Acc.summary lat;
+          hist = report.hist;
+          by_op = report.by_op;
+          by_kind = report.by_kind;
+          bounds;
+        }
+
+(* A cell's diagnostic.  The timeout leaves the event count out, so
+   timed-out cells render identically across runs and the campaign
+   fingerprint stays reproducible. *)
+let diagnostic ~key ?wall_budget_s : Scenario.Exec.abort -> string = function
+  | Node_budget { nodes; prefix; total } ->
+      Format.asprintf "%s: %a (max_check_nodes)" key
+        Lin.Checker.pp_budget_exceeded (nodes, prefix, total)
+  | Deadline ->
+      Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
+        (Option.value wall_budget_s ~default:0.0)
+  | Bad_scenario msg | Invalid_run msg -> Printf.sprintf "%s: %s" key msg
+  | Overflow as a ->
+      Printf.sprintf "%s: %s" key (Scenario.Exec.abort_message a)
+
+let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
+  let s = Scenario.of_sweep_cell ?key grid c in
+  Result.map_error
+    (diagnostic ~key:s.name ?wall_budget_s)
+    (attempt ?wall_budget_s s c)
 
 (* ---------- bounded retry with exponential backoff ---------- *)
 
 type retry = { attempts : int; budget_s : float; backoff : float }
-
-let cell_timed_out msg =
-  let needle = "Cell_timeout" in
-  let nl = String.length needle and ml = String.length msg in
-  let rec at i = i + nl <= ml && (String.sub msg i nl = needle || at (i + 1)) in
-  at 0
 
 (* Evaluate one cell under the retry policy: each timed-out attempt
    widens the wall budget by [backoff] (a cell that is merely slow gets
@@ -150,15 +148,18 @@ let eval_with_retry ?retry ?key grid (c : cell) :
   | None -> (eval ?key grid c, 1)
   | Some { attempts; budget_s; backoff } ->
       let attempts = max 1 attempts in
+      let s = Scenario.of_sweep_cell ?key grid c in
       let rec go k budget =
-        match eval ~wall_budget_s:budget ?key grid c with
-        | Error msg when cell_timed_out msg ->
-            if k < attempts then go (k + 1) (budget *. backoff)
-            else
-              ( Error
-                  (Printf.sprintf "%s (gave up after %d attempts)" msg attempts),
-                k )
-        | r -> (r, k)
+        match attempt ~wall_budget_s:budget s c with
+        | Error Deadline when k < attempts -> go (k + 1) (budget *. backoff)
+        | Error Deadline ->
+            ( Error
+                (Printf.sprintf "%s (gave up after %d attempts)"
+                   (diagnostic ~key:s.name ~wall_budget_s:budget Deadline)
+                   attempts),
+              k )
+        | r ->
+            (Result.map_error (diagnostic ~key:s.name ~wall_budget_s:budget) r, k)
       in
       go 1 budget_s
 
@@ -459,10 +460,8 @@ let robustness ?(jobs = 1) ?should_stop ~model ~x ~seed types =
        (fun i outcome ->
          let aborted msg =
            let dt, case = work.(i) in
-           let leg = Scenario.Robustness.aborted_leg msg in
-           Scenario.Robustness.cell_of_legs
-             ~data_type:(Scenario.Packed_type.spec_name dt)
-             case ~raw:leg ~recovered:leg
+           Scenario.Robustness.judge ~model ~x ~seed dt case (fun s ->
+               Scenario.Exec.aborted s ~wall_s:0. msg)
          in
          match outcome with
          | Pool.Done cell -> cell

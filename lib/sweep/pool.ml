@@ -68,7 +68,6 @@ module Interrupt = struct
   let flag = Atomic.make false
   let requested () = Atomic.get flag
   let request () = Atomic.set flag true
-  let reset () = Atomic.set flag false
 
   let install () =
     let handle signal (_ : int) =

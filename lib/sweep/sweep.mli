@@ -3,8 +3,8 @@
     A {e sweep} evaluates a declarative campaign {!grid} — data type x
     algorithm x model point x fault plan x channel leg x seed — by
     sharding cells across a fixed pool of OCaml domains ({!Pool}).
-    Each cell is a scenario ([Scenario.of_sweep_cell]), lowered by
-    [Scenario.Exec.Run(T).config_of] and run, and is judged
+    Each cell is a scenario ([Scenario.of_sweep_cell]), lowered and
+    run by [Scenario.Exec.Run(T).run_report], and is judged
     both end-to-end ([Runtime.ok]) and against the paper's Table 5
     upper-bound formula for its class and algorithm.
 
@@ -68,20 +68,17 @@ val eval :
   ?wall_budget_s:float -> ?key:string -> grid -> cell -> (verdict, string) result
 (** Evaluate one cell.  [key], when given, must be [cell_key grid cell]
     (a campaign renders it once and reuses it); without it the key is
-    rendered here.  [Error] carries a named diagnostic: the
-    checker's node budget was exceeded ([Node_budget_exceeded]), the
-    per-cell wall budget expired ([Cell_timeout] — set
-    [wall_budget_s]; 0.0 expires deterministically on the first
-    simulation event), or the configuration was rejected
-    ([Invalid_argument]). *)
+    rendered here.  [Error] carries a named diagnostic, one per
+    [Scenario.Exec.abort]: the checker's node budget was exceeded
+    ([Node_budget_exceeded]), the per-cell wall budget expired
+    ([Cell_timeout] — set [wall_budget_s]; 0.0 expires
+    deterministically on the first simulation event), the
+    configuration was rejected, or a time overflowed [Rat]. *)
 
 (** Bounded retry for wedged cells: up to [attempts] evaluations, the
     wall budget multiplied by [backoff] after each timeout.
     Non-timeout failures are deterministic and never retried. *)
 type retry = { attempts : int; budget_s : float; backoff : float }
-
-val cell_timed_out : string -> bool
-(** Whether a cell diagnostic is a [Cell_timeout]. *)
 
 val eval_with_retry :
   ?retry:retry ->

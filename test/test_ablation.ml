@@ -127,7 +127,7 @@ let test_register_order_finding () =
     ~mutator_proc:2
 
 let test_report_shape () =
-  let report = A.report ~model ~x ~seeds:[ 1; 2 ] in
+  let report = Result.get_ok (A.report ~model ~x ~seeds:[ 1; 2 ]) in
   Alcotest.(check int) "seven knobs" 7 (List.length report);
   (* First knob is the control and must be sound. *)
   Alcotest.(check bool) "control first and sound" true
@@ -135,6 +135,18 @@ let test_report_shape () =
   List.iter
     (fun (o : A.outcome) -> Alcotest.(check int) "runs counted" 2 o.runs)
     report
+
+(* The schedule uses processes 0 to 3: a smaller model is refused by
+   name, not run into an out-of-bounds edge. *)
+let test_report_refuses_small_model () =
+  let small =
+    Sim.Model.make_optimal_eps ~n:3 ~d:(Rat.of_int 12) ~u:(Rat.of_int 4)
+  in
+  match A.report ~model:small ~x ~seeds:[ 1 ] with
+  | Ok _ -> Alcotest.fail "n = 3 must be refused"
+  | Error msg ->
+      Alcotest.(check bool) "names the requirement" true
+        (String.starts_with ~prefix:"ablation legs need n >= 4" msg)
 
 let legs () =
   List.concat_map
@@ -222,6 +234,8 @@ let () =
           Alcotest.test_case "execute wait boundary" `Quick
             test_execute_wait_boundary;
           Alcotest.test_case "report shape" `Quick test_report_shape;
+          Alcotest.test_case "n < 4 refused by name" `Quick
+            test_report_refuses_small_model;
           Alcotest.test_case "legs round-trip and rerun" `Quick
             test_legs_round_trip;
           Alcotest.test_case "op refs resolve to the draws" `Quick

@@ -659,6 +659,30 @@ let test_json_outcome_escapes () =
 (* ------------------------------------------------------------------ *)
 (* Expectations *)
 
+(* A model point whose times leave the 63-bit rationals: the reliable
+   channel's inflated model overflows while the scenario is lowered.
+   The run ends in the one named overflow diagnostic, which a
+   [Diagnostic] expectation can name. *)
+let test_overflow_is_named () =
+  let model =
+    Sim.Model.make ~n:3 ~d:(Rat.of_int 1_000_000_000_000_000_000)
+      ~u:(Rat.of_int 4) ~eps:Rat.one
+  in
+  let s =
+    Scenario.make ~dt:"queue" ~model ~reliable:true
+      ~algorithm:Scenario.Centralized
+      ~workload:(Scenario.Closed_loop { per_proc = 2; think = Rat.make 1 2 })
+      ()
+  in
+  let o = Scenario.run s in
+  Alcotest.(check (option string)) "named overflow"
+    (Some (Scenario.Exec.abort_message Overflow)) o.Scenario.Exec.diagnostic;
+  Alcotest.(check bool) "certify fails" false (Scenario.Exec.passes o);
+  Alcotest.(check bool) "a diagnostic expectation naming it passes" true
+    (Scenario.Exec.passes
+       (Scenario.run { s with expect = Scenario.Diagnostic "time overflow" }))
+
+
 let test_expectations () =
   (* The verbatim counterexample fails Certify and passes Violate. *)
   Alcotest.(check bool) "verbatim fails Certify" false
@@ -826,7 +850,11 @@ let () =
             test_json_outcome_escapes;
         ] );
       ( "expect",
-        [ Alcotest.test_case "certify vs violate" `Quick test_expectations ] );
+        [
+          Alcotest.test_case "certify vs violate" `Quick test_expectations;
+          Alcotest.test_case "overflow is a named diagnostic" `Quick
+            test_overflow_is_named;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "minimizes the ablation failure" `Quick
