@@ -24,13 +24,16 @@ open Cli_common
 
 let tables_cmd =
   let run n d u eps x =
-    match model_and_x n d u eps x with
+    match
+      Result.bind (model_and_x n d u eps x) (fun (model, x) ->
+          named_overflow (fun () -> Ok (model, x, Bounds.Tables.all model ~x)))
+    with
     | Error msg -> `Error (false, msg)
-    | Ok (model, x) ->
+    | Ok (model, x, tables) ->
     Format.printf "model: %a, X = %a@." Sim.Model.pp model Rat.pp x;
     List.iter
       (fun table -> Format.printf "@.%a@." Bounds.Tables.pp_table table)
-      (Bounds.Tables.all model ~x);
+      tables;
     `Ok ()
   in
   Cmd.v
@@ -503,26 +506,31 @@ let claims_cmd =
     | Error msg -> `Error (false, msg)
     | Ok model when model.n < 3 ->
         `Error (false, "claims: Theorems 2 and 5 need n >= 3 processes")
-    | Ok model ->
-    Format.printf "model: %a@.@." Sim.Model.pp model;
-    let report label claims =
-      Format.printf "%s:@." label;
-      List.iter
-        (fun claim -> Format.printf "  %a@." Bounds.Adversary.pp_claim claim)
-        claims;
-      Bounds.Adversary.all_hold claims
-    in
-    let ok =
-      List.for_all Fun.id
-        [
-          report "Theorem 2" (Bounds.Adversary.Thm2.claims model);
-          report "Theorem 3 (k = n)"
-            (Bounds.Adversary.Thm3.claims model ~k:model.n);
-          report "Theorem 4" (Bounds.Adversary.Thm4.claims model);
-          report "Theorem 5" (Bounds.Adversary.Thm5.claims model);
-        ]
-    in
-    if ok then `Ok () else `Error (false, "some proof claims failed")
+    | Ok model -> (
+        match
+          named_overflow (fun () ->
+              Ok
+                [
+                  ("Theorem 2", Bounds.Adversary.Thm2.claims model);
+                  ( "Theorem 3 (k = n)",
+                    Bounds.Adversary.Thm3.claims model ~k:model.n );
+                  ("Theorem 4", Bounds.Adversary.Thm4.claims model);
+                  ("Theorem 5", Bounds.Adversary.Thm5.claims model);
+                ])
+        with
+        | Error msg -> `Error (false, msg)
+        | Ok theorems ->
+            Format.printf "model: %a@.@." Sim.Model.pp model;
+            let report (label, claims) =
+              Format.printf "%s:@." label;
+              List.iter
+                (fun claim ->
+                  Format.printf "  %a@." Bounds.Adversary.pp_claim claim)
+                claims;
+              Bounds.Adversary.all_hold claims
+            in
+            if List.for_all Fun.id (List.map report theorems) then `Ok ()
+            else `Error (false, "some proof claims failed"))
   in
   Cmd.v
     (Cmd.info "claims"
@@ -539,7 +547,9 @@ let ablate_cmd =
     | Error msg -> `Error (false, msg)
     | Ok (model, x) ->
     match
-      Scenario.Ablation.report ~model ~x ~seeds:(List.init 8 (fun i -> seed + i))
+      named_overflow (fun () ->
+          Scenario.Ablation.report ~model ~x
+            ~seeds:(List.init 8 (fun i -> seed + i)))
     with
     | Error msg -> `Error (false, msg)
     | Ok outcomes ->

@@ -7,6 +7,10 @@
     (one request plus one reply), except operations invoked at [p_0]
     itself, which are applied immediately and take zero time. *)
 
+(* The coordinator's apply log: for each key, the invoking process of
+   each apply on that key, latest first. *)
+type log = int list array
+
 module Make (T : Spec.Data_type.S) = struct
   type msg =
     | Request of { inv : T.invocation }
@@ -17,20 +21,32 @@ module Make (T : Spec.Data_type.S) = struct
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   (* The single authoritative copy held at the coordinator, and its
-     apply log: the invoking process of each apply, latest first. *)
-  type hub = { mutable master : T.state; mutable applied : int list }
+     apply log under the keys [key_of] names. *)
+  type hub = {
+    mutable master : T.state;
+    key_of : T.invocation -> int;
+    mutable applied : log;
+  }
 
   type t = { engine : engine; hub : hub }
 
   let coordinator = 0
 
-  let fresh_hub () = { master = T.initial; applied = [] }
+  let fresh_hub ?(key_of = fun _ -> 0) () =
+    { master = T.initial; key_of; applied = [||] }
 
   let protocol hub =
     let apply_master ~proc inv =
       let state', resp = T.apply hub.master inv in
       hub.master <- state';
-      hub.applied <- proc :: hub.applied;
+      let key = hub.key_of inv in
+      let len = Array.length hub.applied in
+      if key >= len then begin
+        let applied = Array.make (max (key + 1) (2 * len)) [] in
+        Array.blit hub.applied 0 applied 0 len;
+        hub.applied <- applied
+      end;
+      hub.applied.(key) <- proc :: hub.applied.(key);
       resp
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
@@ -58,13 +74,14 @@ module Make (T : Spec.Data_type.S) = struct
     { engine; hub }
 
   let master t = t.hub.master
+  let log hub = hub.applied
 
   (* A process has at most one operation pending, so the [k]-th apply
-     on behalf of process [p] is [p]'s [k]-th invocation.  An apply
-     with no completed operation to match (its reply never arrived) is
-     skipped; a duplicated request shifts the match, which the checker
-     then refuses. *)
-  let linearization hub
+     on [key] on behalf of process [p] is [p]'s [k]-th invocation on
+     [key].  An apply with no completed operation to match (its reply
+     never arrived) is skipped; a duplicated request shifts the match,
+     which the checker then refuses. *)
+  let linearization (applied : log) ~key
       (ops : (T.invocation, T.response) Sim.Trace.operation array) =
     let procs =
       Array.fold_left
@@ -85,6 +102,6 @@ module Make (T : Spec.Data_type.S) = struct
             i :: order
         | [] -> order)
       []
-      (List.rev hub.applied)
+      (List.rev (if key < Array.length applied then applied.(key) else []))
     |> List.rev
 end

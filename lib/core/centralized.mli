@@ -6,6 +6,10 @@
     each operation takes up to [2d] (request + reply), and operations
     invoked at [p_0] itself are free. *)
 
+type log
+(** The coordinator's apply log: for each key, the process each apply
+    on that key served, in apply order. *)
+
 module Make (T : Spec.Data_type.S) : sig
   type msg
   type tag
@@ -20,7 +24,11 @@ module Make (T : Spec.Data_type.S) : sig
   val coordinator : int
   (** Process id of the distinguished process (0). *)
 
-  val fresh_hub : unit -> hub
+  val fresh_hub : ?key_of:(T.invocation -> int) -> unit -> hub
+  (** [key_of] (default: every invocation on key 0) names the key, a
+      non-negative int, each apply is logged under, so that the order
+      of one key's operations can be read without the others
+      ({!linearization}). *)
 
   val protocol : hub -> (msg, tag, T.invocation, T.response) Sim.Engine.handlers
   (** The algorithm's handler triple over [hub], decoupled from engine
@@ -39,11 +47,20 @@ module Make (T : Spec.Data_type.S) : sig
   val master : t -> T.state
   (** Read-only view of the authoritative copy. *)
 
+  val log : hub -> log
+  (** The apply log so far. *)
+
   val linearization :
-    hub -> (T.invocation, T.response) Sim.Trace.operation array -> int list
-  (** The order this algorithm linearized a run in, as positions in
-      [ops]: the coordinator's apply order, which [hub] logs as one int
-      (the invoking process) per apply.  Each process's operations must
-      appear in [ops] in invocation order, as {!Sim.Trace.operations}
-      lists them.  A candidate only: the checker verifies it. *)
+    log ->
+    key:int ->
+    (T.invocation, T.response) Sim.Trace.operation array ->
+    int list
+  (** The order this algorithm linearized the operations on [key] in,
+      as positions in [ops], which holds exactly the run's completed
+      operations on [key]: the coordinator's apply order on [key],
+      which the log holds as one int (the invoking process) per
+      apply.
+      Each process's operations must appear in [ops] in invocation
+      order, as {!Sim.Trace.operations} lists them.  A candidate only:
+      the checker verifies it. *)
 end

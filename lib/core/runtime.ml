@@ -51,6 +51,18 @@ let unscale_operation q (op : ('i, 'r) Sim.Trace.operation) =
       resp_time = Rat.div_int op.resp_time q;
     }
 
+(* The order an algorithm linearized a run in, as data: Algorithm 1's
+   timing and the clock offsets the run used, the offsets alone for
+   the total-order baseline, or the coordinator's apply log.  Offsets
+   count quanta of [1/per] of the operations' time unit.  Any instance
+   of [Make] reads it over a history of its own type
+   ([Make.order_of]), so a sharded run reads each key's order over
+   that key's projected history. *)
+type protocol_order =
+  | Algorithm_1 of { timing : Wtlw.timing; offsets : Rat.t array; per : int }
+  | Broadcast of { offsets : Rat.t array; per : int }
+  | Applies of Centralized.log
+
 (* The run's quantum: the least common multiple of the denominators of
    every time it reads, refused by name when it does not fit in an
    int. *)
@@ -215,6 +227,18 @@ module Make (T : Spec.Data_type.S) = struct
     match checker with
     | Wing_gong -> Mon.wing_gong ?max_nodes arr None
     | Monitor -> Mon.check_array ?max_nodes ?order arr
+
+  let order_of order ~key ops =
+    let in_units offsets per =
+      if per = 1 then offsets
+      else Array.map (fun o -> Rat.div_int o per) offsets
+    in
+    match order with
+    | Algorithm_1 { timing; offsets; per } ->
+        Wtlw_impl.linearization ~timing ~offsets:(in_units offsets per) ops
+    | Broadcast { offsets; per } ->
+        Tob_impl.linearization ~offsets:(in_units offsets per) ops
+    | Applies log -> Centralized_impl.linearization log ~key ops
 
   let checked_by (r : Mon.result) =
     match r.method_ with
@@ -428,11 +452,16 @@ module Make (T : Spec.Data_type.S) = struct
      lost: the sinks hold everything up to the truncation point, so the
      report is returned with [truncated = true].
 
-     [in_quanta]: leave the report's operations, the latencies the
-     sinks see and the order's input in quanta, and divide only the
-     summaries.  Otherwise the trace pairs each operation in model
-     units, and everything downstream of it stays in them. *)
-  let run_at ~in_quanta (cfg : Config.t) =
+     [handover = (key_of, deal)]: hand each completed operation to
+     [deal] as it completes, keep none, and leave the report's
+     [operations] empty; leave the operations, the latencies the sinks
+     see and the order in quanta, and divide only the summaries;
+     [key_of] names the key each operation is on, which the order of a
+     centralized run tells apart.  Otherwise the trace pairs each
+     operation in model units, everything downstream of it stays in
+     them, and the run is one key. *)
+  let run_at ?handover (cfg : Config.t) =
+    let in_quanta = Option.is_some handover in
     let { Config.offsets; delay; algorithm; workload; faults; _ } = cfg in
     let judged, timing, q = setup cfg in
     let name =
@@ -482,6 +511,9 @@ module Make (T : Spec.Data_type.S) = struct
       let op_quantum = if in_quanta then q else 1 in
       Sim.Trace.set_operation_quantum trace (q / op_quantum);
       let hist = Metrics.Hist.create ~quantum:op_quantum () in
+      (match handover with
+      | Some (_, deal) -> Sim.Trace.hand_over trace deal
+      | None -> ());
       Sim.Trace.on_operation trace (fun op ->
           let l = Metrics.latency op in
           Metrics.Grouped.add by_op (T.op_of op.inv) l;
@@ -502,24 +534,21 @@ module Make (T : Spec.Data_type.S) = struct
         | exception Sim.Engine.Step_limit_exceeded _ -> true
       in
       (* the algorithm's own order, over the clock offsets the run used
-         in the operations' units; computed only if the checker asks
-         for it *)
+         in quanta, [per] of them to the operations' time unit; read
+         only if the checker asks for it *)
       let ran_offsets = Sim.Engine.effective_offsets engine in
       let order =
-        if in_quanta || q = 1 then order ~in_quanta:true ~offsets:ran_offsets
-        else fun ops ->
-          order ~in_quanta:false
-            ~offsets:(Array.map (fun o -> Rat.div_int o q) ran_offsets)
-            ops
+        order ~offsets:ran_offsets ~per:(if in_quanta then 1 else q)
       in
       Metrics.Hist.settle hist;
       let summaries g = Metrics.Grouped.summaries ~quantum:op_quantum g in
-      ( build_report ?max_nodes:cfg.max_check_nodes ~order ~checker:cfg.checker
-          ~check:cfg.check ~model:model_q ~algorithm:name
+      ( build_report ?max_nodes:cfg.max_check_nodes
+          ~order:(fun ops -> order_of order ~key:0 ops)
+          ~checker:cfg.checker ~check:cfg.check ~model:model_q ~algorithm:name
           ~skew_admissible:(Sim.Model.skew_valid model_q ran_offsets)
           ~truncated ~channel ~converged:(converged ()) ~by_op:(summaries by_op)
           ~by_kind:(summaries by_kind) ~hist trace
-          (Sim.Trace.operations trace),
+          (if in_quanta then [] else Sim.Trace.operations trace),
         order,
         q )
     in
@@ -551,32 +580,42 @@ module Make (T : Spec.Data_type.S) = struct
         in
         let states = Wtlw_impl.fresh_states ~n:judged.n in
         finish
-          ~order:(fun ~in_quanta ->
-            Wtlw_impl.linearization
-              ~timing:(if in_quanta then timing_q else timing))
+          ~order:(fun ~offsets ~per ->
+            Algorithm_1
+              {
+                timing = (if in_quanta then timing_q else timing);
+                offsets;
+                per;
+              })
           ~converged:(fun () -> Some (Wtlw_impl.states_converged states))
           (Wtlw_impl.protocol ~timing:timing_q states)
     | Centralized, _ ->
-        let hub = Centralized_impl.fresh_hub () in
+        let hub =
+          Centralized_impl.fresh_hub ?key_of:(Option.map fst handover) ()
+        in
         finish
-          ~order:(fun ~in_quanta:_ ~offsets:_ ->
-            Centralized_impl.linearization hub)
+          ~order:(fun ~offsets:_ ~per:_ ->
+            Applies (Centralized_impl.log hub))
           ~converged:(fun () -> None)
           (Centralized_impl.protocol hub)
     | Tob, _ ->
         let states = Tob_impl.fresh_states ~n:judged.n in
         finish
-          ~order:(fun ~in_quanta:_ -> Tob_impl.linearization)
+          ~order:(fun ~offsets ~per -> Broadcast { offsets; per })
           ~converged:(fun () -> None)
           (Tob_impl.protocol ~model:model_q states)
     | Wtlw _, None -> assert false
 
   let run_with_order cfg =
-    let report, order, _ = run_at ~in_quanta:false cfg in
-    (report, order)
+    let report, order, _ = run_at cfg in
+    (report, fun ops -> order_of order ~key:0 ops)
 
-  let run_in_quanta cfg = run_at ~in_quanta:true cfg
-  let run cfg = fst (run_with_order cfg)
+  let run_in_quanta ~key_of ~deal cfg =
+    run_at ~handover:(key_of, deal) { cfg with Config.check = false }
+
+  let run cfg =
+    let report, _, _ = run_at cfg in
+    report
 
   (* A run is accepted when every operation completed, the run was not
      truncated, delays and clock skew were admissible, and a

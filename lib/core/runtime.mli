@@ -33,6 +33,14 @@ val unscale_operation :
 (** [unscale_operation q op]: [op], whose times count quanta of [1/q],
     with its times in time units ([op] itself when [q = 1]). *)
 
+type protocol_order
+(** The order an algorithm linearized a run in, as data rather than a
+    closure over the run's types: Algorithm 1's timing and the clock
+    offsets the run used ({!Wtlw.Make.linearization}), the offsets
+    alone ({!Tob.Make.linearization}), or the coordinator's per-key
+    apply log ({!Centralized.Make.linearization}).  Any instance of
+    {!Make} reads it over a history of its own type ({!Make.order_of}). *)
+
 module Make (T : Spec.Data_type.S) : sig
   module Sem : module type of Spec.Data_type.Semantics (T)
   module Mon : module type of Monitor.Make (T)
@@ -245,17 +253,38 @@ module Make (T : Spec.Data_type.S) : sig
       the order the [Monitor] checker consults when no monitor decides;
       exposed so tests can cross-check it against the other oracles. *)
 
+  val order_of :
+    protocol_order ->
+    key:int ->
+    (T.invocation, T.response) Sim.Trace.operation array ->
+    int list
+  (** [order_of order ~key ops]: [ops] in the order [order] names, as
+      positions in [ops].  [ops] holds exactly the completed operations
+      on [key] of the run [order] came from, projected onto [T] or not,
+      in invocation order with ties in response order.  The result is
+      the whole run's order restricted to [key]; for [Centralized],
+      when no request was applied twice, since a duplicate shifts the
+      match on its own key only.  The timestamp orders ignore [key];
+      the apply log reads [key]'s applies alone.  {!run_with_order}
+      reads the whole run as key 0. *)
+
   val run_in_quanta :
+    key_of:(T.invocation -> int) ->
+    deal:((T.invocation, T.response) Sim.Trace.operation -> unit) ->
     Config.t ->
-    report
-    * ((T.invocation, T.response) Sim.Trace.operation array -> int list)
-    * int
-  (** {!run_with_order}, with the report's [operations] and
-      [linearization], and the order's input, left in the run's quanta
-      of [1/q], next to [q] ({!quantum}).  Every other field of the
-      report is in time units.  Checkers only compare times, so a
-      caller can certify in quanta and divide by [q]
-      ({!unscale_operation}) only what it renders. *)
+    report * protocol_order * int
+  (** The run, unchecked (the config's [check] is ignored), for a caller
+      that certifies it key by key ([Shard]).  Each completed operation
+      goes to [deal] as its response is recorded, in response order, and
+      the run keeps no copy of it ({!Sim.Trace.hand_over}): the report's
+      [operations] is empty.  Also returns the order the algorithm
+      linearized the run in, for {!order_of} over each key's history,
+      and the run's quantum [q] ({!quantum}).  [key_of] names the
+      non-negative key each invocation is on, under which a centralized
+      run logs its applies.  The operations, and the order, are in
+      quanta of [1/q]; every field of the report is in time units.
+      Checkers only compare times, so a caller can certify in quanta
+      and divide by [q] ({!unscale_operation}) only what it renders. *)
 
   val report_of_trace :
     ?skew_admissible:bool ->

@@ -26,7 +26,10 @@ let order ~n ~time ~proc ~late =
       if c <> 0 then c
       else
         let c = Int.compare (proc a) (proc b) in
-        if c <> 0 then c else Bool.compare (late a) (late b))
+        if c <> 0 then c
+        else
+          let c = Bool.compare (late a) (late b) in
+          if c <> 0 then c else Int.compare a b)
     ids;
   Array.to_list ids
 

@@ -23,7 +23,10 @@ val order :
   late:(int -> bool) ->
   int list
 (** The indices [0, n) in timestamp order [(time i, proc i)]; at an
-    equal timestamp an index with [late i] goes after one without.
+    equal timestamp an index with [late i] goes after one without, and
+    the lower index goes first otherwise.  The order is total, so the
+    order of a subsequence of a history is the order of the whole
+    restricted to it.
     This is how Algorithm 1 and the total-order baseline hand the order
     they linearized a run in to the verifier: [i] is an operation's
     position in the history, [time i] its (local-clock) timestamp. *)

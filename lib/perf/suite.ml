@@ -224,8 +224,8 @@ let sections =
       name = "load-tree-4k";
       description =
         "the load-shard-4k stream over 4 rooted-tree shards: no kernel \
-         decides a key, so each is certified by the shard's own order \
-         projected onto it";
+         decides a key, so each is certified by the algorithm's own \
+         order over that key";
       prepare =
         (fun () -> load_events ~data_type:(module Spec.Tree_type) ~ops:4_000);
     };

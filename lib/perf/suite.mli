@@ -23,8 +23,8 @@ val sections : section list
     bench scale — a 4000-operation diurnal Zipf stream over 4
     FIFO-queue shards, certified per key, run inline on one domain.
     ["load-tree-4k"]: the same stream over 4 rooted-tree shards, a type
-    no kernel decides, so every key is certified by the shard's own
-    order projected onto it.
+    no kernel decides, so every key is certified by the algorithm's
+    own order over that key.
     ["load-lossy-4k"]: the same pipeline's lossy leg — a 4000-operation
     Poisson Zipf stream over 4 register shards behind the reliable
     channel, with 5% drops and 2% duplicates.

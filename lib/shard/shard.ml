@@ -8,12 +8,18 @@
     is partitioned by [key mod shards]; each shard is a full
     [Runtime.Make (Spec.Keyed.Make (T))] cluster driving only its own
     keys, so shards share no state and run in parallel as items of the
-    {!Sweep.Runner} campaign runner.  {e Certification}: within a shard, each
-    key's completed operations are projected out and certified
-    independently with the per-type {!Monitor} — turning one
-    million-operation history the Wing-Gong checker could never touch
-    into thousands of small per-key checks, each [O(n log n)]
-    (decrease-and-conquer, as in Lee-Mathur).
+    {!Sweep.Runner} campaign runner.  {e Certification}: within a
+    shard, each key's completed operations are certified independently
+    with the per-type {!Monitor} — turning one million-operation
+    history the Wing-Gong checker could never touch into thousands of
+    small per-key checks, each [O(n log n)] (decrease-and-conquer, as
+    in Lee-Mathur).  No step needs the whole shard's history twice:
+    the run hands each operation over as it completes and keeps none,
+    the shard projects it onto [T] into its key's array, the only copy,
+    and releases each key's array once its verdict is in.  A key the
+    kernel leaves undecided is checked against the algorithm's own
+    order over that key alone ({!Core.Runtime.Make.order_of}), which
+    by locality is the shard's order restricted to the key.
 
     Determinism: every shard re-derives the same global stream from the
     config seed and filters its own keys, per-shard network/fault seeds
@@ -92,7 +98,7 @@ type shard_report = {
   fallbacks : int;  (** keys Wing-Gong decided after the monitor *)
   checked_by : string;
   order_failure : (int * string) option;
-      (** the first key whose projected protocol order was refused,
+      (** the first key whose protocol order was refused,
           with the failure naming its operations *)
   budget_exhausted : (int * int) list;
       (** keys whose Wing-Gong search exceeded the node budget, with
@@ -167,15 +173,16 @@ let total_faults (counts : Sim.Trace.fault_counts list) =
 
 module Make (T : Spec.Data_type.S) = struct
   module KT = Spec.Keyed.Make (T)
-  module R = Core.Runtime.Make (KT)
+
+  (* applied to the functor path, so that [R.Config.t] is the type
+     [runtime_config]'s signature names *)
+  module R = Core.Runtime.Make (Spec.Keyed.Make (T))
   module C = Core.Runtime.Make (T)
 
   (* One shard's run: re-derive the global stream, keep [key mod
-     shards = shard], drive a full cluster over the keyed family with
-     the backpressure-clamped [Paced] workload, and deal the completed
-     operations into per-key histories.  Also returns each key's
-     candidate order. *)
-  let simulate (cfg : Config.t) ~shard =
+     shards = shard], and drive a full cluster over the keyed family
+     with the backpressure-clamped [Paced] workload. *)
+  let runtime_config (cfg : Config.t) ~shard =
     let m = cfg.model in
     let skey = shard_key cfg ~data_type:T.name ~shard in
     let sseed = Core.Hash.fnv1a skey in
@@ -212,86 +219,87 @@ module Make (T : Spec.Data_type.S) = struct
         ~workload:(R.Paced { next })
         ()
     in
-    let rcfg =
-      match cfg.channel with
-      | None -> rcfg
-      | Some config -> R.Config.reliable ~config rcfg
-    in
-    let report, order, quantum = R.run_in_quanta rcfg in
-    (* Certify per key, exploiting locality: a counting sort deals the
-       shard's completed operations (in invocation order) into one
-       array per key, and each key's array is certified on its own.
-       The operations count the run's time quanta: checkers only
-       compare times, so only a rendered failure divides them. *)
-    let counts = Array.make cfg.keys 0 in
-    List.iter
-      (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
-        let key = op.inv.KT.key in
-        counts.(key) <- counts.(key) + 1)
-      report.operations;
-    let by_key = Array.make cfg.keys [||]
-    and filled = Array.make cfg.keys 0 in
-    List.iter
-      (fun (op : (KT.invocation, KT.response) Sim.Trace.operation) ->
-        let key = op.inv.KT.key in
-        let projected : C.Mon.op =
-          {
-            Sim.Trace.proc = op.proc;
-            inv = op.inv.KT.inv;
-            resp = op.resp;
-            inv_time = op.inv_time;
-            resp_time = op.resp_time;
-          }
-        in
-        if filled.(key) = 0 then
-          by_key.(key) <- Array.make counts.(key) projected
-        else by_key.(key).(filled.(key)) <- projected;
-        filled.(key) <- filled.(key) + 1)
-      report.operations;
-    (* The order the algorithm linearized the shard in, projected onto
-       each key: by locality (paper §2.3) a valid order of the keyed
-       run restricts to a valid order of each key, and [certify]
-       verifies every projection anyway.  Computed at most once, and
-       only when some key's kernel does not decide. *)
-    let key_orders =
-      lazy
-        (let shard_ops = Array.of_list report.operations in
-         let key_of i = shard_ops.(i).inv.KT.key in
-         (* each operation's index in its key's array *)
-         let next = Array.make cfg.keys 0 in
-         let pos =
-           Array.init (Array.length shard_ops) (fun i ->
-               next.(key_of i) <- next.(key_of i) + 1;
-               next.(key_of i) - 1)
-         in
-         let orders = Array.make cfg.keys [] in
-         List.iter
-           (fun i -> orders.(key_of i) <- pos.(i) :: orders.(key_of i))
-           (List.rev (order shard_ops));
-         orders)
-    in
-    (report, quantum, by_key, fun key -> (Lazy.force key_orders).(key))
+    match cfg.channel with
+    | None -> rcfg
+    | Some config -> R.Config.reliable ~config rcfg
 
-  let key_histories cfg ~shard =
-    let _, quantum, by_key, _ = simulate cfg ~shard in
-    Array.map (Array.map (Core.Runtime.unscale_operation quantum)) by_key
+  (* Run one shard and visit its keys one at a time, exploiting
+     locality.  The run hands over each operation as it completes,
+     keeping none; it is projected onto [T] and appended to its key's
+     array, which holds the only copy.  A key's turn sorts its array
+     into invocation order (ties in response order, as
+     [Sim.Trace.operations] lists them), releases it from the shard,
+     and hands [f] the history with the order the algorithm linearized
+     that key in.  The operations count the run's time quanta
+     [quantum]: checkers only compare times, so only a rendered
+     failure divides them. *)
+  let each_key (cfg : Config.t) ~shard f =
+    let by_key = Array.make cfg.keys [||] and filled = Array.make cfg.keys 0 in
+    let deal (op : (KT.invocation, KT.response) Sim.Trace.operation) =
+      let key = op.inv.key in
+      let projected : C.Mon.op =
+        {
+          proc = op.proc;
+          inv = op.inv.inv;
+          resp = op.resp;
+          inv_time = op.inv_time;
+          resp_time = op.resp_time;
+        }
+      in
+      let n = filled.(key) in
+      if n = Array.length by_key.(key) then begin
+        let grown = Array.make (max 8 (2 * n)) projected in
+        Array.blit by_key.(key) 0 grown 0 n;
+        by_key.(key) <- grown
+      end;
+      by_key.(key).(n) <- projected;
+      filled.(key) <- n + 1
+    in
+    let report, order, quantum =
+      R.run_in_quanta
+        ~key_of:(fun (inv : KT.invocation) -> inv.key)
+        ~deal (runtime_config cfg ~shard)
+    in
+    for key = 0 to cfg.keys - 1 do
+      if filled.(key) > 0 then begin
+        let ops = Array.sub by_key.(key) 0 filled.(key) in
+        by_key.(key) <- [||];
+        Array.stable_sort
+          (fun (a : C.Mon.op) b -> Rat.compare a.inv_time b.inv_time)
+          ops;
+        f ~quantum key ops (C.order_of order ~key)
+      end
+    done;
+    (report, Array.fold_left ( + ) 0 filled)
+
+  let key_histories (cfg : Config.t) ~shard =
+    let out = Array.make cfg.keys [||] in
+    ignore
+      (each_key cfg ~shard (fun ~quantum key ops _ ->
+           out.(key) <-
+             Array.map (Core.Runtime.unscale_operation quantum) ops));
+    out
+
+  let key_orders (cfg : Config.t) ~shard =
+    let out = Array.make cfg.keys [] in
+    ignore
+      (each_key cfg ~shard (fun ~quantum:_ key ops order ->
+           out.(key) <- order ops));
+    out
 
   (* Certify each key's projection independently.  A key whose
      Wing-Gong search exceeds the node budget is left uncertified and
      named; the other keys' verdicts stand. *)
   let run_shard (cfg : Config.t) ~shard =
-    let report, quantum, by_key, key_order = simulate cfg ~shard in
     let keys = ref 0 and uncertified = ref [] in
     let protocol = ref 0 and fallbacks = ref 0 and order_failure = ref None in
     let budget_exhausted = ref [] in
-    Array.iteri
-      (fun key ops ->
-        if Array.length ops > 0 then begin
+    let report, operations =
+      each_key cfg ~shard (fun ~quantum key ops order ->
           incr keys;
           match
             C.certify ?max_nodes:cfg.max_check_nodes
-              ~order:(fun _ -> key_order key)
-              ~checker:cfg.checker ops
+              ~order ~checker:cfg.checker ops
           with
           | r ->
               (match r.method_ with
@@ -301,20 +309,22 @@ module Make (T : Spec.Data_type.S) = struct
               | _ -> ());
               (match r.order_failure with
               | Some f when Option.is_none !order_failure ->
-                  let ops =
-                    Array.map (Core.Runtime.unscale_operation quantum) ops
-                  in
                   order_failure :=
                     Some
-                      (key, Format.asprintf "%a" (C.Mon.pp_order_failure ops) f)
+                      ( key,
+                        Format.asprintf "%a"
+                          (C.Mon.pp_order_failure
+                             (Array.map
+                                (Core.Runtime.unscale_operation quantum)
+                                ops))
+                          f )
               | _ -> ());
               if not r.linearizable then uncertified := key :: !uncertified
           | exception Lin.Checker.Node_budget_exceeded { nodes; _ } ->
               if cfg.checker = Core.Runtime.Monitor then incr fallbacks;
               budget_exhausted := (key, nodes) :: !budget_exhausted;
-              uncertified := key :: !uncertified
-        end)
-      by_key;
+              uncertified := key :: !uncertified)
+    in
     let keys = !keys in
     let uncertified_keys = List.rev !uncertified in
     let linearizable = uncertified_keys = [] in
@@ -334,7 +344,7 @@ module Make (T : Spec.Data_type.S) = struct
     {
       shard;
       keys;
-      operations = List.length report.operations;
+      operations;
       messages = report.messages;
       events = report.events;
       pending = report.pending;
@@ -374,6 +384,8 @@ module Make (T : Spec.Data_type.S) = struct
         (fun shard ->
           match run_shard cfg ~shard with
           | report -> (Ok report, 1)
+          | exception Invalid_argument m ->
+              (Error (Scenario.Exec.abort_message (Invalid_run m)), 1)
           | exception Rat.Overflow ->
               (Error (Scenario.Exec.abort_message Overflow), 1))
     in
@@ -472,11 +484,11 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>%s over %d shards (%s, %d keys, %d ops, zipf=%g)@,"
     t.data_type t.shards t.arrival t.keyspace t.ops t.zipf;
   Format.fprintf ppf "algorithm: %s; seed=%d@," t.algorithm t.seed;
-  Array.iter
-    (fun outcome ->
+  Array.iteri
+    (fun i outcome ->
       match outcome with
-      | Pool.Skipped -> Format.fprintf ppf "  shard ?: SKIPPED@,"
-      | Pool.Failed msg -> Format.fprintf ppf "  shard ?: FAILED %s@," msg
+      | Pool.Skipped -> Format.fprintf ppf "  shard %d: SKIPPED@," i
+      | Pool.Failed msg -> Format.fprintf ppf "  shard %d: FAILED %s@," i msg
       | Pool.Done r ->
           Format.fprintf ppf
             "  shard %d: %-9s %7d ops %3d keys  %s  (%d msgs, %d events%s)@,"
@@ -521,9 +533,11 @@ let pp_json ppf t =
     (fun i outcome ->
       if i > 0 then Format.fprintf ppf ",";
       match outcome with
-      | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
+      | Pool.Skipped ->
+          Format.fprintf ppf "{\"shard\":%d,\"status\":\"skipped\"}" i
       | Pool.Failed msg ->
-          Format.fprintf ppf "{\"status\":\"failed\",\"error\":%s}"
+          Format.fprintf ppf
+            "{\"shard\":%d,\"status\":\"failed\",\"error\":%s}" i
             (Core.Json.quote msg)
       | Pool.Done r ->
           Format.fprintf ppf

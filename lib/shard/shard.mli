@@ -7,9 +7,11 @@
     by [key mod shards]; each shard runs a full
     [Runtime.Make (Spec.Keyed.Make (T))] cluster over only its keys, as
     one item of the {!Sweep.Runner} campaign runner.  Within a shard,
-    every key's completed operations are projected out and certified
-    independently with the per-type monitors, so a million-operation run
-    decomposes into thousands of small [O(n log n)] checks.
+    every key's completed operations are certified independently with
+    the per-type monitors, so a million-operation run decomposes into
+    thousands of small [O(n log n)] checks.  The shard holds one copy
+    of each completed operation, projected onto [T] in its key's
+    array, and releases each key's array once its verdict is in.
 
     Determinism contract: every shard re-derives the same global
     stream from the config seed; per-shard network and fault seeds are
@@ -81,14 +83,14 @@ type shard_report = {
   uncertified_keys : int list;
   fallbacks : int;
       (** keys that Wing-Gong decided because neither the per-type
-          monitor nor the projected protocol order certified them; 0
+          monitor nor the key's protocol order certified them; 0
           under the [Wing_gong] checker *)
   checked_by : string;
       (** ["per-key monitor (K keys, P protocol-order, F fallbacks)"],
           or ["per-key wing-gong (K keys)"] under the [Wing_gong]
           checker *)
   order_failure : (int * string) option;
-      (** the first key whose projected protocol order was refused,
+      (** the first key whose protocol order was refused,
           with the failure rendered by [Monitor.Make.pp_order_failure]
           over that key's operations; Wing-Gong then decided it *)
   budget_exhausted : (int * int) list;
@@ -144,6 +146,18 @@ module Make (T : Spec.Data_type.S) : sig
   (** The per-key histories {!run_shard} certifies, indexed by key
       ([[||]] for a key with no completed operation in this shard). *)
 
+  val key_orders : Config.t -> shard:int -> int list array
+  (** The order {!run_shard} checks each key against when no monitor
+      decides it: the algorithm's own order over that key alone, as
+      positions in the key's {!key_histories} entry ([[]] for a key
+      with no completed operation). *)
+
+  val runtime_config :
+    Config.t -> shard:int -> Core.Runtime.Make(Spec.Keyed.Make(T)).Config.t
+  (** The unchecked run of the keyed family that shard [shard] is: its
+      share of the stream, its derived seeds and its step limit.  Each
+      call builds a fresh stream. *)
+
   val run :
     ?jobs:int ->
     ?should_stop:(unit -> bool) ->
@@ -162,7 +176,10 @@ module Make (T : Spec.Data_type.S) : sig
       digest; tests) are replayed instead of re-run, so an interrupted
       [repro load] resumes with a byte-identical {!fingerprint}; failed
       shards always run again.  [should_stop] drains the pool
-      gracefully and marks the run [interrupted]. *)
+      gracefully and marks the run [interrupted].  A shard whose run
+      the runtime refuses ([Invalid_argument]) or whose times overflow
+      [Rat] fails with the text [Scenario.Exec.abort_message] gives
+      the same abort ("invalid run: ...", "time overflow: ..."). *)
 end
 
 val run :
@@ -182,6 +199,9 @@ val fingerprint : t -> string
     [--jobs] counts. *)
 
 val pp : Format.formatter -> t -> unit
+(** The text report; a failed or skipped shard is named by its
+    index. *)
+
 val pp_json : Format.formatter -> t -> unit
 (** The [BENCH_load.json] artifact: per-shard reports plus the
     aggregate certification and quantiles. *)

@@ -77,9 +77,12 @@ type ('msg, 'inv, 'resp) t = {
   mutable pending_inv : 'inv array;
   mutable pending : int;
   (* Completed operations in response order; the first [finished]
-     slots are used, and the array doubles when full. *)
+     slots are used, and the array doubles when full.  Once [handed]
+     is set the operations go to an observer instead, and the array
+     stays empty. *)
   mutable done_ops : ('inv, 'resp) operation array;
   mutable finished : int;
+  mutable handed : bool;
   (* Stored operations' times are the recorded ones divided by this. *)
   mutable op_quantum : int;
   mutable malformed : string option;
@@ -112,6 +115,7 @@ let create ?(retain_events = true) ?monitor () =
     pending = 0;
     done_ops = [||];
     finished = 0;
+    handed = false;
     op_quantum = 1;
     malformed = None;
     op_observers = [];
@@ -206,11 +210,17 @@ let note_respond t ~time ~proc resp =
             resp_time = Rat.div_int time t.op_quantum;
           }
       in
-      t.done_ops <- grow t.done_ops t.finished op;
-      t.done_ops.(t.finished) <- op;
+      if not t.handed then begin
+        t.done_ops <- grow t.done_ops t.finished op;
+        t.done_ops.(t.finished) <- op
+      end;
       t.finished <- t.finished + 1;
       observe op t.op_observers
     end
+
+let hand_over t f =
+  t.handed <- true;
+  on_operation t f
 
 let set_operation_quantum t q =
   if q < 1 then invalid_arg "Trace.set_operation_quantum: q < 1";
@@ -328,6 +338,8 @@ let check_well_formed t =
    stable list sort gives, without a cons cell per operation. *)
 let operations t =
   check_well_formed t;
+  if t.handed then
+    invalid_arg "Trace.operations: the completed operations were handed over";
   let ops = Array.sub t.done_ops 0 t.finished in
   Array.stable_sort (fun a b -> Rat.compare a.inv_time b.inv_time) ops;
   Array.to_list ops

@@ -149,6 +149,13 @@ val on_operation :
 (** Attach an observer called once per completed operation, at the
     moment its response is recorded. *)
 
+val hand_over :
+  ('msg, 'inv, 'resp) t -> (('inv, 'resp) operation -> unit) -> unit
+(** [hand_over t f]: attach [f] as an {!on_operation} observer and keep
+    no copy of the operations completed from now on, so that [f] holds
+    the only one.  {!operation_count} still counts them;
+    {!operations} raises [Invalid_argument]. *)
+
 val set_operation_quantum : ('msg, 'inv, 'resp) t -> int -> unit
 (** [set_operation_quantum t q]: the run records times in quanta of
     [1/q], and each operation completed from now on is paired with its
@@ -167,7 +174,8 @@ val operations : ('msg, 'inv, 'resp) t -> ('inv, 'resp) operation list
 (** Matched invocation/response pairs, ordered by invocation time.
     Computed by the online pairing sink — no trace re-scan.
     @raise Invalid_argument if a response had no pending invocation or
-    an invocation overlapped a pending one. *)
+    an invocation overlapped a pending one, or if the operations were
+    handed over ({!hand_over}). *)
 
 val pending_invocations : ('msg, 'inv, 'resp) t -> (int * 'inv) list
 (** Invocations that never received a response (non-empty only for

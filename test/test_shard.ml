@@ -136,8 +136,8 @@ let test_multi_key_run_certified_and_conserved () =
 
 (* Order-first certification changes only who certifies a key, never
    the verdict: over every bundled type and all three algorithms, the
-   per-key monitor path — kernel, then the shard's own order projected
-   onto the key — gives the fingerprint the exhaustive Wing-Gong
+   per-key monitor path — kernel, then the algorithm's own order over
+   the key — gives the fingerprint the exhaustive Wing-Gong
    oracle gives, and never needs Wing-Gong itself. *)
 let test_monitor_matches_wing_gong () =
   List.iter
@@ -281,6 +281,109 @@ let test_budget_names_key () =
   Alcotest.(check bool) "report names the key" true (occurrences text named = 1);
   Alcotest.(check bool) "json names the key" true (occurrences json named = 1)
 
+(* Each key is checked against the algorithm's order over that key
+   alone.  By locality that order must be the whole shard's order
+   restricted to the key: run the same keyed shard through
+   [run_with_order], project its order onto each key by hand, and
+   compare, over a kernel-decided and an undecided type and every
+   algorithm, on fault-free runs. *)
+module Key_local (T : Spec.Data_type.S) = struct
+  module S = Shard.Make (T)
+  module KT = Spec.Keyed.Make (T)
+  module R = Core.Runtime.Make (Spec.Keyed.Make (T))
+
+  let check algorithm =
+    let cfg =
+      Shard.Config.make ~keys:12 ~zipf:0.9 ~seed:6 ~shards:2 ~ops:1_200
+        ~arrival ~model ~algorithm ()
+    in
+    let name shard =
+      Printf.sprintf "%s/%s shard %d" T.name
+        (Core.Runtime.algorithm_name algorithm)
+        shard
+    in
+    for shard = 0 to cfg.shards - 1 do
+      let report, order = R.run_with_order (S.runtime_config cfg ~shard) in
+      let ops = Array.of_list report.operations in
+      let key i = ops.(i).inv.KT.key in
+      (* each operation's position among its key's operations *)
+      let next = Array.make cfg.keys 0 in
+      let pos =
+        Array.init (Array.length ops) (fun i ->
+            next.(key i) <- next.(key i) + 1;
+            next.(key i) - 1)
+      in
+      let restricted = Array.make cfg.keys [] in
+      List.iter
+        (fun i -> restricted.(key i) <- pos.(i) :: restricted.(key i))
+        (List.rev (order ops));
+      let key_local = S.key_orders cfg ~shard in
+      Alcotest.(check bool)
+        (name shard ^ ": several keys ordered")
+        true
+        (Array.fold_left (fun n o -> if o = [] then n else n + 1) 0 key_local
+        > 1);
+      Alcotest.(check (array (list int)))
+        (name shard ^ ": key-local order = shard order restricted")
+        restricted key_local
+    done
+
+  let test () =
+    List.iter check [ algorithm; Core.Runtime.Centralized; Core.Runtime.Tob ]
+end
+
+module Key_local_queue = Key_local (Spec.Fifo_queue)
+module Key_local_register = Key_local (Spec.Register)
+module Key_local_tree = Key_local (Spec.Tree_type)
+
+(* A horizon the runtime cannot count in int quanta fails every shard
+   before it runs.  Each failure carries the runtime's refusal under
+   the run site's name and the index of its shard, in the text report
+   and in the JSON one, never a raw exception constructor. *)
+let test_unrepresentable_horizon_named () =
+  let model =
+    Sim.Model.make_optimal_eps ~n:4
+      ~d:(Rat.of_int 1_000_000_000_000_000_000)
+      ~u:(rat 4 1)
+  in
+  let cfg =
+    Shard.Config.make ~shards:3 ~ops:40 ~arrival ~model
+      ~algorithm:
+        (Core.Runtime.Wtlw { x = Rat.div_int (Rat.sub model.d model.eps) 2 })
+      ()
+  in
+  let t = ShQ.run cfg in
+  let refusal = "invalid run: Runtime.run: unrepresentable time horizon" in
+  Array.iteri
+    (fun i -> function
+      | Sweep.Pool.Failed msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d names the refusal" i)
+            true
+            (occurrences msg refusal = 1)
+      | Sweep.Pool.Done _ | Sweep.Pool.Skipped ->
+          Alcotest.fail (Printf.sprintf "shard %d did not fail" i))
+    t.reports;
+  Alcotest.(check bool) "not certified" false t.certified;
+  let text = Format.asprintf "%a" Shard.pp t in
+  let json = Format.asprintf "%a" Shard.pp_json t in
+  for i = 0 to cfg.shards - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "report names shard %d" i)
+      1
+      (occurrences text (Printf.sprintf "shard %d: FAILED %s" i refusal));
+    Alcotest.(check int)
+      (Printf.sprintf "json names shard %d" i)
+      1
+      (occurrences json
+         (Printf.sprintf "{\"shard\":%d,\"status\":\"failed\",\"error\":\"%s"
+            i refusal))
+  done;
+  Alcotest.(check int) "no raw constructor in the report" 0
+    (occurrences text "Invalid_argument(");
+  Alcotest.(check int) "no raw constructor in the json" 0
+    (occurrences json "Invalid_argument(")
+
 let () =
   Alcotest.run "shard"
     [
@@ -298,5 +401,13 @@ let () =
             test_refused_order_named;
           Alcotest.test_case "node budget names the exhausted key" `Quick
             test_budget_names_key;
+          Alcotest.test_case "key-local order, queue" `Quick
+            Key_local_queue.test;
+          Alcotest.test_case "key-local order, register" `Quick
+            Key_local_register.test;
+          Alcotest.test_case "key-local order, tree" `Quick
+            Key_local_tree.test;
+          Alcotest.test_case "unrepresentable horizon named per shard" `Quick
+            test_unrepresentable_horizon_named;
         ] );
     ]

@@ -140,6 +140,26 @@ let test_custom_sink () =
       Alcotest.(check string) "second completion" "write" second.Sim.Trace.inv
   | _ -> Alcotest.fail "expected exactly two completions"
 
+(* A trace that hands its operations over keeps none: the receiver
+   sees each one at its response, the count still holds, and listing
+   the operations is refused rather than answered empty. *)
+let test_hand_over () =
+  let t : (msg, string, int) Sim.Trace.t =
+    Sim.Trace.create ~retain_events:false ()
+  in
+  let handed = ref [] in
+  Sim.Trace.hand_over t (fun op -> handed := op :: !handed);
+  record_sample t;
+  Alcotest.(check (list string))
+    "handed over in response order" [ "read"; "write" ]
+    (List.rev_map (fun (op : (string, int) Sim.Trace.operation) -> op.inv)
+       !handed);
+  Alcotest.(check int) "operation count" 2 (Sim.Trace.operation_count t);
+  Alcotest.check_raises "operations refused"
+    (Invalid_argument
+       "Trace.operations: the completed operations were handed over")
+    (fun () -> ignore (Sim.Trace.operations t))
+
 let test_monitor () =
   let t : (msg, string, int) Sim.Trace.t =
     Sim.Trace.create ~retain_events:false ~monitor:model ()
@@ -175,5 +195,6 @@ let () =
           Alcotest.test_case "custom sinks and observers" `Quick
             test_custom_sink;
           Alcotest.test_case "admissibility monitor" `Quick test_monitor;
+          Alcotest.test_case "operations handed over" `Quick test_hand_over;
         ] );
     ]
