@@ -50,11 +50,13 @@ let () =
   (match report.linearization with
   | None -> failwith "BUG: run was not linearizable"
   | Some witness ->
+      let ops = Array.of_list report.operations in
       Format.printf "@.linearization witness (first 10 of %d):@."
-        (List.length witness);
-      List.iteri
-        (fun i op ->
-          if i < 10 then Format.printf "  %2d. %a@." (i + 1) Runtime.Checker.pp_op op)
+        (Array.length witness);
+      Array.iteri
+        (fun i p ->
+          if i < 10 then
+            Format.printf "  %2d. %a@." (i + 1) Runtime.Checker.pp_op ops.(p))
         witness);
 
   (* Compare against the folklore baselines on the same workload. *)

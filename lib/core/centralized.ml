@@ -103,5 +103,5 @@ module Make (T : Spec.Data_type.S) = struct
         | [] -> order)
       []
       (List.rev (if key < Array.length applied then applied.(key) else []))
-    |> List.rev
+    |> List.rev |> Array.of_list
 end

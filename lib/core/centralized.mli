@@ -54,7 +54,7 @@ module Make (T : Spec.Data_type.S) : sig
     log ->
     key:int ->
     (T.invocation, T.response) Sim.Trace.operation array ->
-    int list
+    int array
   (** The order this algorithm linearized the operations on [key] in,
       as positions in [ops], which holds exactly the run's completed
       operations on [key]: the coordinator's apply order on [key],

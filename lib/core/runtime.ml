@@ -140,7 +140,7 @@ module Make (T : Spec.Data_type.S) = struct
   type report = {
     algorithm : string;
     operations : (T.invocation, T.response) Sim.Trace.operation list;
-    linearization : (T.invocation, T.response) Sim.Trace.operation list option;
+    linearization : int array option;
     by_op : (string * Metrics.summary) list;
     by_kind : (Spec.Op_kind.t * Metrics.summary) list;
     hist : Metrics.Hist.t;
@@ -225,7 +225,7 @@ module Make (T : Spec.Data_type.S) = struct
      [order]. *)
   let certify ?max_nodes ?order ~checker arr =
     match checker with
-    | Wing_gong -> Mon.wing_gong ?max_nodes arr None
+    | Wing_gong -> Mon.wing_gong ?max_nodes arr
     | Monitor -> Mon.check_array ?max_nodes ?order arr
 
   let order_of order ~key ops =

@@ -92,9 +92,10 @@ module Make (T : Spec.Data_type.S) : sig
   type report = {
     algorithm : string;
     operations : (T.invocation, T.response) Sim.Trace.operation list;
-    linearization : (T.invocation, T.response) Sim.Trace.operation list option;
+    linearization : int array option;
         (** a legal real-time-respecting total order, when [check] was
-            set and one exists *)
+            set and one exists: positions in [operations], first to
+            last *)
     by_op : (string * Metrics.summary) list;
     by_kind : (Spec.Op_kind.t * Metrics.summary) list;
     hist : Metrics.Hist.t;
@@ -200,7 +201,7 @@ module Make (T : Spec.Data_type.S) : sig
 
   val certify :
     ?max_nodes:int ->
-    ?order:(Mon.op array -> int list) ->
+    ?order:(Mon.op array -> int array) ->
     checker:checker ->
     Mon.op array ->
     Mon.result
@@ -245,7 +246,7 @@ module Make (T : Spec.Data_type.S) : sig
   val run_with_order :
     Config.t ->
     report
-    * ((T.invocation, T.response) Sim.Trace.operation array -> int list)
+    * ((T.invocation, T.response) Sim.Trace.operation array -> int array)
   (** {!run}, also returning the order the algorithm linearized the run
       in ({!Wtlw.Make.linearization}, {!Tob.Make.linearization},
       {!Centralized.Make.linearization}) as a function of
@@ -257,7 +258,7 @@ module Make (T : Spec.Data_type.S) : sig
     protocol_order ->
     key:int ->
     (T.invocation, T.response) Sim.Trace.operation array ->
-    int list
+    int array
   (** [order_of order ~key ops]: [ops] in the order [order] names, as
       positions in [ops].  [ops] holds exactly the completed operations
       on [key] of the run [order] came from, projected onto [T] or not,

@@ -31,7 +31,7 @@ let order ~n ~time ~proc ~late =
           let c = Bool.compare (late a) (late b) in
           if c <> 0 then c else Int.compare a b)
     ids;
-  Array.to_list ids
+  ids
 
 module Heap = struct
   (* A binary min-heap over two parallel arrays.  Slots at index >= size

@@ -21,7 +21,7 @@ val order :
   time:(int -> Rat.t) ->
   proc:(int -> int) ->
   late:(int -> bool) ->
-  int list
+  int array
 (** The indices [0, n) in timestamp order [(time i, proc i)]; at an
     equal timestamp an index with [late i] goes after one without, and
     the lower index goes first otherwise.  The order is total, so the

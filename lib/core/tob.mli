@@ -34,7 +34,7 @@ module Make (T : Spec.Data_type.S) : sig
   val linearization :
     offsets:Rat.t array ->
     (T.invocation, T.response) Sim.Trace.operation array ->
-    int list
+    int array
   (** The order this algorithm linearizes a run in, as positions in
       [ops]: by timestamp [(inv_time + offsets.(proc), proc)], the
       total order every replica executes in.  [offsets] are the clock

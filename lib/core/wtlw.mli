@@ -64,7 +64,7 @@ module Make (T : Spec.Data_type.S) : sig
     timing:timing ->
     offsets:Rat.t array ->
     (T.invocation, T.response) Sim.Trace.operation array ->
-    int list
+    int array
   (** The order this algorithm linearizes a run in (Construction 1 of
       the paper), as positions in [ops]: by timestamp — the local clock
       at invocation, [inv_time + offsets.(proc)], backdated by

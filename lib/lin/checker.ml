@@ -49,8 +49,7 @@ module Make (T : Spec.Data_type.S) = struct
   (* [a] precedes [b] when [a] responds strictly before [b] is invoked. *)
   let precedes (a : op) (b : op) = Rat.lt a.resp_time b.inv_time
 
-  let check ?max_nodes (ops : op list) : op list option =
-    let arr = Array.of_list ops in
+  let positions ?max_nodes (arr : op array) : int array option =
     let total = Array.length arr in
     (* State interning: canonical rendering -> dense id.  [T.show_state]
        runs once per distinct state; everything downstream works with
@@ -92,10 +91,12 @@ module Make (T : Spec.Data_type.S) = struct
     let nodes = ref 0 in
     let deepest = ref 0 in
     let budget = match max_nodes with Some b -> b | None -> max_int in
-    let rec dfs remaining sid acc depth =
+    (* [path.(0 .. depth - 1)]: the operations linearized so far *)
+    let path = Array.make total 0 in
+    let rec dfs remaining sid depth =
       if depth > !deepest then deepest := depth;
       match remaining with
-      | [] -> Some (List.rev acc)
+      | [] -> Some (Array.copy path)
       | _ ->
           incr nodes;
           if !nodes > budget then
@@ -116,11 +117,10 @@ module Make (T : Spec.Data_type.S) = struct
                 match step sid i with
                 | None -> None
                 | Some sid' ->
+                    path.(depth) <- i;
                     dfs
                       (List.filter (fun j -> j <> i) remaining)
-                      sid'
-                      (arr.(i) :: acc)
-                      (depth + 1)
+                      sid' (depth + 1)
             in
             match List.find_map try_first remaining with
             | Some _ as witness -> witness
@@ -129,7 +129,13 @@ module Make (T : Spec.Data_type.S) = struct
                 None
           end
     in
-    dfs (List.init total Fun.id) (intern T.initial) [] 0
+    dfs (List.init total Fun.id) (intern T.initial) 0
+
+  let check ?max_nodes (ops : op list) : op list option =
+    let arr = Array.of_list ops in
+    Option.map
+      (fun p -> Array.fold_right (fun i acc -> arr.(i) :: acc) p [])
+      (positions ?max_nodes arr)
 
   let is_linearizable ?max_nodes ops = Option.is_some (check ?max_nodes ops)
 

@@ -39,12 +39,16 @@ module Make (T : Spec.Data_type.S) : sig
   val precedes : op -> op -> bool
   (** [precedes a b]: [a] responds strictly before [b] is invoked. *)
 
-  val check : ?max_nodes:int -> op list -> op list option
-  (** A witness linearization, or [None].  Histories must be complete
-      (every operation has both times).
+  val positions : ?max_nodes:int -> op array -> int array option
+  (** A witness linearization as positions in the array, first to
+      last, or [None].  Histories must be complete (every operation
+      has both times).
       @raise Node_budget_exceeded when [max_nodes] is set and the
       search exceeds it — a pathological history aborts with a named
       diagnostic instead of hanging. *)
+
+  val check : ?max_nodes:int -> op list -> op list option
+  (** {!positions} over the list, with the witness as operations. *)
 
   val is_linearizable : ?max_nodes:int -> op list -> bool
 

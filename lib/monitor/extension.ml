@@ -22,10 +22,10 @@
 
 type relation = {
   f : int array;
-      (** per value, the record whose response is its [fkey]; [-1]: the
+      (** per value, the operation whose response is its [fkey]; [-1]: the
           value exerts no constraint through this relation *)
   s : int array;
-      (** per value, the record whose invocation is its [skey]; [-1]:
+      (** per value, the operation whose invocation is its [skey]; [-1]:
           the value is never blocked by this relation *)
 }
 
@@ -53,20 +53,23 @@ type rstate = {
   mutable sptr : int;
   sort_f : int array;  (** values with an fkey, ascending *)
   nxt : int array;  (** skip list over [sort_f] positions *)
-  bumped : bool array;  (** already reported unblocked to this relation *)
+  bumped : Bytes.t;
+      (** per value: already reported unblocked to this relation *)
 }
 
+module Flags = Record.Flags
+
 (* first alive position >= i in [sort_f], with path compression *)
-let rec find_alive st (alive : bool array) i =
+let rec find_alive st alive i =
   if i >= Array.length st.sort_f then i
-  else if alive.(st.sort_f.(i)) then i
+  else if Flags.get alive st.sort_f.(i) then i
   else begin
     let j = find_alive st alive st.nxt.(i) in
     st.nxt.(i) <- j;
     j
   end
 
-(* the record holding the minimum alive fkey, excluding value [w]
+(* the operation holding the minimum alive fkey, excluding value [w]
    itself; [-1] when there is none *)
 let min_fkey_excluding st alive w =
   let len = Array.length st.sort_f in
@@ -134,16 +137,15 @@ module Heap = struct
     end
 end
 
-(* [solve ~records ~m ~relations ~edges prefer] returns a linear
-   extension of the union (values first to last), or [None] if the
-   constraints are cyclic (real violation) or the greedy cannot certify
-   one.  [edges] are resolved Kahn-style.  [prefer] orders available
-   sources: lower first. *)
-let solve ~(records : Record.t array) ~m ~(relations : relation list)
+(* [solve view ~m ~relations ~edges prefer] returns a linear extension
+   of the union (values first to last), or [None] if the constraints
+   are cyclic (real violation) or the greedy cannot certify one.  The
+   relations' keys are positions in [view].  [edges] are resolved
+   Kahn-style.  [prefer] orders available sources: lower first. *)
+let solve (view : Record.view) ~m ~(relations : relation list)
     ~(edges : Edges.t) (prefer : int -> int -> int) : int array option =
-  let finish id = records.(id).Record.finish
-  and start id = records.(id).Record.start in
-  let alive = Array.make m true in
+  let finish id = view.finish.(id) and start id = view.start.(id) in
+  let alive = Flags.make m true in
   let nrel = List.length relations + if edges.n = 0 then 0 else 1 in
   let sat = Array.make m 0 in
   let sources = Heap.create prefer in
@@ -166,7 +168,7 @@ let solve ~(records : Record.t array) ~m ~(relations : relation list)
           sptr = 0;
           sort_f;
           nxt = Array.init (Array.length sort_f) succ;
-          bumped = Array.make m false;
+          bumped = Flags.make m false;
         })
       relations
   in
@@ -197,7 +199,7 @@ let solve ~(records : Record.t array) ~m ~(relations : relation list)
     (fun st ->
       for v = 0 to m - 1 do
         if st.rel.s.(v) < 0 then begin
-          st.bumped.(v) <- true;
+          Flags.set st.bumped v;
           bump v
         end
       done)
@@ -214,9 +216,10 @@ let solve ~(records : Record.t array) ~m ~(relations : relation list)
     let walking = ref true in
     while !walking && st.sptr < len do
       let w = st.sort_s.(st.sptr) in
-      if (not alive.(w)) || st.bumped.(w) then st.sptr <- st.sptr + 1
+      if (not (Flags.get alive w)) || Flags.get st.bumped w then
+        st.sptr <- st.sptr + 1
       else if unblocked st w then begin
-        st.bumped.(w) <- true;
+        Flags.set st.bumped w;
         bump w;
         st.sptr <- st.sptr + 1
       end
@@ -228,8 +231,8 @@ let solve ~(records : Record.t array) ~m ~(relations : relation list)
     let i = find_alive st alive 0 in
     if i < Array.length st.sort_f then begin
       let o = st.sort_f.(i) in
-      if (not st.bumped.(o)) && unblocked st o then begin
-        st.bumped.(o) <- true;
+      if (not (Flags.get st.bumped o)) && unblocked st o then begin
+        Flags.set st.bumped o;
         bump o
       end
     end
@@ -242,7 +245,7 @@ let solve ~(records : Record.t array) ~m ~(relations : relation list)
     let v = Heap.pop sources in
     if v < 0 then stuck := true
     else begin
-      alive.(v) <- false;
+      Flags.clear alive v;
       order.(!emitted) <- v;
       incr emitted;
       for k = out_at.(v) to out_at.(v + 1) - 1 do

@@ -28,6 +28,13 @@
    supplied orders: a supplied order is only ever a candidate, so a
    wrong one costs a Wing-Gong run, never a wrong verdict.
 
+   The kernels read the history as columns ({!Record.view}) built
+   straight from the operation array, and every witness — a kernel
+   certificate, a supplied order, a Wing-Gong search — is one
+   [int array] of history positions from the engine that found it to
+   the result, so certification builds no heap block per operation
+   beyond the observation the viewer returns, which dies at once.
+
    [Make (T)] also carries the workload side of the tooling: a
    seed-deterministic generator of unambiguous concurrent histories
    (linearizable by construction) and a response-swapping corruptor
@@ -51,12 +58,16 @@ let pp_method ppf m = Format.pp_print_string ppf (method_to_string m)
 let monitored_kind (module T : Spec.Data_type.S) : V.kind option =
   Option.map (fun vw -> vw.V.kind) T.monitor
 
-let kernel_for = function
+let kernel = function
   | V.Register -> Register_kernel.check
   | V.Queue -> Queue_kernel.check
   | V.Stack -> Stack_kernel.check
   | V.Set -> Set_kernel.check
   | V.Priority_queue -> Pqueue_kernel.check
+
+(* The kernel over records rather than columns: an adapter for callers
+   that still build [Record.t] arrays (ids their positions). *)
+let kernel_for kind records = kernel kind (Record.of_records records)
 
 (* Why the verifier refused a candidate linearization.  Every index is
    a position in the checked history. *)
@@ -85,7 +96,9 @@ module Make (T : Spec.Data_type.S) = struct
 
   type result = {
     linearizable : bool;
-    linearization : op list option;  (** witness order when linearizable *)
+    linearization : int array option;
+        (** witness order when linearizable: history positions, first
+            to last *)
     method_ : method_;  (** which engine produced the verdict *)
     fallback : string option;
         (** why the kernel did not decide, when it did not (the verdict
@@ -98,6 +111,18 @@ module Make (T : Spec.Data_type.S) = struct
 
   let viewer = T.monitor
 
+  (* The kernels' columns over [arr]: one observation per operation,
+     decoded as it is read, and the operations' own times. *)
+  let view_of vw (arr : op array) : Record.view =
+    Record.make_view ~n:(Array.length arr)
+      ~observe:(fun i ->
+        let o = arr.(i) in
+        vw.V.obs o.inv o.resp)
+      ~start:(Array.map (fun (o : op) -> o.inv_time) arr)
+      ~finish:(Array.map (fun (o : op) -> o.resp_time) arr)
+      ~proc:(fun i -> arr.(i).proc)
+
+  (* One operation as a record, for {!kernel_for}. *)
   let record_of vw i (o : op) =
     {
       Record.id = i;
@@ -107,13 +132,10 @@ module Make (T : Spec.Data_type.S) = struct
       finish = o.resp_time;
     }
 
-  (* Wing-Gong on the history as a list: [ops] when the caller passed
-     one, else built from [arr] — the only place the array entry
-     builds a list of the history.  [reason] is why the kernel did not
-     decide; it is absent when Wing-Gong runs as the oracle. *)
-  let wing_gong ?max_nodes ?order_failure ?reason arr ops =
-    let ops = match ops with Some ops -> ops | None -> Array.to_list arr in
-    let linearization = Fallback.check ?max_nodes ops in
+  (* Wing-Gong on the history array.  [reason] is why the kernel did
+     not decide; it is absent when Wing-Gong runs as the oracle. *)
+  let wing_gong ?max_nodes ?order_failure ?reason arr =
+    let linearization = Fallback.positions ?max_nodes arr in
     {
       linearizable = Option.is_some linearization;
       linearization;
@@ -165,55 +187,56 @@ module Make (T : Spec.Data_type.S) = struct
      responds before the latest invocation placed ahead of it.  Kernel
      certificates and protocol-supplied orders alike pass through
      here. *)
-  let verify_order (arr : op array) (order : int list) :
-      (op list, order_failure) Stdlib.result =
-    let n = Array.length arr in
-    let seen = Array.make n false in
-    let rec permutation count = function
-      | [] ->
-          if count = n then None
-          else
-            let rec first_unseen i =
-              if seen.(i) then first_unseen (i + 1) else i
-            in
-            Some (Dropped (first_unseen 0))
-      | id :: rest ->
-          if id < 0 || id >= n then Some (Out_of_range id)
-          else if seen.(id) then Some (Duplicated id)
-          else begin
-            seen.(id) <- true;
-            permutation (count + 1) rest
-          end
+  let verify_order (arr : op array) (order : int array) :
+      (unit, order_failure) Stdlib.result =
+    let n = Array.length arr and len = Array.length order in
+    let seen = Record.Flags.make n false in
+    let rec permutation p =
+      if p = len then
+        if len = n then None
+        else
+          let rec first_unseen i =
+            if Record.Flags.get seen i then first_unseen (i + 1) else i
+          in
+          Some (Dropped (first_unseen 0))
+      else
+        let id = order.(p) in
+        if id < 0 || id >= n then Some (Out_of_range id)
+        else if Record.Flags.get seen id then Some (Duplicated id)
+        else begin
+          Record.Flags.set seen id;
+          permutation (p + 1)
+        end
     in
-    let rec replay st p = function
-      | [] -> None
-      | id :: rest ->
-          let o = arr.(id) in
-          let st', resp = T.apply st o.inv in
-          if T.equal_response resp o.resp then replay st' (p + 1) rest
-          else
-            let overtook = explain_replay arr (Array.of_list order) p in
-            Some (Replay_mismatch { op = id; overtook })
+    let rec replay st p =
+      if p = len then None
+      else
+        let id = order.(p) in
+        let o = arr.(id) in
+        let st', resp = T.apply st o.inv in
+        if T.equal_response resp o.resp then replay st' (p + 1)
+        else
+          let overtook = explain_replay arr order p in
+          Some (Replay_mismatch { op = id; overtook })
     in
-    let rec real_time worst = function
-      | [] -> None
-      | id :: rest ->
-          let o = arr.(id) in
-          if worst >= 0 && Rat.lt o.resp_time arr.(worst).inv_time then
-            Some (Real_time_inversion { first = worst; second = id })
-          else if worst >= 0 && Rat.le o.inv_time arr.(worst).inv_time then
-            real_time worst rest
-          else real_time id rest
+    let rec real_time worst p =
+      if p = len then None
+      else
+        let id = order.(p) in
+        let o = arr.(id) in
+        if worst >= 0 && Rat.lt o.resp_time arr.(worst).inv_time then
+          Some (Real_time_inversion { first = worst; second = id })
+        else if worst >= 0 && Rat.le o.inv_time arr.(worst).inv_time then
+          real_time worst (p + 1)
+        else real_time id (p + 1)
     in
-    match permutation 0 order with
+    match permutation 0 with
     | Some f -> Error f
     | None -> (
-        match replay T.initial 0 order with
+        match replay T.initial 0 with
         | Some f -> Error f
         | None -> (
-            match real_time (-1) order with
-            | Some f -> Error f
-            | None -> Ok (List.map (fun id -> arr.(id)) order)))
+            match real_time (-1) 0 with Some f -> Error f | None -> Ok ()))
 
   let pp_order_failure (arr : op array) ppf f =
     (* each operation on one line, whatever the enclosing margin *)
@@ -239,9 +262,8 @@ module Make (T : Spec.Data_type.S) = struct
           "%a is placed after %a, which it precedes in real time" op second
           op first
 
-  (* The kernel-certificate form of [verify_order], as the split
-     monitor stages call it; [records] are the kernel's view of [arr]
-     and carry nothing the verifier needs. *)
+  (* The kernel-certificate form of [verify_order] for callers of
+     {!kernel_for}; [records] carry nothing the verifier needs. *)
   let verify (arr : op array) (_ : Record.t array) order =
     Result.map_error
       (fun f -> "certificate " ^ order_failure_reason f)
@@ -249,12 +271,13 @@ module Make (T : Spec.Data_type.S) = struct
 
   (* The kernel did not decide, for [reason]: try the protocol's own
      order, if one was supplied, then Wing-Gong. *)
-  let undecided ?max_nodes ?order arr ops reason =
+  let undecided ?max_nodes ?order arr reason =
     match order with
-    | None -> wing_gong ?max_nodes ~reason arr ops
+    | None -> wing_gong ?max_nodes ~reason arr
     | Some order_of -> (
-        match verify_order arr (order_of arr) with
-        | Ok lin ->
+        let lin = order_of arr in
+        match verify_order arr lin with
+        | Ok () ->
             {
               linearizable = true;
               linearization = Some lin;
@@ -263,21 +286,20 @@ module Make (T : Spec.Data_type.S) = struct
               violation = None;
               order_failure = None;
             }
-        | Error f -> wing_gong ?max_nodes ~order_failure:f ~reason arr ops)
+        | Error f -> wing_gong ?max_nodes ~order_failure:f ~reason arr)
 
-  (* The one check; [ops] is [arr] as a list when the caller has one. *)
-  let check_with ?max_nodes ?order (arr : op array) ops : result =
+  (* The one check. *)
+  let check_array ?max_nodes ?order (arr : op array) : result =
     match viewer with
     | None ->
-        undecided ?max_nodes ?order arr ops
-          "no specialized monitor for this type"
+        undecided ?max_nodes ?order arr "no specialized monitor for this type"
     | Some vw -> (
-        let records = Array.mapi (record_of vw) arr in
-        if Array.exists (fun r -> r.Record.obs = V.Opaque) records then
-          undecided ?max_nodes ?order arr ops
+        let view = view_of vw arr in
+        if Record.has_opaque view then
+          undecided ?max_nodes ?order arr
             "history contains an observation outside the monitor vocabulary"
         else
-          match kernel_for vw.V.kind records with
+          match kernel vw.V.kind view with
           | Record.Violation v ->
               {
                 linearizable = false;
@@ -287,10 +309,10 @@ module Make (T : Spec.Data_type.S) = struct
                 violation = Some v;
                 order_failure = None;
               }
-          | Record.Unknown why -> undecided ?max_nodes ?order arr ops why
-          | Record.Order order' -> (
-              match verify_order arr order' with
-              | Ok lin ->
+          | Record.Unknown why -> undecided ?max_nodes ?order arr why
+          | Record.Order lin -> (
+              match verify_order arr lin with
+              | Ok () ->
                   {
                     linearizable = true;
                     linearization = Some lin;
@@ -300,13 +322,11 @@ module Make (T : Spec.Data_type.S) = struct
                     order_failure = None;
                   }
               | Error f ->
-                  undecided ?max_nodes ?order arr ops
+                  undecided ?max_nodes ?order arr
                     ("certificate " ^ order_failure_reason f)))
 
-  let check_array ?max_nodes ?order arr = check_with ?max_nodes ?order arr None
-
   let check ?max_nodes ?order ops =
-    check_with ?max_nodes ?order (Array.of_list ops) (Some ops)
+    check_array ?max_nodes ?order (Array.of_list ops)
 
   (* --- workload generation ---------------------------------------- *)
 

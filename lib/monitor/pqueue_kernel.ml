@@ -15,8 +15,8 @@
 
 let kind = Spec.Adt_view.Priority_queue
 
-let check (records : Record.t array) : Record.outcome =
-  match Record.classify ~kind records with
+let check (v : Record.view) : Record.outcome =
+  match Record.classify ~kind v with
   | Error o -> o
   | Ok classes -> (
       match

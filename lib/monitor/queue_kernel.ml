@@ -11,8 +11,8 @@
 
 let kind = Spec.Adt_view.Queue
 
-let check (records : Record.t array) : Record.outcome =
-  match Record.classify ~kind records with
+let check (v : Record.view) : Record.outcome =
+  match Record.classify ~kind v with
   | Error o -> o
   | Ok classes -> (
       match Sweeps.queue_fifo ~kind classes with

@@ -23,59 +23,63 @@
    linearization that the dispatcher re-verifies by replay and a
    real-time sweep.
 
-   One table maps each written value to its write's position in the
-   invocation order; the reads are grouped per write block by one
-   stable sort, and the suffix minima are positions too. *)
+   Values are grouped into classes by one sort ({!Record.value_classes});
+   each class knows its write's position in the invocation order; the
+   reads are grouped per write block by one stable sort, and the
+   suffix minima are positions too. *)
 
 module V = Spec.Adt_view
+module Tag = Record.Tag
 
 let kind = V.Register
 
-let check (records : Record.t array) : Record.outcome =
-  let n = Array.length records in
-  let writes = Record.Itbl.create 97 in
+let check (v : Record.view) : Record.outcome =
+  let n = v.n in
+  let count, cls =
+    Record.value_classes v ~keep:(fun i ->
+        match Record.tag v i with Tag.Put | Tag.Peek -> true | _ -> false)
+  in
+  (* per class: its write, then that write's position in [ws] *)
+  let write = Array.make count (-1) in
   let bad = ref None in
   let flag o = if !bad = None then bad := Some o in
-  let reads_initial = ref false in
-  Array.iteri
-    (fun i (r : Record.t) ->
-      match r.obs with
-      | V.Put v ->
-          if Record.Itbl.mem writes v then
-            flag
-              (Record.Unknown
-                 (Printf.sprintf "value %d written twice; ambiguous" v))
-          else Record.Itbl.add writes v i
-      | V.Peek (Some v) -> if v = 0 then reads_initial := true
-      | _ ->
+  let reads_initial = ref false and zero_written = ref false in
+  for i = 0 to n - 1 do
+    match Record.tag v i with
+    | Tag.Put ->
+        let c = cls.(i) in
+        if write.(c) >= 0 then
           flag
             (Record.Unknown
-               (Printf.sprintf "observation %s outside register vocabulary"
-                  (V.obs_to_string r.obs))))
-    records;
-  if !bad = None && !reads_initial && Record.Itbl.mem writes 0 then
+               (Printf.sprintf "value %d written twice; ambiguous" v.value.(i)))
+        else begin
+          write.(c) <- i;
+          if v.value.(i) = 0 then zero_written := true
+        end
+    | Tag.Peek -> if v.value.(i) = 0 then reads_initial := true
+    | _ ->
+        flag
+          (Record.Unknown
+             (Printf.sprintf "observation %s outside register vocabulary"
+                (V.obs_to_string (Record.obs v i))))
+  done;
+  if !bad = None && !reads_initial && !zero_written then
     (* reads of 0 could bind to the initial value or to the write *)
     flag (Record.Unknown "value 0 both initial and written; ambiguous");
   match !bad with
   | Some o -> o
   | None -> (
-      let start i = records.(i).Record.start
-      and finish i = records.(i).Record.finish in
-      (* writes sorted by invocation; the table now maps each written
-         value to its position here *)
+      let start i = v.start.(i) and finish i = v.finish.(i) in
+      (* writes sorted by invocation; [write] now maps each class to
+         its write's position here *)
       let ws =
         Record.sorted_ids n
           ~keep:(fun i ->
-            match records.(i).obs with V.Put _ -> true | _ -> false)
+            match Record.tag v i with Tag.Put -> true | _ -> false)
           (fun a b -> Rat.compare (start a) (start b))
       in
       let k = Array.length ws in
-      Array.iteri
-        (fun j w ->
-          match records.(w).obs with
-          | V.Put v -> Record.Itbl.replace writes v j
-          | _ -> ())
-        ws;
+      Array.iteri (fun j w -> write.(cls.(w)) <- j) ws;
       (* [suffix.(i)]: the position in [ws.(i ..)] of the earliest
          response; [-1] past the end *)
       let suffix = Array.make (k + 1) (-1) in
@@ -96,42 +100,44 @@ let check (records : Record.t array) : Record.outcome =
       (* [block.(i)]: the write position of read [i]; [-1] for a read of
          the initial value *)
       let block = Array.make n (-1) in
-      let check_read i (r : Record.t) v =
-        match Record.Itbl.find writes v with
-        | exception Not_found ->
-            if v = 0 then (
+      let check_read r x =
+        match write.(cls.(r)) with
+        | -1 ->
+            if x = 0 then (
               (* initial value: stale iff any write finishes before r starts *)
               let j = suffix.(0) in
-              if j >= 0 && Rat.lt (finish ws.(j)) r.start then
+              if j >= 0 && Rat.lt (finish ws.(j)) (start r) then
                 flag
-                  (Record.violation ~kind ~rule:"register.stale"
-                     [ r; records.(ws.(j)) ]
+                  (Record.violation ~kind ~rule:"register.stale" v
+                     [ r; ws.(j) ]
                      "read of the initial value after a completed write"))
             else
               flag
-                (Record.violation ~kind ~rule:"register.fresh" [ r ]
-                   (Printf.sprintf "read returned %d, never written" v))
+                (Record.violation ~kind ~rule:"register.fresh" v [ r ]
+                   (Printf.sprintf "read returned %d, never written" x))
         | b ->
-            block.(i) <- b;
-            let w = records.(ws.(b)) in
-            if Rat.lt r.finish w.start then
+            block.(r) <- b;
+            let w = ws.(b) in
+            if Rat.lt (finish r) (start w) then
               flag
-                (Record.violation ~kind ~rule:"register.before-write" [ r; w ]
+                (Record.violation ~kind ~rule:"register.before-write" v
+                   [ r; w ]
                    (Printf.sprintf "read returned %d entirely before its write"
-                      v))
+                      x))
             else
-              let j = suffix.(first_invoked_after w.finish) in
-              if j >= 0 && Rat.lt (finish ws.(j)) r.start then
+              let j = suffix.(first_invoked_after (finish w)) in
+              if j >= 0 && Rat.lt (finish ws.(j)) (start r) then
                 flag
-                  (Record.violation ~kind ~rule:"register.stale"
-                     [ r; w; records.(ws.(j)) ]
+                  (Record.violation ~kind ~rule:"register.stale" v
+                     [ r; w; ws.(j) ]
                      (Printf.sprintf "read returned %d after a forced overwrite"
-                        v))
+                        x))
       in
-      Array.iteri
-        (fun i (r : Record.t) ->
-          match r.obs with V.Peek (Some v) -> check_read i r v | _ -> ())
-        records;
+      for i = 0 to n - 1 do
+        match Record.tag v i with
+        | Tag.Peek -> check_read i v.value.(i)
+        | _ -> ()
+      done;
       match !bad with
       | Some o -> o
       | None -> (
@@ -145,7 +151,7 @@ let check (records : Record.t array) : Record.outcome =
           let reads =
             Record.sorted_ids n
               ~keep:(fun i ->
-                match records.(i).obs with V.Peek (Some _) -> true | _ -> false)
+                match Record.tag v i with Tag.Peek -> true | _ -> false)
               (fun a b ->
                 match Int.compare block.(a) block.(b) with
                 | 0 -> Rat.compare (finish a) (finish b)
@@ -165,9 +171,11 @@ let check (records : Record.t array) : Record.outcome =
           in
           let fkey = Array.copy ws and skey = Array.copy ws in
           for b = 0 to k - 1 do
-            reads_of (b + 1) (fun i ->
-                if Rat.lt (finish i) (finish fkey.(b)) then fkey.(b) <- i;
-                if Rat.lt (start skey.(b)) (start i) then skey.(b) <- i)
+            for j = first.(b + 1) to first.(b + 2) - 1 do
+              let i = reads.(j) in
+              if Rat.lt (finish i) (finish fkey.(b)) then fkey.(b) <- i;
+              if Rat.lt (start skey.(b)) (start i) then skey.(b) <- i
+            done
           done;
           let init_ok =
             first.(1) = 0
@@ -181,7 +189,7 @@ let check (records : Record.t array) : Record.outcome =
               "a write block is forced before a read of the initial value"
           else
             match
-              Extension.solve ~records ~m:k
+              Extension.solve v ~m:k
                 ~relations:[ { Extension.f = fkey; s = skey } ]
                 ~edges:(Extension.Edges.create ())
                 (fun a b -> Rat.compare (finish fkey.(a)) (finish fkey.(b)))
@@ -192,7 +200,7 @@ let check (records : Record.t array) : Record.outcome =
             | Some idx ->
                 let out = Array.make n 0 and len = ref 0 in
                 let emit i =
-                  out.(!len) <- records.(i).id;
+                  out.(!len) <- i;
                   incr len
                 in
                 reads_of 0 emit;
@@ -201,4 +209,4 @@ let check (records : Record.t array) : Record.outcome =
                     emit ws.(b);
                     reads_of (b + 1) emit)
                   idx;
-                Record.Order (Array.to_list out)))
+                Record.Order out))

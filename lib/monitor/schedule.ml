@@ -33,8 +33,8 @@ type action = Idle | Insert | Peek | Take | Empty
    classes (every class has a put — the cheap patterns rejected fresh
    observations already). *)
 let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
-  let r = cl.records and take = cl.take in
-  let finish id = r.(id).Record.finish in
+  let start = cl.view.start and take = cl.take in
+  let finish id = cl.view.finish.(id) in
   let m = Array.length order in
   let pos = Array.make cl.count 0 in
   Array.iteri (fun k c -> pos.(c) <- k) order;
@@ -52,7 +52,7 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
       Array.blit cl.phase (first_peek c) peeks peek_at.(k)
         (peek_at.(k + 1) - peek_at.(k)))
     order;
-  Array.stable_sort
+  Record.stable_sort_ints
     (fun a b ->
       match Int.compare pos.(cl.owner.(a)) pos.(cl.owner.(b)) with
       | 0 -> Rat.compare (finish a) (finish b)
@@ -75,7 +75,9 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
       (if k = m - 1 then deadline k else Rat.min sufmin.(k + 1) (deadline k))
   done;
   let empties = Array.copy cl.empties in
-  Array.stable_sort (fun a b -> Rat.compare (finish a) (finish b)) empties;
+  Record.stable_sort_ints
+    (fun a b -> Rat.compare (finish a) (finish b))
+    empties;
   let ne = Array.length empties in
   let total = m + Array.length cl.phase + ne in
   (* the container holds items [cont.(lo) .. cont.(hi - 1)]; for the
@@ -128,7 +130,7 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
   let out = Array.make total 0 in
   let emitted = ref 0 in
   let emit id =
-    out.(!emitted) <- r.(id).Record.id;
+    out.(!emitted) <- id;
     incr emitted
   in
   let next_ins = ref 0 and next_emp = ref 0 in
@@ -166,7 +168,7 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
       match pending with
       | Idle -> if insert_ready then Insert else Idle
       | _ ->
-          if insert_ready && Rat.lt sufmin.(!next_ins) r.(!o).start then
+          if insert_ready && Rat.lt sufmin.(!next_ins) start.(!o) then
             Insert
           else pending
     in
@@ -194,4 +196,4 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
          !emitted total
          (match head () with -1 -> "-" | h -> string_of_int (value h))
          (if !next_ins < m then string_of_int (value !next_ins) else "-"))
-  else Record.Order (Array.to_list out)
+  else Record.Order out

@@ -21,60 +21,66 @@
    and the history goes to Wing-Gong. *)
 
 module V = Spec.Adt_view
+module Tag = Record.Tag
 
 let kind = V.Set
 
+(* One value's operations, as positions. *)
 type value_ops = {
   value : int;
-  mutable add : Record.t option;
-  mutable drops : Record.t list;
-  mutable yes : Record.t list;  (** Has (v, true) *)
-  mutable no : Record.t list;  (** Has (v, false) *)
+  mutable add : int option;
+  mutable drops : int list;
+  mutable yes : int list;  (** Has (v, true) *)
+  mutable no : int list;  (** Has (v, false) *)
 }
 
-(* Virtual linearization point: primary key the rational point, [seq]
-   breaks exact ties in per-value semantic order (false-before /
-   inactive drop, add, true tests, active drop, false-after). *)
-type keyed = { key : Rat.t; seq : int; id : int }
-
-let check (records : Record.t array) : Record.outcome =
+let check (v : Record.view) : Record.outcome =
+  let start i = v.start.(i) and finish i = v.finish.(i) in
   let table : (int, value_ops) Hashtbl.t = Hashtbl.create 97 in
-  let ops_for v =
-    match Hashtbl.find_opt table v with
+  let ops_for x =
+    match Hashtbl.find_opt table x with
     | Some o -> o
     | None ->
-        let o = { value = v; add = None; drops = []; yes = []; no = [] } in
-        Hashtbl.add table v o;
+        let o = { value = x; add = None; drops = []; yes = []; no = [] } in
+        Hashtbl.add table x o;
         o
   in
   let bad = ref None in
   let flag o = if !bad = None then bad := Some o in
-  Array.iter
-    (fun (r : Record.t) ->
-      match r.obs with
-      | V.Put v -> (
-          let o = ops_for v in
-          match o.add with
-          | Some _ ->
-              flag
-                (Record.Unknown
-                   (Printf.sprintf "value %d added twice; ambiguous" v))
-          | None -> o.add <- Some r)
-      | V.Drop v ->
-          let o = ops_for v in
-          o.drops <- r :: o.drops
-      | V.Has (v, b) ->
-          let o = ops_for v in
-          if b then o.yes <- r :: o.yes else o.no <- r :: o.no
-      | _ ->
-          flag
-            (Record.Unknown
-               (Printf.sprintf "observation %s outside set vocabulary"
-                  (V.obs_to_string r.obs))))
-    records;
-  let keyed = ref [] in
-  let emit key seq (r : Record.t) =
-    keyed := { key; seq; id = r.id } :: !keyed
+  for r = 0 to v.n - 1 do
+    let x = v.value.(r) in
+    match Record.tag v r with
+    | Tag.Put -> (
+        let o = ops_for x in
+        match o.add with
+        | Some _ ->
+            flag
+              (Record.Unknown
+                 (Printf.sprintf "value %d added twice; ambiguous" x))
+        | None -> o.add <- Some r)
+    | Tag.Drop ->
+        let o = ops_for x in
+        o.drops <- r :: o.drops
+    | Tag.Has_true ->
+        let o = ops_for x in
+        o.yes <- r :: o.yes
+    | Tag.Has_false ->
+        let o = ops_for x in
+        o.no <- r :: o.no
+    | _ ->
+        flag
+          (Record.Unknown
+             (Printf.sprintf "observation %s outside set vocabulary"
+                (V.obs_to_string (Record.obs v r))))
+  done;
+  (* Virtual linearization points, per operation: primary key the
+     rational point, [seq] breaks exact ties in per-value semantic
+     order (false-before / inactive drop, add, true tests, active drop,
+     false-after), and position breaks the rest. *)
+  let point = Array.make v.n Rat.zero and seq = Array.make v.n 0 in
+  let emit key s r =
+    point.(r) <- key;
+    seq.(r) <- s
   in
   let solve (o : value_ops) =
     if !bad <> None then ()
@@ -85,14 +91,12 @@ let check (records : Record.t array) : Record.outcome =
           match o.yes with
           | t :: _ ->
               flag
-                (Record.violation ~kind ~rule:"set.fresh" [ t ]
+                (Record.violation ~kind ~rule:"set.fresh" v [ t ]
                    (Printf.sprintf
                       "membership of %d observed but value never added"
                       o.value))
           | [] ->
-              List.iter
-                (fun (r : Record.t) -> emit r.start 0 r)
-                (o.drops @ o.no))
+              List.iter (fun r -> emit (start r) 0 r) (o.drops @ o.no))
       | Some add -> (
           let drop =
             match o.drops with
@@ -109,20 +113,20 @@ let check (records : Record.t array) : Record.outcome =
           else begin
             (* necessary patterns first *)
             List.iter
-              (fun (t : Record.t) ->
-                if Rat.lt t.finish add.start then
+              (fun t ->
+                if Rat.lt (finish t) (start add) then
                   flag
-                    (Record.violation ~kind ~rule:"set.before-add" [ t; add ]
+                    (Record.violation ~kind ~rule:"set.before-add" v [ t; add ]
                        (Printf.sprintf
                           "membership of %d observed entirely before its add"
                           o.value))
                 else
                   match drop with
                   | Some d
-                    when Rat.lt add.finish d.start && Rat.lt d.finish t.start
-                    ->
+                    when Rat.lt (finish add) (start d)
+                         && Rat.lt (finish d) (start t) ->
                       flag
-                        (Record.violation ~kind ~rule:"set.after-drop"
+                        (Record.violation ~kind ~rule:"set.after-drop" v
                            [ t; add; d ]
                            (Printf.sprintf
                               "membership of %d observed after a forced \
@@ -131,16 +135,16 @@ let check (records : Record.t array) : Record.outcome =
                   | _ -> ())
               o.yes;
             List.iter
-              (fun (f : Record.t) ->
+              (fun f ->
                 if
-                  Rat.lt add.finish f.start
+                  Rat.lt (finish add) (start f)
                   &&
                   match drop with
                   | None -> true
-                  | Some d -> Rat.lt f.finish d.start
+                  | Some d -> Rat.lt (finish f) (start d)
                 then
                   flag
-                    (Record.violation ~kind ~rule:"set.false-read"
+                    (Record.violation ~kind ~rule:"set.false-read" v
                        ([ f; add ] @ Option.to_list drop)
                        (Printf.sprintf
                           "absence of %d observed while it is forced present"
@@ -149,12 +153,12 @@ let check (records : Record.t array) : Record.outcome =
             if !bad <> None then ()
             else begin
               (* certificate: add early, active drop late *)
-              let pa = add.start in
+              let pa = start add in
               let active =
                 (* a drop finishing before the add can start must be the
                    inactive (no-op, pre-add) kind *)
                 match drop with
-                | Some d when Rat.le pa d.finish -> Some d
+                | Some d when Rat.le pa (finish d) -> Some d
                 | _ -> None
               in
               let inactive =
@@ -162,27 +166,29 @@ let check (records : Record.t array) : Record.outcome =
                 | Some d, None -> Some d
                 | _ -> None
               in
-              let pd = Option.map (fun (d : Record.t) -> d.finish) active in
+              let pd = Option.map finish active in
               let infeasible = ref None in
               let need msg cond = if not cond && !infeasible = None then infeasible := Some msg in
               Option.iter
-                (fun (d : Record.t) ->
-                  need "inactive remove after add" (Rat.le d.start pa))
+                (fun d -> need "inactive remove after add" (Rat.le (start d) pa))
                 inactive;
               List.iter
-                (fun (t : Record.t) ->
+                (fun t ->
                   need "membership test outside presence window"
-                    (Rat.le pa t.finish
+                    (Rat.le pa (finish t)
                     &&
                     match pd with
                     | None -> true
-                    | Some pd -> Rat.le (Rat.max t.start pa) pd))
+                    | Some pd -> Rat.le (Rat.max (start t) pa) pd))
                 o.yes;
               List.iter
-                (fun (f : Record.t) ->
+                (fun f ->
                   need "false test inside presence window"
-                    (Rat.le f.start pa
-                    || match pd with None -> false | Some pd -> Rat.le pd f.finish))
+                    (Rat.le (start f) pa
+                    ||
+                    match pd with
+                    | None -> false
+                    | Some pd -> Rat.le pd (finish f)))
                 o.no;
               match !infeasible with
               | Some msg ->
@@ -190,20 +196,18 @@ let check (records : Record.t array) : Record.outcome =
                     (Record.Unknown
                        (Printf.sprintf "set value %d: %s" o.value msg))
               | None ->
-                  Option.iter (fun (d : Record.t) -> emit d.start 0 d) inactive;
+                  Option.iter (fun d -> emit (start d) 0 d) inactive;
                   emit pa 1 add;
+                  List.iter (fun t -> emit (Rat.max (start t) pa) 2 t) o.yes;
+                  Option.iter (fun d -> emit (finish d) 3 d) active;
                   List.iter
-                    (fun (t : Record.t) -> emit (Rat.max t.start pa) 2 t)
-                    o.yes;
-                  Option.iter (fun (d : Record.t) -> emit d.finish 3 d) active;
-                  List.iter
-                    (fun (f : Record.t) ->
-                      if Rat.le f.start pa then emit f.start 0 f
+                    (fun f ->
+                      if Rat.le (start f) pa then emit (start f) 0 f
                       else
                         emit
                           (match pd with
-                          | Some pd -> Rat.max f.start pd
-                          | None -> f.start)
+                          | Some pd -> Rat.max (start f) pd
+                          | None -> start f)
                           4 f)
                     o.no
             end
@@ -213,14 +217,9 @@ let check (records : Record.t array) : Record.outcome =
   match !bad with
   | Some o -> o
   | None ->
-      let sorted =
-        List.sort
-          (fun a b ->
-            let c = Rat.compare a.key b.key in
-            if c <> 0 then c
-            else
-              let c = compare a.seq b.seq in
-              if c <> 0 then c else compare a.id b.id)
-          !keyed
-      in
-      Order (List.map (fun k -> k.id) sorted)
+      (* every operation has its point: an unplaced one flagged *)
+      Order
+        (Record.sorted_ids v.n (fun a b ->
+             match Rat.compare point.(a) point.(b) with
+             | 0 -> Int.compare seq.(a) seq.(b)
+             | c -> c))

@@ -13,18 +13,18 @@
 
 let kind = Spec.Adt_view.Stack
 
-let check (records : Record.t array) : Record.outcome =
-  match Record.classify ~kind records with
+let check (v : Record.view) : Record.outcome =
+  match Record.classify ~kind v with
   | Error o -> o
   | Ok classes -> (
-      let put c = classes.Record.records.(classes.put.(c)) in
+      let put = classes.Record.put in
       match
         Sweeps.forced_above ~kind ~rule:"stack.lifo-order"
           ~describe:
             (Printf.sprintf
                "value %d observed at the top but value %d is forced above it")
-          ~key:(fun v -> (put v).start)
-          ~threshold:(fun c -> (put c).finish)
+          ~key:(fun u -> v.start.(put.(u)))
+          ~threshold:(fun c -> v.finish.(put.(c)))
           classes
       with
       | Some o -> o

@@ -17,14 +17,14 @@
      latest forced removal per key suffix.
 
    Values are the class numbers of {!Record.classes} and operations
-   their record ids; every ordering is one stable sort of an index
+   their positions; every ordering is one stable sort of an index
    array. *)
 
 (* The classes, stably sorted by the response of their put. *)
 let by_put_finish (cl : Record.classes) =
-  let r = cl.records and put = cl.put in
+  let finish = cl.view.finish and put = cl.put in
   Record.sorted_ids cl.count (fun a b ->
-      Rat.compare r.(put.(a)).finish r.(put.(b)).finish)
+      Rat.compare finish.(put.(a)) finish.(put.(b)))
 
 (* --- queue: FIFO order -------------------------------------------- *)
 
@@ -34,12 +34,13 @@ let by_put_finish (cl : Record.classes) =
    untaken" plus a running max of take starts decides both branches of
    the pattern. *)
 let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
-  let r = cl.records and put = cl.put and take = cl.take in
+  let v = cl.view and put = cl.put and take = cl.take in
+  let start = v.start and finish = v.finish in
   let evidence = Array.init cl.count (Record.phase_first_finish cl) in
   let observed =
     Record.sorted_ids cl.count
       ~keep:(fun c -> evidence.(c) >= 0)
-      (fun a b -> Rat.compare r.(put.(a)).start r.(put.(b)).start)
+      (fun a b -> Rat.compare start.(put.(a)) start.(put.(b)))
   in
   let candidates = by_put_finish cl in
   let nc = Array.length candidates in
@@ -51,30 +52,30 @@ let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
     if k = Array.length observed then None
     else
       let c = observed.(k) in
-      let o = r.(evidence.(c)) in
-      let s_put = r.(put.(c)).start in
-      while !i < nc && Rat.lt r.(put.(candidates.(!i))).finish s_put do
+      let o = evidence.(c) in
+      let s_put = start.(put.(c)) in
+      while !i < nc && Rat.lt finish.(put.(candidates.(!i))) s_put do
         let u = candidates.(!i) in
         (if take.(u) < 0 then (if !untaken < 0 then untaken := u)
          else if
-           !latest < 0 || Rat.lt r.(take.(!latest)).start r.(take.(u)).start
+           !latest < 0 || Rat.lt start.(take.(!latest)) start.(take.(u))
          then latest := u);
         incr i
       done;
       if !untaken >= 0 then
         let u = !untaken in
         Some
-          (Record.violation ~kind ~rule:"queue.fifo-order"
-             [ o; r.(put.(c)); r.(put.(u)) ]
+          (Record.violation ~kind ~rule:"queue.fifo-order" v
+             [ o; put.(c); put.(u) ]
              (Printf.sprintf
                 "value %d observed at the head but value %d is forced ahead \
                  of it and never taken"
                 cl.value.(c) cl.value.(u)))
-      else if !latest >= 0 && Rat.lt o.finish r.(take.(!latest)).start then
+      else if !latest >= 0 && Rat.lt finish.(o) start.(take.(!latest)) then
         let u = !latest in
         Some
-          (Record.violation ~kind ~rule:"queue.fifo-order"
-             [ o; r.(put.(c)); r.(put.(u)); r.(take.(u)) ]
+          (Record.violation ~kind ~rule:"queue.fifo-order" v
+             [ o; put.(c); put.(u); take.(u) ]
              (Printf.sprintf
                 "value %d observed at the head before value %d, forced ahead \
                  of it, could be taken"
@@ -96,17 +97,18 @@ let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
    the class that stays longest (never taken beats any take start). *)
 let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
     Record.outcome option =
-  let r = cl.records and put = cl.put and take = cl.take in
+  let v = cl.view and put = cl.put and take = cl.take in
+  let start = v.start and finish = v.finish in
   (* [better a b]: the class that provably stays longer, [a] on ties *)
   let better a b =
     if b < 0 || take.(a) < 0 then a
     else if take.(b) < 0 then b
-    else if Rat.le r.(take.(b)).start r.(take.(a)).start then a
+    else if Rat.le start.(take.(b)) start.(take.(a)) then a
     else b
   in
   let evidence =
     Record.sorted_ids (Array.length cl.phase) (fun a b ->
-        Rat.compare r.(cl.phase.(a)).start r.(cl.phase.(b)).start)
+        Rat.compare start.(cl.phase.(a)) start.(cl.phase.(b)))
   in
   (* dense ranks, 1-based: equal keys share a rank, and [reps.(q - 1)]
      is one class of rank [q] *)
@@ -157,26 +159,26 @@ let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
   let rec scan k =
     if k = Array.length evidence then None
     else
-      let oi = cl.phase.(evidence.(k)) in
-      let o = r.(oi) and c = cl.owner.(oi) in
-      while !i < nc && Rat.lt r.(put.(candidates.(!i))).finish o.start do
-        let v = candidates.(!i) in
-        update rank.(v) v;
+      let o = cl.phase.(evidence.(k)) in
+      let c = cl.owner.(o) in
+      while !i < nc && Rat.lt finish.(put.(candidates.(!i))) start.(o) do
+        let u = candidates.(!i) in
+        update rank.(u) u;
         incr i
       done;
       let q = rank_above (threshold c) in
-      let v = if q > m then -1 else query_suffix q in
-      if v < 0 || v = c then scan (k + 1)
-      else if take.(v) < 0 then
+      let u = if q > m then -1 else query_suffix q in
+      if u < 0 || u = c then scan (k + 1)
+      else if take.(u) < 0 then
         Some
-          (Record.violation ~kind ~rule
-             [ o; r.(put.(c)); r.(put.(v)) ]
-             (describe cl.value.(c) cl.value.(v) ^ " and never taken"))
-      else if Rat.lt o.finish r.(take.(v)).start then
+          (Record.violation ~kind ~rule v
+             [ o; put.(c); put.(u) ]
+             (describe cl.value.(c) cl.value.(u) ^ " and never taken"))
+      else if Rat.lt finish.(o) start.(take.(u)) then
         Some
-          (Record.violation ~kind ~rule
-             [ o; r.(put.(c)); r.(put.(v)); r.(take.(v)) ]
-             (describe cl.value.(c) cl.value.(v)
+          (Record.violation ~kind ~rule v
+             [ o; put.(c); put.(u); take.(u) ]
+             (describe cl.value.(c) cl.value.(u)
              ^ " until after the observation"))
       else scan (k + 1)
   in
@@ -207,7 +209,8 @@ type order_style =
      happen in insertion order.
    Returns the classes in insertion order. *)
 let value_order ~style (cl : Record.classes) : int array option =
-  let r = cl.records and put = cl.put and take = cl.take in
+  let start = cl.view.start and finish = cl.view.finish in
+  let put = cl.put and take = cl.take in
   let m = cl.count in
   let fp = Array.init m (Record.phase_first_finish cl) in
   let put_order = { Extension.f = put; s = put } in
@@ -220,7 +223,7 @@ let value_order ~style (cl : Record.classes) : int array option =
      skipped, so only values with overlapping puts are scanned — the
      candidate range is bounded by the history's concurrency width. *)
   let residency_edges () =
-    let fe i = r.(put.(i)).finish in
+    let fe i = finish.(put.(i)) in
     let by_fe = Record.sorted_ids m (fun i j -> Rat.compare (fe i) (fe j)) in
     (* first position in [by_fe] with fe >= x *)
     let lower x =
@@ -234,20 +237,20 @@ let value_order ~style (cl : Record.classes) : int array option =
     let edges = Extension.Edges.create () in
     for w = 0 to m - 1 do
       for j = cl.phase_at.(w) to cl.phase_at.(w + 1) - 1 do
-        let o = r.(cl.phase.(j)) in
-        for k = lower r.(put.(w)).start to lower o.start - 1 do
+        let o = cl.phase.(j) in
+        for k = lower start.(put.(w)) to lower start.(o) - 1 do
           let u = by_fe.(k) in
           if
             u <> w
-            && Rat.lt (fe u) o.start
-            && (take.(u) < 0 || Rat.lt o.finish r.(take.(u)).start)
+            && Rat.lt (fe u) start.(o)
+            && (take.(u) < 0 || Rat.lt finish.(o) start.(take.(u)))
           then Extension.Edges.add edges u w
         done
       done
     done;
     edges
   in
-  let finish_of ids i j = Rat.compare r.(ids.(i)).finish r.(ids.(j)).finish in
+  let finish_of ids i j = Rat.compare finish.(ids.(i)) finish.(ids.(j)) in
   let relations, prefer =
     match style with
     | Fifo_order ->
@@ -281,4 +284,4 @@ let value_order ~style (cl : Record.classes) : int array option =
     | Push_order -> residency_edges ()
     | Fifo_order | Prio_order -> Extension.Edges.create ()
   in
-  Extension.solve ~records:r ~m ~relations ~edges prefer
+  Extension.solve cl.view ~m ~relations ~edges prefer

@@ -164,24 +164,25 @@ let codec_round_trips ~count () =
       scenarios;
     count
 
-(* The [repro check] path on one queue history: the records, the
-   queue kernel and the certificate replay of
-   [Monitor.Make(Fifo_queue).check].  The history is generated while
-   preparing, outside the measurement, and holds an empty observation,
-   so the empty-coverage check runs too. *)
-let monitor_queue ~ops () =
-  let module M = Monitor.Make (Spec.Fifo_queue) in
-  let history = M.generate ~seed:3 ~n:ops () in
-  if
-    not
-      (List.exists
-         (fun (o : M.op) -> o.resp = Spec.Fifo_queue.Got None)
-         history)
-  then failwith "monitor bench section: history has no empty observation";
+(* The [repro check] path on one generated history of a monitored
+   type: the columns, the type's kernel and the certificate replay of
+   [Monitor.Make(T).check].  The history is generated while preparing,
+   outside the measurement.  With [empty] it must hold an empty
+   observation, so the empty-coverage check runs too. *)
+let monitor_history data_type ~seed ~ops ~empty () =
+  let module T = (val data_type : Spec.Data_type.S) in
+  let module M = Monitor.Make (T) in
+  let vw = Option.get M.viewer in
+  let history = M.generate ~seed ~n:ops () in
+  let is_empty (o : M.op) =
+    match vw.obs o.inv o.resp with Take None | Peek None -> true | _ -> false
+  in
+  if empty && not (List.exists is_empty history) then
+    failwith "monitor bench section: history has no empty observation";
   fun () ->
     let r = M.check history in
-    if r.method_ <> Monitor.Specialized Spec.Adt_view.Queue then
-      failwith "monitor bench section: queue monitor did not certify";
+    if r.method_ <> Monitor.Specialized vw.kind then
+      failwith "monitor bench section: the kernel did not certify";
     ops
 
 (* The [repro sweep] path: the reference grid (every bundled type x
@@ -269,7 +270,28 @@ let sections =
       description =
         "64 000-operation generated queue history with an empty \
          observation, certified by the queue monitor";
-      prepare = monitor_queue ~ops:64_000;
+      prepare =
+        monitor_history
+          (module Spec.Fifo_queue)
+          ~seed:3 ~ops:64_000 ~empty:true;
+    };
+    {
+      name = "monitor-register-16k";
+      description =
+        "16 000-operation generated register history, certified by the \
+         register monitor";
+      prepare =
+        monitor_history (module Spec.Register) ~seed:3 ~ops:16_000 ~empty:false;
+    };
+    {
+      name = "monitor-pqueue-16k";
+      description =
+        "16 000-operation generated priority-queue history with an empty \
+         observation, certified by the priority-queue monitor";
+      prepare =
+        monitor_history
+          (module Spec.Priority_queue)
+          ~seed:3 ~ops:16_000 ~empty:true;
     };
   ]
 

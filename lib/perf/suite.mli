@@ -40,7 +40,10 @@ val sections : section list
     operations.  ["monitor-queue-64k"]: a
     generated 64 000-operation queue history holding an empty
     observation, certified by [Monitor.Make(Fifo_queue).check]; its
-    events are the operations. *)
+    events are the operations.  ["monitor-register-16k"] and
+    ["monitor-pqueue-16k"]: the same path on a generated 16 000-operation
+    register history and priority-queue history (the latter holding an
+    empty observation), the other two kernels [repro check] runs. *)
 
 val find : string -> section option
 

@@ -281,7 +281,7 @@ module Make (T : Spec.Data_type.S) = struct
     out
 
   let key_orders (cfg : Config.t) ~shard =
-    let out = Array.make cfg.keys [] in
+    let out = Array.make cfg.keys [||] in
     ignore
       (each_key cfg ~shard (fun ~quantum:_ key ops order ->
            out.(key) <- order ops));

@@ -146,10 +146,10 @@ module Make (T : Spec.Data_type.S) : sig
   (** The per-key histories {!run_shard} certifies, indexed by key
       ([[||]] for a key with no completed operation in this shard). *)
 
-  val key_orders : Config.t -> shard:int -> int list array
+  val key_orders : Config.t -> shard:int -> int array array
   (** The order {!run_shard} checks each key against when no monitor
       decides it: the algorithm's own order over that key alone, as
-      positions in the key's {!key_histories} entry ([[]] for a key
+      positions in the key's {!key_histories} entry ([[||]] for a key
       with no completed operation). *)
 
   val runtime_config :

@@ -248,7 +248,7 @@ let test_empty_coverage_reference () =
       add (Take None) (Rat.of_int s) (time s 6)
     done;
     let records = Array.of_list (List.rev !records) in
-    match R.classify ~kind records with
+    match R.classify ~kind (R.of_records records) with
     | Error _ -> Alcotest.failf "seed %d: a well-formed history was flagged" seed
     | Ok cl ->
         let all =
@@ -285,6 +285,24 @@ let test_empty_coverage_reference () =
         | Some _ -> Alcotest.fail "coverage gave a non-violation outcome"
         | None -> ())
   done
+
+(* [Record.stable_sort_ints] is a stable sort: on keys with many ties
+   it orders like [Array.stable_sort], at lengths around its run of 8
+   and its merge widths. *)
+let test_stable_sort () =
+  let rng = Random.State.make [| 0x5047 |] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 20 do
+        let key = Array.init n (fun _ -> Random.State.int rng 7) in
+        let cmp a b = Int.compare key.(a) key.(b) in
+        let ours = Array.init n Fun.id and stdlib = Array.init n Fun.id in
+        Monitor.Record.stable_sort_ints cmp ours;
+        Array.stable_sort cmp stdlib;
+        Alcotest.(check (array int))
+          (Printf.sprintf "%d elements" n) stdlib ours
+      done)
+    [ 0; 1; 7; 8; 9; 16; 17; 100; 1000 ]
 
 (* unmonitored types route to Wing-Gong with a reason *)
 let test_unmonitored_fallback () =
@@ -331,11 +349,11 @@ let verdict (r : MQ.result) = (r.linearizable, r.violation)
 
 (* ---------- the array and list entries agree ---------------------- *)
 
-(* [check] is [check_array] over [Array.of_list]; the array entry
-   builds a list only for Wing-Gong.  Both must return the same result
-   — verdict, method, reasons, witness and linearization — on every
-   path: kernel accept, kernel reject, opaque fallback, unmonitored
-   types, and a supplied order that replays or is refused. *)
+(* [check] is [check_array] over [Array.of_list].  Both must return
+   the same result — verdict, method, reasons, witness and
+   linearization — on every path: kernel accept, kernel reject, opaque
+   fallback, unmonitored types, and a supplied order that replays or
+   is refused. *)
 module Entries (T : Spec.Data_type.S) = struct
   module M = Monitor.Make (T)
 
@@ -345,16 +363,28 @@ module Entries (T : Spec.Data_type.S) = struct
     Alcotest.(check bool) (T.name ^ " " ^ label ^ ": same result") true (l = a);
     l
 
+  (* Every generated history, and its corruption when one exists,
+     labelled; [true] marks a clean one. *)
+  let histories ~seeds ~n =
+    List.concat_map
+      (fun seed ->
+        let clean = M.generate ~seed ~n () in
+        let bad, injected = M.corrupt clean in
+        (Printf.sprintf "seed %d clean" seed, true, clean)
+        ::
+        (if injected then
+           [ (Printf.sprintf "seed %d corrupt" seed, false, bad) ]
+         else []))
+      (List.init seeds Fun.id)
+
   (* Every generated history, and its corruption, on both entries. *)
   let generated ~seeds ~n =
-    for seed = 0 to seeds - 1 do
-      let clean = M.generate ~seed ~n () in
-      let r = agree (Printf.sprintf "seed %d clean" seed) clean in
-      Alcotest.(check bool) "clean accepted" true r.M.linearizable;
-      let bad, injected = M.corrupt clean in
-      if injected then
-        ignore (agree (Printf.sprintf "seed %d corrupt" seed) bad)
-    done
+    List.iter
+      (fun (label, clean, ops) ->
+        let r = agree label ops in
+        if clean then
+          Alcotest.(check bool) "clean accepted" true r.M.linearizable)
+      (histories ~seeds ~n)
 
   (* A sequential history: each operation answered as [T.apply] does,
      one after another; identity is its linearization. *)
@@ -400,7 +430,7 @@ let test_entries_agree () =
   let r = Q.agree "opaque" opaque in
   Alcotest.(check bool) "opaque goes to wing-gong" true
     (r.Q.M.method_ = Monitor.Wing_gong);
-  let identity arr = List.init (Array.length arr) Fun.id in
+  let identity arr = Array.init (Array.length arr) Fun.id in
   let r = Q.agree "opaque, order supplied" ~order:identity opaque in
   Alcotest.(check bool) "opaque order refused" true
     (r.Q.M.order_failure <> None);
@@ -414,11 +444,143 @@ let test_entries_agree () =
     (r.C.M.method_ = Monitor.Protocol_order);
   let r =
     C.agree "unmonitored, order refused"
-      ~order:(fun arr -> List.rev (identity arr))
+      ~order:(fun arr ->
+        let n = Array.length arr in
+        Array.init n (fun i -> n - 1 - i))
       seq
   in
   Alcotest.(check bool) "reversed order refused" true
     (r.C.M.order_failure <> None)
+
+(* ---------- the record adapter and the columnar pipeline agree ---- *)
+
+(* [Monitor.kernel_for] over [record_of] records is what callers that
+   still build records run; [check_array] reads columns.  On every
+   Entries history of each shape both must reach the same kernel
+   outcome: the same certificate positions (or the same refusal of
+   it), the same violation — rule, message, and each culprit's index,
+   process, observation and interval — or the same reason to fall
+   back. *)
+module Adapter (T : Spec.Data_type.S) = struct
+  module E = Entries (T)
+  module M = E.M
+
+  let agree label (ops : M.op list) =
+    let vw = Option.get M.viewer in
+    let name = T.name ^ " " ^ label in
+    let arr = Array.of_list ops in
+    let r = M.check_array arr in
+    let records = Array.mapi (M.record_of vw) arr in
+    if Array.exists (fun (x : Monitor.Record.t) -> x.obs = Opaque) records
+    then
+      (* the pipeline consults no kernel then *)
+      Alcotest.(check (option string))
+        (name ^ ": out of vocabulary")
+        (Some "history contains an observation outside the monitor vocabulary")
+        r.M.fallback
+    else
+      match Monitor.kernel_for vw.kind records with
+      | Monitor.Record.Order o -> (
+          match M.verify_order arr o with
+          | Ok () ->
+              Alcotest.(check bool)
+                (name ^ ": certified by the kernel") true
+                (r.M.method_ = Monitor.Specialized vw.kind
+                && r.M.fallback = None);
+              Alcotest.(check (option (array int)))
+                (name ^ ": same certificate") (Some o) r.M.linearization
+          | Error f ->
+              Alcotest.(check (option string))
+                (name ^ ": same certificate refused")
+                (Some ("certificate " ^ Monitor.order_failure_reason f))
+                r.M.fallback)
+      | Monitor.Record.Violation v ->
+          Alcotest.(check (option string))
+            (name ^ ": same violation")
+            (Some (Monitor.Violation.to_string v))
+            (Option.map Monitor.Violation.to_string r.M.violation);
+          Alcotest.(check bool)
+            (name ^ ": same culprits") true (r.M.violation = Some v)
+      | Monitor.Record.Unknown why ->
+          Alcotest.(check (option string))
+            (name ^ ": same reason to fall back") (Some why) r.M.fallback
+
+  let run () =
+    List.iter
+      (fun (label, _, ops) -> agree label ops)
+      (E.histories ~seeds:8 ~n:14 @ E.histories ~seeds:2 ~n:400);
+    for seed = 0 to 3 do
+      agree (Printf.sprintf "sequential %d" seed) (E.sequential ~seed ~n:12)
+    done
+end
+
+let test_adapter_agrees () =
+  (let module A = Adapter (Spec.Register) in
+   A.run ());
+  (let module A = Adapter (Spec.Fifo_queue) in
+   A.run ());
+  (let module A = Adapter (Spec.Stack_type) in
+   A.run ());
+  (let module A = Adapter (Spec.Set_type) in
+   A.run ());
+  let module A = Adapter (Spec.Priority_queue) in
+  A.run ()
+
+(* ---------- the witness is a verified permutation ----------------- *)
+
+(* On each accept path — kernel certificate, supplied order, Wing-Gong
+   search — the reported witness is history positions: a permutation
+   of the history that the verifier accepts. *)
+let check_witness name (type o) (arr : o array) verify
+    (linearization : int array option) =
+  match linearization with
+  | None -> Alcotest.failf "%s: no witness" name
+  | Some w ->
+      let sorted = Array.copy w in
+      Array.sort Int.compare sorted;
+      Alcotest.(check (array int))
+        (name ^ ": a permutation of the history")
+        (Array.init (Array.length arr) Fun.id)
+        sorted;
+      Alcotest.(check bool)
+        (name ^ ": verified") true
+        (Result.is_ok (verify arr w))
+
+let test_witness_positions () =
+  let path name m expected =
+    Alcotest.(check string) (name ^ ": accept path")
+      (Monitor.method_to_string expected)
+      (Monitor.method_to_string m)
+  in
+  (* kernel *)
+  let ops = MQ.generate ~seed:4 ~n:300 () in
+  let arr = Array.of_list ops in
+  let r = MQ.check_array arr in
+  path "queue" r.MQ.method_ (Monitor.Specialized Spec.Adt_view.Queue);
+  check_witness "queue kernel" arr MQ.verify_order r.MQ.linearization;
+  (* protocol order, then Wing-Gong, on a type no kernel decides *)
+  let module C = Entries (Spec.Counter_type) in
+  let arr = Array.of_list (C.sequential ~seed:3 ~n:10) in
+  let identity arr = Array.init (Array.length arr) Fun.id in
+  let r = C.M.check_array ~order:identity arr in
+  path "counter" r.C.M.method_ Monitor.Protocol_order;
+  check_witness "counter protocol order" arr C.M.verify_order
+    r.C.M.linearization;
+  let r = C.M.check_array arr in
+  path "counter" r.C.M.method_ Monitor.Wing_gong;
+  check_witness "counter wing-gong" arr C.M.verify_order r.C.M.linearization;
+  (* Wing-Gong after the queue kernel gave up on a duplicate insertion *)
+  let arr =
+    Array.of_list
+      [
+        enq ~proc:0 ~s:0 ~e:30 1;
+        enq ~proc:1 ~s:5 ~e:30 1;
+        deq ~proc:0 ~s:40 ~e:50 (Some 1);
+      ]
+  in
+  let r = MQ.check_array arr in
+  path "ambiguous queue" r.MQ.method_ Monitor.Wing_gong;
+  check_witness "queue wing-gong" arr MQ.verify_order r.MQ.linearization
 
 let test_queue_adversarial () =
   (* concurrent enqueues: the dequeue order decides, accept *)
@@ -730,10 +892,15 @@ let () =
             test_drain_cliff;
           Alcotest.test_case "empty coverage matches its definition" `Quick
             test_empty_coverage_reference;
+          Alcotest.test_case "kernel sort is stable" `Quick test_stable_sort;
           Alcotest.test_case "unmonitored type falls back" `Quick
             test_unmonitored_fallback;
           Alcotest.test_case "array and list entries agree" `Quick
             test_entries_agree;
+          Alcotest.test_case "record adapter and columns agree" `Quick
+            test_adapter_agrees;
+          Alcotest.test_case "witness is a verified permutation" `Quick
+            test_witness_positions;
         ] );
       ( "adversarial histories",
         [

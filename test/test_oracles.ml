@@ -125,18 +125,18 @@ let sequential =
   ]
 
 let test_accepts_the_true_order () =
-  match MR.verify_order (Array.of_list sequential) [ 0; 1; 2 ] with
-  | Ok lin -> Alcotest.(check int) "whole history" 3 (List.length lin)
+  match MR.verify_order (Array.of_list sequential) [| 0; 1; 2 |] with
+  | Ok () -> ()
   | Error _ -> Alcotest.fail "the real-time order was refused"
 
 let test_dropped () =
-  refused "index dropped" sequential [ 0; 2 ] (Monitor.Dropped 1)
+  refused "index dropped" sequential [| 0; 2 |] (Monitor.Dropped 1)
 
 let test_duplicated () =
-  refused "index duplicated" sequential [ 0; 1; 1; 2 ] (Monitor.Duplicated 1)
+  refused "index duplicated" sequential [| 0; 1; 1; 2 |] (Monitor.Duplicated 1)
 
 let test_out_of_range () =
-  refused "index out of range" sequential [ 0; 1; 3 ] (Monitor.Out_of_range 3)
+  refused "index out of range" sequential [| 0; 1; 3 |] (Monitor.Out_of_range 3)
 
 (* Two reads of the initial value, the first responding before the
    second is invoked: swapping them still replays, so only the
@@ -144,7 +144,7 @@ let test_out_of_range () =
 let test_swapped () =
   refused "real-time pair swapped"
     [ op 0 R.Read (R.Value 0) 0 1; op 1 R.Read (R.Value 0) 2 3 ]
-    [ 1; 0 ]
+    [| 1; 0 |]
     (Monitor.Real_time_inversion { first = 1; second = 0 })
 
 (* The read returns the first write's value after the second write:
@@ -156,9 +156,9 @@ let test_replay () =
       (fun i o -> if i = 2 then { o with Sim.Trace.resp = R.Value v } else o)
       sequential
   in
-  refused "response does not replay" (read 1) [ 0; 1; 2 ]
+  refused "response does not replay" (read 1) [| 0; 1; 2 |]
     (Monitor.Replay_mismatch { op = 2; overtook = Some 1 });
-  refused "response no prefix explains" (read 7) [ 0; 1; 2 ]
+  refused "response no prefix explains" (read 7) [| 0; 1; 2 |]
     (Monitor.Replay_mismatch { op = 2; overtook = None })
 
 let () =

@@ -316,8 +316,8 @@ module Key_local (T : Spec.Data_type.S) = struct
       let restricted = Array.make cfg.keys [] in
       List.iter
         (fun i -> restricted.(key i) <- pos.(i) :: restricted.(key i))
-        (List.rev (order ops));
-      let key_local = S.key_orders cfg ~shard in
+        (List.rev (Array.to_list (order ops)));
+      let key_local = Array.map Array.to_list (S.key_orders cfg ~shard) in
       Alcotest.(check bool)
         (name shard ^ ": several keys ordered")
         true
