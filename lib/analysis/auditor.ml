@@ -40,21 +40,14 @@ let target (type s i r) name
         M.run ~extra ());
   }
 
-let tree_extra =
-  Spec.Tree_type.
-    [
-      [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 0); Insert (5, 0) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 1); Insert (5, 2) ];
-    ]
-
 let targets =
   [
     target "register" (module Spec.Register) [];
     target "rmw-register" (module Spec.Rmw_register) [];
     target "queue" (module Spec.Fifo_queue) [];
     target "stack" (module Spec.Stack_type) [];
-    target "tree" (module Spec.Tree_type) tree_extra;
+    target "tree" (module Spec.Tree_type)
+      Spec.Tree_type.classification_contexts;
     target "set" (module Spec.Set_type) [];
     target "counter" (module Spec.Counter_type) [];
     target "priority-queue" (module Spec.Priority_queue) [];

@@ -55,20 +55,7 @@ type binding = {
   verdicts : verdicts option;
       (** [None] for the class-level summary table, whose rows name
           operation classes rather than operations of one type *)
-  aliases : (string * string) list;
-      (** table row name -> spec operation name, e.g.
-          ["read-modify-write" -> "rmw"] *)
 }
-
-(* The deep tree contexts the tree searches need as witnesses (same
-   shapes the classification tests use). *)
-let tree_extra =
-  Spec.Tree_type.
-    [
-      [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 0); Insert (5, 0) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 1); Insert (5, 2) ];
-    ]
 
 let bindings () =
   [
@@ -76,32 +63,31 @@ let bindings () =
       label = "table1-rmw-register";
       table_of = Bounds.Tables.rmw_register;
       verdicts = Some (verdicts_of (Packed ((module Spec.Rmw_register), [])));
-      aliases = [ ("read-modify-write", "rmw") ];
     };
     {
       label = "table2-queue";
       table_of = Bounds.Tables.queue;
       verdicts = Some (verdicts_of (Packed ((module Spec.Fifo_queue), [])));
-      aliases = [];
     };
     {
       label = "table3-stack";
       table_of = Bounds.Tables.stack;
       verdicts = Some (verdicts_of (Packed ((module Spec.Stack_type), [])));
-      aliases = [];
     };
     {
       label = "table4-tree";
       table_of = Bounds.Tables.tree;
       verdicts =
-        Some (verdicts_of (Packed ((module Spec.Tree_type), tree_extra)));
-      aliases = [];
+        Some
+          (verdicts_of
+             (Packed
+                ( (module Spec.Tree_type),
+                  Spec.Tree_type.classification_contexts )));
     };
     {
       label = "table5-summary";
       table_of = Bounds.Tables.summary;
       verdicts = None;
-      aliases = [];
     };
   ]
 
@@ -126,14 +112,6 @@ let default_grid () =
         [ optimal_eps; u ])
     shapes
 
-let resolve aliases name =
-  Option.value (List.assoc_opt name aliases) ~default:name
-
-let row_ops aliases operation =
-  String.split_on_char '+' operation
-  |> List.map String.trim
-  |> List.map (resolve aliases)
-
 let precondition_findings b =
   match b.verdicts with
   | None -> []
@@ -149,7 +127,13 @@ let precondition_findings b =
           | None -> []
           | Some lb -> (
               let subject = b.label ^ "/" ^ row.operation in
-              let ops = row_ops b.aliases row.operation in
+              let ops =
+                List.filter_map
+                  (function
+                    | Bounds.Tables.Op op -> Some op
+                    | Bounds.Tables.Class _ -> None)
+                  row.measures
+              in
               let verdict_and_hypothesis =
                 match (lb.source, ops) with
                 | "Thm. 2", [ op ] ->

@@ -16,7 +16,11 @@ module Make (T : Spec.Data_type.S) = struct
   module Algo = Core.Wtlw.Make (T)
   module Checker = Lin.Checker.Make (T)
 
+  type trace = (Algo.msg, T.invocation, T.response) Sim.Trace.t
+
   type outcome = {
+    base : trace;
+    shifted : trace;
     base_linearizable : bool;
     shifted_admissible : bool;
     shifted_linearizable : bool;
@@ -24,7 +28,7 @@ module Make (T : Spec.Data_type.S) = struct
   }
 
   (* Run the algorithm under pair-wise uniform delays [matrix] with the
-     given invocation schedule, then shift by [x]. *)
+     given invocation schedule, then shift by [shift]. *)
   let run_and_shift ~(model : Sim.Model.t) ~x_param ~offsets ~matrix ~shift
       schedule =
     let cluster =
@@ -39,6 +43,8 @@ module Make (T : Spec.Data_type.S) = struct
     let shifted = Shifting.shift_trace trace shift in
     let shifted_offsets = Shifting.shifted_offsets offsets shift in
     {
+      base = trace;
+      shifted;
       base_linearizable = Checker.trace_linearizable trace;
       shifted_admissible =
         Sim.Trace.delays_admissible model shifted

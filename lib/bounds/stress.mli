@@ -7,7 +7,12 @@
     admissible it must still be linearizable. *)
 
 module Make (T : Spec.Data_type.S) : sig
+  type trace =
+    (Core.Wtlw.Make(T).msg, T.invocation, T.response) Sim.Trace.t
+
   type outcome = {
+    base : trace;  (** the run of Algorithm 1 *)
+    shifted : trace;  (** [base] shifted by the proof's vector *)
     base_linearizable : bool;
     shifted_admissible : bool;
     shifted_linearizable : bool;
@@ -17,6 +22,19 @@ module Make (T : Spec.Data_type.S) : sig
   val ok : outcome -> bool
   (** Base run linearizable, and the shifted run linearizable whenever
       it is admissible. *)
+
+  val run_and_shift :
+    model:Sim.Model.t ->
+    x_param:Rat.t ->
+    offsets:Rat.t array ->
+    matrix:Rat.t array array ->
+    shift:Rat.t array ->
+    T.invocation Core.Workload.entry list ->
+    outcome
+  (** Run Algorithm 1 at [x_param] under the pair-wise uniform delays
+      [matrix] with the given invocation schedule, then shift the run by
+      [shift].  Every scenario below is one call; a zero [shift] just
+      runs the schedule. *)
 
   val theorem2 :
     model:Sim.Model.t ->

@@ -14,8 +14,15 @@ type bound = {
   source : string;  (** e.g. ["Thm. 3"] or a citation key *)
 }
 
+(* What a row bounds, as the operations (Tables 1-4, by the data
+   type's operation names) or classes (Table 5) whose worst-case
+   latencies it is measured by: one for a single operation, two for a
+   sum. *)
+type measure = Op of string | Class of Spec.Op_kind.t
+
 type row = {
   operation : string;
+  measures : measure list;
   prev_lb : bound option;
   new_lb : bound option;
   new_ub : bound;
@@ -25,237 +32,161 @@ type table = { title : string; rows : row list }
 
 let bound ~formula ~value ~source = { formula; value; source }
 
-let make_bounds (model : Sim.Model.t) ~x =
+(* The lower and upper bounds the tables cite, at one model point. *)
+type bounds = {
+  lb_aop : bound;
+  lb_ls : bound;
+  lb_pf : bound;
+  lb_sum : bound;
+  ub_aop : bound;
+  ub_mop : bound;
+  ub_oop : bound;
+  ub_sum : bound;
+}
+
+let bounds (model : Sim.Model.t) ~x =
   let open Theorems in
-  let lb_accessor () =
-    bound ~formula:"u/4" ~value:(thm2_pure_accessor model) ~source:"Thm. 2"
-  in
-  let lb_last_sensitive () =
-    bound ~formula:"(1-1/n)u" ~value:(thm3_last_sensitive model)
-      ~source:"Thm. 3"
-  in
-  let lb_pair_free () =
-    bound ~formula:"d+min{eps,u,d/3}" ~value:(thm4_pair_free model)
-      ~source:"Thm. 4"
-  in
-  let lb_sum () =
-    bound ~formula:"d+min{eps,u,d/3}" ~value:(thm5_sum model) ~source:"Thm. 5"
-  in
-  let ub_aop () =
+  {
+    lb_aop =
+      bound ~formula:"u/4" ~value:(thm2_pure_accessor model) ~source:"Thm. 2";
+    lb_ls =
+      bound ~formula:"(1-1/n)u" ~value:(thm3_last_sensitive model)
+        ~source:"Thm. 3";
+    lb_pf =
+      bound ~formula:"d+min{eps,u,d/3}" ~value:(thm4_pair_free model)
+        ~source:"Thm. 4";
+    lb_sum =
+      bound ~formula:"d+min{eps,u,d/3}" ~value:(thm5_sum model)
+        ~source:"Thm. 5";
     (* The paper claims d - X; the repaired algorithm needs d - X + eps
        (see Theorems.ub_pure_accessor_paper and EXPERIMENTS.md). *)
-    bound ~formula:"d-X+eps" ~value:(ub_pure_accessor model ~x)
-      ~source:"Alg. 1 repaired"
-  in
-  let ub_mop () =
-    bound ~formula:"X+eps" ~value:(ub_pure_mutator model ~x) ~source:"Alg. 1"
-  in
-  let ub_oop () =
-    bound ~formula:"d+eps" ~value:(ub_mixed model) ~source:"Alg. 1"
-  in
-  let ub_sum_mixed () =
-    (* A mixed operation plus anything it dominates: Algorithm 1's
-       worst single-operation time. *)
-    bound ~formula:"d+eps" ~value:(ub_mixed model) ~source:"Alg. 1"
-  in
-  let prev name value = Some (bound ~formula:name ~value ~source:"prior") in
-  ( lb_accessor,
-    lb_last_sensitive,
-    lb_pair_free,
-    lb_sum,
-    ub_aop,
-    ub_mop,
-    ub_oop,
-    ub_sum_mixed,
-    prev )
+    ub_aop =
+      bound ~formula:"d-X+eps" ~value:(ub_pure_accessor model ~x)
+        ~source:"Alg. 1 repaired";
+    ub_mop =
+      bound ~formula:"X+eps" ~value:(ub_pure_mutator model ~x)
+        ~source:"Alg. 1";
+    ub_oop = bound ~formula:"d+eps" ~value:(ub_mixed model) ~source:"Alg. 1";
+    (* A sum row adds a mutator's and an accessor's latency, and the
+       repaired algorithm bounds the two by (X+eps) + (d-X+eps). *)
+    ub_sum =
+      bound ~formula:"d+2eps"
+        ~value:(Rat.add (ub_pure_mutator model ~x) (ub_pure_accessor model ~x))
+        ~source:"Alg. 1 repaired";
+  }
+
+let prior name value = Some (bound ~formula:name ~value ~source:"prior")
+
+let row ?prev_lb ?new_lb ~new_ub operation measures =
+  { operation; measures; prev_lb; new_lb; new_ub }
 
 (* Table 1: Read/Write/Read-Modify-Write registers. *)
 let rmw_register (model : Sim.Model.t) ~x =
-  let ( lb_aop, lb_ls, lb_pf, _lb_sum, ub_aop, ub_mop, ub_oop, ub_sum, prev )
-      =
-    make_bounds model ~x
-  in
+  let b = bounds model ~x in
   {
     title = "Table 1: Read/Write/Read-Modify-Write registers";
     rows =
       [
-        {
-          operation = "read-modify-write";
-          prev_lb = prev "d [Kosa]" (Theorems.prior_d model);
-          new_lb = Some (lb_pf ());
-          new_ub = ub_oop ();
-        };
-        {
-          operation = "write";
-          prev_lb = prev "u/2 [AW]" (Theorems.prior_half_u model);
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "read";
-          prev_lb = prev "u/4 [AW]" (Theorems.prior_read model);
-          new_lb = Some (lb_aop ());
-          new_ub = ub_aop ();
-        };
-        {
-          operation = "write + read";
-          prev_lb = prev "d [LS]" (Theorems.prior_sum_d model);
-          new_lb = None;
-          new_ub = ub_sum ();
-        };
+        row "read-modify-write" [ Op "rmw" ]
+          ?prev_lb:(prior "d [Kosa]" (Theorems.prior_d model))
+          ~new_lb:b.lb_pf ~new_ub:b.ub_oop;
+        row "write" [ Op "write" ]
+          ?prev_lb:(prior "u/2 [AW]" (Theorems.prior_half_u model))
+          ~new_lb:b.lb_ls ~new_ub:b.ub_mop;
+        row "read" [ Op "read" ]
+          ?prev_lb:(prior "u/4 [AW]" (Theorems.prior_read model))
+          ~new_lb:b.lb_aop ~new_ub:b.ub_aop;
+        row "write + read" [ Op "write"; Op "read" ]
+          ?prev_lb:(prior "d [LS]" (Theorems.prior_sum_d model))
+          ~new_ub:b.ub_sum;
       ];
   }
 
 (* Table 2: FIFO queues. *)
 let queue (model : Sim.Model.t) ~x =
-  let lb_aop, lb_ls, lb_pf, lb_sum, ub_aop, ub_mop, ub_oop, ub_sum, prev =
-    make_bounds model ~x
-  in
+  let b = bounds model ~x in
   {
     title = "Table 2: FIFO queues";
     rows =
       [
-        {
-          operation = "enqueue";
-          prev_lb = prev "u/2 [AW]" (Theorems.prior_half_u model);
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "dequeue";
-          prev_lb = prev "d [AW]" (Theorems.prior_d model);
-          new_lb = Some (lb_pf ());
-          new_ub = ub_oop ();
-        };
-        {
-          operation = "peek";
-          prev_lb = None;
-          new_lb = Some (lb_aop ());
-          new_ub = ub_aop ();
-        };
-        {
-          operation = "enqueue + peek";
-          prev_lb = prev "d [Kosa]" (Theorems.prior_sum_d model);
-          new_lb = Some (lb_sum ());
-          new_ub = ub_sum ();
-        };
+        row "enqueue" [ Op "enqueue" ]
+          ?prev_lb:(prior "u/2 [AW]" (Theorems.prior_half_u model))
+          ~new_lb:b.lb_ls ~new_ub:b.ub_mop;
+        row "dequeue" [ Op "dequeue" ]
+          ?prev_lb:(prior "d [AW]" (Theorems.prior_d model))
+          ~new_lb:b.lb_pf ~new_ub:b.ub_oop;
+        row "peek" [ Op "peek" ] ~new_lb:b.lb_aop ~new_ub:b.ub_aop;
+        row "enqueue + peek" [ Op "enqueue"; Op "peek" ]
+          ?prev_lb:(prior "d [Kosa]" (Theorems.prior_sum_d model))
+          ~new_lb:b.lb_sum ~new_ub:b.ub_sum;
       ];
   }
 
 (* Table 3: stacks. *)
 let stack (model : Sim.Model.t) ~x =
-  let lb_aop, lb_ls, lb_pf, _lb_sum, ub_aop, ub_mop, ub_oop, ub_sum, prev =
-    make_bounds model ~x
-  in
+  let b = bounds model ~x in
   {
     title = "Table 3: stacks";
     rows =
       [
-        {
-          operation = "push";
-          prev_lb = prev "u/2 [AW]" (Theorems.prior_half_u model);
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "pop";
-          prev_lb = prev "d [AW]" (Theorems.prior_d model);
-          new_lb = Some (lb_pf ());
-          new_ub = ub_oop ();
-        };
-        {
-          operation = "peek";
-          prev_lb = None;
-          new_lb = Some (lb_aop ());
-          new_ub = ub_aop ();
-        };
-        {
-          (* Theorem 5 does NOT apply to push+peek (a peek depends only
-             on the last push); only the prior d bound remains. *)
-          operation = "push + peek";
-          prev_lb = prev "d [Kosa]" (Theorems.prior_sum_d model);
-          new_lb = None;
-          new_ub = ub_sum ();
-        };
+        row "push" [ Op "push" ]
+          ?prev_lb:(prior "u/2 [AW]" (Theorems.prior_half_u model))
+          ~new_lb:b.lb_ls ~new_ub:b.ub_mop;
+        row "pop" [ Op "pop" ]
+          ?prev_lb:(prior "d [AW]" (Theorems.prior_d model))
+          ~new_lb:b.lb_pf ~new_ub:b.ub_oop;
+        row "peek" [ Op "peek" ] ~new_lb:b.lb_aop ~new_ub:b.ub_aop;
+        (* Theorem 5 does NOT apply to push+peek (a peek depends only
+           on the last push); only the prior d bound remains. *)
+        row "push + peek" [ Op "push"; Op "peek" ]
+          ?prev_lb:(prior "d [Kosa]" (Theorems.prior_sum_d model))
+          ~new_ub:b.ub_sum;
       ];
   }
 
 (* Table 4: simple rooted trees. *)
 let tree (model : Sim.Model.t) ~x =
-  let lb_aop, lb_ls, _lb_pf, lb_sum, ub_aop, ub_mop, _ub_oop, ub_sum, prev =
-    make_bounds model ~x
-  in
+  let b = bounds model ~x in
   {
     title = "Table 4: simple rooted trees";
     rows =
       [
-        {
-          operation = "insert";
-          prev_lb = prev "u/2 [Kosa]" (Theorems.prior_half_u model);
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "delete";
-          prev_lb = prev "u/2 [Kosa]" (Theorems.prior_half_u model);
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "depth";
-          prev_lb = None;
-          new_lb = Some (lb_aop ());
-          new_ub = ub_aop ();
-        };
-        {
-          operation = "insert + depth";
-          prev_lb = prev "d [Kosa]" (Theorems.prior_sum_d model);
-          new_lb = Some (lb_sum ());
-          new_ub = ub_sum ();
-        };
-        {
-          operation = "delete + depth";
-          prev_lb = prev "d [Kosa]" (Theorems.prior_sum_d model);
-          new_lb = Some (lb_sum ());
-          new_ub = ub_sum ();
-        };
+        row "insert" [ Op "insert" ]
+          ?prev_lb:(prior "u/2 [Kosa]" (Theorems.prior_half_u model))
+          ~new_lb:b.lb_ls ~new_ub:b.ub_mop;
+        row "delete" [ Op "delete" ]
+          ?prev_lb:(prior "u/2 [Kosa]" (Theorems.prior_half_u model))
+          ~new_lb:b.lb_ls ~new_ub:b.ub_mop;
+        row "depth" [ Op "depth" ] ~new_lb:b.lb_aop ~new_ub:b.ub_aop;
+        row "insert + depth" [ Op "insert"; Op "depth" ]
+          ?prev_lb:(prior "d [Kosa]" (Theorems.prior_sum_d model))
+          ~new_lb:b.lb_sum ~new_ub:b.ub_sum;
+        row "delete + depth" [ Op "delete"; Op "depth" ]
+          ?prev_lb:(prior "d [Kosa]" (Theorems.prior_sum_d model))
+          ~new_lb:b.lb_sum ~new_ub:b.ub_sum;
       ];
   }
 
-(* Table 5: the summary by operation class (§6.1). *)
+(* Table 5: the summary by operation class (§6.1).  Every pure mutator
+   of Tables 1-4 is last-sensitive and every mixed operation pair-free,
+   so the classes' worst cases measure these rows. *)
 let summary (model : Sim.Model.t) ~x =
-  let lb_aop, lb_ls, lb_pf, lb_sum, ub_aop, ub_mop, ub_oop, ub_sum, _prev =
-    make_bounds model ~x
-  in
+  let b = bounds model ~x in
   {
     title = "Table 5: summary by operation class";
     rows =
-      [
-        {
-          operation = "pure accessor";
-          prev_lb = None;
-          new_lb = Some (lb_aop ());
-          new_ub = ub_aop ();
-        };
-        {
-          operation = "last-sensitive mutator";
-          prev_lb = None;
-          new_lb = Some (lb_ls ());
-          new_ub = ub_mop ();
-        };
-        {
-          operation = "pair-free operation";
-          prev_lb = None;
-          new_lb = Some (lb_pf ());
-          new_ub = ub_oop ();
-        };
-        {
-          operation = "transposable + discriminating accessor (sum)";
-          prev_lb = None;
-          new_lb = Some (lb_sum ());
-          new_ub = ub_sum ();
-        };
-      ];
+      Spec.Op_kind.
+        [
+          row "pure accessor" [ Class Pure_accessor ] ~new_lb:b.lb_aop
+            ~new_ub:b.ub_aop;
+          row "last-sensitive mutator" [ Class Pure_mutator ] ~new_lb:b.lb_ls
+            ~new_ub:b.ub_mop;
+          row "pair-free operation" [ Class Mixed ] ~new_lb:b.lb_pf
+            ~new_ub:b.ub_oop;
+          row "transposable + discriminating accessor (sum)"
+            [ Class Pure_mutator; Class Pure_accessor ]
+            ~new_lb:b.lb_sum ~new_ub:b.ub_sum;
+        ];
   }
 
 let all (model : Sim.Model.t) ~x =
@@ -268,9 +199,7 @@ let all (model : Sim.Model.t) ~x =
   ]
 
 (* Every row must be internally consistent: the new lower bound is at
-   least the previous one, and at most the upper bound (for single
-   operations; sum rows compare against the sum of the relevant upper
-   bounds, which the caller checks separately). *)
+   least the previous one, and at most the upper bound. *)
 let row_consistent row =
   let lb_le_ub =
     match row.new_lb with
@@ -285,20 +214,8 @@ let row_consistent row =
   lb_le_ub && improves
 
 let pp_bound ppf = function
-  | None -> Format.fprintf ppf "%-28s" "-"
+  | None -> Format.fprintf ppf "%-30s" "-"
   | Some b ->
-      Format.fprintf ppf "%-28s"
+      Format.fprintf ppf "%-30s"
         (Printf.sprintf "%s = %s (%s)" b.formula (Rat.to_string b.value)
            b.source)
-
-let pp_table ppf t =
-  Format.fprintf ppf "@[<v>%s@," t.title;
-  Format.fprintf ppf "%-46s | %-28s | %-28s | %-28s@," "Operation"
-    "Previous LB" "New LB" "New UB";
-  Format.fprintf ppf "%s@," (String.make 140 '-');
-  List.iter
-    (fun row ->
-      Format.fprintf ppf "%-46s | %a | %a | %a@," row.operation pp_bound
-        row.prev_lb pp_bound row.new_lb pp_bound (Some row.new_ub))
-    t.rows;
-  Format.fprintf ppf "@]"

@@ -8,8 +8,16 @@ type bound = {
   source : string;  (** e.g. ["Thm. 3"] *)
 }
 
+(** What a row's latency is measured by: a data type's operation
+    (Tables 1-4, by its spec name, e.g. ["rmw"] for the
+    read-modify-write row) or an operation class (Table 5). *)
+type measure = Op of string | Class of Spec.Op_kind.t
+
 type row = {
   operation : string;
+  measures : measure list;
+      (** one for a single-operation row; two for a sum row, whose
+          measured latency is the sum of the two worst cases *)
   prev_lb : bound option;
   new_lb : bound option;
   new_ub : bound;
@@ -39,4 +47,6 @@ val all : Sim.Model.t -> x:Rat.t -> table list
 val row_consistent : row -> bool
 (** New LB >= previous LB, and new LB <= new UB. *)
 
-val pp_table : Format.formatter -> table -> unit
+val pp_bound : Format.formatter -> bound option -> unit
+(** ["formula = value (source)"] padded to 30 columns, or ["-"] for
+    [None]: one cell of a printed table. *)

@@ -12,28 +12,42 @@
 type log = int list array
 
 module Make (T : Spec.Data_type.S) = struct
+  (* [op] numbers the invoking process's operations from 1, so that a
+     duplicated request is applied once and a duplicated reply is
+     delivered once. *)
   type msg =
-    | Request of { inv : T.invocation }
-    | Reply of { resp : T.response }
+    | Request of { inv : T.invocation; op : int }
+    | Reply of { resp : T.response; op : int }
 
   type tag = unit (* the centralized algorithm sets no timers *)
 
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   (* The single authoritative copy held at the coordinator, and its
-     apply log under the keys [key_of] names. *)
+     apply log under the keys [key_of] names.  [served.(p)] is the
+     number of [p]'s last applied operation (coordinator side);
+     [client.(p)] is the number of [p]'s pending operation, or minus
+     the number of its last completed one (process [p]'s side). *)
   type hub = {
     mutable master : T.state;
     key_of : T.invocation -> int;
     mutable applied : log;
+    served : int array;
+    client : int array;
   }
 
   type t = { engine : engine; hub : hub }
 
   let coordinator = 0
 
-  let fresh_hub ?(key_of = fun _ -> 0) () =
-    { master = T.initial; key_of; applied = [||] }
+  let fresh_hub ?(key_of = fun _ -> 0) ~n () =
+    {
+      master = T.initial;
+      key_of;
+      applied = [||];
+      served = Array.make n 0;
+      client = Array.make n 0;
+    }
 
   let protocol hub =
     let apply_master ~proc inv =
@@ -52,21 +66,32 @@ module Make (T : Spec.Data_type.S) = struct
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
       if ctx.self = coordinator then
         ctx.respond (apply_master ~proc:coordinator inv)
-      else ctx.send ~dst:coordinator (Request { inv })
+      else begin
+        let op = 1 + abs hub.client.(ctx.self) in
+        hub.client.(ctx.self) <- op;
+        ctx.send ~dst:coordinator (Request { inv; op })
+      end
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src msg =
       match msg with
-      | Request { inv } ->
+      | Request { inv; op } ->
           assert (ctx.self = coordinator);
-          ctx.send ~dst:src (Reply { resp = apply_master ~proc:src inv })
-      | Reply { resp } -> ctx.respond resp
+          if op > hub.served.(src) then begin
+            hub.served.(src) <- op;
+            ctx.send ~dst:src (Reply { resp = apply_master ~proc:src inv; op })
+          end
+      | Reply { resp; op } ->
+          if op = hub.client.(ctx.self) then begin
+            hub.client.(ctx.self) <- -op;
+            ctx.respond resp
+          end
     in
     let on_timer _ctx (() : tag) = assert false (* no timers are set *) in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
   let create ?retain_events ?faults ~(model : Sim.Model.t) ~offsets ~delay ()
       =
-    let hub = fresh_hub () in
+    let hub = fresh_hub ~n:model.n () in
     let engine =
       Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
         ~handlers:(protocol hub) ()
@@ -79,8 +104,7 @@ module Make (T : Spec.Data_type.S) = struct
   (* A process has at most one operation pending, so the [k]-th apply
      on [key] on behalf of process [p] is [p]'s [k]-th invocation on
      [key].  An apply with no completed operation to match (its reply
-     never arrived) is skipped; a duplicated request shifts the match,
-     which the checker then refuses. *)
+     never arrived) is skipped. *)
   let linearization (applied : log) ~key
       (ops : (T.invocation, T.response) Sim.Trace.operation array) =
     let procs =

@@ -2,9 +2,12 @@
 
     Every invocation is forwarded to the distinguished process [p_0],
     which applies it to the single authoritative copy in arrival order
-    and replies.  Linearization order = application order at [p_0];
-    each operation takes up to [2d] (request + reply), and operations
-    invoked at [p_0] itself are free. *)
+    and replies.  Requests and replies carry the invoking process's
+    operation number: a duplicated request is applied once, and a
+    reply that is not for the pending operation is dropped.
+    Linearization order = application order at [p_0]; each operation
+    takes up to [2d] (request + reply), and operations invoked at
+    [p_0] itself are free. *)
 
 type log
 (** The coordinator's apply log: for each key, the process each apply
@@ -24,11 +27,11 @@ module Make (T : Spec.Data_type.S) : sig
   val coordinator : int
   (** Process id of the distinguished process (0). *)
 
-  val fresh_hub : ?key_of:(T.invocation -> int) -> unit -> hub
-  (** [key_of] (default: every invocation on key 0) names the key, a
-      non-negative int, each apply is logged under, so that the order
-      of one key's operations can be read without the others
-      ({!linearization}). *)
+  val fresh_hub : ?key_of:(T.invocation -> int) -> n:int -> unit -> hub
+  (** A hub for [n] processes.  [key_of] (default: every invocation on
+      key 0) names the key, a non-negative int, each apply is logged
+      under, so that the order of one key's operations can be read
+      without the others ({!linearization}). *)
 
   val protocol : hub -> (msg, tag, T.invocation, T.response) Sim.Engine.handlers
   (** The algorithm's handler triple over [hub], decoupled from engine

@@ -591,7 +591,8 @@ module Make (T : Spec.Data_type.S) = struct
           (Wtlw_impl.protocol ~timing:timing_q states)
     | Centralized, _ ->
         let hub =
-          Centralized_impl.fresh_hub ?key_of:(Option.map fst handover) ()
+          Centralized_impl.fresh_hub ?key_of:(Option.map fst handover)
+            ~n:judged.n ()
         in
         finish
           ~order:(fun ~offsets:_ ~per:_ ->

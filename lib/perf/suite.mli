@@ -18,9 +18,11 @@ val sections : section list
 (** ["rat-kernel"]: tight rational-arithmetic loop over the small
     fractions simulation time is made of.  ["engine-queue-8k"]: the
     8000-operation closed-loop FIFO-queue workload (4 processes,
-    optimal-epsilon model) — the same shape as the streaming bench in
-    [bench/main.ml].  ["load-shard-4k"]: the [repro load] pipeline at
-    bench scale — a 4000-operation diurnal Zipf stream over 4
+    optimal-epsilon model, seed 9, think time 1/2) with event retention
+    off, as every [Runtime] pipeline runs it; DESIGN.md §4d keeps the
+    last retained-vs-streamed comparison of this run.
+    ["load-shard-4k"]: the [repro load] pipeline at bench scale — a
+    4000-operation diurnal Zipf stream over 4
     FIFO-queue shards, certified per key, run inline on one domain.
     ["load-tree-4k"]: the same stream over 4 rooted-tree shards, a type
     no kernel decides, so every key is certified by the algorithm's

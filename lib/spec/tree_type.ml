@@ -126,6 +126,13 @@ let sample_invocations = function
   | "last-removed" -> [ Last_removed ]
   | op -> invalid_arg ("rooted-tree: unknown operation " ^ op)
 
+let classification_contexts =
+  [
+    [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];
+    [ Insert (1, 0); Insert (2, 0); Insert (3, 0); Insert (5, 0) ];
+    [ Insert (1, 0); Insert (2, 0); Insert (3, 1); Insert (5, 2) ];
+  ]
+
 let gen_invocation rng =
   match Random.State.int rng 5 with
   | 0 | 1 ->

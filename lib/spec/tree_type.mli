@@ -23,6 +23,13 @@ val root : int
 val depth : state -> int -> int option
 (** Depth of a node ([root] has depth 0); [None] if absent. *)
 
+val classification_contexts : invocation list list
+(** The deep contexts the classification search needs as witnesses and
+    its random pool may miss: a chain (parents at distinct depths, for
+    insert's last-sensitivity), a star of independent siblings (for
+    delete's), and a mixed shape.  Every caller that classifies the
+    tree passes these as its extra contexts. *)
+
 include
   Data_type.S
     with type state := state

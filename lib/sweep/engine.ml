@@ -468,3 +468,129 @@ let robustness ?(jobs = 1) ?should_stop ~model ~x ~seed types =
          | Pool.Failed msg -> aborted msg
          | Pool.Skipped -> aborted "skipped")
        results)
+
+(* ---------- the paper's tables, measured ---------- *)
+
+type measured_row = {
+  row : Bounds.Tables.row;
+  alg1 : Rat.t option;
+  centralized : Rat.t option;
+  tob : Rat.t option;
+  within : bool;
+}
+
+type measured_table = {
+  table : Bounds.Tables.table;
+  measured : measured_row list;
+}
+
+(* Tables 1-4 with the type each one measures, in paper order. *)
+let table_types =
+  [
+    ("rmw-register", Bounds.Tables.rmw_register);
+    ("queue", Bounds.Tables.queue);
+    ("stack", Bounds.Tables.stack);
+    ("tree", Bounds.Tables.tree);
+  ]
+
+let wtlw_at (model : Sim.Model.t) ~x =
+  let range = Rat.sub model.d model.eps in
+  Wtlw { frac = (if Rat.sign range = 0 then Rat.zero else Rat.div x range) }
+
+(* Algorithm 1 at [x] and both baselines on the tables' types, under
+   random delays and the all-max / all-min schedules that realize the
+   worst cases. *)
+let tables_grid model ~x =
+  {
+    default_grid with
+    types =
+      List.filter_map (fun (k, _) -> Scenario.Packed_type.find k) table_types;
+    algos = [ wtlw_at model ~x; Centralized; Tob ];
+    points = [ model ];
+    delays = [ Random_delays; Max_delays; Min_delays ];
+    legs = [ Raw ];
+    seeds = [ 10; 11 ];
+    per_proc = 8;
+  }
+
+let measure_tables model ~x =
+  let tables =
+    List.map (fun (dt, table) -> (dt, table model ~x)) table_types
+    @ [ ("", Bounds.Tables.summary model ~x) ]
+  in
+  let t = run (tables_grid model ~x) in
+  (* Worst case per (algorithm, type, measure); a class is measured
+     over every type, under the type "". *)
+  let worst = Hashtbl.create 64 in
+  let absorb key (s : Metrics.summary) =
+    Hashtbl.replace worst key
+      (Option.fold ~none:s.max ~some:(Rat.max s.max)
+         (Hashtbl.find_opt worst key))
+  in
+  let failure = ref None in
+  Array.iteri
+    (fun i (c : cell) ->
+      let algo = algo_label c.algo in
+      match t.results.(i) with
+      | Pool.Done v ->
+          let dt = Scenario.Packed_type.key c.dt in
+          List.iter
+            (fun (op, s) -> absorb (algo, dt, Bounds.Tables.Op op) s)
+            v.by_op;
+          List.iter
+            (fun (k, s) -> absorb (algo, "", Bounds.Tables.Class k) s)
+            v.by_kind
+      | Pool.Failed msg ->
+          if Option.is_none !failure then
+            failure := Some (t.keys.(i) ^ ": " ^ msg)
+      | Pool.Skipped -> ())
+    t.cells;
+  (* A row's worst case under [algo]: its one measure's, or the sum of
+     its two. *)
+  let value algo dt (row : Bounds.Tables.row) =
+    List.fold_left
+      (fun acc m ->
+        match (acc, Hashtbl.find_opt worst (algo_label algo, dt, m)) with
+        | Some total, Some w -> Some (Rat.add total w)
+        | _ -> None)
+      (Some Rat.zero) row.measures
+  in
+  let measure (dt, (table : Bounds.Tables.table)) =
+    let measure_row (row : Bounds.Tables.row) =
+      let alg1 = value (wtlw_at model ~x) dt row in
+      let within v =
+        Rat.le v row.new_ub.value
+        &&
+        match row.new_lb with None -> true | Some lb -> Rat.ge v lb.value
+      in
+      {
+        row;
+        alg1;
+        centralized = value Centralized dt row;
+        tob = value Tob dt row;
+        within = Option.fold ~none:true ~some:within alg1;
+      }
+    in
+    { table; measured = List.map measure_row table.rows }
+  in
+  match !failure with
+  | Some msg -> Error msg
+  | None -> Ok (List.map measure tables)
+
+let pp_measured_table ppf { table; measured } =
+  let value = Option.fold ~none:"-" ~some:Rat.to_string in
+  Format.fprintf ppf
+    "@[<v>%s@,%-46s | %-30s | %-30s | %-30s | %-6s | %-6s | %-6s | %s@,%s"
+    table.title "Operation" "Previous LB" "New LB" "New UB" "Alg. 1" "centr."
+    "TOB" "LB <= Alg. 1 <= UB" (String.make 196 '-');
+  List.iter
+    (fun m ->
+      Format.fprintf ppf "@,%-46s | %a | %a | %a | %-6s | %-6s | %-6s | %s"
+        m.row.operation Bounds.Tables.pp_bound m.row.prev_lb
+        Bounds.Tables.pp_bound m.row.new_lb Bounds.Tables.pp_bound
+        (Some m.row.new_ub) (value m.alg1) (value m.centralized) (value m.tob)
+        (match m.alg1 with
+        | None -> "-"
+        | Some _ -> if m.within then "ok" else "VIOLATION"))
+    measured;
+  Format.fprintf ppf "@]"

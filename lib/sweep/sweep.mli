@@ -237,6 +237,39 @@ module Spool : sig
       with a stale input fingerprint). *)
 end
 
+(** {1 The paper's tables, measured} *)
+
+(** A bound-table row beside the worst case each algorithm reached. *)
+type measured_row = {
+  row : Bounds.Tables.row;
+  alg1 : Rat.t option;
+      (** Algorithm 1's worst case over the row's measures (their sum
+          for a sum row); [None] if a measure never completed *)
+  centralized : Rat.t option;  (** the centralized baseline's *)
+  tob : Rat.t option;  (** the total-order-broadcast baseline's *)
+  within : bool;  (** new LB <= [alg1] <= new UB; [true] if unmeasured *)
+}
+
+type measured_table = {
+  table : Bounds.Tables.table;
+  measured : measured_row list;  (** one per row, in order *)
+}
+
+val measure_tables :
+  Sim.Model.t -> x:Rat.t -> (measured_table list, string) result
+(** Tables 1-5 at [model] and [x], each row measured by one campaign:
+    rmw-register, queue, stack and tree x Algorithm 1 at [x],
+    centralized and TOB x random, all-max and all-min delays x seeds
+    10 and 11, 8 operations per process, raw channel, one domain.
+    Tables 1-4 take each operation's worst case on their type; Table 5
+    takes each class's worst case over all four types.  [Error] names
+    the first cell that failed.
+    @raise Rat.Overflow if the bound formulas leave [Rat]'s range. *)
+
+val pp_measured_table : Format.formatter -> measured_table -> unit
+(** The table's bounds, the three algorithms' worst cases and the
+    verdict on Algorithm 1's, one line per row. *)
+
 (** {1 Robustness matrix} *)
 
 val robustness :

@@ -129,11 +129,7 @@ let () =
                ~expect_thm4:1 ~expect_thm5:0);
           Alcotest.test_case "tree" `Quick
             (check_type "tree" (module Spec.Tree_type)
-               Spec.Tree_type.
-                 [
-                   [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];
-                   [ Insert (1, 0); Insert (2, 0); Insert (3, 0); Insert (5, 0) ];
-                 ]
+               Spec.Tree_type.classification_contexts
                (* insert and delete are last-sensitive: 2 ops x 3 z *)
                ~expect_thm3:6 ~expect_thm4:0
                (* insert+depth and delete+depth; last-removed reveals

@@ -70,15 +70,7 @@ end
 module Tree_case = struct
   include Spec.Tree_type
 
-  (* Deterministic witnesses: a chain (parents at distinct depths, for
-     insert's last-sensitivity) and a star of independent siblings (for
-     delete's). *)
-  let extra_contexts =
-    [
-      [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 0); Insert (5, 0) ];
-      [ Insert (1, 0); Insert (2, 0); Insert (3, 1); Insert (5, 2) ];
-    ]
+  let extra_contexts = classification_contexts
 end
 
 module Set_case = struct

@@ -384,6 +384,37 @@ let test_unrepresentable_horizon_named () =
   Alcotest.(check int) "no raw constructor in the json" 0
     (occurrences json "Invalid_argument(")
 
+(* Without the reliable channel the network can deliver a request or a
+   reply twice.  The centralized coordinator must apply each operation
+   once and a client must drop a reply that is not for its pending
+   operation: before, a duplicated reply completed an operation that
+   was no longer pending, and the shard failed as an invalid run. *)
+let test_centralized_duplicates () =
+  let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  List.iter
+    (fun key ->
+      let t =
+        Shard.run
+          (Shard.Config.make ~keys:64 ~zipf:1.0
+             ~faults:
+               (Sim.Fault.plan
+                  [ Sim.Fault.drops 0.05; Sim.Fault.duplicates 0.02 ])
+             ~seed:1 ~shards:4 ~ops:3_000
+             ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+             ~model ~algorithm:Core.Runtime.Centralized ())
+          (Option.get (Sweep.Packed_type.find key))
+      in
+      Alcotest.(check bool)
+        (key ^ ": duplicates injected") true (t.faults.duplicated > 0);
+      Array.iteri
+        (fun i -> function
+          | Sweep.Pool.Done _ -> ()
+          | Sweep.Pool.Failed msg ->
+              Alcotest.failf "%s shard %d: FAILED %s" key i msg
+          | Sweep.Pool.Skipped -> Alcotest.failf "%s shard %d: skipped" key i)
+        t.reports)
+    [ "tree"; "queue"; "register" ]
+
 let () =
   Alcotest.run "shard"
     [
@@ -409,5 +440,7 @@ let () =
             Key_local_tree.test;
           Alcotest.test_case "unrepresentable horizon named per shard" `Quick
             test_unrepresentable_horizon_named;
+          Alcotest.test_case "centralized survives duplicates" `Quick
+            test_centralized_duplicates;
         ] );
     ]

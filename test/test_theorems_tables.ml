@@ -120,8 +120,10 @@ let test_table_values_spotcheck () =
 
 let test_table_rendering () =
   let rendered =
-    Format.asprintf "%a" Bounds.Tables.pp_table
-      (Bounds.Tables.queue model ~x)
+    match Sweep.measure_tables model ~x with
+    | Ok (_ :: queue :: _) -> Format.asprintf "%a" Sweep.pp_measured_table queue
+    | Ok _ -> Alcotest.fail "fewer than two tables"
+    | Error msg -> Alcotest.fail msg
   in
   List.iter
     (fun needle ->
@@ -135,7 +137,68 @@ let test_table_rendering () =
       Alcotest.(check bool)
         (Printf.sprintf "output mentions %S" needle)
         true (contains rendered needle))
-    [ "enqueue"; "dequeue"; "peek"; "Thm. 3"; "Thm. 4"; "Thm. 5"; "(1-1/n)u" ]
+    [
+      "Table 2: FIFO queues"; "enqueue"; "dequeue"; "peek"; "Thm. 3"; "Thm. 4";
+      "Thm. 5"; "(1-1/n)u"; "d+2eps"; "| ok";
+    ]
+
+(* A sum row adds a mutator's latency (X + eps) to an accessor's
+   (d - X + eps): the repaired algorithm's bound is d + 2eps whatever X
+   is, not the single-operation d + eps. *)
+let test_sum_rows_bound () =
+  List.iter
+    (fun (t : Bounds.Tables.table) ->
+      List.iter
+        (fun (r : Bounds.Tables.row) ->
+          if List.length r.measures = 2 then begin
+            eq (t.title ^ " / " ^ r.operation ^ " UB") "18" r.new_ub.value;
+            Alcotest.(check string)
+              (r.operation ^ " formula") "d+2eps" r.new_ub.formula;
+            Alcotest.(check string)
+              (r.operation ^ " source") "Alg. 1 repaired" r.new_ub.source
+          end)
+        t.rows)
+    (Bounds.Tables.all model ~x)
+
+(* [repro tables] at the reference point n = 4, d = 12, u = 4, eps = 3,
+   X = 3: every row's worst case, for Algorithm 1 and both baselines,
+   and every verdict. *)
+let test_measured_reference () =
+  let tables =
+    match Sweep.measure_tables model ~x:(rat 3 1) with
+    | Ok tables -> tables
+    | Error msg -> Alcotest.fail msg
+  in
+  let show = Option.fold ~none:"-" ~some:Rat.to_string in
+  let expected =
+    [
+      ("Table 1", [ "15"; "6"; "12"; "18" ]);
+      ("Table 2", [ "6"; "15"; "12"; "18" ]);
+      ("Table 3", [ "6"; "15"; "12"; "18" ]);
+      ("Table 4", [ "6"; "6"; "12"; "18"; "18" ]);
+      ("Table 5", [ "12"; "6"; "15"; "18" ]);
+    ]
+  in
+  Alcotest.(check int) "five tables" 5 (List.length tables);
+  List.iter2
+    (fun (prefix, alg1) (t : Sweep.measured_table) ->
+      Alcotest.(check string)
+        "table order" prefix
+        (String.sub t.table.title 0 7);
+      Alcotest.(check (list string))
+        (prefix ^ " Algorithm 1") alg1
+        (List.map (fun (m : Sweep.measured_row) -> show m.alg1) t.measured);
+      List.iter
+        (fun (m : Sweep.measured_row) ->
+          let label = prefix ^ " / " ^ m.row.operation in
+          let sum = List.length m.row.measures = 2 in
+          Alcotest.(check bool) (label ^ " within bounds") true m.within;
+          Alcotest.(check string) (label ^ " centralized")
+            (if sum then "48" else "24") (show m.centralized);
+          Alcotest.(check string) (label ^ " TOB")
+            (if sum then "30" else "15") (show m.tob))
+        t.measured)
+    expected tables
 
 (* Property: for random admissible parameter settings, every generated
    table row stays internally consistent. *)
@@ -171,6 +234,9 @@ let () =
           Alcotest.test_case "value spot checks" `Quick
             test_table_values_spotcheck;
           Alcotest.test_case "rendering" `Quick test_table_rendering;
+          Alcotest.test_case "sum rows bound d+2eps" `Quick test_sum_rows_bound;
+          Alcotest.test_case "measured at the reference point" `Quick
+            test_measured_reference;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_tables_consistent ] );
