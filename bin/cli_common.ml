@@ -99,12 +99,23 @@ let model_and_x n d u eps x =
 
 (* ---------------- seeds and budgets ---------------- *)
 
+(* A count flag: a negative value is refused by name before anything
+   runs. *)
+let non_negative =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+        Error (`Msg (Printf.sprintf "%d is negative; expected a count >= 0" n))
+    | parsed -> parsed
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let ops_arg =
   Arg.(
-    value & opt int 10
+    value & opt non_negative 10
     & info [ "ops" ] ~docv:"K" ~doc:"Operations per process (closed loop).")
 
 let jobs_arg =

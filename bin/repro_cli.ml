@@ -290,7 +290,7 @@ let load_cmd =
 let check_cmd =
   let count_arg =
     Arg.(
-      value & opt int 10_000
+      value & opt non_negative 10_000
       & info [ "n"; "ops" ] ~docv:"OPS"
           ~doc:"Number of operations in the generated history.")
   in
@@ -414,29 +414,14 @@ let check_cmd =
 
 (* ---------------- classify ---------------- *)
 
-let classify (type s i r)
-    (module T : Spec.Data_type.S
-      with type state = s
-       and type invocation = i
-       and type response = r) (extra : i list list) =
-  let module C = Spec.Classify.Make (T) in
-  let u = C.default_universe ~extra () in
-  Format.printf "%s:@." T.name;
-  List.iter
-    (fun report -> Format.printf "  %a@." Spec.Classify.pp_op_report report)
-    (C.report u)
-
 let classify_cmd =
   let run pt =
-    (* The tree needs handcrafted contexts for witnesses the random
-       pool may miss; every other type classifies from the default
-       universe of its packed module. *)
-    (match Sweep.Packed_type.key pt with
-    | "tree" ->
-        classify (module Spec.Tree_type) Spec.Tree_type.classification_contexts
-    | _ ->
-        let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
-        classify (module T) []);
+    let (module T : Spec.Data_type.S) = Sweep.Packed_type.modl pt in
+    let module C = Spec.Classify.Make (T) in
+    Format.printf "%s:@." T.name;
+    List.iter
+      (fun report -> Format.printf "  %a@." Spec.Classify.pp_op_report report)
+      (C.report (C.default_universe ()));
     `Ok ()
   in
   Cmd.v
@@ -470,21 +455,22 @@ let analyze_cmd =
       & info [ "type"; "t" ] ~docv:"TYPE"
           ~doc:
             (Printf.sprintf "Audit a single data type; one of %s."
-               (String.concat ", " Analysis.Auditor.target_names)))
+               (String.concat ", " Sweep.Packed_type.keys)))
   in
   let run all json dtype =
     let audited =
       match (all, dtype) with
       | false, Some name -> (
-          match Analysis.Auditor.find_target name with
-          | Some t ->
+          match Sweep.Packed_type.find name with
+          | Some pt ->
               Ok
-                ( Analysis.Report.of_findings (Analysis.Auditor.audit_target t),
+                ( Analysis.Report.of_findings
+                    (Analysis.Auditor.audit (Sweep.Packed_type.modl pt)),
                   name )
           | None ->
               Error
                 (Printf.sprintf "unknown data type %S; known: %s" name
-                   (String.concat ", " Analysis.Auditor.target_names)))
+                   (String.concat ", " Sweep.Packed_type.keys)))
       | _, _ -> Ok (Analysis.Auditor.audit_all (), "all data types + bound tables")
     in
     match audited with
@@ -857,7 +843,7 @@ let sweep_cmd =
   in
   let sweep_ops_arg =
     Arg.(
-      value & opt int 2
+      value & opt non_negative 2
       & info [ "ops" ] ~docv:"K"
           ~doc:"Operations per process in each cell (closed loop).")
   in
@@ -1390,7 +1376,7 @@ let scenario_run_cmd =
 let scenario_gen_cmd =
   let count_arg =
     Arg.(
-      value & opt int 1
+      value & opt non_negative 1
       & info [ "count" ] ~docv:"N"
           ~doc:"Generate $(docv) scenarios, from consecutive seeds.")
   in

@@ -1,35 +1,14 @@
 (** Top-level driver over all passes and all bundled data types. *)
 
-type target = {
-  name : string;
-  spec_lint : unit -> Diagnostic.t list;
-  class_audit : unit -> Diagnostic.t list;
-  monitor_audit : unit -> Diagnostic.t list;
-}
-
-val target :
-  string ->
-  (module Spec.Data_type.S
-     with type state = 's
-      and type invocation = 'i
-      and type response = 'r) ->
-  'i list list ->
-  target
-(** Pack any data type (with extra search contexts) for auditing —
-    user-supplied specs can be audited the same way as the bundled
-    ones. *)
-
-val targets : target list
-(** The ten bundled data types, including the register × queue
-    product. *)
-
-val target_names : string list
-val find_target : string -> target option
-
-val audit_target : target -> Diagnostic.t list
-(** spec_lint + class_audit + monitor_audit for one data type. *)
+val audit : (module Spec.Data_type.S) -> Diagnostic.t list
+(** spec_lint + class_audit + monitor_audit for one data type.  A
+    user-supplied spec is audited the same way as the bundled ones, by
+    passing its first-class module; its own [classification_contexts]
+    join the classification searches. *)
 
 val audit_types : unit -> Diagnostic.t list
+(** {!audit} over every entry of [Scenario.Packed_type.all], in
+    order. *)
 
 val audit_all : unit -> Report.t
 (** Everything: all types plus the bound-table audit. *)

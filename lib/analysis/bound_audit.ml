@@ -28,18 +28,9 @@ type verdicts = {
   thm5 : op:string -> aop:string -> bool;
 }
 
-type packed_spec =
-  | Packed :
-      (module Spec.Data_type.S
-         with type state = 's
-          and type invocation = 'i
-          and type response = 'r)
-      * 'i list list
-      -> packed_spec
-
-let verdicts_of (Packed ((module T), extra)) =
+let verdicts_of (module T : Spec.Data_type.S) =
   let module C = Spec.Classify.Make (T) in
-  let u = C.default_universe ~extra () in
+  let u = C.default_universe () in
   {
     pure_accessor =
       (fun op -> C.discovered_kind u op = Some Spec.Op_kind.Pure_accessor);
@@ -57,46 +48,32 @@ type binding = {
           operation classes rather than operations of one type *)
 }
 
+(* Tables 1-4 against the bundled type each one names, then the
+   class-level Table 5. *)
 let bindings () =
-  [
-    {
-      label = "table1-rmw-register";
-      table_of = Bounds.Tables.rmw_register;
-      verdicts = Some (verdicts_of (Packed ((module Spec.Rmw_register), [])));
-    };
-    {
-      label = "table2-queue";
-      table_of = Bounds.Tables.queue;
-      verdicts = Some (verdicts_of (Packed ((module Spec.Fifo_queue), [])));
-    };
-    {
-      label = "table3-stack";
-      table_of = Bounds.Tables.stack;
-      verdicts = Some (verdicts_of (Packed ((module Spec.Stack_type), [])));
-    };
-    {
-      label = "table4-tree";
-      table_of = Bounds.Tables.tree;
-      verdicts =
-        Some
-          (verdicts_of
-             (Packed
-                ( (module Spec.Tree_type),
-                  Spec.Tree_type.classification_contexts )));
-    };
-    {
-      label = "table5-summary";
-      table_of = Bounds.Tables.summary;
-      verdicts = None;
-    };
-  ]
+  List.mapi
+    (fun i (key, table_of) ->
+      let pt = Option.get (Scenario.Packed_type.find key) in
+      {
+        label = Printf.sprintf "table%d-%s" (i + 1) key;
+        table_of;
+        verdicts = Some (verdicts_of (Scenario.Packed_type.modl pt));
+      })
+    Bounds.Tables.by_type
+  @ [
+      {
+        label = "table5-summary";
+        table_of = Bounds.Tables.summary;
+        verdicts = None;
+      };
+    ]
 
 (* Grid of audited model parameters.  eps stays at or above the
    synchronization-achievable optimum (1 - 1/n)u: the lower-bound
    theorems quantify over systems whose clocks are actually
    synchronizable to eps, and below that the shifting arguments (and
    hence the table rows) do not apply. *)
-let default_grid () =
+let grid () =
   let shapes = [ (2, 12, 4); (3, 12, 4); (5, 12, 4); (3, 10, 10); (4, 30, 1) ] in
   List.concat_map
     (fun (n, d, u) ->
@@ -218,8 +195,8 @@ let consistency_findings b (model, x) =
       lb_gt_ub @ regression)
     table.rows
 
-let run ?(grid = default_grid ()) () =
-  let bindings = bindings () in
+let run () =
+  let bindings = bindings () and grid = grid () in
   let preconditions = List.concat_map precondition_findings bindings in
   let consistency =
     List.concat_map

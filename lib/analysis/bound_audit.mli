@@ -7,8 +7,7 @@
     (errors), [bounds.unknown-source] (warning),
     [bounds.precondition-ok] and [bounds.audited] (info). *)
 
-val default_grid : unit -> (Sim.Model.t * Rat.t) list
-(** Model shapes [(n, d, u)] crossed with eps in
-    [{(1-1/n)u, u}] and X in [{0, (d-eps)/2, d-eps}]. *)
-
-val run : ?grid:(Sim.Model.t * Rat.t) list -> unit -> Diagnostic.t list
+val run : unit -> Diagnostic.t list
+(** Both families of checks over the grid of model shapes [(n, d, u)]
+    crossed with eps in [{(1-1/n)u, u}] and X in
+    [{0, (d-eps)/2, d-eps}]. *)

@@ -117,7 +117,7 @@ module Make (T : Spec.Data_type.S) = struct
         ls @ pf)
       (C.report u)
 
-  let run ?(extra = []) () =
-    let u = C.default_universe ~extra () in
+  let run () =
+    let u = C.default_universe () in
     List.concat_map (audit_op u) T.operations @ containment_findings u
 end

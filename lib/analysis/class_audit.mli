@@ -8,7 +8,7 @@
     paper's Figure 11 containments), [class.verified] (info). *)
 
 module Make (T : Spec.Data_type.S) : sig
-  val run : ?extra:T.invocation list list -> unit -> Diagnostic.t list
-  (** [extra] supplies handcrafted context sequences for witnesses the
-      default universe may miss (e.g. deep tree shapes). *)
+  val run : unit -> Diagnostic.t list
+  (** Searches [Spec.Classify]'s default universe, which includes the
+      type's own [T.classification_contexts]. *)
 end

@@ -179,7 +179,7 @@ module Make (T : Spec.Data_type.S) = struct
     | Some drop -> check "removal (drop)" (drop 1) ~mutator:true ~pure:false
     | None -> []
 
-  let run ?(extra = []) () =
+  let run () =
     match T.monitor with
     | None ->
         [
@@ -188,7 +188,7 @@ module Make (T : Spec.Data_type.S) = struct
              checked by Wing-Gong";
         ]
     | Some vw -> (
-        let u = C.default_universe ~extra () in
+        let u = C.default_universe () in
         match discipline_findings vw @ classify_findings u vw with
         | [] ->
             [

@@ -11,7 +11,7 @@
     [monitor.verified] (info). *)
 
 module Make (T : Spec.Data_type.S) : sig
-  val run : ?extra:T.invocation list list -> unit -> Diagnostic.t list
-  (** [extra] feeds additional context sequences to the classification
-      universe, exactly as in {!Class_audit}. *)
+  val run : unit -> Diagnostic.t list
+  (** Searches [Spec.Classify]'s default universe, which includes the
+      type's own [T.classification_contexts]. *)
 end

@@ -189,14 +189,16 @@ let summary (model : Sim.Model.t) ~x =
         ];
   }
 
-let all (model : Sim.Model.t) ~x =
+let by_type =
   [
-    rmw_register model ~x;
-    queue model ~x;
-    stack model ~x;
-    tree model ~x;
-    summary model ~x;
+    ("rmw-register", rmw_register);
+    ("queue", queue);
+    ("stack", stack);
+    ("tree", tree);
   ]
+
+let all (model : Sim.Model.t) ~x =
+  List.map (fun (_, table) -> table model ~x) by_type @ [ summary model ~x ]
 
 (* Every row must be internally consistent: the new lower bound is at
    least the previous one, and at most the upper bound. *)

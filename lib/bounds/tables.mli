@@ -41,6 +41,13 @@ val tree : Sim.Model.t -> x:Rat.t -> table
 val summary : Sim.Model.t -> x:Rat.t -> table
 (** Table 5: bounds by operation class. *)
 
+val by_type : (string * (Sim.Model.t -> x:Rat.t -> table)) list
+(** Tables 1-4, in paper order, each with the key of the bundled data
+    type whose operations its rows name (["rmw-register"], ["queue"],
+    ["stack"], ["tree"]): the static auditor checks each row's theorem
+    against that type's classification, and [repro tables] measures
+    that type. *)
+
 val all : Sim.Model.t -> x:Rat.t -> table list
 (** All five, in paper order. *)
 

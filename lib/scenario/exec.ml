@@ -185,6 +185,8 @@ module Run (T : Spec.Data_type.S) = struct
             entries (Ok [])
         in
         Ok (R.Schedule entries)
+    | Closed_loop { per_proc; _ } when per_proc < 0 ->
+        Error (Printf.sprintf "closed-loop per_proc %d is negative" per_proc)
     | Closed_loop { per_proc; think } ->
         Ok (R.Closed_loop { per_proc; think; seed = s.seed })
     | Generated { arrival; zipf; keys; ops } -> (

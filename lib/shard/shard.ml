@@ -437,7 +437,11 @@ let budget_diagnostic (key, nodes) =
   Printf.sprintf "node budget exhausted on key %d after %d nodes" key nodes
 
 (* A shard's verdict.  A shard whose only uncertified keys ran out of
-   node budget is undecided, not a violation. *)
+   node budget is undecided, not a violation.  Nor is a failed key a
+   violation when the run left operations pending: the per-key checkers
+   judge completed operations only, and a pending one (its reply
+   dropped, say) may have taken effect that a completed read observed;
+   such a shard is flagged. *)
 let verdict (r : shard_report) =
   if r.certified then "certified"
   else if r.linearizable then "flagged"
@@ -446,6 +450,7 @@ let verdict (r : shard_report) =
       (fun k -> List.mem_assoc k r.budget_exhausted)
       r.uncertified_keys
   then "undecided"
+  else if r.pending > 0 then "flagged"
   else "VIOLATION"
 
 let hist_str h =

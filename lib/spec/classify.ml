@@ -47,10 +47,9 @@ module Make (T : Data_type.S) = struct
 
   (* Empty context, all length-<=2 sequences over a trimmed sample pool,
      plus random sequences: enough to exhibit the witnesses for every
-     property of the bundled data types, and extensible via [extra] for
-     handcrafted contexts. *)
-  let default_universe ?(extra = []) ?(depth = 5) ?(count = 60)
-      ?(seed = 0xC1A55) () =
+     property of the bundled data types, together with the handcrafted
+     contexts each type declares. *)
+  let default_universe () =
     let take k l = List.filteri (fun i _ -> i < k) l in
     let pool =
       List.concat_map (fun (op, _) -> take 3 (T.sample_invocations op))
@@ -60,13 +59,13 @@ module Make (T : Data_type.S) = struct
     let len2 =
       List.concat_map (fun i -> List.map (fun j -> [ i; j ]) pool) pool
     in
-    let rng = Random.State.make [| seed |] in
+    let rng = Random.State.make [| 0xC1A55 |] in
     let random_context _ =
-      let len = 1 + Random.State.int rng depth in
+      let len = 1 + Random.State.int rng 5 in
       List.init len (fun _ -> T.gen_invocation rng)
     in
-    let randoms = List.init count random_context in
-    { contexts = (([] :: len1) @ len2) @ randoms @ extra }
+    let randoms = List.init 60 random_context in
+    { contexts = (([] :: len1) @ len2) @ randoms @ T.classification_contexts }
 
   (* Materialize a context: its reached state. Contexts built from
      invocation lists are always legal (state-based semantics). *)

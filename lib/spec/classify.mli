@@ -30,16 +30,11 @@ module Make (T : Data_type.S) : sig
       framework). *)
   type universe = { contexts : T.invocation list list }
 
-  val default_universe :
-    ?extra:T.invocation list list ->
-    ?depth:int ->
-    ?count:int ->
-    ?seed:int ->
-    unit ->
-    universe
-  (** Empty context, all short sequences over a trimmed sample pool,
-      [count] random sequences of length up to [depth], plus [extra]
-      handcrafted contexts for witnesses the random pool may miss. *)
+  val default_universe : unit -> universe
+  (** Empty context, all short sequences over a trimmed sample pool, 60
+      seed-fixed random sequences of length up to 5, plus the type's own
+      [T.classification_contexts] for witnesses the random pool may
+      miss. *)
 
   val is_mutator : universe -> string -> bool
   (** Some instance detectably changes the state after some context. *)

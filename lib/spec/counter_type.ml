@@ -44,6 +44,8 @@ let sample_invocations = function
   | "fetch-and-increment" -> [ Fetch_and_increment ]
   | op -> invalid_arg ("counter: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 3 with
   | 0 -> Add (1 + Random.State.int rng 5)

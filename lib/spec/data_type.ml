@@ -57,6 +57,10 @@ module type S = sig
       (a handful) but include enough distinct arguments to exhibit the
       type's algebraic properties. *)
 
+  val classification_contexts : invocation list list
+  (** Handcrafted context sequences added to the classification
+      search's universe, for witnesses its random pool may miss. *)
+
   val gen_invocation : Random.State.t -> invocation
   (** Random invocation, for workloads and property tests. *)
 

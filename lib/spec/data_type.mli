@@ -48,6 +48,14 @@ module type S = sig
       operation and include enough distinct arguments to exhibit the
       type's algebraic properties. *)
 
+  val classification_contexts : invocation list list
+  (** Handcrafted context sequences that {!Classify.Make}'s
+      [default_universe] adds to its search space, for witnesses its
+      short and random contexts may miss (the tree's deep shapes).
+      Every caller that classifies the type (the CLI, the static
+      auditor, the tests) gets them from here.  [[]] for most types;
+      {!Product} and {!Keyed} lift their components'. *)
+
   val gen_invocation : Random.State.t -> invocation
   (** Random invocation, for workloads and property tests. *)
 

@@ -69,6 +69,8 @@ let sample_invocations = function
   | "peek" -> [ Peek ]
   | op -> invalid_arg ("fifo-queue: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 4 with
   | 0 | 1 -> Enqueue (Random.State.int rng 10)

@@ -102,6 +102,9 @@ module Make (T : Data_type.S) = struct
       (fun inv -> [ { key = 0; inv }; { key = 1; inv } ])
       (T.sample_invocations op)
 
+  let classification_contexts =
+    List.map (List.map (fun inv -> { key = 0; inv })) T.classification_contexts
+
   let gen_invocation rng =
     { key = Random.State.int rng 4; inv = T.gen_invocation rng }
 

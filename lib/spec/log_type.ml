@@ -59,6 +59,8 @@ let sample_invocations = function
   | "trim" -> [ Trim ]
   | op -> invalid_arg ("log: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 5 with
   | 0 | 1 -> Append (Random.State.int rng 10)

@@ -61,6 +61,8 @@ let sample_invocations = function
   | "find-max" -> [ Find_max ]
   | op -> invalid_arg ("priority-queue: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 4 with
   | 0 | 1 -> Insert (Random.State.int rng 10)

@@ -80,6 +80,10 @@ module Make (A : Data_type.S) (B : Data_type.S) = struct
       List.map (fun inv -> Right inv) (B.sample_invocations (strip_side op))
     else invalid_arg ("product: unknown operation " ^ op)
 
+  let classification_contexts =
+    List.map (List.map (fun inv -> Left inv)) A.classification_contexts
+    @ List.map (List.map (fun inv -> Right inv)) B.classification_contexts
+
   let gen_invocation rng =
     if Random.State.bool rng then Left (A.gen_invocation rng)
     else Right (B.gen_invocation rng)

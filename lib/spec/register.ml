@@ -34,6 +34,8 @@ let sample_invocations = function
   | "write" -> [ Write 1; Write 2; Write 3; Write 4 ]
   | op -> invalid_arg ("register: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   if Random.State.bool rng then Read else Write (Random.State.int rng 10)
 

@@ -65,6 +65,8 @@ let sample_invocations = function
       ]
   | op -> invalid_arg ("rmw-register: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 4 with
   | 0 -> Read

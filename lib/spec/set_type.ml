@@ -63,6 +63,8 @@ let sample_invocations = function
   | "extract-min" -> [ Extract_min ]
   | op -> invalid_arg ("int-set: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 4 with
   | 0 -> Add (Random.State.int rng 10)

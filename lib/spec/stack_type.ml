@@ -49,6 +49,8 @@ let sample_invocations = function
   | "peek" -> [ Peek ]
   | op -> invalid_arg ("stack: unknown operation " ^ op)
 
+let classification_contexts = []
+
 let gen_invocation rng =
   match Random.State.int rng 4 with
   | 0 | 1 -> Push (Random.State.int rng 10)

@@ -126,6 +126,10 @@ let sample_invocations = function
   | "last-removed" -> [ Last_removed ]
   | op -> invalid_arg ("rooted-tree: unknown operation " ^ op)
 
+(* The deep contexts the classification search needs as witnesses and
+   its random pool may miss: a chain (parents at distinct depths, for
+   insert's last-sensitivity), a star of independent siblings (for
+   delete's), and a mixed shape. *)
 let classification_contexts =
   [
     [ Insert (1, 0); Insert (2, 1); Insert (3, 2) ];

@@ -484,15 +484,6 @@ type measured_table = {
   measured : measured_row list;
 }
 
-(* Tables 1-4 with the type each one measures, in paper order. *)
-let table_types =
-  [
-    ("rmw-register", Bounds.Tables.rmw_register);
-    ("queue", Bounds.Tables.queue);
-    ("stack", Bounds.Tables.stack);
-    ("tree", Bounds.Tables.tree);
-  ]
-
 let wtlw_at (model : Sim.Model.t) ~x =
   let range = Rat.sub model.d model.eps in
   Wtlw { frac = (if Rat.sign range = 0 then Rat.zero else Rat.div x range) }
@@ -504,7 +495,9 @@ let tables_grid model ~x =
   {
     default_grid with
     types =
-      List.filter_map (fun (k, _) -> Scenario.Packed_type.find k) table_types;
+      List.filter_map
+        (fun (k, _) -> Scenario.Packed_type.find k)
+        Bounds.Tables.by_type;
     algos = [ wtlw_at model ~x; Centralized; Tob ];
     points = [ model ];
     delays = [ Random_delays; Max_delays; Min_delays ];
@@ -515,7 +508,7 @@ let tables_grid model ~x =
 
 let measure_tables model ~x =
   let tables =
-    List.map (fun (dt, table) -> (dt, table model ~x)) table_types
+    List.map (fun (dt, table) -> (dt, table model ~x)) Bounds.Tables.by_type
     @ [ ("", Bounds.Tables.summary model ~x) ]
   in
   let t = run (tables_grid model ~x) in

@@ -32,14 +32,47 @@ let pp_errors findings =
 
 let test_bundled_types_clean () =
   List.iter
-    (fun (t : Analysis.Auditor.target) ->
-      let findings = Analysis.Auditor.audit_target t in
+    (fun pt ->
+      let findings = Analysis.Auditor.audit (Scenario.Packed_type.modl pt) in
       Alcotest.(check int)
-        (Printf.sprintf "%s: zero analysis errors\n%s" t.name
+        (Printf.sprintf "%s: zero analysis errors\n%s"
+           (Scenario.Packed_type.key pt)
            (pp_errors findings))
         0
         (List.length (errors findings)))
-    Analysis.Auditor.targets
+    Scenario.Packed_type.all
+
+(* The audit covers the very instances the pipelines run: each key's
+   findings name its packed module's [T.name], and the whole audit
+   visits the types in [Packed_type.all]'s order. *)
+let test_audited_types_are_the_pipelines () =
+  let explored findings =
+    List.filter_map
+      (fun (d : Analysis.Diagnostic.t) ->
+        if String.equal d.rule "spec.explored" then Some d.subject else None)
+      findings
+  in
+  let per_key =
+    List.map
+      (fun pt ->
+        ( Scenario.Packed_type.key pt,
+          Analysis.Auditor.audit (Scenario.Packed_type.modl pt) ))
+      Scenario.Packed_type.all
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "each key audits its own T.name"
+    (List.map
+       (fun pt ->
+         (Scenario.Packed_type.key pt, [ Scenario.Packed_type.spec_name pt ]))
+       Scenario.Packed_type.all)
+    (List.map (fun (key, findings) -> (key, explored findings)) per_key);
+  Alcotest.(check (list string))
+    "audited types, in order"
+    (List.map Scenario.Packed_type.spec_name Scenario.Packed_type.all)
+    (explored (Analysis.Auditor.audit_types ()));
+  Alcotest.(check (list string))
+    "the product is the pipelines' queue x register" [ "fifo-queue*register" ]
+    (explored (List.assoc "product" per_key))
 
 let test_bound_tables_clean () =
   let findings = Analysis.Bound_audit.run () in
@@ -115,6 +148,8 @@ module Broken = struct
     | "noise" -> [ Noise ]
     | "probe" -> [ Probe ]
     | op -> invalid_arg ("broken-fixture: unknown operation " ^ op)
+
+  let classification_contexts = []
 
   let gen_invocation rng =
     match Random.State.int rng 3 with 0 -> Bump | 1 -> Noise | _ -> Probe
@@ -234,6 +269,8 @@ let () =
         [
           Alcotest.test_case "all ten data types" `Quick
             test_bundled_types_clean;
+          Alcotest.test_case "audited types are the pipelines' types" `Quick
+            test_audited_types_are_the_pipelines;
           Alcotest.test_case "bound tables" `Quick test_bound_tables_clean;
           Alcotest.test_case "aggregate report + json" `Quick
             test_audit_all_report;

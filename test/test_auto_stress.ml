@@ -12,12 +12,10 @@ module Auto (T : Spec.Data_type.S) = struct
   module C = Spec.Classify.Make (T)
   module S = Bounds.Stress.Make (T)
 
-  let universe ~extra = C.default_universe ~extra ()
-
   (* For every last-sensitive operation: derive (rho, instances) and
      run the Theorem 3 scenario for each z. *)
-  let theorem3 ~extra () =
-    let u = universe ~extra in
+  let theorem3 () =
+    let u = C.default_universe () in
     List.concat_map
       (fun (op, _) ->
         match C.find_last_sensitive_witness u ~k:3 op with
@@ -34,8 +32,8 @@ module Auto (T : Spec.Data_type.S) = struct
 
   (* For every pair-free operation: derive (rho, op-instances) and run
      the Theorem 4 scenario. *)
-  let theorem4 ~extra () =
-    let u = universe ~extra in
+  let theorem4 () =
+    let u = C.default_universe () in
     List.filter_map
       (fun (op, _) ->
         match C.find_pair_free_witness u op with
@@ -47,8 +45,8 @@ module Auto (T : Spec.Data_type.S) = struct
 
   (* For every (transposable mutator, pure accessor) pair satisfying
      Theorem 5: derive the full witness and run the scenario. *)
-  let theorem5 ~extra () =
-    let u = universe ~extra in
+  let theorem5 () =
+    let u = C.default_universe () in
     List.concat_map
       (fun (op, kind) ->
         if not (Spec.Op_kind.is_mutator kind) then []
@@ -69,14 +67,10 @@ module Auto (T : Spec.Data_type.S) = struct
       T.operations
 end
 
-let check_type (type s i r) name
-    (module T : Spec.Data_type.S
-      with type state = s
-       and type invocation = i
-       and type response = r) (extra : i list list)
-    ~expect_thm3 ~expect_thm4 ~expect_thm5 () =
+let check_type name (module T : Spec.Data_type.S) ~expect_thm3 ~expect_thm4
+    ~expect_thm5 () =
   let module A = Auto (T) in
-  let thm3 = A.theorem3 ~extra () in
+  let thm3 = A.theorem3 () in
   Alcotest.(check int)
     (name ^ ": thm3 scenarios derived")
     expect_thm3 (List.length thm3);
@@ -86,7 +80,7 @@ let check_type (type s i r) name
         (Printf.sprintf "%s: thm3 %s z=%d survives" name op z)
         true ok)
     thm3;
-  let thm4 = A.theorem4 ~extra () in
+  let thm4 = A.theorem4 () in
   Alcotest.(check int)
     (name ^ ": thm4 scenarios derived")
     expect_thm4 (List.length thm4);
@@ -96,7 +90,7 @@ let check_type (type s i r) name
         (Printf.sprintf "%s: thm4 %s survives" name op)
         true ok)
     thm4;
-  let thm5 = A.theorem5 ~extra () in
+  let thm5 = A.theorem5 () in
   Alcotest.(check int)
     (name ^ ": thm5 scenarios derived")
     expect_thm5 (List.length thm5);
@@ -116,20 +110,19 @@ let () =
       ( "auto-derived scenarios",
         [
           Alcotest.test_case "register" `Quick
-            (check_type "register" (module Spec.Register) [] ~expect_thm3:3
+            (check_type "register" (module Spec.Register) ~expect_thm3:3
                ~expect_thm4:0 ~expect_thm5:0);
           Alcotest.test_case "rmw-register" `Quick
-            (check_type "rmw-register" (module Spec.Rmw_register) []
+            (check_type "rmw-register" (module Spec.Rmw_register)
                ~expect_thm3:3 ~expect_thm4:1 ~expect_thm5:0);
           Alcotest.test_case "queue" `Quick
-            (check_type "queue" (module Spec.Fifo_queue) [] ~expect_thm3:3
+            (check_type "queue" (module Spec.Fifo_queue) ~expect_thm3:3
                ~expect_thm4:1 ~expect_thm5:1);
           Alcotest.test_case "stack" `Quick
-            (check_type "stack" (module Spec.Stack_type) [] ~expect_thm3:3
+            (check_type "stack" (module Spec.Stack_type) ~expect_thm3:3
                ~expect_thm4:1 ~expect_thm5:0);
           Alcotest.test_case "tree" `Quick
             (check_type "tree" (module Spec.Tree_type)
-               Spec.Tree_type.classification_contexts
                (* insert and delete are last-sensitive: 2 ops x 3 z *)
                ~expect_thm3:6 ~expect_thm4:0
                (* insert+depth and delete+depth; last-removed reveals
@@ -137,7 +130,7 @@ let () =
                   discriminator (the push+peek phenomenon) *)
                ~expect_thm5:2);
           Alcotest.test_case "log" `Quick
-            (check_type "log" (module Spec.Log_type) [] ~expect_thm3:3
+            (check_type "log" (module Spec.Log_type) ~expect_thm3:3
                ~expect_thm4:1 ~expect_thm5:1);
           (* Even though add/remove are NOT last-sensitive (Theorem 3
              gives the set's mutators nothing beyond u/2), Theorem 5
@@ -145,7 +138,7 @@ let () =
              add+contains and remove+contains, so their SUM with a
              contains is still bounded below by d + m. *)
           Alcotest.test_case "set (no last-sensitive ops)" `Quick
-            (check_type "set" (module Spec.Set_type) [] ~expect_thm3:0
+            (check_type "set" (module Spec.Set_type) ~expect_thm3:0
                ~expect_thm4:1 ~expect_thm5:2);
         ] );
     ]

@@ -2,13 +2,7 @@
    the algebraic classes the paper's tables claim for every operation
    of every bundled data type (the content of Figure 11). *)
 
-module type CASE = sig
-  include Spec.Data_type.S
-
-  val extra_contexts : invocation list list
-end
-
-let check_flags (module T : CASE)
+let check_flags (module T : Spec.Data_type.S)
     ~(expect :
        (string
        * Spec.Op_kind.t
@@ -18,7 +12,7 @@ let check_flags (module T : CASE)
        * [ `Overwriter of bool ])
        list) () =
   let module C = Spec.Classify.Make (T) in
-  let u = C.default_universe ~extra:T.extra_contexts () in
+  let u = C.default_universe () in
   List.iter
     (fun (op, kind, `Transposable tr, `Last_sensitive ls, `Pair_free pf,
           `Overwriter ow) ->
@@ -43,59 +37,20 @@ let check_flags (module T : CASE)
       Alcotest.(check bool) (name "overwriter") ow (C.is_overwriter u op))
     expect
 
-module Register_case = struct
-  include Spec.Register
-
-  let extra_contexts = []
-end
-
-module Rmw_case = struct
-  include Spec.Rmw_register
-
-  let extra_contexts = []
-end
-
-module Queue_case = struct
-  include Spec.Fifo_queue
-
-  let extra_contexts = []
-end
-
-module Stack_case = struct
-  include Spec.Stack_type
-
-  let extra_contexts = []
-end
-
-module Tree_case = struct
-  include Spec.Tree_type
-
-  let extra_contexts = classification_contexts
-end
-
-module Set_case = struct
-  include Spec.Set_type
-
-  let extra_contexts = []
-end
-
-module Counter_case = struct
-  include Spec.Counter_type
-
-  let extra_contexts = []
-end
-
-module Pq_case = struct
-  include Spec.Priority_queue
-
-  let extra_contexts = []
-end
-
-module Log_case = struct
-  include Spec.Log_type
-
-  let extra_contexts = []
-end
+(* The nine scalar bundled types, each classified from its own
+   [classification_contexts]. *)
+let scalar_types : (module Spec.Data_type.S) list =
+  [
+    (module Spec.Register);
+    (module Spec.Rmw_register);
+    (module Spec.Fifo_queue);
+    (module Spec.Stack_type);
+    (module Spec.Tree_type);
+    (module Spec.Set_type);
+    (module Spec.Counter_type);
+    (module Spec.Priority_queue);
+    (module Spec.Log_type);
+  ]
 
 let yes = true and no = false
 
@@ -326,82 +281,82 @@ let log_expect =
 (* Last-sensitivity with k = 3 for the operations the paper applies
    Theorem 3 to with k = n. *)
 let test_last_sensitive_k3 () =
-  let check (module T : CASE) op expected =
+  let check (module T : Spec.Data_type.S) op expected =
     let module C = Spec.Classify.Make (T) in
-    let u = C.default_universe ~extra:T.extra_contexts () in
+    let u = C.default_universe () in
     Alcotest.(check bool)
       (Printf.sprintf "%s.%s last-sensitive k=3" T.name op)
       expected
       (C.is_last_sensitive u ~k:3 op)
   in
-  check (module Register_case) "write" true;
-  check (module Queue_case) "enqueue" true;
-  check (module Stack_case) "push" true;
-  check (module Tree_case) "insert" true;
-  check (module Tree_case) "delete" true;
-  check (module Set_case) "add" false;
-  check (module Counter_case) "add" false;
-  check (module Log_case) "append" true;
-  check (module Pq_case) "insert" false
+  check (module Spec.Register) "write" true;
+  check (module Spec.Fifo_queue) "enqueue" true;
+  check (module Spec.Stack_type) "push" true;
+  check (module Spec.Tree_type) "insert" true;
+  check (module Spec.Tree_type) "delete" true;
+  check (module Spec.Set_type) "add" false;
+  check (module Spec.Counter_type) "add" false;
+  check (module Spec.Log_type) "append" true;
+  check (module Spec.Priority_queue) "insert" false
 
 (* Theorem 5's discriminator hypotheses: hold for enqueue+peek and for
    the tree pairs, fail for push+peek (the paper's §4.3 remark) and for
    write+read (write is an overwriter). *)
 let test_thm5_hypotheses () =
-  let check (module T : CASE) ~op ~aop expected =
+  let check (module T : Spec.Data_type.S) ~op ~aop expected =
     let module C = Spec.Classify.Make (T) in
-    let u = C.default_universe ~extra:T.extra_contexts () in
+    let u = C.default_universe () in
     Alcotest.(check bool)
       (Printf.sprintf "%s: thm5(%s, %s)" T.name op aop)
       expected
       (C.thm5_hypotheses u ~op ~aop)
   in
-  check (module Queue_case) ~op:"enqueue" ~aop:"peek" true;
-  check (module Stack_case) ~op:"push" ~aop:"peek" false;
-  check (module Register_case) ~op:"write" ~aop:"read" false;
-  check (module Tree_case) ~op:"insert" ~aop:"depth" true;
-  check (module Tree_case) ~op:"delete" ~aop:"depth" true;
+  check (module Spec.Fifo_queue) ~op:"enqueue" ~aop:"peek" true;
+  check (module Spec.Stack_type) ~op:"push" ~aop:"peek" false;
+  check (module Spec.Register) ~op:"write" ~aop:"read" false;
+  check (module Spec.Tree_type) ~op:"insert" ~aop:"depth" true;
+  check (module Spec.Tree_type) ~op:"delete" ~aop:"depth" true;
   (* append+last on a log behaves like push+peek on a stack: the
      accessor depends only on the last append, so no discriminator
      distinguishes rho.op0 from rho.op1.op0 ... *)
-  check (module Log_case) ~op:"append" ~aop:"last" false;
+  check (module Spec.Log_type) ~op:"append" ~aop:"last" false;
   (* length, however, discriminates every required pair — each compares
      a sequence with k appends against one with k+1 appends — so
      Theorem 5 applies to append+length even though it fails for
      append+last. *)
-  check (module Log_case) ~op:"append" ~aop:"length" true
+  check (module Spec.Log_type) ~op:"append" ~aop:"length" true
 
 (* The interference relation of §6.1: the pairs the paper's Tables
    give a prior sum bound of d all interfere; pure-mutator pairs and
    accessor-led pairs do not. *)
 let test_interference () =
-  let check (module T : CASE) ~op1 ~op2 expected =
+  let check (module T : Spec.Data_type.S) ~op1 ~op2 expected =
     let module C = Spec.Classify.Make (T) in
-    let u = C.default_universe ~extra:T.extra_contexts () in
+    let u = C.default_universe () in
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s interferes with %s" T.name op1 op2)
       expected
       (C.interferes u ~op1 ~op2)
   in
-  check (module Register_case) ~op1:"write" ~op2:"read" true;
-  check (module Queue_case) ~op1:"enqueue" ~op2:"peek" true;
-  check (module Queue_case) ~op1:"enqueue" ~op2:"dequeue" true;
-  check (module Stack_case) ~op1:"push" ~op2:"peek" true;
-  check (module Tree_case) ~op1:"insert" ~op2:"depth" true;
-  check (module Tree_case) ~op1:"delete" ~op2:"depth" true;
+  check (module Spec.Register) ~op1:"write" ~op2:"read" true;
+  check (module Spec.Fifo_queue) ~op1:"enqueue" ~op2:"peek" true;
+  check (module Spec.Fifo_queue) ~op1:"enqueue" ~op2:"dequeue" true;
+  check (module Spec.Stack_type) ~op1:"push" ~op2:"peek" true;
+  check (module Spec.Tree_type) ~op1:"insert" ~op2:"depth" true;
+  check (module Spec.Tree_type) ~op1:"delete" ~op2:"depth" true;
   (* Acknowledge-only second operations never interfere. *)
-  check (module Register_case) ~op1:"write" ~op2:"write" false;
-  check (module Queue_case) ~op1:"enqueue" ~op2:"enqueue" false;
+  check (module Spec.Register) ~op1:"write" ~op2:"write" false;
+  check (module Spec.Fifo_queue) ~op1:"enqueue" ~op2:"enqueue" false;
   (* Pure accessors never interfere with anything. *)
-  check (module Register_case) ~op1:"read" ~op2:"read" false;
-  check (module Queue_case) ~op1:"peek" ~op2:"dequeue" false
+  check (module Spec.Register) ~op1:"read" ~op2:"read" false;
+  check (module Spec.Fifo_queue) ~op1:"peek" ~op2:"dequeue" false
 
 (* Lemma 3: every pair-free operation is both an accessor and a
    mutator. *)
 let test_lemma3 () =
-  let check (module T : CASE) =
+  let check (module T : Spec.Data_type.S) =
     let module C = Spec.Classify.Make (T) in
-    let u = C.default_universe ~extra:T.extra_contexts () in
+    let u = C.default_universe () in
     List.iter
       (fun (op, _) ->
         if C.is_pair_free u op then
@@ -411,22 +366,14 @@ let test_lemma3 () =
             (C.is_mutator u op && C.is_accessor u op))
       T.operations
   in
-  check (module Register_case);
-  check (module Rmw_case);
-  check (module Queue_case);
-  check (module Stack_case);
-  check (module Tree_case);
-  check (module Set_case);
-  check (module Counter_case);
-  check (module Pq_case);
-  check (module Log_case)
+  List.iter check scalar_types
 
 (* Figure 11 containments: last-sensitive => mutator; overwriter =>
    mutator; pair-free => mutator and accessor. *)
 let test_figure11_containments () =
-  let check (module T : CASE) =
+  let check (module T : Spec.Data_type.S) =
     let module C = Spec.Classify.Make (T) in
-    let u = C.default_universe ~extra:T.extra_contexts () in
+    let u = C.default_universe () in
     List.iter
       (fun (r : Spec.Classify.op_report) ->
         let ctx fact = Printf.sprintf "%s.%s %s" T.name r.op fact in
@@ -444,15 +391,29 @@ let test_figure11_containments () =
             (r.discovered_mutator && r.discovered_accessor))
       (C.report u)
   in
-  check (module Register_case);
-  check (module Rmw_case);
-  check (module Queue_case);
-  check (module Stack_case);
-  check (module Tree_case);
-  check (module Set_case);
-  check (module Counter_case);
-  check (module Pq_case);
-  check (module Log_case)
+  List.iter check scalar_types
+
+(* Product and Keyed lift their components' contexts, so a product
+   holding the tree still finds the witnesses only the tree's deep
+   contexts show. *)
+let test_lifted_contexts () =
+  let module P = Spec.Product.Make (Spec.Tree_type) (Spec.Register) in
+  let module K = Spec.Keyed.Make (Spec.Tree_type) in
+  Alcotest.(check int)
+    "product lifts the tree's contexts" 3
+    (List.length P.classification_contexts);
+  Alcotest.(check int)
+    "keyed family lifts the tree's contexts" 3
+    (List.length K.classification_contexts);
+  let module C = Spec.Classify.Make (P) in
+  let u = C.default_universe () in
+  List.iter
+    (fun op ->
+      Alcotest.(check bool)
+        (op ^ " last-sensitive k=3")
+        true
+        (C.is_last_sensitive u ~k:3 op))
+    [ "l:insert"; "l:delete" ]
 
 let () =
   Alcotest.run "classify"
@@ -460,23 +421,23 @@ let () =
       ( "per-type flags",
         [
           Alcotest.test_case "register" `Quick
-            (check_flags (module Register_case) ~expect:register_expect);
+            (check_flags (module Spec.Register) ~expect:register_expect);
           Alcotest.test_case "rmw register" `Quick
-            (check_flags (module Rmw_case) ~expect:rmw_expect);
+            (check_flags (module Spec.Rmw_register) ~expect:rmw_expect);
           Alcotest.test_case "queue" `Quick
-            (check_flags (module Queue_case) ~expect:queue_expect);
+            (check_flags (module Spec.Fifo_queue) ~expect:queue_expect);
           Alcotest.test_case "stack" `Quick
-            (check_flags (module Stack_case) ~expect:stack_expect);
+            (check_flags (module Spec.Stack_type) ~expect:stack_expect);
           Alcotest.test_case "tree" `Quick
-            (check_flags (module Tree_case) ~expect:tree_expect);
+            (check_flags (module Spec.Tree_type) ~expect:tree_expect);
           Alcotest.test_case "set" `Quick
-            (check_flags (module Set_case) ~expect:set_expect);
+            (check_flags (module Spec.Set_type) ~expect:set_expect);
           Alcotest.test_case "counter" `Quick
-            (check_flags (module Counter_case) ~expect:counter_expect);
+            (check_flags (module Spec.Counter_type) ~expect:counter_expect);
           Alcotest.test_case "priority queue" `Quick
-            (check_flags (module Pq_case) ~expect:pq_expect);
+            (check_flags (module Spec.Priority_queue) ~expect:pq_expect);
           Alcotest.test_case "log" `Quick
-            (check_flags (module Log_case) ~expect:log_expect);
+            (check_flags (module Spec.Log_type) ~expect:log_expect);
         ] );
       ( "theorem hypotheses",
         [
@@ -486,5 +447,7 @@ let () =
           Alcotest.test_case "lemma 3" `Quick test_lemma3;
           Alcotest.test_case "figure 11 containments" `Quick
             test_figure11_containments;
+          Alcotest.test_case "combinators lift contexts" `Quick
+            test_lifted_contexts;
         ] );
     ]

@@ -682,6 +682,25 @@ let test_overflow_is_named () =
     (Scenario.Exec.passes
        (Scenario.run { s with expect = Scenario.Diagnostic "time overflow" }))
 
+(* A negative closed-loop count is refused where the scenario is
+   lowered, so a scenario file is refused like the CLI flags; zero
+   operations per process still runs. *)
+let test_negative_per_proc_refused () =
+  let model =
+    Sim.Model.make ~n:3 ~d:(Rat.of_int 10) ~u:(Rat.of_int 4) ~eps:Rat.one
+  in
+  let closed per_proc =
+    Scenario.run
+      (Scenario.make ~dt:"queue" ~model ~algorithm:Scenario.Centralized
+         ~workload:(Scenario.Closed_loop { per_proc; think = Rat.make 1 2 })
+         ())
+  in
+  let o = closed (-1) in
+  Alcotest.(check (option string)) "named refusal"
+    (Some "bad scenario: closed-loop per_proc -1 is negative")
+    o.Scenario.Exec.diagnostic;
+  Alcotest.(check bool) "zero per process certifies" true
+    (Scenario.Exec.passes (closed 0))
 
 let test_expectations () =
   (* The verbatim counterexample fails Certify and passes Violate. *)
@@ -854,6 +873,8 @@ let () =
           Alcotest.test_case "certify vs violate" `Quick test_expectations;
           Alcotest.test_case "overflow is a named diagnostic" `Quick
             test_overflow_is_named;
+          Alcotest.test_case "negative per_proc refused" `Quick
+            test_negative_per_proc_refused;
         ] );
       ( "shrink",
         [

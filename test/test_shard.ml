@@ -391,6 +391,7 @@ let test_unrepresentable_horizon_named () =
    was no longer pending, and the shard failed as an invalid run. *)
 let test_centralized_duplicates () =
   let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  let failed_with_pending = ref 0 in
   List.iter
     (fun key ->
       let t =
@@ -408,12 +409,28 @@ let test_centralized_duplicates () =
         (key ^ ": duplicates injected") true (t.faults.duplicated > 0);
       Array.iteri
         (fun i -> function
-          | Sweep.Pool.Done _ -> ()
+          | Sweep.Pool.Done (r : Shard.shard_report) ->
+              if (not r.linearizable) && r.pending > 0 then
+                incr failed_with_pending
           | Sweep.Pool.Failed msg ->
               Alcotest.failf "%s shard %d: FAILED %s" key i msg
           | Sweep.Pool.Skipped -> Alcotest.failf "%s shard %d: skipped" key i)
-        t.reports)
-    [ "tree"; "queue"; "register" ]
+        t.reports;
+      (* A dropped reply leaves an applied operation pending, and the
+         per-key checkers judge completed operations only: a key that
+         then fails is flagged, never a violation. *)
+      List.iter
+        (fun line ->
+          if String.starts_with ~prefix:"shard=" line then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %s names no violation" key line)
+              false
+              (List.mem "VIOLATION" (String.split_on_char ' ' line)))
+        (String.split_on_char '\n' (Shard.fingerprint t)))
+    [ "tree"; "queue"; "register" ];
+  Alcotest.(check bool)
+    "some key failed while operations were pending" true
+    (!failed_with_pending > 0)
 
 let () =
   Alcotest.run "shard"
