@@ -99,16 +99,20 @@ let model_and_x n d u eps x =
 
 (* ---------------- seeds and budgets ---------------- *)
 
-(* A count flag: a negative value is refused by name before anything
-   runs. *)
-let non_negative =
+(* Count flags: a value below the least the flag can mean is refused
+   by the flag's name before anything runs. *)
+let at_least lo ~below =
   let parse s =
     match Arg.conv_parser Arg.int s with
-    | Ok n when n < 0 ->
-        Error (`Msg (Printf.sprintf "%d is negative; expected a count >= 0" n))
+    | Ok n when n < lo ->
+        Error
+          (`Msg (Printf.sprintf "%d is %s; expected a count >= %d" n below lo))
     | parsed -> parsed
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let non_negative = at_least 0 ~below:"negative"
+let positive = at_least 1 ~below:"not positive"
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -120,7 +124,7 @@ let ops_arg =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Evaluate cells on N OCaml domains (1 = inline).  Verdicts are \
@@ -199,7 +203,7 @@ let resume_arg ~unit_ =
 
 let journal_sync_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive 1
     & info [ "journal-sync" ] ~docv:"N"
         ~doc:"fsync the checkpoint journal every $(docv) records.")
 

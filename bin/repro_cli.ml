@@ -861,7 +861,7 @@ let sweep_cmd =
   in
   let cell_attempts_arg =
     Arg.(
-      value & opt int 3
+      value & opt positive 3
       & info [ "cell-attempts" ] ~docv:"K"
           ~doc:"Evaluations per cell before giving up on a timeout.")
   in
@@ -964,7 +964,7 @@ let sweep_cmd =
           Option.map
             (fun budget_s ->
               {
-                Sweep.attempts = max 1 cell_attempts;
+                Sweep.attempts = cell_attempts;
                 budget_s;
                 backoff = cell_backoff;
               })
@@ -1464,7 +1464,7 @@ let scenario_shrink_cmd =
   in
   let max_attempts_arg =
     Arg.(
-      value & opt int 2000
+      value & opt non_negative 2000
       & info [ "max-attempts" ] ~docv:"K"
           ~doc:"Candidate runs to try before settling for the current size.")
   in

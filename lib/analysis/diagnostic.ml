@@ -37,8 +37,7 @@ let error ?witness ~rule ~subject message =
 let warning ?witness ~rule ~subject message =
   make ?witness ~severity:Warning ~rule ~subject message
 
-let info ?witness ~rule ~subject message =
-  make ?witness ~severity:Info ~rule ~subject message
+let info ~rule ~subject message = make ~severity:Info ~rule ~subject message
 
 let pp ppf t =
   Format.fprintf ppf "@[<v 2>%s[%s] %s: %s"

@@ -2,7 +2,6 @@
 
 type severity = Error | Warning | Info
 
-val severity_to_string : severity -> string
 val compare_severity : severity -> severity -> int
 
 type t = {
@@ -13,17 +12,9 @@ type t = {
   witness : string option;  (** pretty-printed counterexample, if any *)
 }
 
-val make :
-  ?witness:string ->
-  severity:severity ->
-  rule:string ->
-  subject:string ->
-  string ->
-  t
-
 val error : ?witness:string -> rule:string -> subject:string -> string -> t
 val warning : ?witness:string -> rule:string -> subject:string -> string -> t
-val info : ?witness:string -> rule:string -> subject:string -> string -> t
+val info : rule:string -> subject:string -> string -> t
 
 val pp : Format.formatter -> t -> unit
 (** ["error[rule] subject: message"] plus an indented witness line. *)

@@ -15,7 +15,6 @@ let of_findings findings =
         findings;
   }
 
-let merge reports = of_findings (List.concat_map (fun r -> r.findings) reports)
 let findings t = t.findings
 
 let count severity t =

@@ -5,15 +5,9 @@ type t
 val of_findings : Diagnostic.t list -> t
 (** Stable-sorted with errors first. *)
 
-val merge : t list -> t
 val findings : t -> Diagnostic.t list
-val count : Diagnostic.severity -> t -> int
 val errors : t -> int
-val warnings : t -> int
 val has_errors : t -> bool
-
-val pp_summary : Format.formatter -> t -> unit
-(** ["2 errors, 1 warning, 14 info"]. *)
 
 val pp_human : Format.formatter -> t -> unit
 val pp_json : Format.formatter -> t -> unit

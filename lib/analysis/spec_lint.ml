@@ -42,7 +42,7 @@ type config = {
   seed : int;
 }
 
-let default_config =
+let config =
   { max_states = 150; max_depth = 4; gen_trials = 50; prefix_paths = 20;
     seed = 0xA0D17 }
 
@@ -309,7 +309,7 @@ module Make (T : Spec.Data_type.S) = struct
           true))
       findings
 
-  let run ?(config = default_config) () =
+  let run () =
     let decl = declaration_findings () in
     let gen = gen_findings config in
     let visited, dyn = explore config in

@@ -10,18 +10,8 @@
     [spec.show-state-collision], [spec.show-state-unstable],
     [spec.prefix-closure], plus one [spec.explored] info summary. *)
 
-type config = {
-  max_states : int;  (** cap on distinct explored states *)
-  max_depth : int;  (** BFS depth cap *)
-  gen_trials : int;  (** random invocations drawn from [gen_invocation] *)
-  prefix_paths : int;  (** explored paths replayed for prefix closure *)
-  seed : int;
-}
-
-val default_config : config
-
 module Make (T : Spec.Data_type.S) : sig
-  val run : ?config:config -> unit -> Diagnostic.t list
+  val run : unit -> Diagnostic.t list
   (** All findings, one per (rule, subject), each carrying the first
       witness found. *)
 end

@@ -33,7 +33,6 @@ module Thm3 : sig
   (** [x_{z+1} - x_z], which the proof shows equals [(1-1/k)u] — the
       real-time separation that forces the contradiction. *)
 
-  val claims_for_z : Sim.Model.t -> k:int -> z:int -> claim list
   val claims : Sim.Model.t -> k:int -> claim list
   (** Claims 2 and 3 of the proof, for every [z]. *)
 end
@@ -47,9 +46,6 @@ module Thm4 : sig
   val d1_matrix : Sim.Model.t -> Rat.t array array
   val step3_shift : Sim.Model.t -> Rat.t array
   (** [(0, -m, 0, ...)]: p1 earlier. *)
-
-  val step5_shift : Sim.Model.t -> Rat.t array
-  (** [(m, 0, ...)]: p0 later. *)
 
   val matrices : Sim.Model.t -> (string * Rat.t array array) list
   (** Figures 2, 4, 5, 6, 7 in order. *)

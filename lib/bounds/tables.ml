@@ -122,7 +122,8 @@ let queue (model : Sim.Model.t) ~x =
       ];
   }
 
-(* Table 3: stacks. *)
+(* Table 3: stacks (push+peek has no Theorem 5 row — the paper's
+   exception). *)
 let stack (model : Sim.Model.t) ~x =
   let b = bounds model ~x in
   {

@@ -25,19 +25,6 @@ type row = {
 
 type table = { title : string; rows : row list }
 
-val rmw_register : Sim.Model.t -> x:Rat.t -> table
-(** Table 1: read/write/read-modify-write registers. *)
-
-val queue : Sim.Model.t -> x:Rat.t -> table
-(** Table 2: FIFO queues. *)
-
-val stack : Sim.Model.t -> x:Rat.t -> table
-(** Table 3: stacks (push+peek has no Theorem 5 row — the paper's
-    exception). *)
-
-val tree : Sim.Model.t -> x:Rat.t -> table
-(** Table 4: simple rooted trees. *)
-
 val summary : Sim.Model.t -> x:Rat.t -> table
 (** Table 5: bounds by operation class. *)
 

@@ -89,12 +89,10 @@ module Make (T : Spec.Data_type.S) = struct
     let on_timer _ctx (() : tag) = assert false (* no timers are set *) in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
-  let create ?retain_events ?faults ~(model : Sim.Model.t) ~offsets ~delay ()
-      =
+  let create ~(model : Sim.Model.t) ~offsets ~delay () =
     let hub = fresh_hub ~n:model.n () in
     let engine =
-      Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
-        ~handlers:(protocol hub) ()
+      Sim.Engine.create ~model ~offsets ~delay ~handlers:(protocol hub) ()
     in
     { engine; hub }
 

@@ -24,9 +24,6 @@ module Make (T : Spec.Data_type.S) : sig
 
   type t = { engine : engine; hub : hub }
 
-  val coordinator : int
-  (** Process id of the distinguished process (0). *)
-
   val fresh_hub : ?key_of:(T.invocation -> int) -> n:int -> unit -> hub
   (** A hub for [n] processes.  [key_of] (default: every invocation on
       key 0) names the key, a non-negative int, each apply is logged
@@ -39,8 +36,6 @@ module Make (T : Spec.Data_type.S) : sig
       ([Core.Reliable]) over a lossy network. *)
 
   val create :
-    ?retain_events:bool ->
-    ?faults:Sim.Fault.plan ->
     model:Sim.Model.t ->
     offsets:Rat.t array ->
     delay:Sim.Net.t ->

@@ -41,8 +41,6 @@ module Acc = struct
       acc.count <- acc.count + 1
     end
 
-  let count acc = acc.count
-
   let summary ?(quantum = 1) acc =
     if acc.count = 0 then None
     else
@@ -78,9 +76,6 @@ module Acc = struct
         acc.count <- acc.count + s.count
       end
     end
-
-  let merge acc other =
-    match summary other with None -> () | Some s -> absorb acc s
 end
 
 (* Keyed streaming accumulators, preserving first-seen key order. *)
@@ -111,8 +106,6 @@ module Grouped = struct
       g.rev_order
 
   let absorb g k (s : summary) = Acc.absorb (acc g k) s
-
-  let merge g other = List.iter (fun (k, s) -> absorb g k s) (summaries other)
 end
 
 (* Streaming log-bucketed latency histogram.  Values land in

@@ -19,7 +19,6 @@ module Acc : sig
 
   val create : unit -> t
   val add : t -> Rat.t -> unit
-  val count : t -> int
 
   val summary : ?quantum:int -> t -> summary option
   (** [None] before the first {!add}.  [quantum] (default 1): the
@@ -31,10 +30,6 @@ module Acc : sig
       summary's rational sum is recovered as [mean * count]).
       Associative and commutative, so totals do not depend on the order
       summaries are absorbed in. *)
-
-  val merge : t -> t -> unit
-  (** [merge acc other] absorbs [other]'s current summary into [acc];
-      [other] is left untouched. *)
 end
 
 (** Keyed streaming accumulators (one {!Acc} per key), preserving
@@ -51,11 +46,6 @@ module Grouped : sig
 
   val absorb : 'k t -> 'k -> summary -> unit
   (** Keyed {!Acc.absorb}. *)
-
-  val merge : 'k t -> 'k t -> unit
-  (** Absorb every keyed summary of the second accumulator into the
-      first (first-seen order of the target is extended by the source's
-      unseen keys). *)
 end
 
 (** Streaming log-bucketed latency histogram for tail quantiles.

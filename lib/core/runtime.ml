@@ -120,7 +120,6 @@ module Make (T : Spec.Data_type.S) = struct
   type nonrec checker = checker = Monitor | Wing_gong
 
   let algorithm_name = algorithm_name
-  let checker_name = checker_name
 
   type workload =
     | Schedule of T.invocation Workload.entry list
@@ -183,16 +182,16 @@ module Make (T : Spec.Data_type.S) = struct
     }
 
     let make ?(check = true) ?(faults = Sim.Fault.none) ?max_events
-        ?max_check_nodes ?deadline ?(checker = Monitor) ?channel ?timing
-        ~model ~offsets ~delay ~algorithm ~workload () =
+        ?max_check_nodes ?(checker = Monitor) ?timing ~model ~offsets ~delay
+        ~algorithm ~workload () =
       {
         check;
         faults;
         max_events;
         max_check_nodes;
-        deadline;
+        deadline = None;
         checker;
-        channel;
+        channel = None;
         timing;
         model;
         offsets;
@@ -269,12 +268,13 @@ module Make (T : Spec.Data_type.S) = struct
               Sim.Engine.schedule_invoke engine ~at:(Rat.add time think) ~proc
                 (T.gen_invocation rng)
             end);
-        for proc = 0 to n - 1 do
-          remaining.(proc) <- remaining.(proc) - 1;
-          Sim.Engine.schedule_invoke engine
-            ~at:(Rat.make (proc * q) (2 * n))
-            ~proc (T.gen_invocation rng)
-        done
+        if per_proc > 0 then
+          for proc = 0 to n - 1 do
+            remaining.(proc) <- remaining.(proc) - 1;
+            Sim.Engine.schedule_invoke engine
+              ~at:(Rat.make (proc * q) (2 * n))
+              ~proc (T.gen_invocation rng)
+          done
     | Paced { next } ->
         (* Open loop with backpressure: each process holds at most one
            pending invocation; the next arrival is scheduled when the

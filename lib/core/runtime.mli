@@ -59,8 +59,6 @@ module Make (T : Spec.Data_type.S) : sig
             Wing-Gong (default) *)
     | Wing_gong  (** force the exponential DFS *)
 
-  val checker_name : checker -> string
-
   type workload =
     | Schedule of T.invocation Workload.entry list
         (** open loop: explicit invocation times (caller must respect
@@ -180,9 +178,7 @@ module Make (T : Spec.Data_type.S) : sig
       ?faults:Sim.Fault.plan ->
       ?max_events:int ->
       ?max_check_nodes:int ->
-      ?deadline:(unit -> bool) ->
       ?checker:checker ->
-      ?channel:Reliable.config ->
       ?timing:(Sim.Model.t -> x:Rat.t -> Wtlw.timing) ->
       model:Sim.Model.t ->
       offsets:Rat.t array ->
@@ -196,8 +192,6 @@ module Make (T : Spec.Data_type.S) : sig
     (** Set the [channel] field; [config] defaults to
         [Reliable.default_config] of the record's model. *)
   end
-
-  val kind_of : T.invocation -> Spec.Op_kind.t
 
   val certify :
     ?max_nodes:int ->

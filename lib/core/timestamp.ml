@@ -14,7 +14,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let le a b = compare a b <= 0
-let lt a b = compare a b < 0
 let pp ppf t = Format.fprintf ppf "(%a, p%d)" Rat.pp t.time t.proc
 
 let order ~n ~time ~proc ~late =

@@ -13,7 +13,6 @@ val make : time:Rat.t -> proc:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val le : t -> t -> bool
-val lt : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val order :

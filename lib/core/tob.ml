@@ -85,13 +85,11 @@ module Make (T : Spec.Data_type.S) = struct
       ~proc:(fun i -> ops.(i).proc)
       ~late:(fun _ -> false)
 
-  let create ?retain_events ?faults ~(model : Sim.Model.t) ~offsets ~delay ()
-      =
+  let create ~(model : Sim.Model.t) ~offsets ~delay () =
     let states = fresh_states ~n:model.n in
     let engine =
-      Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
-        ~handlers:(protocol ~model states)
-        ()
+      Sim.Engine.create ~model ~offsets ~delay
+        ~handlers:(protocol ~model states) ()
     in
     { engine; states }
 

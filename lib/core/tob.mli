@@ -42,8 +42,6 @@ module Make (T : Spec.Data_type.S) : sig
       candidate only: the checker verifies it. *)
 
   val create :
-    ?retain_events:bool ->
-    ?faults:Sim.Fault.plan ->
     model:Sim.Model.t ->
     offsets:Rat.t array ->
     delay:Sim.Net.t ->

@@ -231,9 +231,6 @@ module Gen = struct
   let next t =
     pull t ~keep:keep_all ~exhausted:None ~kept:(fun now key inv ->
         Some { at = Rat.make now quantum; key; inv })
-
-  let emitted t = t.emitted
-  let remaining t = t.ops - t.emitted
 end
 
 (* ------------------------------------------------------------------ *)
@@ -405,30 +402,27 @@ let open_loop ~n ~per_proc ~spacing ?(stagger = Rat.zero) ?(start = Rat.zero)
 
 (* Open-loop schedule with invocations drawn from the data type's
    random generator; deterministic for a fixed seed. *)
-let random_open_loop ~n ~per_proc ~spacing ?stagger ?start ~seed ~gen_invocation
-    () =
+let random_open_loop ~n ~per_proc ~spacing ?stagger ~seed ~gen_invocation () =
   let rng = Random.State.make [| seed |] in
   (* Pre-draw in a fixed order so the schedule does not depend on
      evaluation order. *)
   let draws =
     Array.init (n * per_proc) (fun _ -> gen_invocation rng)
   in
-  open_loop ~n ~per_proc ~spacing ?stagger ?start
+  open_loop ~n ~per_proc ~spacing ?stagger
     ~gen:(fun ~proc ~k -> draws.((proc * per_proc) + k))
     ()
 
 (* A schedule in which distinct processes invoke concurrently: process
-   [i] invokes its k-th operation at [start + k*spacing + jitter_i]
+   [i] invokes its k-th operation at [k*spacing + jitter_i]
    where jitter cycles through small distinct offsets, creating real
    overlap between operations at different processes. *)
-let concurrent_bursts ~n ~rounds ~spacing ?(start = Rat.zero) ~gen () =
+let concurrent_bursts ~n ~rounds ~spacing ~gen () =
   List.concat
     (List.init n (fun proc ->
          List.init rounds (fun k ->
              let jitter = Rat.make proc (4 * n) in
-             let at =
-               Rat.add (Rat.add start (Rat.mul_int spacing k)) jitter
-             in
+             let at = Rat.add (Rat.mul_int spacing k) jitter in
              { proc; at; inv = gen ~proc ~k })))
 
 (* Time ties break on process id — never on list position — so sorted

@@ -89,9 +89,6 @@ module Gen : sig
   val next : 'inv t -> 'inv keyed option
   (** The next arrival, or [None] once [ops] arrivals have been
       emitted.  Times are strictly positive and nondecreasing. *)
-
-  val emitted : 'inv t -> int
-  val remaining : 'inv t -> int
 end
 
 (** Demultiplex one generated stream onto processes.  Kept arrivals are
@@ -156,7 +153,6 @@ val random_open_loop :
   per_proc:int ->
   spacing:Rat.t ->
   ?stagger:Rat.t ->
-  ?start:Rat.t ->
   seed:int ->
   gen_invocation:(Random.State.t -> 'inv) ->
   unit ->
@@ -168,7 +164,6 @@ val concurrent_bursts :
   n:int ->
   rounds:int ->
   spacing:Rat.t ->
-  ?start:Rat.t ->
   gen:(proc:int -> k:int -> 'inv) ->
   unit ->
   'inv entry list

@@ -137,12 +137,8 @@ module Make (T : Spec.Data_type.S) = struct
       (fun p -> Array.fold_right (fun i acc -> arr.(i) :: acc) p [])
       (positions ?max_nodes arr)
 
-  let is_linearizable ?max_nodes ops = Option.is_some (check ?max_nodes ops)
+  let is_linearizable ops = Option.is_some (check ops)
 
   (* Convenience: check a whole trace produced by the engine. *)
-  let check_trace ?max_nodes trace =
-    check ?max_nodes (Sim.Trace.operations trace)
-
-  let trace_linearizable ?max_nodes trace =
-    Option.is_some (check_trace ?max_nodes trace)
+  let trace_linearizable trace = is_linearizable (Sim.Trace.operations trace)
 end

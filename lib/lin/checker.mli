@@ -36,9 +36,6 @@ module Make (T : Spec.Data_type.S) : sig
 
   val pp_op : Format.formatter -> op -> unit
 
-  val precedes : op -> op -> bool
-  (** [precedes a b]: [a] responds strictly before [b] is invoked. *)
-
   val positions : ?max_nodes:int -> op array -> int array option
   (** A witness linearization as positions in the array, first to
       last, or [None].  Histories must be complete (every operation
@@ -50,13 +47,8 @@ module Make (T : Spec.Data_type.S) : sig
   val check : ?max_nodes:int -> op list -> op list option
   (** {!positions} over the list, with the witness as operations. *)
 
-  val is_linearizable : ?max_nodes:int -> op list -> bool
-
-  val check_trace :
-    ?max_nodes:int ->
-    ('msg, T.invocation, T.response) Sim.Trace.t ->
-    op list option
+  val is_linearizable : op list -> bool
 
   val trace_linearizable :
-    ?max_nodes:int -> ('msg, T.invocation, T.response) Sim.Trace.t -> bool
+    ('msg, T.invocation, T.response) Sim.Trace.t -> bool
 end

@@ -52,8 +52,6 @@ let method_to_string = function
   | Protocol_order -> "protocol-order"
   | Wing_gong -> "wing-gong"
 
-let pp_method ppf m = Format.pp_print_string ppf (method_to_string m)
-
 (* The declared monitor shape of a packed specification, if any. *)
 let monitored_kind (module T : Spec.Data_type.S) : V.kind option =
   Option.map (fun vw -> vw.V.kind) T.monitor
@@ -337,13 +335,13 @@ module Make (T : Spec.Data_type.S) = struct
      jittered by up to 2 time units each side, so operations of
      different processes overlap freely while each value is inserted
      exactly once.  Linearizable by construction. *)
-  let generate ?(seed = 0) ?(procs = 8) ~n () : op list =
+  let generate ?(seed = 0) ~n () : op list =
     match viewer with
     | None ->
         invalid_arg
           ("Monitor.generate: " ^ T.name ^ " declares no monitor viewer")
     | Some vw ->
-        let procs = max procs 5 in
+        let procs = 8 in
         (* per-process operations must not overlap: same-process points
            are [procs] apart and jitter stays below 2 on each side *)
         let rng = Random.State.make [| 0x6d6f6e; seed |] in

@@ -28,6 +28,5 @@ val make :
   string ->
   t
 
-val pp_culprit : Format.formatter -> culprit -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -47,11 +47,3 @@ let measure f =
       major_collections = s1.major_collections - s0.major_collections;
       instructions;
     } )
-
-let pp ppf m =
-  Format.fprintf ppf "%.2f ms wall, %.0f minor words, %d+%d collections"
-    (float_of_int m.wall_ns /. 1e6)
-    m.minor_words m.minor_collections m.major_collections;
-  match m.instructions with
-  | Some n -> Format.fprintf ppf ", %Ld instructions" n
-  | None -> ()

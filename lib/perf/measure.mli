@@ -37,7 +37,3 @@ val measure : (unit -> 'a) -> 'a * metrics
     deltas of every metric across the call.  No GC is forced before
     or after: determinism comes from the workload, not from heap
     grooming. *)
-
-val pp : Format.formatter -> metrics -> unit
-(** One human-readable line: wall ms, minor words, collections,
-    instructions when present. *)

@@ -35,8 +35,6 @@ val leg_label : channel_leg -> string
     to realize worst cases. *)
 type delays = Random_delays | Max_delays | Min_delays
 
-val delays_label : delays -> string
-
 type grid = {
   types : Packed_type.t list;
   algos : algo list;

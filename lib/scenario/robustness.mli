@@ -26,8 +26,6 @@ type expectation =
   | Detect  (** the raw run must be flagged; recovery is impossible *)
   | Recover  (** the reliable layer must restore [Runtime.ok] *)
 
-val expectation_name : expectation -> string
-
 (** One fault plan to evaluate, with its expected outcome. *)
 type case = {
   label : string;
@@ -56,7 +54,6 @@ type cell = {
 val all_certified : cell list -> bool
 (** No cell missing, no cell failed: every listed cell is certified. *)
 
-val pp_cell : Format.formatter -> cell -> unit
 val pp_matrix : Format.formatter -> cell list -> unit
 
 val pp_json : Format.formatter -> cell list -> unit

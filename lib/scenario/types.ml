@@ -138,7 +138,6 @@ let with_knob s knob =
   | Centralized | Tob -> s
 
 let with_expect s expect = { s with expect }
-let with_name s name = { s with name }
 
 (* The "uniform point" of a model: the midpoint delay [d - u/2] every
    matrix entry is shrunk toward (shrinking to the envelope's interior

@@ -48,9 +48,9 @@ module Config = struct
     seed : int;
   }
 
-  let make ?(keys = 64) ?(zipf = 0.0) ?(faults = Sim.Fault.none) ?channel
-      ?(checker = Core.Runtime.Monitor) ?max_events ?max_check_nodes
-      ?(seed = 0) ~shards ~ops ~arrival ~model ~algorithm () =
+  let make ?(keys = 64) ?(zipf = 0.0) ?(faults = Sim.Fault.none)
+      ?(checker = Core.Runtime.Monitor) ?max_check_nodes ?(seed = 0) ~shards
+      ~ops ~arrival ~model ~algorithm () =
     if shards < 1 then invalid_arg "Shard.Config.make: shards < 1";
     if ops < 0 then invalid_arg "Shard.Config.make: ops < 0";
     if keys < 1 then invalid_arg "Shard.Config.make: keys < 1";
@@ -62,24 +62,17 @@ module Config = struct
       arrival;
       zipf;
       faults;
-      channel;
+      channel = None;
       checker;
-      max_events;
+      max_events = None;
       max_check_nodes;
       model;
       algorithm;
       seed;
     }
 
-  let reliable ?config cfg =
-    {
-      cfg with
-      channel =
-        Some
-          (match config with
-          | Some c -> c
-          | None -> Core.Reliable.default_config cfg.model);
-    }
+  let reliable cfg =
+    { cfg with channel = Some (Core.Reliable.default_config cfg.model) }
 end
 
 type shard_report = {

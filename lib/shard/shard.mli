@@ -46,9 +46,7 @@ module Config : sig
     ?keys:int ->
     ?zipf:float ->
     ?faults:Sim.Fault.plan ->
-    ?channel:Core.Reliable.config ->
     ?checker:Core.Runtime.checker ->
-    ?max_events:int ->
     ?max_check_nodes:int ->
     ?seed:int ->
     shards:int ->
@@ -63,9 +61,9 @@ module Config : sig
       @raise Invalid_argument on [shards < 1], [ops < 0] or
       [keys < 1]. *)
 
-  val reliable : ?config:Core.Reliable.config -> t -> t
-  (** Set the [channel] field; [config] defaults to
-      [Core.Reliable.default_config] of the record's model. *)
+  val reliable : t -> t
+  (** Set the [channel] field to [Core.Reliable.default_config] of the
+      record's model. *)
 end
 
 type shard_report = {

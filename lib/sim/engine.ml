@@ -110,9 +110,6 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
     skews;
   t
 
-let model t = t.model
-let offsets t = Array.copy t.offsets
-
 let effective_offsets t = Array.copy t.local_offset
 
 let now t = t.now

@@ -74,12 +74,9 @@ val create :
     or the offsets violate the model's skew bound (fault-plan skew is
     applied on top and deliberately escapes this check). *)
 
-val model : ('msg, 'tag, 'inv, 'resp) t -> Model.t
-val offsets : ('msg, 'tag, 'inv, 'resp) t -> Rat.t array
-
 val effective_offsets : ('msg, 'tag, 'inv, 'resp) t -> Rat.t array
 (** [offsets] plus the fault plan's clock perturbations — the offsets
-    processes actually run with.  Equal to {!offsets} for fault-free
+    processes actually run with.  Equal to [offsets] for fault-free
     runs; may violate the model's skew bound otherwise. *)
 
 val now : ('msg, 'tag, 'inv, 'resp) t -> Rat.t

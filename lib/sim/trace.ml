@@ -380,7 +380,3 @@ let operation_count t =
 let pending_count t =
   check_well_formed t;
   t.pending
-
-let pp_summary ppf t =
-  Format.fprintf ppf "trace: %d events, %d operations, %d messages, last=%a"
-    t.count (operation_count t) t.sends Rat.pp t.last

@@ -213,5 +213,3 @@ val operation_count : ('msg, 'inv, 'resp) t -> int
 val pending_count : ('msg, 'inv, 'resp) t -> int
 (** Operations invoked but not yet responded (O(1)).
     @raise Invalid_argument on an ill-formed history. *)
-
-val pp_summary : Format.formatter -> ('msg, 'inv, 'resp) t -> unit

@@ -27,8 +27,6 @@ let kind_to_string = function
   | Stack -> "stack"
   | Priority_queue -> "priority-queue"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 (* Canonical observation of one completed operation.  [Put v] covers
    write/enqueue/push/add/insert; [Take] the destructive observers
    (dequeue/pop/extract); [Peek] the pure observers of the

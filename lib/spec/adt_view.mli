@@ -11,7 +11,6 @@
 type kind = Register | Set | Queue | Stack | Priority_queue
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 
 (** Canonical observation of one completed operation.  [Opaque] marks
     an operation outside the shape's vocabulary — a history containing

@@ -68,10 +68,6 @@ module Make (T : Data_type.S) : sig
       instance of [op1] changes the response of some instance of
       [op2]; then [|OP1| + |OP2| >= d] in any implementation. *)
 
-  val discriminator_exists : aop:string -> T.state -> T.state -> bool
-  (** Some invocation of [aop] answers differently in the two states
-      (§4.3's discriminator, stated on canonical states). *)
-
   val thm5_hypotheses : universe -> op:string -> aop:string -> bool
   (** OP transposable, AOP a pure accessor, and some context with
       instances op0, op1 admitting all three discriminators required by

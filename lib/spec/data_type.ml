@@ -86,9 +86,6 @@ type ('inv, 'resp) instance = { inv : 'inv; resp : 'resp }
 module Semantics (T : S) = struct
   type nonrec instance = (T.invocation, T.response) instance
 
-  let pp_instance ppf { inv; resp } =
-    Format.fprintf ppf "%a -> %a" T.pp_invocation inv T.pp_response resp
-
   let equal_instance a b =
     T.equal_invocation a.inv b.inv && T.equal_response a.resp b.resp
 

@@ -88,21 +88,10 @@ type ('inv, 'resp) instance = { inv : 'inv; resp : 'resp }
 module Semantics (T : S) : sig
   type nonrec instance = (T.invocation, T.response) instance
 
-  val pp_instance : Format.formatter -> instance -> unit
   val equal_instance : instance -> instance -> bool
-
-  val replay : T.state -> instance list -> T.state option
-  (** [None] when some recorded response disagrees with the
-      specification — the sequence is illegal from that state. *)
-
-  val state_after : instance list -> T.state option
-  (** {!replay} from the initial state. *)
 
   val legal : instance list -> bool
   (** Membership in the paper's [L(T)]. *)
-
-  val perform : T.state -> T.invocation -> instance * T.state
-  (** The unique legal instance of an invocation from a state. *)
 
   val perform_seq : T.invocation list -> instance list * T.state
   (** Execute a whole invocation sequence from the initial state — how

@@ -6,7 +6,7 @@ type t =
   | Pure_accessor  (** observes the state without changing it *)
   | Pure_mutator  (** changes the state without revealing it *)
   | Mixed  (** both accesses and mutates (the paper's [OOP]) *)
-[@@deriving show { with_path = false }, eq]
+[@@deriving eq]
 
 let is_accessor = function Pure_accessor | Mixed -> true | Pure_mutator -> false
 let is_mutator = function Pure_mutator | Mixed -> true | Pure_accessor -> false
@@ -15,5 +15,3 @@ let to_string = function
   | Pure_accessor -> "pure accessor"
   | Pure_mutator -> "pure mutator"
   | Mixed -> "accessor+mutator"
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -13,5 +13,3 @@ val equal : t -> t -> bool
 val is_accessor : t -> bool
 val is_mutator : t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val show : t -> string

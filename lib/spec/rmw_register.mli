@@ -16,9 +16,6 @@ type state = int
 type invocation = Read | Write of int | Rmw of rmw_fn
 type response = Value of int | Ack
 
-val eval_fn : rmw_fn -> int -> int
-(** The modification function's semantics. *)
-
 include
   Data_type.S
     with type state := state

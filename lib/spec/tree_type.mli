@@ -17,12 +17,6 @@ type state = {
 type invocation = Insert of int * int | Delete of int | Depth of int | Last_removed
 type response = Ack | Depth_is of int option | Removed_was of int option
 
-val root : int
-(** [0]. *)
-
-val depth : state -> int -> int option
-(** Depth of a node ([root] has depth 0); [None] if absent. *)
-
 include
   Data_type.S
     with type state := state

@@ -170,8 +170,8 @@ let key_fingerprint ?code_fp grid =
   Runner.input_fingerprint ?code_fp ~max_events:(Some grid.max_events)
     ~max_check_nodes:grid.max_check_nodes grid.checker
 
-let input_fingerprint ?code_fp grid =
-  let fp = key_fingerprint ?code_fp grid in
+let input_fingerprint grid =
+  let fp = key_fingerprint grid in
   fun c -> fp (cell_key grid c)
 
 (* The compiler is in the header; the code fingerprint is deliberately

@@ -21,7 +21,6 @@
 type t = { path : string; owner : string }
 
 let owner t = t.owner
-let path t = t.path
 
 let lease_path ~dir name = Filename.concat dir (name ^ ".lease")
 

@@ -13,7 +13,6 @@
 type t
 
 val owner : t -> string
-val path : t -> string
 
 type claim_result =
   | Acquired of t  (** fresh claim *)

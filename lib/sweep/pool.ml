@@ -67,7 +67,6 @@ let map (type r) ?should_stop ~jobs ~fail_fast ~n
 module Interrupt = struct
   let flag = Atomic.make false
   let requested () = Atomic.get flag
-  let request () = Atomic.set flag true
 
   let install () =
     let handle signal (_ : int) =

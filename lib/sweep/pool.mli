@@ -33,10 +33,8 @@ val map :
 
     {!install} registers handlers that flip an atomic flag (readable
     via {!requested}, suitable as [should_stop]) and then restore the
-    default disposition, so a second signal force-kills the process.
-    {!request} raises the flag programmatically. *)
+    default disposition, so a second signal force-kills the process. *)
 module Interrupt : sig
   val install : unit -> unit
   val requested : unit -> bool
-  val request : unit -> unit
 end

@@ -94,7 +94,7 @@ let default_worker_id () =
   Printf.sprintf "%s-%d" (Unix.gethostname ()) (Unix.getpid ())
 
 let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
-    ?(lease_ttl_s = 60.0) ?(poll_s = 0.25) ?code_fp ~dir grid =
+    ?(lease_ttl_s = 60.0) ?code_fp ~dir grid =
   match init ~dir grid with
   | Error _ as e -> e
   | Ok () ->
@@ -192,7 +192,7 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
                 incr i
               done;
               if (not (stopped ())) && not (all_done ()) then begin
-                if not !progress then Unix.sleepf poll_s;
+                if not !progress then Unix.sleepf 0.25;
                 passes ()
               end
             end

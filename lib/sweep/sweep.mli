@@ -89,7 +89,7 @@ val eval_with_retry :
 (** Evaluate under the retry policy (no policy: one plain {!eval});
     also returns the number of attempts spent. *)
 
-val input_fingerprint : ?code_fp:string -> grid -> cell -> int
+val input_fingerprint : grid -> cell -> int
 (** {!Runner.input_fingerprint} of the cell key under the grid's
     budgets and checker.  A journaled cell is replayed only while this
     fingerprint still matches; recompiling therefore invalidates cells
@@ -218,13 +218,12 @@ module Spool : sig
     ?should_stop:(unit -> bool) ->
     ?sync_every:int ->
     ?lease_ttl_s:float ->
-    ?poll_s:float ->
     ?code_fp:string ->
     dir:string ->
     grid ->
     (worker_report, string) result
   (** Claim, evaluate, journal and mark cells until every cell of the
-      campaign is done (polling every [poll_s] while other workers
+      campaign is done (polling every 0.25 s while other workers
       hold the remainder) or [should_stop] fires.  [worker_id]
       defaults to host-pid; it names the lease owner and the worker's
       journal.  A lease not heartbeated for [lease_ttl_s] (default

@@ -13,10 +13,11 @@ let run engine ~n ~per_proc ~think ~seed gen =
         Sim.Engine.schedule_invoke engine ~at:(Rat.add time think) ~proc
           (gen rng)
       end);
-  for proc = 0 to n - 1 do
-    remaining.(proc) <- remaining.(proc) - 1;
-    Sim.Engine.schedule_invoke engine ~at:(Rat.make proc (2 * n)) ~proc
-      (gen rng)
-  done;
+  if per_proc > 0 then
+    for proc = 0 to n - 1 do
+      remaining.(proc) <- remaining.(proc) - 1;
+      Sim.Engine.schedule_invoke engine ~at:(Rat.make proc (2 * n)) ~proc
+        (gen rng)
+    done;
   Sim.Engine.run engine;
   Sim.Engine.trace engine

@@ -1,0 +1,3 @@
+val used : int -> int
+val unused : int
+val scaled : ?by:int -> int -> int

@@ -684,7 +684,7 @@ let test_overflow_is_named () =
 
 (* A negative closed-loop count is refused where the scenario is
    lowered, so a scenario file is refused like the CLI flags; zero
-   operations per process still runs. *)
+   operations per process still runs, and invokes nothing. *)
 let test_negative_per_proc_refused () =
   let model =
     Sim.Model.make ~n:3 ~d:(Rat.of_int 10) ~u:(Rat.of_int 4) ~eps:Rat.one
@@ -699,8 +699,11 @@ let test_negative_per_proc_refused () =
   Alcotest.(check (option string)) "named refusal"
     (Some "bad scenario: closed-loop per_proc -1 is negative")
     o.Scenario.Exec.diagnostic;
+  let zero = closed 0 in
   Alcotest.(check bool) "zero per process certifies" true
-    (Scenario.Exec.passes (closed 0))
+    (Scenario.Exec.passes zero);
+  Alcotest.(check int) "zero per process invokes nothing" 0
+    zero.Scenario.Exec.operations
 
 let test_expectations () =
   (* The verbatim counterexample fails Certify and passes Violate. *)
