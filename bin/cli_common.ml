@@ -114,6 +114,18 @@ let at_least lo ~below =
 let non_negative = at_least 0 ~below:"negative"
 let positive = at_least 1 ~below:"not positive"
 
+(* The same for real-valued flags, which also refuse nan. *)
+let float_at_least lo ~below =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (x >= lo) ->
+        let what = if Float.is_nan x then "not a number" else below in
+        Error
+          (`Msg (Printf.sprintf "%g is %s; expected a number >= %g" x what lo))
+    | parsed -> parsed
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 

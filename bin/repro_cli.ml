@@ -851,7 +851,7 @@ let sweep_cmd =
   let cell_budget_arg =
     Arg.(
       value
-      & opt (some float) None
+      & opt (some (float_at_least 0. ~below:"negative")) None
       & info [ "cell-budget" ] ~docv:"SECONDS"
           ~doc:
             "Per-cell wall budget: a cell that exceeds it fails with a \
@@ -867,7 +867,8 @@ let sweep_cmd =
   in
   let cell_backoff_arg =
     Arg.(
-      value & opt float 2.0
+      value
+      & opt (float_at_least 1. ~below:"below 1") 2.0
       & info [ "cell-backoff" ] ~docv:"F"
           ~doc:"Wall-budget multiplier applied after each timeout.")
   in

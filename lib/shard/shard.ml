@@ -240,11 +240,13 @@ module Make (T : Spec.Data_type.S) = struct
         }
       in
       let n = filled.(key) in
-      if n = Array.length by_key.(key) then begin
-        let grown = Array.make (max 8 (2 * n)) projected in
-        Array.blit by_key.(key) 0 grown 0 n;
-        by_key.(key) <- grown
-      end;
+      if n = Array.length by_key.(key) then
+        (* Doubled by [Array.append]: [Array.make] of more than 256
+           words filled with the young [projected] would force a minor
+           collection at every such growth. *)
+        by_key.(key) <-
+          (if n = 0 then Array.make 8 projected
+           else Array.append by_key.(key) by_key.(key));
       by_key.(key).(n) <- projected;
       filled.(key) <- n + 1
     in

@@ -144,11 +144,22 @@ let send_message t ~src ~dst msg =
   match t.injector with
   | None -> travel t ~src ~dst ~seq msg delay
   | Some inj ->
-      let delays, injected = Fault.on_send inj ~src ~dst ~seq ~delay in
-      (match delays with
-      | [] -> Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg
-      | delays -> List.iter (travel t ~src ~dst ~seq msg) delays);
-      List.iter (fun fault -> Trace.fault t.trace ~time:t.now fault) injected
+      let fate = Fault.decide inj ~src ~dst ~delay in
+      if fate = 0 then travel t ~src ~dst ~seq msg delay
+      else if fate land Fault.dropped <> 0 then (
+        Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg;
+        Trace.fault t.trace ~time:t.now (Fault.Dropped { src; dst; seq }))
+      else
+        let spiked = fate land Fault.spiked <> 0 in
+        let duplicated = fate land Fault.duplicated <> 0 in
+        let delay = if spiked then Fault.spike_delay inj else delay in
+        travel t ~src ~dst ~seq msg delay;
+        if duplicated then travel t ~src ~dst ~seq msg delay;
+        if spiked then
+          Trace.fault t.trace ~time:t.now
+            (Fault.Spiked { src; dst; seq; delay });
+        if duplicated then
+          Trace.fault t.trace ~time:t.now (Fault.Duplicated { src; dst; seq })
 
 let timer_live t id =
   id >= 0 && id < t.next_timer_id

@@ -52,9 +52,6 @@ let pp_kind ppf = function
   | Skewed { proc; offset } ->
       Format.fprintf ppf "clock skew p%d by %a" proc Rat.pp offset
 
-let on_edge edges ~src ~dst =
-  match edges with All -> true | Edges list -> List.mem (src, dst) list
-
 let crash_time plan ~proc =
   List.fold_left
     (fun acc spec ->
@@ -119,51 +116,67 @@ let describe plan =
   String.concat " "
     (Printf.sprintf "seed=%d" plan.seed :: List.map spec_str plan.specs)
 
-type injector = { spec : plan; rng : Random.State.t }
+type injector = {
+  spec : plan;
+  rng : Random.State.t;
+  mutable spike_delay : Rat.t;
+}
 
 let instantiate plan =
-  { spec = plan; rng = Random.State.make [| plan.seed; 0x5eed |] }
+  {
+    spec = plan;
+    rng = Random.State.make [| plan.seed; 0x5eed |];
+    spike_delay = Rat.zero;
+  }
 
-let roll t p = p > 0. && Random.State.float t.rng 1.0 < p
+let dropped = 1
+let duplicated = 2
+let spiked = 4
+let spike_delay t = t.spike_delay
+
+(* [Random.State.float rng 1.0 < p], drawn exactly as the stdlib draws
+   it (53 high bits of [bits64], redrawn on 0, scaled by 2^-53) but
+   compared in place, so no float is boxed. *)
+let rec roll rng p =
+  p > 0.
+  &&
+  let bits = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if bits = 0L then roll rng p else Int64.to_float bits *. 0x1.p-53 < p
+
+let rec on_edge src dst = function
+  | [] -> false
+  | (s, d) :: rest -> (s = src && d = dst) || on_edge src dst rest
+
+let hit t p edges ~src ~dst =
+  roll t.rng p
+  && match edges with All -> true | Edges list -> on_edge src dst list
 
 (* Every probabilistic spec is rolled on every transmission, in plan
    order, so the RNG stream consumed per send depends only on the plan
    — never on which faults happened to trigger.  Determinism therefore
    survives plan-behavioural changes downstream (e.g. a retransmission
    rolling fresh faults). *)
-let on_send t ~src ~dst ~seq ~delay =
-  let dropped = ref false in
-  let duplicated = ref false in
-  let spiked = ref None in
-  List.iter
-    (fun spec ->
-      match spec with
-      | Drop { p; edges } ->
-          let hit = roll t p in
-          if hit && on_edge edges ~src ~dst then dropped := true
-      | Duplicate { p; edges } ->
-          let hit = roll t p in
-          if hit && on_edge edges ~src ~dst then duplicated := true
-      | Spike { p; edges; margin; below } ->
-          let hit = roll t p in
-          if hit && on_edge edges ~src ~dst && !spiked = None then
-            (* Relative to the sampled delay, not the model: the same
-               plan must stay meaningful when the run is judged against
-               an inflated recovery model. *)
-            spiked :=
-              Some
+let rec fate t ~src ~dst ~delay acc = function
+  | [] -> acc
+  | spec :: rest ->
+      let acc =
+        match spec with
+        | Drop { p; edges } ->
+            if hit t p edges ~src ~dst then acc lor dropped else acc
+        | Duplicate { p; edges } ->
+            if hit t p edges ~src ~dst then acc lor duplicated else acc
+        | Spike { p; edges; margin; below } ->
+            if hit t p edges ~src ~dst && acc land spiked = 0 then (
+              (* Relative to the sampled delay, not the model: the same
+                 plan must stay meaningful when the run is judged
+                 against an inflated recovery model. *)
+              t.spike_delay <-
                 (if below then Rat.max Rat.zero (Rat.sub delay margin)
-                 else Rat.add delay margin)
-      | Crash _ | Skew _ -> ())
-    t.spec.specs;
-  if !dropped then ([], [ Dropped { src; dst; seq } ])
-  else
-    let delay, spike_faults =
-      match !spiked with
-      | None -> (delay, [])
-      | Some delay' -> (delay', [ Spiked { src; dst; seq; delay = delay' } ])
-    in
-    if !duplicated then
-      ([ delay; delay ], spike_faults @ [ Duplicated { src; dst; seq } ])
-    else ([ delay ], spike_faults)
+                 else Rat.add delay margin);
+              acc lor spiked)
+            else acc
+        | Crash _ | Skew _ -> acc
+      in
+      fate t ~src ~dst ~delay acc rest
 
+let decide t ~src ~dst ~delay = fate t ~src ~dst ~delay 0 t.spec.specs

@@ -90,15 +90,31 @@ type injector
 val instantiate : plan -> injector
 (** Fresh fault state (RNG seeded from the plan's seed) for one run. *)
 
-val on_send :
-  injector ->
-  src:int ->
-  dst:int ->
-  seq:int ->
-  delay:Rat.t ->
-  Rat.t list * kind list
-(** Decide the fate of one transmission whose fault-free delay is
-    [delay]: the list of delays to actually deliver (empty = dropped,
-    two entries = duplicated, altered = spiked) and the fault records
-    to emit.  Consumes RNG state; deterministic in engine send order. *)
+val decide : injector -> src:int -> dst:int -> delay:Rat.t -> int
+(** The fate of one transmission whose fault-free delay is [delay], as
+    a set of fate bits: {!dropped}, {!duplicated} and {!spiked} ([0]:
+    deliver one copy after [delay]).  Every probabilistic spec is
+    rolled on every call, in plan order, whether or not an earlier one
+    fired; a spec with [p = 0] draws nothing.  The first spike that
+    fires sets {!spike_delay}.  Consumes RNG state; deterministic in
+    engine send order.
 
+    A roll is [Random.State.float rng 1.0 < p], computed bit for bit
+    as the stdlib computes it but compared without boxing the float,
+    so a decision allocates nothing (a spike allocates only a
+    non-integer delay). *)
+
+val dropped : int
+(** Fate bit: the transmission is lost (it still counts as sent). *)
+
+val duplicated : int
+(** Fate bit: deliver a second copy with the same delay. *)
+
+val spiked : int
+(** Fate bit: deliver after {!spike_delay} instead of the sampled
+    delay. *)
+
+val spike_delay : injector -> Rat.t
+(** The delay of the last transmission {!decide} returned {!spiked}
+    for: [delay + margin], or [max 0 (delay - margin)] for a spike
+    below. *)

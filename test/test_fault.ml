@@ -1,4 +1,5 @@
-(* Fault-injection tests: seed determinism of a plan, the trace's O(1)
+(* Fault-injection tests: seed determinism of a plan, a pinned digest
+   of one fault schedule, the injector's allocation, the trace's O(1)
    fault counters, crash-stop suppression, and — for both retained and
    retention-free runs — the admissibility monitor naming the exact
    (src, dst, seq, delay) of an injected out-of-envelope spike. *)
@@ -11,7 +12,10 @@ module Algo = Core.Wtlw.Make (Reg)
 
 (* A small fixed schedule over Algorithm 1; delays come from a uniform
    matrix so injected spikes have an exactly predictable magnitude. *)
-let run_cluster ?(retain_events = true) ~faults () =
+let four_ops =
+  [ (0, Reg.Write 1); (1, Reg.Read); (2, Reg.Write 2); (1, Reg.Read) ]
+
+let run_cluster ?(retain_events = true) ?(schedule = four_ops) ~faults () =
   let cluster =
     Algo.create ~retain_events ~faults ~model ~x:(rat 2 1)
       ~offsets:(Array.make 3 Rat.zero)
@@ -21,7 +25,7 @@ let run_cluster ?(retain_events = true) ~faults () =
   List.iteri
     (fun i (proc, inv) ->
       Sim.Engine.schedule_invoke cluster.engine ~at:(rat (i * 25) 1) ~proc inv)
-    [ (0, Reg.Write 1); (1, Reg.Read); (2, Reg.Write 2); (1, Reg.Read) ];
+    schedule;
   Sim.Engine.run cluster.engine;
   Sim.Engine.trace cluster.engine
 
@@ -71,6 +75,177 @@ let test_seed_changes_faults () =
      different fault stream. *)
   Alcotest.(check bool) "different seed, different stream" true
     (counts 11 <> counts 12)
+
+(* A plan that exercises every branch of the injector's decision: drop,
+   duplicate, a spike above and one below (clamped at 0 under the
+   uniform delay 8), a spike restricted to two edges, and a [p = 0]
+   spec, which must draw nothing.  Over [long_schedule] drops and
+   spikes fire together, and so do spikes and duplicates; the replay
+   below shows it. *)
+let schedule_seed = 5
+
+let schedule_plan =
+  Sim.Fault.plan ~seed:schedule_seed
+    [
+      Sim.Fault.drops 0.2;
+      Sim.Fault.duplicates 0.25;
+      Sim.Fault.spikes ~margin:(rat 5 1) 0.2;
+      Sim.Fault.duplicates 0.0;
+      Sim.Fault.spikes ~below:true ~margin:(rat 10 1) 0.2;
+      Sim.Fault.spikes ~edges:(Sim.Fault.Edges [ (0, 1); (2, 0) ])
+        ~margin:(rat 3 1) 0.5;
+    ]
+
+let long_schedule =
+  List.init 24 (fun i ->
+      (i mod 3, if i mod 2 = 0 then Reg.Write i else Reg.Read))
+
+(* The fault schedule of [schedule_plan] over [long_schedule], pinned
+   by the digest of its retained trace.  Any change to the RNG draws,
+   their order, the spike rule or the order in which faults are
+   recorded moves it. *)
+let schedule_digest = "a663c2a145d866ccf0fbbd7b21ccdf43"
+
+(* An independent model of the decision, replayed over the trace's
+   transmissions with the stdlib's [Random.State.float]: every
+   probabilistic spec rolls on every transmission, in plan order, and
+   the first spike that fires wins.  Returns the predicted (dropped,
+   duplicated, spiked, drop-and-spike, spike-and-duplicate) counts. *)
+let replay_schedule trace =
+  let rng = Random.State.make [| schedule_seed; 0x5eed |] in
+  let roll p = p > 0. && Random.State.float rng 1.0 < p in
+  let on_edge edges key =
+    match edges with Sim.Fault.All -> true | Edges l -> List.mem key l
+  in
+  let transmissions =
+    List.fold_left
+      (fun acc ev ->
+        match (ev, acc) with
+        | Sim.Trace.Send { src; dst; seq; _ }, last :: _
+          when last = (src, dst, seq) ->
+            acc (* the second copy of a duplicated transmission *)
+        | Sim.Trace.Send { src; dst; seq; _ }, _ -> (src, dst, seq) :: acc
+        | _ -> acc)
+      [] (Sim.Trace.events trace)
+    |> List.rev
+  in
+  let counts = Array.make 5 0 in
+  let bump i = counts.(i) <- counts.(i) + 1 in
+  List.iter
+    (fun (src, dst, _) ->
+      let drop = ref false and dup = ref false and spike = ref false in
+      List.iter
+        (fun spec ->
+          match spec with
+          | Sim.Fault.Drop { p; edges } ->
+              if roll p && on_edge edges (src, dst) then drop := true
+          | Duplicate { p; edges } ->
+              if roll p && on_edge edges (src, dst) then dup := true
+          | Spike { p; edges; _ } ->
+              if roll p && on_edge edges (src, dst) then spike := true
+          | Crash _ | Skew _ -> ())
+        schedule_plan.specs;
+      if !drop then bump 0;
+      if !dup && not !drop then bump 1;
+      if !spike && not !drop then bump 2;
+      if !drop && !spike then bump 3;
+      if !spike && !dup && not !drop then bump 4)
+    transmissions;
+  counts
+
+let test_schedule_pinned () =
+  let trace = run_cluster ~schedule:long_schedule ~faults:schedule_plan () in
+  let lines = List.map fingerprint (Sim.Trace.events trace) in
+  let counts = Sim.Trace.fault_counts trace in
+  let predicted = replay_schedule trace in
+  Alcotest.(check (list int))
+    "replay predicts the recorded faults"
+    [ counts.dropped; counts.duplicated; counts.spiked ]
+    [ predicted.(0); predicted.(1); predicted.(2) ];
+  Alcotest.(check bool) "drop and spike fire together" true (predicted.(3) > 0);
+  Alcotest.(check bool) "spike and duplicate fire together" true
+    (predicted.(4) > 0);
+  let spiked_to delay =
+    List.exists
+      (function
+        | Sim.Trace.Fault { fault = Spiked { delay = d; _ }; _ } ->
+            Rat.to_string d = delay
+        | _ -> false)
+      (Sim.Trace.events trace)
+  in
+  Alcotest.(check bool) "spike above (8 + 5)" true (spiked_to "13");
+  Alcotest.(check bool) "spike below, clamped at 0" true (spiked_to "0");
+  Alcotest.(check bool) "edge-restricted spike (8 + 3)" true (spiked_to "11");
+  Alcotest.(check string) "pinned schedule" schedule_digest
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+(* The injector's decision allocates nothing: no boxed float per roll,
+   no closure over the plan, no result list.  When every roll misses,
+   10 000 decisions allocate 0 minor words; when every spec fires
+   (integer delays, which [Rat] keeps unboxed), still 0 — the engine
+   then builds only the [Fault.kind] record it traces. *)
+let decision_words plan =
+  let inj = Sim.Fault.instantiate plan in
+  let delay = rat 8 1 in
+  let fates = ref 0 in
+  let before = Gc.minor_words () in
+  for seq = 0 to 9_999 do
+    fates := !fates lor Sim.Fault.decide inj ~src:(seq mod 3) ~dst:1 ~delay
+  done;
+  (Gc.minor_words () -. before, !fates)
+
+let test_decision_allocates_nothing () =
+  let never = 1e-12 (* rolled, never fires over 10 000 draws *) in
+  let words, fates =
+    decision_words
+      (Sim.Fault.plan ~seed:9
+         [
+           Sim.Fault.drops never;
+           Sim.Fault.duplicates ~edges:(Sim.Fault.Edges [ (0, 1) ]) never;
+           Sim.Fault.spikes ~margin:(rat 5 1) never;
+         ])
+  in
+  Alcotest.(check int) "every roll missed" 0 fates;
+  Alcotest.(check (float 0.)) "misses allocate nothing" 0. words;
+  let words, fates =
+    decision_words
+      (Sim.Fault.plan
+         [
+           Sim.Fault.drops 1.0;
+           Sim.Fault.duplicates 1.0;
+           Sim.Fault.spikes ~below:true ~margin:(rat 3 1) 1.0;
+         ])
+  in
+  Alcotest.(check int) "every fate fired"
+    Sim.Fault.(dropped lor duplicated lor spiked)
+    fates;
+  Alcotest.(check (float 0.)) "hits allocate nothing" 0. words
+
+(* The same through the engine's send path: a run whose rolls all miss
+   allocates exactly what a fault-free run does, plus the injector
+   built at creation.  A closure or list per transmission in
+   [Engine.send_message] shows up here. *)
+let test_send_path_allocates_nothing () =
+  let misses = Sim.Fault.plan [ Sim.Fault.drops 1e-12 ] in
+  let run_words faults =
+    let before = Gc.minor_words () in
+    ignore
+      (Sys.opaque_identity (run_cluster ~schedule:long_schedule ~faults ()));
+    Gc.minor_words () -. before
+  in
+  let injector_words =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Some (Sim.Fault.instantiate misses)));
+    Gc.minor_words () -. before
+  in
+  let quiet = run_words Sim.Fault.none in
+  let rolled = run_words misses in
+  Alcotest.(check int) "no fault fired" 0
+    (Sim.Trace.total_faults
+       (Sim.Trace.fault_counts
+          (run_cluster ~schedule:long_schedule ~faults:misses ())));
+  Alcotest.(check (float 0.))
+    "only the injector itself" (quiet +. injector_words) rolled
 
 let test_drop_counters () =
   let trace = run_cluster ~faults:(Sim.Fault.plan [ Sim.Fault.drops 1.0 ]) () in
@@ -168,6 +343,14 @@ let () =
             test_plan_determinism;
           Alcotest.test_case "seed changes the stream" `Quick
             test_seed_changes_faults;
+          Alcotest.test_case "pinned schedule" `Quick test_schedule_pinned;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "decision allocates nothing" `Quick
+            test_decision_allocates_nothing;
+          Alcotest.test_case "send path allocates nothing per roll" `Quick
+            test_send_path_allocates_nothing;
         ] );
       ( "counters",
         [
