@@ -81,11 +81,17 @@ let make_model n d u eps =
       | exception Invalid_argument msg -> Error msg)
 
 (* An X outside [0, d - eps] makes one of Algorithm 1's waits
-   negative: refuse it by name before any run starts. *)
+   negative: refuse it by name before any run starts.  An eps above d
+   leaves no X at all, the default (d - eps)/2 included. *)
 let make_x (model : Sim.Model.t) x =
   named_overflow (fun () ->
       let hi = Rat.sub model.d model.eps in
       match x with
+      | _ when Rat.sign hi < 0 ->
+          Error
+            (Printf.sprintf
+               "eps = %s exceeds d = %s, so no X lies in [0, d - eps]"
+               (Rat.to_string model.eps) (Rat.to_string model.d))
       | None -> Ok (Rat.div_int hi 2)
       | Some x when Rat.le Rat.zero x && Rat.le x hi -> Ok x
       | Some x ->

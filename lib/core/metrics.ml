@@ -159,8 +159,9 @@ module Hist = struct
   (* A sample in time units, as a float.  An integer sample below 2^53
      converts exactly, so dividing it by the quantum rounds the same
      rational [Rat.to_float] rounds once: the bucket is the one the
-     sample divided by the quantum lands in. *)
-  let to_units_float t v =
+     sample divided by the quantum lands in.  Inlined, so that a float
+     computed from an integer sample stays in the caller's local. *)
+  let[@inline] to_units_float t v =
     if t.quantum = 1 then Rat.to_float v
     else if Rat.den v = 1 && Int.abs (Rat.num v) < 1 lsl 53 then
       float_of_int (Rat.num v) /. float_of_int t.quantum

@@ -124,7 +124,12 @@ module Make (T : Spec.Data_type.S) = struct
   type workload =
     | Schedule of T.invocation Workload.entry list
     | Closed_loop of { per_proc : int; think : Rat.t; seed : int }
-    | Paced of { next : proc:int -> (int * T.invocation) option }
+    | Paced : {
+        route : 'inv Workload.Route.t;
+        lift : key:int -> 'inv -> T.invocation;
+        tick : Rat.t;
+      }
+        -> workload
 
   (* Description of the reliable channel a run was layered over, when
      [Config.channel] was set: the retransmission config, the inflated
@@ -275,35 +280,37 @@ module Make (T : Spec.Data_type.S) = struct
               ~at:(Rat.make (proc * q) (2 * n))
               ~proc (T.gen_invocation rng)
           done
-    | Paced { next } ->
+    | Paced { route; lift; tick } ->
         (* Open loop with backpressure: each process holds at most one
-           pending invocation; the next arrival is scheduled when the
-           previous operation responds, clamped forward to the response
-           time if the process fell behind its arrival stream.  An
-           arrival counts generator quanta, which divide [q]. *)
-        let k = q / Workload.Gen.quantum in
+           pending invocation; the next arrival is popped from the
+           route when the previous operation responds, clamped forward
+           to the response time if the process fell behind its arrival
+           stream.  An arrival counts route ticks, [k] run quanta each:
+           [setup] noted [tick], so [k] is whole. *)
+        let k = Rat.num (Rat.mul_int tick q) in
         let arrival at =
           if at > max_int / k then
             unrepresentable_horizon
               (Printf.sprintf
-                 "an arrival at %d/%d time units does not fit in int quanta \
-                  of 1/%d"
-                 at Workload.Gen.quantum q);
+                 "an arrival at %d ticks of %s time units does not fit in \
+                  int quanta of 1/%d"
+                 at (Rat.to_string tick) q);
           Rat.of_int (at * k)
         in
+        let invoke ~proc ~time =
+          let i = Workload.Route.pop route ~proc in
+          if i >= 0 then
+            Sim.Engine.schedule_invoke engine
+              ~at:(Rat.max (arrival (Workload.Route.quanta route ~proc i)) time)
+              ~proc
+              (lift
+                 ~key:(Workload.Route.key route ~proc i)
+                 (Workload.Route.inv route ~proc i))
+        in
         Sim.Engine.set_response_callback engine
-          (fun ~proc ~inv:_ ~resp:_ ~time ->
-            match next ~proc with
-            | None -> ()
-            | Some (at, inv) ->
-                Sim.Engine.schedule_invoke engine
-                  ~at:(Rat.max (arrival at) time)
-                  ~proc inv);
+          (fun ~proc ~inv:_ ~resp:_ ~time -> invoke ~proc ~time);
         for proc = 0 to n - 1 do
-          match next ~proc with
-          | None -> ()
-          | Some (at, inv) ->
-              Sim.Engine.schedule_invoke engine ~at:(arrival at) ~proc inv
+          invoke ~proc ~time:Rat.zero
         done);
     Sim.Engine.run ?max_events ?deadline engine
 
@@ -413,7 +420,9 @@ module Make (T : Spec.Data_type.S) = struct
         note s think;
         (* first invocations at multiples of 1/(2n), all below 1/2 *)
         s.q <- lcm s.q (2 * judged.n)
-    | Paced _ -> s.q <- lcm s.q Workload.Gen.quantum
+    | Paced { tick; _ } ->
+        if Rat.sign tick <= 0 then invalid_arg "Runtime.run: Paced tick <= 0";
+        note s tick
 
   (* Everything a run is set up from, in model units, and its quantum:
      the judged model, Algorithm 1's timing, and [q], refused by name

@@ -66,17 +66,25 @@ module Make (T : Spec.Data_type.S) : sig
     | Closed_loop of { per_proc : int; think : Rat.t; seed : int }
         (** each process performs [per_proc] random operations, each
             invoked [think] after the previous response *)
-    | Paced of { next : proc:int -> (int * T.invocation) option }
-        (** streamed open loop with backpressure: [next ~proc] yields
-            process [proc]'s next arrival ([None] = stream exhausted
-            for that process), its time counted in
-            {!Workload.Gen.quantum} units, pulled once at start-up and
-            then on each response; an arrival earlier than the response
-            that pulled it is clamped forward, so the
+    | Paced : {
+        route : 'inv Workload.Route.t;
+        lift : key:int -> 'inv -> T.invocation;
+        tick : Rat.t;
+      }
+        -> workload
+        (** streamed open loop with backpressure: process [proc]'s
+            arrivals are popped from [route] ({!Workload.Route.pop}),
+            once at start-up and then on each response, and [lift
+            ~key inv] builds the invocation the run makes from an
+            arrival's key and generated invocation.  An arrival's time
+            counts [tick]s of model time ([1/]{!Workload.Gen.quantum}
+            for a generated stream); one earlier than the response
+            that popped it is clamped forward, so the
             one-pending-operation constraint holds for any arrival
-            rate.  Feed it from a {!Workload.Route.take} for
-            generator-driven million-op runs that never materialize a
-            schedule. *)
+            rate.  Generator-driven million-op runs never materialize
+            a schedule, and an arrival allocates only what [lift]
+            builds.  A route created with a [min_gap], or a [tick]
+            that is not positive, is refused with [Invalid_argument]. *)
 
   (** Description of the reliable channel a run was layered over
       ([Config.channel]): its retransmission config, the inflated model

@@ -197,11 +197,13 @@ module Gen = struct
         in
         quantize (base /. intensity)
 
+  (* The key's uniform is [Random.State.float t.rng 1.0], scaled in
+     this local so that it is never boxed. *)
   let draw_key t =
     let n = Array.length t.cum in
     if n = 1 then 0
     else begin
-      let u = Random.State.float t.rng 1.0 in
+      let u = float_of_int (Sim.Uniform.bits t.rng) *. Sim.Uniform.scale in
       let lo = ref 0 and hi = ref (n - 1) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
@@ -326,8 +328,9 @@ module Route = struct
   (* Dequeue [proc]'s next arrival and return its ring slot, or -1
      when the stream is exhausted for [proc].  The slot stays intact
      until the next deal. *)
-  let pop t ~proc =
-    if proc < 0 || proc >= t.procs then invalid_arg "Workload.Route.next";
+  let dequeue t ~proc =
+    if proc < 0 || proc >= t.procs then
+      invalid_arg "Workload.Route: proc outside [0, procs)";
     let r = t.rings.(proc) in
     if fill t r then begin
       let i = r.head in
@@ -341,19 +344,19 @@ module Route = struct
      arrivals come out of one nondecreasing stream, so each is no
      earlier than the one before it, and the generated time in quanta
      is the invocation time. *)
-  let take t ~proc f =
+  let pop t ~proc =
     if Rat.sign t.min_gap > 0 then
-      invalid_arg "Workload.Route.take: a route with a min_gap needs next";
-    let i = pop t ~proc in
-    if i < 0 then None
-    else
-      let r = t.rings.(proc) in
-      Some (f r.quanta.(i) ~key:r.key.(i) r.inv.(i))
+      invalid_arg "Workload.Route.pop: a route with a min_gap needs next";
+    dequeue t ~proc
+
+  let quanta t ~proc i = t.rings.(proc).quanta.(i)
+  let key t ~proc i = t.rings.(proc).key.(i)
+  let inv t ~proc i = t.rings.(proc).inv.(i)
 
   (* A process's arrivals are clamped in the order it pulls them, which
      is the order they were dealt to it. *)
   let next t ~proc =
-    let i = pop t ~proc in
+    let i = dequeue t ~proc in
     if i < 0 then None
     else
       let r = t.rings.(proc) in

@@ -93,7 +93,7 @@ end
 
 (** Demultiplex one generated stream onto processes.  Kept arrivals are
     dealt round-robin across [procs] processes in generation order;
-    each process pulls its own feed with {!Route.take}.  Each process's
+    each process pulls its own feed with {!Route.pop}.  Each process's
     buffer is a ring of parallel arrays holding times in {!Gen.quantum}
     units, so dealing an arrival allocates nothing; buffers stay as
     deep as the furthest a process falls behind the others. *)
@@ -108,15 +108,26 @@ module Route : sig
       [min_gap] (default 0) additionally spaces consecutive arrivals
       assigned to the same process. *)
 
-  val take : 'inv t -> proc:int -> (int -> key:int -> 'inv -> 'a) -> 'a option
-  (** [take t ~proc f] applies [f] to the invocation time, in
-      {!Gen.quantum} units, key and invocation of the next arrival
-      assigned to [proc]; [None] when the stream is exhausted for that
-      process.  It builds no rational: without a [min_gap] a process's
-      arrivals are already nondecreasing, so the time is the generated
-      one.
+  val pop : 'inv t -> proc:int -> int
+  (** [pop t ~proc] dequeues the next arrival assigned to [proc] and
+      returns the ring slot that holds it, to read with {!quanta},
+      {!key} and {!inv}; [-1] when the stream is exhausted for that
+      process.  The slot holds the arrival until the route next
+      generates, at the next {!pop} or {!next}.  It builds nothing:
+      without a [min_gap] a process's arrivals are already
+      nondecreasing, so the time is the generated one.
       @raise Invalid_argument on a route created with a positive
       [min_gap] (use {!next}). *)
+
+  val quanta : 'inv t -> proc:int -> int -> int
+  (** The invocation time of the arrival in [proc]'s slot, in
+      {!Gen.quantum} units. *)
+
+  val key : 'inv t -> proc:int -> int -> int
+  (** The object key of the arrival in [proc]'s slot. *)
+
+  val inv : 'inv t -> proc:int -> int -> 'inv
+  (** The invocation of the arrival in [proc]'s slot. *)
 
   val next : 'inv t -> proc:int -> (Rat.t * 'inv keyed) option
   (** The next arrival assigned to [proc] as generated, next to its

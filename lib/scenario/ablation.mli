@@ -48,7 +48,8 @@ val default_knobs : Sim.Model.t -> x:Rat.t -> Core.Ablation.knob list
 val report :
   model:Sim.Model.t -> x:Rat.t -> seeds:int list -> (outcome list, string) result
 (** {!evaluate} over {!default_knobs}; a model with fewer than 4
-    processes is refused by name. *)
+    processes, or an [x] outside [[0, d - eps]] (every [x] when
+    [eps > d]), is refused by name. *)
 
 val finding : Core.Ablation.knob -> bool * bool
 (** [(linearizable, replicas_converged)] of

@@ -204,10 +204,9 @@ module Run (T : Spec.Data_type.S) = struct
             Ok
               (R.Paced
                  {
-                   next =
-                     (fun ~proc ->
-                       Core.Workload.Route.take route ~proc
-                         (fun quanta ~key:_ inv -> (quanta, inv)));
+                   route;
+                   lift = (fun ~key:_ inv -> inv);
+                   tick = Rat.make 1 Core.Workload.Gen.quantum;
                  })
         | exception Invalid_argument m -> Error ("generated workload: " ^ m))
 

@@ -190,10 +190,6 @@ module Make (T : Spec.Data_type.S) = struct
         ~keep:(fun k -> k mod cfg.shards = shard)
         gen
     in
-    let next ~proc =
-      Workload.Route.take route ~proc (fun at ~key inv ->
-          (at, { KT.key; inv }))
-    in
     (* The engine's default step limit is sized for single small runs;
        a million-op shard needs headroom proportional to its share of
        the stream (broadcasts, timers, acks). *)
@@ -209,22 +205,53 @@ module Make (T : Spec.Data_type.S) = struct
         ~offsets:(Array.make m.n Rat.zero)
         ~delay:(Sim.Net.random_model ~seed:sseed m)
         ~algorithm:cfg.algorithm
-        ~workload:(R.Paced { next })
+        ~workload:
+          (R.Paced
+             {
+               route;
+               lift = (fun ~key inv -> { KT.key; inv });
+               tick = Rat.make 1 Workload.Gen.quantum;
+             })
         ()
     in
     match cfg.channel with
     | None -> rcfg
     | Some config -> R.Config.reliable ~config rcfg
 
+  (* Store [op] after the first [len] operations of [ops], which are in
+     invocation order with ties in response order, moving it back past
+     those invoked after it; [ops] doubles when full.  Fed operations
+     in response order, the moves are the history's inversions: pairs
+     invoked in one order and completed in the other.  The one invoked
+     first was pending when the other was invoked, and at most one
+     operation per other process is, so each operation is passed at
+     most [n - 1] times: no sort is needed, and no array is filled with
+     a young operation ([Array.stable_sort]'s scratch array and
+     [Array.make] of more than 256 words are, forcing a minor
+     collection). *)
+  let insert_in_order (ops : C.Mon.op array) len (op : C.Mon.op) =
+    let ops =
+      if len < Array.length ops then ops
+      else if len = 0 then Array.make 8 op
+      else Array.append ops ops
+    in
+    let j = ref len in
+    while !j > 0 && Rat.compare ops.(!j - 1).inv_time op.inv_time > 0 do
+      ops.(!j) <- ops.(!j - 1);
+      decr j
+    done;
+    ops.(!j) <- op;
+    ops
+
   (* Run one shard and visit its keys one at a time, exploiting
      locality.  The run hands over each operation as it completes,
-     keeping none; it is projected onto [T] and appended to its key's
-     array, which holds the only copy.  A key's turn sorts its array
-     into invocation order (ties in response order, as
-     [Sim.Trace.operations] lists them), releases it from the shard,
-     and hands [f] the history with the order the algorithm linearized
-     that key in.  The operations count the run's time quanta
-     [quantum]: checkers only compare times, so only a rendered
+     keeping none; it is projected onto [T] and inserted into its
+     key's array, which holds the only copy, in invocation order (ties
+     in response order, as [Sim.Trace.operations] lists them) by
+     [insert_in_order].  A key's turn releases its array from the
+     shard and hands [f] the history with the order the algorithm
+     linearized that key in.  The operations count the run's time
+     quanta [quantum]: checkers only compare times, so only a rendered
      failure divides them. *)
   let each_key (cfg : Config.t) ~shard f =
     let by_key = Array.make cfg.keys [||] and filled = Array.make cfg.keys 0 in
@@ -240,14 +267,7 @@ module Make (T : Spec.Data_type.S) = struct
         }
       in
       let n = filled.(key) in
-      if n = Array.length by_key.(key) then
-        (* Doubled by [Array.append]: [Array.make] of more than 256
-           words filled with the young [projected] would force a minor
-           collection at every such growth. *)
-        by_key.(key) <-
-          (if n = 0 then Array.make 8 projected
-           else Array.append by_key.(key) by_key.(key));
-      by_key.(key).(n) <- projected;
+      by_key.(key) <- insert_in_order by_key.(key) n projected;
       filled.(key) <- n + 1
     in
     let report, order, quantum =
@@ -259,9 +279,6 @@ module Make (T : Spec.Data_type.S) = struct
       if filled.(key) > 0 then begin
         let ops = Array.sub by_key.(key) 0 filled.(key) in
         by_key.(key) <- [||];
-        Array.stable_sort
-          (fun (a : C.Mon.op) b -> Rat.compare a.inv_time b.inv_time)
-          ops;
         f ~quantum key ops (C.order_of order ~key)
       end
     done;

@@ -134,14 +134,9 @@ let duplicated = 2
 let spiked = 4
 let spike_delay t = t.spike_delay
 
-(* [Random.State.float rng 1.0 < p], drawn exactly as the stdlib draws
-   it (53 high bits of [bits64], redrawn on 0, scaled by 2^-53) but
+(* [Random.State.float rng 1.0 < p], drawn as the stdlib draws it but
    compared in place, so no float is boxed. *)
-let rec roll rng p =
-  p > 0.
-  &&
-  let bits = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
-  if bits = 0L then roll rng p else Int64.to_float bits *. 0x1.p-53 < p
+let roll rng p = p > 0. && float_of_int (Uniform.bits rng) *. Uniform.scale < p
 
 let rec on_edge src dst = function
   | [] -> false

@@ -150,7 +150,8 @@ let tick t time =
   t.count <- t.count + 1;
   t.last <- time
 
-(* Grow [a] to hold index [i], filling new slots with [fill]. *)
+(* Grow [a] to hold index [i], filling new slots with [fill]: the
+   per-process slot arrays, one slot per process. *)
 let grow a i fill =
   let len = Array.length a in
   if i < len then a
@@ -211,7 +212,13 @@ let note_respond t ~time ~proc resp =
           }
       in
       if not t.handed then begin
-        t.done_ops <- grow t.done_ops t.finished op;
+        if t.finished = Array.length t.done_ops then
+          (* Doubled by [Array.append]: [Array.make] of more than 256
+             words filled with the young [op] would force a minor
+             collection at every such growth. *)
+          t.done_ops <-
+            (if t.finished = 0 then [| op |]
+             else Array.append t.done_ops t.done_ops);
         t.done_ops.(t.finished) <- op
       end;
       t.finished <- t.finished + 1;

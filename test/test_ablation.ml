@@ -148,6 +148,27 @@ let test_report_refuses_small_model () =
       Alcotest.(check bool) "names the requirement" true
         (String.starts_with ~prefix:"ablation legs need n >= 4" msg)
 
+(* An X outside [0, d - eps] is refused by name rather than run: at
+   eps = 100 above d = 12 the default X = (d - eps)/2 is -44, and the
+   repaired control would be reported as a caught violation. *)
+let test_report_refuses_x_outside_range () =
+  let wide =
+    Sim.Model.make ~n:4 ~d:(Rat.of_int 12) ~u:(Rat.of_int 4)
+      ~eps:(Rat.of_int 100)
+  in
+  let refused label ~model ~x =
+    match A.report ~model ~x ~seeds:[ 1 ] with
+    | Ok _ -> Alcotest.failf "%s must be refused" label
+    | Error msg ->
+        Alcotest.(check bool) (label ^ " names X") true
+          (String.starts_with ~prefix:"X = " msg)
+  in
+  refused "eps above d" ~model:wide
+    ~x:(Rat.div_int (Rat.sub wide.d wide.eps) 2);
+  refused "X above d - eps" ~model
+    ~x:(Rat.add (Rat.sub model.d model.eps) Rat.one);
+  refused "negative X" ~model ~x:(Rat.of_int (-1))
+
 let legs () =
   List.concat_map
     (fun knob -> List.map (fun seed -> A.scenario ~model ~x ~seed knob) seeds)
@@ -236,6 +257,8 @@ let () =
           Alcotest.test_case "report shape" `Quick test_report_shape;
           Alcotest.test_case "n < 4 refused by name" `Quick
             test_report_refuses_small_model;
+          Alcotest.test_case "report refuses an X outside [0, d - eps]" `Quick
+            test_report_refuses_x_outside_range;
           Alcotest.test_case "legs round-trip and rerun" `Quick
             test_legs_round_trip;
           Alcotest.test_case "op refs resolve to the draws" `Quick

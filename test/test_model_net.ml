@@ -128,11 +128,21 @@ let test_quantum_load_model () =
        ~workload:
          (RQ.Paced
             {
-              next =
-                (fun ~proc ->
-                  Core.Workload.Route.take route ~proc (fun at ~key:_ inv ->
-                      (at, inv)));
+              route;
+              lift = (fun ~key:_ inv -> inv);
+              tick = rat 1 Core.Workload.Gen.quantum;
             }));
+  (match
+     RQ.quantum
+       (cfg
+          ~workload:
+            (RQ.Paced
+               { route; lift = (fun ~key:_ inv -> inv); tick = Rat.zero }))
+   with
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "a tick of 0 is refused"
+        "Runtime.run: Paced tick <= 0" msg
+  | _ -> Alcotest.fail "a tick of 0 should be refused");
   check_quantum "integer schedule: the delay grid's 1/4" 4
     (cfg
        ~workload:
@@ -269,9 +279,7 @@ module Scaled (X : Scenario.Packed_type.RUNNER) = struct
         | X.R.Schedule entries ->
             X.R.Schedule
               (List.map (fun (e : _ Core.Workload.entry) -> { e with at = s e.at }) entries)
-        | X.R.Paced { next } ->
-            X.R.Paced
-              { next = (fun ~proc -> Option.map (fun (at, inv) -> (at * k, inv)) (next ~proc)) }
+        | X.R.Paced p -> X.R.Paced { p with tick = s p.tick }
         | w -> w);
     }
 

@@ -336,6 +336,52 @@ module Key_local_queue = Key_local (Spec.Fifo_queue)
 module Key_local_register = Key_local (Spec.Register)
 module Key_local_tree = Key_local (Spec.Tree_type)
 
+(* A shard inserts each completed operation into its key's array as
+   it is handed over; the arrays must hold each key's operations in
+   the order [Sim.Trace.operations] lists the same run's: by
+   invocation time, ties in response order.  Bursts of 8 simultaneous
+   arrivals over 2 keys per shard make ties on one key common. *)
+let test_key_histories_in_trace_order () =
+  let module K = Key_local_queue.KT in
+  let module R = Key_local_queue.R in
+  let cfg =
+    Shard.Config.make ~keys:4 ~seed:5 ~shards:2 ~ops:1_600
+      ~arrival:(Core.Workload.Bursty { rate = rat 1 2; size = 8 })
+      ~model ~algorithm ()
+  in
+  let ties = ref 0 in
+  for shard = 0 to cfg.shards - 1 do
+    let traced = (R.run (ShQ.runtime_config cfg ~shard)).operations in
+    let histories = ShQ.key_histories cfg ~shard in
+    Array.iteri
+      (fun key (history : _ Sim.Trace.operation array) ->
+        let expected =
+          List.filter_map
+            (fun (op : (K.invocation, K.response) Sim.Trace.operation) ->
+              if op.inv.key <> key then None
+              else
+                Some
+                  {
+                    Sim.Trace.proc = op.proc;
+                    inv = op.inv.inv;
+                    resp = op.resp;
+                    inv_time = op.inv_time;
+                    resp_time = op.resp_time;
+                  })
+            traced
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "shard %d key %d in trace order" shard key)
+          true
+          (expected = Array.to_list history);
+        for i = 1 to Array.length history - 1 do
+          if Rat.equal history.(i - 1).inv_time history.(i).inv_time then
+            incr ties
+        done)
+      histories
+  done;
+  Alcotest.(check bool) "same-key ties occurred" true (!ties > 0)
+
 (* A horizon the runtime cannot count in int quanta fails every shard
    before it runs.  Each failure carries the runtime's refusal under
    the run site's name and the index of its shard, in the text report
@@ -455,6 +501,8 @@ let () =
             Key_local_register.test;
           Alcotest.test_case "key-local order, tree" `Quick
             Key_local_tree.test;
+          Alcotest.test_case "key histories in trace order" `Quick
+            test_key_histories_in_trace_order;
           Alcotest.test_case "unrepresentable horizon named per shard" `Quick
             test_unrepresentable_horizon_named;
           Alcotest.test_case "centralized survives duplicates" `Quick

@@ -235,7 +235,44 @@ let test_route_round_robin_and_min_gap () =
     (List.for_all
        (fun (i : (int * int) Core.Workload.keyed) -> i.key mod 2 = 0)
        kept);
-  Alcotest.(check bool) "some were dropped" true (List.length kept < 200)
+  Alcotest.(check bool) "some were dropped" true (List.length kept < 200);
+  (* [pop] hands out the arrivals [next] does, as ring slots; a route
+     with a [min_gap] needs [next]'s clamp *)
+  let popped =
+    let route =
+      Core.Workload.Route.create ~procs:2 ~keep:(fun _ -> true)
+        (mk_gen ~ops:40 ())
+    in
+    List.concat_map
+      (fun proc ->
+        let rec go acc =
+          let i = Core.Workload.Route.pop route ~proc in
+          if i < 0 then List.rev acc
+          else
+            go
+              (( Core.Workload.Route.quanta route ~proc i,
+                 Core.Workload.Route.key route ~proc i,
+                 Core.Workload.Route.inv route ~proc i )
+              :: acc)
+        in
+        go [])
+      [ 0; 1 ]
+  in
+  let quanta at = Rat.num (Rat.mul_int at Core.Workload.Gen.quantum) in
+  Alcotest.(check bool) "pop agrees with next" true
+    (popped
+    = List.map
+        (fun (_, (a : (int * int) Core.Workload.keyed)) ->
+          (quanta a.at, a.key, a.inv))
+        (p0 @ p1));
+  match
+    Core.Workload.Route.pop
+      (Core.Workload.Route.create ~min_gap ~procs:1 ~keep:(fun _ -> true)
+         (mk_gen ()))
+      ~proc:0
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "pop on a min_gap route should be refused"
 
 let contains haystack needle =
   let nlen = String.length needle and hlen = String.length haystack in
@@ -376,6 +413,63 @@ let prop_route_is_round_robin_deal =
               && a1.inv = a2.inv)
             e g)
         expected got)
+
+(* The first 10 000 arrivals of the load benchmark's stream shape
+   (32 keys, Zipf 0.8, tagged queue invocations, seed 1), times in
+   quanta and keys, pinned at the commit before the key draw stopped
+   boxing its uniform: each arrival process must emit them byte for
+   byte. *)
+let test_gen_stream_pinned () =
+  let digest arrival =
+    let gen =
+      Core.Workload.Gen.create ~arrival ~zipf:0.8 ~keys:32 ~ops:10_000 ~seed:1
+        ~invocation:(fun rng ~key:_ ~seq ->
+          Spec.Fifo_queue.gen_tagged rng ~tag:seq)
+        ()
+    in
+    let b = Buffer.create 200_000 in
+    let rec go () =
+      match Core.Workload.Gen.next gen with
+      | None -> ()
+      | Some a ->
+          Printf.bprintf b "%d %d\n"
+            (Rat.num (Rat.mul_int a.at Core.Workload.Gen.quantum))
+            a.key;
+          go ()
+    in
+    go ();
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (label, arrival, expected) ->
+      Alcotest.(check string) (label ^ " stream digest") expected
+        (digest arrival))
+    [
+      ( "poisson",
+        Core.Workload.Poisson { rate = rat 1 4 },
+        "e1b97ea32c068a2e5092df630cbd05ff" );
+      ( "bursty",
+        Core.Workload.Bursty { rate = rat 3 2; size = 4 },
+        "6e59f94490bfe115c73719bdddc66435" );
+      ( "diurnal",
+        Core.Workload.Diurnal
+          { rate = rat 1 4; period = rat 400 1; trough = rat 1 10 },
+        "e8dae9ba45aee27169e552583904930f" );
+    ]
+
+(* [Sim.Uniform] draws what [Random.State.float rng 1.0] draws, bit for
+   bit, and leaves the state where it does. *)
+let test_uniform_is_stdlib () =
+  let a = Random.State.make [| 7; 1 |] in
+  let b = Random.State.copy a in
+  for i = 1 to 100_000 do
+    let stdlib = Random.State.float a 1.0 in
+    let ours = float_of_int (Sim.Uniform.bits b) *. Sim.Uniform.scale in
+    if Int64.bits_of_float stdlib <> Int64.bits_of_float ours then
+      Alcotest.failf "draw %d: stdlib %h, Uniform %h" i stdlib ours
+  done;
+  Alcotest.(check int) "states in step" (Random.State.bits a)
+    (Random.State.bits b)
 
 (* ---------------- delay model ---------------- *)
 
@@ -573,6 +667,116 @@ let test_max_latency () =
   Alcotest.(check string) "max over ops" "6"
     (Rat.to_string (Option.get (Core.Metrics.max_latency ops)))
 
+(* ---------------- allocation ---------------- *)
+
+(* An arrival the route's filter drops draws its gap, key and
+   invocation and builds nothing else; a kept one is dealt into a ring
+   and popped as a slot.  Over a stream whose invocations are
+   immediates (drawn from the generator's RNG all the same), popping
+   every arrival after the first, which creates the ring, allocates 0
+   minor words, for every arrival process. *)
+let test_dropped_arrivals_allocate_nothing () =
+  List.iter
+    (fun (label, arrival) ->
+      let gen =
+        Core.Workload.Gen.create ~arrival ~zipf:0.8 ~keys:32 ~ops:10_000
+          ~seed:1
+          ~invocation:(fun rng ~key:_ ~seq:_ ->
+            if Random.State.bool rng then Spec.Fifo_queue.Dequeue
+            else Spec.Fifo_queue.Peek)
+          ()
+      in
+      let route =
+        Core.Workload.Route.create ~procs:1 ~keep:(fun k -> k mod 4 = 0) gen
+      in
+      let pop () = Core.Workload.Route.pop route ~proc:0 in
+      ignore (pop ());
+      let kept = ref 1 in
+      let before = Gc.minor_words () in
+      while pop () >= 0 do
+        incr kept
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (label ^ ": some arrivals dropped") true
+        (!kept > 0 && !kept < 10_000);
+      Alcotest.(check (float 0.)) (label ^ ": nothing allocated") 0. words)
+    [
+      ("poisson", Core.Workload.Poisson { rate = rat 1 4 });
+      ("bursty", Core.Workload.Bursty { rate = rat 3 2; size = 4 });
+      ( "diurnal",
+        Core.Workload.Diurnal
+          { rate = rat 1 4; period = rat 400 1; trough = rat 1 10 } );
+    ]
+
+(* A latency that is a whole number of the histogram's quanta lands in
+   its bucket without a boxed float: once the window covers the
+   samples, adding them allocates nothing. *)
+let test_hist_add_allocates_nothing () =
+  let h = Core.Metrics.Hist.create ~quantum:1024 () in
+  let samples = Array.init 10_000 (fun i -> Rat.of_int ((i * 37) + 5)) in
+  Array.iter (Core.Metrics.Hist.add h) samples;
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length samples - 1 do
+    Core.Metrics.Hist.add h samples.(i)
+  done;
+  Alcotest.(check (float 0.)) "no word per sample" 0.
+    (Gc.minor_words () -. before);
+  Alcotest.(check int) "every sample counted" 20_000 (Core.Metrics.Hist.count h)
+
+(* A paced run pops each arrival from the route and hands the engine
+   only what [lift] builds.  Its first [n] hand-offs run back to back,
+   before any event: sampled on entry to [lift], the words between two
+   of them are one whole hand-off, dropped arrivals included, and must
+   be exactly the 3-word keyed invocation the previous [lift] built.
+   The route's rings are created before the run, by one pop per
+   process, and the first hand-off creates the engine's event queue,
+   so the hand-offs from the second on are compared. *)
+module KQ = Spec.Keyed.Make (Spec.Fifo_queue)
+module RK = Core.Runtime.Make (KQ)
+
+let test_paced_handoff_allocates_only_lift () =
+  let n = 8 in
+  let model = Sim.Model.make_optimal_eps ~n ~d:(rat 12 1) ~u:(rat 4 1) in
+  let gen =
+    Core.Workload.Gen.create
+      ~arrival:(Core.Workload.Poisson { rate = rat 1 4 })
+      ~keys:8 ~ops:400 ~seed:3
+      ~invocation:(fun _ ~key:_ ~seq:_ -> Spec.Fifo_queue.Dequeue)
+      ()
+  in
+  let route =
+    Core.Workload.Route.create ~procs:n ~keep:(fun k -> k mod 2 = 0) gen
+  in
+  for proc = 0 to n - 1 do
+    ignore (Core.Workload.Route.pop route ~proc)
+  done;
+  let samples = Array.make 400 0. and lifted = ref 0 in
+  let lift ~key inv =
+    samples.(!lifted) <- Gc.minor_words ();
+    incr lifted;
+    { KQ.key; inv }
+  in
+  let report =
+    RK.run
+      (RK.Config.make ~check:false ~model
+         ~offsets:(Array.make n Rat.zero)
+         ~delay:(Sim.Net.random_model ~seed:1 model)
+         ~algorithm:(RK.Wtlw { x = rat 3 1 })
+         ~workload:
+           (RK.Paced
+              { route; lift; tick = rat 1 Core.Workload.Gen.quantum })
+         ())
+  in
+  Alcotest.(check int) "every lifted arrival ran" !lifted
+    (List.length report.operations);
+  Alcotest.(check bool) "arrivals were dropped" true (!lifted + n < 400);
+  for i = 2 to n - 1 do
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "hand-off %d: the keyed invocation only" i)
+      3.
+      (samples.(i) -. samples.(i - 1))
+  done
+
 let () =
   Alcotest.run "workload_metrics"
     [
@@ -594,12 +798,25 @@ let () =
           Alcotest.test_case "zipf skew" `Quick test_gen_zipf_skew;
           Alcotest.test_case "bursty and diurnal" `Quick
             test_gen_bursty_and_diurnal;
+          Alcotest.test_case "10 000 arrivals pinned" `Quick
+            test_gen_stream_pinned;
+          Alcotest.test_case "uniform draw is the stdlib's" `Quick
+            test_uniform_is_stdlib;
           Alcotest.test_case "route round-robin, min gap" `Quick
             test_route_round_robin_and_min_gap;
           QCheck_alcotest.to_alcotest prop_route_is_round_robin_deal;
           Alcotest.test_case "unrepresentable gaps refused" `Quick
             test_unrepresentable_gap_rejected;
           Alcotest.test_case "nan zipf refused" `Quick test_nan_zipf_rejected;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "dropped arrivals allocate nothing" `Quick
+            test_dropped_arrivals_allocate_nothing;
+          Alcotest.test_case "hist add allocates nothing" `Quick
+            test_hist_add_allocates_nothing;
+          Alcotest.test_case "paced hand-off allocates only the lift" `Quick
+            test_paced_handoff_allocates_only_lift;
         ] );
       ( "delay model",
         [
