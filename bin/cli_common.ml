@@ -120,17 +120,24 @@ let at_least lo ~below =
 let non_negative = at_least 0 ~below:"negative"
 let positive = at_least 1 ~below:"not positive"
 
-(* The same for real-valued flags, which also refuse nan. *)
-let float_at_least lo ~below =
+(* The same for real-valued flags, which also refuse nan: [ok] is
+   false for nan, and [bound] names the values it accepts. *)
+let float_where ok ~below ~bound =
   let parse s =
     match Arg.conv_parser Arg.float s with
-    | Ok x when not (x >= lo) ->
+    | Ok x when not (ok x) ->
         let what = if Float.is_nan x then "not a number" else below in
         Error
-          (`Msg (Printf.sprintf "%g is %s; expected a number >= %g" x what lo))
+          (`Msg (Printf.sprintf "%g is %s; expected a number %s" x what bound))
     | parsed -> parsed
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let float_at_least lo ~below =
+  float_where (fun x -> x >= lo) ~below ~bound:(Printf.sprintf ">= %g" lo)
+
+let positive_float =
+  float_where (fun x -> x > 0.) ~below:"not positive" ~bound:"> 0"
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")

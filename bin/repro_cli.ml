@@ -918,7 +918,7 @@ let sweep_cmd =
   in
   let lease_ttl_arg =
     Arg.(
-      value & opt float 60.0
+      value & opt positive_float 60.0
       & info [ "lease-ttl" ] ~docv:"SECONDS"
           ~doc:
             "A spool lease not heartbeated for this long is presumed dead \

@@ -44,9 +44,11 @@ type 'msg entry = { msg : 'msg; mutable timer : int }
 (* A table keyed by the sequence numbers of one stream.  The keys in
    use lie in a window [lo, hi) that slides forward as the stream's
    oldest entries leave, held in a power-of-two ring: a lookup is an
-   index and a flag test, and nothing is allocated but the ring.  A
-   vacated slot keeps its old value until it is reused, so at most one
-   ring's worth of finished entries stays reachable. *)
+   index and a flag test, and nothing is allocated but the ring.  The
+   ring starts at 2 slots and doubles when full: most streams of a
+   short run never hold more than one or two entries.  A vacated slot
+   keeps its old value until it is reused, so at most one ring's worth
+   of finished entries stays reachable. *)
 module Window = struct
   type 'a t = {
     mutable lo : int;  (** every key below [lo] is absent *)
@@ -67,7 +69,7 @@ module Window = struct
   let reserve w ~lo ~hi v =
     let capacity = Array.length w.present in
     if hi - lo > capacity then begin
-      let fresh = ref (max 8 capacity) in
+      let fresh = ref (max 2 capacity) in
       while hi - lo > !fresh do
         fresh := 2 * !fresh
       done;

@@ -320,18 +320,16 @@ module Make (T : Spec.Data_type.S) = struct
      so no pass ever goes over raw events. *)
   let build_report ?max_nodes ?order ~checker ~check ~model ~algorithm
       ~skew_admissible ~truncated ~channel ~converged ~by_op ~by_kind ~hist
-      trace operations =
+      trace ops =
     let linearization, checked_by, order_failure =
       if check then
-        let r =
-          certify ?max_nodes ?order ~checker (Array.of_list operations)
-        in
+        let r = certify ?max_nodes ?order ~checker ops in
         (r.Mon.linearization, Some (checked_by r), r.Mon.order_failure)
       else (None, None, None)
     in
     {
       algorithm;
-      operations;
+      operations = Array.to_list ops;
       linearization;
       checked_by;
       order_failure;
@@ -351,14 +349,15 @@ module Make (T : Spec.Data_type.S) = struct
 
   let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
       ~algorithm ~check trace =
-    let operations = Sim.Trace.operations trace in
+    let ops = Sim.Trace.operation_array trace in
+    let operations = Array.to_list ops in
     let hist = Metrics.Hist.create () in
     List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
     build_report ~checker ~check ~model ~algorithm ~skew_admissible
       ~truncated:false ~channel:None ~converged:None
       ~by_op:(Metrics.by_op ~op_of:T.op_of operations)
       ~by_kind:(Metrics.by_kind ~kind_of operations)
-      ~hist trace operations
+      ~hist trace ops
 
   (* The model a run is judged against, in model units: the inflated
      model [d' = d + retry budget] the reliable channel implements, or
@@ -557,7 +556,7 @@ module Make (T : Spec.Data_type.S) = struct
           ~skew_admissible:(Sim.Model.skew_valid model_q ran_offsets)
           ~truncated ~channel ~converged:(converged ()) ~by_op:(summaries by_op)
           ~by_kind:(summaries by_kind) ~hist trace
-          (if in_quanta then [] else Sim.Trace.operations trace),
+          (if in_quanta then [||] else Sim.Trace.operation_array trace),
         order,
         q )
     in

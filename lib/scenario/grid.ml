@@ -11,10 +11,38 @@ type algo =
   | Centralized
   | Tob
 
-let algo_label = function
-  | Wtlw { frac } -> Printf.sprintf "wtlw(%s)" (Rat.to_string frac)
-  | Centralized -> "centralized"
-  | Tob -> "tob"
+(* Cell keys are rendered straight into one buffer: [Printf] and
+   [Rat.to_string] would build every field as a string of its own, and
+   the key is rebuilt for every cell a sweep runs.  [add_digits] writes
+   the digits of [n <= 0]'s magnitude, so [min_int] needs no case. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_digits b (if n < 0 then n else -n)
+
+(* As [Rat.to_string] renders it: [num], or [num/den]. *)
+let add_rat b r =
+  add_int b (Rat.num r);
+  if Rat.den r <> 1 then begin
+    Buffer.add_char b '/';
+    add_int b (Rat.den r)
+  end
+
+let add_algo b = function
+  | Wtlw { frac } ->
+      Buffer.add_string b "wtlw(";
+      add_rat b frac;
+      Buffer.add_char b ')'
+  | Centralized -> Buffer.add_string b "centralized"
+  | Tob -> Buffer.add_string b "tob"
+
+let algo_label a =
+  let b = Buffer.create 16 in
+  add_algo b a;
+  Buffer.contents b
 
 let resolve_x (m : Sim.Model.t) = function
   | Wtlw { frac } -> Rat.mul frac (Rat.sub m.d m.eps)
@@ -100,10 +128,29 @@ let cells grid =
    every axis that can change the run. *)
 let cell_key grid (c : cell) =
   let m = c.point in
-  Printf.sprintf
-    "type=%s;algo=%s;n=%d;d=%s;u=%s;eps=%s;delays=%s;faults=%s;leg=%s;seed=%d;per_proc=%d"
-    (Packed_type.key c.dt) (algo_label c.algo) m.n (Rat.to_string m.d)
-    (Rat.to_string m.u) (Rat.to_string m.eps) (delays_label c.delays)
-    c.plan_label (leg_label c.leg) c.seed grid.per_proc
+  let b = Buffer.create 128 in
+  Buffer.add_string b "type=";
+  Buffer.add_string b (Packed_type.key c.dt);
+  Buffer.add_string b ";algo=";
+  add_algo b c.algo;
+  Buffer.add_string b ";n=";
+  add_int b m.n;
+  Buffer.add_string b ";d=";
+  add_rat b m.d;
+  Buffer.add_string b ";u=";
+  add_rat b m.u;
+  Buffer.add_string b ";eps=";
+  add_rat b m.eps;
+  Buffer.add_string b ";delays=";
+  Buffer.add_string b (delays_label c.delays);
+  Buffer.add_string b ";faults=";
+  Buffer.add_string b c.plan_label;
+  Buffer.add_string b ";leg=";
+  Buffer.add_string b (leg_label c.leg);
+  Buffer.add_string b ";seed=";
+  add_int b c.seed;
+  Buffer.add_string b ";per_proc=";
+  add_int b grid.per_proc;
+  Buffer.contents b
 
 let derived_seed grid c = Core.Hash.fnv1a (cell_key grid c)

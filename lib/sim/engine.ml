@@ -17,14 +17,27 @@ type ('msg, 'tag, 'inv, 'resp) handlers = {
 }
 
 (* Queued events are flat [Event_queue] slots: the kind and two int
-   fields say what the event is, and the payload is the invocation, the
-   message or the timer tag.  The payload's type is fixed by the kind,
-   which is the invariant behind the three casts in [dispatch] — it is
-   established by [schedule_invoke], [travel] and [set_timer_after],
-   the only pushes. *)
+   fields say what the event is, packed into the slot's int tag, and
+   the payload is the invocation, the message or the timer tag.  The
+   payload's type is fixed by the kind, which is the invariant behind
+   the three casts in [dispatch] — it is established by
+   [schedule_invoke], [travel] and [set_timer_after], the only pushes. *)
 let ev_invoke = 0 (* fst = proc *)
 let ev_deliver = 1 (* fst = src, snd = dst *)
 let ev_timer = 2 (* fst = proc, snd = timer id *)
+
+(* [kind] takes 2 bits, [fst] (a process) 20 and [snd] (a process or a
+   timer id) the 40 above them: 62 bits, so a tag is never negative.
+   [create] bounds the processes and [set_timer_after] the timer ids. *)
+let max_processes = 1 lsl 20
+let max_timer_ids = 1 lsl 40
+
+module Tag = struct
+  let[@inline] pack ~kind ~fst ~snd = kind lor (fst lsl 2) lor (snd lsl 22)
+  let[@inline] kind tag = tag land 3
+  let[@inline] fst tag = (tag lsr 2) land (max_processes - 1)
+  let[@inline] snd tag = tag lsr 22
+end
 
 type ('msg, 'tag, 'inv, 'resp) t = {
   model : Model.t;
@@ -68,6 +81,14 @@ exception Step_limit_exceeded of int
 let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
     ~delay ~handlers () =
   let n = (model : Model.t).n in
+  (* First, before anything is sized by [n]: the n x n send counters
+     and the O(n^2) skew check would otherwise run first. *)
+  if n >= max_processes then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.create: n = %d processes do not fit the event tag (at most \
+          2^20 - 1)"
+         n);
   if Array.length offsets <> n then
     invalid_arg "Engine.create: offsets length must equal model.n";
   if not (Model.skew_valid model offsets) then
@@ -119,7 +140,8 @@ let schedule_invoke t ~at ~proc inv =
   if Rat.lt at t.now then invalid_arg "Engine.schedule_invoke: time in past";
   if proc < 0 || proc >= t.model.n then
     invalid_arg "Engine.schedule_invoke: bad process id";
-  Event_queue.push t.queue ~priority:1 ~time:at ~kind:ev_invoke ~fst:proc ~snd:0
+  Event_queue.push t.queue ~priority:1 ~time:at
+    ~tag:(Tag.pack ~kind:ev_invoke ~fst:proc ~snd:0)
     (Obj.repr inv)
 
 let set_response_callback t callback = t.on_response <- callback
@@ -133,7 +155,8 @@ let travel t ~src ~dst ~seq msg delay =
   Trace.send t.trace ~time:t.now ~src ~dst ~seq ~delay msg;
   Event_queue.push t.queue ~priority:0
     ~time:(Rat.add t.now delay)
-    ~kind:ev_deliver ~fst:src ~snd:dst (Obj.repr msg)
+    ~tag:(Tag.pack ~kind:ev_deliver ~fst:src ~snd:dst)
+    (Obj.repr msg)
 
 let send_message t ~src ~dst msg =
   if dst < 0 || dst >= t.model.n || dst = src then
@@ -187,12 +210,15 @@ let build_ctx t ~self =
   let set_timer_after dur tag =
     if Rat.sign dur < 0 then invalid_arg "Engine: negative timer duration";
     let id = t.next_timer_id in
+    if id >= max_timer_ids then
+      invalid_arg "Engine: timer id 2^40 does not fit the event tag";
     t.next_timer_id <- id + 1;
     let expiry = Rat.add t.now dur in
     Trace.timer_set t.trace ~time:t.now ~proc:self ~id ~expiry;
     arm_timer t id;
-    Event_queue.push t.queue ~priority:1 ~time:expiry ~kind:ev_timer ~fst:self
-      ~snd:id (Obj.repr tag);
+    Event_queue.push t.queue ~priority:1 ~time:expiry
+      ~tag:(Tag.pack ~kind:ev_timer ~fst:self ~snd:id)
+      (Obj.repr tag);
     id
   in
   let cancel_timer id =
@@ -305,10 +331,7 @@ let run ?(max_events = default_max_events) ?deadline t =
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin
       let q = t.queue in
-      let time = Event_queue.min_time q
-      and kind = Event_queue.min_kind q
-      and fst = Event_queue.min_fst q
-      and snd = Event_queue.min_snd q in
+      let time = Event_queue.min_time q and tag = Event_queue.min_tag q in
       let payload = Event_queue.pop_min q in
       incr steps;
       if !steps > max_events then raise (Step_limit_exceeded max_events);
@@ -321,7 +344,8 @@ let run ?(max_events = default_max_events) ?deadline t =
       | _ -> ());
       assert (Rat.ge time t.now);
       t.now <- time;
-      dispatch t ~kind ~fst ~snd payload;
+      dispatch t ~kind:(Tag.kind tag) ~fst:(Tag.fst tag) ~snd:(Tag.snd tag)
+        payload;
       loop ()
     end
   in

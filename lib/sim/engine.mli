@@ -31,7 +31,9 @@ type ('msg, 'tag, 'resp) ctx = {
   set_timer_after : Rat.t -> 'tag -> int;
       (** [set_timer_after dur tag] schedules a timer [dur] time units
           from now (durations are identical in local and real time since
-          clocks do not drift); returns a timer id for cancellation. *)
+          clocks do not drift); returns a timer id for cancellation.
+          Ids count up from 0 over the run; the [2^40]th timer is
+          refused with [Invalid_argument] (see {!Tag}). *)
   cancel_timer : int -> unit;
       (** Cancel a timer that has not fired yet.  Cancelling a timer
           that has already fired or been cancelled, or an id never
@@ -47,6 +49,26 @@ type ('msg, 'tag, 'inv, 'resp) handlers = {
   on_receive : ('msg, 'tag, 'resp) ctx -> src:int -> 'msg -> unit;
   on_timer : ('msg, 'tag, 'resp) ctx -> 'tag -> unit;
 }
+
+(** {1 Event tags}
+
+    A queued event is one {!Event_queue} slot.  Its kind (invocation,
+    delivery or timer) and its two ints — the process, and the
+    destination of a delivery or the id of a timer — travel packed
+    into the slot's one int tag as
+    [kind lor (fst lsl 2) lor (snd lsl 22)]: 2 bits of kind, 20 of
+    process and 40 above them.  A run therefore has fewer than [2^20]
+    processes, which {!create} checks before anything else, and issues
+    fewer than [2^40] timers, which [set_timer_after] checks. *)
+module Tag : sig
+  val pack : kind:int -> fst:int -> snd:int -> int
+  (** [kind] in [[0, 3]], [fst] in [[0, 2^20)], [snd] in
+      [[0, 2^40)]; unchecked. *)
+
+  val kind : int -> int
+  val fst : int -> int
+  val snd : int -> int
+end
 
 val create :
   ?retain_events:bool ->
@@ -70,9 +92,11 @@ val create :
     may crash-stop or have their clocks perturbed beyond the validated
     [offsets].  Every injected fault is recorded as a
     {!Trace.Fault} event.
-    @raise Invalid_argument if [offsets] has length other than [model.n]
-    or the offsets violate the model's skew bound (fault-plan skew is
-    applied on top and deliberately escapes this check). *)
+    @raise Invalid_argument if [model.n >= 2^20] (checked first, before
+    any allocation sized by [n]), if [offsets] has length other than
+    [model.n] or if the offsets violate the model's skew bound
+    (fault-plan skew is applied on top and deliberately escapes this
+    check). *)
 
 val effective_offsets : ('msg, 'tag, 'inv, 'resp) t -> Rat.t array
 (** [offsets] plus the fault plan's clock perturbations — the offsets

@@ -1,10 +1,12 @@
-(* Flat binary min-heap over parallel arrays (times / klasses / seqs /
-   kinds / fsts / snds / payloads) instead of an array of entry
-   records: a push writes seven slots and allocates nothing — no entry
-   record, no [Some] box, and no per-event variant block, because the
-   event's kind and its two int fields live in their own int slots —
-   which matters because the simulator's main loop pushes and pops one
-   entry per dispatched event.
+(* Flat binary min-heap over four parallel arrays (times / keys / tags
+   / payloads) instead of an array of entry records: a push writes four
+   slots and allocates nothing — no entry record, no [Some] box, and no
+   per-event variant block, because what the event is lives in its int
+   tag — which matters because the simulator's main loop pushes and
+   pops one entry per dispatched event.  A slot's priority and sequence
+   number share one order key, [priority lsl 61 lor seq], so the
+   tie-break after the time is one int comparison; priority is 0 or 1
+   and the sequence stays below 2^61, so the key is never negative.
 
    Payloads are stored as [Obj.t] so the payload array is an ordinary
    pointer array whatever ['a] is (never a flat float array) and freed
@@ -15,11 +17,8 @@
 
 type 'a t = {
   mutable times : Rat.t array;
-  mutable klasses : int array;
-  mutable seqs : int array;
-  mutable kinds : int array;
-  mutable fsts : int array;
-  mutable snds : int array;
+  mutable keys : int array;
+  mutable tags : int array;
   mutable payloads : Obj.t array;
   mutable size : int;
   mutable next_seq : int;
@@ -28,11 +27,8 @@ type 'a t = {
 let create () =
   {
     times = [||];
-    klasses = [||];
-    seqs = [||];
-    kinds = [||];
-    fsts = [||];
-    snds = [||];
+    keys = [||];
+    tags = [||];
     payloads = [||];
     size = 0;
     next_seq = 0;
@@ -44,42 +40,38 @@ let[@inline] clear_slot q i =
   q.times.(i) <- Rat.zero;
   q.payloads.(i) <- Obj.repr 0
 
-(* Strict (time, klass, seq) ordering between slots [i] and [j]. *)
+(* Strict (time, key) ordering between slots [i] and [j]. *)
 let[@inline] slot_lt q i j =
   let c = Rat.compare q.times.(i) q.times.(j) in
-  if c <> 0 then c < 0
-  else if q.klasses.(i) <> q.klasses.(j) then q.klasses.(i) < q.klasses.(j)
-  else q.seqs.(i) < q.seqs.(j)
+  if c <> 0 then c < 0 else q.keys.(i) < q.keys.(j)
 
 let[@inline] copy_slot q ~src ~dst =
   q.times.(dst) <- q.times.(src);
-  q.klasses.(dst) <- q.klasses.(src);
-  q.seqs.(dst) <- q.seqs.(src);
-  q.kinds.(dst) <- q.kinds.(src);
-  q.fsts.(dst) <- q.fsts.(src);
-  q.snds.(dst) <- q.snds.(src);
+  q.keys.(dst) <- q.keys.(src);
+  q.tags.(dst) <- q.tags.(src);
   q.payloads.(dst) <- q.payloads.(src)
+
+let[@inline] set_slot q i ~time ~key ~tag pl =
+  q.times.(i) <- time;
+  q.keys.(i) <- key;
+  q.tags.(i) <- tag;
+  q.payloads.(i) <- pl
+
+(* Top-level rather than local to [grow], so that growing allocates
+   the four arrays and no closure. *)
+let regrow a ~size ~fresh fill =
+  let b = Array.make fresh fill in
+  Array.blit a 0 b 0 size;
+  b
 
 let grow q =
   let capacity = Array.length q.times in
   if q.size = capacity then begin
-    let fresh = Stdlib.max 16 (2 * capacity) in
-    let ints a =
-      let b = Array.make fresh 0 in
-      Array.blit a 0 b 0 q.size;
-      b
-    in
-    let times = Array.make fresh Rat.zero in
-    let payloads = Array.make fresh (Obj.repr 0) in
-    Array.blit q.times 0 times 0 q.size;
-    Array.blit q.payloads 0 payloads 0 q.size;
-    q.times <- times;
-    q.klasses <- ints q.klasses;
-    q.seqs <- ints q.seqs;
-    q.kinds <- ints q.kinds;
-    q.fsts <- ints q.fsts;
-    q.snds <- ints q.snds;
-    q.payloads <- payloads
+    let size = q.size and fresh = Stdlib.max 16 (2 * capacity) in
+    q.times <- regrow q.times ~size ~fresh Rat.zero;
+    q.keys <- regrow q.keys ~size ~fresh 0;
+    q.tags <- regrow q.tags ~size ~fresh 0;
+    q.payloads <- regrow q.payloads ~size ~fresh (Obj.repr 0)
   end
 
 (* The freshly pushed entry sits at [q.size]; walk the hole toward the
@@ -94,11 +86,8 @@ let sift_up q =
   done;
   if !i < last then begin
     let time = q.times.(last)
-    and klass = q.klasses.(last)
-    and seq = q.seqs.(last)
-    and kind = q.kinds.(last)
-    and fst = q.fsts.(last)
-    and snd = q.snds.(last)
+    and key = q.keys.(last)
+    and tag = q.tags.(last)
     and pl = q.payloads.(last) in
     (* Shift the parents on the path from [last] up to [!i] down one
        level, deepest first. *)
@@ -108,31 +97,16 @@ let sift_up q =
       copy_slot q ~src:parent ~dst:!j;
       j := parent
     done;
-    q.times.(!i) <- time;
-    q.klasses.(!i) <- klass;
-    q.seqs.(!i) <- seq;
-    q.kinds.(!i) <- kind;
-    q.fsts.(!i) <- fst;
-    q.snds.(!i) <- snd;
-    q.payloads.(!i) <- pl
+    set_slot q !i ~time ~key ~tag pl
   end
 
 let swap q i j =
   let time = q.times.(i)
-  and klass = q.klasses.(i)
-  and seq = q.seqs.(i)
-  and kind = q.kinds.(i)
-  and fst = q.fsts.(i)
-  and snd = q.snds.(i)
+  and key = q.keys.(i)
+  and tag = q.tags.(i)
   and pl = q.payloads.(i) in
   copy_slot q ~src:j ~dst:i;
-  q.times.(j) <- time;
-  q.klasses.(j) <- klass;
-  q.seqs.(j) <- seq;
-  q.kinds.(j) <- kind;
-  q.fsts.(j) <- fst;
-  q.snds.(j) <- snd;
-  q.payloads.(j) <- pl
+  set_slot q j ~time ~key ~tag pl
 
 let rec sift_down q i =
   let left = (2 * i) + 1 and right = (2 * i) + 2 in
@@ -144,16 +118,14 @@ let rec sift_down q i =
     sift_down q !smallest
   end
 
-let push (q : 'a t) ~priority ~time ~kind ~fst ~snd (x : 'a) =
+let push (q : 'a t) ~priority ~time ~tag (x : 'a) =
+  if priority lsr 1 <> 0 then
+    invalid_arg
+      (Printf.sprintf "Event_queue.push: priority %d is neither 0 nor 1"
+         priority);
   grow q;
-  let i = q.size in
-  q.times.(i) <- time;
-  q.klasses.(i) <- priority;
-  q.seqs.(i) <- q.next_seq;
-  q.kinds.(i) <- kind;
-  q.fsts.(i) <- fst;
-  q.snds.(i) <- snd;
-  q.payloads.(i) <- Obj.repr x;
+  set_slot q q.size ~time ~key:((priority lsl 61) lor q.next_seq) ~tag
+    (Obj.repr x);
   q.next_seq <- q.next_seq + 1;
   sift_up q;
   q.size <- q.size + 1
@@ -168,17 +140,9 @@ let min_time q =
   check_nonempty q "min_time";
   q.times.(0)
 
-let min_kind q =
-  check_nonempty q "min_kind";
-  q.kinds.(0)
-
-let min_fst q =
-  check_nonempty q "min_fst";
-  q.fsts.(0)
-
-let min_snd q =
-  check_nonempty q "min_snd";
-  q.snds.(0)
+let min_tag q =
+  check_nonempty q "min_tag";
+  q.tags.(0)
 
 let pop_min (q : 'a t) : 'a =
   check_nonempty q "pop_min";

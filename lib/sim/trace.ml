@@ -76,10 +76,10 @@ type ('msg, 'inv, 'resp) t = {
   mutable pending_time : Rat.t array;
   mutable pending_inv : 'inv array;
   mutable pending : int;
-  (* Completed operations in response order; the first [finished]
-     slots are used, and the array doubles when full.  Once [handed]
-     is set the operations go to an observer instead, and the array
-     stays empty. *)
+  (* Completed operations in invocation order, ties in response order;
+     the first [finished] slots are used, and the array doubles when
+     full.  Once [handed] is set the operations go to an observer
+     instead, and the array stays empty. *)
   mutable done_ops : ('inv, 'resp) operation array;
   mutable finished : int;
   mutable handed : bool;
@@ -219,7 +219,19 @@ let note_respond t ~time ~proc resp =
           t.done_ops <-
             (if t.finished = 0 then [| op |]
              else Array.append t.done_ops t.done_ops);
-        t.done_ops.(t.finished) <- op
+        (* Insert in invocation order, after every equal invocation
+           time: [op] moves back past the operations that were invoked
+           and responded while it was pending.  An operation is passed
+           so only by those pending at its own invocation, at most one
+           per other process, so a run with n processes makes at most
+           n - 1 moves per operation. *)
+        let ops = t.done_ops in
+        let i = ref t.finished in
+        while !i > 0 && Rat.gt ops.(!i - 1).inv_time op.inv_time do
+          ops.(!i) <- ops.(!i - 1);
+          decr i
+        done;
+        ops.(!i) <- op
       end;
       t.finished <- t.finished + 1;
       observe op t.op_observers
@@ -341,15 +353,25 @@ let last_time t = t.last
 let check_well_formed t =
   match t.malformed with None -> () | Some msg -> invalid_arg msg
 
-(* A stable sort of the response-ordered array: the same order a
-   stable list sort gives, without a cons cell per operation. *)
-let operations t =
+let check_kept t =
   check_well_formed t;
   if t.handed then
-    invalid_arg "Trace.operations: the completed operations were handed over";
-  let ops = Array.sub t.done_ops 0 t.finished in
-  Array.stable_sort (fun a b -> Rat.compare a.inv_time b.inv_time) ops;
-  Array.to_list ops
+    invalid_arg "Trace.operations: the completed operations were handed over"
+
+(* [Array.sub] copies a major-heap array without forcing a minor
+   collection, which [Array.of_list (operations t)] would: it fills a
+   fresh major-heap array with a young first operation. *)
+let operation_array t =
+  check_kept t;
+  Array.sub t.done_ops 0 t.finished
+
+let operations t =
+  check_kept t;
+  let acc = ref [] in
+  for i = t.finished - 1 downto 0 do
+    acc := t.done_ops.(i) :: !acc
+  done;
+  !acc
 
 let pending_invocations t =
   check_well_formed t;

@@ -177,6 +177,12 @@ val operations : ('msg, 'inv, 'resp) t -> ('inv, 'resp) operation list
     an invocation overlapped a pending one, or if the operations were
     handed over ({!hand_over}). *)
 
+val operation_array : ('msg, 'inv, 'resp) t -> ('inv, 'resp) operation array
+(** {!operations} as a fresh array, in the same order and with the same
+    exceptions.  Copying it never forces a minor collection, which
+    [Array.of_list (operations t)] does once the run has more than 256
+    operations. *)
+
 val pending_invocations : ('msg, 'inv, 'resp) t -> (int * 'inv) list
 (** Invocations that never received a response (non-empty only for
     truncated runs), sorted by process id. *)

@@ -95,6 +95,12 @@ let default_worker_id () =
 
 let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
     ?(lease_ttl_s = 60.0) ?code_fp ~dir grid =
+  (* A nan interval would spin the heartbeat, and a ttl of 0 or less
+     would make every live lease read as stale. *)
+  if not (lease_ttl_s > 0.) then
+    invalid_arg
+      (Printf.sprintf "Sweep.Spool.worker: lease_ttl_s = %g is not positive"
+         lease_ttl_s);
   match init ~dir grid with
   | Error _ as e -> e
   | Ok () ->

@@ -228,7 +228,9 @@ module Spool : sig
       defaults to host-pid; it names the lease owner and the worker's
       journal.  A lease not heartbeated for [lease_ttl_s] (default
       60 s) is presumed dead and taken over — safe because cells are
-      deterministic and journal replay is last-record-wins. *)
+      deterministic and journal replay is last-record-wins.
+      @raise Invalid_argument if [lease_ttl_s] is not positive (nan
+      included). *)
 
   val merge : ?code_fp:string -> dir:string -> grid -> (t, string) result
   (** Replay every worker journal through the same {!Runner} a single

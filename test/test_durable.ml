@@ -289,6 +289,25 @@ let test_lease_claim_and_takeover () =
       Sweep.Lease.release lease
   | _ -> Alcotest.fail "stale lease should be taken over"
 
+(* A lease ttl that is not positive is refused by name before the
+   spool is touched: nan would spin the heartbeat, 0 or less would make
+   every live lease read as stale. *)
+let test_spool_refuses_bad_lease_ttl () =
+  let dir = temp_dir "spool-ttl" in
+  List.iter
+    (fun ttl ->
+      Alcotest.check_raises (Printf.sprintf "ttl %g" ttl)
+        (Invalid_argument
+           (Printf.sprintf
+              "Sweep.Spool.worker: lease_ttl_s = %g is not positive" ttl))
+        (fun () ->
+          ignore
+            (Sweep.Spool.worker ~worker_id:"w" ~lease_ttl_s:ttl ~code_fp:"T"
+               ~dir small_grid)))
+    [ Float.nan; 0.; -1.; Float.neg_infinity ];
+  Alcotest.(check bool) "spool untouched" false
+    (Sys.file_exists (Filename.concat dir "leases"))
+
 let test_spool_rejects_other_grid () =
   let dir = temp_dir "spool-grid" in
   (match Sweep.Spool.init ~dir small_grid with
@@ -473,6 +492,8 @@ let () =
             test_lease_claim_and_takeover;
           Alcotest.test_case "spool rejects a different grid" `Quick
             test_spool_rejects_other_grid;
+          Alcotest.test_case "spool refuses a lease ttl that is not positive"
+            `Quick test_spool_refuses_bad_lease_ttl;
           Alcotest.test_case "single worker + merge byte-identical" `Quick
             test_spool_single_worker_merge_identical;
           Alcotest.test_case "two-worker split merges byte-identically" `Quick

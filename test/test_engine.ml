@@ -437,6 +437,53 @@ let test_cancel_is_idempotent () =
   in
   Alcotest.(check int) "five Timer_cancel events" 5 cancels
 
+(* An event's kind, process and second int share one queue tag: each
+   survives the packing at the edges of its field, whatever the other
+   two hold, and the tag is never negative. *)
+let test_tag_bounds () =
+  let max_proc = (1 lsl 20) - 1 and max_timer = (1 lsl 40) - 1 in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun fst ->
+          List.iter
+            (fun snd ->
+              let tag = Sim.Engine.Tag.pack ~kind ~fst ~snd in
+              Alcotest.(check (list int))
+                (Printf.sprintf "kind %d, fst %d, snd %d" kind fst snd)
+                [ kind; fst; snd ]
+                Sim.Engine.Tag.[ kind tag; fst tag; snd tag ];
+              Alcotest.(check bool) "non-negative" true (tag >= 0))
+            [ 0; 1; max_proc; max_proc + 1; max_timer ])
+        [ 0; 1; max_proc ])
+    [ 0; 1; 2; 3 ]
+
+(* A process id takes 20 bits of the tag: n = 2^20 is refused by name
+   before anything sized by n — the n x n send counters above all — is
+   allocated. *)
+let test_too_many_processes () =
+  let n = 1 lsl 20 in
+  let model = Sim.Model.make ~n ~d:(rat 10 1) ~u:(rat 4 1) ~eps:Rat.one in
+  let words () = Gc.minor_words () +. (Gc.quick_stat ()).major_words in
+  let before = words () in
+  Alcotest.check_raises "refused"
+    (Invalid_argument
+       "Engine.create: n = 1048576 processes do not fit the event tag (at \
+        most 2^20 - 1)")
+    (fun () ->
+      ignore
+        (Sim.Engine.create ~model ~offsets:[||]
+           ~delay:(Sim.Net.constant (rat 8 1))
+           ~handlers:
+             {
+               on_invoke = (fun _ () -> ());
+               on_receive = (fun _ ~src:_ () -> ());
+               on_timer = (fun _ () -> ());
+             }
+           ()));
+  let spent = words () -. before in
+  if spent >= 1000. then Alcotest.failf "refusal allocated %.0f words" spent
+
 let () =
   Alcotest.run "engine"
     [
@@ -470,5 +517,9 @@ let () =
             `Quick test_fired_cancels_leave_nothing;
           Alcotest.test_case "reliable channel leaves no cancelled timer"
             `Quick test_reliable_cancels_leave_nothing;
+          Alcotest.test_case "tag fields at their bounds" `Quick
+            test_tag_bounds;
+          Alcotest.test_case "n = 2^20 refused before allocating" `Quick
+            test_too_many_processes;
         ] );
     ]

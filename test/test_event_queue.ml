@@ -3,10 +3,10 @@
 
 let rat = Rat.make
 
-(* The tests exercise ordering only: the kind and int fields ride along
-   as zeros (the engine's own use is covered by test_engine). *)
+(* The tests exercise ordering only: the tag rides along as zero (the
+   engine's own use is covered by test_engine). *)
 let push q ?(priority = 1) ~time x =
-  Sim.Event_queue.push q ~priority ~time ~kind:0 ~fst:0 ~snd:0 x
+  Sim.Event_queue.push q ~priority ~time ~tag:0 x
 
 let test_empty () =
   let q = Sim.Event_queue.create () in
@@ -75,32 +75,80 @@ let test_min_time_pop_min () =
   Alcotest.(check string) "drains" "late" (Sim.Event_queue.pop_min q);
   Alcotest.(check bool) "empty again" true (Sim.Event_queue.is_empty q)
 
-(* Each event's kind and int fields travel with it through the heap's
-   reorderings, and are readable before the pop. *)
-let test_flat_slots () =
+(* Each event's tag travels with it through the heap's reorderings,
+   whatever int it is, and is readable before the pop. *)
+let test_tags_round_trip () =
   let q = Sim.Event_queue.create () in
+  let tag_of v = [| 0; -1; max_int; min_int; 1 lsl 61; -(1 lsl 40); 7 |].(v) in
   List.iter
     (fun (t, p, v) ->
-      Sim.Event_queue.push q ~priority:p ~time:(Rat.of_int t) ~kind:(v mod 3)
-        ~fst:(10 * v) ~snd:(-v) v)
-    [ (4, 1, 1); (2, 1, 2); (2, 0, 3); (9, 0, 4); (1, 1, 5); (2, 1, 6) ];
+      Sim.Event_queue.push q ~priority:p ~time:(Rat.of_int t) ~tag:(tag_of v) v)
+    [
+      (4, 1, 1); (2, 1, 2); (2, 0, 3); (9, 0, 4); (1, 1, 5); (2, 1, 6);
+      (0, 0, 0);
+    ];
   let rec drain acc =
     if Sim.Event_queue.is_empty q then List.rev acc
     else begin
-      let kind = Sim.Event_queue.min_kind q
-      and fst = Sim.Event_queue.min_fst q
-      and snd = Sim.Event_queue.min_snd q in
+      let tag = Sim.Event_queue.min_tag q in
       let v = Sim.Event_queue.pop_min q in
-      Alcotest.(check (list int))
-        (Printf.sprintf "fields of %d" v)
-        [ v mod 3; 10 * v; -v ] [ kind; fst; snd ];
+      Alcotest.(check int) (Printf.sprintf "tag of %d" v) (tag_of v) tag;
       drain (v :: acc)
     end
   in
-  Alcotest.(check (list int)) "order" [ 5; 3; 2; 6; 1; 4 ] (drain []);
-  Alcotest.check_raises "min_kind on empty"
-    (Invalid_argument "Event_queue.min_kind: empty queue") (fun () ->
-      ignore (Sim.Event_queue.min_kind q))
+  Alcotest.(check (list int)) "order" [ 0; 5; 3; 2; 6; 1; 4 ] (drain []);
+  Alcotest.check_raises "min_tag on empty"
+    (Invalid_argument "Event_queue.min_tag: empty queue") (fun () ->
+      ignore (Sim.Event_queue.min_tag q))
+
+(* Priority shares the order key with the sequence number, which
+   leaves it one bit: anything but 0 and 1 is refused by name, and the
+   queue is left as it was. *)
+let test_priority_refused () =
+  let q = Sim.Event_queue.create () in
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "priority %d" p)
+        (Invalid_argument
+           (Printf.sprintf "Event_queue.push: priority %d is neither 0 nor 1" p))
+        (fun () -> Sim.Event_queue.push q ~priority:p ~time:Rat.one ~tag:0 ()))
+    [ 2; 3; -1; max_int ];
+  Alcotest.(check int) "nothing pushed" 0 (Sim.Event_queue.length q)
+
+(* Once the queue has room, a push and a pop allocate nothing: the
+   engine's hot loop runs one of each per dispatched event. *)
+let test_push_pop_allocate_nothing () =
+  let q = Sim.Event_queue.create () in
+  let late = Rat.make 7 2 and x = "payload" in
+  for i = 0 to 63 do
+    Sim.Event_queue.push q ~priority:(i land 1) ~time:late ~tag:i x
+  done;
+  while not (Sim.Event_queue.is_empty q) do
+    ignore (Sim.Event_queue.pop_min q)
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    Sim.Event_queue.push q ~priority:(i land 1) ~time:late ~tag:(-i) x;
+    Sim.Event_queue.push q ~priority:0 ~time:(Rat.of_int i) ~tag:i x;
+    ignore (Sim.Event_queue.min_tag q);
+    ignore (Sim.Event_queue.pop_min q);
+    ignore (Sim.Event_queue.pop_min q)
+  done;
+  Alcotest.(check (float 0.)) "words" 0. (Gc.minor_words () -. before)
+
+(* The 17th push grows 16 slots to 32: exactly four fresh arrays (times,
+   order keys, tags, payloads), each 32 words and a header. *)
+let test_growth_allocates_four_arrays () =
+  let q = Sim.Event_queue.create () in
+  for i = 0 to 15 do
+    Sim.Event_queue.push q ~priority:1 ~time:(Rat.of_int i) ~tag:i ()
+  done;
+  let before = Gc.minor_words () in
+  Sim.Event_queue.push q ~priority:1 ~time:Rat.zero ~tag:16 ();
+  Alcotest.(check (float 0.))
+    "four arrays of 32" (4. *. 33.)
+    (Gc.minor_words () -. before)
 
 (* Property: interleaving pushes with pop_min drains exactly like the
    Option-returning pop, across growth boundaries of the flat arrays. *)
@@ -206,7 +254,12 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_interleaved;
           Alcotest.test_case "min_time / pop_min" `Quick test_min_time_pop_min;
-          Alcotest.test_case "flat slots" `Quick test_flat_slots;
+          Alcotest.test_case "tags round-trip" `Quick test_tags_round_trip;
+          Alcotest.test_case "priority refused" `Quick test_priority_refused;
+          Alcotest.test_case "push and pop allocate nothing" `Quick
+            test_push_pop_allocate_nothing;
+          Alcotest.test_case "growth allocates four arrays" `Quick
+            test_growth_allocates_four_arrays;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -152,6 +152,64 @@ let test_robustness_pool () =
   Alcotest.(check bool) "jobs-independent" true
     (fingerprints cells1 = fingerprints cells4)
 
+(* The cell key's old rendering, kept as the oracle: journals and spools
+   are keyed by these bytes, and the derived seed hashes them. *)
+let printf_key (grid : Sweep.grid) (c : Sweep.cell) =
+  let m = c.point in
+  let algo =
+    match c.algo with
+    | Sweep.Wtlw { frac } -> Printf.sprintf "wtlw(%s)" (Rat.to_string frac)
+    | Centralized -> "centralized"
+    | Tob -> "tob"
+  and delays =
+    match c.delays with
+    | Random_delays -> "random"
+    | Max_delays -> "max"
+    | Min_delays -> "min"
+  and leg = match c.leg with Raw -> "raw" | Recovered -> "recovered" in
+  Printf.sprintf
+    "type=%s;algo=%s;n=%d;d=%s;u=%s;eps=%s;delays=%s;faults=%s;leg=%s;seed=%d;per_proc=%d"
+    (Sweep.Packed_type.key c.dt) algo m.n (Rat.to_string m.d)
+    (Rat.to_string m.u) (Rat.to_string m.eps) delays c.plan_label leg c.seed
+    grid.per_proc
+
+let test_cell_key_bytes () =
+  let drops = Sim.Fault.plan ~seed:3 [ Sim.Fault.drops 0.1 ] in
+  let grids =
+    [
+      { Sweep.default_grid with seeds = List.init 96 (fun i -> i + 1) };
+      {
+        Sweep.default_grid with
+        algos = [ Wtlw { frac = Rat.one }; Wtlw { frac = Rat.zero }; Tob ];
+        points =
+          [ Sim.Model.make ~n:12 ~d:(rat 1000 1) ~u:(rat 40 1) ~eps:(rat 7 1) ];
+        delays = [ Random_delays; Max_delays; Min_delays ];
+        plans = [ ("none", Sim.Fault.none); ("drops", drops) ];
+        seeds = [ 0; -5; max_int; min_int ];
+        per_proc = 10;
+      };
+      {
+        Sweep.default_grid with
+        algos = [ Wtlw { frac = rat 2 7 }; Wtlw { frac = rat (-1) 2 } ];
+        points =
+          [ Sim.Model.make ~n:3 ~d:(rat 7 3) ~u:(rat 1 2) ~eps:(rat 1 6) ];
+        seeds = [ 42 ];
+      };
+    ]
+  in
+  List.iter
+    (fun grid ->
+      List.iter
+        (fun c ->
+          let before = Gc.minor_words () in
+          let key = Sweep.cell_key grid c in
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check string) "same bytes" (printf_key grid c) key;
+          if words > 100. then
+            Alcotest.failf "%s: %.0f words allocated" key words)
+        (Sweep.cells grid))
+    grids
+
 let () =
   Alcotest.run "sweep"
     [
@@ -161,6 +219,8 @@ let () =
             test_fingerprint_jobs_independent;
           Alcotest.test_case "derived seed is FNV-1a of the cell key" `Quick
             test_derived_seed_is_fnv_of_key;
+          Alcotest.test_case "cell key bytes as printf rendered them" `Quick
+            test_cell_key_bytes;
         ] );
       ( "fail-fast",
         [

@@ -177,6 +177,77 @@ let test_monitor () =
   Alcotest.(check bool) "envelope check agrees" false
     (Sim.Trace.delays_admissible model t)
 
+(* [operations] keeps the completed operations in invocation order as
+   they respond.  Property: that is the order a stable sort of the
+   response-ordered list gives, ties in invocation time staying in
+   response order.  Each operation sets one timer of its [inv] units
+   and responds when it fires, so operations overlap, and invocations
+   and responses fall on shared instants. *)
+let timer_engine ~n =
+  let m = Sim.Model.make ~n ~d:(rat 10 1) ~u:(rat 4 1) ~eps:Rat.zero in
+  Sim.Engine.create ~retain_events:false ~model:m
+    ~offsets:(Array.make n Rat.zero)
+    ~delay:(Sim.Net.constant (rat 8 1))
+    ~handlers:
+      {
+        on_invoke =
+          (fun ctx units -> ignore (ctx.set_timer_after (Rat.of_int units) ()));
+        on_receive = (fun _ ~src:_ () -> ());
+        on_timer = (fun ctx () -> ctx.respond ());
+      }
+    ()
+
+let in_response_order trace =
+  let acc = ref [] in
+  Sim.Trace.on_operation trace (fun op -> acc := op :: !acc);
+  acc
+
+let stable_by_invocation (ops : (int, unit) Sim.Trace.operation list) =
+  List.stable_sort
+    (fun (a : (int, unit) Sim.Trace.operation) b ->
+      Rat.compare a.inv_time b.inv_time)
+    ops
+
+let prop_operations_in_invocation_order =
+  QCheck.Test.make ~name:"operations are stable-sorted by invocation"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 3) bool
+        (list_of_size (Gen.int_range 0 30) (pair (int_range 0 4) (int_range 0 3))))
+    (fun (extra, closed, draws) ->
+      let n = 2 + extra in
+      let e = timer_engine ~n in
+      let trace = Sim.Engine.trace e in
+      let responded = in_response_order trace in
+      if closed then begin
+        (* Closed loop: each response invokes the next draw at once or
+           after a whole-unit think time. *)
+        let draws = ref draws in
+        Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+            match !draws with
+            | [] -> ()
+            | (think, units) :: rest ->
+                draws := rest;
+                Sim.Engine.schedule_invoke e
+                  ~at:(Rat.add time (Rat.of_int (think mod 2)))
+                  ~proc units);
+        for proc = 0 to n - 1 do
+          Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc 1
+        done
+      end
+      else
+        (* Explicit schedule: process [p]'s [k]th operation is invoked
+           at [4k] or [4k + 1] and takes at most 2 units, so it has
+           responded before the process's next invocation. *)
+        List.iteri
+          (fun i (slot, units) ->
+            Sim.Engine.schedule_invoke e
+              ~at:(Rat.of_int ((4 * (i / n)) + (slot mod 2)))
+              ~proc:(i mod n) (units mod 3))
+          draws;
+      Sim.Engine.run e;
+      Sim.Trace.operations trace = stable_by_invocation (List.rev !responded))
+
 let () =
   Alcotest.run "trace"
     [
@@ -197,4 +268,7 @@ let () =
           Alcotest.test_case "admissibility monitor" `Quick test_monitor;
           Alcotest.test_case "operations handed over" `Quick test_hand_over;
         ] );
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_operations_in_invocation_order ] );
     ]
