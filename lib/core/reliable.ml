@@ -1,24 +1,17 @@
-type config = { rto : Rat.t; backoff : int; max_retries : int }
+type config = { rto : Rat.t; max_retries : int }
 
-let config ?(backoff = 1) ?(max_retries = 6) ~rto () =
+let config ?(max_retries = 6) ~rto () =
   if Rat.sign rto <= 0 then invalid_arg "Reliable.config: rto must be positive";
-  if backoff < 1 then invalid_arg "Reliable.config: backoff must be >= 1";
   if max_retries < 0 then
     invalid_arg "Reliable.config: max_retries must be >= 0";
-  { rto; backoff; max_retries }
+  { rto; max_retries }
 
 let default_config (model : Sim.Model.t) =
   config ~rto:(Rat.mul_int model.d 2) ()
 
-(* sum_(i=1..k) rto * backoff^(i-1): the real time between the first
-   and the last transmission of a payload. *)
-let retry_budget c =
-  let budget = ref Rat.zero and step = ref c.rto in
-  for _ = 1 to c.max_retries do
-    budget := Rat.add !budget !step;
-    step := Rat.mul_int !step c.backoff
-  done;
-  !budget
+(* The real time between the first and the last transmission of a
+   payload. *)
+let retry_budget c = Rat.mul_int c.rto c.max_retries
 
 let effective_delay c ~d = Rat.add d (retry_budget c)
 
@@ -218,15 +211,10 @@ let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
           else begin
             stats.retransmits <- stats.retransmits + 1;
             ctx.send ~dst (Payload { seq; msg = entry.msg });
-            (* Timeout for retry [i] is rto * backoff^(i-1); retry
-               [max_retries] therefore departs retry_budget after the
-               original send. *)
-            let dur = ref c.rto in
-            for _ = 1 to attempt do
-              dur := Rat.mul_int !dur c.backoff
-            done;
+            (* Every retry waits rto; retry [max_retries] therefore
+               departs retry_budget after the original send. *)
             entry.timer <-
-              ctx.set_timer_after !dur
+              ctx.set_timer_after c.rto
                 (Retransmit { dst; seq; attempt = attempt + 1 })
           end
         end

@@ -7,38 +7,33 @@
     {!wire} envelope carrying a per-(sender, destination) sequence
     number, the receiver acknowledges and deduplicates, in-order
     delivery is enforced by a hold-back buffer, and unacknowledged
-    payloads are retransmitted after [rto] (scaled by [backoff] each
-    attempt) up to [max_retries] times.
+    payloads are retransmitted every [rto] up to [max_retries]
+    times.
 
     {b Effective delay bound.}  If any of the [1 + max_retries]
     transmissions of a payload survives, the last one departs at most
-    {!retry_budget} [= sum_(i=1..k) rto * backoff^(i-1)] after the
-    original send and arrives at most [d] later, so the application
-    sees a channel with delays in [[0, d']] where
-    [d' = d + retry_budget] ({!effective_delay}) — with the default
-    [backoff = 1] this is exactly [d' = d + k * rto].  Re-running an
-    algorithm unmodified over the wrapped handlers against
+    {!retry_budget} [= k * rto] after the original send and arrives at
+    most [d] later, so the application sees a channel with delays in
+    [[0, d']] where [d' = d + k * rto] ({!effective_delay}).
+    Re-running an algorithm unmodified over the wrapped handlers against
     [Model.make ~d:d' ~u:d'] ({!inflated_model}) therefore restores
     the hypotheses of its linearizability proof, and the checker can
     certify the recovery machine-checked ([Scenario.Robustness]). *)
 
 type config = {
-  rto : Rat.t;  (** retransmission timeout before the first retry *)
-  backoff : int;  (** timeout multiplier per retry (>= 1; 1 = constant) *)
+  rto : Rat.t;  (** retransmission timeout before each retry *)
   max_retries : int;  (** retransmissions per payload ([k]; >= 0) *)
 }
 
-val config : ?backoff:int -> ?max_retries:int -> rto:Rat.t -> unit -> config
-(** @raise Invalid_argument if [rto <= 0], [backoff < 1] or
-    [max_retries < 0]. *)
+val config : ?max_retries:int -> rto:Rat.t -> unit -> config
+(** @raise Invalid_argument if [rto <= 0] or [max_retries < 0]. *)
 
 val default_config : Sim.Model.t -> config
-(** [rto = 2d] (a full request/ack round trip), [backoff = 1],
-    [max_retries = 6]. *)
+(** [rto = 2d] (a full request/ack round trip), [max_retries = 6]. *)
 
 val retry_budget : config -> Rat.t
-(** [sum_(i=1..max_retries) rto * backoff^(i-1)]: real time between the
-    first and the last transmission of a payload. *)
+(** [max_retries * rto]: real time between the first and the last
+    transmission of a payload. *)
 
 val effective_delay : config -> d:Rat.t -> Rat.t
 (** [d + retry_budget config]: the worst-case application-level delay

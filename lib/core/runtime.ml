@@ -626,15 +626,16 @@ module Make (T : Spec.Data_type.S) = struct
     let report, _, _ = run_at cfg in
     report
 
-  (* A run is accepted when every operation completed, the run was not
-     truncated, delays and clock skew were admissible, and a
-     linearization was found. *)
+  let unhealthy r =
+    if r.pending > 0 then
+      Some (Printf.sprintf "%d invocations never completed" r.pending)
+    else if not r.delays_admissible then Some "delays left the model envelope"
+    else if not r.skew_admissible then Some "clock skew exceeded eps"
+    else if r.truncated then Some "run truncated at the step limit"
+    else None
+
   let ok report =
-    report.pending = 0
-    && (not report.truncated)
-    && report.delays_admissible
-    && report.skew_admissible
-    && Option.is_some report.linearization
+    Option.is_some report.linearization && Option.is_none (unhealthy report)
 
   let order_finding r =
     Option.map
@@ -665,10 +666,7 @@ module Make (T : Spec.Data_type.S) = struct
     if not r.skew_admissible then Format.fprintf ppf "skew: inadmissible@,";
     if r.truncated then Format.fprintf ppf "TRUNCATED (step limit)@,";
     if Sim.Trace.total_faults r.faults > 0 then
-      Format.fprintf ppf
-        "faults: %d dropped, %d duplicated, %d spiked, %d crashed, %d skewed@,"
-        r.faults.dropped r.faults.duplicated r.faults.spiked r.faults.crashed
-        r.faults.skewed;
+      Format.fprintf ppf "%a@," Sim.Trace.pp_faults r.faults;
     (match r.channel with
     | None -> ()
     | Some { config; effective; stats } ->

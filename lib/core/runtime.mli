@@ -302,9 +302,16 @@ module Make (T : Spec.Data_type.S) : sig
       must be supplied by the caller — a bare trace does not know the
       offsets the run used. *)
 
+  val unhealthy : report -> string option
+  (** The first clause of a healthy run the report fails, named:
+      every operation completed ("N invocations never completed"),
+      delays admissible ("delays left the model envelope"), skew
+      admissible ("clock skew exceeded eps"), the run not truncated
+      ("run truncated at the step limit").  [None] for a healthy run,
+      allocating nothing. *)
+
   val ok : report -> bool
-  (** Every operation completed ([pending = 0]), the run was not
-      truncated, delays and skew admissible, and a linearization
+  (** A healthy run ({!unhealthy} is [None]) whose linearization was
       found. *)
 
   val order_finding : report -> string option

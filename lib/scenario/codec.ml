@@ -716,7 +716,11 @@ let expect_of c =
   else if keyword c "violate" then Violate
   else form c expect_forms "bad expectation" expect_body
 
-let opt_int_of c = if keyword c "none" then None else Some (as_int c)
+let budget_of c =
+  if keyword c "none" then None
+  else
+    let k = as_int c in
+    if k < 1 then fail (Printf.sprintf "%d is not positive" k) else Some k
 
 let checker_of c =
   if keyword c "monitor" then Core.Runtime.Monitor
@@ -813,15 +817,27 @@ let decode c at =
   | Matrix m
     when Array.length m <> n || Array.exists (fun r -> Array.length r <> n) m ->
       fail "delays: matrix must be n x n"
+  | Matrix m ->
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let d = m.(src).(dst) in
+          if Rat.sign d < 0 then
+            fail
+              (Printf.sprintf "delays: delay %s from %d to %d is negative"
+                 (Rat.to_string d) src dst)
+        done
+      done
   | _ -> ());
   let faults = field c at "faults" faults_of in
+  (try Sim.Fault.check faults ~n
+   with Invalid_argument m -> fail ("faults: " ^ m));
   let reliable = field1 c at "reliable" as_bool in
   let checker = field1 c at "checker" checker_of in
   let algorithm = field1 c at "algorithm" algorithm_of in
   let workload = field1 c at "workload" workload_of in
   let seed = field1 c at "seed" as_int in
-  let max_events = field1 c at "max-events" opt_int_of in
-  let max_check_nodes = field1 c at "max-check-nodes" opt_int_of in
+  let max_events = field1 c at "max-events" budget_of in
+  let max_check_nodes = field1 c at "max-check-nodes" budget_of in
   let expect = field1 c at "expect" expect_of in
   let predicate = field1 c at "predicate" pred_of in
   {

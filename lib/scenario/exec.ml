@@ -275,13 +275,10 @@ module Run (T : Spec.Data_type.S) = struct
   let witness_of (r : R.report) converged predicate_holds =
     if Option.is_none r.linearization then Some "history not linearizable"
     else if converged = Some false then Some "replicas diverged"
-    else if r.pending > 0 then
-      Some (Printf.sprintf "%d invocations never completed" r.pending)
-    else if not r.delays_admissible then Some "delays left the model envelope"
-    else if not r.skew_admissible then Some "clock skew exceeded eps"
-    else if r.truncated then Some "run truncated at the step limit"
-    else if not predicate_holds then Some "temporal predicate violated"
-    else None
+    else
+      match R.unhealthy r with
+      | None when not predicate_holds -> Some "temporal predicate violated"
+      | failure -> failure
 
   let of_report (s : t) ~wall_s (r : R.report) =
     let converged = r.converged in

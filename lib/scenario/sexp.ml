@@ -1,9 +1,6 @@
 (* Minimal canonical s-expressions.  See sexp.mli for the format
-   contract.  One scanner serves both readers: the scenario codec,
-   which decodes fields in place by offset, and [parse], which builds
-   a tree for tools and tests. *)
-
-type t = Atom of string | List of t list
+   contract.  The scenario codec writes atoms with [add_atom], checks
+   the syntax with [scan] and decodes fields in place by offset. *)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
@@ -31,41 +28,6 @@ let add_atom b s =
       s;
     Buffer.add_char b '"'
   end
-
-let rec add_sexp b = function
-  | Atom s -> add_atom b s
-  | List l ->
-      Buffer.add_char b '(';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ' ';
-          add_sexp b x)
-        l;
-      Buffer.add_char b ')'
-
-let to_string t =
-  let b = Buffer.create 256 in
-  add_sexp b t;
-  Buffer.contents b
-
-(* Human layout: only the outermost list breaks across lines — one
-   child per line, indented — which keeps the rendering trivially
-   canonical while making scenario files diffable. *)
-let to_string_hum t =
-  match t with
-  | Atom _ -> to_string t
-  | List l ->
-      let b = Buffer.create 512 in
-      Buffer.add_char b '(';
-      List.iteri
-        (fun i x ->
-          if i = 0 then add_sexp b x
-          else (
-            Buffer.add_string b "\n  ";
-            add_sexp b x))
-        l;
-      Buffer.add_string b ")\n";
-      Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -255,20 +217,3 @@ let atom_is s i kw =
     && i + m <= String.length s
     && bare_is s i kw 0
     && (i + m = String.length s || cls s (i + m) <> plain)
-
-(* ------------------------------------------------------------------ *)
-(* Trees                                                               *)
-
-let rec tree s i =
-  if is_list s i then List (children s (first s i)) else Atom (atom_at s i)
-
-and children s j =
-  if is_close s j then []
-  else
-    let x = tree s j in
-    x :: children s (sibling s j)
-
-let parse s =
-  match scan s ~field:ignore with
-  | Error _ as e -> e
-  | Ok () -> Ok (tree s (skip s 0))

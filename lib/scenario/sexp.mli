@@ -10,21 +10,12 @@
 
     One scanner ({!scan}) checks the syntax.  The scenario codec then
     reads the scanned text in place, by offset, without building a
-    tree; {!parse} builds one over the same scanner. *)
-
-type t = Atom of string | List of t list
+    tree. *)
 
 val add_atom : Buffer.t -> string -> unit
 (** Append an atom in its canonical spelling: bare when possible,
     quoted otherwise, with backslash escapes for the double quote, the
     backslash and newline. *)
-
-val to_string : t -> string
-(** Canonical single-line rendering. *)
-
-val to_string_hum : t -> string
-(** Indented rendering for files and terminals: the top-level list
-    breaks one child per line.  Parses back to the same value. *)
 
 val scan : string -> field:(int -> unit) -> (unit, string) result
 (** Check that the string holds exactly one s-expression (surrounding
@@ -32,9 +23,6 @@ val scan : string -> field:(int -> unit) -> (unit, string) result
     offset they were found at.  When the expression is a list, [field]
     receives, in order, the offset of every list directly inside it,
     once that list has been checked. *)
-
-val parse : string -> (t, string) result
-(** {!scan}, then the tree. *)
 
 (** {1 Reading scanned text}
 

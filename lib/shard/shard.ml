@@ -152,18 +152,6 @@ let shard_key (cfg : Config.t) ~data_type ~shard =
     (match cfg.channel with None -> "raw" | Some _ -> "reliable")
     cfg.seed
 
-let total_faults (counts : Sim.Trace.fault_counts list) =
-  List.fold_left
-    (fun (acc : Sim.Trace.fault_counts) (c : Sim.Trace.fault_counts) ->
-      {
-        Sim.Trace.dropped = acc.dropped + c.dropped;
-        duplicated = acc.duplicated + c.duplicated;
-        spiked = acc.spiked + c.spiked;
-        crashed = acc.crashed + c.crashed;
-        skewed = acc.skewed + c.skewed;
-      })
-    Sim.Trace.no_faults counts
-
 module Make (T : Spec.Data_type.S) = struct
   module KT = Spec.Keyed.Make (T)
 
@@ -218,39 +206,14 @@ module Make (T : Spec.Data_type.S) = struct
     | None -> rcfg
     | Some config -> R.Config.reliable ~config rcfg
 
-  (* Store [op] after the first [len] operations of [ops], which are in
-     invocation order with ties in response order, moving it back past
-     those invoked after it; [ops] doubles when full.  Fed operations
-     in response order, the moves are the history's inversions: pairs
-     invoked in one order and completed in the other.  The one invoked
-     first was pending when the other was invoked, and at most one
-     operation per other process is, so each operation is passed at
-     most [n - 1] times: no sort is needed, and no array is filled with
-     a young operation ([Array.stable_sort]'s scratch array and
-     [Array.make] of more than 256 words are, forcing a minor
-     collection). *)
-  let insert_in_order (ops : C.Mon.op array) len (op : C.Mon.op) =
-    let ops =
-      if len < Array.length ops then ops
-      else if len = 0 then Array.make 8 op
-      else Array.append ops ops
-    in
-    let j = ref len in
-    while !j > 0 && Rat.compare ops.(!j - 1).inv_time op.inv_time > 0 do
-      ops.(!j) <- ops.(!j - 1);
-      decr j
-    done;
-    ops.(!j) <- op;
-    ops
-
   (* Run one shard and visit its keys one at a time, exploiting
      locality.  The run hands over each operation as it completes,
      keeping none; it is projected onto [T] and inserted into its
      key's array, which holds the only copy, in invocation order (ties
      in response order, as [Sim.Trace.operations] lists them) by
-     [insert_in_order].  A key's turn releases its array from the
-     shard and hands [f] the history with the order the algorithm
-     linearized that key in.  The operations count the run's time
+     [Sim.Trace.insert_in_order].  A key's turn releases its array
+     from the shard and hands [f] the history with the order the
+     algorithm linearized that key in.  The operations count the run's time
      quanta [quantum]: checkers only compare times, so only a rendered
      failure divides them. *)
   let each_key (cfg : Config.t) ~shard f =
@@ -267,7 +230,7 @@ module Make (T : Spec.Data_type.S) = struct
         }
       in
       let n = filled.(key) in
-      by_key.(key) <- insert_in_order by_key.(key) n projected;
+      by_key.(key) <- Sim.Trace.insert_in_order by_key.(key) n projected;
       filled.(key) <- n + 1
     in
     let report, order, quantum =
@@ -340,11 +303,7 @@ module Make (T : Spec.Data_type.S) = struct
     let keys = !keys in
     let uncertified_keys = List.rev !uncertified in
     let linearizable = uncertified_keys = [] in
-    let healthy =
-      report.pending = 0
-      && (not report.truncated)
-      && report.delays_admissible && report.skew_admissible
-    in
+    let healthy = Option.is_none (R.unhealthy report) in
     let checked_by =
       if cfg.checker = Core.Runtime.Wing_gong then
         Printf.sprintf "per-key wing-gong (%d keys)" keys
@@ -426,7 +385,8 @@ module Make (T : Spec.Data_type.S) = struct
       events = sum (fun r -> r.events);
       pending = sum (fun r -> r.pending);
       faults =
-        total_faults (List.map (fun (r : shard_report) -> r.faults) done_);
+        Sim.Trace.sum_faults
+          (List.map (fun (r : shard_report) -> r.faults) done_);
       certified =
         List.length done_ = cfg.shards
         && List.for_all (fun (r : shard_report) -> r.certified) done_;
@@ -526,10 +486,7 @@ let pp ppf t =
             r.budget_exhausted)
     t.reports;
   if Sim.Trace.total_faults t.faults > 0 then
-    Format.fprintf ppf
-      "  faults: %d dropped, %d duplicated, %d spiked, %d crashed, %d skewed@,"
-      t.faults.dropped t.faults.duplicated t.faults.spiked t.faults.crashed
-      t.faults.skewed;
+    Format.fprintf ppf "  %a@," Sim.Trace.pp_faults t.faults;
   List.iter
     (fun d -> Format.fprintf ppf "journal diagnostic: %s@," d)
     t.journal_diagnostics;

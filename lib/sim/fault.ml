@@ -31,8 +31,43 @@ let spikes ?(edges = All) ?(below = false) ~margin p =
     invalid_arg "Fault.spikes: margin must be positive";
   Spike { p; edges; margin; below }
 
-let crash ~proc ~at = Crash { proc; at }
+let crash ~proc ~at =
+  if Rat.sign at < 0 then
+    invalid_arg ("Fault: crash time " ^ Rat.to_string at ^ " is negative");
+  Crash { proc; at }
+
 let skew ~proc ~offset = Skew { proc; offset }
+
+(* Recursions rather than closures over [n]: a scenario decode checks
+   its plan, and a valid plan allocates nothing. *)
+let outside ~n p = p < 0 || p >= n
+
+let check_proc spec ~n p =
+  if outside ~n p then
+    invalid_arg (Printf.sprintf "Fault: %s process %d outside [0, %d)" spec p n)
+
+let rec check_edges spec ~n = function
+  | [] -> ()
+  | (src, dst) :: rest ->
+      if outside ~n src || outside ~n dst then
+        invalid_arg
+          (Printf.sprintf "Fault: %s edge (%d %d) outside [0, %d)" spec src dst
+             n);
+      check_edges spec ~n rest
+
+let rec check_specs ~n = function
+  | [] -> ()
+  | spec :: rest ->
+      (match spec with
+      | Drop { edges = Edges l; _ } -> check_edges "drop" ~n l
+      | Duplicate { edges = Edges l; _ } -> check_edges "duplicate" ~n l
+      | Spike { edges = Edges l; _ } -> check_edges "spike" ~n l
+      | Crash { proc; _ } -> check_proc "crash" ~n proc
+      | Skew { proc; _ } -> check_proc "skew" ~n proc
+      | Drop _ | Duplicate _ | Spike _ -> ());
+      check_specs ~n rest
+
+let check plan ~n = check_specs ~n plan.specs
 
 type kind =
   | Dropped of { src : int; dst : int; seq : int }

@@ -50,7 +50,13 @@ val drops : ?edges:edges -> float -> spec
 val duplicates : ?edges:edges -> float -> spec
 val spikes : ?edges:edges -> ?below:bool -> margin:Rat.t -> float -> spec
 val crash : proc:int -> at:Rat.t -> spec
+(** @raise Invalid_argument if [at < 0]. *)
+
 val skew : proc:int -> offset:Rat.t -> spec
+
+val check : plan -> n:int -> unit
+(** @raise Invalid_argument naming the first spec whose process or edge
+    lies outside [[0, n)]: such a spec would inject nothing. *)
 
 (** An injected fault, as recorded in the trace ({!Trace.Fault}) and
     counted by the trace's O(1) fault counters. *)

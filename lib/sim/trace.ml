@@ -49,6 +49,23 @@ let no_faults =
 
 let total_faults c = c.dropped + c.duplicated + c.spiked + c.crashed + c.skewed
 
+let sum_faults counts =
+  List.fold_left
+    (fun a c ->
+      {
+        dropped = a.dropped + c.dropped;
+        duplicated = a.duplicated + c.duplicated;
+        spiked = a.spiked + c.spiked;
+        crashed = a.crashed + c.crashed;
+        skewed = a.skewed + c.skewed;
+      })
+    no_faults counts
+
+let pp_faults ppf c =
+  Format.fprintf ppf
+    "faults: %d dropped, %d duplicated, %d spiked, %d crashed, %d skewed"
+    c.dropped c.duplicated c.spiked c.crashed c.skewed
+
 (* Every built-in view below is maintained incrementally as events
    arrive: no accessor re-walks the event list.  The full event list
    itself is just one more sink — the retention sink — and the only one
@@ -190,6 +207,31 @@ let rec observe op = function
       f op;
       observe op rest
 
+(* Store [op] after the first [len] operations of [ops], which are in
+   invocation order with ties in response order, moving it back past
+   those invoked after it; [ops] doubles when full.  Fed operations in
+   response order, the moves are the history's inversions: pairs
+   invoked in one order and completed in the other.  The one invoked
+   first was pending when the other was invoked, and at most one
+   operation per other process is, so each operation is passed at most
+   [n - 1] times: no sort is needed.  Past the first eight slots,
+   growth is by [Array.append]: [Array.make] of more than 256 words
+   filled with the young [op] would force a minor collection, as
+   [Array.stable_sort]'s scratch array would. *)
+let insert_in_order ops len op =
+  let ops =
+    if len < Array.length ops then ops
+    else if len = 0 then Array.make 8 op
+    else Array.append ops ops
+  in
+  let i = ref len in
+  while !i > 0 && Rat.gt ops.(!i - 1).inv_time op.inv_time do
+    ops.(!i) <- ops.(!i - 1);
+    decr i
+  done;
+  ops.(!i) <- op;
+  ops
+
 let note_respond t ~time ~proc resp =
   tick t time;
   if t.malformed = None then
@@ -211,28 +253,8 @@ let note_respond t ~time ~proc resp =
             resp_time = Rat.div_int time t.op_quantum;
           }
       in
-      if not t.handed then begin
-        if t.finished = Array.length t.done_ops then
-          (* Doubled by [Array.append]: [Array.make] of more than 256
-             words filled with the young [op] would force a minor
-             collection at every such growth. *)
-          t.done_ops <-
-            (if t.finished = 0 then [| op |]
-             else Array.append t.done_ops t.done_ops);
-        (* Insert in invocation order, after every equal invocation
-           time: [op] moves back past the operations that were invoked
-           and responded while it was pending.  An operation is passed
-           so only by those pending at its own invocation, at most one
-           per other process, so a run with n processes makes at most
-           n - 1 moves per operation. *)
-        let ops = t.done_ops in
-        let i = ref t.finished in
-        while !i > 0 && Rat.gt ops.(!i - 1).inv_time op.inv_time do
-          ops.(!i) <- ops.(!i - 1);
-          decr i
-        done;
-        ops.(!i) <- op
-      end;
+      if not t.handed then
+        t.done_ops <- insert_in_order t.done_ops t.finished op;
       t.finished <- t.finished + 1;
       observe op t.op_observers
     end

@@ -88,6 +88,12 @@ type fault_counts = {
 val no_faults : fault_counts
 val total_faults : fault_counts -> int
 
+val sum_faults : fault_counts list -> fault_counts
+(** Per-kind sums, e.g. over the shards of a campaign. *)
+
+val pp_faults : Format.formatter -> fault_counts -> unit
+(** [faults: D dropped, P duplicated, S spiked, C crashed, K skewed]. *)
+
 val create :
   ?retain_events:bool -> ?monitor:Model.t -> unit -> ('msg, 'inv, 'resp) t
 (** [retain_events] (default [true]) keeps the full event list so that
@@ -182,6 +188,19 @@ val operation_array : ('msg, 'inv, 'resp) t -> ('inv, 'resp) operation array
     exceptions.  Copying it never forces a minor collection, which
     [Array.of_list (operations t)] does once the run has more than 256
     operations. *)
+
+val insert_in_order :
+  ('inv, 'resp) operation array ->
+  int ->
+  ('inv, 'resp) operation ->
+  ('inv, 'resp) operation array
+(** [insert_in_order ops len op]: the first [len] slots of [ops] are in
+    invocation order, ties in response order; store [op] after those
+    invoked no later than it, moving the rest up one.  Returns [ops],
+    or a copy of twice its length (eight slots when empty) when it is
+    full.  Fed operations in response order, this builds the order of
+    {!operations} with at most [n - 1] moves per operation over [n]
+    processes, and allocates only on growth. *)
 
 val pending_invocations : ('msg, 'inv, 'resp) t -> (int * 'inv) list
 (** Invocations that never received a response (non-empty only for

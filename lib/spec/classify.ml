@@ -67,42 +67,53 @@ module Make (T : Data_type.S) = struct
     let randoms = List.init 60 random_context in
     { contexts = (([] :: len1) @ len2) @ randoms @ T.classification_contexts }
 
-  (* Materialize a context: its reached state. Contexts built from
+  (* Contexts paired with their reached states.  Contexts built from
      invocation lists are always legal (state-based semantics). *)
-  let context_states u = List.map (fun c -> snd (Sem.perform_seq c)) u.contexts
-
-  (* Contexts paired with their reached states, for witness
-     extraction. *)
   let contexts_with_states u =
     List.map (fun c -> (c, snd (Sem.perform_seq c))) u.contexts
 
   let response_in state inv = snd (T.apply state inv)
   let state_then state inv = fst (T.apply state inv)
 
-  let exists_context u predicate = List.exists predicate (context_states u)
-  let for_all_contexts u predicate = List.for_all predicate (context_states u)
+  (* The first context (in universe order) for which [f] finds a
+     witness: each existential class below is one such search, and its
+     boolean form is [Option.is_some] of it. *)
+  let find_context u f =
+    List.find_map (fun (context, s0) -> f context s0) (contexts_with_states u)
 
-  (* MOP is a mutator iff some instance changes the state detectably. *)
-  let is_mutator u op =
-    exists_context u (fun s0 ->
-        List.exists
-          (fun inv -> not (T.equal_state s0 (state_then s0 inv)))
+  let for_all_contexts u predicate =
+    List.for_all (fun (_, s0) -> predicate s0) (contexts_with_states u)
+
+  (* MOP is a mutator iff some instance changes the state detectably:
+     the context and that instance. *)
+  let find_mutator_witness u op =
+    find_context u (fun context s0 ->
+        List.find_map
+          (fun inv ->
+            if T.equal_state s0 (state_then s0 inv) then None
+            else Some (context, inv))
           (T.sample_invocations op))
+
+  let is_mutator u op = Option.is_some (find_mutator_witness u op)
 
   (* AOP is an accessor iff some other instance [mid] changes the
      response of some AOP instance: then rho.aop and rho.mid are legal
-     but rho.mid.aop is illegal. *)
-  let is_accessor u op =
-    exists_context u (fun s0 ->
-        List.exists
+     but rho.mid.aop is illegal.  The context, the AOP instance and
+     [mid]. *)
+  let find_accessor_witness u op =
+    find_context u (fun context s0 ->
+        List.find_map
           (fun aop_inv ->
             let before = response_in s0 aop_inv in
-            List.exists
+            List.find_map
               (fun mid ->
                 let after = response_in (state_then s0 mid) aop_inv in
-                not (T.equal_response before after))
+                if T.equal_response before after then None
+                else Some (context, aop_inv, mid))
               (all_samples ()))
           (T.sample_invocations op))
+
+  let is_accessor u op = Option.is_some (find_accessor_witness u op)
 
   let discovered_kind u op =
     match (is_mutator u op, is_accessor u op) with
@@ -166,172 +177,10 @@ module Make (T : Data_type.S) = struct
             else None)
       (Some s0) instances
 
-  (* Witness search for last-sensitivity with a given [k]: some context
-     and k distinct instances such that every permutation is legal and
-     permutations with different last elements reach different states. *)
-  let is_last_sensitive u ~k op =
-    let invs = T.sample_invocations op in
-    let distinct_sets =
-      choose k invs
-      |> List.filter (fun set ->
-             List.for_all
-               (fun (a, b) -> not (T.equal_invocation a b))
-               (List.concat_map
-                  (fun a ->
-                    List.filter_map
-                      (fun b -> if a == b then None else Some (a, b))
-                      set)
-                  set))
-    in
-    exists_context u (fun s0 ->
-        List.exists
-          (fun set ->
-            let instances =
-              List.map (fun inv -> (inv, response_in s0 inv)) set
-            in
-            let outcomes =
-              List.map
-                (fun perm ->
-                  match replay_instances s0 perm with
-                  | None -> None
-                  | Some final -> Some (fst (List.nth perm (k - 1)), final))
-                (permutations instances)
-            in
-            if List.exists Option.is_none outcomes then false
-            else
-              let outcomes = List.filter_map Fun.id outcomes in
-              List.for_all
-                (fun (last1, state1) ->
-                  List.for_all
-                    (fun (last2, state2) ->
-                      T.equal_invocation last1 last2
-                      || not (T.equal_state state1 state2))
-                    outcomes)
-                outcomes)
-          distinct_sets)
-
-  (* Witness search for pair-freedom: instances op1, op2 (possibly
-     equal) legal after rho but illegal in either sequential order. *)
-  let is_pair_free u op =
-    let invs = T.sample_invocations op in
-    exists_context u (fun s0 ->
-        List.exists
-          (fun inv1 ->
-            List.exists
-              (fun inv2 ->
-                let r1 = response_in s0 inv1 and r2 = response_in s0 inv2 in
-                let after1 = state_then s0 inv1
-                and after2 = state_then s0 inv2 in
-                (not (T.equal_response (response_in after1 inv2) r2))
-                && not (T.equal_response (response_in after2 inv1) r1))
-              invs)
-          invs)
-
-  (* Bounded universal check: every legal occurrence of the same MOP
-     instance before and after an interposed instance leaves equivalent
-     states. *)
-  let is_overwriter u op =
-    is_mutator u op
-    && for_all_contexts u (fun s0 ->
-           List.for_all
-             (fun mop_inv ->
-               List.for_all
-                 (fun mid ->
-                   let direct_resp = response_in s0 mop_inv in
-                   let direct_state = state_then s0 mop_inv in
-                   let s_mid = state_then s0 mid in
-                   let via_resp = response_in s_mid mop_inv in
-                   let via_state = state_then s_mid mop_inv in
-                   (not (T.equal_response direct_resp via_resp))
-                   || T.equal_state direct_state via_state)
-                 (all_samples ()))
-             (T.sample_invocations op))
-
-  (* The interference relation of §6.1 (generalizing Lipton-Sandberg):
-     OP1 interferes with OP2 if some instance of OP1 changes the
-     response of some instance of OP2 — then |OP1| + |OP2| >= d for any
-     linearizable implementation (the accessor must hear about the
-     mutation). *)
-  let interferes u ~op1 ~op2 =
-    exists_context u (fun s0 ->
-        List.exists
-          (fun inv1 ->
-            List.exists
-              (fun inv2 ->
-                let direct = response_in s0 inv2 in
-                let via = response_in (state_then s0 inv1) inv2 in
-                not (T.equal_response direct via))
-              (T.sample_invocations op2))
-          (T.sample_invocations op1))
-
-  (* A discriminator in AOP for two (states of) legal sequences: one
-     argument whose response differs between them (§4.3). *)
-  let discriminator_exists ~aop s1 s2 =
-    List.exists
-      (fun inv ->
-        not (T.equal_response (response_in s1 inv) (response_in s2 inv)))
-      (T.sample_invocations aop)
-
-  (* Theorem 5's hypotheses for (OP, AOP): OP transposable, AOP a pure
-     accessor, and some context with op0, op1 admitting discriminators
-     for (rho.op0 | rho.op1.op0), (rho.op1 | rho.op0.op1) and
-     (rho.op0.op1 | rho.op1). *)
-  let thm5_hypotheses u ~op ~aop =
-    is_transposable u op
-    && discovered_kind u aop = Some Op_kind.Pure_accessor
-    && exists_context u (fun s0 ->
-           List.exists
-             (fun (inv0, inv1) ->
-               let r0 = response_in s0 inv0 and r1 = response_in s0 inv1 in
-               let s_op0 = state_then s0 inv0 in
-               let s_op1 = state_then s0 inv1 in
-               (* both two-step sequences must be legal *)
-               T.equal_response (response_in s_op1 inv0) r0
-               && T.equal_response (response_in s_op0 inv1) r1
-               &&
-               let s_op1_op0 = state_then s_op1 inv0 in
-               let s_op0_op1 = state_then s_op0 inv1 in
-               discriminator_exists ~aop s_op0 s_op1_op0
-               && discriminator_exists ~aop s_op1 s_op0_op1
-               && discriminator_exists ~aop s_op0_op1 s_op1)
-             (distinct_pairs (T.sample_invocations op)))
-
-  (* Witness extraction: the searches above, but returning the context
-     and instances found, so lower-bound stress scenarios can be
-     auto-derived for any data type (see Bounds.Stress). *)
-
-  (* A context and instance behind a positive [is_mutator] answer. *)
-  let find_mutator_witness u op =
-    List.find_map
-      (fun (context, s0) ->
-        List.find_map
-          (fun inv ->
-            if not (T.equal_state s0 (state_then s0 inv)) then
-              Some (context, inv)
-            else None)
-          (T.sample_invocations op))
-      (contexts_with_states u)
-
-  (* A context, accessor instance and interposed instance behind a
-     positive [is_accessor] answer. *)
-  let find_accessor_witness u op =
-    List.find_map
-      (fun (context, s0) ->
-        List.find_map
-          (fun aop_inv ->
-            let before = response_in s0 aop_inv in
-            List.find_map
-              (fun mid ->
-                let after = response_in (state_then s0 mid) aop_inv in
-                if not (T.equal_response before after) then
-                  Some (context, aop_inv, mid)
-                else None)
-              (all_samples ()))
-          (T.sample_invocations op))
-      (contexts_with_states u)
-
-  (* A context rho and k distinct instances witnessing
-     last-sensitivity (Theorem 3's hypothesis). *)
+  (* Last-sensitivity with a given [k] (Theorem 3's hypothesis): some
+     context rho and k distinct instances such that every permutation
+     is legal and permutations with different last elements reach
+     different states.  The context and the instances. *)
   let find_last_sensitive_witness u ~k op =
     let invs = T.sample_invocations op in
     let distinct_sets =
@@ -346,8 +195,7 @@ module Make (T : Data_type.S) = struct
                       set)
                   set))
     in
-    List.find_map
-      (fun (context, s0) ->
+    find_context u (fun context s0 ->
         List.find_map
           (fun set ->
             let instances =
@@ -376,14 +224,16 @@ module Make (T : Data_type.S) = struct
               in
               if distinct then Some (context, set) else None)
           distinct_sets)
-      (contexts_with_states u)
 
-  (* A context and two instances witnessing pair-freedom (Theorem 4's
-     hypothesis). *)
+  let is_last_sensitive u ~k op =
+    Option.is_some (find_last_sensitive_witness u ~k op)
+
+  (* Pair-freedom (Theorem 4's hypothesis): instances op1, op2 (possibly
+     equal) legal after rho but illegal in either sequential order.
+     The context and the two instances. *)
   let find_pair_free_witness u op =
     let invs = T.sample_invocations op in
-    List.find_map
-      (fun (context, s0) ->
+    find_context u (fun context s0 ->
         List.find_map
           (fun inv1 ->
             List.find_map
@@ -398,46 +248,90 @@ module Make (T : Data_type.S) = struct
                 else None)
               invs)
           invs)
+
+  let is_pair_free u op = Option.is_some (find_pair_free_witness u op)
+
+  (* Bounded universal check: every legal occurrence of the same MOP
+     instance before and after an interposed instance leaves equivalent
+     states. *)
+  let is_overwriter u op =
+    is_mutator u op
+    && for_all_contexts u (fun s0 ->
+           List.for_all
+             (fun mop_inv ->
+               List.for_all
+                 (fun mid ->
+                   let direct_resp = response_in s0 mop_inv in
+                   let direct_state = state_then s0 mop_inv in
+                   let s_mid = state_then s0 mid in
+                   let via_resp = response_in s_mid mop_inv in
+                   let via_state = state_then s_mid mop_inv in
+                   (not (T.equal_response direct_resp via_resp))
+                   || T.equal_state direct_state via_state)
+                 (all_samples ()))
+             (T.sample_invocations op))
+
+  (* The interference relation of §6.1 (generalizing Lipton-Sandberg):
+     OP1 interferes with OP2 if some instance of OP1 changes the
+     response of some instance of OP2 — then |OP1| + |OP2| >= d for any
+     linearizable implementation (the accessor must hear about the
+     mutation). *)
+  let interferes u ~op1 ~op2 =
+    List.exists
+      (fun (_, s0) ->
+        List.exists
+          (fun inv1 ->
+            List.exists
+              (fun inv2 ->
+                let direct = response_in s0 inv2 in
+                let via = response_in (state_then s0 inv1) inv2 in
+                not (T.equal_response direct via))
+              (T.sample_invocations op2))
+          (T.sample_invocations op1))
       (contexts_with_states u)
 
-  (* A context, two OP instances and discriminator arguments witnessing
-     Theorem 5's hypotheses for (OP, AOP). *)
+  (* Theorem 5's hypotheses for (OP, AOP): OP transposable, AOP a pure
+     accessor, and some context with op0, op1 admitting discriminators
+     — AOP arguments whose responses differ (§4.3) — for
+     (rho.op0 | rho.op1.op0), (rho.op1 | rho.op0.op1) and
+     (rho.op0.op1 | rho.op1).  The context, the two OP instances and
+     the three discriminators; a candidate is dropped at the first
+     discriminator missing. *)
   let find_thm5_witness u ~op ~aop =
     if
       (not (is_transposable u op))
       || discovered_kind u aop <> Some Op_kind.Pure_accessor
     then None
     else
-      let find_discriminator s1 s2 =
+      let discriminator s1 s2 =
         List.find_opt
           (fun inv ->
             not (T.equal_response (response_in s1 inv) (response_in s2 inv)))
           (T.sample_invocations aop)
       in
-      List.find_map
-        (fun (context, s0) ->
+      let ( let* ) = Option.bind in
+      find_context u (fun context s0 ->
           List.find_map
             (fun (inv0, inv1) ->
               let r0 = response_in s0 inv0 and r1 = response_in s0 inv1 in
               let s_op0 = state_then s0 inv0 in
               let s_op1 = state_then s0 inv1 in
+              (* both two-step sequences must be legal *)
               if
                 T.equal_response (response_in s_op1 inv0) r0
                 && T.equal_response (response_in s_op0 inv1) r1
               then
                 let s_op1_op0 = state_then s_op1 inv0 in
                 let s_op0_op1 = state_then s_op0 inv1 in
-                match
-                  ( find_discriminator s_op0 s_op1_op0,
-                    find_discriminator s_op1 s_op0_op1,
-                    find_discriminator s_op0_op1 s_op1 )
-                with
-                | Some a0, Some a1, Some a2 ->
-                    Some (context, inv0, inv1, a0, a1, a2)
-                | _ -> None
+                let* a0 = discriminator s_op0 s_op1_op0 in
+                let* a1 = discriminator s_op1 s_op0_op1 in
+                let* a2 = discriminator s_op0_op1 s_op1 in
+                Some (context, inv0, inv1, a0, a1, a2)
               else None)
             (distinct_pairs (T.sample_invocations op)))
-        (contexts_with_states u)
+
+  let thm5_hypotheses u ~op ~aop =
+    Option.is_some (find_thm5_witness u ~op ~aop)
 
   let report u =
     List.map

@@ -3,10 +3,12 @@
 
     Existential definitions (mutator, accessor, last-sensitive,
     pair-free, Theorem 5's discriminator hypotheses) become witness
-    searches over a finite {e universe} of context sequences — a
-    [true] answer is sound.  Universal definitions (transposable,
-    overwriter) become bounded refutation searches — [false] is sound,
-    [true] is bounded verification. *)
+    searches over a finite {e universe} of context sequences — a found
+    witness is sound.  Each is one search ([find_*_witness]); its
+    boolean form ([is_*], {!thm5_hypotheses}) is [Option.is_some] of
+    it.  Universal definitions (transposable, overwriter) become
+    bounded refutation searches — [false] is sound, [true] is bounded
+    verification. *)
 
 type op_report = {
   op : string;

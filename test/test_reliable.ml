@@ -14,16 +14,9 @@ let test_retry_budget_constant_backoff () =
   Alcotest.(check string) "d' = d + k * rto" "22"
     (Rat.to_string (Core.Reliable.effective_delay c ~d:(rat 10 1)))
 
-let test_retry_budget_exponential_backoff () =
-  let c = Core.Reliable.config ~rto:(rat 1 1) ~backoff:2 ~max_retries:3 () in
-  (* 1 + 2 + 4 *)
-  Alcotest.(check string) "geometric sum" "7"
-    (Rat.to_string (Core.Reliable.retry_budget c))
-
 let test_default_config () =
   let c = Core.Reliable.default_config model in
   Alcotest.(check string) "rto is a round trip" "20" (Rat.to_string c.rto);
-  Alcotest.(check int) "constant backoff" 1 c.backoff;
   Alcotest.(check int) "six retries" 6 c.max_retries
 
 let test_inflated_model () =
@@ -49,7 +42,6 @@ let test_config_validation () =
       (fun () -> ignore (f ()))
   in
   invalid (fun () -> Core.Reliable.config ~rto:Rat.zero ());
-  invalid (fun () -> Core.Reliable.config ~rto:(rat 1 1) ~backoff:0 ());
   invalid (fun () -> Core.Reliable.config ~rto:(rat 1 1) ~max_retries:(-1) ())
 
 let run_reliable ~faults =
@@ -92,7 +84,33 @@ let test_recovers_from_drops () =
      abandons the sender's retry loop even though a copy was delivered.
      Correctness is judged by the report, not by that counter. *)
   Alcotest.(check int) "every operation completed" 0 report.pending;
-  Alcotest.(check bool) "linearizable end-to-end" true (R.ok report)
+  Alcotest.(check bool) "linearizable end-to-end" true (R.ok report);
+  Alcotest.(check bool) "the report names the faults" true
+    (List.mem
+       (Printf.sprintf
+          "faults: %d dropped, 0 duplicated, 0 spiked, 0 crashed, 0 skewed"
+          report.faults.dropped)
+       (String.split_on_char '\n' (Format.asprintf "%a" R.pp_report report)))
+
+(* [unhealthy] names the first failed clause in a fixed order, and
+   allocates nothing on a healthy run. *)
+let test_health_clauses () =
+  let r = run_reliable ~faults:Sim.Fault.none in
+  let before = Gc.minor_words () in
+  let healthy = R.unhealthy r in
+  Alcotest.(check (float 0.)) "no words" 0. (Gc.minor_words () -. before);
+  let named = Alcotest.(check (option string)) in
+  named "healthy" None healthy;
+  let r =
+    { r with delays_admissible = false; skew_admissible = false; truncated = true }
+  in
+  named "pending first" (Some "2 invocations never completed")
+    (R.unhealthy { r with pending = 2 });
+  named "then delays" (Some "delays left the model envelope") (R.unhealthy r);
+  named "then skew" (Some "clock skew exceeded eps")
+    (R.unhealthy { r with delays_admissible = true });
+  named "truncation last" (Some "run truncated at the step limit")
+    (R.unhealthy { r with delays_admissible = true; skew_admissible = true })
 
 let test_recovers_from_duplicates () =
   let report =
@@ -236,8 +254,6 @@ let () =
         [
           Alcotest.test_case "constant backoff budget" `Quick
             test_retry_budget_constant_backoff;
-          Alcotest.test_case "exponential backoff budget" `Quick
-            test_retry_budget_exponential_backoff;
           Alcotest.test_case "default config" `Quick test_default_config;
           Alcotest.test_case "inflated model" `Quick test_inflated_model;
           Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -250,6 +266,8 @@ let () =
             test_recovers_from_drops;
           Alcotest.test_case "recovers from duplicates" `Quick
             test_recovers_from_duplicates;
+          Alcotest.test_case "health clauses named in order" `Quick
+            test_health_clauses;
           Alcotest.test_case "window growth keeps FIFO" `Quick
             test_window_growth_keeps_fifo;
           Alcotest.test_case "recovers from a storm" `Quick

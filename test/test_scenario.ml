@@ -269,8 +269,10 @@ let decode_inputs =
       ("algorithms", edit "(algorithm (wtlw 3 paper))" "(algorithm tob)");
     ]
 
-(* Fault specs the decoder used to build without validation: each of
-   these decoded, and ran. *)
+(* Fields the decoder used to take without validation: each of these
+   decoded, and ran.  A negative matrix delay ended in the engine's
+   assertion; a process or edge outside the model injected nothing; a
+   budget below 1 truncated the run at once or went unused. *)
 let validation_inputs =
   [
     ("drop above one", edit "(faults 0)" "(faults 0 (drop 2.0 all))");
@@ -279,6 +281,16 @@ let validation_inputs =
     ("spike negative margin", edit "(faults 0)" "(faults 0 (spike 0.5 -3 above all))");
     ("spike zero margin", edit "(faults 0)" "(faults 0 (spike 0.5 0 below all))");
     ("spike bad probability and margin", edit "(faults 0)" "(faults 0 (spike 7 -3 above all))");
+    ("crash process above n", edit "(faults 0)" "(faults 0 (crash 7 1))");
+    ("crash process negative", edit "(faults 0)" "(faults 0 (crash -1 1))");
+    ("skew process at n", edit "(faults 0)" "(faults 0 (skew 3 1))");
+    ("drop edge above n", edit "(faults 0)" "(faults 0 (drop 0.1 (edges (0 9))))");
+    ("spike edge negative", edit "(faults 0)" "(faults 0 (drop 0 all) (spike 0.5 1 above (edges (0 1) (-1 2))))");
+    ("crash time negative", edit "(faults 0)" "(faults 0 (crash 1 -5))");
+    ("matrix delay negative", edit "(delays random)" "(delays (matrix (8 -8 8) (8 8 10) (6 8 6)))");
+    ("max-events negative", edit "(max-events none)" "(max-events -5)");
+    ("max-events zero", edit "(max-events none)" "(max-events 0)");
+    ("max-check-nodes negative", edit "(max-check-nodes none)" "(max-check-nodes -1)");
   ]
 
 (* [Scenario.of_string] of each input above, as "ok <MD5 of the
@@ -447,8 +459,8 @@ let decode_expected =
     ("algorithms", "ok ca6d1cc69c4c794e0d995eac82aaf9b1");
   ]
 
-(* The same for [validation_inputs]: before fault specs were validated,
-   every one of them decoded. *)
+(* The same for [validation_inputs]: before these fields were
+   validated, every one of them decoded. *)
 let validation_expected =
   [
     ("drop above one", "error faults: Fault: probability must lie in [0, 1]");
@@ -457,6 +469,16 @@ let validation_expected =
     ("spike negative margin", "error faults: Fault.spikes: margin must be positive");
     ("spike zero margin", "error faults: Fault.spikes: margin must be positive");
     ("spike bad probability and margin", "error faults: Fault: probability must lie in [0, 1]");
+    ("crash process above n", "error faults: Fault: crash process 7 outside [0, 3)");
+    ("crash process negative", "error faults: Fault: crash process -1 outside [0, 3)");
+    ("skew process at n", "error faults: Fault: skew process 3 outside [0, 3)");
+    ("drop edge above n", "error faults: Fault: drop edge (0 9) outside [0, 3)");
+    ("spike edge negative", "error faults: Fault: spike edge (-1 2) outside [0, 3)");
+    ("crash time negative", "error faults: Fault: crash time -5 is negative");
+    ("matrix delay negative", "error delays: delay -8 from 0 to 1 is negative");
+    ("max-events negative", "error max-events: -5 is not positive");
+    ("max-events zero", "error max-events: 0 is not positive");
+    ("max-check-nodes negative", "error max-check-nodes: -1 is not positive");
   ]
 
 let every_construct_rendering =
@@ -782,13 +804,49 @@ let test_probe_needs_matrix () =
 (* ------------------------------------------------------------------ *)
 (* Sexp parser *)
 
-(* Messages and offsets of [Sexp.parse], pinned byte for byte (taken
-   from the option-per-character scanner the index scan replaced). *)
+(* A tree read back from scanned text through the offset readers the
+   codec uses: [is_list], [first], [sibling], [is_close], [atom_at]. *)
+type tree = Atom of string | List of tree list
+
+let rec read_tree s i =
+  let open Scenario.Sexp in
+  if is_list s i then
+    let rec items j =
+      if is_close s j then [] else read_tree s j :: items (sibling s j)
+    in
+    List (items (first s i))
+  else Atom (atom_at s i)
+
+(* Single-line canonical text, atoms spelled by [add_atom]. *)
+let rec add_tree b = function
+  | Atom a -> Scenario.Sexp.add_atom b a
+  | List l ->
+      Buffer.add_char b '(';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ' ';
+          add_tree b x)
+        l;
+      Buffer.add_char b ')'
+
+let tree_text t =
+  let b = Buffer.create 64 in
+  add_tree b t;
+  Buffer.contents b
+
+let read input =
+  match Scenario.Sexp.scan input ~field:ignore with
+  | Ok () -> Ok (read_tree input (Scenario.Sexp.skip input 0))
+  | Error _ as e -> e
+
+(* Messages and offsets of [Sexp.scan], pinned byte for byte (taken
+   from the option-per-character scanner the index scan replaced); an
+   accepted input is read back and rewritten canonically. *)
 let test_sexp_pinned () =
   let expect label input expected =
     let got =
-      match Scenario.Sexp.parse input with
-      | Ok t -> "ok " ^ Scenario.Sexp.to_string t
+      match read input with
+      | Ok t -> "ok " ^ tree_text t
       | Error e -> "error " ^ e
     in
     Alcotest.(check string) label expected got
@@ -813,8 +871,9 @@ let test_sexp_pinned () =
 
 (* Trees whose atoms are drawn mostly from bytes that force quoting
    (delimiters, quotes, backslashes, control bytes), plus the empty
-   atom and non-ASCII bytes: [to_string] then [parse] is the identity. *)
-let arb_sexp =
+   atom and non-ASCII bytes: what [add_atom] wrote, [scan] accepts and
+   the readers give back; [atom_is] recognises every atom. *)
+let arb_tree =
   let open QCheck.Gen in
   let byte =
     frequency
@@ -825,7 +884,7 @@ let arb_sexp =
         (1, map Char.chr (int_range 0 0x1f));
       ]
   in
-  let atom = map (fun s -> Scenario.Sexp.Atom s) (string_size ~gen:byte (0 -- 6)) in
+  let atom = map (fun s -> Atom s) (string_size ~gen:byte (0 -- 6)) in
   let tree =
     sized_size (0 -- 4)
     @@ fix (fun self depth ->
@@ -834,19 +893,25 @@ let arb_sexp =
              frequency
                [
                  (1, atom);
-                 ( 2,
-                   map
-                     (fun l -> Scenario.Sexp.List l)
-                     (list_size (0 -- 4) (self (depth - 1))) );
+                 (2, map (fun l -> List l) (list_size (0 -- 4) (self (depth - 1))));
                ])
   in
-  QCheck.make ~print:Scenario.Sexp.to_string tree
+  QCheck.make ~print:tree_text tree
+
+let rec atoms_recognised s i =
+  let open Scenario.Sexp in
+  if is_list s i then
+    let rec items j =
+      is_close s j || (atoms_recognised s j && items (sibling s j))
+    in
+    items (first s i)
+  else atom_is s i (atom_at s i)
 
 let sexp_round_trip =
-  QCheck.Test.make ~name:"parse (to_string t) = Ok t" ~count:500 arb_sexp
-    (fun t ->
-      Scenario.Sexp.parse (Scenario.Sexp.to_string t) = Ok t
-      && Scenario.Sexp.parse (Scenario.Sexp.to_string_hum t) = Ok t)
+  QCheck.Test.make ~name:"scan reads back what add_atom wrote" ~count:500
+    arb_tree (fun t ->
+      let text = tree_text t in
+      read text = Ok t && atoms_recognised text (Scenario.Sexp.skip text 0))
 
 let () =
   Alcotest.run "scenario"

@@ -248,6 +248,36 @@ let prop_operations_in_invocation_order =
       Sim.Engine.run e;
       Sim.Trace.operations trace = stable_by_invocation (List.rev !responded))
 
+(* [insert_in_order] allocates eight slots for the first operation,
+   nothing until they fill, then one doubled copy; ties keep their
+   insertion order. *)
+let test_insert_allocates_on_growth () =
+  let op i : (int, unit) Sim.Trace.operation =
+    {
+      proc = i;
+      inv = i;
+      resp = ();
+      inv_time = Rat.of_int ((9 - i) / 3);
+      resp_time = Rat.of_int 9;
+    }
+  in
+  let ops = Array.init 9 op in
+  let before = Gc.minor_words () in
+  let a = Sim.Trace.insert_in_order [||] 0 ops.(0) in
+  Alcotest.(check (float 0.)) "eight slots" 9. (Gc.minor_words () -. before);
+  let before = Gc.minor_words () in
+  let a = ref a in
+  for i = 1 to 7 do
+    a := Sim.Trace.insert_in_order !a i ops.(i)
+  done;
+  Alcotest.(check (float 0.)) "no growth" 0. (Gc.minor_words () -. before);
+  let before = Gc.minor_words () in
+  let a = Sim.Trace.insert_in_order !a 8 ops.(8) in
+  Alcotest.(check (float 0.)) "doubled" 17. (Gc.minor_words () -. before);
+  Alcotest.(check (list int)) "invocation order, ties as inserted"
+    [ 7; 8; 4; 5; 6; 1; 2; 3; 0 ]
+    (List.init 9 (fun k -> a.(k).inv))
+
 let () =
   Alcotest.run "trace"
     [
@@ -267,6 +297,8 @@ let () =
             test_custom_sink;
           Alcotest.test_case "admissibility monitor" `Quick test_monitor;
           Alcotest.test_case "operations handed over" `Quick test_hand_over;
+          Alcotest.test_case "insertion allocates only on growth" `Quick
+            test_insert_allocates_on_growth;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
