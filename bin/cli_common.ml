@@ -205,11 +205,13 @@ let checker_arg =
 let json_flag =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the machine-readable report.")
 
-let append_json path line =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc line;
-  output_char oc '\n';
-  close_out oc
+(* Whole reports print compact; records appended to a file, one a line,
+   print spaced. *)
+let print_json v = Format.printf "%s@." (Core.Json.compact v)
+
+let append_json path v =
+  Out_channel.with_open_gen [ Open_append; Open_creat ] 0o644 path (fun oc ->
+      output_string oc (Core.Json.spaced v ^ "\n"))
 
 let json_path_arg ~doc =
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)

@@ -233,7 +233,7 @@ let load_cmd =
                 ~should_stop:Sweep.Pool.Interrupt.requested
                 ?journal_dir:resume_dir ~sync_every:journal_sync cfg pt
             in
-            if json then Format.printf "%a@." Shard.pp_json t
+            if json then print_json (Shard.to_json t)
             else Format.printf "%a@." Shard.pp t;
             let all_done =
               Array.for_all
@@ -378,14 +378,15 @@ let check_cmd =
           Option.iter
             (fun path ->
               append_json path
-                (Printf.sprintf
-                   "{ \"bench\": \"monitor-check\", \"type\": %s, \"ops\": \
-                    %d, \"seed\": %d, \"injected\": %b, \
-                    \"linearizable\": %b, \"method\": %s, \"fallback\": %b, \
-                    \"gen_s\": %.6f, \"check_s\": %.6f }"
-                   (Core.Json.quote T.name) count seed injected linearizable
-                   (Core.Json.quote method_s) (r.M.fallback <> None)
-                   gen_s check_s);
+                (Object
+                   [ ("bench", String "monitor-check"); ("type", String T.name);
+                     ("ops", Int count); ("seed", Int seed);
+                     ("injected", Bool injected);
+                     ("linearizable", Bool linearizable);
+                     ("method", String method_s);
+                     ("fallback", Bool (r.M.fallback <> None));
+                     ("gen_s", Fixed (6, gen_s));
+                     ("check_s", Fixed (6, check_s)) ]);
               Format.printf "appended %s@." path)
             json_path;
           if injected && linearizable then
@@ -476,7 +477,7 @@ let analyze_cmd =
     match audited with
     | Error msg -> `Error (true, msg)
     | Ok (report, label) ->
-        if json then Format.printf "%a@." Analysis.Report.pp_json report
+        if json then print_json (Analysis.Report.to_json report)
         else begin
           Format.printf "repro analyze: %s@.@." label;
           Format.printf "%a@." Analysis.Report.pp_human report
@@ -774,7 +775,7 @@ let faults_cmd =
       Sweep.robustness ~jobs ~should_stop:Sweep.Pool.Interrupt.requested
         ~model ~x ~seed targets
     in
-    if json then Format.printf "%a@." Scenario.Robustness.pp_json cells
+    if json then print_json (Scenario.Robustness.to_json cells)
     else begin
       Format.printf "model: %a, X = %a@.@." Sim.Model.pp model Rat.pp x;
       Format.printf "%a@." Scenario.Robustness.pp_matrix cells
@@ -980,10 +981,9 @@ let sweep_cmd =
           (match json_path with
           | None -> ()
           | Some path ->
-              let oc = open_out path in
-              let ppf = Format.formatter_of_out_channel oc in
-              Format.fprintf ppf "%a@." Sweep.pp_json t;
-              close_out oc;
+              let json = Core.Json.compact (Sweep.to_json t) in
+              Out_channel.with_open_text path (fun oc ->
+                  output_string oc (json ^ "\n"));
               Format.printf "wrote %s@." path);
           (match fingerprint_path with
           | None -> ()
@@ -1156,17 +1156,17 @@ let bench_cmd =
     | Some s ->
         let events, m = Perf.Suite.measure ~phase s in
         let dp = Perf.History.of_metrics ~commit ~bench:s.name ~events m in
-        let line = Perf.History.to_line dp in
-        let instr =
-          match m.instructions with
-          | Some n -> Int64.to_string n
-          | None -> "null"
-        in
         (* The datapoint line, with the nondeterministic extras the
            parent displays but never persists. *)
-        Printf.printf "%s,\"wall_ns\":%d,\"instructions\":%s}\n"
-          (String.sub line 0 (String.length line - 1))
-          m.wall_ns instr;
+        let instructions =
+          Core.Json.nullable
+            (fun n -> Core.Json.Int (Int64.to_int n))
+            m.instructions
+        in
+        print_endline
+          (Perf.History.to_line dp
+             ~extra:
+               [ ("wall_ns", Int m.wall_ns); ("instructions", instructions) ]);
         Printf.printf "wall=%.1fms minor=%.0f (%.2f/event) instr=%s\n"
           (float_of_int m.wall_ns /. 1e6)
           m.minor_words
@@ -1507,23 +1507,28 @@ let scenario_shrink_cmd =
             in
             Option.iter
               (fun p ->
-                let tightness =
+                let tightness : Core.Json.t =
                   match probe_report with
-                  | Some (Ok r) ->
-                      string_of_bool (Scenario.Probe.witnesses_tightness r)
-                  | _ -> "null"
+                  | Some (Ok r) -> Bool (Scenario.Probe.witnesses_tightness r)
+                  | _ -> Null
+                in
+                let { Scenario.Shrink.scenario; exec; initial_size; final_size;
+                      steps; attempts } =
+                  o
                 in
                 append_json p
-                  (Printf.sprintf
-                     {|{"bench": "scenario-shrink", "scenario": %s, "initial_size": %d, "final_size": %d, "steps": %d, "attempts": %d, "witness": %s, "tightness": %s}|}
-                     (Core.Json.quote o.Scenario.Shrink.scenario.Scenario.name)
-                     o.Scenario.Shrink.initial_size
-                     o.Scenario.Shrink.final_size o.Scenario.Shrink.steps
-                     o.Scenario.Shrink.attempts
-                     (match o.Scenario.Shrink.exec.Scenario.Exec.witness with
-                     | Some w -> Core.Json.quote w
-                     | None -> "null")
-                     tightness);
+                  Core.Json.(
+                    Object
+                      [ ("bench", String "scenario-shrink");
+                        ("scenario", String scenario.Scenario.name);
+                        ("initial_size", Int initial_size);
+                        ("final_size", Int final_size); ("steps", Int steps);
+                        ("attempts", Int attempts);
+                        ( "witness",
+                          nullable
+                            (fun w -> String w)
+                            exec.Scenario.Exec.witness );
+                        ("tightness", tightness) ]);
                 Format.printf "appended %s@." p)
               json_path;
             (match probe_report with

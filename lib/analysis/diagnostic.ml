@@ -46,10 +46,10 @@ let pp ppf t =
   Option.iter (fun w -> Format.fprintf ppf "@,witness: %s" w) t.witness;
   Format.fprintf ppf "@]"
 
-let pp_json ppf t =
-  Format.fprintf ppf
-    "{\"severity\":\"%s\",\"rule\":%s,\"subject\":%s,\"message\":%s,\"witness\":%s}"
-    (severity_to_string t.severity)
-    (Core.Json.quote t.rule) (Core.Json.quote t.subject)
-    (Core.Json.quote t.message)
-    (match t.witness with None -> "null" | Some w -> Core.Json.quote w)
+let to_json t =
+  let open Core.Json in
+  Object
+    [ ("severity", String (severity_to_string t.severity));
+      ("rule", String t.rule); ("subject", String t.subject);
+      ("message", String t.message);
+      ("witness", nullable (fun w -> String w) t.witness) ]

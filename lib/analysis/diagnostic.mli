@@ -19,5 +19,5 @@ val info : rule:string -> subject:string -> string -> t
 val pp : Format.formatter -> t -> unit
 (** ["error[rule] subject: message"] plus an indented witness line. *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Core.Json.t
 (** One JSON object; [witness] is [null] when absent. *)

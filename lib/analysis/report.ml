@@ -37,14 +37,9 @@ let pp_human ppf t =
   List.iter (fun d -> Format.fprintf ppf "%a@," Diagnostic.pp d) t.findings;
   Format.fprintf ppf "%a@]" pp_summary t
 
-let pp_json ppf t =
-  Format.fprintf ppf "{\"findings\":[";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Format.fprintf ppf ",";
-      Diagnostic.pp_json ppf d)
-    t.findings;
-  Format.fprintf ppf "],\"errors\":%d,\"warnings\":%d}" (errors t)
-    (warnings t)
+let to_json t =
+  Core.Json.Object
+    [ ("findings", List (List.map Diagnostic.to_json t.findings));
+      ("errors", Int (errors t)); ("warnings", Int (warnings t)) ]
 
 let exit_code t = if has_errors t then 1 else 0

@@ -10,7 +10,7 @@ val errors : t -> int
 val has_errors : t -> bool
 
 val pp_human : Format.formatter -> t -> unit
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Core.Json.t
 
 val exit_code : t -> int
 (** [1] when any Error-severity finding is present, else [0] — the CI

@@ -294,9 +294,8 @@ module Hist = struct
   let pp_quantiles ppf { p50; p99; p999 } =
     Format.fprintf ppf "p50=%.6g p99=%.6g p999=%.6g" p50 p99 p999
 
-  let pp_json_quantiles ppf { p50; p99; p999 } =
-    Format.fprintf ppf "{\"p50\":%.6g,\"p99\":%.6g,\"p999\":%.6g}" p50 p99
-      p999
+  let json_of_quantiles { p50; p99; p999 } =
+    Json.Object [ ("p50", Sig p50); ("p99", Sig p99); ("p999", Sig p999) ]
 
   let pp ppf t =
     match quantiles t with
@@ -331,7 +330,8 @@ let pp_summary ppf s =
   Format.fprintf ppf "n=%d min=%a max=%a mean=%a" s.count Rat.pp s.min Rat.pp
     s.max Rat.pp s.mean
 
-let pp_json_summary ppf s =
-  Format.fprintf ppf
-    "{\"count\":%d,\"min\":\"%s\",\"max\":\"%s\",\"mean\":\"%s\"}" s.count
-    (Rat.to_string s.min) (Rat.to_string s.max) (Rat.to_string s.mean)
+let json_of_summary s =
+  let rat r = Json.String (Rat.to_string r) in
+  Json.Object
+    [ ("count", Int s.count); ("min", rat s.min); ("max", rat s.max);
+      ("mean", rat s.mean) ]

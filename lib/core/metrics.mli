@@ -102,8 +102,8 @@ module Hist : sig
   val pp_quantiles : Format.formatter -> quantiles -> unit
   (** ["p50=... p99=... p999=..."], the form fingerprints use. *)
 
-  val pp_json_quantiles : Format.formatter -> quantiles -> unit
-  (** [{"p50":...,"p99":...,"p999":...}] *)
+  val json_of_quantiles : quantiles -> Json.t
+  (** [p50], [p99] and [p999] to six significant digits. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -127,5 +127,5 @@ val max_latency : ('inv, 'resp) Sim.Trace.operation list -> Rat.t option
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val pp_json_summary : Format.formatter -> summary -> unit
-(** [{"count":n,"min":"r","max":"r","mean":"r"}], rationals as strings. *)
+val json_of_summary : summary -> Json.t
+(** [count], [min], [max] and [mean], the rationals as strings. *)

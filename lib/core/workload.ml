@@ -126,8 +126,9 @@ module Gen = struct
     validate_arrival arrival;
     if keys < 1 then invalid_arg "Workload.Gen.create: keys < 1";
     if ops < 0 then invalid_arg "Workload.Gen.create: ops < 0";
-    if Float.is_nan zipf then
-      invalid_arg "Workload.Gen.create: zipf is nan, not a skew exponent";
+    if not (Float.is_finite zipf) then
+      invalid_arg
+        "Workload.Gen.create: zipf is nan or infinite, not a skew exponent";
     if zipf < 0.0 then invalid_arg "Workload.Gen.create: zipf < 0";
     (* Every time in the stream is an int count of quanta, so [ops]
        gaps of the longest drawable length must fit in one; the test

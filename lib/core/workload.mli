@@ -80,7 +80,8 @@ module Gen : sig
       description before generating it.  Raises [Invalid_argument] on
       non-positive rates, a burst size below 1, a period that is not
       positive, a trough outside [[0, 1]], [keys < 1], [ops < 0], a
-      negative [zipf] or a nan one (["zipf is nan"]); and, naming it
+      negative [zipf] or a nan or infinite one (["zipf is nan or
+      infinite"]); and, naming it
       an ["unrepresentable arrival gap"], on an arrival whose longest
       drawable gap (about 13.82 means, divided by [trough] for
       [Diurnal]) times [ops] does not fit in int quanta of 1/1024 — a

@@ -49,73 +49,38 @@ let average = function
 (* Allocation counters are integral word counts that fit comfortably
    in 53 bits, so %.0f round-trips them exactly and keeps the encoding
    canonical (no float noise, equal datapoints -> equal bytes). *)
-let to_line d =
-  Printf.sprintf
-    "{\"commit\":\"%s\",\"bench\":\"%s\",\"events\":%d,\"minor_words\":%.0f,\"promoted_words\":%.0f,\"major_words\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}"
-    d.commit d.bench d.events d.minor_words d.promoted_words d.major_words
-    d.minor_collections d.major_collections
-
-(* Flat-object field scanner for our own emissions: locate ["key":]
-   and read the value up to the next [,] or [}].  Values here are
-   unescaped strings (shas, bench names) and numbers, so this is
-   exact for every line [to_line] produces. *)
-let raw_field line key =
-  let marker = "\"" ^ key ^ "\":" in
-  let mlen = String.length marker and llen = String.length line in
-  let rec find i =
-    if i + mlen > llen then None
-    else if String.sub line i mlen = marker then Some (i + mlen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < llen && (match line.[!stop] with ',' | '}' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      Some (String.sub line start (!stop - start))
-
-let str_field line key =
-  match raw_field line key with
-  | Some v
-    when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-    ->
-      Some (String.sub v 1 (String.length v - 2))
-  | _ -> None
-
-let num_field line key =
-  match raw_field line key with
-  | Some v -> float_of_string_opt v
-  | None -> None
+let to_line ?(extra = []) d =
+  let open Core.Json in
+  let words w = Fixed (0, w) in
+  compact
+    (Object
+       ([ ("commit", String d.commit); ("bench", String d.bench);
+          ("events", Int d.events); ("minor_words", words d.minor_words);
+          ("promoted_words", words d.promoted_words);
+          ("major_words", words d.major_words);
+          ("minor_collections", Int d.minor_collections);
+          ("major_collections", Int d.major_collections) ]
+       @ extra))
 
 let of_line line =
-  match
-    ( str_field line "commit",
-      str_field line "bench",
-      num_field line "events",
-      num_field line "minor_words",
-      num_field line "promoted_words",
-      num_field line "major_words",
-      num_field line "minor_collections",
-      num_field line "major_collections" )
-  with
-  | Some commit, Some bench, Some ev, Some mw, Some pw, Some jw, Some mc, Some jc
-    ->
-      Some
-        {
-          commit;
-          bench;
-          events = int_of_float ev;
-          minor_words = mw;
-          promoted_words = pw;
-          major_words = jw;
-          minor_collections = int_of_float mc;
-          major_collections = int_of_float jc;
-        }
-  | _ -> None
+  let open Core.Json in
+  match parse line with
+  | Error _ -> None
+  | Ok j -> (
+      let str k = to_str (member k j) and int k = to_int (member k j) in
+      let words k = to_number (member k j) in
+      match
+        ( str "commit", str "bench", int "events", words "minor_words",
+          words "promoted_words", words "major_words",
+          int "minor_collections", int "major_collections" )
+      with
+      | ( Some commit, Some bench, Some events, Some minor_words,
+          Some promoted_words, Some major_words, Some minor_collections,
+          Some major_collections ) ->
+          Some
+            { commit; bench; events; minor_words; promoted_words;
+              major_words; minor_collections; major_collections }
+      | _ -> None)
 
 let load ~file =
   if not (Sys.file_exists file) then []

@@ -42,13 +42,15 @@ val average : datapoint list -> (datapoint, string) result
     the unshifted run as before.  [Error] on an empty list or on points
     that disagree on the event count. *)
 
-val to_line : datapoint -> string
-(** One JSON object, no trailing newline.  Field order is fixed so
-    that equal datapoints serialize to equal bytes. *)
+val to_line : ?extra:(string * Core.Json.t) list -> datapoint -> string
+(** One compact JSON object, no trailing newline.  Field order is
+    fixed so that equal datapoints serialize to equal bytes; [extra]
+    fields follow the datapoint's, for display only. *)
 
 val of_line : string -> datapoint option
-(** Parses lines produced by {!to_line} (a flat JSON object scanner,
-    not a general JSON parser); [None] on anything else. *)
+(** Reads a line back through {!Core.Json.parse}; fields other than
+    the datapoint's are ignored.  [None] when the line is no JSON
+    object or lacks a field. *)
 
 val load : file:string -> datapoint list
 (** Datapoints in file order; a missing file is an empty history. *)

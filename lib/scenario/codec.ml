@@ -718,9 +718,7 @@ let expect_of c =
 
 let budget_of c =
   if keyword c "none" then None
-  else
-    let k = as_int c in
-    if k < 1 then fail (Printf.sprintf "%d is not positive" k) else Some k
+  else Some (as_int c)
 
 let checker_of c =
   if keyword c "monitor" then Core.Runtime.Monitor
@@ -799,7 +797,8 @@ let faults_of c =
   { Sim.Fault.seed; specs }
 
 (* Fields are decoded in this order, so the first failure reported is
-   the same whatever order the text lists them in. *)
+   the same whatever order the text lists them in; the range checks
+   every scenario passes ([Types.validate]) follow. *)
 let decode c at =
   let top = Sexp.skip c.s 0 in
   if
@@ -808,29 +807,9 @@ let decode c at =
   let name = field1 c at "name" as_atom in
   let dt = field1 c at "type" as_atom in
   let model = field c at "model" model_of in
-  let n = model.Sim.Model.n in
   let offsets = field c at "offsets" offsets_of in
-  if Array.length offsets <> n then
-    fail "offsets: offsets length must equal the model's n";
   let delays = field1 c at "delays" delays_of in
-  (match delays with
-  | Matrix m
-    when Array.length m <> n || Array.exists (fun r -> Array.length r <> n) m ->
-      fail "delays: matrix must be n x n"
-  | Matrix m ->
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          let d = m.(src).(dst) in
-          if Rat.sign d < 0 then
-            fail
-              (Printf.sprintf "delays: delay %s from %d to %d is negative"
-                 (Rat.to_string d) src dst)
-        done
-      done
-  | _ -> ());
   let faults = field c at "faults" faults_of in
-  (try Sim.Fault.check faults ~n
-   with Invalid_argument m -> fail ("faults: " ^ m));
   let reliable = field1 c at "reliable" as_bool in
   let checker = field1 c at "checker" checker_of in
   let algorithm = field1 c at "algorithm" algorithm_of in
@@ -840,23 +819,26 @@ let decode c at =
   let max_check_nodes = field1 c at "max-check-nodes" budget_of in
   let expect = field1 c at "expect" expect_of in
   let predicate = field1 c at "predicate" pred_of in
-  {
-    name;
-    dt;
-    model;
-    offsets;
-    delays;
-    faults;
-    reliable;
-    checker;
-    algorithm;
-    workload;
-    seed;
-    max_events;
-    max_check_nodes;
-    expect;
-    predicate;
-  }
+  let s =
+    {
+      name;
+      dt;
+      model;
+      offsets;
+      delays;
+      faults;
+      reliable;
+      checker;
+      algorithm;
+      workload;
+      seed;
+      max_events;
+      max_check_nodes;
+      expect;
+      predicate;
+    }
+  in
+  match validate s with Ok () -> s | Error m -> fail m
 
 let of_string str =
   let at = Array.make (Array.length fields) (-1) in

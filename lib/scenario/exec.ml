@@ -177,16 +177,11 @@ module Run (T : Spec.Data_type.S) = struct
           List.fold_right
             (fun { proc; at; op } acc ->
               let* acc = acc in
-              if proc < 0 || proc >= s.model.Sim.Model.n then
-                Error (Printf.sprintf "entry proc %d outside the model" proc)
-              else
-                let* inv = resolve_op op in
-                Ok ({ Core.Workload.proc; at; inv } :: acc))
+              let* inv = resolve_op op in
+              Ok ({ Core.Workload.proc; at; inv } :: acc))
             entries (Ok [])
         in
         Ok (R.Schedule entries)
-    | Closed_loop { per_proc; _ } when per_proc < 0 ->
-        Error (Printf.sprintf "closed-loop per_proc %d is negative" per_proc)
     | Closed_loop { per_proc; think } ->
         Ok (R.Closed_loop { per_proc; think; seed = s.seed })
     | Generated { arrival; zipf; keys; ops } -> (
@@ -212,18 +207,15 @@ module Run (T : Spec.Data_type.S) = struct
 
   let config_of (s : t) : (R.Config.t, string) result =
     let* workload = workload_of s in
-    if Array.length s.offsets <> s.model.Sim.Model.n then
-      Error "offsets length must equal the model's n"
-    else
-      let cfg =
-        R.Config.make ~faults:s.faults ?max_events:s.max_events
-          ?max_check_nodes:s.max_check_nodes ~checker:s.checker
-          ?timing:(timing_override s) ~model:s.model ~offsets:s.offsets
-          ~delay:(delay_of s)
-          ~algorithm:(runtime_algorithm s.algorithm)
-          ~workload ()
-      in
-      Ok (if s.reliable then R.Config.reliable cfg else cfg)
+    let cfg =
+      R.Config.make ~faults:s.faults ?max_events:s.max_events
+        ?max_check_nodes:s.max_check_nodes ~checker:s.checker
+        ?timing:(timing_override s) ~model:s.model ~offsets:s.offsets
+        ~delay:(delay_of s)
+        ~algorithm:(runtime_algorithm s.algorithm)
+        ~workload ()
+    in
+    Ok (if s.reliable then R.Config.reliable cfg else cfg)
 
   (* ---------------------------------------------------------------- *)
   (* Predicate evaluation                                              *)
@@ -334,7 +326,7 @@ module Run (T : Spec.Data_type.S) = struct
      lowering or a run can end in becomes a named {!abort}.  [deadline]
      is polled by the simulation loop. *)
   let run_report ?deadline (s : t) : (R.report, abort) result =
-    match config_of s with
+    match (match validate s with Ok () -> config_of s | Error e -> Error e) with
     | Error e -> Error (Bad_scenario e)
     | exception Rat.Overflow -> Error Overflow
     | Ok cfg -> (
@@ -389,14 +381,14 @@ let pp_outcome ppf (o : outcome) =
   Format.fprintf ppf "@]"
 
 let json_of_outcome (o : outcome) =
-  let b = Buffer.create 256 in
-  let str_opt = function None -> "null" | Some s -> Core.Json.quote s in
-  Printf.bprintf b
-    {|{"scenario": %s, "passed": %b, "certified": %b, "linearizable": %b, "converged": %s, "predicate": %b, "operations": %d, "pending": %d, "messages": %d, "events": %d, "faults": %d, "diagnostic": %s, "witness": %s, "wall_s": %.3f}|}
-    (Core.Json.quote o.scenario) o.passed o.certified o.linearizable
-    (match o.converged with
-    | None -> "null"
-    | Some c -> string_of_bool c)
-    o.predicate_holds o.operations o.pending o.messages o.events o.faults
-    (str_opt o.diagnostic) (str_opt o.witness) o.wall_s;
-  Buffer.contents b
+  let open Core.Json in
+  let str = nullable (fun s -> String s) in
+  Object
+    [ ("scenario", String o.scenario); ("passed", Bool o.passed);
+      ("certified", Bool o.certified); ("linearizable", Bool o.linearizable);
+      ("converged", nullable (fun c -> Bool c) o.converged);
+      ("predicate", Bool o.predicate_holds); ("operations", Int o.operations);
+      ("pending", Int o.pending); ("messages", Int o.messages);
+      ("events", Int o.events); ("faults", Int o.faults);
+      ("diagnostic", str o.diagnostic); ("witness", str o.witness);
+      ("wall_s", Fixed (3, o.wall_s)) ]

@@ -93,31 +93,39 @@ let pp_matrix ppf cells =
     (List.length (List.filter (fun c -> c.certified) cells))
     (List.length cells)
 
-let pp_json_leg ppf (l : Exec.outcome) =
-  Format.fprintf ppf
-    "{\"ok\":%b,\"flagged\":%b,\"pending\":%d,\"delays_admissible\":%b,\"skew_admissible\":%b,\"linearizable\":%b,\"truncated\":%b,\"faults\":{\"dropped\":%d,\"duplicated\":%d,\"spiked\":%d,\"crashed\":%d,\"skewed\":%d},\"retransmits\":%d,\"exhausted\":%d%s}"
-    l.ok (not l.ok) l.pending l.delays_admissible l.skew_admissible
-    l.linearizable l.truncated l.fault_counts.dropped
-    l.fault_counts.duplicated l.fault_counts.spiked l.fault_counts.crashed
-    l.fault_counts.skewed l.retransmits l.exhausted
-    (match l.diagnostic with
-    | None -> ""
-    | Some msg -> ",\"error\":" ^ Core.Json.quote msg)
+let json_of_leg (l : Exec.outcome) =
+  let open Core.Json in
+  let f = l.fault_counts in
+  let faults =
+    Object
+      [ ("dropped", Int f.dropped); ("duplicated", Int f.duplicated);
+        ("spiked", Int f.spiked); ("crashed", Int f.crashed);
+        ("skewed", Int f.skewed) ]
+  in
+  Object
+    ([ ("ok", Bool l.ok); ("flagged", Bool (not l.ok));
+       ("pending", Int l.pending);
+       ("delays_admissible", Bool l.delays_admissible);
+       ("skew_admissible", Bool l.skew_admissible);
+       ("linearizable", Bool l.linearizable); ("truncated", Bool l.truncated);
+       ("faults", faults); ("retransmits", Int l.retransmits);
+       ("exhausted", Int l.exhausted) ]
+    @ optional "error" (fun m -> String m) l.diagnostic)
 
-let pp_json ppf cells =
-  Format.fprintf ppf "{\"matrix\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf
-        "{\"type\":%s,\"case\":%s,\"plan\":%s,\"expectation\":\"%s\",\"raw\":%a,\"recovered\":%a,\"certified\":%b}"
-        (Core.Json.quote c.data_type) (Core.Json.quote c.case)
-        (Core.Json.quote c.plan)
-        (expectation_name c.expectation)
-        pp_json_leg c.raw pp_json_leg c.recovered c.certified)
-    cells;
-  Format.fprintf ppf "],\"cells\":%d,\"certified\":%b}" (List.length cells)
-    (all_certified cells)
+let to_json cells =
+  let open Core.Json in
+  let cell c =
+    Object
+      [ ("type", String c.data_type); ("case", String c.case);
+        ("plan", String c.plan);
+        ("expectation", String (expectation_name c.expectation));
+        ("raw", json_of_leg c.raw); ("recovered", json_of_leg c.recovered);
+        ("certified", Bool c.certified) ]
+  in
+  Object
+    [ ("matrix", List (List.map cell cells));
+      ("cells", Int (List.length cells));
+      ("certified", Bool (all_certified cells)) ]
 
 (* One leg of a cell as a scenario: the algorithm either straight on
    the faulty network ([recovered = false]) or over the reliable channel

@@ -56,7 +56,7 @@ val all_certified : cell list -> bool
 
 val pp_matrix : Format.formatter -> cell list -> unit
 
-val pp_json : Format.formatter -> cell list -> unit
+val to_json : cell list -> Core.Json.t
 (** Machine-readable report enumerating {e every} cell with both legs'
     verdicts, ending with the aggregate ["certified"] flag. *)
 

@@ -132,6 +132,56 @@ let make ?(name = "scenario") ~dt ~model ?offsets ?(delays = Random_delays)
 
 let equal (a : t) (b : t) = a = b
 
+(* The range checks every scenario passes before it runs, whether it
+   was decoded or built in code.  Loops and helpers closed over nothing:
+   every sweep cell comes through here, and a valid scenario allocates
+   nothing. *)
+let validate s =
+  let rec entries n = function
+    | [] -> ()
+    | { proc; _ } :: rest ->
+        if proc < 0 || proc >= n then
+          invalid_arg (Printf.sprintf "entry proc %d outside the model" proc);
+        entries n rest
+  in
+  let budget field = function
+    | Some k when k < 1 ->
+        invalid_arg (Printf.sprintf "%s: %d is not positive" field k)
+    | _ -> ()
+  in
+  let n = s.model.Sim.Model.n in
+  match
+    if Array.length s.offsets <> n then
+      invalid_arg "offsets: offsets length must equal the model's n";
+    (match s.delays with
+    | Matrix m ->
+        for src = 0 to n - 1 do
+          if Array.length m <> n || Array.length m.(src) <> n then
+            invalid_arg "delays: matrix must be n x n"
+        done;
+        for src = 0 to n - 1 do
+          for dst = 0 to n - 1 do
+            if Rat.sign m.(src).(dst) < 0 then
+              invalid_arg
+                (Printf.sprintf "delays: delay %s from %d to %d is negative"
+                   (Rat.to_string m.(src).(dst)) src dst)
+          done
+        done
+    | Random_delays | Max_delays | Min_delays -> ());
+    (try Sim.Fault.check s.faults ~n
+     with Invalid_argument m -> invalid_arg ("faults: " ^ m));
+    (match s.workload with
+    | Closed_loop { per_proc; _ } when per_proc < 0 ->
+        invalid_arg
+          (Printf.sprintf "closed-loop per_proc %d is negative" per_proc)
+    | Explicit l -> entries n l
+    | Closed_loop _ | Generated _ -> ());
+    budget "max-events" s.max_events;
+    budget "max-check-nodes" s.max_check_nodes
+  with
+  | () -> Ok ()
+  | exception Invalid_argument m -> Error m
+
 let with_knob s knob =
   match s.algorithm with
   | Wtlw w -> { s with algorithm = Wtlw { w with knob } }

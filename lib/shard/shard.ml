@@ -498,59 +498,55 @@ let pp ppf t =
     (if t.certified then "certified" else "FLAGGED")
     t.operations (hist_str t.hist) t.jobs t.wall_s
 
-let pp_json ppf t =
-  Format.fprintf ppf
-    "{\"type\":%s,\"algorithm\":%s,\"shards\":%d,\"ops\":%d,\"keys\":%d,\"arrival\":%s,\"zipf\":%g,\"seed\":%d,\"shard_reports\":["
-    (Core.Json.quote t.data_type) (Core.Json.quote t.algorithm) t.shards t.ops
-    t.keyspace (Core.Json.quote t.arrival) t.zipf t.seed;
-  Array.iteri
-    (fun i outcome ->
-      if i > 0 then Format.fprintf ppf ",";
-      match outcome with
-      | Pool.Skipped ->
-          Format.fprintf ppf "{\"shard\":%d,\"status\":\"skipped\"}" i
-      | Pool.Failed msg ->
-          Format.fprintf ppf
-            "{\"shard\":%d,\"status\":\"failed\",\"error\":%s}" i
-            (Core.Json.quote msg)
-      | Pool.Done r ->
-          Format.fprintf ppf
-            "{\"shard\":%d,\"certified\":%b,\"linearizable\":%b,\"keys\":%d,\"operations\":%d,\"messages\":%d,\"events\":%d,\"pending\":%d,\"truncated\":%b,\"fallbacks\":%d,\"checked_by\":%s"
-            r.shard r.certified r.linearizable r.keys r.operations r.messages
-            r.events r.pending r.truncated r.fallbacks
-            (Core.Json.quote r.checked_by);
-          (match Metrics.Hist.quantiles r.hist with
-          | None -> ()
-          | Some q -> Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
-          (if r.uncertified_keys <> [] then
-             Format.fprintf ppf ",\"uncertified_keys\":[%s]"
-               (String.concat "," (List.map string_of_int r.uncertified_keys)));
-          Option.iter
-            (fun (key, f) ->
-              Format.fprintf ppf
-                ",\"order_failure\":{\"key\":%d,\"failure\":%s}" key
-                (Core.Json.quote f))
-            r.order_failure;
-          (if r.budget_exhausted <> [] then
-             Format.fprintf ppf ",\"budget_exhausted\":[%s]"
-               (String.concat ","
-                  (List.map
-                     (fun ((key, nodes) as budget) ->
-                       Printf.sprintf
-                         "{\"key\":%d,\"nodes\":%d,\"diagnostic\":%s}" key
-                         nodes
-                         (Core.Json.quote (budget_diagnostic budget)))
-                     r.budget_exhausted)));
-          Format.fprintf ppf "}")
-    t.reports;
-  Format.fprintf ppf
-    "],\"aggregate\":{\"certified\":%b,\"operations\":%d,\"messages\":%d,\"events\":%d,\"pending\":%d"
-    t.certified t.operations t.messages t.events t.pending;
-  (match Metrics.Hist.quantiles t.hist with
-  | None -> ()
-  | Some q -> Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
-  Format.fprintf ppf
-    "},\"replayed\":%d,\"interrupted\":%b,\"journal_diagnostics\":[%s],\"jobs\":%d,\"wall_s\":%.3f}"
-    t.replayed t.interrupted
-    (String.concat "," (List.map Core.Json.quote t.journal_diagnostics))
-    t.jobs t.wall_s
+let to_json t =
+  let open Core.Json in
+  let quantiles h =
+    optional "quantiles" Metrics.Hist.json_of_quantiles
+      (Metrics.Hist.quantiles h)
+  in
+  let unless_empty key f = function
+    | [] -> []
+    | l -> [ (key, List (List.map f l)) ]
+  in
+  let budget ((key, nodes) as b) =
+    Object
+      [ ("key", Int key); ("nodes", Int nodes);
+        ("diagnostic", String (budget_diagnostic b)) ]
+  in
+  let order_failure (key, f) =
+    Object [ ("key", Int key); ("failure", String f) ]
+  in
+  let report i = function
+    | Pool.Skipped -> Object [ ("shard", Int i); ("status", String "skipped") ]
+    | Pool.Failed msg ->
+        Object
+          [ ("shard", Int i); ("status", String "failed");
+            ("error", String msg) ]
+    | Pool.Done r ->
+        Object
+          ([ ("shard", Int r.shard); ("certified", Bool r.certified);
+             ("linearizable", Bool r.linearizable); ("keys", Int r.keys);
+             ("operations", Int r.operations); ("messages", Int r.messages);
+             ("events", Int r.events); ("pending", Int r.pending);
+             ("truncated", Bool r.truncated); ("fallbacks", Int r.fallbacks);
+             ("checked_by", String r.checked_by) ]
+          @ quantiles r.hist
+          @ unless_empty "uncertified_keys" (fun k -> Int k) r.uncertified_keys
+          @ optional "order_failure" order_failure r.order_failure
+          @ unless_empty "budget_exhausted" budget r.budget_exhausted)
+  in
+  let aggregate =
+    [ ("certified", Bool t.certified); ("operations", Int t.operations);
+      ("messages", Int t.messages); ("events", Int t.events);
+      ("pending", Int t.pending) ]
+  in
+  Object
+    [ ("type", String t.data_type); ("algorithm", String t.algorithm);
+      ("shards", Int t.shards); ("ops", Int t.ops); ("keys", Int t.keyspace);
+      ("arrival", String t.arrival); ("zipf", Sig t.zipf); ("seed", Int t.seed);
+      ("shard_reports", List (Array.to_list (Array.mapi report t.reports)));
+      ("aggregate", Object (aggregate @ quantiles t.hist));
+      ("replayed", Int t.replayed); ("interrupted", Bool t.interrupted);
+      ( "journal_diagnostics",
+        List (List.map (fun d -> String d) t.journal_diagnostics) );
+      ("jobs", Int t.jobs); ("wall_s", Fixed (3, t.wall_s)) ]

@@ -200,6 +200,6 @@ val pp : Format.formatter -> t -> unit
 (** The text report; a failed or skipped shard is named by its
     index. *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Core.Json.t
 (** The [BENCH_load.json] artifact: per-shard reports plus the
     aggregate certification and quantiles. *)

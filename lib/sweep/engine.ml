@@ -12,6 +12,7 @@
    and [jobs] vary, and both are excluded from {!fingerprint}. *)
 
 module Metrics = Core.Metrics
+module Json = Core.Json
 
 include Scenario.Grid
 
@@ -368,68 +369,67 @@ let pp ppf t =
      wall=%.2fs@]"
     (Array.length t.cells) done_ cert failed skipped t.jobs t.wall_s
 
-let pp_json_verdict ppf (v : verdict) =
-  Format.fprintf ppf
-    "{\"status\":\"done\",\"seed\":%d,\"ok\":%b,\"bound_ok\":%b,\"certified\":%b,\"operations\":%d,\"messages\":%d,\"events\":%d,\"pending\":%d,\"truncated\":%b,\"retransmits\":%d"
-    v.run_seed v.ok v.bound_ok v.certified v.operations v.messages v.events
-    v.pending v.truncated v.retransmits;
-  (match v.latency with
-  | None -> ()
-  | Some s -> Format.fprintf ppf ",\"latency\":%a" Metrics.pp_json_summary s);
-  (match Metrics.Hist.quantiles v.hist with
-  | None -> ()
-  | Some q ->
-      Format.fprintf ppf ",\"quantiles\":%a" Metrics.Hist.pp_json_quantiles q);
-  Format.fprintf ppf ",\"bounds\":[";
-  List.iteri
-    (fun i (k, worst, ub) ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf
-        "{\"class\":\"%s\",\"worst\":\"%s\",\"bound\":\"%s\",\"within\":%b}"
-        (Spec.Op_kind.to_string k) (Rat.to_string worst) (Rat.to_string ub)
-        (Rat.le worst ub))
-    v.bounds;
-  Format.fprintf ppf "]}"
+let json_of_latency latency hist =
+  Json.optional "latency" Metrics.json_of_summary latency
+  @ Json.optional "quantiles" Metrics.Hist.json_of_quantiles
+      (Metrics.Hist.quantiles hist)
 
-let pp_json ppf t =
+let json_of_verdict (v : verdict) =
+  let open Json in
+  let bound (k, worst, ub) =
+    Object
+      [ ("class", String (Spec.Op_kind.to_string k));
+        ("worst", String (Rat.to_string worst));
+        ("bound", String (Rat.to_string ub));
+        ("within", Bool (Rat.le worst ub)) ]
+  in
+  Object
+    ([ ("status", String "done"); ("seed", Int v.run_seed); ("ok", Bool v.ok);
+       ("bound_ok", Bool v.bound_ok); ("certified", Bool v.certified);
+       ("operations", Int v.operations); ("messages", Int v.messages);
+       ("events", Int v.events); ("pending", Int v.pending);
+       ("truncated", Bool v.truncated); ("retransmits", Int v.retransmits) ]
+    @ json_of_latency v.latency v.hist
+    @ [ ("bounds", List (List.map bound v.bounds)) ])
+
+let to_json t =
+  let open Json in
   let done_, cert, failed, skipped = counts t in
-  Format.fprintf ppf "{\"cells\":[";
-  Array.iteri
-    (fun i key ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "{\"key\":%s,\"verdict\":" (Core.Json.quote key);
-      (match t.results.(i) with
-      | Pool.Skipped -> Format.fprintf ppf "{\"status\":\"skipped\"}"
+  let cell i key =
+    let verdict =
+      match t.results.(i) with
+      | Pool.Skipped -> Object [ ("status", String "skipped") ]
       | Pool.Failed msg ->
-          Format.fprintf ppf "{\"status\":\"failed\",\"error\":%s}"
-            (Core.Json.quote msg)
-      | Pool.Done v -> pp_json_verdict ppf v);
-      (* Observability only — like jobs/wall_s, never fingerprinted. *)
-      let m = t.meta.(i) in
-      Format.fprintf ppf ",\"wall_s\":%.3f,\"attempts\":%d,\"replayed\":%b}"
-        m.wall_s m.attempts m.replayed)
-    t.keys;
-  Format.fprintf ppf "],\"summary\":{";
-  (match t.total with
-  | None -> ()
-  | Some s -> Format.fprintf ppf "\"latency\":%a," Metrics.pp_json_summary s);
-  (match Metrics.Hist.quantiles t.hist with
-  | None -> ()
-  | Some q ->
-      Format.fprintf ppf "\"quantiles\":%a," Metrics.Hist.pp_json_quantiles q);
-  Format.fprintf ppf "\"by_kind\":[";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "{\"class\":\"%s\",\"latency\":%a}"
-        (Spec.Op_kind.to_string k) Metrics.pp_json_summary s)
-    t.by_kind;
-  Format.fprintf ppf
-    "],\"done\":%d,\"certified_cells\":%d,\"failed\":%d,\"skipped\":%d,\"replayed\":%d,\"invalidated\":%d,\"executed\":%d,\"retries\":%d,\"interrupted\":%b,\"journal_diagnostics\":[%s]},\"jobs\":%d,\"wall_s\":%.3f,\"certified\":%b}"
-    done_ cert failed skipped t.resume.replayed t.resume.invalidated
-    t.resume.executed (retries t) t.resume.interrupted
-    (String.concat "," (List.map Core.Json.quote t.resume.journal_diagnostics))
-    t.jobs t.wall_s (certified t)
+          Object [ ("status", String "failed"); ("error", String msg) ]
+      | Pool.Done v -> json_of_verdict v
+    in
+    (* Observability only — like jobs/wall_s, never fingerprinted. *)
+    let m = t.meta.(i) in
+    Object
+      [ ("key", String key); ("verdict", verdict);
+        ("wall_s", Fixed (3, m.wall_s)); ("attempts", Int m.attempts);
+        ("replayed", Bool m.replayed) ]
+  in
+  let by_kind (k, s) =
+    Object
+      [ ("class", String (Spec.Op_kind.to_string k));
+        ("latency", Metrics.json_of_summary s) ]
+  in
+  let r = t.resume in
+  let summary =
+    json_of_latency t.total t.hist
+    @ [ ("by_kind", List (List.map by_kind t.by_kind)); ("done", Int done_);
+        ("certified_cells", Int cert); ("failed", Int failed);
+        ("skipped", Int skipped); ("replayed", Int r.replayed);
+        ("invalidated", Int r.invalidated); ("executed", Int r.executed);
+        ("retries", Int (retries t)); ("interrupted", Bool r.interrupted);
+        ( "journal_diagnostics",
+          List (List.map (fun d -> String d) r.journal_diagnostics) ) ]
+  in
+  Object
+    [ ("cells", List (Array.to_list (Array.mapi cell t.keys)));
+      ("summary", Object summary); ("jobs", Int t.jobs);
+      ("wall_s", Fixed (3, t.wall_s)); ("certified", Bool (certified t)) ]
 
 (* ---------- robustness matrix on the pool ---------- *)
 

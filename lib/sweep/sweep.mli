@@ -183,7 +183,7 @@ val fingerprint : t -> string
     across [--jobs] counts. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Core.Json.t
 (** The [BENCH_sweep.json] artifact: per-cell verdicts, latency
     summaries, worst observed latency vs the bound formula, aggregate
     certification. *)

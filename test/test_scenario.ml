@@ -661,7 +661,9 @@ let test_generated_certify () =
    decimal escapes, which JSON parsers reject. *)
 let test_json_outcome_escapes () =
   let s = { (Scenario.gen ~seed:1) with name = "caf\xc3\xa9\tq" } in
-  let line = Scenario.Exec.json_of_outcome (Scenario.run s) in
+  let line =
+    Core.Json.spaced (Scenario.Exec.json_of_outcome (Scenario.run s))
+  in
   let has_decimal_escape =
     let rec at i =
       i + 1 < String.length line
@@ -674,9 +676,19 @@ let test_json_outcome_escapes () =
   Alcotest.(check bool) "no \\ddd escape" false has_decimal_escape;
   Alcotest.(check bool) "name escaped as JSON" true
     (String.starts_with ~prefix:"{\"scenario\": \"caf\xc3\xa9\\tq\"," line);
+  let read = Result.get_ok (Core.Json.parse line) in
+  Alcotest.(check (option string)) "name reads back" (Some s.name)
+    Core.Json.(to_str (member "scenario" read));
+  Alcotest.(check (option bool)) "verdict reads back" (Some true)
+    Core.Json.(to_bool (member "passed" read));
+  Alcotest.(check string) "reads back to the same bytes" line
+    (Core.Json.spaced read);
+  let bytes = "\"\\\n\r\t\x01\x1f \xc3\xa9" in
   Alcotest.(check string) "control bytes"
     {|"\"\\\n\r\t\u0001\u001f é"|}
-    (Core.Json.quote "\"\\\n\r\t\x01\x1f \xc3\xa9")
+    (Core.Json.compact (String bytes));
+  Alcotest.(check bool) "control bytes read back" true
+    (Core.Json.parse {|"\"\\\n\r\t\u0001\u001f é"|} = Ok (String bytes))
 
 (* ------------------------------------------------------------------ *)
 (* Expectations *)
@@ -726,6 +738,49 @@ let test_negative_per_proc_refused () =
     (Scenario.Exec.passes zero);
   Alcotest.(check int) "zero per process invokes nothing" 0
     zero.Scenario.Exec.operations
+
+(* A scenario built in code passes the same range checks as a decoded
+   one: a negative matrix delay once reached the engine and died there
+   in an assertion.  A valid scenario's checks allocate nothing. *)
+let test_code_built_refused () =
+  let s = Scenario.gen ~seed:3 in
+  let n = s.model.Sim.Model.n in
+  let m = Array.make_matrix n n s.model.Sim.Model.d in
+  let entry proc =
+    { Scenario.proc; at = Rat.zero; op = Sample { op = "x"; index = 0 } }
+  in
+  let valid =
+    {
+      s with
+      delays = Matrix m;
+      workload = Explicit [ entry 0; entry (n - 1) ];
+      faults = Sim.Fault.plan [ Sim.Fault.crash ~proc:(n - 1) ~at:Rat.one ];
+      max_events = Some 1;
+    }
+  in
+  Alcotest.(check bool) "valid" true (Scenario.validate valid = Ok ());
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Scenario.validate valid))
+  done;
+  Alcotest.(check (float 0.)) "valid allocates nothing" 0.
+    (Gc.minor_words () -. before);
+  let negative = Array.map Array.copy m in
+  negative.(0).(1) <- Rat.of_int (-8);
+  List.iter
+    (fun (s, named) ->
+      Alcotest.(check (option string)) named (Some ("bad scenario: " ^ named))
+        (Scenario.run s).Scenario.Exec.diagnostic)
+    [
+      ( { s with delays = Matrix negative },
+        "delays: delay -8 from 0 to 1 is negative" );
+      ({ s with delays = Matrix [| m.(0) |] }, "delays: matrix must be n x n");
+      ( { s with offsets = [||] },
+        "offsets: offsets length must equal the model's n" );
+      ({ s with max_events = Some 0 }, "max-events: 0 is not positive");
+      ( { s with workload = Explicit [ entry n ] },
+        Printf.sprintf "entry proc %d outside the model" n );
+    ]
 
 let test_expectations () =
   (* The verbatim counterexample fails Certify and passes Violate. *)
@@ -943,6 +998,8 @@ let () =
             test_overflow_is_named;
           Alcotest.test_case "negative per_proc refused" `Quick
             test_negative_per_proc_refused;
+          Alcotest.test_case "code-built scenario refused by name" `Quick
+            test_code_built_refused;
         ] );
       ( "shrink",
         [

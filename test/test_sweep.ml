@@ -41,6 +41,25 @@ let test_fingerprint_jobs_independent () =
   Alcotest.(check string) "jobs 1 and 4 byte-identical"
     (Sweep.fingerprint t1) (Sweep.fingerprint t4)
 
+(* A 12-cell report reads back to the bytes it was printed as, with
+   every cell's key and the summary's counts under their names. *)
+let test_json_reads_back () =
+  let grid = { small_grid with types = [ packed "register" ] } in
+  let t = Sweep.run ~jobs:1 grid in
+  let printed = Core.Json.compact (Sweep.to_json t) in
+  let json = Result.get_ok (Core.Json.parse printed) in
+  Alcotest.(check string) "same bytes" printed (Core.Json.compact json);
+  let open Core.Json in
+  let cells = Option.get (to_list (member "cells" json)) in
+  Alcotest.(check (list (option string))) "every cell key, in order"
+    (List.map Option.some (Array.to_list t.keys))
+    (List.map (fun c -> to_str (member "key" c)) cells);
+  Alcotest.(check int) "12 cells" 12 (List.length cells);
+  Alcotest.(check (option int)) "done" (Some 12)
+    (to_int (member "done" (member "summary" json)));
+  Alcotest.(check (option bool)) "certified" (Some (Sweep.certified t))
+    (to_bool (member "certified" json))
+
 (* The per-cell seed is the FNV-1a hash of the canonical cell key, so
    it can never depend on the claiming domain or the wall clock; the
    cell's scenario, which [Sweep.eval] runs, carries that key and seed. *)
@@ -217,6 +236,8 @@ let () =
         [
           Alcotest.test_case "fingerprint independent of jobs" `Quick
             test_fingerprint_jobs_independent;
+          Alcotest.test_case "json report reads back" `Quick
+            test_json_reads_back;
           Alcotest.test_case "derived seed is FNV-1a of the cell key" `Quick
             test_derived_seed_is_fnv_of_key;
           Alcotest.test_case "cell key bytes as printf rendered them" `Quick
