@@ -93,11 +93,7 @@ let make_x (model : Sim.Model.t) x =
                "eps = %s exceeds d = %s, so no X lies in [0, d - eps]"
                (Rat.to_string model.eps) (Rat.to_string model.d))
       | None -> Ok (Rat.div_int hi 2)
-      | Some x when Rat.le Rat.zero x && Rat.le x hi -> Ok x
-      | Some x ->
-          Error
-            (Printf.sprintf "X = %s lies outside [0, d - eps] = [0, %s]"
-               (Rat.to_string x) (Rat.to_string hi)))
+      | Some x -> Core.Wtlw.check_x model x)
 
 let model_and_x n d u eps x =
   Result.bind (make_model n d u eps) (fun model ->

@@ -513,31 +513,18 @@ let queue_label = function
   | Dequeue -> "deq"
   | Peek -> "peek"
 
-let render (model : Sim.Model.t) trace =
+let render (model : Sim.Model.t) operations =
   Bounds.Diagram.render ~n:model.n
-    (Bounds.Diagram.of_operations ~label:queue_label
-       (Sim.Trace.operations trace))
+    (Bounds.Diagram.of_operations ~label:queue_label operations)
 
 let figure_x (model : Sim.Model.t) = Rat.div_int (Rat.sub model.d model.eps) 3
-
-(* A proof's schedule under its matrix, unshifted. *)
-let run_queue (model : Sim.Model.t) matrix schedule =
-  let module Queue_stress = Bounds.Stress.Make (Spec.Fifo_queue) in
-  let zeros = Array.make model.n Rat.zero in
-  let o =
-    Queue_stress.run_and_shift ~model ~x_param:(figure_x model)
-      ~offsets:zeros ~matrix ~shift:zeros
-      (List.map
-         (fun (proc, at, inv) -> Core.Workload.entry ~proc ~at inv)
-         schedule)
-  in
-  render model o.base
 
 let print_matrices =
   List.iter (fun (name, matrix) ->
       Format.printf "@.%s:@.%a@." name Sim.Net.pp_matrix matrix)
 
-(* Theorem 3's run R1 of k = n concurrent enqueues and its shift R2. *)
+(* Theorem 3's run R1 of k = n concurrent enqueues and its shift R2,
+   drawn when it is admissible. *)
 let figure1 (model : Sim.Model.t) =
   let module Queue_stress = Bounds.Stress.Make (Spec.Fifo_queue) in
   let k = model.n and z = 2 in
@@ -549,50 +536,49 @@ let figure1 (model : Sim.Model.t) =
   Format.printf
     "@.Figure 1: runs used in the proof of Theorem 3 (k = %d)@.run R1 \
      (pair-wise uniform delays d_ij = d - ((i-j)%%k)/k u):@.%s@."
-    k (render model o.base);
-  Format.printf
-    "@.run R2 = shift(R1, x) with z = %d (x_i = (-(k-1)/2k + ((z-i)%%k)/k) \
-     u):@.%s@."
-    z (render model o.shifted);
+    k (render model o.base.operations);
+  Option.iter
+    (fun (r2 : Queue_stress.report) ->
+      Format.printf
+        "@.run R2 = shift(R1, x) with z = %d (x_i = (-(k-1)/2k + \
+         ((z-i)%%k)/k) u):@.%s@."
+        z (render model r2.operations))
+    o.shifted;
   let skew =
     Bounds.Shifting.max_skew
       (Bounds.Shifting.shifted_offsets (Array.make model.n Rat.zero)
          (Bounds.Adversary.Thm3.shift_vector model ~k ~z))
   in
-  Format.printf "@.max skew after shift: %s (eps = %s); delays all valid: %b@."
+  Format.printf "@.max skew after shift: %s (eps = %s); %s@."
     (Rat.to_string skew) (Rat.to_string model.eps)
-    (Sim.Trace.delays_admissible model o.shifted)
+    (match o.shifted with
+    | Some r2 -> Printf.sprintf "delays all valid: %b" r2.delays_admissible
+    | None -> "R2 is no run of the model, so it is not drawn")
 
-(* Theorem 4's two concurrent pair-free operations, well after an
-   enqueue, and its matrices. *)
+(* Theorem 4's two concurrent pair-free operations, after an enqueue,
+   and its matrices. *)
 let figures_thm4 (model : Sim.Model.t) =
-  let m = Bounds.Adversary.Thm4.m model and t = Rat.of_int 40 in
+  let module Queue_stress = Bounds.Stress.Make (Spec.Fifo_queue) in
+  let o =
+    Queue_stress.theorem4 ~model ~x_param:(figure_x model)
+      ~rho:[ Spec.Fifo_queue.Enqueue 9 ] ~op0:Dequeue ~op1:Dequeue ()
+  in
   Format.printf
     "@.Figure 3: Theorem 4 scenario (two concurrent pair-free ops)@.%s@."
-    (run_queue model
-       (Bounds.Adversary.Thm4.d1_matrix model)
-       [
-         (0, Rat.zero, Spec.Fifo_queue.Enqueue 9);
-         (0, t, Dequeue);
-         (1, Rat.add t m, Dequeue);
-       ]);
+    (render model o.base.operations);
   print_matrices (Bounds.Adversary.Thm4.matrices model)
 
 (* Theorem 5's concurrent mutators then accessors, and its matrices. *)
 let figures_thm5 (model : Sim.Model.t) =
-  let m = Bounds.Adversary.Thm5.m model and t = Rat.of_int 5 in
-  let t_max = Rat.add t (Rat.add model.d model.eps) in
+  let module Queue_stress = Bounds.Stress.Make (Spec.Fifo_queue) in
+  let o =
+    Queue_stress.theorem5 ~model ~x_param:(figure_x model) ~rho:[]
+      ~op0:(Spec.Fifo_queue.Enqueue 1) ~op1:(Enqueue 2) ~aop0:Peek ~aop1:Peek
+      ~aop2:Peek ()
+  in
   Format.printf
     "@.Figure 9: Theorem 5 scenario (concurrent mutators then accessors)@.%s@."
-    (run_queue model
-       (Bounds.Adversary.Thm5.d_matrix model)
-       [
-         (0, t, Spec.Fifo_queue.Enqueue 1);
-         (1, t, Enqueue 2);
-         (0, t_max, Peek);
-         (1, t_max, Peek);
-         (2, Rat.add t_max m, Peek);
-       ]);
+    (render model o.base.operations);
   print_matrices (Bounds.Adversary.Thm5.matrices model)
 
 let claims_cmd =
@@ -630,7 +616,11 @@ let claims_cmd =
                 ]
               in
               Format.printf "model: %a@." Sim.Model.pp model;
-              Ok (List.map report theorems))
+              (* a figure's run the runtime refuses is named by it *)
+              match List.map report theorems with
+              | held -> Ok held
+              | exception Invalid_argument m ->
+                  Error (Scenario.Exec.abort_message (Invalid_run m)))
         with
         | Error msg -> `Error (false, msg)
         | Ok held when List.for_all Fun.id held -> `Ok ()

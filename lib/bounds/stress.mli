@@ -4,37 +4,23 @@
     Algorithm 1 respects the lower bounds, so the constructions that
     kill any too-fast algorithm must produce no contradiction on it:
     after shifting a run by the proof's vector, whenever the result is
-    admissible it must still be linearizable. *)
+    admissible it must still be linearizable.  Both runs go through
+    [Core.Runtime], and each is certified by its one certify path. *)
 
 module Make (T : Spec.Data_type.S) : sig
-  type trace =
-    (Core.Wtlw.Make(T).msg, T.invocation, T.response) Sim.Trace.t
+  type report = Core.Runtime.Make(T).report
 
   type outcome = {
-    base : trace;  (** the run of Algorithm 1 *)
-    shifted : trace;  (** [base] shifted by the proof's vector *)
-    base_linearizable : bool;
-    shifted_admissible : bool;
-    shifted_linearizable : bool;
-    operations : int;
+    base : report;  (** R1: the construction's run of Algorithm 1 *)
+    shifted : report option;
+        (** R2 = shift(R1, x), run under the shifted matrix, offsets and
+            schedule, its operations in shift(R1, x)'s frame; [None]
+            when its clock skew exceeds eps or a shifted delay is
+            negative, so that no run of the model has it *)
   }
 
   val ok : outcome -> bool
-  (** Base run linearizable, and the shifted run linearizable whenever
-      it is admissible. *)
-
-  val run_and_shift :
-    model:Sim.Model.t ->
-    x_param:Rat.t ->
-    offsets:Rat.t array ->
-    matrix:Rat.t array array ->
-    shift:Rat.t array ->
-    T.invocation Core.Workload.entry list ->
-    outcome
-  (** Run Algorithm 1 at [x_param] under the pair-wise uniform delays
-      [matrix] with the given invocation schedule, then shift the run by
-      [shift].  Every scenario below is one call; a zero [shift] just
-      runs the schedule. *)
+  (** R1 linearizable, and R2 linearizable whenever it is admissible. *)
 
   val theorem2 :
     model:Sim.Model.t ->

@@ -64,6 +64,16 @@ let paper_timing (model : Sim.Model.t) ~x =
     execute_wait = Rat.add model.u model.eps;
   }
 
+(* Lemma 4's range for X: outside [0, d - eps] one of the waits is
+   negative.  The one refusal of such an X, by its range. *)
+let check_x (model : Sim.Model.t) x =
+  let hi = Rat.sub model.d model.eps in
+  if Rat.in_range ~lo:Rat.zero ~hi x then Ok x
+  else
+    Error
+      (Printf.sprintf "X = %s lies outside [0, d - eps] = [0, %s]"
+         (Rat.to_string x) (Rat.to_string hi))
+
 (* The repaired timing: accessors wait [d - X + eps].  By that time
    every mutator with timestamp at most the accessor's backdated
    timestamp [local - X] has arrived (a timestamp-[ts] mutator arrives

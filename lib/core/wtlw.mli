@@ -28,6 +28,10 @@ val paper_timing : Sim.Model.t -> x:Rat.t -> timing
 (** The pseudocode verbatim: accessor wait [d - X] — {b unsound}; kept
     for the ablation/counterexample machinery. *)
 
+val check_x : Sim.Model.t -> Rat.t -> (Rat.t, string) result
+(** [Ok x] when [x] lies in [[0, d - eps]]; otherwise an error naming
+    that range. *)
+
 val default_timing : Sim.Model.t -> x:Rat.t -> timing
 (** The repaired timing: accessor wait [d - X + eps], everything else
     as published. *)

@@ -138,7 +138,4 @@ module Make (T : Spec.Data_type.S) = struct
       (positions ?max_nodes arr)
 
   let is_linearizable ops = Option.is_some (check ops)
-
-  (* Convenience: check a whole trace produced by the engine. *)
-  let trace_linearizable trace = is_linearizable (Sim.Trace.operations trace)
 end

@@ -48,7 +48,4 @@ module Make (T : Spec.Data_type.S) : sig
   (** {!positions} over the list, with the witness as operations. *)
 
   val is_linearizable : op list -> bool
-
-  val trace_linearizable :
-    ('msg, T.invocation, T.response) Sim.Trace.t -> bool
 end

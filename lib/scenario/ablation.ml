@@ -123,16 +123,14 @@ let default_knobs (model : Sim.Model.t) ~x =
    repaired control's timing is only sound for an X in [0, d - eps]:
    outside it, a caught violation would be the X's, not a knob's. *)
 let report ~(model : Sim.Model.t) ~x ~seeds =
-  let hi = Rat.sub model.d model.eps in
   if model.n < 4 then
     Error
       (Printf.sprintf
          "ablation legs need n >= 4 processes (p0 to p3); got n = %d" model.n)
-  else if not (Rat.in_range ~lo:Rat.zero ~hi x) then
-    Error
-      (Printf.sprintf "X = %s lies outside [0, d - eps] = [0, %s]"
-         (Rat.to_string x) (Rat.to_string hi))
-  else Ok (List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x))
+  else
+    Result.map
+      (fun x -> List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x))
+      (Core.Wtlw.check_x model x)
 
 let finding knob =
   verdict

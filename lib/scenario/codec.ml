@@ -19,24 +19,8 @@ open Types
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-(* Digits of [n <= 0], most significant first. *)
-let rec add_digits b n =
-  if n <= -10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
-
-let add_int b i =
-  if i < 0 then begin
-    Buffer.add_char b '-';
-    add_digits b i
-  end
-  else add_digits b (-i)
-
-let add_rat b r =
-  add_int b (Rat.num r);
-  if Rat.den r <> 1 then begin
-    Buffer.add_char b '/';
-    add_int b (Rat.den r)
-  end
+let add_int = Sexp.add_int
+let add_rat = Sexp.add_rat
 
 (* [%.12g] when that re-parses bit-exactly, hexadecimal [%h]
    otherwise: both read back as the identical float. *)

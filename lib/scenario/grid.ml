@@ -13,23 +13,9 @@ type algo =
 
 (* Cell keys are rendered straight into one buffer: [Printf] and
    [Rat.to_string] would build every field as a string of its own, and
-   the key is rebuilt for every cell a sweep runs.  [add_digits] writes
-   the digits of [n <= 0]'s magnitude, so [min_int] needs no case. *)
-let rec add_digits b n =
-  if n <= -10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-
-let add_int b n =
-  if n < 0 then Buffer.add_char b '-';
-  add_digits b (if n < 0 then n else -n)
-
-(* As [Rat.to_string] renders it: [num], or [num/den]. *)
-let add_rat b r =
-  add_int b (Rat.num r);
-  if Rat.den r <> 1 then begin
-    Buffer.add_char b '/';
-    add_int b (Rat.den r)
-  end
+   the key is rebuilt for every cell a sweep runs. *)
+let add_int = Sexp.add_int
+let add_rat = Sexp.add_rat
 
 let add_algo b = function
   | Wtlw { frac } ->

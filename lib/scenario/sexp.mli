@@ -17,6 +17,13 @@ val add_atom : Buffer.t -> string -> unit
     quoted otherwise, with backslash escapes for the double quote, the
     backslash and newline. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append an integer as [string_of_int] renders it. *)
+
+val add_rat : Buffer.t -> Rat.t -> unit
+(** Append a rational as [Rat.to_string] renders it: [num], or
+    [num/den]. *)
+
 val scan : string -> field:(int -> unit) -> (unit, string) result
 (** Check that the string holds exactly one s-expression (surrounding
     whitespace and comments allowed), in one pass.  Errors name the

@@ -13,9 +13,20 @@ let none = { seed = 0; specs = [] }
 let is_none plan = plan.specs = []
 let plan ?(seed = 0) specs = { seed; specs }
 
+(* One function per value rule, called by the constructors and by
+   [check_specs], so a spec built in code is refused like one built by
+   its constructor. *)
 let check_p p =
   if not (p >= 0. && p <= 1.) then
     invalid_arg "Fault: probability must lie in [0, 1]"
+
+let check_margin margin =
+  if Rat.sign margin <= 0 then
+    invalid_arg "Fault.spikes: margin must be positive"
+
+let check_crash_time at =
+  if Rat.sign at < 0 then
+    invalid_arg ("Fault: crash time " ^ Rat.to_string at ^ " is negative")
 
 let drops ?(edges = All) p =
   check_p p;
@@ -27,13 +38,11 @@ let duplicates ?(edges = All) p =
 
 let spikes ?(edges = All) ?(below = false) ~margin p =
   check_p p;
-  if Rat.sign margin <= 0 then
-    invalid_arg "Fault.spikes: margin must be positive";
+  check_margin margin;
   Spike { p; edges; margin; below }
 
 let crash ~proc ~at =
-  if Rat.sign at < 0 then
-    invalid_arg ("Fault: crash time " ^ Rat.to_string at ^ " is negative");
+  check_crash_time at;
   Crash { proc; at }
 
 let skew ~proc ~offset = Skew { proc; offset }
@@ -55,16 +64,28 @@ let rec check_edges spec ~n = function
              n);
       check_edges spec ~n rest
 
+let check_edges_of spec ~n = function
+  | All -> ()
+  | Edges l -> check_edges spec ~n l
+
 let rec check_specs ~n = function
   | [] -> ()
   | spec :: rest ->
       (match spec with
-      | Drop { edges = Edges l; _ } -> check_edges "drop" ~n l
-      | Duplicate { edges = Edges l; _ } -> check_edges "duplicate" ~n l
-      | Spike { edges = Edges l; _ } -> check_edges "spike" ~n l
-      | Crash { proc; _ } -> check_proc "crash" ~n proc
-      | Skew { proc; _ } -> check_proc "skew" ~n proc
-      | Drop _ | Duplicate _ | Spike _ -> ());
+      | Drop { p; edges } ->
+          check_p p;
+          check_edges_of "drop" ~n edges
+      | Duplicate { p; edges } ->
+          check_p p;
+          check_edges_of "duplicate" ~n edges
+      | Spike { p; edges; margin; _ } ->
+          check_p p;
+          check_margin margin;
+          check_edges_of "spike" ~n edges
+      | Crash { proc; at } ->
+          check_crash_time at;
+          check_proc "crash" ~n proc
+      | Skew { proc; _ } -> check_proc "skew" ~n proc);
       check_specs ~n rest
 
 let check plan ~n = check_specs ~n plan.specs

@@ -55,7 +55,9 @@ val crash : proc:int -> at:Rat.t -> spec
 val skew : proc:int -> offset:Rat.t -> spec
 
 val check : plan -> n:int -> unit
-(** @raise Invalid_argument naming the first spec whose process or edge
+(** @raise Invalid_argument naming the first spec that its constructor
+    would refuse (a probability outside [[0, 1]], a spike margin that
+    is not positive, a negative crash time), or whose process or edge
     lies outside [[0, n)]: such a spec would inject nothing. *)
 
 (** An injected fault, as recorded in the trace ({!Trace.Fault}) and

@@ -754,7 +754,13 @@ let test_code_built_refused () =
       s with
       delays = Matrix m;
       workload = Explicit [ entry 0; entry (n - 1) ];
-      faults = Sim.Fault.plan [ Sim.Fault.crash ~proc:(n - 1) ~at:Rat.one ];
+      faults =
+        Sim.Fault.plan
+          [
+            Sim.Fault.crash ~proc:(n - 1) ~at:Rat.one;
+            Sim.Fault.drops 0.5;
+            Sim.Fault.spikes ~margin:Rat.one 1.;
+          ];
       max_events = Some 1;
     }
   in
@@ -771,7 +777,7 @@ let test_code_built_refused () =
     (fun (s, named) ->
       Alcotest.(check (option string)) named (Some ("bad scenario: " ^ named))
         (Scenario.run s).Scenario.Exec.diagnostic)
-    [
+    ([
       ( { s with delays = Matrix negative },
         "delays: delay -8 from 0 to 1 is negative" );
       ({ s with delays = Matrix [| m.(0) |] }, "delays: matrix must be n x n");
@@ -781,6 +787,23 @@ let test_code_built_refused () =
       ( { s with workload = Explicit [ entry n ] },
         Printf.sprintf "entry proc %d outside the model" n );
     ]
+    @ List.map
+        (fun (spec, named) ->
+          ({ s with faults = Sim.Fault.plan [ spec ] }, "faults: " ^ named))
+        [
+          ( Sim.Fault.Drop { p = 2.; edges = All },
+            "Fault: probability must lie in [0, 1]" );
+          ( Sim.Fault.Duplicate { p = Float.nan; edges = All },
+            "Fault: probability must lie in [0, 1]" );
+          ( Sim.Fault.Spike
+              { p = -1.; edges = All; margin = Rat.one; below = false },
+            "Fault: probability must lie in [0, 1]" );
+          ( Sim.Fault.Spike
+              { p = 0.5; edges = All; margin = Rat.zero; below = false },
+            "Fault.spikes: margin must be positive" );
+          ( Sim.Fault.Crash { proc = 0; at = Rat.of_int (-1) },
+            "Fault: crash time -1 is negative" );
+        ])
 
 let test_expectations () =
   (* The verbatim counterexample fails Certify and passes Violate. *)

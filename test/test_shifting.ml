@@ -147,7 +147,8 @@ let test_admissible_shift_stays_linearizable () =
     (Bounds.Shifting.trace_admissible model ~offsets:(Array.make 3 Rat.zero)
        ~x trace);
   Alcotest.(check bool) "shifted history linearizable" true
-    (Check.trace_linearizable (Bounds.Shifting.shift_trace trace x))
+    (Check.is_linearizable
+       (Sim.Trace.operations (Bounds.Shifting.shift_trace trace x)))
 
 let test_inadmissible_shift_detected () =
   let trace = sample_run () in

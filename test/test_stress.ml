@@ -1,6 +1,11 @@
 (* Shift-stress tests: the proofs' adversarial scenarios applied to
    Algorithm 1.  The algorithm meets the bounds, so whenever a shifted
-   run remains admissible it must remain linearizable. *)
+   run remains admissible it must remain linearizable.
+
+   Stress runs R2 = shift(R1, x) as a run of its own.  Each check below
+   also holds it to the reference: R1 recorded with retained events
+   (through [Wtlw.create], from R1's own invocations) and re-timed by
+   [Shifting.shift_trace]. *)
 
 let rat = Rat.make
 let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1)
@@ -8,26 +13,79 @@ let x_param = rat 2 1
 
 module Q = Spec.Fifo_queue
 module Reg = Spec.Register
-module QStress = Bounds.Stress.Make (Q)
-module RegStress = Bounds.Stress.Make (Reg)
-module RmwStress = Bounds.Stress.Make (Spec.Rmw_register)
-module StackStress = Bounds.Stress.Make (Spec.Stack_type)
 
-let assert_outcome label (o : QStress.outcome) =
-  Alcotest.(check bool) (label ^ ": base run linearizable") true
-    o.base_linearizable;
-  Alcotest.(check bool)
-    (label ^ ": shifted run linearizable when admissible")
-    true
-    ((not o.shifted_admissible) || o.shifted_linearizable)
+module Check (T : Spec.Data_type.S) = struct
+  include Bounds.Stress.Make (T)
+  module Algo = Core.Wtlw.Make (T)
 
-let assert_outcome_reg label (o : RegStress.outcome) =
-  Alcotest.(check bool) (label ^ ": base run linearizable") true
-    o.base_linearizable;
-  Alcotest.(check bool)
-    (label ^ ": shifted run linearizable when admissible")
-    true
-    ((not o.shifted_admissible) || o.shifted_linearizable)
+  let render ops =
+    List.sort compare
+      (List.map
+         (fun (op : _ Sim.Trace.operation) ->
+           Format.asprintf "p%d [%s, %s] %a -> %a" op.proc
+             (Rat.to_string op.inv_time)
+             (Rat.to_string op.resp_time)
+             T.pp_invocation op.inv T.pp_response op.resp)
+         ops)
+
+  (* shift(R1, x) by re-timing a retained trace of R1. *)
+  let reference ~x_param ~matrix ~shift (base : report) =
+    let cluster =
+      Algo.create ~model ~x:x_param
+        ~offsets:(Array.make model.n Rat.zero)
+        ~delay:(Sim.Net.matrix matrix) ()
+    in
+    List.iter
+      (fun { Core.Workload.proc; at; inv } ->
+        Sim.Engine.schedule_invoke cluster.engine ~at ~proc inv)
+      (Core.Workload.sort_schedule
+         (List.map
+            (fun (op : _ Sim.Trace.operation) ->
+              Core.Workload.entry ~proc:op.proc ~at:op.inv_time op.inv)
+            base.operations));
+    Sim.Engine.run cluster.engine;
+    let trace = Sim.Engine.trace cluster.engine in
+    let shifted = Bounds.Shifting.shift_trace trace shift in
+    ( Sim.Trace.operations trace,
+      Sim.Trace.operations shifted,
+      Sim.Trace.delays_admissible model shifted )
+
+  (* R1 linearizable and the reference's R1; R2, when run, the
+     reference's shift of R1, with its delays as admissible, and
+     linearizable when admissible. *)
+  let holds ?(x_param = x_param) ~matrix ~shift o =
+    let r1, r2, delays_admissible = reference ~x_param ~matrix ~shift o.base in
+    Option.is_some o.base.linearization
+    && render r1 = render o.base.operations
+    && ok o
+    &&
+    match o.shifted with
+    | None -> true
+    | Some r ->
+        render r2 = render r.operations
+        && r.delays_admissible = delays_admissible
+
+  let assert_outcome ?x_param label ~matrix ~shift o =
+    Alcotest.(check bool)
+      (label ^ ": R1 linearizable, R2 = shift(R1, x), linearizable when \
+                admissible")
+      true
+      (holds ?x_param ~matrix ~shift o)
+end
+
+module QStress = Check (Q)
+module RegStress = Check (Reg)
+module RmwStress = Check (Spec.Rmw_register)
+module StackStress = Check (Spec.Stack_type)
+
+let thm2 = Bounds.Adversary.Thm2.base_matrix model
+let thm2_shift = Bounds.Adversary.Thm2.shift_vector model ~case:`Even
+let thm3 ~k = Bounds.Adversary.Thm3.base_matrix model ~k
+let thm3_shift ~k ~z = Bounds.Adversary.Thm3.shift_vector model ~k ~z
+let thm4 = Bounds.Adversary.Thm4.d1_matrix model
+let thm4_shift = Bounds.Adversary.Thm4.step3_shift model
+let thm5 = Bounds.Adversary.Thm5.d_matrix model
+let thm5_shift = Bounds.Adversary.Thm5.shift model
 
 let test_thm2_scenario_queue () =
   let outcome =
@@ -35,16 +93,20 @@ let test_thm2_scenario_queue () =
       ~rho:[ Q.Enqueue 1; Q.Enqueue 2 ]
       ~aop:Q.Peek ~op:Q.Dequeue ()
   in
-  Alcotest.(check int) "all operations completed" 9 outcome.operations;
-  assert_outcome "thm2/queue" outcome
+  Alcotest.(check int) "all operations completed" 9
+    (List.length outcome.base.operations);
+  QStress.assert_outcome "thm2/queue" ~matrix:thm2 ~shift:thm2_shift outcome
 
 let test_thm2_scenario_register () =
   let outcome =
     RegStress.theorem2 ~model ~x_param ~rho:[ Reg.Write 7 ] ~aop:Reg.Read
       ~op:(Reg.Write 9) ()
   in
-  assert_outcome_reg "thm2/register" outcome
+  RegStress.assert_outcome "thm2/register" ~matrix:thm2 ~shift:thm2_shift
+    outcome
 
+(* At the optimal eps, Claim 3 makes every R2 admissible, so its
+   linearizability is checked for every z, never skipped. *)
 let test_thm3_scenario_all_z () =
   (* k = 4 concurrent enqueues, one per process, for every possible
      last-linearized process z. *)
@@ -57,20 +119,32 @@ let test_thm3_scenario_all_z () =
       in
       Alcotest.(check int)
         (Printf.sprintf "z=%d ops" z)
-        5 outcome.operations;
-      assert_outcome (Printf.sprintf "thm3/z=%d" z) outcome)
+        5
+        (List.length outcome.base.operations);
+      Alcotest.(check (option bool))
+        (Printf.sprintf "z=%d R2 admissible and linearizable" z)
+        (Some true)
+        (Option.map
+           (fun (r : QStress.report) ->
+             r.delays_admissible && r.skew_admissible
+             && Option.is_some r.linearization)
+           outcome.shifted);
+      QStress.assert_outcome
+        (Printf.sprintf "thm3/z=%d" z)
+        ~matrix:(thm3 ~k:4) ~shift:(thm3_shift ~k:4 ~z) outcome)
     [ 0; 1; 2; 3 ]
 
 let test_thm3_scenario_register_writes () =
-  let module RS = RegStress in
   List.iter
     (fun z ->
       let outcome =
-        RS.theorem3 ~model ~x_param ~k:3 ~z ~rho:[]
+        RegStress.theorem3 ~model ~x_param ~k:3 ~z ~rho:[]
           ~instances:[ Reg.Write 1; Reg.Write 2; Reg.Write 3 ]
           ()
       in
-      assert_outcome_reg (Printf.sprintf "thm3/writes z=%d" z) outcome)
+      RegStress.assert_outcome
+        (Printf.sprintf "thm3/writes z=%d" z)
+        ~matrix:(thm3 ~k:3) ~shift:(thm3_shift ~k:3 ~z) outcome)
     [ 0; 1; 2 ]
 
 let test_thm4_scenario_dequeue () =
@@ -78,40 +152,33 @@ let test_thm4_scenario_dequeue () =
     QStress.theorem4 ~model ~x_param ~rho:[ Q.Enqueue 1 ] ~op0:Q.Dequeue
       ~op1:Q.Dequeue ()
   in
-  assert_outcome "thm4/dequeue" outcome
+  QStress.assert_outcome "thm4/dequeue" ~matrix:thm4 ~shift:thm4_shift outcome
 
 let test_thm4_scenario_rmw () =
-  let module M = RmwStress in
   let outcome =
-    M.theorem4 ~model ~x_param ~rho:[]
+    RmwStress.theorem4 ~model ~x_param ~rho:[]
       ~op0:(Spec.Rmw_register.Rmw (Spec.Rmw_register.Fetch_and_add 1))
       ~op1:(Spec.Rmw_register.Rmw (Spec.Rmw_register.Fetch_and_add 2))
       ()
   in
-  Alcotest.(check bool) "thm4/rmw base linearizable" true
-    outcome.base_linearizable;
-  Alcotest.(check bool) "thm4/rmw shifted ok" true
-    ((not outcome.shifted_admissible) || outcome.shifted_linearizable)
+  RmwStress.assert_outcome "thm4/rmw" ~matrix:thm4 ~shift:thm4_shift outcome
 
 let test_thm4_scenario_pop () =
-  let module M = StackStress in
   let outcome =
-    M.theorem4 ~model ~x_param
+    StackStress.theorem4 ~model ~x_param
       ~rho:[ Spec.Stack_type.Push 5 ]
       ~op0:Spec.Stack_type.Pop ~op1:Spec.Stack_type.Pop ()
   in
-  Alcotest.(check bool) "thm4/pop base linearizable" true
-    outcome.base_linearizable;
-  Alcotest.(check bool) "thm4/pop shifted ok" true
-    ((not outcome.shifted_admissible) || outcome.shifted_linearizable)
+  StackStress.assert_outcome "thm4/pop" ~matrix:thm4 ~shift:thm4_shift outcome
 
 let test_thm5_scenario_enqueue_peek () =
   let outcome =
     QStress.theorem5 ~model ~x_param ~rho:[] ~op0:(Q.Enqueue 1)
       ~op1:(Q.Enqueue 2) ~aop0:Q.Peek ~aop1:Q.Peek ~aop2:Q.Peek ()
   in
-  Alcotest.(check int) "thm5 ops" 5 outcome.operations;
-  assert_outcome "thm5/enqueue+peek" outcome
+  Alcotest.(check int) "thm5 ops" 5 (List.length outcome.base.operations);
+  QStress.assert_outcome "thm5/enqueue+peek" ~matrix:thm5 ~shift:thm5_shift
+    outcome
 
 (* Sweep over X to confirm the scenarios hold across the whole tradeoff
    range (X governs how close the accessors run to the bound). *)
@@ -125,7 +192,9 @@ let test_x_sweep () =
           ~instances:[ Q.Enqueue 1; Q.Enqueue 2; Q.Enqueue 3 ]
           ()
       in
-      assert_outcome (Printf.sprintf "x sweep %d/4" frac) outcome)
+      QStress.assert_outcome ~x_param:x
+        (Printf.sprintf "x sweep %d/4" frac)
+        ~matrix:(thm3 ~k:3) ~shift:(thm3_shift ~k:3 ~z:1) outcome)
     [ 0; 1; 2; 3; 4 ]
 
 (* Property: random z / k / seeds over the theorem-3 scenario. *)
@@ -135,11 +204,8 @@ let prop_thm3_random =
     (fun (k, z_raw) ->
       let z = z_raw mod k in
       let instances = List.init k (fun i -> Q.Enqueue (i + 1)) in
-      let outcome =
-        QStress.theorem3 ~model ~x_param ~k ~z ~rho:[] ~instances ()
-      in
-      outcome.base_linearizable
-      && ((not outcome.shifted_admissible) || outcome.shifted_linearizable))
+      QStress.holds ~matrix:(thm3 ~k) ~shift:(thm3_shift ~k ~z)
+        (QStress.theorem3 ~model ~x_param ~k ~z ~rho:[] ~instances ()))
 
 let () =
   Alcotest.run "stress"

@@ -281,7 +281,8 @@ let test_concurrent_writes_converge () =
   Alcotest.(check bool) "concurrent writes converge" true
     (Algo.replicas_converged cluster);
   Alcotest.(check bool) "history linearizable" true
-    (Check.trace_linearizable (Sim.Engine.trace cluster.engine))
+    (Check.is_linearizable
+       (Sim.Trace.operations (Sim.Engine.trace cluster.engine)))
 
 (* Property: for random seeds, the whole pipeline stays linearizable
    with correct latencies on the queue (the paper's running example). *)
