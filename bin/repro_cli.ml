@@ -545,7 +545,7 @@ let figure1 (model : Sim.Model.t) =
         z (render model r2.operations))
     o.shifted;
   let skew =
-    Bounds.Shifting.max_skew
+    Sim.Model.max_skew
       (Bounds.Shifting.shifted_offsets (Array.make model.n Rat.zero)
          (Bounds.Adversary.Thm3.shift_vector model ~k ~z))
   in

@@ -72,11 +72,11 @@ module Thm2 = struct
       claim "shifted delays all valid" (Sim.Net.matrix_valid model shifted);
       claim "max skew after shift is u/2"
         (Rat.equal
-           (Shifting.max_skew (Shifting.shifted_offsets (Array.make model.n Rat.zero) x))
+           (Sim.Model.max_skew (Shifting.shifted_offsets (Array.make model.n Rat.zero) x))
            (Rat.div_int u 2));
       claim "skew u/2 within eps (since eps >= (1-1/n)u >= 2u/3 for n>=3)"
         ((not (Rat.ge model.eps (Sim.Model.optimal_eps model)))
-        || Shifting.skew_admissible model
+        || Sim.Model.skew_valid model
              (Shifting.shifted_offsets (Array.make model.n Rat.zero) x));
       (let x_odd = shift_vector model ~case:`Odd in
        claim "case 2 shift also keeps delays valid"
@@ -130,12 +130,12 @@ module Thm3 = struct
            x);
       claim
         (tag "Claim 3: max skew after shift = (1-1/k)u")
-        (Rat.equal (Shifting.max_skew offsets)
+        (Rat.equal (Sim.Model.max_skew offsets)
            (Rat.mul model.u (Rat.make (k - 1) k)));
       claim
         (tag "Claim 3: skew within eps (when eps >= (1-1/n)u and k <= n)")
         ((not (Rat.ge model.eps (Sim.Model.optimal_eps model)))
-        || Shifting.skew_admissible model offsets);
+        || Sim.Model.skew_valid model offsets);
       claim
         (tag "Claim 3: all shifted delays within [d-u, d]")
         (Sim.Net.matrix_valid model shifted);
@@ -337,7 +337,7 @@ module Thm5 = struct
         (Rat.equal offsets.(1) (Rat.neg mm)
         && Rat.equal offsets.(0) Rat.zero);
       claim "shift keeps skew within eps (m <= eps)"
-        (Shifting.skew_admissible model offsets);
+        (Sim.Model.skew_valid model offsets);
       claim "after shift p1->p0 = d - 2m; invalid iff 2m > u"
         (Rat.equal fig10.(1).(0) (Rat.sub d (Rat.mul_int mm 2))
         &&

@@ -52,22 +52,6 @@ let invalid_entries (model : Sim.Model.t) matrix =
   done;
   !bad
 
-(* Maximum pairwise clock skew of an offset vector. *)
-let max_skew offsets =
-  let worst = ref Rat.zero in
-  Array.iter
-    (fun ci ->
-      Array.iter
-        (fun cj ->
-          let skew = Rat.abs (Rat.sub ci cj) in
-          if Rat.gt skew !worst then worst := skew)
-        offsets)
-    offsets;
-  !worst
-
-let skew_admissible (model : Sim.Model.t) offsets =
-  Rat.le (max_skew offsets) model.eps
-
 (** {1 Trace-level shifting} *)
 
 (* The process whose timed view an event belongs to: sends belong to
@@ -135,4 +119,4 @@ let view_signature trace proc =
    remain in range and the new offsets respect the skew bound. *)
 let trace_admissible (model : Sim.Model.t) ~offsets ~x trace =
   Sim.Trace.delays_admissible model (shift_trace trace x)
-  && skew_admissible model (shifted_offsets offsets x)
+  && Sim.Model.skew_valid model (shifted_offsets offsets x)

@@ -23,9 +23,6 @@ val shift_matrix : Rat.t array array -> Rat.t array -> Rat.t array array
 val invalid_entries : Sim.Model.t -> Rat.t array array -> (int * int) list
 (** Off-diagonal entries outside [[d - u, d]], in row-major order. *)
 
-val max_skew : Rat.t array -> Rat.t
-val skew_admissible : Sim.Model.t -> Rat.t array -> bool
-
 (** {1 Trace-level shifting (on recorded runs of real algorithms)} *)
 
 val event_owner : ('msg, 'inv, 'resp) Sim.Trace.event -> int

@@ -41,20 +41,22 @@ module Acc = struct
       acc.count <- acc.count + 1
     end
 
-  let summary ?(quantum = 1) acc =
-    if acc.count = 0 then None
-    else
-      (* equal extremes share one rational, as they shared one sample *)
-      let min = div_quanta acc.min quantum in
-      Some
-        {
-          count = acc.count;
-          min;
-          max =
-            (if Rat.equal acc.max acc.min then min
-             else div_quanta acc.max quantum);
-          mean = Rat.div_int acc.sum (acc.count * quantum);
-        }
+  (* The summary of a non-empty accumulator whose samples count quanta
+     of [1/quantum], in time units. *)
+  let summarize ~quantum acc =
+    (* equal extremes share one rational, as they shared one sample *)
+    let min = div_quanta acc.min quantum in
+    {
+      count = acc.count;
+      min;
+      max =
+        (if Rat.equal acc.max acc.min then min
+         else div_quanta acc.max quantum);
+      mean = Rat.div_int acc.sum (acc.count * quantum);
+    }
+
+  let summary acc =
+    if acc.count = 0 then None else Some (summarize ~quantum:1 acc)
 
   (* Fold a finished summary into the accumulator.  The summary's sum
      is recovered exactly as [mean * count] (rationals), so absorbing
@@ -78,32 +80,52 @@ module Acc = struct
     end
 end
 
-(* Keyed streaming accumulators, preserving first-seen key order. *)
+(* Keyed streaming accumulators, preserving first-seen key order: the
+   keys and their accumulators in two arrays, in the order they were
+   first seen.  A run has a handful of keys (its operation names, or
+   the three classes), so a lookup is a short scan, and the arrays
+   start at three slots and double when full. *)
 module Grouped = struct
   type 'k t = {
-    table : ('k, Acc.t) Hashtbl.t;
-    mutable rev_order : 'k list;
+    mutable keys : 'k array;
+    mutable accs : Acc.t array;
+    mutable len : int;
   }
 
-  let create () = { table = Hashtbl.create 8; rev_order = [] }
+  let create () = { keys = [||]; accs = [||]; len = 0 }
 
-  (* [k]'s accumulator, created on first sight.  A hit allocates
-     nothing: no option per operation. *)
-  let acc g k =
-    match Hashtbl.find g.table k with
-    | acc -> acc
-    | exception Not_found ->
-        let acc = Acc.create () in
-        Hashtbl.add g.table k acc;
-        g.rev_order <- k :: g.rev_order;
-        acc
+  (* [k]'s accumulator, created on first sight, scanning from slot
+     [i].  A hit allocates nothing. *)
+  let rec find g k i =
+    if i = g.len then begin
+      let acc = Acc.create () in
+      if i = Array.length g.keys then begin
+        let cap = Stdlib.max 3 (2 * i) in
+        let keys = Array.make cap k and accs = Array.make cap acc in
+        Array.blit g.keys 0 keys 0 i;
+        Array.blit g.accs 0 accs 0 i;
+        g.keys <- keys;
+        g.accs <- accs
+      end;
+      g.keys.(i) <- k;
+      g.accs.(i) <- acc;
+      g.len <- i + 1;
+      acc
+    end
+    else
+      let key = g.keys.(i) in
+      if key == k || key = k then g.accs.(i) else find g k (i + 1)
+
+  let acc g k = find g k 0
 
   let add g k x = Acc.add (acc g k) x
 
-  let summaries ?quantum g =
-    List.rev_map
-      (fun k -> (k, Option.get (Acc.summary ?quantum (Hashtbl.find g.table k))))
-      g.rev_order
+  let summaries ?(quantum = 1) g =
+    let l = ref [] in
+    for i = g.len - 1 downto 0 do
+      l := (g.keys.(i), Acc.summarize ~quantum g.accs.(i)) :: !l
+    done;
+    !l
 
   let absorb g k (s : summary) = Acc.absorb (acc g k) s
 end

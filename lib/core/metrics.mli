@@ -20,10 +20,8 @@ module Acc : sig
   val create : unit -> t
   val add : t -> Rat.t -> unit
 
-  val summary : ?quantum:int -> t -> summary option
-  (** [None] before the first {!add}.  [quantum] (default 1): the
-      samples were counted in units of [1/quantum]; the summary is in
-      time units. *)
+  val summary : t -> summary option
+  (** [None] before the first {!add}. *)
 
   val absorb : t -> summary -> unit
   (** Fold a finished summary into the accumulator exactly (the
@@ -42,7 +40,9 @@ module Grouped : sig
   val add : 'k t -> 'k -> Rat.t -> unit
 
   val summaries : ?quantum:int -> 'k t -> ('k * summary) list
-  (** In first-seen key order; [quantum] as in {!Acc.summary}. *)
+  (** In first-seen key order.  [quantum] (default 1): the samples were
+      counted in units of [1/quantum]; the summaries are in time
+      units. *)
 
   val absorb : 'k t -> 'k -> summary -> unit
   (** Keyed {!Acc.absorb}. *)

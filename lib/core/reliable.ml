@@ -99,7 +99,7 @@ module Window = struct
     end
 end
 
-let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
+let wrap ~config:c ~n (handlers : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
   let stats =
     { sent = 0; retransmits = 0; acked = 0; duplicates = 0; exhausted = 0 }
   in
@@ -125,18 +125,20 @@ let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
     in
     Window.add unacked.(src).(dst) seq { msg; timer }
   in
-  (* One application-typed ctx per process over the wire-typed one, so
-     the algorithm's handlers never see the envelope.  Built on the
-     process's first event and then reused, like the engine's own:
-     each event re-stamps the clock fields and points [wire] at the
-     ctx the engine passed, which the closures read at call time. *)
-  let apps = Array.make n None in
+  (* One application-typed ctx over the wire-typed one, so the
+     algorithm's handlers never see the envelope.  Built on the first
+     event and then reused, like the engine's own: each event
+     re-stamps the process and the clock fields and points [wire] at
+     the ctx the engine passed, which the closures read at call
+     time. *)
+  let app = ref None in
   let app_ctx (ctx : ('msg wire, 'tag timer, 'resp) Sim.Engine.ctx) :
       ('msg, 'tag, 'resp) Sim.Engine.ctx =
-    match apps.(ctx.self) with
+    match !app with
     | Some (wire, app_ctx) ->
         wire := ctx;
-        app_ctx.Sim.Engine.real_time <- ctx.real_time;
+        app_ctx.Sim.Engine.self <- ctx.self;
+        app_ctx.real_time <- ctx.real_time;
         app_ctx.local_time <- ctx.local_time;
         app_ctx
     | None ->
@@ -151,18 +153,19 @@ let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
             send;
             broadcast =
               (fun msg ->
-                for dst = 0 to ctx.n - 1 do
-                  if dst <> ctx.self then send ~dst msg
+                let self = !wire.self in
+                for dst = 0 to n - 1 do
+                  if dst <> self then send ~dst msg
                 done);
             set_timer_after = (fun dur tag -> !wire.set_timer_after dur (App tag));
             cancel_timer = (fun id -> !wire.cancel_timer id);
             respond = (fun resp -> !wire.respond resp);
           }
         in
-        apps.(ctx.self) <- Some (wire, app_ctx);
+        app := Some (wire, app_ctx);
         app_ctx
   in
-  let on_invoke ctx inv = app.on_invoke (app_ctx ctx) inv in
+  let on_invoke ctx inv = handlers.on_invoke (app_ctx ctx) inv in
   let on_receive (ctx : ('msg wire, 'tag timer, 'resp) Sim.Engine.ctx) ~src
       wire_msg =
     let self = ctx.self in
@@ -183,7 +186,7 @@ let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
             let m = Window.find held e in
             Window.remove held e;
             expected.(self).(src) <- e + 1;
-            app.on_receive (app_ctx ctx) ~src m
+            handlers.on_receive (app_ctx ctx) ~src m
           done
         end
     | Ack { seq } ->
@@ -197,7 +200,7 @@ let wrap ~config:c ~n (app : ('msg, 'tag, 'inv, 'resp) Sim.Engine.handlers) =
   in
   let on_timer (ctx : ('msg wire, 'tag timer, 'resp) Sim.Engine.ctx) tag =
     match tag with
-    | App tag -> app.on_timer (app_ctx ctx) tag
+    | App tag -> handlers.on_timer (app_ctx ctx) tag
     | Retransmit { dst; seq; attempt } ->
         let self = ctx.self in
         let pending = unacked.(self).(dst) in

@@ -78,7 +78,7 @@ val wrap :
     deduplicated, per-edge-FIFO application messages.  The returned
     stats are live — read them after the run.
 
-    The algorithm's handlers get one ctx per process, reused across
-    events exactly as {!Sim.Engine} reuses its own: the clock fields
-    are re-stamped before each handler runs, so the ctx is valid only
-    for the handler call it was passed to. *)
+    The algorithm's handlers get one ctx, reused across events and
+    processes exactly as {!Sim.Engine} reuses its own: [self] and the
+    clock fields are re-stamped before each handler runs, so the ctx is
+    valid only for the handler call it was passed to. *)

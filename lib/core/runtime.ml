@@ -25,10 +25,20 @@
    instantiating anything. *)
 type algorithm = Wtlw of { x : Rat.t } | Centralized | Tob
 
-let algorithm_name = function
-  | Wtlw { x } -> Printf.sprintf "wtlw(X=%s)" (Rat.to_string x)
-  | Centralized -> "centralized"
-  | Tob -> "total-order-broadcast"
+(* The algorithm's name followed by [suffix], written once. *)
+let name_with algorithm ~suffix =
+  match algorithm with
+  | Wtlw { x } ->
+      let b = Buffer.create 24 in
+      Buffer.add_string b "wtlw(X=";
+      Rat.add_to_buffer b x;
+      Buffer.add_char b ')';
+      Buffer.add_string b suffix;
+      Buffer.contents b
+  | Centralized -> "centralized" ^ suffix
+  | Tob -> "total-order-broadcast" ^ suffix
+
+let algorithm_name algorithm = name_with algorithm ~suffix:""
 
 (* Which linearizability engine certifies the run.  [Monitor] routes
    through the per-type O(n log n) monitors ({!Monitor.Make}); a
@@ -473,9 +483,8 @@ module Make (T : Spec.Data_type.S) = struct
     let { Config.offsets; delay; algorithm; workload; faults; _ } = cfg in
     let judged, timing, q = setup cfg in
     let name =
-      match cfg.channel with
-      | None -> algorithm_name algorithm
-      | Some _ -> algorithm_name algorithm ^ "+reliable"
+      name_with algorithm
+        ~suffix:(match cfg.channel with None -> "" | Some _ -> "+reliable")
     in
     let in_q t = if q = 1 then t else Rat.mul_int t q in
     let model_q =
@@ -507,7 +516,7 @@ module Make (T : Spec.Data_type.S) = struct
       let engine =
         Sim.Engine.create ~retain_events ~faults:faults_q ~model:model_q
           ~offsets:(Array.map in_q offsets)
-          ~delay:(if q = 1 then delay else Sim.Net.map in_q delay)
+          ~delay:(if q = 1 then delay else Sim.Net.scale q delay)
           ~handlers ()
       in
       let trace = Sim.Engine.trace engine in

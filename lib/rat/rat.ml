@@ -274,11 +274,32 @@ let to_float a =
     let f = unsafe_frac a in
     float_of_int f.f_num /. float_of_int f.f_den
 
+(* The one digit writer: integers and rationals go into a buffer digit
+   by digit, as [string_of_int] renders them, with no string of their
+   own.  [add_digits] writes the digits of [n <= 0]'s magnitude, so
+   [min_int] needs no case. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_digits b (if n < 0 then n else -n)
+
+let add_to_buffer b a =
+  add_int b (num a);
+  if den a <> 1 then begin
+    Buffer.add_char b '/';
+    add_int b (den a)
+  end
+
 let to_string a =
   if is_immediate a then string_of_int (unsafe_int a)
-  else
-    let f = unsafe_frac a in
-    Printf.sprintf "%d/%d" f.f_num f.f_den
+  else begin
+    let b = Buffer.create 16 in
+    add_to_buffer b a;
+    Buffer.contents b
+  end
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 let hash a = (num a * 31) lxor den a

@@ -125,5 +125,10 @@ val to_float : t -> float
 val to_string : t -> string
 (** ["7/3"], or ["7"] when the denominator is 1. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append {!to_string}'s rendering, digit by digit, building no
+    string.  The one writer of decimal digits: integers are written as
+    [add_to_buffer b (of_int n)]. *)
+
 val pp : Format.formatter -> t -> unit
 val hash : t -> int

@@ -20,7 +20,7 @@ open Types
 (* Printing                                                            *)
 
 let add_int = Sexp.add_int
-let add_rat = Sexp.add_rat
+let add_rat = Rat.add_to_buffer
 
 (* [%.12g] when that re-parses bit-exactly, hexadecimal [%h]
    otherwise: both read back as the identical float. *)

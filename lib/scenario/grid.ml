@@ -15,7 +15,7 @@ type algo =
    [Rat.to_string] would build every field as a string of its own, and
    the key is rebuilt for every cell a sweep runs. *)
 let add_int = Sexp.add_int
-let add_rat = Sexp.add_rat
+let add_rat = Rat.add_to_buffer
 
 let add_algo b = function
   | Wtlw { frac } ->

@@ -14,25 +14,10 @@ let needs_quoting s =
          | c -> Char.code c < 0x20)
        s
 
-(* Integers and rationals are written digit by digit, as
-   [string_of_int] and [Rat.to_string] render them, with no string of
-   their own: scenario renderings and sweep cell keys are built for
-   every run.  [add_digits] writes the digits of [n <= 0]'s magnitude,
-   so [min_int] needs no case. *)
-let rec add_digits b n =
-  if n <= -10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-
-let add_int b n =
-  if n < 0 then Buffer.add_char b '-';
-  add_digits b (if n < 0 then n else -n)
-
-let add_rat b r =
-  add_int b (Rat.num r);
-  if Rat.den r <> 1 then begin
-    Buffer.add_char b '/';
-    add_int b (Rat.den r)
-  end
+(* Integers are written digit by digit by [Rat]'s one digit writer,
+   with no string of their own: scenario renderings and sweep cell keys
+   are built for every run. *)
+let add_int b n = Rat.add_to_buffer b (Rat.of_int n)
 
 let add_atom b s =
   if not (needs_quoting s) then Buffer.add_string b s

@@ -18,11 +18,8 @@ val add_atom : Buffer.t -> string -> unit
     backslash and newline. *)
 
 val add_int : Buffer.t -> int -> unit
-(** Append an integer as [string_of_int] renders it. *)
-
-val add_rat : Buffer.t -> Rat.t -> unit
-(** Append a rational as [Rat.to_string] renders it: [num], or
-    [num/den]. *)
+(** Append an integer as [string_of_int] renders it; a rational is
+    appended by {!Rat.add_to_buffer}. *)
 
 val scan : string -> field:(int -> unit) -> (unit, string) result
 (** Check that the string holds exactly one s-expression (surrounding

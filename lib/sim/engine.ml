@@ -1,5 +1,5 @@
 type ('msg, 'tag, 'resp) ctx = {
-  self : int;
+  mutable self : int;
   n : int;
   mutable real_time : Rat.t;
   mutable local_time : Rat.t;
@@ -65,11 +65,13 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   mutable cancelled : int;
   pending : 'inv option array;
   send_seq : int array array;
-  (* One ctx per process, built at creation and reused for every
-     dispatched event: only the two clock fields change per event, so
-     the hot loop re-stamps them instead of allocating a fresh record
-     and six fresh closures. *)
-  mutable ctxs : ('msg, 'tag, 'resp) ctx array;
+  (* One ctx for the engine, built on the first dispatch and reused
+     for every event after: only the process and the two clock fields
+     change per event, so the hot loop re-stamps them instead of
+     allocating a fresh record and five fresh closures.  The closures
+     act for [current], the process being dispatched. *)
+  mutable ctx : ('msg, 'tag, 'resp) ctx option;
+  mutable current : int;
   mutable now : Rat.t;
   mutable next_timer_id : int;
   mutable on_response :
@@ -118,7 +120,8 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
       cancelled = 0;
       pending = Array.make n None;
       send_seq = Array.make_matrix n n 0;
-      ctxs = [||];
+      ctx = None;
+      current = 0;
       now = Rat.zero;
       next_timer_id = 0;
       on_response = (fun ~proc:_ ~inv:_ ~resp:_ ~time:_ -> ());
@@ -203,10 +206,10 @@ let arm_timer t id =
   end;
   flip_timer t id
 
-(* Build process [self]'s reusable ctx: the closures consult [t.now] at
-   call time, so only the two clock fields need re-stamping per event
-   (done by [get_ctx]). *)
-let build_ctx t ~self =
+(* Build the engine's one ctx: the closures consult [t.current] and
+   [t.now] at call time, so only the process and the two clock fields
+   need re-stamping per event (done by [get_ctx]). *)
+let build_ctx t =
   let set_timer_after dur tag =
     if Rat.sign dur < 0 then invalid_arg "Engine: negative timer duration";
     let id = t.next_timer_id in
@@ -214,6 +217,7 @@ let build_ctx t ~self =
       invalid_arg "Engine: timer id 2^40 does not fit the event tag";
     t.next_timer_id <- id + 1;
     let expiry = Rat.add t.now dur in
+    let self = t.current in
     Trace.timer_set t.trace ~time:t.now ~proc:self ~id ~expiry;
     arm_timer t id;
     Event_queue.push t.queue ~priority:1 ~time:expiry
@@ -226,9 +230,10 @@ let build_ctx t ~self =
       flip_timer t id;
       t.cancelled <- t.cancelled + 1
     end;
-    Trace.timer_cancel t.trace ~time:t.now ~proc:self ~id
+    Trace.timer_cancel t.trace ~time:t.now ~proc:t.current ~id
   in
   let respond resp =
+    let self = t.current in
     match t.pending.(self) with
     | None -> invalid_arg "Engine: respond with no pending operation"
     | Some inv ->
@@ -237,16 +242,17 @@ let build_ctx t ~self =
         t.on_response ~proc:self ~inv ~resp ~time:t.now
   in
   let broadcast msg =
+    let self = t.current in
     for dst = 0 to t.model.n - 1 do
       if dst <> self then send_message t ~src:self ~dst msg
     done
   in
   {
-    self;
+    self = t.current;
     n = t.model.n;
     real_time = t.now;
-    local_time = Rat.add t.now t.local_offset.(self);
-    send = (fun ~dst msg -> send_message t ~src:self ~dst msg);
+    local_time = t.now;
+    send = (fun ~dst msg -> send_message t ~src:t.current ~dst msg);
     broadcast;
     set_timer_after;
     cancel_timer;
@@ -254,9 +260,16 @@ let build_ctx t ~self =
   }
 
 let get_ctx t ~self =
-  if Array.length t.ctxs = 0 then
-    t.ctxs <- Array.init t.model.n (fun self -> build_ctx t ~self);
-  let c = t.ctxs.(self) in
+  let c =
+    match t.ctx with
+    | Some c -> c
+    | None ->
+        let c = build_ctx t in
+        t.ctx <- Some c;
+        c
+  in
+  t.current <- self;
+  c.self <- self;
   c.real_time <- t.now;
   (* Most runs have zero offsets: skip the add, which would allocate a
      fresh fraction whenever [now] is one. *)

@@ -15,14 +15,15 @@ type ('msg, 'tag, 'inv, 'resp) t
     Algorithms should consult only {!field-local_time}; [real_time] is
     exposed for instrumentation and assertions.
 
-    The engine reuses one ctx per process across events, re-stamping
-    the two clock fields before each handler runs (they are [mutable]
-    for exactly that reason — treat them as read-only).  A ctx is
-    therefore only valid for the duration of the handler call it was
-    passed to: a handler that stores it and reads the clock fields
-    later observes the times of some later event. *)
+    The engine reuses one ctx across all events and processes,
+    re-stamping [self] and the two clock fields before each handler
+    runs (they are [mutable] for exactly that reason — treat them as
+    read-only); its closures act for the process being dispatched.  A
+    ctx is therefore only valid for the duration of the handler call it
+    was passed to: a handler that stores it and uses it later acts for,
+    and observes the times of, some later event. *)
 type ('msg, 'tag, 'resp) ctx = {
-  self : int;
+  mutable self : int;
   n : int;
   mutable real_time : Rat.t;
   mutable local_time : Rat.t;

@@ -28,8 +28,12 @@ val optimal_eps : t -> Rat.t
 val delay_valid : t -> Rat.t -> bool
 (** Is a single message delay admissible, i.e. within [[d - u, d]]? *)
 
+val max_skew : Rat.t array -> Rat.t
+(** The largest pairwise clock skew of an offset vector, [max - min]
+    ([0] for an empty one).  Allocates nothing on integer offsets. *)
+
 val skew_valid : t -> Rat.t array -> bool
-(** Are clock offsets pairwise within [eps]? The array must have length
-    [n]. *)
+(** Are clock offsets pairwise within [eps], i.e. is {!max_skew} at
+    most [eps]?  The array must have length [n]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,10 +1,19 @@
-(* Every model carries its values, so a run can read all of them
-   ({!fold}) and rescale them ({!map}).  [Grid] draws an index into
-   [values] from [state] per message. *)
-type t =
-  | Constant of Rat.t
-  | Matrix of Rat.t array array
-  | Grid of { state : Random.State.t; values : Rat.t array }
+(* Every model can name the values a run must fit in its quantum
+   ({!fold}) and be rescaled ({!scale}).  A [Grid] is the arithmetic
+   progression [lo + k * step], [k < count]: a draw picks [k] from
+   [state] per message.  When [lo] and [step] are integers (a run's
+   quanta) a draw computes its point, which allocates nothing; a grid
+   of true fractions builds its [points] on its first draw and reads
+   them after, so no draw allocates a rational either. *)
+type grid = {
+  state : Random.State.t;
+  lo : Rat.t;
+  step : Rat.t;
+  count : int;
+  mutable points : Rat.t array;
+}
+
+type t = Constant of Rat.t | Matrix of Rat.t array array | Grid of grid
 
 let constant d = Constant d
 
@@ -19,14 +28,13 @@ let matrix m =
 let random ~seed ~lo ~hi ~granularity =
   if granularity <= 0 then invalid_arg "Net.random: granularity must be > 0";
   if Rat.gt lo hi then invalid_arg "Net.random: lo > hi";
-  let step = Rat.div_int (Rat.sub hi lo) granularity in
-  (* The grid is built once, so a draw is an index and builds no
-     rational. *)
   Grid
     {
       state = Random.State.make [| seed |];
-      values =
-        Array.init (granularity + 1) (fun k -> Rat.add lo (Rat.mul_int step k));
+      lo;
+      step = Rat.div_int (Rat.sub hi lo) granularity;
+      count = granularity + 1;
+      points = [||];
     }
 
 let random_model ~seed (m : Model.t) =
@@ -35,6 +43,8 @@ let random_model ~seed (m : Model.t) =
 let max_delay_model (m : Model.t) = Constant m.d
 let min_delay_model (m : Model.t) = Constant (Model.min_delay m)
 
+let point g k = Rat.add g.lo (Rat.mul_int g.step k)
+
 let delay t ~src ~dst ~time:_ ~seq:_ =
   match t with
   | Constant d -> d
@@ -42,19 +52,30 @@ let delay t ~src ~dst ~time:_ ~seq:_ =
       if src < 0 || src >= Array.length m || dst < 0 || dst >= Array.length m
       then invalid_arg "Net.delay: index out of range"
       else m.(src).(dst)
-  | Grid { state; values } ->
-      values.(Random.State.int state (Array.length values))
+  | Grid g ->
+      let k = Random.State.int g.state g.count in
+      if Rat.den g.lo = 1 && Rat.den g.step = 1 then point g k
+      else begin
+        if Array.length g.points = 0 then
+          g.points <- Array.init g.count (point g);
+        g.points.(k)
+      end
 
+(* Every point of a grid is an integer combination of its first two,
+   so those two give the lcm of all the points' denominators, and the
+   largest magnitude lies at an end. *)
 let fold f t acc =
   match t with
   | Constant d -> f d acc
   | Matrix m -> Array.fold_left (Array.fold_left (fun acc v -> f v acc)) acc m
-  | Grid { values; _ } -> Array.fold_left (fun acc v -> f v acc) acc values
+  | Grid g -> f (point g (g.count - 1)) (f (point g 1) (f g.lo acc))
 
-let map f = function
-  | Constant d -> Constant (f d)
-  | Matrix m -> Matrix (Array.map (Array.map f) m)
-  | Grid { state; values } -> Grid { state; values = Array.map f values }
+let scale k t =
+  let s v = Rat.mul_int v k in
+  match t with
+  | Constant d -> Constant (s d)
+  | Matrix m -> Matrix (Array.map (Array.map s) m)
+  | Grid g -> Grid { g with lo = s g.lo; step = s g.step; points = [||] }
 
 let uniform_matrix ~n d = Array.make_matrix n n d
 

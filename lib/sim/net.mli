@@ -4,8 +4,8 @@
     to [dst], sent at real time [time], take to arrive?".  The paper's
     lower-bound constructions use {e pair-wise uniform} delays (a fixed
     n-by-n matrix); stress tests use randomized delays drawn from
-    [[d - u, d]].  Every model exposes its delay values ({!fold},
-    {!map}), so a run can rescale them all to one time quantum. *)
+    [[d - u, d]].  Every model names the values a run must fit in its
+    time quantum ({!fold}) and can be rescaled to it ({!scale}). *)
 
 type t
 
@@ -18,8 +18,10 @@ val matrix : Rat.t array array -> t
 
 val random : seed:int -> lo:Rat.t -> hi:Rat.t -> granularity:int -> t
 (** Delays drawn independently and uniformly from the [granularity + 1]
-    evenly spaced rationals spanning [[lo, hi]], built once at
-    creation.  Deterministic for a fixed seed.
+    evenly spaced rationals spanning [[lo, hi]]: the [k]th is
+    [lo + k * (hi - lo) / granularity].  Deterministic for a fixed
+    seed.  A draw allocates nothing: integer points are computed, and
+    fractional ones are built once, on the first draw.
     @raise Invalid_argument if [granularity <= 0] or [lo > hi]. *)
 
 val random_model : seed:int -> Model.t -> t
@@ -37,14 +39,17 @@ val delay : t -> src:int -> dst:int -> time:Rat.t -> seq:int -> Rat.t
     @raise Invalid_argument for out-of-range indices of a {!matrix}. *)
 
 val fold : (Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over every delay value the model can return: the constant,
-    every matrix entry (diagonal included), or every grid point. *)
+(** Fold over delay values that bound every value the model can
+    return: the constant, every matrix entry (diagonal included), or a
+    grid's first two points and its last.  The lcm of their
+    denominators is that of every value the model returns, and the
+    largest of their magnitudes is the largest of every value's. *)
 
-val map : (Rat.t -> Rat.t) -> t -> t
-(** The same model with every delay value mapped.  A mapped {!random}
-    model shares the original's random state, so the two draw one
-    stream of grid indices between them: a run given the mapped model
-    draws the same indices the original would have. *)
+val scale : int -> t -> t
+(** The same model with every delay value multiplied by [k].  A scaled
+    {!random} model shares the original's random state, so the two draw
+    one stream of grid indices between them: a run given the scaled
+    model draws the same indices the original would have. *)
 
 val uniform_matrix : n:int -> Rat.t -> Rat.t array array
 (** Fresh [n]-by-[n] matrix filled with one delay value. *)

@@ -141,6 +141,10 @@ type writer = {
   fd : Unix.file_descr;
   sync_every : int;
   mutable pending : int;
+  (* One frame at a time, under [lock]: the frame header, then the
+     marshalled record, written in place and grown when a record does
+     not fit. *)
+  mutable frame : Bytes.t;
   lock : Mutex.t;
 }
 
@@ -169,6 +173,7 @@ let writer ?(sync_every = 1) ~path ~fp () =
     fd = Unix.descr_of_out_channel oc;
     sync_every = max 1 sync_every;
     pending = 0;
+    frame = Bytes.create 1024;
     lock = Mutex.create ();
   }
 
@@ -177,19 +182,31 @@ let sync_locked w =
   (try Unix.fsync w.fd with Unix.Unix_error _ -> ());
   w.pending <- 0
 
+let put_u32 b pos v =
+  Bytes.set_int32_be b pos (Int32.of_int (v land 0xffff_ffff))
+
+(* Marshal [record] into [w.frame] after the frame header, doubling
+   the frame while the record does not fit; its length. *)
+let rec marshal_locked w record =
+  match
+    Marshal.to_buffer w.frame frame_overhead
+      (Bytes.length w.frame - frame_overhead)
+      record []
+  with
+  | len -> len
+  | exception Failure _ ->
+      w.frame <- Bytes.create (2 * Bytes.length w.frame);
+      marshal_locked w record
+
 let append w ~key ~input_fp payload =
   Mutex.protect w.lock (fun () ->
-      let body = Marshal.to_string (key, input_fp, payload) [] in
-      output_string w.oc magic;
-      let put_u32 v =
-        output_char w.oc (Char.chr ((v lsr 24) land 0xff));
-        output_char w.oc (Char.chr ((v lsr 16) land 0xff));
-        output_char w.oc (Char.chr ((v lsr 8) land 0xff));
-        output_char w.oc (Char.chr (v land 0xff))
-      in
-      put_u32 (String.length body);
-      put_u32 (Core.Hash.fnv1a body);
-      output_string w.oc body;
+      let len = marshal_locked w (key, input_fp, payload) in
+      let frame = w.frame and m = String.length magic in
+      Bytes.blit_string magic 0 frame 0 m;
+      put_u32 frame m len;
+      put_u32 frame (m + 4)
+        (Core.Hash.fnv1a_bytes frame ~pos:frame_overhead ~len);
+      output w.oc frame 0 (frame_overhead + len);
       w.pending <- w.pending + 1;
       if w.pending >= w.sync_every then sync_locked w)
 

@@ -56,7 +56,7 @@ let input_fingerprint ?code_fp ~max_events ~max_check_nodes checker =
          | Some c -> c
          | None -> Lazy.force code_fingerprint))
   in
-  fun key -> Core.Hash.fnv1a (key ^ Lazy.force env)
+  fun key -> Core.Hash.fnv1a_after (Core.Hash.fnv1a key) (Lazy.force env)
 
 let elapsed t0 = Core.Clock.now_s () -. t0
 

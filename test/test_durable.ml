@@ -452,12 +452,83 @@ let test_parallel_fresh_journal () =
       reference (Shard.fingerprint t)
   done
 
+(* The writer marshals each record into one buffer, grown when a
+   record does not fit, and checksums that byte range.  The file must
+   hold exactly the frames [Marshal.to_string] gave: magic, big-endian
+   length, FNV-1a of the body, body — for records below and above the
+   buffer's first size. *)
+let test_frames_as_marshal_to_string () =
+  let dir = temp_dir "journal-frames" in
+  let path = Filename.concat dir "j" in
+  let fp = "test-journal 1" in
+  let records =
+    [
+      ("small", 1, "x");
+      ("big", 2, String.make 5000 'y');
+      ("small again", 3, "z");
+      ("bigger", 4, String.init 70_000 (fun i -> Char.chr (i land 0xff)));
+    ]
+  in
+  let w = Sweep.Journal.writer ~path ~fp () in
+  List.iter
+    (fun (key, input_fp, payload) ->
+      Sweep.Journal.append w ~key ~input_fp payload)
+    records;
+  Sweep.Journal.close w;
+  let u32 v =
+    String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
+  in
+  let expected =
+    "repro-journal 1 " ^ fp ^ "\n"
+    ^ String.concat ""
+        (List.map
+           (fun (key, input_fp, payload) ->
+             let body = Marshal.to_string (key, input_fp, payload) [] in
+             "RJ1\n" ^ u32 (String.length body) ^ u32 (Core.Hash.fnv1a body)
+             ^ body)
+           records)
+  in
+  let ic = open_in_bin path in
+  let bytes = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check int) "file length" (String.length expected)
+    (String.length bytes);
+  Alcotest.(check bool) "same bytes" true (String.equal expected bytes);
+  let back, diags = Sweep.Journal.load ~path ~fp in
+  Alcotest.(check int) "no diagnostics" 0 (List.length diags);
+  Alcotest.(check (list string)) "payloads back"
+    (List.map (fun (_, _, p) -> p) records)
+    (List.map (fun (r : string Sweep.Journal.record) -> r.payload) back)
+
+(* The input fingerprint hashes the key and then the environment
+   suffix, with no concatenation; the value must be the one the
+   concatenation gave, so existing journals still replay. *)
+let prop_input_fingerprint_streams =
+  QCheck.Test.make ~name:"streamed input fingerprint = fnv1a (key ^ env)"
+    ~count:300
+    QCheck.(pair string (option small_nat))
+    (fun (key, max_check_nodes) ->
+      let fp =
+        Sweep.Runner.input_fingerprint ~code_fp:"c0de" ~max_events:(Some 500)
+          ~max_check_nodes Core.Runtime.Wing_gong
+      in
+      let env =
+        Printf.sprintf
+          ";max_events=500;max_check_nodes=%s;checker=wing-gong;ocaml=%s;code=c0de"
+          (match max_check_nodes with None -> "none" | Some n -> string_of_int n)
+          Sys.ocaml_version
+      in
+      fp key = Core.Hash.fnv1a (key ^ env))
+
 let () =
   Alcotest.run "durable"
     [
       ( "journal",
         [
           Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
+          Alcotest.test_case "frames as Marshal.to_string framed them" `Quick
+            test_frames_as_marshal_to_string;
+          QCheck_alcotest.to_alcotest prop_input_fingerprint_streams;
           Alcotest.test_case "torn tail truncated, prefix kept" `Quick
             test_journal_torn_tail;
           Alcotest.test_case "flipped byte caught by checksum" `Quick

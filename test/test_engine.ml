@@ -437,6 +437,75 @@ let test_cancel_is_idempotent () =
   in
   Alcotest.(check int) "five Timer_cancel events" 5 cancels
 
+(* The engine builds one ctx and re-stamps it per event; its closures
+   act for the process being dispatched.  Each process is invoked with
+   its own id and each timer is tagged with its setter's, so every
+   handler can check [ctx.self]; each message names the process that
+   sent it and the one it was sent to ([-1] for a broadcast), so a send
+   that left from another process is caught on arrival, and so is a
+   response that completes another process's operation. *)
+type stamped = { from : int; dest : int }
+
+let run_self_checked ~n ~wrap =
+  let model =
+    Sim.Model.make ~n ~d:(rat 10 1) ~u:(rat 4 1) ~eps:(rat 2 1)
+  in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+  let expect what ~proc (ctx : (stamped, int, int) Sim.Engine.ctx) =
+    if ctx.self <> proc then fail "%s for %d: ctx.self = %d" what proc ctx.self
+  in
+  let handlers : (stamped, int, int, int) Sim.Engine.handlers =
+    {
+      on_invoke =
+        (fun ctx proc ->
+          expect "invoke" ~proc ctx;
+          let next = (ctx.self + 1) mod ctx.n in
+          ctx.send ~dst:next { from = ctx.self; dest = next };
+          ctx.broadcast { from = ctx.self; dest = -1 };
+          ignore (ctx.set_timer_after (rat (13 + ctx.self) 2) ctx.self));
+      on_receive =
+        (fun ctx ~src m ->
+          if m.from <> src then fail "sent by %d, left from %d" m.from src;
+          if m.dest >= 0 then expect "receive" ~proc:m.dest ctx
+          else if ctx.self = src then fail "broadcast from %d came back" src);
+      on_timer =
+        (fun ctx owner ->
+          expect "timer" ~proc:owner ctx;
+          ctx.respond ctx.self);
+    }
+  in
+  let e =
+    Sim.Engine.create ~retain_events:false ~model ~offsets:(Array.make n Rat.zero)
+      ~delay:(Sim.Net.random_model ~seed:n model)
+      ~handlers:(wrap model handlers) ()
+  in
+  let rounds = Array.make n 3 in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv ~resp ~time ->
+      if inv <> proc || resp <> proc then
+        fail "operation of %d at %d answered %d" inv proc resp;
+      rounds.(proc) <- rounds.(proc) - 1;
+      if rounds.(proc) > 0 then
+        Sim.Engine.schedule_invoke e ~at:(Rat.add time (rat 1 3)) ~proc proc);
+  for proc = 0 to n - 1 do
+    Sim.Engine.schedule_invoke e ~at:(rat proc 3) ~proc proc
+  done;
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "every ctx acts for its process" []
+    (List.rev !failures);
+  Alcotest.(check int) "every operation completed" (3 * n)
+    (Sim.Trace.operation_count (Sim.Engine.trace e))
+
+let test_ctx_self () =
+  for n = 2 to 5 do
+    run_self_checked ~n ~wrap:(fun _ h -> h);
+    run_self_checked ~n ~wrap:(fun model h ->
+        fst
+          (Core.Reliable.wrap
+             ~config:(Core.Reliable.default_config model)
+             ~n h))
+  done
+
 (* An event's kind, process and second int share one queue tag: each
    survives the packing at the edges of its field, whatever the other
    two hold, and the tag is never negative. *)
@@ -517,6 +586,8 @@ let () =
             `Quick test_fired_cancels_leave_nothing;
           Alcotest.test_case "reliable channel leaves no cancelled timer"
             `Quick test_reliable_cancels_leave_nothing;
+          Alcotest.test_case "ctx acts for the dispatched process, raw and \
+                              wrapped" `Quick test_ctx_self;
           Alcotest.test_case "tag fields at their bounds" `Quick
             test_tag_bounds;
           Alcotest.test_case "n = 2^20 refused before allocating" `Quick

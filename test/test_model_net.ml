@@ -73,6 +73,48 @@ let test_matrix_valid () =
   diag.(1).(1) <- Rat.zero;
   Alcotest.(check bool) "diagonal ignored" true (Sim.Net.matrix_valid model diag)
 
+(* The skew rule is max - min <= eps, read in one pass: it must agree
+   with the pairwise definition, |c_i - c_j| <= eps for all i, j, and
+   its skew with the largest pairwise one. *)
+let prop_skew_is_pairwise =
+  QCheck.Test.make ~name:"skew_valid is the pairwise rule" ~count:500
+    QCheck.(pair (int_range 2 6) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let offsets =
+        Array.init n (fun _ ->
+            rat (Random.State.int rng 41 - 20) (1 + Random.State.int rng 6))
+      in
+      let eps = rat (Random.State.int rng 30) (1 + Random.State.int rng 4) in
+      let m = Sim.Model.make ~n ~d:(rat 100 1) ~u:(rat 4 1) ~eps in
+      let worst = ref Rat.zero in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b -> worst := Rat.max !worst (Rat.abs (Rat.sub a b)))
+            offsets)
+        offsets;
+      Sim.Model.skew_valid m offsets = Rat.le !worst eps
+      && Rat.equal (Sim.Model.max_skew offsets) !worst)
+
+(* On integer offsets, as a run's are in quanta, a check allocates
+   nothing. *)
+let test_skew_valid_allocates_nothing () =
+  List.iter
+    (fun offsets ->
+      let m =
+        Sim.Model.make ~n:(Array.length offsets) ~d:(rat 12 1) ~u:(rat 4 1)
+          ~eps:(rat 3 1)
+      in
+      let before = Gc.minor_words () in
+      let ok = Sim.Model.skew_valid m offsets in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "within eps" true ok;
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "n = %d" (Array.length offsets))
+        0. words)
+    [ [| rat 0 1; rat 3 1; rat 1 1 |]; [| rat 2 1; rat 0 1; rat (-1) 1; rat 1 1 |] ]
+
 let test_random_deterministic () =
   let sample net =
     List.init 20 (fun seq ->
@@ -255,7 +297,7 @@ module Scaled (X : Scenario.Packed_type.RUNNER) = struct
       cfg with
       model = Sim.Model.make ~n:m.n ~d:(s m.d) ~u:(s m.u) ~eps:(s m.eps);
       offsets = Array.map s cfg.offsets;
-      delay = Sim.Net.map s cfg.delay;
+      delay = Sim.Net.scale k cfg.delay;
       faults =
         {
           cfg.faults with
@@ -339,6 +381,9 @@ let () =
           Alcotest.test_case "derived quantities" `Quick test_derived_quantities;
           Alcotest.test_case "delay_valid" `Quick test_delay_valid;
           Alcotest.test_case "skew_valid" `Quick test_skew_valid;
+          QCheck_alcotest.to_alcotest prop_skew_is_pairwise;
+          Alcotest.test_case "skew_valid allocates nothing" `Quick
+            test_skew_valid_allocates_nothing;
         ] );
       ( "net",
         [

@@ -197,6 +197,83 @@ let test_cached_ctx_restamped ~faults () =
   Alcotest.(check int) "every application timer fired" 12 !timers;
   Alcotest.(check bool) "application receives happened" true (!receives >= 12)
 
+(* The wrapped handlers share one application ctx, re-stamped per
+   event like the engine's.  For n = 2..5, under drops and duplicates
+   (so retransmissions and acks of one process interleave with the
+   events of another): each process is invoked with its own id, each
+   timer carries its setter's, each message names its sender and its
+   addressee ([-1] for a broadcast), and each response must complete
+   the responding process's own operation.  test_engine runs the same
+   protocol raw and wrapped on a fault-free network. *)
+type stamped = { from : int; dest : int }
+
+let test_ctx_self_per_process () =
+  for n = 2 to 5 do
+    let model =
+      Sim.Model.make ~n ~d:(rat 10 1) ~u:(rat 4 1) ~eps:(rat 1 1)
+    in
+    let failures = ref [] in
+    let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+    let expect what ~proc (ctx : (stamped, int, int) Sim.Engine.ctx) =
+      if ctx.self <> proc then fail "%s for %d: ctx.self = %d" what proc ctx.self
+    in
+    let app : (stamped, int, int, int) Sim.Engine.handlers =
+      {
+        on_invoke =
+          (fun ctx proc ->
+            expect "invoke" ~proc ctx;
+            let next = (ctx.self + 1) mod ctx.n in
+            ctx.send ~dst:next { from = ctx.self; dest = next };
+            ctx.broadcast { from = ctx.self; dest = -1 };
+            ignore (ctx.set_timer_after (rat (31 + ctx.self) 3) ctx.self));
+        on_receive =
+          (fun ctx ~src m ->
+            if m.from <> src then fail "sent by %d, left from %d" m.from src;
+            if m.dest >= 0 then expect "receive" ~proc:m.dest ctx
+            else if ctx.self = src then fail "broadcast from %d came back" src);
+        on_timer =
+          (fun ctx owner ->
+            expect "timer" ~proc:owner ctx;
+            ctx.respond ctx.self);
+      }
+    in
+    let handlers, channel =
+      Core.Reliable.wrap ~config:(Core.Reliable.default_config model) ~n app
+    in
+    let e =
+      Sim.Engine.create
+        ~faults:
+          (Sim.Fault.plan ~seed:n
+             [ Sim.Fault.drops 0.2; Sim.Fault.duplicates 0.2 ])
+        ~model ~offsets:(Array.make n Rat.zero)
+        ~delay:(Sim.Net.random_model ~seed:n model)
+        ~handlers ()
+    in
+    let rounds = Array.make n 3 in
+    Sim.Engine.set_response_callback e (fun ~proc ~inv ~resp ~time ->
+        if inv <> proc || resp <> proc then
+          fail "operation of %d at %d answered %d" inv proc resp;
+        rounds.(proc) <- rounds.(proc) - 1;
+        if rounds.(proc) > 0 then
+          Sim.Engine.schedule_invoke e ~at:(Rat.add time (rat 1 3)) ~proc proc);
+    for proc = 0 to n - 1 do
+      Sim.Engine.schedule_invoke e ~at:(rat proc 3) ~proc proc
+    done;
+    Sim.Engine.run e;
+    let label = Printf.sprintf "n = %d" n in
+    Alcotest.(check (list string))
+      (label ^ ": every ctx acts for its process")
+      [] (List.rev !failures);
+    Alcotest.(check int)
+      (label ^ ": every operation completed")
+      (3 * n)
+      (Sim.Trace.operation_count (Sim.Engine.trace e));
+    Alcotest.(check bool)
+      (label ^ ": payloads were retransmitted")
+      true
+      (channel.Core.Reliable.retransmits > 0)
+  done
+
 (* Twelve payloads sent at one instant on one stream, over drops,
    duplicates and reordering: the sender's ring of unacknowledged
    payloads grows 2 -> 4 -> 8 -> 16 while they are in flight, and the
@@ -270,6 +347,8 @@ let () =
             test_health_clauses;
           Alcotest.test_case "window growth keeps FIFO" `Quick
             test_window_growth_keeps_fifo;
+          Alcotest.test_case "ctx acts for the dispatched process" `Quick
+            test_ctx_self_per_process;
           Alcotest.test_case "recovers from a storm" `Quick
             test_recovers_from_storm;
           Alcotest.test_case "cached ctx reads the current clocks" `Quick

@@ -47,11 +47,11 @@ let test_invalid_entries () =
 let test_max_skew () =
   Alcotest.(check string) "skew of mixed offsets" "5/2"
     (Rat.to_string
-       (Bounds.Shifting.max_skew [| rat (-1) 1; rat 3 2; Rat.zero |]));
+       (Sim.Model.max_skew [| rat (-1) 1; rat 3 2; Rat.zero |]));
   Alcotest.(check bool) "admissible within eps" true
-    (Bounds.Shifting.skew_admissible model [| Rat.zero; rat 2 1; rat 1 1 |]);
+    (Sim.Model.skew_valid model [| Rat.zero; rat 2 1; rat 1 1 |]);
   Alcotest.(check bool) "inadmissible beyond eps" false
-    (Bounds.Shifting.skew_admissible model [| Rat.zero; rat 5 2; Rat.zero |])
+    (Sim.Model.skew_valid model [| Rat.zero; rat 5 2; Rat.zero |])
 
 (* --- trace-level shifting on real runs of Algorithm 1 --- *)
 

@@ -492,6 +492,84 @@ let test_net_random_pinned () =
     (draws
        (Sim.Net.random ~seed:1234 ~lo:(rat 3 2) ~hi:(rat 7 1) ~granularity:5))
 
+(* A grid keeps its first point, its step and its count, and folds
+   only its first two points and its last.  Every point is an integer
+   combination of the first two, so a run's quantum must be the one
+   all seventeen points give: for every cell of the reference grid, a
+   matrix holding each point of the cell's delay grid gives the same
+   quantum as the grid. *)
+let test_net_quantum_reference_grid () =
+  let grid = Sweep.default_grid in
+  let checked = ref 0 in
+  List.iter
+    (fun (c : Sweep.cell) ->
+      let (module E : Scenario.Packed_type.RUNNER) =
+        Scenario.Packed_type.runner c.dt
+      in
+      match E.config_of (Scenario.of_sweep_cell grid c) with
+      | Error e -> Alcotest.fail e
+      | Ok cfg ->
+          let m = cfg.model in
+          let point k =
+            Rat.add (Sim.Model.min_delay m) (Rat.mul_int (Rat.div_int m.u 16) (k mod 17))
+          in
+          let every =
+            Sim.Net.matrix
+              (Array.init 5 (fun i -> Array.init 5 (fun j -> point ((5 * i) + j))))
+          in
+          incr checked;
+          Alcotest.(check int)
+            (Sweep.cell_key grid c)
+            (E.R.quantum { cfg with delay = every })
+            (E.R.quantum cfg))
+    (List.filter
+       (fun (c : Sweep.cell) -> c.delays = Sweep.Random_delays)
+       (Sweep.cells grid));
+  Alcotest.(check bool) "every reference cell draws random delays" true
+    (!checked = List.length (Sweep.cells grid))
+
+(* Scaling a grid scales its first point and its step, and the scaled
+   grid shares the original's random state: drawing from two fresh
+   grids of one seed, one scaled by [k], gives the same delays up to
+   the factor [k]. *)
+let prop_net_scale_commutes =
+  QCheck.Test.make ~name:"draw then scale = scale then draw" ~count:200
+    QCheck.(
+      quad (int_range 0 10_000) (pair (int_range (-50) 50) (int_range 1 12))
+        (pair (int_range 0 60) (int_range 1 20))
+        (int_range 1 1000))
+    (fun (seed, (lo_num, lo_den), (span, granularity), k) ->
+      let lo = rat lo_num lo_den in
+      let hi = Rat.add lo (rat span 7) in
+      let net () = Sim.Net.random ~seed ~lo ~hi ~granularity in
+      let draws net =
+        List.init 40 (fun seq ->
+            Sim.Net.delay net ~src:0 ~dst:1 ~time:Rat.zero ~seq)
+      in
+      List.for_all2
+        (fun a b -> Rat.equal (Rat.mul_int a k) b)
+        (draws (net ()))
+        (draws (Sim.Net.scale k (net ()))))
+
+(* A draw in quanta computes its point on ints; a grid of fractions
+   builds its points on its first draw.  Either way a draw allocates
+   nothing. *)
+let test_net_draw_allocates_nothing () =
+  let model = Sim.Model.make_optimal_eps ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) in
+  List.iter
+    (fun (label, net) ->
+      let draw () = Sim.Net.delay net ~src:0 ~dst:1 ~time:Rat.zero ~seq:0 in
+      ignore (draw ());
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (draw ()))
+      done;
+      Alcotest.(check (float 0.)) label 0. (Gc.minor_words () -. before))
+    [
+      ("in quanta", Sim.Net.scale 4 (Sim.Net.random_model ~seed:9 model));
+      ("in model units", Sim.Net.random_model ~seed:9 model);
+    ]
+
 (* ---------------- histogram ---------------- *)
 
 let test_hist_quantiles () =
@@ -712,6 +790,30 @@ let test_dropped_arrivals_allocate_nothing () =
 (* A latency that is a whole number of the histogram's quanta lands in
    its bucket without a boxed float: once the window covers the
    samples, adding them allocates nothing. *)
+(* Grouped keeps its keys in first-seen order in arrays that start at
+   three slots and double: seven keys grow them twice.  A key equal to
+   one seen before, though not the same string, is that key, and once
+   a key has been seen adding to it allocates nothing. *)
+let test_grouped_add_allocates_nothing () =
+  let module G = Core.Metrics.Grouped in
+  let g = G.create () in
+  let keys = [| "a"; "b"; "c"; "d"; "e"; "f"; "g" |] in
+  Array.iteri (fun i k -> G.add g k (Rat.of_int i)) keys;
+  G.add g (String.make 1 'c') (Rat.of_int 10_000);
+  let before = Gc.minor_words () in
+  for i = 0 to 699 do
+    G.add g keys.(i mod 7) (Rat.of_int i)
+  done;
+  Alcotest.(check (float 0.)) "no word per add" 0. (Gc.minor_words () -. before);
+  let summaries = G.summaries g in
+  Alcotest.(check (list string)) "first-seen order" (Array.to_list keys)
+    (List.map fst summaries);
+  Alcotest.(check (list int)) "counts"
+    [ 101; 101; 102; 101; 101; 101; 101 ]
+    (List.map (fun (_, (s : Core.Metrics.summary)) -> s.count) summaries);
+  Alcotest.(check string) "max of c" "10000"
+    (Rat.to_string (List.assoc "c" summaries).max)
+
 let test_hist_add_allocates_nothing () =
   let h = Core.Metrics.Hist.create ~quantum:1024 () in
   let samples = Array.init 10_000 (fun i -> Rat.of_int ((i * 37) + 5)) in
@@ -816,6 +918,8 @@ let () =
             test_dropped_arrivals_allocate_nothing;
           Alcotest.test_case "hist add allocates nothing" `Quick
             test_hist_add_allocates_nothing;
+          Alcotest.test_case "grouped add allocates nothing" `Quick
+            test_grouped_add_allocates_nothing;
           Alcotest.test_case "paced hand-off allocates only the lift" `Quick
             test_paced_handoff_allocates_only_lift;
         ] );
@@ -823,6 +927,11 @@ let () =
         [
           Alcotest.test_case "random draws pinned" `Quick
             test_net_random_pinned;
+          Alcotest.test_case "quantum unchanged on the reference grid" `Quick
+            test_net_quantum_reference_grid;
+          QCheck_alcotest.to_alcotest prop_net_scale_commutes;
+          Alcotest.test_case "a draw allocates nothing" `Quick
+            test_net_draw_allocates_nothing;
         ] );
       ( "metrics",
         [
