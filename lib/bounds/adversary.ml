@@ -27,13 +27,6 @@ let pp_claim ppf c =
 (* Algebraic modulo: always in [0, k). *)
 let ( %% ) a k = ((a mod k) + k) mod k
 
-let matrix_equal a b =
-  let n = Array.length a in
-  Array.length b = n
-  && Array.for_all2
-       (fun ra rb -> Array.for_all2 Rat.equal ra rb)
-       a b
-
 (** Theorem 2 (pure accessor lower bound u/4): base run has uniform
     delays [d - u/2]; case 1 shifts [(u/4, -u/4, 0, ...)], case 2 the
     opposite.  The proof's displayed post-shift delays are checked
@@ -358,8 +351,6 @@ module Thm5 = struct
     ]
 end
 
-let _ = matrix_equal
-
 (* ------------------------------------------------------------------ *)
 (* Probing candidate delay matrices against the bound tables           *)
 
@@ -391,18 +382,13 @@ module Probe = struct
         else None
     | Spec.Op_kind.Mixed -> Some (Theorems.thm4_pair_free model)
 
-  let upper_bound (model : Sim.Model.t) ~x = function
-    | Spec.Op_kind.Pure_accessor -> Theorems.ub_pure_accessor model ~x
-    | Spec.Op_kind.Pure_mutator -> Theorems.ub_pure_mutator model ~x
-    | Spec.Op_kind.Mixed -> Theorems.ub_mixed model
-
   let assess ~(model : Sim.Model.t) ~x ~matrix ~observed =
     let matrix_admissible = Sim.Net.matrix_valid model matrix in
     let assessments =
       List.map
         (fun (kind, worst) ->
           let lower = lower_bound model kind in
-          let upper = upper_bound model ~x kind in
+          let upper = Theorems.ub_for_class model ~x kind in
           {
             kind;
             observed = worst;

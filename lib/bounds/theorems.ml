@@ -59,6 +59,11 @@ let ub_pure_mutator (model : Sim.Model.t) ~x =
 
 let ub_mixed (model : Sim.Model.t) = Rat.add model.d model.eps
 
+let ub_for_class (model : Sim.Model.t) ~x = function
+  | Spec.Op_kind.Pure_accessor -> ub_pure_accessor model ~x
+  | Spec.Op_kind.Pure_mutator -> ub_pure_mutator model ~x
+  | Spec.Op_kind.Mixed -> ub_mixed model
+
 (** Folklore baselines (§1): centralized takes up to [2d] per
     operation; clock-based total-order broadcast takes [d + eps]. *)
 let ub_centralized (model : Sim.Model.t) = Rat.mul_int model.d 2

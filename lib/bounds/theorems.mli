@@ -41,6 +41,10 @@ val ub_pure_mutator : Sim.Model.t -> x:Rat.t -> Rat.t
 val ub_mixed : Sim.Model.t -> Rat.t
 (** [d + eps]. *)
 
+val ub_for_class : Sim.Model.t -> x:Rat.t -> Spec.Op_kind.t -> Rat.t
+(** The bound of an operation class: {!ub_pure_accessor},
+    {!ub_pure_mutator} or {!ub_mixed}. *)
+
 val ub_centralized : Sim.Model.t -> Rat.t
 (** Folklore baseline: [2d] per operation. *)
 

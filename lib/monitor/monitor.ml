@@ -24,9 +24,11 @@
      {!order_failure}) or absent, to Wing-Gong.  So the monitor path
      never changes an answer, only the time it takes.
 
-   One verifier ([verify_order]) checks both kernel certificates and
-   supplied orders: a supplied order is only ever a candidate, so a
-   wrong one costs a Wing-Gong run, never a wrong verdict.
+   One verifier ([verify_order]) checks kernel certificates, supplied
+   orders and Wing-Gong's linearizations alike: a supplied order is
+   only ever a candidate, so a wrong one costs a Wing-Gong run, never a
+   wrong verdict; and no accept, whichever engine found it, is reported
+   before its order replays.
 
    The kernels read the history as columns ({!Record.view}) built
    straight from the operation array, and every witness — a kernel
@@ -56,12 +58,11 @@ let method_to_string = function
 let monitored_kind (module T : Spec.Data_type.S) : V.kind option =
   Option.map (fun vw -> vw.V.kind) T.monitor
 
-let kernel = function
-  | V.Register -> Register_kernel.check
-  | V.Queue -> Queue_kernel.check
-  | V.Stack -> Stack_kernel.check
-  | V.Set -> Set_kernel.check
-  | V.Priority_queue -> Pqueue_kernel.check
+let kernel kind view =
+  match kind with
+  | V.Register -> Register_kernel.check view
+  | V.Set -> Set_kernel.check view
+  | V.Queue | V.Stack | V.Priority_queue -> Container_kernel.check ~kind view
 
 (* The kernel over records rather than columns: an adapter for callers
    that still build [Record.t] arrays (ids their positions). *)
@@ -103,8 +104,9 @@ module Make (T : Spec.Data_type.S) = struct
             then came from the supplied order or from Wing-Gong) *)
     violation : Violation.t option;  (** monitor witness when rejected *)
     order_failure : order_failure option;
-        (** why the supplied order was refused, when it was; Wing-Gong
-            then decided *)
+        (** why a candidate order was refused, when one was: the
+            supplied order (Wing-Gong then decided), or Wing-Gong's own
+            (the history is then not reported linearizable) *)
   }
 
   let viewer = T.monitor
@@ -128,19 +130,6 @@ module Make (T : Spec.Data_type.S) = struct
       obs = vw.V.obs o.inv o.resp;
       start = o.inv_time;
       finish = o.resp_time;
-    }
-
-  (* Wing-Gong on the history array.  [reason] is why the kernel did
-     not decide; it is absent when Wing-Gong runs as the oracle. *)
-  let wing_gong ?max_nodes ?order_failure ?reason arr =
-    let linearization = Fallback.positions ?max_nodes arr in
-    {
-      linearizable = Option.is_some linearization;
-      linearization;
-      method_ = Wing_gong;
-      fallback = reason;
-      violation = None;
-      order_failure;
     }
 
   (* How far back [explain_replay] looks for the operation a
@@ -259,6 +248,31 @@ module Make (T : Spec.Data_type.S) = struct
         Format.fprintf ppf
           "%a is placed after %a, which it precedes in real time" op second
           op first
+
+  (* Wing-Gong on the history array.  [reason] is why the kernel did
+     not decide; it is absent when Wing-Gong runs as the oracle.  Its
+     linearization passes [verify_order] like every other witness: the
+     search memoises states by their [T.show_state] rendering, so two
+     states that render alike could hand it an order that does not
+     replay.  Such an order is named in [order_failure], and the
+     history is not reported linearizable. *)
+  let wing_gong ?max_nodes ?order_failure ?reason arr =
+    let linearization, order_failure =
+      match Fallback.positions ?max_nodes arr with
+      | None -> (None, order_failure)
+      | Some lin as found -> (
+          match verify_order arr lin with
+          | Ok () -> (found, order_failure)
+          | Error f -> (None, Some f))
+    in
+    {
+      linearizable = Option.is_some linearization;
+      linearization;
+      method_ = Wing_gong;
+      fallback = reason;
+      violation = None;
+      order_failure;
+    }
 
   (* The kernel-certificate form of [verify_order] for callers of
      {!kernel_for}; [records] carry nothing the verifier needs. *)

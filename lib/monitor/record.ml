@@ -277,7 +277,7 @@ let value_classes (v : view) ~keep =
 
 (* --- Per-value classes -------------------------------------------------
 
-   The container kernels (queue, stack, priority queue) all start by
+   The container kernel (queue, stack, priority queue) starts by
    grouping operations by value: the unique [Put v], the unique
    [Take (Some v)], and the [Peek (Some v)] observations, plus the
    shared pool of empty observations ([Take None] / [Peek None]).
@@ -323,8 +323,8 @@ let violation ~kind ~rule (v : view) culprits message =
        message)
 
 (* Group operations and run the per-value patterns.  [Ok classes] when
-   no cheap pattern fires; kernels then continue with shape-specific
-   scans.  Operations with observations outside the container
+   no cheap pattern fires; the container kernel then continues with its
+   shape's scans.  Operations with observations outside the container
    vocabulary yield [Unknown] (the dispatcher falls back).
 
    One pass over the operations groups them and looks for the first

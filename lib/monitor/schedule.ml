@@ -1,10 +1,10 @@
 (* Lazy-insertion construction of a candidate linearization for
    container histories (queue, stack, priority queue).
 
-   The kernel fixes an insertion order for the values (a linear
-   extension of every precedence real time forces — each kernel picks
-   the extension its shape wants) and this scheduler replays the
-   history against an abstract container of that shape.  It keeps
+   The container kernel fixes an insertion order for the values (a
+   linear extension of every precedence real time forces, the one
+   {!Sweeps.value_order} prefers for the shape) and this scheduler
+   replays the history against an abstract container of that shape.  It keeps
    servicing the access point (head / top / max) — peeks of the value
    there, then its take — and grows the container only when real time
    {e forces} the next insertion: some operation of a pending value
@@ -26,13 +26,12 @@
    array of them (a FIFO window, a stack, or a max-heap on the value),
    and each item's peeks sit in one flat array sorted once. *)
 
-type shape = Queue_shape | Stack_shape | Priority_shape
 type action = Idle | Insert | Peek | Take | Empty
 
-(* [run ~shape cl ~order]: [order] is the insertion sequence over value
-   classes (every class has a put — the cheap patterns rejected fresh
-   observations already). *)
-let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
+(* [run ~kind cl ~order]: [kind] is the container's shape, and [order]
+   the insertion sequence over value classes (every class has a put —
+   the cheap patterns rejected fresh observations already). *)
+let run ~kind (cl : Record.classes) ~(order : int array) : Record.outcome =
   let start = cl.view.start and take = cl.take in
   let finish id = cl.view.finish.(id) in
   let m = Array.length order in
@@ -92,25 +91,25 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
   in
   let head () =
     if !lo = !hi then -1
-    else match shape with Stack_shape -> cont.(!hi - 1) | _ -> cont.(!lo)
+    else
+      match kind with Spec.Adt_view.Stack -> cont.(!hi - 1) | _ -> cont.(!lo)
   in
   let insert k =
     cont.(!hi) <- k;
     incr hi;
-    match shape with
-    | Queue_shape | Stack_shape -> ()
-    | Priority_shape ->
+    match kind with
+    | Spec.Adt_view.Priority_queue ->
         let i = ref (!hi - 1) in
         while !i > 0 && value cont.((!i - 1) / 2) < value cont.(!i) do
           swap !i ((!i - 1) / 2);
           i := (!i - 1) / 2
         done
+    | _ -> ()
   in
   let remove_head () =
-    match shape with
-    | Queue_shape -> incr lo
-    | Stack_shape -> decr hi
-    | Priority_shape ->
+    match kind with
+    | Spec.Adt_view.Stack -> decr hi
+    | Spec.Adt_view.Priority_queue ->
         decr hi;
         cont.(0) <- cont.(!hi);
         let i = ref 0 and sifting = ref true in
@@ -126,6 +125,7 @@ let run ~shape (cl : Record.classes) ~(order : int array) : Record.outcome =
           end
           else sifting := false
         done
+    | _ -> incr lo
   in
   let out = Array.make total 0 in
   let emitted = ref 0 in

@@ -1,11 +1,13 @@
-(* Shared O(n log n) order-pattern sweeps for the container kernels.
+(* The container kernel's O(n log n) sweeps: its order patterns and
+   the insertion order of its certificate.
 
-   Both sweeps look for the same shape of necessary violation: an
-   operation observes value [x] at the container's access point (head,
-   top, or max) although some other value is {e forced} to be ahead of
-   it there — inserted early enough that every linearization places it
-   in the container before the observation, and removed too late (or
-   never) for any linearization to have gotten it out of the way.
+   Both pattern sweeps look for the same shape of necessary violation:
+   an operation observes value [x] at the container's access point
+   (head, top, or max) although some other value is {e forced} to be
+   ahead of it there — inserted early enough that every linearization
+   places it in the container before the observation, and removed too
+   late (or never) for any linearization to have gotten it out of the
+   way.
 
    - [queue_fifo] (HSV VOrd aspect): value [u] forced enqueued before
      [v] (finish of enq u < start of enq v) must be dequeued before any
@@ -186,29 +188,25 @@ let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
 
 (* --- value insertion order ---------------------------------------- *)
 
-type order_style =
-  | Fifo_order
-      (** queue: phases run in value order, so the phase intervals are a
-          second interval order over the values *)
-  | Push_order
-      (** stack: only the put order and gone-before-put precedences
-          constrain the insertion sequence; the preference tiers encode
-          LIFO burying *)
-  | Prio_order
-      (** priority queue: insertion order is semantically free (the
-          container sorts by value), so the best candidate is the real
-          put order — a late-pushed maximum must not shadow earlier
-          observations *)
-
 (* A linear extension of every precedence real time forces on the
    insertion sequence:
    - put(u) entirely before put(v): u inserted first;
    - u's whole phase entirely before put(v): u was inserted, observed
      and removed before v existed;
-   - (FIFO only) u's phase entirely before v's phase: the head reigns
-     happen in insertion order.
+   - (queue only) u's phase entirely before v's phase: the head reigns
+     happen in insertion order, so the phase intervals are a second
+     interval order over the values;
+   - (stack only) the LIFO residency edges below.
+   Among the orders these allow, each shape prefers its own: the queue
+   takes in insertion order, with peeked but never taken values near
+   the end and never observed ones last; the stack and the priority
+   queue prefer put-finish order, the best guess at the real put order
+   — for the stack the residency edges pin every observably forced
+   depth relation, and for the priority queue the insertion order is
+   semantically free (the container sorts by value), so a late-pushed
+   maximum must not shadow earlier observations.
    Returns the classes in insertion order. *)
-let value_order ~style (cl : Record.classes) : int array option =
+let value_order ~kind (cl : Record.classes) : int array option =
   let start = cl.view.start and finish = cl.view.finish in
   let put = cl.put and take = cl.take in
   let m = cl.count in
@@ -252,8 +250,8 @@ let value_order ~style (cl : Record.classes) : int array option =
   in
   let finish_of ids i j = Rat.compare finish.(ids.(i)) finish.(ids.(j)) in
   let relations, prefer =
-    match style with
-    | Fifo_order ->
+    match kind with
+    | Spec.Adt_view.Queue ->
         let phase_order =
           { Extension.f = fp; s = Array.init m (Record.phase_last_start cl) }
         in
@@ -273,15 +271,11 @@ let value_order ~style (cl : Record.classes) : int array option =
             match Int.compare tier.(i) tier.(j) with
             | 0 -> finish_of key i j
             | c -> c )
-    | Push_order | Prio_order ->
-        (* for a stack the residency edges pin every observably-forced
-           depth relation; among the rest, put-finish order is the best
-           guess at the real push order *)
-        ([ put_order; gone_before_put ], finish_of put)
+    | _ -> ([ put_order; gone_before_put ], finish_of put)
   in
   let edges =
-    match style with
-    | Push_order -> residency_edges ()
-    | Fifo_order | Prio_order -> Extension.Edges.create ()
+    match kind with
+    | Spec.Adt_view.Stack -> residency_edges ()
+    | _ -> Extension.Edges.create ()
   in
   Extension.solve cl.view ~m ~relations ~edges prefer

@@ -42,11 +42,7 @@ type verdict = {
 
 let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   match algo with
-  | Wtlw _ -> (
-      match kind with
-      | Spec.Op_kind.Pure_accessor -> Bounds.Theorems.ub_pure_accessor judged ~x
-      | Spec.Op_kind.Pure_mutator -> Bounds.Theorems.ub_pure_mutator judged ~x
-      | Spec.Op_kind.Mixed -> Bounds.Theorems.ub_mixed judged)
+  | Wtlw _ -> Bounds.Theorems.ub_for_class judged ~x kind
   | Centralized -> Bounds.Theorems.ub_centralized judged
   | Tob -> Bounds.Theorems.ub_tob judged
 

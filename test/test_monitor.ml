@@ -326,6 +326,44 @@ let test_unmonitored_fallback () =
   Alcotest.(check bool) "by wing-gong" true (r.M.method_ = Monitor.Wing_gong);
   Alcotest.(check bool) "with a reason" true (r.M.fallback <> None)
 
+(* Wing-Gong's accepts pass the one verifier too.  The search interns
+   states by [show_state]; a register whose states all render alike
+   makes it apply the read to the wrong state, so a read of the
+   initial 0 after a completed write of 1 replays in its search.  The
+   replay refuses that order, names it, and the history is not
+   reported linearizable. *)
+module Blind = struct
+  include Spec.Register
+
+  let show_state _ = "register"
+  let monitor = None
+end
+
+let test_wing_gong_verified () =
+  let module M = Monitor.Make (Blind) in
+  let op proc s inv resp : M.op =
+    {
+      proc;
+      inv;
+      resp;
+      inv_time = Rat.of_int s;
+      resp_time = Rat.of_int (s + 1);
+    }
+  in
+  let arr =
+    [| op 0 0 (Spec.Register.Write 1) Spec.Register.Ack;
+       op 1 2 Spec.Register.Read (Spec.Register.Value 0) |]
+  in
+  let r = M.check_array arr in
+  Alcotest.(check bool) "not reported linearizable" false r.M.linearizable;
+  Alcotest.(check bool) "no linearization" true (r.M.linearization = None);
+  Alcotest.(check bool) "by wing-gong" true (r.M.method_ = Monitor.Wing_gong);
+  Alcotest.(check bool)
+    "the refused order is named" true
+    (match r.M.order_failure with
+    | Some (Monitor.Replay_mismatch { op = 1; _ }) -> true
+    | _ -> false)
+
 (* ---------- hand-written adversarial histories -------------------- *)
 
 let expect_reject name rule (linearizable, violation) =
@@ -895,6 +933,8 @@ let () =
           Alcotest.test_case "kernel sort is stable" `Quick test_stable_sort;
           Alcotest.test_case "unmonitored type falls back" `Quick
             test_unmonitored_fallback;
+          Alcotest.test_case "wing-gong accepts are verified" `Quick
+            test_wing_gong_verified;
           Alcotest.test_case "array and list entries agree" `Quick
             test_entries_agree;
           Alcotest.test_case "record adapter and columns agree" `Quick
