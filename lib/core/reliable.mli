@@ -26,7 +26,8 @@ type config = {
 }
 
 val config : ?max_retries:int -> rto:Rat.t -> unit -> config
-(** @raise Invalid_argument if [rto <= 0] or [max_retries < 0]. *)
+(** @raise Invalid_argument if [rto <= 0], or if [max_retries] is
+    negative or above {!Retransmit_tag.max_retries}. *)
 
 val default_config : Sim.Model.t -> config
 (** [rto = 2d] (a full request/ack round trip), [max_retries = 6]. *)
@@ -57,6 +58,26 @@ type 'tag timer
 (** Wire-level timer tags: either the application's own timers or the
     layer's retransmission timers. *)
 
+(** A retransmission timer's tag: the payload's destination, its
+    sequence number on the stream and the attempt the timer starts,
+    packed into one int. *)
+module Retransmit_tag : sig
+  val max_retries : int
+  (** [254]: the largest [max_retries] a tag counts to, since a timer
+      fires with attempt [max_retries + 1] to abandon its payload. *)
+
+  val seq_limit : int
+  (** [2^34]: the first sequence number a tag cannot carry. *)
+
+  val pack : dst:int -> seq:int -> attempt:int -> int
+  (** @raise Invalid_argument naming the tag if [seq >= seq_limit]: a
+      send that would number its payload so is refused. *)
+
+  val dst : int -> int
+  val seq : int -> int
+  val attempt : int -> int
+end
+
 (** Per-run channel counters (all monotone). *)
 type stats = {
   mutable sent : int;  (** application-level sends *)
@@ -78,7 +99,15 @@ val wrap :
     deduplicated, per-edge-FIFO application messages.  The returned
     stats are live — read them after the run.
 
+    The per-stream state lives in flat arrays indexed [self * n +
+    peer], each stream's rings allocated at its first entry, so a send
+    allocates its wire messages and its one-int retransmission tag
+    and nothing else.
+
     The algorithm's handlers get one ctx, reused across events and
     processes exactly as {!Sim.Engine} reuses its own: [self] and the
     clock fields are re-stamped before each handler runs, so the ctx is
-    valid only for the handler call it was passed to. *)
+    valid only for the handler call it was passed to.
+    @raise Invalid_argument if [config.max_retries] is out of
+    {!config}'s range or [n] is above [2^20], the destinations a
+    {!Retransmit_tag} holds. *)

@@ -112,14 +112,40 @@ let lossy_diurnal_register_cfg =
        ~algorithm:(Core.Runtime.Wtlw { x = Rat.make 9 2 })
        ~seed:11 ())
 
+(* A harsher lossy leg, as [repro load -n 6 --reliable --faults
+   drop=0.2,dup=0.1 --shards 2 --ops 8000] runs it: six processes, so a
+   stream's rings grow past two slots, the hold-back buffer reorders,
+   and payloads exhaust their retries.  The queue certifies (only acks
+   were lost for good); the register is flagged, because a payload
+   exhausted its retries and its write never arrived. *)
+let harsh_lossy_cfg =
+  let model =
+    Sim.Model.make_optimal_eps ~n:6 ~d:(Rat.of_int 12) ~u:(Rat.of_int 4)
+  in
+  Shard.Config.reliable
+    (Shard.Config.make ~shards:2 ~ops:8000 ~zipf:1.0
+       ~faults:
+         (Sim.Fault.plan [ Sim.Fault.drops 0.2; Sim.Fault.duplicates 0.1 ])
+       ~max_check_nodes:200_000
+       ~arrival:(Core.Workload.Poisson { rate = Rat.one })
+       ~model
+       ~algorithm:(Core.Runtime.Wtlw { x = Rat.make 13 3 })
+       ~seed:1 ())
+
 let queue_golden = "5a121aed2770c595d5dd0f135aa1b344"
 let register_golden = "cac0e63077294ba777e506c3582bff73"
 let bursty_queue_golden = "8853b859aaaa2a953458b5b3a8aab449"
 let diurnal_queue_golden = "9e905352f8e987e5fa0eacdf8ede32c7"
 let lossy_diurnal_golden = "2d261b29dc564bb85d97895b7398914a"
+let harsh_queue_golden = "4bb8fe7885498273f1409537ebc3e405"
+let harsh_register_golden = "584c9725930c55569f384efa47b1eae8"
 
-let shard_golden ~name ~golden cfg pt () =
-  let fp1 = Shard.fingerprint (Shard.run ~jobs:1 cfg pt) in
+let shard_golden ?certified ~name ~golden cfg pt () =
+  let t = Shard.run ~jobs:1 cfg pt in
+  Option.iter
+    (fun c -> Alcotest.(check bool) "certified" c t.Shard.certified)
+    certified;
+  let fp1 = Shard.fingerprint t in
   let fp2 = Shard.fingerprint (Shard.run ~jobs:2 cfg pt) in
   let dir = temp_dir ("golden-" ^ name) in
   let t1 =
@@ -217,6 +243,15 @@ let () =
             `Quick
             (shard_golden ~name:"diurnal-register"
                ~golden:lossy_diurnal_golden lossy_diurnal_register_cfg
+               (packed "register"));
+          Alcotest.test_case "harsh lossy queue at jobs 1, 2 and resumed"
+            `Quick
+            (shard_golden ~name:"harsh-queue" ~certified:true
+               ~golden:harsh_queue_golden harsh_lossy_cfg (packed "queue"));
+          Alcotest.test_case "harsh lossy register at jobs 1, 2 and resumed"
+            `Quick
+            (shard_golden ~name:"harsh-register" ~certified:false
+               ~golden:harsh_register_golden harsh_lossy_cfg
                (packed "register"));
           Alcotest.test_case "schema-1 shard journal is refused" `Quick
             test_schema1_shard_journal_refused;

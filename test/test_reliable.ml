@@ -44,6 +44,121 @@ let test_config_validation () =
   invalid (fun () -> Core.Reliable.config ~rto:Rat.zero ());
   invalid (fun () -> Core.Reliable.config ~rto:(rat 1 1) ~max_retries:(-1) ())
 
+(* An application that never sends: the channel's own cost shows alone. *)
+let idle_app : (int, unit, unit, unit) Sim.Engine.handlers =
+  {
+    on_invoke = (fun _ () -> ());
+    on_receive = (fun _ ~src:_ _ -> ());
+    on_timer = (fun _ () -> ());
+  }
+
+(* A retransmission timer's tag packs (dst, seq, attempt) into one int;
+   the values at the edge of each field are refused by name rather than
+   wrapped into a neighbour, and the ones inside round-trip. *)
+let test_retransmit_tag_bounds () =
+  let module T = Core.Reliable.Retransmit_tag in
+  let refused msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let dst = (1 lsl 20) - 1
+  and seq = T.seq_limit - 1
+  and attempt = T.max_retries + 1 in
+  let tag = T.pack ~dst ~seq ~attempt in
+  Alcotest.(check bool) "non-negative" true (tag >= 0);
+  Alcotest.(check (list int)) "round trip at the bound" [ dst; seq; attempt ]
+    [ T.dst tag; T.seq tag; T.attempt tag ];
+  refused "Reliable: sequence number 2^34 does not fit the retransmit tag"
+    (fun () -> T.pack ~dst:0 ~seq:T.seq_limit ~attempt:1);
+  let rto = rat 1 1 in
+  Alcotest.(check int) "the largest count accepted" T.max_retries
+    (Core.Reliable.config ~rto ~max_retries:T.max_retries ()).max_retries;
+  refused
+    "Reliable.config: max_retries 255 exceeds 254, the most a retransmit \
+     tag counts to"
+    (fun () -> Core.Reliable.config ~rto ~max_retries:(T.max_retries + 1) ());
+  (* A config built as a record is refused by [wrap] alike. *)
+  refused
+    "Reliable.wrap: max_retries 255 exceeds 254, the most a retransmit tag \
+     counts to"
+    (fun () ->
+      Core.Reliable.wrap ~config:{ rto; max_retries = T.max_retries + 1 } ~n:3
+        idle_app);
+  (* So is an [n] whose destinations a tag cannot hold, before anything
+     of size [n * n] is allocated. *)
+  refused "Reliable.wrap: n above 2^20 does not fit the retransmit tag"
+    (fun () ->
+      Core.Reliable.wrap ~config:(Core.Reliable.config ~rto ())
+        ~n:((1 lsl 20) + 1) idle_app)
+
+(* The channel's set-up is flat: eight arrays of [n * n] slots (80
+   words at n = 3, 136 at n = 4) and the closures, with every ring left
+   empty until its stream's first entry. *)
+let test_wrap_allocation () =
+  let config = Core.Reliable.default_config model in
+  List.iter
+    (fun (n, pinned) ->
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Core.Reliable.wrap ~config ~n idle_app));
+      let words = Gc.minor_words () -. before in
+      if words > pinned then
+        Alcotest.failf "wrap at n = %d: %.0f words, pinned at %.0f" n words
+          pinned)
+    [ (3, 162.); (4, 218.) ]
+
+(* Once a stream's rings exist, a fault-free send -> deliver -> ack
+   round trip allocates exactly its wire messages, the [Payload] (3
+   words) and the [Ack] (2), and the retransmission timer's one-int tag
+   (2).  The ctx is a stub whose closures allocate nothing. *)
+let test_round_trip_allocation () =
+  let delivered = ref 0 in
+  let app : (int, unit, unit, unit) Sim.Engine.handlers =
+    {
+      on_invoke = (fun ctx () -> ctx.send ~dst:1 7);
+      on_receive = (fun _ ~src:_ m -> delivered := !delivered + m);
+      on_timer = (fun _ () -> ());
+    }
+  in
+  let handlers, stats =
+    Core.Reliable.wrap ~config:(Core.Reliable.default_config model) ~n:3 app
+  in
+  let last = ref (Core.Reliable.Ack { seq = -1 }) in
+  let ids = ref 0 and cancelled = ref (-1) in
+  let ctx :
+      (int Core.Reliable.wire, unit Core.Reliable.timer, unit) Sim.Engine.ctx =
+    {
+      self = 0;
+      n = 3;
+      real_time = Rat.zero;
+      local_time = Rat.zero;
+      send = (fun ~dst:_ m -> last := m);
+      broadcast = (fun _ -> ());
+      set_timer_after =
+        (fun _ _ ->
+          incr ids;
+          !ids);
+      cancel_timer = (fun id -> cancelled := id);
+      respond = (fun () -> ());
+    }
+  in
+  let round () =
+    ctx.self <- 0;
+    handlers.on_invoke ctx ();
+    let payload = !last in
+    ctx.self <- 1;
+    handlers.on_receive ctx ~src:0 payload;
+    let ack = !last in
+    ctx.self <- 0;
+    handlers.on_receive ctx ~src:1 ack
+  in
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "both payloads delivered" 14 !delivered;
+  Alcotest.(check int) "both payloads acked" 2 stats.Core.Reliable.acked;
+  Alcotest.(check int) "the live timer was cancelled" !ids !cancelled;
+  Alcotest.(check (float 0.)) "payload, ack and tag" 7. words
+
 let run_reliable ~faults =
   R.run
     (R.Config.reliable
@@ -334,6 +449,14 @@ let () =
           Alcotest.test_case "default config" `Quick test_default_config;
           Alcotest.test_case "inflated model" `Quick test_inflated_model;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "retransmit tag bounds" `Quick
+            test_retransmit_tag_bounds;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "wrap at n = 3 and 4" `Quick test_wrap_allocation;
+          Alcotest.test_case "a round trip allocates only the wire" `Quick
+            test_round_trip_allocation;
         ] );
       ( "end to end",
         [
