@@ -372,7 +372,8 @@ let check_cmd =
             (if linearizable then "linearizable" else "NOT linearizable")
             method_s check_s;
           Option.iter
-            (Format.printf "  fell back to wing-gong: %s@.")
+            (fun why ->
+              Format.printf "  fell back to wing-gong: %s@." (Lazy.force why))
             r.M.fallback;
           Option.iter (Format.printf "  %a@." Monitor.Violation.pp) r.M.violation;
           Option.iter
@@ -384,7 +385,7 @@ let check_cmd =
                      ("injected", Bool injected);
                      ("linearizable", Bool linearizable);
                      ("method", String method_s);
-                     ("fallback", Bool (r.M.fallback <> None));
+                     ("fallback", Bool (Option.is_some r.M.fallback));
                      ("gen_s", Fixed (6, gen_s));
                      ("check_s", Fixed (6, check_s)) ]);
               Format.printf "appended %s@." path)

@@ -11,6 +11,35 @@
    each apply on that key, latest first. *)
 type log = int list array
 
+(* [count.(p)]: how many applies in [log] served [p], for every [p]
+   that [count] covers. *)
+let rec count_applies count = function
+  | p :: rest ->
+      if p < Array.length count then count.(p) <- count.(p) + 1;
+      count_applies count rest
+  | [] -> ()
+
+(* Walk [log], latest apply first, with [count.(p)] still [p]'s number
+   of applies: each apply of [p] that has an operation to match, the
+   [k]-th of [mine.(first.(p) ..)], takes the last free slot of
+   [order] below [pos]. *)
+let rec fill_order order ~first ~mine count pos = function
+  | p :: rest ->
+      let pos =
+        if p >= Array.length count then pos
+        else begin
+          let k = count.(p) - 1 in
+          count.(p) <- k;
+          if k < first.(p + 1) - first.(p) then begin
+            order.(pos - 1) <- mine.(first.(p) + k);
+            pos - 1
+          end
+          else pos
+        end
+      in
+      fill_order order ~first ~mine count pos rest
+  | [] -> ()
+
 module Make (T : Spec.Data_type.S) = struct
   (* [op] numbers the invoking process's operations from 1, so that a
      duplicated request is applied once and a duplicated reply is
@@ -102,28 +131,44 @@ module Make (T : Spec.Data_type.S) = struct
   (* A process has at most one operation pending, so the [k]-th apply
      on [key] on behalf of process [p] is [p]'s [k]-th invocation on
      [key].  An apply with no completed operation to match (its reply
-     never arrived) is skipped. *)
+     never arrived) is skipped.  Arrays only: a counting sort groups
+     [ops]' positions by process, one pass over the log counts each
+     process's applies, and a second, latest apply first, fills the
+     order from its end. *)
   let linearization (applied : log) ~key
       (ops : (T.invocation, T.response) Sim.Trace.operation array) =
-    let procs =
-      Array.fold_left
-        (fun m (o : _ Sim.Trace.operation) -> max m (o.proc + 1))
-        0 ops
-    in
-    (* each process's operations, in the order [ops] lists them *)
-    let unmatched = Array.make procs [] in
-    for i = Array.length ops - 1 downto 0 do
-      let p = ops.(i).proc in
-      unmatched.(p) <- i :: unmatched.(p)
+    let n = Array.length ops in
+    let procs = ref 0 in
+    for i = 0 to n - 1 do
+      procs := max !procs (ops.(i).proc + 1)
     done;
-    List.fold_left
-      (fun order p ->
-        match if p < procs then unmatched.(p) else [] with
-        | i :: rest ->
-            unmatched.(p) <- rest;
-            i :: order
-        | [] -> order)
-      []
-      (List.rev (if key < Array.length applied then applied.(key) else []))
-    |> List.rev |> Array.of_list
+    let procs = !procs in
+    (* [p]'s operations, in the order [ops] lists them, are
+       [mine.(first.(p) .. first.(p + 1) - 1)] *)
+    let first = Array.make (procs + 1) 0 in
+    for i = 0 to n - 1 do
+      let p = ops.(i).proc + 1 in
+      first.(p) <- first.(p) + 1
+    done;
+    for p = 1 to procs do
+      first.(p) <- first.(p) + first.(p - 1)
+    done;
+    let count = Array.sub first 0 procs in
+    let mine = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let p = ops.(i).proc in
+      mine.(count.(p)) <- i;
+      count.(p) <- count.(p) + 1
+    done;
+    (* each process's applies, then how many of them match *)
+    Array.fill count 0 procs 0;
+    let log = if key < Array.length applied then applied.(key) else [] in
+    count_applies count log;
+    let matched = ref 0 in
+    for p = 0 to procs - 1 do
+      matched := !matched + min count.(p) (first.(p + 1) - first.(p))
+    done;
+    let order = Array.make !matched 0 in
+    fill_order order ~first ~mine count !matched log;
+    order
 end

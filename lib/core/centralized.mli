@@ -9,9 +9,9 @@
     takes up to [2d] (request + reply), and operations invoked at
     [p_0] itself are free. *)
 
-type log
+type log = int list array
 (** The coordinator's apply log: for each key, the process each apply
-    on that key served, in apply order. *)
+    on that key served, latest apply first. *)
 
 module Make (T : Spec.Data_type.S) : sig
   type msg

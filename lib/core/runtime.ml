@@ -243,15 +243,10 @@ module Make (T : Spec.Data_type.S) = struct
     | Monitor -> Mon.check_array ?max_nodes ?order arr
 
   let order_of order ~key ops =
-    let in_units offsets per =
-      if per = 1 then offsets
-      else Array.map (fun o -> Rat.div_int o per) offsets
-    in
     match order with
     | Algorithm_1 { timing; offsets; per } ->
-        Wtlw_impl.linearization ~timing ~offsets:(in_units offsets per) ops
-    | Broadcast { offsets; per } ->
-        Tob_impl.linearization ~offsets:(in_units offsets per) ops
+        Wtlw_impl.linearization ~timing ~offsets ~per ops
+    | Broadcast { offsets; per } -> Tob_impl.linearization ~offsets ~per ops
     | Applies log -> Centralized_impl.linearization log ~key ops
 
   let checked_by (r : Mon.result) =

@@ -16,10 +16,13 @@ let equal a b = compare a b = 0
 let le a b = compare a b <= 0
 let pp ppf t = Format.fprintf ppf "(%a, p%d)" Rat.pp t.time t.proc
 
+(* The comparison is total, so any sort gives the one order; the int
+   sort the monitors use builds no closure per merge and raises
+   nothing. *)
 let order ~n ~time ~proc ~late =
   let times = Array.init n time in
   let ids = Array.init n Fun.id in
-  Array.sort
+  Monitor.Record.stable_sort_ints
     (fun a b ->
       let c = Rat.compare times.(a) times.(b) in
       if c <> 0 then c

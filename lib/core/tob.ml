@@ -77,11 +77,14 @@ module Make (T : Spec.Data_type.S) = struct
     { Sim.Engine.on_invoke; on_receive; on_timer }
 
   (* Every replica executes every operation in timestamp order, and an
-     operation's response is its result there. *)
-  let linearization ~offsets
+     operation's response is its result there.  Timestamps are counted
+     in quanta of [1/per], as {!Wtlw.Make.linearization} counts them. *)
+  let linearization ~offsets ~per
       (ops : (T.invocation, T.response) Sim.Trace.operation array) =
     Timestamp.order ~n:(Array.length ops)
-      ~time:(fun i -> Rat.add ops.(i).inv_time offsets.(ops.(i).proc))
+      ~time:(fun i ->
+        let o = ops.(i) in
+        Rat.add (Rat.mul_int o.inv_time per) offsets.(o.proc))
       ~proc:(fun i -> ops.(i).proc)
       ~late:(fun _ -> false)
 

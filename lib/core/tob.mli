@@ -33,13 +33,15 @@ module Make (T : Spec.Data_type.S) : sig
 
   val linearization :
     offsets:Rat.t array ->
+    per:int ->
     (T.invocation, T.response) Sim.Trace.operation array ->
     int array
   (** The order this algorithm linearizes a run in, as positions in
       [ops]: by timestamp [(inv_time + offsets.(proc), proc)], the
       total order every replica executes in.  [offsets] are the clock
-      offsets the run used ({!Sim.Engine.effective_offsets}).  A
-      candidate only: the checker verifies it. *)
+      offsets the run used ({!Sim.Engine.effective_offsets}), in quanta
+      of [1/per] of the time unit of [ops] ([per > 0]).  A candidate
+      only: the checker verifies it. *)
 
   val create :
     model:Sim.Model.t ->

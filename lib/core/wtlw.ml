@@ -210,15 +210,19 @@ module Make (T : Spec.Data_type.S) = struct
      order, and a pure accessor reads its replica at its backdated
      timestamp after draining every mutator up to it — inclusively, so
      it follows a mutator with the same timestamp.  A timestamp is the
-     local clock at invocation, [inv_time + offsets.(proc)]. *)
-  let linearization ~timing ~offsets
+     local clock at invocation, [inv_time + offsets.(proc)], here
+     counted in quanta of [1/per]: scaling by [per > 0] keeps every
+     comparison and tie, and in a run's own quanta every timestamp is
+     an immediate int. *)
+  let linearization ~timing ~offsets ~per
       (ops : (T.invocation, T.response) Sim.Trace.operation array) =
+    let backdate = Rat.mul_int timing.accessor_backdate per in
     let accessor i = Sem.kind_of ops.(i).inv = Spec.Op_kind.Pure_accessor in
     Timestamp.order ~n:(Array.length ops)
       ~time:(fun i ->
         let o = ops.(i) in
-        let local = Rat.add o.inv_time offsets.(o.proc) in
-        if accessor i then Rat.sub local timing.accessor_backdate else local)
+        let local = Rat.add (Rat.mul_int o.inv_time per) offsets.(o.proc) in
+        if accessor i then Rat.sub local backdate else local)
       ~proc:(fun i -> ops.(i).proc)
       ~late:accessor
 

@@ -67,6 +67,7 @@ module Make (T : Spec.Data_type.S) : sig
   val linearization :
     timing:timing ->
     offsets:Rat.t array ->
+    per:int ->
     (T.invocation, T.response) Sim.Trace.operation array ->
     int array
   (** The order this algorithm linearizes a run in (Construction 1 of
@@ -75,8 +76,10 @@ module Make (T : Spec.Data_type.S) : sig
       [timing.accessor_backdate] for pure accessors — then by process,
       with an accessor after a mutator of the same timestamp.
       [offsets] are the clock offsets the run used
-      ({!Sim.Engine.effective_offsets}).  A candidate only: the
-      checker verifies it (Lemma 5 is what makes it legal). *)
+      ({!Sim.Engine.effective_offsets}), in quanta of [1/per] of the
+      time unit of [ops] and [timing] ([per > 0]); timestamps are
+      compared in those quanta.  A candidate only: the checker
+      verifies it (Lemma 5 is what makes it legal). *)
 
   val create :
     ?retain_events:bool ->

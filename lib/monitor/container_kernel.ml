@@ -35,25 +35,26 @@ module V = Spec.Adt_view
    The last two are one sweep ({!Sweeps.forced_above}) over a different
    key: the start of the push, or the priority itself. *)
 let order_pattern ~kind (cl : Record.classes) =
-  let v = cl.view in
   match kind with
   | V.Queue -> Sweeps.queue_fifo ~kind cl
   | V.Stack ->
       Sweeps.forced_above ~kind ~rule:"stack.lifo-order"
-        ~describe:
-          (Printf.sprintf
-             "value %d observed at the top but value %d is forced above it")
-        ~key:(fun u -> v.start.(cl.put.(u)))
-        ~threshold:(fun c -> v.finish.(cl.put.(c)))
+        ~describe:(fun x y ->
+          Printf.sprintf
+            "value %d observed at the top but value %d is forced above it" x
+            y)
+        ~key:(fun (cl : Record.classes) u -> cl.view.start.(cl.put.(u)))
+        ~threshold:(fun (cl : Record.classes) c -> cl.view.finish.(cl.put.(c)))
         cl
   | V.Priority_queue ->
       Sweeps.forced_above ~kind ~rule:"pqueue.priority-order"
-        ~describe:
-          (Printf.sprintf
-             "value %d observed as the maximum but larger value %d is \
-              forced present")
-        ~key:(fun u -> Rat.of_int cl.value.(u))
-        ~threshold:(fun c -> Rat.of_int cl.value.(c))
+        ~describe:(fun x y ->
+          Printf.sprintf
+            "value %d observed as the maximum but larger value %d is forced \
+             present"
+            x y)
+        ~key:(fun (cl : Record.classes) u -> Rat.of_int cl.value.(u))
+        ~threshold:(fun (cl : Record.classes) c -> Rat.of_int cl.value.(c))
         cl
   | V.Register | V.Set ->
       invalid_arg
@@ -73,5 +74,5 @@ let check ~kind (v : Record.view) : Record.outcome =
               match Sweeps.value_order ~kind classes with
               | None ->
                   Record.Unknown
-                    "no insertion order satisfies the forced precedences"
+                    (lazy "no insertion order satisfies the forced precedences")
               | Some order -> Schedule.run ~kind classes ~order)))

@@ -114,8 +114,6 @@ let make_view ~n ~observe ~start ~finish ~proc =
   done;
   { n; tags; value; start; finish; proc }
 
-let has_opaque (v : view) = Bytes.contains v.tags (Tag.to_char Tag.Opaque)
-
 let culprit (v : view) i : Violation.culprit =
   {
     index = i;
@@ -146,13 +144,14 @@ let of_records (records : t array) : view =
    semantic replay and a real-time sweep before trusting — an accept is
    always certificate-backed.  [Violation] carries a witness justified
    by a necessary condition, so it is sound on its own.  [Unknown]
-   sends the history to the Wing-Gong fallback (ambiguity, an
-   observation outside the kernel's vocabulary, or greedy
-   incompleteness). *)
+   sends the history on to the protocol's order or Wing-Gong
+   (ambiguity, an observation outside the kernel's vocabulary, or
+   greedy incompleteness), with the reason rendered only when it is
+   read: most fallbacks are never explained. *)
 type outcome =
   | Order of int array
   | Violation of Violation.t
-  | Unknown of string
+  | Unknown of string Lazy.t
 
 (* Flags, one byte each rather than a word. *)
 module Flags = struct
@@ -322,6 +321,27 @@ let violation ~kind ~rule (v : view) culprits message =
        ~culprits:(List.map (culprit v) culprits)
        message)
 
+(* The operations the container classes group: puts, takes and peeks
+   of a value. *)
+let valued (v : view) i =
+  match tag v i with Tag.Put | Tag.Take | Tag.Peek -> true | _ -> false
+
+(* The first phase entry in [j, hi) responding before [x], or invoked
+   after it; [-1] if none. *)
+let rec responds_before finish phase j hi x =
+  if j >= hi then -1
+  else if Rat.lt finish.(phase.(j)) x then phase.(j)
+  else responds_before finish phase (j + 1) hi x
+
+let rec invoked_after start phase j hi x =
+  if j >= hi then -1
+  else if Rat.lt x start.(phase.(j)) then phase.(j)
+  else invoked_after start phase (j + 1) hi x
+
+(* A per-value pattern's hit on class [c], whose value is [value.(c)]. *)
+let value_violation ~kind v value c rule culprits what =
+  violation ~kind ~rule v culprits (Printf.sprintf "value %d %s" value.(c) what)
+
 (* Group operations and run the per-value patterns.  [Ok classes] when
    no cheap pattern fires; the container kernel then continues with its
    shape's scans.  Operations with observations outside the container
@@ -338,17 +358,13 @@ let violation ~kind ~rule (v : view) culprits message =
    into a definitive, and wrong, violation. *)
 let classify ~kind (v : view) : (classes, outcome) result =
   let n = v.n in
-  let count, owner =
-    value_classes v ~keep:(fun i ->
-        match tag v i with Tag.Put | Tag.Take | Tag.Peek -> true | _ -> false)
-  in
+  let count, owner = value_classes v ~keep:(valued v) in
   let value = Array.make count 0 in
   let put = Array.make count (-1) and take = Array.make count (-1) in
   let phase_len = Array.make (count + 1) 0 in
   let n_empty = ref 0 in
   let ambiguous = ref (-1) in
   let outcome = ref None in
-  let flag o = if !outcome = None then outcome := Some o in
   for i = 0 to n - 1 do
     let c = owner.(i) in
     if c >= 0 then value.(c) <- v.value.(i);
@@ -361,35 +377,41 @@ let classify ~kind (v : view) : (classes, outcome) result =
           take.(c) <- i;
           phase_len.(c) <- phase_len.(c) + 1
         end
-        else
-          flag
-            (violation ~kind ~rule:"container.repeat" v [ i; take.(c) ]
-               (Printf.sprintf "value %d taken twice" v.value.(i)))
+        else if Option.is_none !outcome then
+          outcome :=
+            Some
+              (violation ~kind ~rule:"container.repeat" v [ i; take.(c) ]
+                 (Printf.sprintf "value %d taken twice" v.value.(i)))
     | Tag.Peek -> phase_len.(c) <- phase_len.(c) + 1
     | Tag.Take_empty | Tag.Peek_empty -> incr n_empty
     | Tag.Has_true | Tag.Has_false | Tag.Drop | Tag.Opaque ->
-        flag
-          (Unknown
-             (Printf.sprintf "observation %s outside container vocabulary"
-                (Spec.Adt_view.obs_to_string (obs v i))))
+        if Option.is_none !outcome then
+          outcome :=
+            Some
+              (Unknown
+                 (lazy
+                   (Printf.sprintf "observation %s outside container vocabulary"
+                      (Spec.Adt_view.obs_to_string (obs v i)))))
   done;
   if !ambiguous >= 0 then
+    let x = value.(!ambiguous) in
     Error
       (Unknown
-         (Printf.sprintf "value %d inserted twice; history is ambiguous"
-            value.(!ambiguous)))
+         (lazy
+           (Printf.sprintf "value %d inserted twice; history is ambiguous" x)))
   else
     match !outcome with
     | Some o -> Error o
-    | None -> (
+    | None ->
         (* lay the phases out: offsets, then each take, then the peeks *)
         let phase_at = Array.make (count + 1) 0 in
         for c = 0 to count - 1 do
           phase_at.(c + 1) <- phase_at.(c) + phase_len.(c)
         done;
         let phase = Array.make phase_at.(count) 0 in
-        let next = Array.sub phase_at 0 count in
+        let next = phase_len in
         for c = 0 to count - 1 do
+          next.(c) <- phase_at.(c);
           if take.(c) >= 0 then begin
             phase.(next.(c)) <- take.(c);
             next.(c) <- next.(c) + 1
@@ -408,26 +430,40 @@ let classify ~kind (v : view) : (classes, outcome) result =
               incr e
           | _ -> ()
         done;
-        (* fresh / before-put / after-take, class by class: the first
-           phase entry in [j, hi) responding before [x], or invoked
-           after it *)
-        let rec responds_before j hi x =
-          if j >= hi then -1
-          else if Rat.lt v.finish.(phase.(j)) x then phase.(j)
-          else responds_before (j + 1) hi x
-        in
-        let rec invoked_after j hi x =
-          if j >= hi then -1
-          else if Rat.lt x v.start.(phase.(j)) then phase.(j)
-          else invoked_after (j + 1) hi x
-        in
-        let fail c rule culprits what =
-          Error
-            (violation ~kind ~rule v culprits
-               (Printf.sprintf "value %d %s" value.(c) what))
-        in
-        let rec per_value c =
-          if c = count then
+        (* fresh / before-put / after-take, class by class *)
+        let found = ref None in
+        let c = ref 0 in
+        while Option.is_none !found && !c < count do
+          let lo = phase_at.(!c) and hi = phase_at.(!c + 1) in
+          (if put.(!c) < 0 then
+             found :=
+               Some
+                 (value_violation ~kind v value !c "container.fresh"
+                    [ phase.(lo) ] "observed but never inserted")
+           else
+             let p = put.(!c) in
+             let e = responds_before v.finish phase lo hi v.start.(p) in
+             if e >= 0 then
+               found :=
+                 Some
+                   (value_violation ~kind v value !c "container.before-put"
+                      [ e; p ] "observed entirely before its insertion")
+             else
+               let t = take.(!c) in
+               let e =
+                 if t < 0 then -1
+                 else invoked_after v.start phase (lo + 1) hi v.finish.(t)
+               in
+               if e >= 0 then
+                 found :=
+                   Some
+                     (value_violation ~kind v value !c "container.after-take"
+                        [ e; t ] "observed entirely after its removal"));
+          incr c
+        done;
+        match !found with
+        | Some o -> Error o
+        | None ->
             Ok
               {
                 view = v;
@@ -440,28 +476,6 @@ let classify ~kind (v : view) : (classes, outcome) result =
                 owner;
                 empties;
               }
-          else
-            let lo = phase_at.(c) and hi = phase_at.(c + 1) in
-            if put.(c) < 0 then
-              fail c "container.fresh" [ phase.(lo) ]
-                "observed but never inserted"
-            else
-              let p = put.(c) in
-              let e = responds_before lo hi v.start.(p) in
-              if e >= 0 then
-                fail c "container.before-put" [ e; p ]
-                  "observed entirely before its insertion"
-              else
-                let t = take.(c) in
-                let e =
-                  if t < 0 then -1 else invoked_after (lo + 1) hi v.finish.(t)
-                in
-                if e >= 0 then
-                  fail c "container.after-take" [ e; t ]
-                    "observed entirely after its removal"
-                else per_value (c + 1)
-        in
-        per_value 0)
 
 (* The phase operation of class [c] that responds first (ties: earliest
    in phase order), and the one invoked last; [-1] for an empty phase. *)
@@ -504,6 +518,39 @@ let phase_last_start cl c =
    O((1 + chain) log V), and the chain's covers are exactly the values
    that cover it.  Covers opening after the last empty observation
    finishes can never be absorbed and are dropped before sorting. *)
+(* The number of [covers] (sorted by opening time) opening strictly
+   below [p]. *)
+let opened (cl : classes) covers p =
+  let finish = cl.view.finish and put = cl.put in
+  let a = ref 0 and b = ref (Array.length covers) in
+  while !a < !b do
+    let mid = (!a + !b) / 2 in
+    if Rat.lt finish.(put.(covers.(mid))) p then a := mid + 1 else b := mid
+  done;
+  !a
+
+(* Walk empty observation [e]'s cover chain from point [p]: true iff
+   the chain covers all of [e].  With [Some chain], every cover the
+   walk visits is consed onto [chain]. *)
+let rec chain_covers (cl : classes) covers reach e p chain =
+  let visit c = match chain with Some l -> l := c :: !l | None -> () in
+  let j = opened cl covers p in
+  j > 0
+  &&
+  let c = reach.(j - 1) in
+  let t = cl.take.(c) in
+  if t < 0 then begin
+    visit c;
+    true
+  end
+  else
+    let h = cl.view.start.(t) in
+    Rat.lt p h
+    && begin
+         visit c;
+         Rat.lt cl.view.finish.(e) h || chain_covers cl covers reach e h chain
+       end
+
 let empty_uncoverable ~kind (cl : classes) : outcome option =
   let ne = Array.length cl.empties in
   if ne = 0 then None
@@ -511,72 +558,48 @@ let empty_uncoverable ~kind (cl : classes) : outcome option =
     let v = cl.view and put = cl.put and take = cl.take in
     let start = v.start and finish = v.finish in
     let horizon = ref finish.(cl.empties.(0)) in
-    Array.iter (fun e -> horizon := Rat.max !horizon finish.(e)) cl.empties;
-    let lo c = finish.(put.(c)) in
+    for i = 1 to ne - 1 do
+      horizon := Rat.max !horizon finish.(cl.empties.(i))
+    done;
+    let horizon = !horizon in
     let covers =
       sorted_ids cl.count
-        ~keep:(fun c -> Rat.lt (lo c) !horizon)
-        (fun a b -> Rat.compare (lo a) (lo b))
+        ~keep:(fun c -> Rat.lt finish.(put.(c)) horizon)
+        (fun a b -> Rat.compare finish.(put.(a)) finish.(put.(b)))
     in
-    let k = Array.length covers in
     (* [closes_after a b]: cover [a] stays open strictly longer *)
     let closes_after a b =
       take.(b) >= 0
       && (take.(a) < 0 || Rat.lt start.(take.(b)) start.(take.(a)))
     in
     let reach = Array.copy covers in
-    for j = 1 to k - 1 do
+    for j = 1 to Array.length covers - 1 do
       if not (closes_after covers.(j) reach.(j - 1)) then
         reach.(j) <- reach.(j - 1)
     done;
-    (* the number of covers opening strictly below [p] *)
-    let opened p =
-      let a = ref 0 and b = ref k in
-      while !a < !b do
-        let mid = (!a + !b) / 2 in
-        if Rat.lt (lo covers.(mid)) p then a := mid + 1 else b := mid
-      done;
-      !a
-    in
-    (* walk [e]'s cover chain, handing each cover to [visit]; true iff
-       the chain covers all of [e] *)
-    let covered e visit =
-      let rec go p =
-        let j = opened p in
-        j > 0
-        &&
-        let c = reach.(j - 1) in
-        if take.(c) < 0 then (visit c; true)
-        else
-          let h = start.(take.(c)) in
-          Rat.lt p h
-          && begin
-               visit c;
-               Rat.lt finish.(e) h || go h
-             end
+    let i = ref 0 in
+    while
+      !i < ne
+      &&
+      let e = cl.empties.(!i) in
+      not (chain_covers cl covers reach e start.(e) None)
+    do
+      incr i
+    done;
+    if !i = ne then None
+    else begin
+      let e = cl.empties.(!i) in
+      let chain = ref [] in
+      ignore (chain_covers cl covers reach e start.(e) (Some chain));
+      let culprits =
+        e
+        :: List.concat_map
+             (fun c ->
+               if take.(c) < 0 then [ put.(c) ] else [ put.(c); take.(c) ])
+             (List.rev !chain)
       in
-      go start.(e)
-    in
-    let ignore_cover (_ : int) = () in
-    let rec first i =
-      if i = ne then None
-      else
-        let e = cl.empties.(i) in
-        if not (covered e ignore_cover) then first (i + 1)
-        else begin
-          let chain = ref [] in
-          ignore (covered e (fun c -> chain := c :: !chain));
-          let culprits =
-            e
-            :: List.concat_map
-                 (fun c ->
-                   if take.(c) < 0 then [ put.(c) ] else [ put.(c); take.(c) ])
-                 (List.rev !chain)
-          in
-          Some
-            (violation ~kind ~rule:"container.nonempty" v culprits
-               "empty observation while some value is provably present")
-        end
-    in
-    first 0
+      Some
+        (violation ~kind ~rule:"container.nonempty" v culprits
+           "empty observation while some value is provably present")
+    end
   end

@@ -190,10 +190,11 @@ let run ~kind (cl : Record.classes) ~(order : int array) : Record.outcome =
   done;
   if !stuck then
     Record.Unknown
-      (Printf.sprintf
-         "greedy scheduler stuck after %d/%d operations (head %s, next \
-          insertion %s)"
-         !emitted total
-         (match head () with -1 -> "-" | h -> string_of_int (value h))
-         (if !next_ins < m then string_of_int (value !next_ins) else "-"))
+      (Lazy.from_val
+         (Printf.sprintf
+            "greedy scheduler stuck after %d/%d operations (head %s, next \
+             insertion %s)"
+            !emitted total
+            (match head () with -1 -> "-" | h -> string_of_int (value h))
+            (if !next_ins < m then string_of_int (value !next_ins) else "-")))
   else Record.Order out

@@ -57,7 +57,7 @@ let rec find ops p j hi =
   if j >= hi then -1 else if p ops.(j) then ops.(j) else find ops p (j + 1) hi
 
 let infeasible x msg =
-  Some (Record.Unknown (Printf.sprintf "set value %d: %s" x msg))
+  Some (Record.Unknown (lazy (Printf.sprintf "set value %d: %s" x msg)))
 
 let check (v : Record.view) : Record.outcome =
   let n = v.n in
@@ -73,12 +73,14 @@ let check (v : Record.view) : Record.outcome =
       | -1 ->
           Some
             (Record.Unknown
-               (Printf.sprintf "observation %s outside set vocabulary"
-                  (V.obs_to_string (Record.obs v i))))
+               (lazy
+                 (Printf.sprintf "observation %s outside set vocabulary"
+                    (V.obs_to_string (Record.obs v i)))))
       | 0 when Record.Flags.get added cls.(i) ->
+          let x = v.value.(i) in
           Some
             (Record.Unknown
-               (Printf.sprintf "value %d added twice; ambiguous" v.value.(i)))
+               (lazy (Printf.sprintf "value %d added twice; ambiguous" x)))
       | 0 ->
           Record.Flags.set added cls.(i);
           vocabulary (i + 1)
@@ -152,7 +154,7 @@ let check (v : Record.view) : Record.outcome =
         else if yes - drops > 1 then
           Some
             (Record.Unknown
-               (Printf.sprintf "value %d removed twice; ambiguous" x))
+               (lazy (Printf.sprintf "value %d removed twice; ambiguous" x)))
         else begin
           add := ops.(lo);
           drop := if yes > drops then ops.(drops) else -1;

@@ -38,7 +38,10 @@ let by_put_finish (cl : Record.classes) =
 let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
   let v = cl.view and put = cl.put and take = cl.take in
   let start = v.start and finish = v.finish in
-  let evidence = Array.init cl.count (Record.phase_first_finish cl) in
+  let evidence = Array.make cl.count (-1) in
+  for c = 0 to cl.count - 1 do
+    evidence.(c) <- Record.phase_first_finish cl c
+  done;
   let observed =
     Record.sorted_ids cl.count
       ~keep:(fun c -> evidence.(c) >= 0)
@@ -50,49 +53,60 @@ let queue_fifo ~kind (cl : Record.classes) : Record.outcome option =
   let untaken = ref (-1) in
   let latest = ref (-1) in
   (* the absorbed taken candidate whose take starts last *)
-  let rec scan k =
-    if k = Array.length observed then None
-    else
-      let c = observed.(k) in
-      let o = evidence.(c) in
-      let s_put = start.(put.(c)) in
-      while !i < nc && Rat.lt finish.(put.(candidates.(!i))) s_put do
-        let u = candidates.(!i) in
-        (if take.(u) < 0 then (if !untaken < 0 then untaken := u)
-         else if
-           !latest < 0 || Rat.lt start.(take.(!latest)) start.(take.(u))
-         then latest := u);
-        incr i
-      done;
-      if !untaken >= 0 then
-        let u = !untaken in
-        Some
-          (Record.violation ~kind ~rule:"queue.fifo-order" v
-             [ o; put.(c); put.(u) ]
-             (Printf.sprintf
-                "value %d observed at the head but value %d is forced ahead \
-                 of it and never taken"
-                cl.value.(c) cl.value.(u)))
-      else if !latest >= 0 && Rat.lt finish.(o) start.(take.(!latest)) then
-        let u = !latest in
-        Some
-          (Record.violation ~kind ~rule:"queue.fifo-order" v
-             [ o; put.(c); put.(u); take.(u) ]
-             (Printf.sprintf
-                "value %d observed at the head before value %d, forced ahead \
-                 of it, could be taken"
-                cl.value.(c) cl.value.(u)))
-      else scan (k + 1)
-  in
-  scan 0
+  let found = ref None in
+  let k = ref 0 in
+  while Option.is_none !found && !k < Array.length observed do
+    let c = observed.(!k) in
+    let o = evidence.(c) in
+    let s_put = start.(put.(c)) in
+    while !i < nc && Rat.lt finish.(put.(candidates.(!i))) s_put do
+      let u = candidates.(!i) in
+      (if take.(u) < 0 then (if !untaken < 0 then untaken := u)
+       else if
+         !latest < 0 || Rat.lt start.(take.(!latest)) start.(take.(u))
+       then latest := u);
+      incr i
+    done;
+    (if !untaken >= 0 then
+       let u = !untaken in
+       found :=
+         Some
+           (Record.violation ~kind ~rule:"queue.fifo-order" v
+              [ o; put.(c); put.(u) ]
+              (Printf.sprintf
+                 "value %d observed at the head but value %d is forced ahead \
+                  of it and never taken"
+                 cl.value.(c) cl.value.(u)))
+     else if !latest >= 0 && Rat.lt finish.(o) start.(take.(!latest)) then
+       let u = !latest in
+       found :=
+         Some
+           (Record.violation ~kind ~rule:"queue.fifo-order" v
+              [ o; put.(c); put.(u); take.(u) ]
+              (Printf.sprintf
+                 "value %d observed at the head before value %d, forced ahead \
+                  of it, could be taken"
+                 cl.value.(c) cl.value.(u))));
+    incr k
+  done;
+  !found
 
 (* --- stack / priority queue: forced-above ------------------------- *)
+
+(* [better take start a b]: of two candidate classes, the one that
+   provably stays longer, [a] on ties; [b < 0] is no class. *)
+let better (take : int array) (start : Rat.t array) a b =
+  if b < 0 || take.(a) < 0 then a
+  else if take.(b) < 0 then b
+  else if Rat.le start.(take.(b)) start.(take.(a)) then a
+  else b
 
 (* [forced_above ~kind ~rule ~describe ~key ~threshold cl]: for each
    take or peek observation [o] of class [c], a violation exists iff
    some candidate [v] with [finish (put v) < start o] and
-   [key v > threshold c] is forced present at [o]'s linearization
-   point (never taken, or its take starts after [o] finishes).
+   [key cl v > threshold cl c] is forced present at [o]'s
+   linearization point (never taken, or its take starts after [o]
+   finishes).  [describe x y] words a hit of value [x] under [y].
 
    The candidates live in a max-Fenwick tree over dense key ranks,
    stored reversed so that a key suffix is a prefix; each cell holds
@@ -101,13 +115,6 @@ let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
     Record.outcome option =
   let v = cl.view and put = cl.put and take = cl.take in
   let start = v.start and finish = v.finish in
-  (* [better a b]: the class that provably stays longer, [a] on ties *)
-  let better a b =
-    if b < 0 || take.(a) < 0 then a
-    else if take.(b) < 0 then b
-    else if Rat.le start.(take.(b)) start.(take.(a)) then a
-    else b
-  in
   let evidence =
     Record.sorted_ids (Array.length cl.phase) (fun a b ->
         Rat.compare start.(cl.phase.(a)) start.(cl.phase.(b)))
@@ -115,76 +122,75 @@ let forced_above ~kind ~rule ~describe ~key ~threshold (cl : Record.classes) :
   (* dense ranks, 1-based: equal keys share a rank, and [reps.(q - 1)]
      is one class of rank [q] *)
   let by_key =
-    Record.sorted_ids cl.count (fun a b -> Rat.compare (key a) (key b))
+    Record.sorted_ids cl.count (fun a b ->
+        Rat.compare (key cl a) (key cl b))
   in
   let rank = Array.make cl.count 0 in
   let reps = Array.make (Array.length by_key) 0 in
   let m = ref 0 in
-  Array.iter
-    (fun c ->
-      if !m = 0 || not (Rat.equal (key c) (key reps.(!m - 1))) then begin
-        reps.(!m) <- c;
-        incr m
-      end;
-      rank.(c) <- !m)
-    by_key;
+  for j = 0 to Array.length by_key - 1 do
+    let c = by_key.(j) in
+    if !m = 0 || not (Rat.equal (key cl c) (key cl reps.(!m - 1))) then begin
+      reps.(!m) <- c;
+      incr m
+    end;
+    rank.(c) <- !m
+  done;
   let m = !m in
-  (* least rank with key strictly above [t] *)
-  let rank_above t =
-    let lo = ref 0 and hi = ref m in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Rat.le (key reps.(mid)) t then lo := mid + 1 else hi := mid
-    done;
-    !lo + 1
-  in
   let cells = Array.make (m + 1) (-1) in
-  let update rank v =
-    let i = ref (m - rank + 1) in
-    while !i <= m do
-      cells.(!i) <- better v cells.(!i);
-      i := !i + (!i land - !i)
-    done
-  in
-  let query_suffix rank =
-    let i = ref (m - rank + 1) in
-    let acc = ref (-1) in
-    while !i > 0 do
-      if cells.(!i) >= 0 then acc := better cells.(!i) !acc;
-      i := !i - (!i land - !i)
-    done;
-    !acc
-  in
   let candidates = by_put_finish cl in
   let nc = Array.length candidates in
   let i = ref 0 in
-  let rec scan k =
-    if k = Array.length evidence then None
-    else
-      let o = cl.phase.(evidence.(k)) in
-      let c = cl.owner.(o) in
-      while !i < nc && Rat.lt finish.(put.(candidates.(!i))) start.(o) do
-        let u = candidates.(!i) in
-        update rank.(u) u;
-        incr i
+  let found = ref None in
+  let k = ref 0 in
+  while Option.is_none !found && !k < Array.length evidence do
+    let o = cl.phase.(evidence.(!k)) in
+    let c = cl.owner.(o) in
+    while !i < nc && Rat.lt finish.(put.(candidates.(!i))) start.(o) do
+      let u = candidates.(!i) in
+      (* absorb [u] into every cell covering its rank's suffix *)
+      let j = ref (m - rank.(u) + 1) in
+      while !j <= m do
+        cells.(!j) <- better take start u cells.(!j);
+        j := !j + (!j land - !j)
       done;
-      let q = rank_above (threshold c) in
-      let u = if q > m then -1 else query_suffix q in
-      if u < 0 || u = c then scan (k + 1)
-      else if take.(u) < 0 then
-        Some
-          (Record.violation ~kind ~rule v
-             [ o; put.(c); put.(u) ]
-             (describe cl.value.(c) cl.value.(u) ^ " and never taken"))
-      else if Rat.lt finish.(o) start.(take.(u)) then
-        Some
-          (Record.violation ~kind ~rule v
-             [ o; put.(c); put.(u); take.(u) ]
-             (describe cl.value.(c) cl.value.(u)
-             ^ " until after the observation"))
-      else scan (k + 1)
-  in
-  scan 0
+      incr i
+    done;
+    (* the least rank with key strictly above [threshold cl c] *)
+    let t = threshold cl c in
+    let lo = ref 0 and hi = ref m in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Rat.le (key cl reps.(mid)) t then lo := mid + 1 else hi := mid
+    done;
+    let q = !lo + 1 in
+    (* the longest-staying candidate of rank [q] or above *)
+    let u = ref (-1) in
+    if q <= m then begin
+      let j = ref (m - q + 1) in
+      while !j > 0 do
+        if cells.(!j) >= 0 then u := better take start cells.(!j) !u;
+        j := !j - (!j land - !j)
+      done
+    end;
+    let u = !u in
+    (if u < 0 || u = c then ()
+     else if take.(u) < 0 then
+       found :=
+         Some
+           (Record.violation ~kind ~rule v
+              [ o; put.(c); put.(u) ]
+              (describe cl.value.(c) cl.value.(u) ^ " and never taken"))
+     else if Rat.lt finish.(o) start.(take.(u)) then
+       found :=
+         Some
+           (Record.violation ~kind ~rule v
+              [ o; put.(c); put.(u); take.(u) ]
+              (describe cl.value.(c) cl.value.(u)
+              ^ " until after the observation")));
+    incr k
+  done;
+  !found
 
 (* --- value insertion order ---------------------------------------- *)
 

@@ -200,6 +200,38 @@ let sweep_cells ~seeds () =
       | _ -> failwith "sweep bench section: a cell did not certify")
     0 t.results
 
+(* The certify path alone ([Core.Runtime.Make.certify]: the kernel,
+   then the protocol's own order, then Wing-Gong) over the reference
+   sweep grid's tiny histories.  Preparing runs each of the grid's
+   cells at [seeds] unchecked and keeps its completed operations and
+   its protocol order; the measured run certifies them all, as the
+   sweep does after each run.  Its events are the operations
+   certified. *)
+let certify_cells ~seeds () =
+  let grid = { Sweep.default_grid with seeds } in
+  let cells =
+    List.map
+      (fun (cell : Scenario.Grid.cell) ->
+        let (module E : Scenario.Packed_type.RUNNER) =
+          Scenario.Packed_type.runner cell.dt
+        in
+        match E.config_of (Scenario.of_sweep_cell grid cell) with
+        | Error e -> failwith ("certify bench section: " ^ e)
+        | Ok cfg ->
+            let report, order = E.R.run_with_order { cfg with check = false } in
+            let ops = Array.of_list report.operations in
+            fun () ->
+              let r =
+                E.R.certify ?max_nodes:cfg.max_check_nodes ~order
+                  ~checker:cfg.checker ops
+              in
+              if not r.linearizable then
+                failwith "certify bench section: a history did not certify";
+              Array.length ops)
+      (Scenario.Grid.cells grid)
+  in
+  fun () -> List.fold_left (fun ops certify -> ops + certify ()) 0 cells
+
 let sections =
   [
     {
@@ -264,6 +296,13 @@ let sections =
         "the reference sweep grid at seeds 1 and 2: 240 closed-loop cells \
          over every type, algorithm, model point and channel leg, certified";
       prepare = (fun () -> sweep_cells ~seeds:[ 1; 2 ]);
+    };
+    {
+      name = "certify-cells-240";
+      description =
+        "the sweep-cells-240 cells' histories and protocol orders, built \
+         while preparing, certified as each cell's run certifies them";
+      prepare = certify_cells ~seeds:[ 1; 2 ];
     };
     {
       name = "monitor-queue-64k";

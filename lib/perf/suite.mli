@@ -39,7 +39,10 @@ val sections : section list
     ([Sweep.default_grid]) at seeds 1 and 2 — 240
     closed-loop cells over every type, algorithm, model point and
     channel leg — run inline and certified; its events are the cells'
-    operations.  ["monitor-queue-64k"]: a
+    operations.  ["certify-cells-240"]: the same cells' completed
+    operations and protocol orders, built while preparing, certified
+    through [Core.Runtime.Make.certify] alone; its events are the
+    operations certified.  ["monitor-queue-64k"]: a
     generated 64 000-operation queue history holding an empty
     observation, certified by [Monitor.Make(Fifo_queue).check]; its
     events are the operations.  ["monitor-register-16k"] and

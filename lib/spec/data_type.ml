@@ -132,10 +132,13 @@ module Semantics (T : S) = struct
     | Some s1, Some s2 -> T.equal_state s1 s2
     | None, Some _ | Some _, None -> false
 
-  let kind_of inv =
-    match List.assoc_opt (T.op_of inv) T.operations with
-    | Some kind -> kind
-    | None ->
-        invalid_arg
-          (Printf.sprintf "%s: unknown operation %s" T.name (T.op_of inv))
+  (* Runs once per invocation and per completed operation, so the
+     lookup walks the declared operations and builds no option. *)
+  let rec kind_in op = function
+    | (name, kind) :: rest ->
+        if String.equal name op then kind else kind_in op rest
+    | [] ->
+        invalid_arg (Printf.sprintf "%s: unknown operation %s" T.name op)
+
+  let kind_of inv = kind_in (T.op_of inv) T.operations
 end

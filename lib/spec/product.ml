@@ -31,9 +31,21 @@ module Make (A : Data_type.S) (B : Data_type.S) = struct
         let b', resp = B.apply b inv in
         ((a, b'), Right_r resp)
 
+  (* Each side's operation names with their prefix, built once, so
+     that [op_of] hands out a shared string instead of concatenating
+     one per call.  A name a side does not declare is prefixed afresh. *)
+  let prefixed side ops = List.map (fun (op, _) -> (op, side ^ op)) ops
+  let lefts = prefixed "l:" A.operations
+  let rights = prefixed "r:" B.operations
+
+  let rec tagged side op = function
+    | (name, full) :: rest ->
+        if String.equal name op then full else tagged side op rest
+    | [] -> side ^ op
+
   let op_of = function
-    | Left inv -> "l:" ^ A.op_of inv
-    | Right inv -> "r:" ^ B.op_of inv
+    | Left inv -> tagged "l:" (A.op_of inv) lefts
+    | Right inv -> tagged "r:" (B.op_of inv) rights
 
   let operations =
     List.map (fun (op, kind) -> ("l:" ^ op, kind)) A.operations
