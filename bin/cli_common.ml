@@ -85,15 +85,12 @@ let make_model n d u eps =
    leaves no X at all, the default (d - eps)/2 included. *)
 let make_x (model : Sim.Model.t) x =
   named_overflow (fun () ->
-      let hi = Rat.sub model.d model.eps in
-      match x with
-      | _ when Rat.sign hi < 0 ->
-          Error
-            (Printf.sprintf
-               "eps = %s exceeds d = %s, so no X lies in [0, d - eps]"
-               (Rat.to_string model.eps) (Rat.to_string model.d))
-      | None -> Ok (Rat.div_int hi 2)
-      | Some x -> Core.Wtlw.check_x model x)
+      let x =
+        match x with
+        | Some x -> x
+        | None -> Rat.div_int (Rat.sub model.d model.eps) 2
+      in
+      Result.map (fun () -> x) (Core.Wtlw.check_x model x))
 
 let model_and_x n d u eps x =
   Result.bind (make_model n d u eps) (fun model ->
@@ -129,8 +126,8 @@ let float_where ok ~below ~bound =
   in
   Arg.conv (parse, Arg.conv_printer Arg.float)
 
-let float_at_least lo ~below =
-  float_where (fun x -> x >= lo) ~below ~bound:(Printf.sprintf ">= %g" lo)
+let non_negative_float =
+  float_where (fun x -> x >= 0.) ~below:"negative" ~bound:">= 0"
 
 let positive_float =
   float_where (fun x -> x > 0.) ~below:"not positive" ~bound:"> 0"

@@ -843,26 +843,14 @@ let sweep_cmd =
   let cell_budget_arg =
     Arg.(
       value
-      & opt (some (float_at_least 0. ~below:"negative")) None
+      & opt (some non_negative_float) None
       & info [ "cell-budget" ] ~docv:"SECONDS"
           ~doc:
-            "Per-cell wall budget: a cell that exceeds it fails with a \
-             named $(b,Cell_timeout) diagnostic instead of wedging the \
-             sweep, and is retried up to $(b,--cell-attempts) times with \
-             the budget multiplied by $(b,--cell-backoff).")
-  in
-  let cell_attempts_arg =
-    Arg.(
-      value & opt positive 3
-      & info [ "cell-attempts" ] ~docv:"K"
-          ~doc:"Evaluations per cell before giving up on a timeout.")
-  in
-  let cell_backoff_arg =
-    Arg.(
-      value
-      & opt (float_at_least 1. ~below:"below 1") 2.0
-      & info [ "cell-backoff" ] ~docv:"F"
-          ~doc:"Wall-budget multiplier applied after each timeout.")
+            "Per-cell wall budget: each cell is evaluated once, and a cell \
+             still running after $(docv) seconds fails with a named \
+             $(b,Cell_timeout) diagnostic instead of wedging the sweep.  \
+             $(b,--resume) with $(b,--rerun-failed) re-runs journaled \
+             timeouts under a new budget.")
   in
   let rerun_failed_arg =
     Arg.(
@@ -925,8 +913,8 @@ let sweep_cmd =
              $(b,--spool); fails while any cell is missing.")
   in
   let run jobs json_path dtype grid_spec fail_fast seed ops checker resume_dir
-      journal_sync cell_budget cell_attempts cell_backoff rerun_failed
-      fingerprint_path spool_dir worker worker_id lease_ttl merge =
+      journal_sync wall_budget_s rerun_failed fingerprint_path spool_dir worker
+      worker_id lease_ttl merge =
     let grid =
       { Sweep.default_grid with per_proc = ops; seeds = [ seed ]; checker }
     in
@@ -953,16 +941,6 @@ let sweep_cmd =
     | Ok grid -> (
         Sweep.Pool.Interrupt.install ();
         let should_stop = Sweep.Pool.Interrupt.requested in
-        let retry =
-          Option.map
-            (fun budget_s ->
-              {
-                Sweep.attempts = cell_attempts;
-                budget_s;
-                backoff = cell_backoff;
-              })
-            cell_budget
-        in
         (* Shared tail for every mode that yields a campaign: print,
            write artifacts, then gate — interruption first (nonzero,
            with a one-line resume hint; journaled partials are already
@@ -991,7 +969,7 @@ let sweep_cmd =
         match spool_dir with
         | Some dir when worker -> (
             match
-              Sweep.Spool.worker ?worker_id ?retry ~should_stop
+              Sweep.Spool.worker ?worker_id ?wall_budget_s ~should_stop
                 ~sync_every:journal_sync ~lease_ttl_s:lease_ttl ~dir grid
             with
             | Error msg -> `Error (false, msg)
@@ -1028,15 +1006,16 @@ let sweep_cmd =
                        "journaled cells kept — resume with: repro sweep \
                         --resume %s"
                        dir)
-                  (Sweep.run_durable ~jobs ~fail_fast ?retry ~should_stop
-                     ~sync_every:journal_sync
+                  (Sweep.run_durable ~jobs ~fail_fast ?wall_budget_s
+                     ~should_stop ~sync_every:journal_sync
                      ~replay_failures:(not rerun_failed) ~dir grid)
             | None ->
                 finish
                   ~resume_hint:
                     "partial results above are not journaled (pass --resume \
                      DIR for a resumable campaign)"
-                  (Sweep.run ~jobs ~fail_fast ?retry ~should_stop grid)))
+                  (Sweep.run ~jobs ~fail_fast ?wall_budget_s ~should_stop
+                     grid)))
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1056,9 +1035,9 @@ let sweep_cmd =
       ret
         (const run $ jobs_arg $ json_arg $ sweep_type_arg $ grid_arg
        $ fail_fast_arg $ seed_arg $ sweep_ops_arg $ checker_arg $ resume_arg
-       $ journal_sync_arg $ cell_budget_arg $ cell_attempts_arg
-       $ cell_backoff_arg $ rerun_failed_arg $ fingerprint_arg $ spool_arg
-       $ worker_arg $ worker_id_arg $ lease_ttl_arg $ merge_arg))
+       $ journal_sync_arg $ cell_budget_arg $ rerun_failed_arg
+       $ fingerprint_arg $ spool_arg $ worker_arg $ worker_id_arg
+       $ lease_ttl_arg $ merge_arg))
 
 (* ---------------- bench ---------------- *)
 

@@ -34,9 +34,10 @@ let thm5_sum (model : Sim.Model.t) = Rat.add model.d (slack_m model)
 
 (** {1 Upper bounds: Lemma 4, achieved by Algorithm 1} *)
 
-let check_x (model : Sim.Model.t) x =
-  if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
-    invalid_arg "Theorems: X must lie in [0, d - eps]"
+let check_x model x =
+  Result.iter_error
+    (fun msg -> invalid_arg ("Theorems: " ^ msg))
+    (Core.Wtlw.check_x model x)
 
 (** What the paper claims for pure accessors: [d - X].  Our
     reproduction found the claim unsound as stated — the accessor wait

@@ -384,12 +384,13 @@ module Make (T : Spec.Data_type.S) = struct
     match cfg.timing with
     | Some timing_of -> timing_of judged ~x
     | None ->
-        if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub judged.d judged.eps) x)
-        then
-          invalid_arg
-            (match cfg.channel with
-            | None -> "Wtlw.create: X must lie in [0, d - eps]"
-            | Some _ -> "Runtime.run: X outside [0, d' - eps']");
+        (match Wtlw.check_x judged x with
+        | Ok () -> ()
+        | Error msg ->
+            invalid_arg
+              (match cfg.channel with
+              | None -> "Wtlw.create: " ^ msg
+              | Some _ -> "Runtime.run: " ^ msg ^ " of the inflated model"));
         Wtlw.default_timing judged ~x
 
   (* Note every time the run reads, in model units. *)

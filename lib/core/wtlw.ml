@@ -65,10 +65,16 @@ let paper_timing (model : Sim.Model.t) ~x =
   }
 
 (* Lemma 4's range for X: outside [0, d - eps] one of the waits is
-   negative.  The one refusal of such an X, by its range. *)
+   negative.  The one test of an X against that range; every refusal
+   of such an X carries this text.  An eps above d leaves no X at all. *)
 let check_x (model : Sim.Model.t) x =
   let hi = Rat.sub model.d model.eps in
-  if Rat.in_range ~lo:Rat.zero ~hi x then Ok x
+  if Rat.in_range ~lo:Rat.zero ~hi x then Ok ()
+  else if Rat.sign hi < 0 then
+    Error
+      (Printf.sprintf
+         "X = %s: eps = %s exceeds d = %s, so no X lies in [0, d - eps]"
+         (Rat.to_string x) (Rat.to_string model.eps) (Rat.to_string model.d))
   else
     Error
       (Printf.sprintf "X = %s lies outside [0, d - eps] = [0, %s]"
@@ -230,8 +236,9 @@ module Make (T : Spec.Data_type.S) = struct
      the tradeoff parameter X in [0, d - eps]. *)
   let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
       () =
-    if not (Rat.in_range ~lo:Rat.zero ~hi:(Rat.sub model.d model.eps) x) then
-      invalid_arg "Wtlw.create: X must lie in [0, d - eps]";
+    Result.iter_error
+      (fun msg -> invalid_arg ("Wtlw.create: " ^ msg))
+      (check_x model x);
     let timing = default_timing model ~x in
     let states = fresh_states ~n:model.n in
     let engine =

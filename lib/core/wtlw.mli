@@ -28,9 +28,11 @@ val paper_timing : Sim.Model.t -> x:Rat.t -> timing
 (** The pseudocode verbatim: accessor wait [d - X] — {b unsound}; kept
     for the ablation/counterexample machinery. *)
 
-val check_x : Sim.Model.t -> Rat.t -> (Rat.t, string) result
-(** [Ok x] when [x] lies in [[0, d - eps]]; otherwise an error naming
-    that range. *)
+val check_x : Sim.Model.t -> Rat.t -> (unit, string) result
+(** [Ok ()] when [x] lies in [[0, d - eps]] (allocating nothing);
+    otherwise an error that begins ["X = "] and names that range (and,
+    when [eps > d], says that no X lies in it).  The one X-range test:
+    every refusal of an X calls it. *)
 
 val default_timing : Sim.Model.t -> x:Rat.t -> timing
 (** The repaired timing: accessor wait [d - X + eps], everything else

@@ -129,7 +129,7 @@ let report ~(model : Sim.Model.t) ~x ~seeds =
          "ablation legs need n >= 4 processes (p0 to p3); got n = %d" model.n)
   else
     Result.map
-      (fun x -> List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x))
+      (fun () -> List.map (evaluate ~model ~x ~seeds) (default_knobs model ~x))
       (Core.Wtlw.check_x model x)
 
 let finding knob =

@@ -354,11 +354,11 @@ module Make (T : Spec.Data_type.S) = struct
         ~n:cfg.shards
         (fun shard ->
           match run_shard cfg ~shard with
-          | report -> (Ok report, 1)
+          | report -> Ok report
           | exception Invalid_argument m ->
-              (Error (Scenario.Exec.abort_message (Invalid_run m)), 1)
+              Error (Scenario.Exec.abort_message (Invalid_run m))
           | exception Rat.Overflow ->
-              (Error (Scenario.Exec.abort_message Overflow), 1))
+              Error (Scenario.Exec.abort_message Overflow))
     in
     let done_ : shard_report list =
       Array.to_list r.outcomes

@@ -46,12 +46,28 @@ let bound_for ~algo ~(judged : Sim.Model.t) ~x kind =
   | Centralized -> Bounds.Theorems.ub_centralized judged
   | Tob -> Bounds.Theorems.ub_tob judged
 
+(* A cell's diagnostic.  The timeout leaves the event count out, so
+   timed-out cells render identically across runs and the campaign
+   fingerprint stays reproducible. *)
+let diagnostic ~key ?wall_budget_s : Scenario.Exec.abort -> string = function
+  | Node_budget { nodes; prefix; total } ->
+      Format.asprintf "%s: %a (max_check_nodes)" key
+        Lin.Checker.pp_budget_exceeded (nodes, prefix, total)
+  | Deadline ->
+      Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
+        (Option.value wall_budget_s ~default:0.0)
+  | Bad_scenario msg | Invalid_run msg -> Printf.sprintf "%s: %s" key msg
+  | Overflow as a ->
+      Printf.sprintf "%s: %s" key (Scenario.Exec.abort_message a)
+
 (* A cell is a scenario ([Scenario.of_sweep_cell]), lowered and run
    by its type's executor ([Exec.Run(T).run_report], through
    [Scenario.Packed_type.runner]); only the wall deadline and the
-   bound check are added here.  The abort stays structured so the
-   retry loop can match a timeout. *)
-let attempt ?wall_budget_s s (c : cell) =
+   bound check are added here.  A cell is evaluated once: its result
+   is a pure function of its coordinates, so running it again could
+   only repeat the work. *)
+let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
+  let s = Scenario.of_sweep_cell ?key grid c in
   let (module E : Scenario.Packed_type.RUNNER) =
     Scenario.Packed_type.runner c.dt
   in
@@ -67,7 +83,7 @@ let attempt ?wall_budget_s s (c : cell) =
       wall_budget_s
   in
   match E.run_report ?deadline s with
-  | Error _ as e -> e
+  | Error a -> Error (diagnostic ~key:s.name ?wall_budget_s a)
   | Ok report ->
       let m = c.point in
       let judged =
@@ -109,57 +125,6 @@ let attempt ?wall_budget_s s (c : cell) =
           bounds;
         }
 
-(* A cell's diagnostic.  The timeout leaves the event count out, so
-   timed-out cells render identically across runs and the campaign
-   fingerprint stays reproducible. *)
-let diagnostic ~key ?wall_budget_s : Scenario.Exec.abort -> string = function
-  | Node_budget { nodes; prefix; total } ->
-      Format.asprintf "%s: %a (max_check_nodes)" key
-        Lin.Checker.pp_budget_exceeded (nodes, prefix, total)
-  | Deadline ->
-      Printf.sprintf "%s: Cell_timeout: exceeded %gs wall budget" key
-        (Option.value wall_budget_s ~default:0.0)
-  | Bad_scenario msg | Invalid_run msg -> Printf.sprintf "%s: %s" key msg
-  | Overflow as a ->
-      Printf.sprintf "%s: %s" key (Scenario.Exec.abort_message a)
-
-let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
-  let s = Scenario.of_sweep_cell ?key grid c in
-  Result.map_error
-    (diagnostic ~key:s.name ?wall_budget_s)
-    (attempt ?wall_budget_s s c)
-
-(* ---------- bounded retry with exponential backoff ---------- *)
-
-type retry = { attempts : int; budget_s : float; backoff : float }
-
-(* Evaluate one cell under the retry policy: each timed-out attempt
-   widens the wall budget by [backoff] (a cell that is merely slow gets
-   more room; a genuinely wedged one converges to a named Cell_timeout
-   diagnostic after [attempts] tries).  Non-timeout failures are
-   deterministic — retrying them would only repeat the work — so they
-   return immediately.  Also returns the number of attempts spent. *)
-let eval_with_retry ?retry ?key grid (c : cell) :
-    (verdict, string) result * int =
-  match retry with
-  | None -> (eval ?key grid c, 1)
-  | Some { attempts; budget_s; backoff } ->
-      let attempts = max 1 attempts in
-      let s = Scenario.of_sweep_cell ?key grid c in
-      let rec go k budget =
-        match attempt ~wall_budget_s:budget s c with
-        | Error Deadline when k < attempts -> go (k + 1) (budget *. backoff)
-        | Error Deadline ->
-            ( Error
-                (Printf.sprintf "%s (gave up after %d attempts)"
-                   (diagnostic ~key:s.name ~wall_budget_s:budget Deadline)
-                   attempts),
-              k )
-        | r ->
-            (Result.map_error (diagnostic ~key:s.name ~wall_budget_s:budget) r, k)
-      in
-      go 1 budget_s
-
 (* ---------- campaign execution ---------- *)
 
 (* The input fingerprint of a rendered cell key. *)
@@ -176,11 +141,7 @@ let input_fingerprint grid =
    [input_fingerprint], not nuke the whole journal. *)
 let journal_header = Journal.header "repro-sweep-cells;schema=1"
 
-type cell_meta = Runner.meta = {
-  wall_s : float;
-  attempts : int;
-  replayed : bool;
-}
+type cell_meta = Runner.meta = { wall_s : float; replayed : bool }
 
 type resume_stats = Runner.resume_stats = {
   replayed : int;
@@ -250,18 +211,18 @@ let execute ?code_fp ~jobs ~fail_fast ~should_stop ~journal ~eval grid =
     wall_s = r.wall_s;
   }
 
-let run ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop grid =
+let run ?(jobs = 1) ?(fail_fast = false) ?wall_budget_s ?should_stop grid =
   execute ~jobs ~fail_fast ~should_stop ~journal:None
-    ~eval:(fun ~key -> eval_with_retry ?retry ~key grid) grid
+    ~eval:(fun ~key -> eval ?wall_budget_s ~key grid) grid
 
-let run_durable ?(jobs = 1) ?(fail_fast = false) ?retry ?should_stop
+let run_durable ?(jobs = 1) ?(fail_fast = false) ?wall_budget_s ?should_stop
     ?(sync_every = 1) ?(replay_failures = true) ?code_fp ~dir grid =
   execute ?code_fp ~jobs ~fail_fast ~should_stop
     ~journal:
       (Some
          (Runner.in_dir ~header:journal_header ~sync_every ~replay_failures
             dir))
-    ~eval:(fun ~key -> eval_with_retry ?retry ~key grid) grid
+    ~eval:(fun ~key -> eval ?wall_budget_s ~key grid) grid
 
 let certified t =
   Array.length t.results > 0
@@ -325,9 +286,6 @@ let fingerprint t =
 
 (* ---------- reports ---------- *)
 
-let retries t =
-  Array.fold_left (fun acc m -> acc + max 0 (m.attempts - 1)) 0 t.meta
-
 let pp ppf t =
   let done_, cert, failed, skipped = counts t in
   Format.fprintf ppf "@[<v>";
@@ -355,10 +313,9 @@ let pp ppf t =
   List.iter
     (fun d -> Format.fprintf ppf "journal diagnostic: %s@," d)
     t.resume.journal_diagnostics;
-  let retries = retries t in
-  if t.resume.replayed > 0 || t.resume.invalidated > 0 || retries > 0 then
-    Format.fprintf ppf "resume: %d replayed, %d invalidated, %d retries@,"
-      t.resume.replayed t.resume.invalidated retries;
+  if t.resume.replayed > 0 || t.resume.invalidated > 0 then
+    Format.fprintf ppf "resume: %d replayed, %d invalidated@,"
+      t.resume.replayed t.resume.invalidated;
   if t.resume.interrupted then Format.fprintf ppf "INTERRUPTED (resumable)@,";
   Format.fprintf ppf
     "%d cells: %d done (%d certified), %d failed, %d skipped; jobs=%d \
@@ -403,8 +360,7 @@ let to_json t =
     let m = t.meta.(i) in
     Object
       [ ("key", String key); ("verdict", verdict);
-        ("wall_s", Fixed (3, m.wall_s)); ("attempts", Int m.attempts);
-        ("replayed", Bool m.replayed) ]
+        ("wall_s", Fixed (3, m.wall_s)); ("replayed", Bool m.replayed) ]
   in
   let by_kind (k, s) =
     Object
@@ -418,7 +374,7 @@ let to_json t =
         ("certified_cells", Int cert); ("failed", Int failed);
         ("skipped", Int skipped); ("replayed", Int r.replayed);
         ("invalidated", Int r.invalidated); ("executed", Int r.executed);
-        ("retries", Int (retries t)); ("interrupted", Bool r.interrupted);
+        ("interrupted", Bool r.interrupted);
         ( "journal_diagnostics",
           List (List.map (fun d -> String d) r.journal_diagnostics) ) ]
   in

@@ -131,7 +131,7 @@ let load ~path ~fp =
 
 let index records =
   let tbl = Hashtbl.create 64 in
-  (* Last record wins: a cell journaled twice (retry after an unclean
+  (* Last record wins: a cell journaled twice (re-run after an unclean
      stop, stale-lease takeover) resolves to its most recent result. *)
   List.iter (fun r -> Hashtbl.replace tbl r.key r) records;
   tbl

@@ -40,7 +40,7 @@ val load : path:string -> fp:string -> 'a record list * diagnostic list
 
 val index : 'a record list -> (string, 'a record) Hashtbl.t
 (** Key the records for replay; when a key was journaled more than
-    once (retry after an unclean stop, lease takeover) the last record
+    once (re-run after an unclean stop, lease takeover) the last record
     wins. *)
 
 type writer

@@ -2,7 +2,7 @@
    is a campaign item just like a sweep cell because linearizability is
    local (paper §2.3): its result is a pure function of its inputs. *)
 
-type meta = { wall_s : float; attempts : int; replayed : bool }
+type meta = { wall_s : float; replayed : bool }
 
 type resume_stats = {
   replayed : int;
@@ -48,9 +48,7 @@ let input_fingerprint ?code_fp ~max_events ~max_check_nodes checker =
       (Printf.sprintf
          ";max_events=%s;max_check_nodes=%s;checker=%s;ocaml=%s;code=%s"
          (opt max_events) (opt max_check_nodes)
-         (match checker with
-         | Core.Runtime.Monitor -> "monitor"
-         | Core.Runtime.Wing_gong -> "wing-gong")
+         (Core.Runtime.checker_name checker)
          Sys.ocaml_version
          (match code_fp with
          | Some c -> c
@@ -72,11 +70,11 @@ let run ~jobs ~fail_fast ~should_stop ~journal ~key ~input_fp ~n eval =
     | Some _ -> (Array.init n key, Array.init n input_fp)
   in
   let outcomes = Array.make n Pool.Skipped in
-  let meta = Array.make n { wall_s = 0.0; attempts = 0; replayed = false } in
+  let meta = Array.make n { wall_s = 0.0; replayed = false } in
   let replayed = ref 0 and invalidated = ref 0 and diagnostics = ref [] in
   let replay i o =
     outcomes.(i) <- o;
-    meta.(i) <- { wall_s = 0.0; attempts = 0; replayed = true };
+    meta.(i) <- { wall_s = 0.0; replayed = true };
     incr replayed
   in
   (* Step 1.  Diagnostics about a journal this run does not append to
@@ -126,8 +124,8 @@ let run ~jobs ~fail_fast ~should_stop ~journal ~key ~input_fp ~n eval =
           (fun j ->
             let i = pending.(j) in
             let c0 = Core.Clock.now_s () in
-            let r, attempts = eval i in
-            meta.(i) <- { wall_s = elapsed c0; attempts; replayed = false };
+            let r = eval i in
+            meta.(i) <- { wall_s = elapsed c0; replayed = false };
             Option.iter
               (fun w -> Journal.append w ~key:keys.(i) ~input_fp:fps.(i) r)
               writer;

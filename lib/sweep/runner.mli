@@ -9,8 +9,8 @@
     result depends on how items were split across domains. *)
 
 (** Per-item observability, never fingerprinted: replayed items carry
-    zero wall time and attempts. *)
-type meta = { wall_s : float; attempts : int; replayed : bool }
+    zero wall time. *)
+type meta = { wall_s : float; replayed : bool }
 
 (** How a campaign's items were answered. *)
 type resume_stats = {
@@ -67,12 +67,12 @@ val run :
   key:(int -> string) ->
   input_fp:(int -> int) ->
   n:int ->
-  (int -> ('r, string) result * int) ->
+  (int -> ('r, string) result) ->
   'r t
-(** [run ... eval] answers items [0 .. n-1]; [eval i] returns the
-    result and the attempts it spent.  [key] and [input_fp] are only
-    consulted when [journal] is set, then once per item and before the
-    pool starts, so they may force lazies that are not domain-safe.
+(** [run ... eval] answers items [0 .. n-1], calling [eval i] at most
+    once per item (never for a replayed one).  [key] and [input_fp] are
+    only consulted when [journal] is set, then once per item and before
+    the pool starts, so they may force lazies that are not domain-safe.
     [jobs], [fail_fast] and [should_stop] are {!Pool.map}'s; [should_stop] is polled once more
     at the end to report [interrupted].  An [eval] that raises leaves
     its item [Failed] and unjournaled. *)

@@ -93,7 +93,7 @@ type worker_report = {
 let default_worker_id () =
   Printf.sprintf "%s-%d" (Unix.gethostname ()) (Unix.getpid ())
 
-let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
+let worker ?worker_id ?wall_budget_s ?should_stop ?(sync_every = 1)
     ?(lease_ttl_s = 60.0) ?code_fp ~dir grid =
   (* A nan interval would spin the heartbeat, and a ttl of 0 or less
      would make every live lease read as stale. *)
@@ -159,7 +159,7 @@ let worker ?worker_id ?retry ?should_stop ?(sync_every = 1)
             Lease.release lease)
           (fun () ->
             let key = Engine.cell_key grid cells.(i) in
-            let r, _attempts = Engine.eval_with_retry ?retry ~key grid cells.(i) in
+            let r = Engine.eval ?wall_budget_s ~key grid cells.(i) in
             Journal.append w ~key ~input_fp:(input_fp key) r;
             Journal.flush w;
             incr completed;
@@ -238,7 +238,7 @@ let merge ?code_fp ~dir grid =
                  sync_every = 1;
                  replay_failures = true;
                })
-          ~eval:(fun ~key:_ _ -> (Error "not journaled", 0))
+          ~eval:(fun ~key:_ _ -> Error "not journaled")
           grid
       in
       if t.resume.executed > 0 then

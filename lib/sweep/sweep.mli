@@ -70,24 +70,12 @@ val eval :
     (a campaign renders it once and reuses it); without it the key is
     rendered here.  [Error] carries a named diagnostic, one per
     [Scenario.Exec.abort]: the checker's node budget was exceeded
-    ([Node_budget_exceeded]), the per-cell wall budget expired
-    ([Cell_timeout] — set [wall_budget_s]; 0.0 expires
-    deterministically on the first simulation event), the
-    configuration was rejected, or a time overflowed [Rat]. *)
-
-(** Bounded retry for wedged cells: up to [attempts] evaluations, the
-    wall budget multiplied by [backoff] after each timeout.
-    Non-timeout failures are deterministic and never retried. *)
-type retry = { attempts : int; budget_s : float; backoff : float }
-
-val eval_with_retry :
-  ?retry:retry ->
-  ?key:string ->
-  grid ->
-  cell ->
-  (verdict, string) result * int
-(** Evaluate under the retry policy (no policy: one plain {!eval});
-    also returns the number of attempts spent. *)
+    ([Node_budget_exceeded]), the wall budget of [wall_budget_s]
+    seconds expired ([Cell_timeout]; 0.0 expires deterministically on
+    the first simulation event), the configuration was rejected, or a
+    time overflowed [Rat].  The cell is run once: its result is a pure
+    function of its coordinates, so a second run could only repeat
+    the first. *)
 
 val input_fingerprint : grid -> cell -> int
 (** {!Runner.input_fingerprint} of the cell key under the grid's
@@ -96,11 +84,7 @@ val input_fingerprint : grid -> cell -> int
     individually. *)
 
 (** {!Runner.meta}, excluded from {!fingerprint} like [jobs]/[wall_s]. *)
-type cell_meta = Runner.meta = {
-  wall_s : float;
-  attempts : int;
-  replayed : bool;
-}
+type cell_meta = Runner.meta = { wall_s : float; replayed : bool }
 
 type resume_stats = Runner.resume_stats = {
   replayed : int;
@@ -134,7 +118,7 @@ type t = {
 val run :
   ?jobs:int ->
   ?fail_fast:bool ->
-  ?retry:retry ->
+  ?wall_budget_s:float ->
   ?should_stop:(unit -> bool) ->
   grid ->
   t
@@ -145,13 +129,13 @@ val run :
     (reported as [Skipped]); in-flight cells still complete and no
     verdict is lost.  [should_stop] (e.g. [Pool.Interrupt.requested])
     drains the pool the same graceful way and marks the campaign
-    [resume.interrupted].  [retry] applies the per-cell wall budget
-    with bounded backoff. *)
+    [resume.interrupted].  Each cell is one {!eval} under
+    [wall_budget_s]. *)
 
 val run_durable :
   ?jobs:int ->
   ?fail_fast:bool ->
-  ?retry:retry ->
+  ?wall_budget_s:float ->
   ?should_stop:(unit -> bool) ->
   ?sync_every:int ->
   ?replay_failures:bool ->
@@ -214,7 +198,7 @@ module Spool : sig
 
   val worker :
     ?worker_id:string ->
-    ?retry:retry ->
+    ?wall_budget_s:float ->
     ?should_stop:(unit -> bool) ->
     ?sync_every:int ->
     ?lease_ttl_s:float ->
@@ -222,13 +206,14 @@ module Spool : sig
     dir:string ->
     grid ->
     (worker_report, string) result
-  (** Claim, evaluate, journal and mark cells until every cell of the
-      campaign is done (polling every 0.25 s while other workers
-      hold the remainder) or [should_stop] fires.  [worker_id]
-      defaults to host-pid; it names the lease owner and the worker's
-      journal.  A lease not heartbeated for [lease_ttl_s] (default
-      60 s) is presumed dead and taken over — safe because cells are
-      deterministic and journal replay is last-record-wins.
+  (** Claim, evaluate (one {!eval} under [wall_budget_s]), journal and
+      mark cells until every cell of the campaign is done (polling
+      every 0.25 s while other workers hold the remainder) or
+      [should_stop] fires.  [worker_id] defaults to host-pid; it names
+      the lease owner and the worker's journal.  A lease not
+      heartbeated for [lease_ttl_s] (default 60 s) is presumed dead and
+      taken over — safe because cells are deterministic and journal
+      replay is last-record-wins.
       @raise Invalid_argument if [lease_ttl_s] is not positive (nan
       included). *)
 

@@ -2,7 +2,7 @@
    (torn tails and flipped bytes cost at most one record), crash-safe
    resume with byte-identical fingerprints at every interruption
    point, input-fingerprint invalidation, the per-cell wall budget's
-   named Cell_timeout diagnostic with bounded retry, and the
+   named Cell_timeout diagnostic (one evaluation per cell), and the
    shared-spool worker protocol (lease takeover from a dead worker,
    multi-worker split, merge equivalence). *)
 
@@ -34,7 +34,7 @@ let temp_dir =
 let small_grid = { Sweep.default_grid with types = [ packed "queue" ] }
 let n_cells = List.length (Sweep.cells small_grid)
 
-(* One cell, for the timeout/retry tests. *)
+(* One cell, for the timeout diagnostic's test. *)
 let one_cell_grid =
   {
     small_grid with
@@ -248,29 +248,101 @@ let test_cell_timeout_diagnostic () =
       Alcotest.(check bool) "diagnostic is deterministic" true
         (other = Error msg)
 
-let test_timeout_retries_then_gives_up () =
-  let retry = { Sweep.attempts = 3; budget_s = 0.0; backoff = 1.0 } in
-  let t = Sweep.run ~retry one_cell_grid in
+let minor_words f =
+  let before = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. before, r)
+
+(* A zero budget expires on every cell's first event: each cell fails
+   with exactly the diagnostic its one evaluation gives, and the
+   campaign completes.  Each cell is evaluated once: the campaign
+   allocates less than one and a half times what evaluating every cell
+   once allocates (a second evaluation of each would double it). *)
+let test_zero_budget_evaluates_once () =
+  let cells = Sweep.cells small_grid in
+  let one_each () =
+    List.map (fun c -> Sweep.eval ~wall_budget_s:0.0 small_grid c) cells
+  in
+  ignore (one_each ());
+  let once, expected = minor_words one_each in
+  let campaign, t =
+    minor_words (fun () -> Sweep.run ~wall_budget_s:0.0 small_grid)
+  in
   let done_, _, failed, _ = Sweep.counts t in
-  Alcotest.(check int) "the wedged cell fails, nothing hangs" 1 failed;
+  Alcotest.(check int) "every cell fails, nothing hangs" n_cells failed;
   Alcotest.(check int) "no completions" 0 done_;
-  Alcotest.(check int) "all attempts spent" 3 t.Sweep.meta.(0).Sweep.attempts;
-  (match t.Sweep.results.(0) with
-  | Sweep.Pool.Failed msg ->
-      Alcotest.(check bool) "diagnostic records the surrender" true
-        (contains msg "gave up after 3 attempts")
-  | _ -> Alcotest.fail "expected a failed cell");
+  Alcotest.(check int) "every cell executed" n_cells
+    t.Sweep.resume.Sweep.executed;
   Alcotest.(check bool) "campaign itself completed" false
-    t.Sweep.resume.Sweep.interrupted
+    t.Sweep.resume.Sweep.interrupted;
+  List.iteri
+    (fun i r ->
+      match (r, t.Sweep.results.(i)) with
+      | Error want, Sweep.Pool.Failed got ->
+          Alcotest.(check bool) "named Cell_timeout" true
+            (contains got "Cell_timeout");
+          Alcotest.(check string) "one evaluation's diagnostic" want got
+      | _ -> Alcotest.fail "expected a failed cell")
+    expected;
+  if campaign >= 1.5 *. once then
+    Alcotest.failf
+      "the campaign allocated %.0f words, evaluating each cell once %.0f"
+      campaign once
 
 let test_generous_budget_certifies () =
   (* A generous budget never fires, so the verdicts — and the
      fingerprint — are those of an unbudgeted run. *)
-  let retry = { Sweep.attempts = 2; budget_s = 3600.0; backoff = 2.0 } in
-  let t = Sweep.run ~retry small_grid in
+  let t = Sweep.run ~wall_budget_s:3600.0 small_grid in
   Alcotest.(check bool) "certified" true (Sweep.certified t);
   Alcotest.(check string) "fingerprint unaffected by the budget"
     (Lazy.force fresh_fingerprint) (Sweep.fingerprint t)
+
+let zero_budget_fingerprint =
+  lazy (Sweep.fingerprint (Sweep.run ~wall_budget_s:0.0 small_grid))
+
+(* The timeout diagnostic holds no event count or time, so a campaign
+   of timed-out cells fingerprints alike at every [--jobs] and after a
+   resume, which replays the journaled timeouts. *)
+let test_zero_budget_fingerprint_stable () =
+  let want = Lazy.force zero_budget_fingerprint in
+  Alcotest.(check bool) "every cell timed out" false
+    (contains want " => certified");
+  Alcotest.(check string) "jobs 2" want
+    (Sweep.fingerprint (Sweep.run ~jobs:2 ~wall_budget_s:0.0 small_grid));
+  let dir = temp_dir "resume-zero-budget" in
+  let t1 =
+    Sweep.run_durable ~wall_budget_s:0.0 ~should_stop:(stop_after 5)
+      ~code_fp:"T" ~dir small_grid
+  in
+  Alcotest.(check bool) "interrupted" true t1.Sweep.resume.Sweep.interrupted;
+  let t2 = Sweep.run_durable ~wall_budget_s:0.0 ~code_fp:"T" ~dir small_grid in
+  Alcotest.(check bool) "some cells replayed" true
+    (t2.Sweep.resume.Sweep.replayed > 0);
+  Alcotest.(check string) "resumed" want (Sweep.fingerprint t2)
+
+(* The runner calls [eval] once per pending item and never for a
+   replayed one, across an interruption and a resume. *)
+let test_runner_evaluates_once () =
+  let n = 8 in
+  let calls = Array.make n 0 in
+  let dir = temp_dir "runner-once" in
+  let run ?should_stop () =
+    Sweep.Runner.run ~jobs:1 ~fail_fast:false ~should_stop
+      ~journal:
+        (Some
+           (Sweep.Runner.in_dir ~header:"runner-once 1" ~sync_every:1
+              ~replay_failures:true dir))
+      ~key:string_of_int ~input_fp:Fun.id ~n
+      (fun i ->
+        calls.(i) <- calls.(i) + 1;
+        if i mod 3 = 0 then Error "odd one out" else Ok (i * i))
+  in
+  let t1 = run ~should_stop:(stop_after 3) () in
+  Alcotest.(check int) "three executed" 3 t1.Sweep.Runner.resume.executed;
+  let t2 = run () in
+  Alcotest.(check int) "those three replay" 3 t2.Sweep.Runner.resume.replayed;
+  Alcotest.(check (array int)) "each item evaluated once"
+    (Array.make n 1) calls
 
 (* ---------------- leases and the spool ---------------- *)
 
@@ -396,6 +468,33 @@ let test_spool_takeover_from_dead_worker () =
   | Ok t ->
       Alcotest.(check string) "recovered campaign byte-identical"
         (Lazy.force fresh_fingerprint) (Sweep.fingerprint t)
+
+(* A worker under a zero budget journals every cell's Cell_timeout,
+   and the merge is the single-process budgeted campaign. *)
+let test_spool_zero_budget_worker () =
+  let dir = temp_dir "spool-zero-budget" in
+  (match
+     Sweep.Spool.worker ~worker_id:"w0" ~wall_budget_s:0.0 ~code_fp:"T" ~dir
+       small_grid
+   with
+  | Error msg -> Alcotest.failf "worker failed: %s" msg
+  | Ok r ->
+      Alcotest.(check int) "worker ran every cell" n_cells
+        r.Sweep.Spool.completed;
+      Alcotest.(check int) "every cell journaled as a failure" n_cells
+        r.Sweep.Spool.failed);
+  match Sweep.Spool.merge ~code_fp:"T" ~dir small_grid with
+  | Error msg -> Alcotest.failf "merge failed: %s" msg
+  | Ok t ->
+      Array.iter
+        (function
+          | Sweep.Pool.Failed msg ->
+              Alcotest.(check bool) "named Cell_timeout" true
+                (contains msg "Cell_timeout")
+          | _ -> Alcotest.fail "expected a failed cell")
+        t.Sweep.results;
+      Alcotest.(check string) "merge is the budgeted single-process run"
+        (Lazy.force zero_budget_fingerprint) (Sweep.fingerprint t)
 
 (* ---------------- shard journal resume ---------------- *)
 
@@ -547,15 +646,19 @@ let () =
             test_resume_invalidates_on_code_change;
           Alcotest.test_case "failures replay unless rerun requested" `Quick
             test_failures_replayed_and_rerun;
+          Alcotest.test_case "runner evaluates each item once" `Quick
+            test_runner_evaluates_once;
         ] );
       ( "timeout",
         [
           Alcotest.test_case "zero budget raises a named Cell_timeout" `Quick
             test_cell_timeout_diagnostic;
-          Alcotest.test_case "bounded retry then surrender" `Quick
-            test_timeout_retries_then_gives_up;
+          Alcotest.test_case "zero budget fails each cell once" `Quick
+            test_zero_budget_evaluates_once;
           Alcotest.test_case "generous budget leaves verdicts alone" `Quick
             test_generous_budget_certifies;
+          Alcotest.test_case "zero budget fingerprint at jobs 1, 2, resumed"
+            `Quick test_zero_budget_fingerprint_stable;
         ] );
       ( "spool",
         [
@@ -571,6 +674,8 @@ let () =
             test_spool_two_workers_split_merge_identical;
           Alcotest.test_case "dead worker's cell recovered by takeover" `Quick
             test_spool_takeover_from_dead_worker;
+          Alcotest.test_case "zero-budget worker journals timeouts" `Quick
+            test_spool_zero_budget_worker;
         ] );
       ( "shard",
         [

@@ -40,7 +40,8 @@ let test_upper_bounds () =
   eq "centralized = 2d" "24" (Bounds.Theorems.ub_centralized model);
   eq "tob = d+eps" "15" (Bounds.Theorems.ub_tob model);
   Alcotest.check_raises "X out of range"
-    (Invalid_argument "Theorems: X must lie in [0, d - eps]") (fun () ->
+    (Invalid_argument "Theorems: X = 10 lies outside [0, d - eps] = [0, 9]")
+    (fun () ->
       ignore (Bounds.Theorems.ub_pure_accessor model ~x:(rat 10 1)))
 
 let test_monotonicity () =

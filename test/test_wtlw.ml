@@ -221,6 +221,54 @@ let test_x_validation () =
   Alcotest.(check bool) "X = d - eps accepted" true
     (attempt (rat 7 1) = `Accepted)
 
+(* [Core.Wtlw.check_x] is the one X-range test: every site that
+   refuses an X adds only its own prefix to its text, and the reliable
+   leg names the inflated model whose range it used. *)
+let test_x_refusal_texts () =
+  let module R = Core.Runtime.Make (Reg) in
+  let outside = "X = 8 lies outside [0, d - eps] = [0, 7]" in
+  let refused label want f =
+    Alcotest.check_raises label (Invalid_argument want) (fun () ->
+        ignore (f ()))
+  in
+  Alcotest.(check (result unit string))
+    "X = d - eps" (Ok ())
+    (Core.Wtlw.check_x model (rat 7 1));
+  Alcotest.(check (result unit string))
+    "X above d - eps" (Error outside)
+    (Core.Wtlw.check_x model (rat 8 1));
+  refused "Wtlw.create" ("Wtlw.create: " ^ outside) (fun () ->
+      Algo.create ~model ~x:(rat 8 1) ~offsets:offsets_zero
+        ~delay:(Sim.Net.constant (rat 8 1))
+        ());
+  refused "Theorems" ("Theorems: " ^ outside) (fun () ->
+      Bounds.Theorems.ub_pure_mutator model ~x:(rat 8 1));
+  let config x =
+    R.Config.make ~model ~offsets:offsets_zero
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~algorithm:(R.Wtlw { x })
+      ~workload:(R.Closed_loop { per_proc = 1; think = Rat.one; seed = 1 })
+      ()
+  in
+  refused "Runtime, plain leg" ("Wtlw.create: " ^ outside) (fun () ->
+      R.run (config (rat 8 1)));
+  let inflated =
+    Core.Reliable.inflated_model (Core.Reliable.default_config model) model
+  in
+  let far = Rat.add (Rat.sub inflated.d inflated.eps) Rat.one in
+  refused "Runtime, reliable leg"
+    (Printf.sprintf
+       "Runtime.run: X = %s lies outside [0, d - eps] = [0, %s] of the \
+        inflated model"
+       (Rat.to_string far)
+       (Rat.to_string (Rat.sub inflated.d inflated.eps)))
+    (fun () -> R.run (R.Config.reliable (config far)));
+  let wide = Sim.Model.make ~n:4 ~d:(rat 12 1) ~u:(rat 4 1) ~eps:(rat 100 1) in
+  Alcotest.(check (result unit string))
+    "eps above d"
+    (Error "X = -44: eps = 100 exceeds d = 12, so no X lies in [0, d - eps]")
+    (Core.Wtlw.check_x wide (rat (-44) 1))
+
 (* A read invoked after a write's response must return the new value
    even across processes — the crux of the X-backdating mechanism. *)
 let test_read_sees_completed_write () =
@@ -380,6 +428,7 @@ let () =
       ( "scenarios",
         [
           Alcotest.test_case "X validation" `Quick test_x_validation;
+          Alcotest.test_case "X refusal texts" `Quick test_x_refusal_texts;
           Alcotest.test_case "read sees completed write" `Quick
             test_read_sees_completed_write;
           Alcotest.test_case "replicas converge" `Quick test_replicas_converge;
