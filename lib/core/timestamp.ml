@@ -16,6 +16,9 @@ let equal a b = compare a b = 0
 let le a b = compare a b <= 0
 let pp ppf t = Format.fprintf ppf "(%a, p%d)" Rat.pp t.time t.proc
 
+(* No process has id -1, so no operation's timestamp equals this one. *)
+let none = { time = Rat.zero; proc = -1 }
+
 (* The comparison is total, so any sort gives the one order; the int
    sort the monitors use builds no closure per merge and raises
    nothing. *)
@@ -36,20 +39,21 @@ let order ~n ~time ~proc ~late =
   ids
 
 module Heap = struct
-  (* A binary min-heap over two parallel arrays.  Slots at index >= size
-     hold [dummy] as key; their values are left as they were until the
-     slot is reused, so at most the heap's capacity (its largest size
-     so far) of finished values stays reachable. *)
+  (* A binary min-heap over three parallel arrays: each entry's key,
+     timer id and value.  Slots at index >= size hold [none] as key;
+     their values are left as they were until the slot is reused, so at
+     most the heap's capacity (its largest size so far) of finished
+     values stays reachable. *)
   type key = t
 
   type 'a t = {
     mutable keys : key array;
+    mutable ids : int array;
     mutable values : 'a array;
     mutable size : int;
   }
 
-  let dummy = { time = Rat.zero; proc = -1 }
-  let create () = { keys = [||]; values = [||]; size = 0 }
+  let create () = { keys = [||]; ids = [||]; values = [||]; size = 0 }
   let length h = h.size
 
   (* Index of the entry whose key equals [ts], or -1.  A subtree whose
@@ -69,16 +73,31 @@ module Heap = struct
     let capacity = Array.length h.keys in
     if h.size = capacity then begin
       let fresh = max 8 (2 * capacity) in
-      let keys = Array.make fresh dummy and values = Array.make fresh v in
+      let keys = Array.make fresh none
+      and ids = Array.make fresh (-1)
+      and values = Array.make fresh v in
       Array.blit h.keys 0 keys 0 h.size;
+      Array.blit h.ids 0 ids 0 h.size;
       Array.blit h.values 0 values 0 h.size;
       h.keys <- keys;
+      h.ids <- ids;
       h.values <- values
     end
 
-  let add h ts v =
+  (* Store the entry at slot [i]. *)
+  let[@inline] set h i ts id v =
+    h.keys.(i) <- ts;
+    h.ids.(i) <- id;
+    h.values.(i) <- v
+
+  let[@inline] move h ~src ~dst = set h dst h.keys.(src) h.ids.(src) h.values.(src)
+
+  let add h ts ~id v =
     let found = find h ts 0 in
-    if found >= 0 then h.values.(found) <- v
+    if found >= 0 then begin
+      h.ids.(found) <- id;
+      h.values.(found) <- v
+    end
     else begin
       grow h v;
       let i = ref h.size in
@@ -86,14 +105,12 @@ module Heap = struct
       while !continue && !i > 0 do
         let parent = (!i - 1) / 2 in
         if compare ts h.keys.(parent) < 0 then begin
-          h.keys.(!i) <- h.keys.(parent);
-          h.values.(!i) <- h.values.(parent);
+          move h ~src:parent ~dst:!i;
           i := parent
         end
         else continue := false
       done;
-      h.keys.(!i) <- ts;
-      h.values.(!i) <- v;
+      set h !i ts id v;
       h.size <- h.size + 1
     end
 
@@ -101,9 +118,9 @@ module Heap = struct
      down. *)
   let remove_min h =
     let last = h.size - 1 in
-    let ts = h.keys.(last) and v = h.values.(last) in
+    let ts = h.keys.(last) and id = h.ids.(last) and v = h.values.(last) in
     h.size <- last;
-    h.keys.(last) <- dummy;
+    h.keys.(last) <- none;
     if last > 0 then begin
       let i = ref 0 in
       let continue = ref true in
@@ -118,21 +135,19 @@ module Heap = struct
             else left
           in
           if compare h.keys.(child) ts < 0 then begin
-            h.keys.(!i) <- h.keys.(child);
-            h.values.(!i) <- h.values.(child);
+            move h ~src:child ~dst:!i;
             i := child
           end
           else continue := false
         end
       done;
-      h.keys.(!i) <- ts;
-      h.values.(!i) <- v
+      set h !i ts id v
     end
 
   let drain h ~upto f x y =
     while h.size > 0 && compare h.keys.(0) upto <= 0 do
-      let ts = h.keys.(0) and v = h.values.(0) in
+      let ts = h.keys.(0) and id = h.ids.(0) and v = h.values.(0) in
       remove_min h;
-      f x y ts v
+      f x y ts id v
     done
 end

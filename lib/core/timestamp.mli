@@ -15,6 +15,11 @@ val equal : t -> t -> bool
 val le : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+val none : t
+(** [(0, -1)]: process ids are never negative, so this equals no
+    operation's timestamp — the "nothing awaited" value of a field
+    that would otherwise hold a [t option]. *)
+
 val order :
   n:int ->
   time:(int -> Rat.t) ->
@@ -35,7 +40,9 @@ val order :
     Neither ever needs more than "add" and "pop every entry up to a
     timestamp, smallest first", and both run once per mutator at every
     replica, so adds and pops write arrays in place instead of copying
-    a path of a persistent map. *)
+    a path of a persistent map.  Beside its value, each entry carries
+    the id of the execute timer set when it was queued, so that queueing
+    a copy allocates no record to pair the two. *)
 module Heap : sig
   type key = t
   type 'a t
@@ -43,16 +50,22 @@ module Heap : sig
   val create : unit -> 'a t
   val length : 'a t -> int
 
-  val add : 'a t -> key -> 'a -> unit
-  (** Insert an entry.  If an entry with an equal timestamp is already
-      queued, its value is replaced instead, as a map would — a
-      duplicated message arriving before its original was executed is
-      queued once. *)
+  val add : 'a t -> key -> id:int -> 'a -> unit
+  (** [add h ts ~id v] inserts an entry with timer id [id].  If an entry
+      with an equal timestamp is already queued, its id and value are
+      replaced instead, as a map would — a duplicated message arriving
+      before its original was executed is queued once. *)
 
   val drain :
-    'a t -> upto:key -> ('x -> 'y -> key -> 'a -> unit) -> 'x -> 'y -> unit
+    'a t ->
+    upto:key ->
+    ('x -> 'y -> key -> int -> 'a -> unit) ->
+    'x ->
+    'y ->
+    unit
   (** [drain h ~upto f x y] removes every entry with timestamp [<= upto]
-      in increasing timestamp order, calling [f x y ts v] on each just
-      after it is removed.  Passing the context as [x] and [y] instead
-      of closing [f] over it lets a caller drain without allocating. *)
+      in increasing timestamp order, calling [f x y ts id v] on each
+      just after it is removed.  Passing the context as [x] and [y]
+      instead of closing [f] over it lets a caller drain without
+      allocating. *)
 end

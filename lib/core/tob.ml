@@ -17,13 +17,18 @@
 module Make (T : Spec.Data_type.S) = struct
   module Replica = Replica.Make (T)
 
-  type msg = Op_msg of { inv : T.invocation; ts : Timestamp.t }
-  type tag = Execute of Timestamp.t
+  (* Messages and timer tags are one type: the broadcast [Op] block is
+     also the tag of the execute timer set wherever a copy of it is
+     queued, the invoker's own copy included. *)
+  type event = Op of { inv : T.invocation; ts : Timestamp.t }
+  type msg = event
+  type tag = event
   type engine = (msg, tag, T.invocation, T.response) Sim.Engine.t
 
   type pstate = {
     queue : T.invocation Timestamp.Heap.t;
-    mutable awaiting : Timestamp.t option;
+        (* each entry's id is its execute timer's *)
+    mutable awaiting : Timestamp.t;  (* or [Timestamp.none] *)
   }
 
   (* The replicas, maintained by replay through their shared log, and
@@ -36,7 +41,7 @@ module Make (T : Spec.Data_type.S) = struct
       replicas = Replica.create ~n;
       procs =
         Array.init n (fun _ ->
-            { queue = Timestamp.Heap.create (); awaiting = None });
+            { queue = Timestamp.Heap.create (); awaiting = Timestamp.none });
     }
 
   (* The handler triple, decoupled from engine construction so the
@@ -44,35 +49,38 @@ module Make (T : Spec.Data_type.S) = struct
      execution horizon [d + eps] is taken from the model. *)
   let protocol ~(model : Sim.Model.t) states =
     let horizon = Rat.add model.d model.eps in
-    let deliver (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
-      Timestamp.Heap.add states.procs.(ctx.self).queue ts inv;
+    (* Queue a copy of [op], whose fields are [inv] and [ts]. *)
+    let deliver (ctx : (msg, tag, T.response) Sim.Engine.ctx) op inv ts =
       (* Fire when the local clock reaches ts + d + eps; the wait is
          never negative because delay <= d and skew <= eps. *)
       let wait = Rat.sub (Rat.add ts.Timestamp.time horizon) ctx.local_time in
-      ignore (ctx.set_timer_after (Rat.max Rat.zero wait) (Execute ts))
+      let id = ctx.set_timer_after (Rat.max Rat.zero wait) op in
+      Timestamp.Heap.add states.procs.(ctx.self).queue ts ~id inv
     in
-    let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts inv =
+    let execute_one p (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts _id inv
+        =
       let ret = Replica.apply states.replicas ctx.self inv in
-      match p.awaiting with
-      | Some awaited when Timestamp.equal awaited ts ->
-          p.awaiting <- None;
-          ctx.respond ret
-      | Some _ | None -> ()
+      if Timestamp.equal p.awaiting ts then begin
+        p.awaiting <- Timestamp.none;
+        ctx.respond ret
+      end
     in
     let execute_up_to p ctx ts =
       Timestamp.Heap.drain p.queue ~upto:ts execute_one p ctx
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
       let ts = Timestamp.make ~time:ctx.local_time ~proc:ctx.self in
-      states.procs.(ctx.self).awaiting <- Some ts;
-      deliver ctx inv ts;
-      ctx.broadcast (Op_msg { inv; ts })
+      states.procs.(ctx.self).awaiting <- ts;
+      let op = Op { inv; ts } in
+      deliver ctx op inv ts;
+      ctx.broadcast op
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src:_ msg =
-      match msg with Op_msg { inv; ts } -> deliver ctx inv ts
+      match msg with Op { inv; ts } -> deliver ctx msg inv ts
     in
     let on_timer (ctx : (msg, tag, T.response) Sim.Engine.ctx) tag =
-      match tag with Execute ts -> execute_up_to states.procs.(ctx.self) ctx ts
+      match tag with
+      | Op { ts; _ } -> execute_up_to states.procs.(ctx.self) ctx ts
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 

@@ -10,7 +10,12 @@
 
 module Make (T : Spec.Data_type.S) : sig
   type msg
+
   type tag
+  (** The same type as {!msg} inside the implementation: a broadcast
+      operation is also the tag of each of its copies' execute
+      timers. *)
+
   type states
   (** The algorithm state of a cluster: the replicas with their shared
       replay log ({!Replica}), and each process's queue. *)

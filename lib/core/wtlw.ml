@@ -101,20 +101,27 @@ module Make (T : Spec.Data_type.S) = struct
   module Sem = Spec.Data_type.Semantics (T)
   module Replica = Replica.Make (T)
 
-  type msg = Op_msg of { inv : T.invocation; ts : Timestamp.t }
-
-  type tag =
+  (* Messages and timer tags are one type.  A mutator is broadcast as
+     one [Op] block, and that block is also the tag of the execute
+     timer set wherever a copy of it is queued: a copy costs a timer
+     and a heap slot, not a block of its own.  [Add] carries the
+     invoker's own [Op] to its queue after the simulated minimum
+     delay. *)
+  type event =
+    | Op of { inv : T.invocation; ts : Timestamp.t }
     | Respond_aop of { inv : T.invocation; ts : Timestamp.t }
     | Respond_ack of T.invocation
-    | Add of { inv : T.invocation; ts : Timestamp.t }
-    | Execute of Timestamp.t
+    | Add of event
 
-  type queued = { inv : T.invocation; exec_timer : int }
+  type msg = event
+  type tag = event
 
   type pstate = {
-    to_execute : queued Timestamp.Heap.t;
-    mutable awaiting : Timestamp.t option;
-        (* timestamp of the pending OOP invoked here, if any *)
+    to_execute : T.invocation Timestamp.Heap.t;
+        (* each entry's id is its execute timer's *)
+    mutable awaiting : Timestamp.t;
+        (* timestamp of the pending OOP invoked here, or
+           [Timestamp.none] *)
   }
 
   (* The replicas, maintained by replay through their shared log, and
@@ -132,21 +139,23 @@ module Make (T : Spec.Data_type.S) = struct
       replicas = Replica.create ~n;
       procs =
         Array.init n (fun _ ->
-            { to_execute = Timestamp.Heap.create (); awaiting = None });
+            {
+              to_execute = Timestamp.Heap.create ();
+              awaiting = Timestamp.none;
+            });
     }
 
   (* Apply one mutator taken off [To_Execute], cancelling its execute
      timer; respond if it is the OOP pending at this process. *)
   let execute_one states (ctx : (msg, tag, T.response) Sim.Engine.ctx) ts
-      { inv; exec_timer } =
+      exec_timer inv =
     ctx.cancel_timer exec_timer;
     let ret = Replica.apply states.replicas ctx.self inv in
     let p = states.procs.(ctx.self) in
-    match p.awaiting with
-    | Some awaited when Timestamp.equal awaited ts ->
-        p.awaiting <- None;
-        ctx.respond ret
-    | Some _ | None -> ()
+    if Timestamp.equal p.awaiting ts then begin
+      p.awaiting <- Timestamp.none;
+      ctx.respond ret
+    end
 
   (* Apply every queued mutator with timestamp at most [ts], in
      timestamp order (pseudocode lines 4-8 and 22-29). *)
@@ -158,10 +167,11 @@ module Make (T : Spec.Data_type.S) = struct
      same protocol can run either directly on an engine or wrapped by
      the reliable channel ([Core.Reliable]) over a lossy one. *)
   let protocol ~timing states =
-    let add_to_queue (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv ts =
-      let exec_timer = ctx.set_timer_after timing.execute_wait (Execute ts) in
-      Timestamp.Heap.add states.procs.(ctx.self).to_execute ts
-        { inv; exec_timer }
+    (* Queue a copy of [op], whose fields are [inv] and [ts]; [op]
+       itself is the execute timer's tag. *)
+    let add_to_queue (ctx : (msg, tag, T.response) Sim.Engine.ctx) op inv ts =
+      let id = ctx.set_timer_after timing.execute_wait op in
+      Timestamp.Heap.add states.procs.(ctx.self).to_execute ts ~id inv
     in
     let on_invoke (ctx : (msg, tag, T.response) Sim.Engine.ctx) inv =
       match Sem.kind_of inv with
@@ -182,15 +192,20 @@ module Make (T : Spec.Data_type.S) = struct
                  (lines 11-13, 16-17). *)
               ignore
                 (ctx.set_timer_after timing.mutator_ack_wait (Respond_ack inv))
-          | Spec.Op_kind.Mixed -> states.procs.(ctx.self).awaiting <- Some ts
+          | Spec.Op_kind.Mixed -> states.procs.(ctx.self).awaiting <- ts
           | Spec.Op_kind.Pure_accessor -> assert false);
           (* Simulate the minimum delay locally before queueing the own
              operation (line 14), and tell everyone else (line 15). *)
-          ignore (ctx.set_timer_after timing.add_wait (Add { inv; ts }));
-          ctx.broadcast (Op_msg { inv; ts })
+          let op = Op { inv; ts } in
+          ignore (ctx.set_timer_after timing.add_wait (Add op));
+          ctx.broadcast op
     in
     let on_receive (ctx : (msg, tag, T.response) Sim.Engine.ctx) ~src:_ msg =
-      match msg with Op_msg { inv; ts } -> add_to_queue ctx inv ts
+      match msg with
+      | Op { inv; ts } -> add_to_queue ctx msg inv ts
+      | Respond_aop _ | Respond_ack _ | Add _ ->
+          (* Only [Op] is ever sent. *)
+          assert false
     in
     let on_timer (ctx : (msg, tag, T.response) Sim.Engine.ctx) tag =
       match tag with
@@ -207,8 +222,11 @@ module Make (T : Spec.Data_type.S) = struct
              itself executes later. *)
           ctx.respond
             (snd (T.apply (Replica.state states.replicas ctx.self) inv))
-      | Add { inv; ts } -> add_to_queue ctx inv ts
-      | Execute ts -> execute_up_to states ctx ts
+      | Op { ts; _ } -> execute_up_to states ctx ts
+      | Add (Op { inv; ts } as op) -> add_to_queue ctx op inv ts
+      | Add _ ->
+          (* [on_invoke] wraps only an [Op]. *)
+          assert false
     in
     { Sim.Engine.on_invoke; on_receive; on_timer }
 

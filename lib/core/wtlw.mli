@@ -43,7 +43,9 @@ module Make (T : Spec.Data_type.S) : sig
   (** Inter-replica messages (broadcast mutator announcements). *)
 
   type tag
-  (** Timer tags (respond / add / execute). *)
+  (** Timer tags (respond / add / execute).  The same type as {!msg}
+      inside the implementation: a broadcast announcement is also the
+      tag of each of its copies' execute timers. *)
 
   type states
   (** The algorithm state of a cluster: the replicas with their shared

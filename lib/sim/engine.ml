@@ -55,6 +55,8 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   delay : Net.t;
   handlers : ('msg, 'tag, 'inv, 'resp) handlers;
   queue : Obj.t Event_queue.t;
+  (* Its pairing sink is also the engine's one record of the
+     invocation pending at each process. *)
   trace : ('msg, 'inv, 'resp) Trace.t;
   (* Timer id [i] is live while bit [i] is set: from [set_timer_after]
      until its queue entry pops or it is cancelled, whichever comes
@@ -63,7 +65,6 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   mutable live_timers : Bytes.t;
   (* Cancelled timers whose queue entry has not popped yet. *)
   mutable cancelled : int;
-  pending : 'inv option array;
   send_seq : int array array;
   (* One ctx for the engine, built on the first dispatch and reused
      for every event after: only the process and the two clock fields
@@ -118,7 +119,6 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
       trace = Trace.create ~retain_events ~monitor:model ();
       live_timers = Bytes.make 64 '\000';
       cancelled = 0;
-      pending = Array.make n None;
       send_seq = Array.make_matrix n n 0;
       ctx = None;
       current = 0;
@@ -234,12 +234,11 @@ let build_ctx t =
   in
   let respond resp =
     let self = t.current in
-    match t.pending.(self) with
-    | None -> invalid_arg "Engine: respond with no pending operation"
-    | Some inv ->
-        t.pending.(self) <- None;
-        Trace.respond t.trace ~time:t.now ~proc:self ~inv resp;
-        t.on_response ~proc:self ~inv ~resp ~time:t.now
+    if not (Trace.is_pending t.trace self) then
+      invalid_arg "Engine: respond with no pending operation";
+    let inv = Trace.pending_invocation t.trace self in
+    Trace.respond t.trace ~time:t.now ~proc:self ~inv resp;
+    t.on_response ~proc:self ~inv ~resp ~time:t.now
   in
   let broadcast msg =
     let self = t.current in
@@ -297,16 +296,12 @@ let dispatch t ~kind ~fst ~snd payload =
          record it (it will stay pending forever, which flags the run)
          but never run the handler.  Later invocations at a dead
          process are swallowed so the trace stays well-formed. *)
-      if t.pending.(proc) = None then begin
-        t.pending.(proc) <- Some inv;
+      if not (Trace.is_pending t.trace proc) then
         Trace.invoke t.trace ~time:t.now ~proc inv
-      end
     end
     else begin
-      (match t.pending.(proc) with
-      | Some _ -> invalid_arg "Engine: invocation while an operation is pending"
-      | None -> ());
-      t.pending.(proc) <- Some inv;
+      if Trace.is_pending t.trace proc then
+        invalid_arg "Engine: invocation while an operation is pending";
       Trace.invoke t.trace ~time:t.now ~proc inv;
       t.handlers.on_invoke (get_ctx t ~self:proc) inv
     end

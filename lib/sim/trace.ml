@@ -403,6 +403,11 @@ let pending_invocations t =
   done;
   !acc
 
+let pending_invocation t proc =
+  if not (is_pending t proc) then
+    invalid_arg "Trace.pending_invocation: no invocation pending";
+  t.pending_inv.(proc)
+
 let message_delays t =
   List.filter_map
     (function

@@ -206,6 +206,18 @@ val pending_invocations : ('msg, 'inv, 'resp) t -> (int * 'inv) list
 (** Invocations that never received a response (non-empty only for
     truncated runs), sorted by process id. *)
 
+val is_pending : ('msg, 'inv, 'resp) t -> int -> bool
+(** [is_pending t proc]: has [proc] an invocation with no response
+    yet?  O(1), from the pairing sink, and [false] for a process never
+    seen.  Once the history is ill-formed the pairing sink stops, and
+    this answers for the events before that; the engine, which never
+    records an ill-formed history, asks this instead of keeping its
+    own table. *)
+
+val pending_invocation : ('msg, 'inv, 'resp) t -> int -> 'inv
+(** The invocation pending at [proc].
+    @raise Invalid_argument unless {!is_pending}. *)
+
 val message_delays : ('msg, 'inv, 'resp) t -> (int * int * Rat.t) list
 (** [(src, dst, delay)] for every message sent.
     @raise Invalid_argument if retention is disabled. *)

@@ -11,8 +11,9 @@
    stale lease to its own private grave name, the single winner's
    rename succeeds and the losers get ENOENT.
 
-   Liveness is a heartbeat on the lease's mtime ([renew], called by the
-   holder between long cells); a lease whose mtime is older than the
+   Liveness is a heartbeat on the lease's mtime ([renew], called every
+   ttl/4 by the holder's [Heartbeat] domain while a cell runs); a lease
+   whose mtime is older than the
    ttl is presumed held by a dead worker and may be taken over.  A
    takeover can race a *slow* (not dead) worker — that is safe here
    because cells are deterministic and the journal's last-record-wins
@@ -88,6 +89,47 @@ let renew t =
   try Unix.utimes t.path 0.0 0.0 with Unix.Unix_error _ -> ()
 
 let release t = try Sys.remove t.path with Sys_error _ -> ()
+
+module Heartbeat = struct
+  type lease = t
+
+  type t = {
+    current : lease option Atomic.t;
+    (* Held across each renewal, so that once [drop] returns no
+       renewal of the dropped lease is still in flight. *)
+    lock : Mutex.t;
+    stop : bool Atomic.t;
+    domain : unit Domain.t;
+  }
+
+  (* The sleep is chopped into slices so that [stop] waits at most one
+     slice for the domain to notice. *)
+  let slice_s = 0.05
+
+  let start ~interval_s =
+    let current = Atomic.make None
+    and lock = Mutex.create ()
+    and stop = Atomic.make false in
+    let beat () =
+      while not (Atomic.get stop) do
+        Mutex.protect lock (fun () -> Option.iter renew (Atomic.get current));
+        let slept = ref 0.0 in
+        while (not (Atomic.get stop)) && !slept < interval_s do
+          Unix.sleepf slice_s;
+          slept := !slept +. slice_s
+        done
+      done
+    in
+    { current; lock; stop; domain = Domain.spawn beat }
+
+  let hold t lease = Atomic.set t.current (Some lease)
+  let drop t = Mutex.protect t.lock (fun () -> Atomic.set t.current None)
+
+  let stop t =
+    drop t;
+    Atomic.set t.stop true;
+    Domain.join t.domain
+end
 
 (* Test hook: age a lease as if its holder stopped heartbeating
    [age_s] seconds ago. *)

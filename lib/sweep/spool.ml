@@ -118,6 +118,12 @@ let worker ?worker_id ?wall_budget_s ?should_stop ?(sync_every = 1)
       let w =
         Journal.writer ~sync_every ~path:jpath ~fp:Engine.journal_header ()
       in
+      (* One heartbeat for the session, renewing the lease of the cell
+         in flight every ttl/4, so a multi-minute cell does not look
+         dead to other workers. *)
+      let heartbeat =
+        Lease.Heartbeat.start ~interval_s:(Float.max 0.05 (lease_ttl_s /. 4.0))
+      in
       let stopped () =
         match should_stop with Some f -> f () | None -> false
       in
@@ -136,26 +142,10 @@ let worker ?worker_id ?wall_budget_s ?should_stop ?(sync_every = 1)
         Unix.rename tmp (done_path ~dir i)
       in
       let run_cell i lease =
-        (* Heartbeat from a side domain so a multi-minute cell does not
-           look dead to other workers; the sleep is chopped fine so the
-           join after the cell costs at most ~50 ms. *)
-        let hb_stop = Atomic.make false in
-        let hb =
-          Domain.spawn (fun () ->
-              let interval = Float.max 0.05 (lease_ttl_s /. 4.0) in
-              while not (Atomic.get hb_stop) do
-                Lease.renew lease;
-                let slept = ref 0.0 in
-                while (not (Atomic.get hb_stop)) && !slept < interval do
-                  Unix.sleepf 0.05;
-                  slept := !slept +. 0.05
-                done
-              done)
-        in
+        Lease.Heartbeat.hold heartbeat lease;
         Fun.protect
           ~finally:(fun () ->
-            Atomic.set hb_stop true;
-            Domain.join hb;
+            Lease.Heartbeat.drop heartbeat;
             Lease.release lease)
           (fun () ->
             let key = Engine.cell_key grid cells.(i) in
@@ -187,7 +177,9 @@ let worker ?worker_id ?wall_budget_s ?should_stop ?(sync_every = 1)
         go 0
       in
       Fun.protect
-        ~finally:(fun () -> Journal.close w)
+        ~finally:(fun () ->
+          Lease.Heartbeat.stop heartbeat;
+          Journal.close w)
         (fun () ->
           let rec passes () =
             if (not (stopped ())) && not (all_done ()) then begin

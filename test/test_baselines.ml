@@ -200,6 +200,29 @@ let test_baselines_all_types () =
   check_type "priority-queue" (module Spec.Priority_queue);
   check_type "log" (module Spec.Log_type)
 
+(* What one operation costs the total-order baseline's protocol layer
+   at n = 4, counted from its invocation through its copy being queued
+   at every process: the timestamp (3 words) and the broadcast [Op]
+   block (3), which is also each copy's execute tag, the invoker's own
+   included.  Queueing a received copy allocates nothing.  A first
+   round warms the queues and the recording ctx. *)
+let test_tob_allocation () =
+  let module B = Core.Tob.Make (Spec.Fifo_queue) in
+  let handlers = B.protocol ~model (B.fresh_states ~n:4) in
+  let h = Hand_ctx.create ~n:4 in
+  let follow round inv =
+    Hand_ctx.follow h handlers ~time:(Rat.of_int round) ~after_invoke:false
+      inv
+  in
+  ignore (follow 1 (Spec.Fifo_queue.Enqueue 1));
+  List.iter
+    (fun (name, inv) ->
+      let at_invoke, queueing = follow 2 inv in
+      Alcotest.(check (float 0.)) (name ^ ": invocation") 6. at_invoke;
+      Alcotest.(check (float 0.)) (name ^ ": queueing the copies") 0.
+        queueing)
+    [ ("mutator", Spec.Fifo_queue.Enqueue 7); ("accessor", Spec.Fifo_queue.Peek) ]
+
 let () =
   Alcotest.run "baselines"
     [
@@ -216,6 +239,8 @@ let () =
           Alcotest.test_case "linearizable" `Quick test_tob_linearizable;
           Alcotest.test_case "latency exactly d+eps" `Quick
             test_tob_latency_exact;
+          Alcotest.test_case "an operation allocates its message, not copies"
+            `Quick test_tob_allocation;
         ] );
       ( "comparison",
         [

@@ -361,6 +361,58 @@ let test_lease_claim_and_takeover () =
       Sweep.Lease.release lease
   | _ -> Alcotest.fail "stale lease should be taken over"
 
+(* A spool worker runs one heartbeat for its whole session and points
+   it at each cell's lease in turn.  Across two cells: the first lease
+   is renewed while held and left alone once dropped, and the second is
+   renewed from the moment it is held.  A lease backdated by an hour
+   reads fresh again only if the heartbeat renewed it. *)
+let test_heartbeat_follows_current_lease () =
+  let dir = temp_dir "heartbeat" in
+  let claim name =
+    match Sweep.Lease.claim ~dir ~owner:"w" ~ttl_s:60.0 name with
+    | Sweep.Lease.Acquired lease -> lease
+    | _ -> Alcotest.failf "claim of %s should acquire" name
+  in
+  (* [Lease] keeps the lease on [name] in the file [name.lease]. *)
+  let age name =
+    Unix.gettimeofday ()
+    -. (Unix.stat (Filename.concat dir (name ^ ".lease"))).Unix.st_mtime
+  in
+  let renewed name =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec wait () =
+      age name < 60.0
+      || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.01; wait ()))
+    in
+    wait ()
+  in
+  let hb = Sweep.Lease.Heartbeat.start ~interval_s:0.05 in
+  Fun.protect
+    ~finally:(fun () -> Sweep.Lease.Heartbeat.stop hb)
+    (fun () ->
+      let first = claim "c0" in
+      Sweep.Lease.Heartbeat.hold hb first;
+      Sweep.Lease.backdate ~dir ~age_s:3600.0 "c0";
+      Alcotest.(check bool) "first cell's lease renewed" true (renewed "c0");
+      Sweep.Lease.Heartbeat.drop hb;
+      (* Keep the dropped lease's file, backdated, so that a renewal
+         of it would show, over five heartbeat intervals between the
+         cells and as many while the second is held. *)
+      Sweep.Lease.backdate ~dir ~age_s:3600.0 "c0";
+      Unix.sleepf 0.25;
+      Alcotest.(check bool) "dropped lease left alone between cells" true
+        (age "c0" > 3000.0);
+      let second = claim "c1" in
+      Sweep.Lease.Heartbeat.hold hb second;
+      Sweep.Lease.backdate ~dir ~age_s:3600.0 "c1";
+      Alcotest.(check bool) "second cell's lease renewed" true
+        (renewed "c1");
+      Unix.sleepf 0.25;
+      Alcotest.(check bool) "dropped lease left alone after" true
+        (age "c0" > 3000.0);
+      Sweep.Lease.release first;
+      Sweep.Lease.release second)
+
 (* A lease ttl that is not positive is refused by name before the
    spool is touched: nan would spin the heartbeat, 0 or less would make
    every live lease read as stale. *)
@@ -664,6 +716,8 @@ let () =
         [
           Alcotest.test_case "lease claim, hold, stale takeover" `Quick
             test_lease_claim_and_takeover;
+          Alcotest.test_case "heartbeat follows the current lease" `Quick
+            test_heartbeat_follows_current_lease;
           Alcotest.test_case "spool rejects a different grid" `Quick
             test_spool_rejects_other_grid;
           Alcotest.test_case "spool refuses a lease ttl that is not positive"

@@ -553,6 +553,104 @@ let test_too_many_processes () =
   let spent = words () -. before in
   if spent >= 1000. then Alcotest.failf "refusal allocated %.0f words" spent
 
+(* The engine keeps no table of pending invocations beside the trace's
+   pairing sink, so the operations of a run cost their completed record
+   (6 words) and nothing for the invocation itself: no [Some] box, and
+   no event when nothing keeps events.  A first batch warms the event
+   queue; the difference of two batches leaves out [run]'s fixed
+   cost. *)
+let test_invocation_allocation () =
+  let e =
+    Sim.Engine.create ~retain_events:false ~model
+      ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~handlers:
+        {
+          on_invoke = (fun ctx () -> ctx.respond ());
+          on_receive = (fun _ ~src:_ () -> ());
+          on_timer = (fun _ () -> ());
+        }
+      ()
+  in
+  Sim.Trace.hand_over (Sim.Engine.trace e) ignore;
+  let next = ref 0 in
+  let run_batch size =
+    let before = Gc.minor_words () in
+    for i = !next to !next + size - 1 do
+      Sim.Engine.schedule_invoke e ~at:(Rat.of_int i) ~proc:(i mod 3) ()
+    done;
+    next := !next + size;
+    Sim.Engine.run e;
+    Gc.minor_words () -. before
+  in
+  ignore (run_batch 128);
+  let small = run_batch 64 in
+  let large = run_batch 128 in
+  Alcotest.(check (float 0.)) "words per operation" 6. ((large -. small) /. 64.);
+  Alcotest.(check int) "every operation completed" 320
+    (Sim.Trace.operation_count (Sim.Engine.trace e))
+
+(* The two refusals of an ill-paired history keep their texts: an
+   invocation at a process with one pending, and a response at a
+   process with none. *)
+let test_pairing_refusals () =
+  let e = make_engine ~on_local_time:no_clock () in
+  Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc:0 "ping";
+  Sim.Engine.schedule_invoke e ~at:(rat 1 1) ~proc:0 "ping";
+  Alcotest.check_raises "invocation while pending"
+    (Invalid_argument "Engine: invocation while an operation is pending")
+    (fun () -> Sim.Engine.run e);
+  let e =
+    Sim.Engine.create ~model ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~handlers:
+        {
+          on_invoke =
+            (fun ctx () ->
+              ctx.respond "first";
+              ctx.respond "second");
+          on_receive = (fun _ ~src:_ () -> ());
+          on_timer = (fun _ () -> ());
+        }
+      ()
+  in
+  Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc:1 ();
+  Alcotest.check_raises "response with none pending"
+    (Invalid_argument "Engine: respond with no pending operation")
+    (fun () -> Sim.Engine.run e);
+  Alcotest.(check int) "the first response was recorded" 1
+    (Sim.Trace.operation_count (Sim.Engine.trace e))
+
+(* At a crashed process the first invocation is recorded and stays
+   pending; later ones are swallowed, so the trace stays well-formed. *)
+let test_crashed_invocations () =
+  let faults =
+    { Sim.Fault.none with specs = [ Sim.Fault.crash ~proc:0 ~at:(rat 1 1) ] }
+  in
+  let e =
+    Sim.Engine.create ~faults ~model ~offsets:(Array.make 3 Rat.zero)
+      ~delay:(Sim.Net.constant (rat 8 1))
+      ~handlers:
+        {
+          on_invoke = (fun _ _ -> Alcotest.fail "a crashed process ran");
+          on_receive = (fun _ ~src:_ () -> ());
+          on_timer = (fun _ () -> ());
+        }
+      ()
+  in
+  Sim.Engine.schedule_invoke e ~at:(rat 2 1) ~proc:0 "first";
+  Sim.Engine.schedule_invoke e ~at:(rat 3 1) ~proc:0 "second";
+  Sim.Engine.run e;
+  let trace = Sim.Engine.trace e in
+  Alcotest.(check (list (pair int string)))
+    "first invocation pending" [ (0, "first") ]
+    (Sim.Trace.pending_invocations trace);
+  Alcotest.(check int) "one invocation recorded" 1
+    (List.length
+       (List.filter
+          (function Sim.Trace.Invoke _ -> true | _ -> false)
+          (Sim.Trace.events trace)))
+
 let () =
   Alcotest.run "engine"
     [
@@ -592,5 +690,11 @@ let () =
             test_tag_bounds;
           Alcotest.test_case "n = 2^20 refused before allocating" `Quick
             test_too_many_processes;
+          Alcotest.test_case "an invocation allocates nothing" `Quick
+            test_invocation_allocation;
+          Alcotest.test_case "pairing refusals keep their texts" `Quick
+            test_pairing_refusals;
+          Alcotest.test_case "crashed process: first invocation recorded"
+            `Quick test_crashed_invocations;
         ] );
     ]

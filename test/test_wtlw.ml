@@ -352,11 +352,12 @@ let prop_queue_runs_linearizable =
 
 (* The To_Execute heap against a persistent map, the structure it
    replaced: over a random interleaving of adds and drains up to a
-   timestamp, both must drain the same (timestamp, value) sequences.
+   timestamp, both must drain the same (timestamp, timer id, value)
+   sequences, so an entry's id travels with it through every sift.
    Times are small so that many timestamps tie on time and are ordered
    by process id alone.  With [~repeats] timestamps may recur, as a
-   duplicated message's does; the map then replaces the queued value,
-   and so must the heap. *)
+   duplicated message's does; the map then replaces the queued id and
+   value, and so must the heap. *)
 module Ts_map = Map.Make (Core.Timestamp)
 
 let heap_agrees_with_map ~repeats =
@@ -402,13 +403,15 @@ let heap_agrees_with_map ~repeats =
            (fun i step ->
              match step with
              | `Add ts ->
-                 Core.Timestamp.Heap.add heap ts i;
-                 map := Ts_map.add ts i !map;
+                 (* a timer id unlike the value, as the engine's are *)
+                 let id = 1000 - (7 * i) in
+                 Core.Timestamp.Heap.add heap ts ~id i;
+                 map := Ts_map.add ts (id, i) !map;
                  Core.Timestamp.Heap.length heap = Ts_map.cardinal !map
              | `Drain upto ->
                  let from_heap = ref [] in
                  Core.Timestamp.Heap.drain heap ~upto
-                   (fun acc () ts v -> acc := (ts, v) :: !acc)
+                   (fun acc () ts id v -> acc := (ts, (id, v)) :: !acc)
                    from_heap ();
                  let below, above =
                    Ts_map.partition (fun ts _ -> Core.Timestamp.le ts upto) !map
@@ -416,6 +419,35 @@ let heap_agrees_with_map ~repeats =
                  map := above;
                  List.rev !from_heap = Ts_map.bindings below)
            steps))
+
+(* What one mutator costs the protocol layer at n = 4, counted from
+   its invocation through its copy being queued at every process (the
+   three received copies and the invoker's own, after its [Add] timer):
+   the timestamp (3 words), the broadcast [Op] block (3) and the [Add]
+   tag that points at it (2), plus a pure mutator's [Respond_ack] tag
+   (2).  Each copy is a heap slot and a timer whose tag is the [Op]
+   block itself, so queueing a received copy allocates nothing.  A
+   first round warms the queues and the recording ctx. *)
+module QW = Core.Wtlw.Make (Spec.Fifo_queue)
+
+let test_mutator_allocation () =
+  let handlers =
+    QW.protocol
+      ~timing:(Core.Wtlw.default_timing model ~x:x_default)
+      (QW.fresh_states ~n:4)
+  in
+  let h = Hand_ctx.create ~n:4 in
+  let follow round inv =
+    Hand_ctx.follow h handlers ~time:(Rat.of_int round) ~after_invoke:true inv
+  in
+  ignore (follow 1 (Spec.Fifo_queue.Enqueue 1));
+  let check name inv ~invoke =
+    let at_invoke, queueing = follow 2 inv in
+    Alcotest.(check (float 0.)) (name ^ ": invocation") invoke at_invoke;
+    Alcotest.(check (float 0.)) (name ^ ": queueing every copy") 0. queueing
+  in
+  check "pure mutator" (Spec.Fifo_queue.Enqueue 7) ~invoke:10.;
+  check "mixed" Spec.Fifo_queue.Dequeue ~invoke:8.
 
 let () =
   Alcotest.run "wtlw"
@@ -434,6 +466,8 @@ let () =
           Alcotest.test_case "replicas converge" `Quick test_replicas_converge;
           Alcotest.test_case "concurrent writes converge" `Quick
             test_concurrent_writes_converge;
+          Alcotest.test_case "a mutator allocates its message, not copies"
+            `Quick test_mutator_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
