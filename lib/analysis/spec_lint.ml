@@ -25,6 +25,10 @@
       (totality on legal prefixes);
     - [spec.determinism] — two applications of the same invocation in
       the same state disagree on response or successor state;
+    - [spec.respond-disagrees] — [respond] raises on, or answers
+      differently from [apply]'s response to, an invocation in a
+      reachable state (the law [respond s i = snd (apply s i)] that
+      lets Algorithm 1 answer without building a successor);
     - [spec.equal-state-irreflexive] — [equal_state s s] is false for a
       reachable state;
     - [spec.show-state-collision] — two reachable, [equal_state]-distinct
@@ -210,6 +214,29 @@ module Make (T : Spec.Data_type.S) = struct
                            "apply is not deterministic: two applications \
                             of the same invocation in the same state \
                             disagree"));
+                (* The answer alone must be [apply]'s answer. *)
+                (match T.respond state inv with
+                | resp when T.equal_response resp resp1 -> ()
+                | resp ->
+                    add
+                      (Diagnostic.error ~rule:"spec.respond-disagrees"
+                         ~subject:(subject (T.op_of inv))
+                         ~witness:
+                           (Format.asprintf
+                              "%s after %s: respond %a, apply %a"
+                              (show_inv inv) (show_path (List.rev path))
+                              T.pp_response resp T.pp_response resp1)
+                         "respond s i differs from snd (apply s i)")
+                | exception exn ->
+                    add
+                      (Diagnostic.error ~rule:"spec.respond-disagrees"
+                         ~subject:(subject (T.op_of inv))
+                         ~witness:
+                           (Printf.sprintf "%s after %s" (show_inv inv)
+                              (show_path (List.rev path)))
+                         (Printf.sprintf
+                            "respond raised where apply answered: %s"
+                            (Printexc.to_string exn))));
                 match find_visited state1 with
                 | Some (prior, _) ->
                     (* Same state by [equal_state]: renderings must

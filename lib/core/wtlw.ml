@@ -211,17 +211,17 @@ module Make (T : Spec.Data_type.S) = struct
       match tag with
       | Respond_aop { inv; ts } ->
           (* Execute smaller-timestamped mutators first, then evaluate
-             the accessor on the replica (lines 3-9). *)
+             the accessor on the replica (lines 3-9).  A pure accessor
+             leaves the state as it is, so only its response is
+             computed. *)
           execute_up_to states ctx ts;
-          let _, ret = T.apply (Replica.state states.replicas ctx.self) inv in
-          ctx.respond ret
+          ctx.respond (T.respond (Replica.state states.replicas ctx.self) inv)
       | Respond_ack inv ->
           (* A pure mutator's response cannot depend on the state
              (otherwise the operation would be an accessor), so the
              current replica determines it even though the mutation
-             itself executes later. *)
-          ctx.respond
-            (snd (T.apply (Replica.state states.replicas ctx.self) inv))
+             itself executes later; no successor is built here. *)
+          ctx.respond (T.respond (Replica.state states.replicas ctx.self) inv)
       | Op { ts; _ } -> execute_up_to states ctx ts
       | Add (Op { inv; ts } as op) -> add_to_queue ctx op inv ts
       | Add _ ->

@@ -21,6 +21,8 @@ let apply state = function
   | Read -> (state, Value state)
   | Fetch_and_increment -> (state + 1, Value state)
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function
   | Add _ -> "add"
   | Read -> "read"

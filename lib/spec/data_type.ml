@@ -33,6 +33,10 @@ module type S = sig
   (** Total and deterministic: the unique legal response and successor
       state. *)
 
+  val respond : state -> invocation -> response
+  (** The response alone: [respond s i = snd (apply s i)], computed
+      without building the successor state. *)
+
   val op_of : invocation -> string
   (** Which operation (in the paper's sense: read, write, enqueue, ...)
       this invocation is an instance of. *)

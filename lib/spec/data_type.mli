@@ -25,6 +25,16 @@ module type S = sig
   val apply : state -> invocation -> state * response
   (** Total and deterministic. *)
 
+  val respond : state -> invocation -> response
+  (** The response alone, without the successor state.  One law:
+      [respond s i = snd (apply s i)] for every state and invocation
+      ([spec.respond-disagrees] in the static analyzer checks it).
+      Algorithm 1 answers pure mutators and pure accessors with it, so
+      an answer costs its response, not a successor state; everything
+      that decides a verdict (the replicas, the monitors' replay, the
+      Wing-Gong checker, the classification) keeps calling
+      {!apply}. *)
+
   val op_of : invocation -> string
   (** Which operation (read, write, enqueue, ...) this invocation is an
       instance of. *)

@@ -41,6 +41,13 @@ let apply state = function
       | [] -> (state, Got None)
       | head :: _ -> (state, Got (Some head)))
 
+(* [front] holds the head whenever the queue is non-empty, so an answer
+   reads it without normalizing a successor. *)
+let respond state = function
+  | Enqueue _ -> Ack
+  | Dequeue | Peek -> (
+      match state.front with [] -> Got None | head :: _ -> Got (Some head))
+
 let op_of = function
   | Enqueue _ -> "enqueue"
   | Dequeue -> "dequeue"

@@ -54,6 +54,10 @@ module Make (T : Data_type.S) = struct
     let s', resp = T.apply s inv in
     ((if s' == s then st else update key s' st), resp)
 
+  (* The key's answer from its sub-state as it stands: no chain copy,
+     no successor. *)
+  let respond st { key; inv } = T.respond (find key st) inv
+
   (* Operation names are the underlying type's, untagged: the family
      has the same operation set (and classification) as its element
      type, so latency grouping and Algorithm 1's AOP/MOP/OOP dispatch

@@ -33,6 +33,8 @@ let apply state = function
       | [] -> ([], Entry None)
       | oldest :: rest_rev -> (List.rev rest_rev, Entry (Some oldest)))
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function
   | Append _ -> "append"
   | Last -> "last"

@@ -38,6 +38,8 @@ let apply state = function
       | [] -> (state, Max None)
       | top :: _ -> (state, Max (Some top)))
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function
   | Insert _ -> "insert"
   | Extract_max -> "extract-max"

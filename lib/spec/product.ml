@@ -31,6 +31,10 @@ module Make (A : Data_type.S) (B : Data_type.S) = struct
         let b', resp = B.apply b inv in
         ((a, b'), Right_r resp)
 
+  let respond (a, b) = function
+    | Left inv -> Left_r (A.respond a inv)
+    | Right inv -> Right_r (B.respond b inv)
+
   (* Each side's operation names with their prefix, built once, so
      that [op_of] hands out a shared string instead of concatenating
      one per call.  A name a side does not declare is prefixed afresh. *)

@@ -19,6 +19,8 @@ let apply state = function
   | Read -> (state, Value state)
   | Write v -> (v, Ack)
 
+let respond state = function Read -> Value state | Write _ -> Ack
+
 let op_of = function Read -> "read" | Write _ -> "write"
 
 let operations =

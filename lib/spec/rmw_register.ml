@@ -39,6 +39,8 @@ let apply state = function
   | Write v -> (v, Ack)
   | Rmw fn -> (eval_fn fn state, Value state)
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function Read -> "read" | Write _ -> "write" | Rmw _ -> "rmw"
 
 let operations =

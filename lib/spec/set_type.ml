@@ -39,6 +39,8 @@ let apply state = function
       | None -> (state, Min None)
       | Some min -> (Elements.remove min state, Min (Some min)))
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function
   | Add _ -> "add"
   | Remove _ -> "remove"

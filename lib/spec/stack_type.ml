@@ -29,6 +29,8 @@ let apply state = function
       | [] -> (state, Got None)
       | top :: _ -> (state, Got (Some top)))
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function Push _ -> "push" | Pop -> "pop" | Peek -> "peek"
 
 let operations =

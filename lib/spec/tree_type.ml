@@ -90,6 +90,8 @@ let apply state = function
   | Depth x -> (state, Depth_is (depth state x))
   | Last_removed -> (state, Removed_was state.last_removed)
 
+let respond s inv = snd (apply s inv)
+
 let op_of = function
   | Insert _ -> "insert"
   | Delete _ -> "delete"

@@ -1,7 +1,8 @@
 (* Static-analysis tests: every bundled data type must come out of all
-   passes with zero error findings, and a deliberately broken fixture
+   passes with zero error findings, and deliberately broken fixtures
    (mis-declared Op_kind, non-deterministic apply, non-canonical
-   show_state) must be flagged with concrete witnesses. *)
+   show_state, a respond that disagrees with apply) must be flagged
+   with concrete witnesses. *)
 
 (* Plain substring search (no Str dependency). *)
 let contains ~sub s =
@@ -130,6 +131,8 @@ module Broken = struct
         (s, Val !nondet)
     | Probe -> (s, Val s)
 
+  let respond s inv = snd (apply s inv)
+
   let op_of = function Bump -> "bump" | Noise -> "noise" | Probe -> "probe"
 
   let operations =
@@ -220,6 +223,37 @@ let test_broken_report_gates () =
         (first.severity = Analysis.Diagnostic.Error)
   | [] -> Alcotest.fail "empty report"
 
+(* The bundled queue with an answer that skips the state: [respond]
+   reads every queue as empty, so its dequeues and peeks disagree with
+   [apply] once something is enqueued, while [apply] itself is sound. *)
+module Answer_from_empty = struct
+  include Spec.Fifo_queue
+
+  let respond _ = function
+    | Enqueue _ -> Ack
+    | Dequeue | Peek -> Got None
+end
+
+let test_respond_disagrees () =
+  let module L = Analysis.Spec_lint.Make (Answer_from_empty) in
+  let findings = L.run () in
+  List.iter
+    (fun op ->
+      Alcotest.(check bool)
+        (op ^ ": respond disagreement flagged with witness")
+        true
+        (has ~with_witness:true ~rule:"spec.respond-disagrees"
+           ~subject_sub:op findings))
+    [ "dequeue"; "peek" ];
+  Alcotest.(check bool)
+    "enqueue's answer agrees" false
+    (has ~rule:"spec.respond-disagrees" ~subject_sub:"enqueue" findings);
+  Alcotest.(check (list string))
+    "the only error rule"
+    [ "spec.respond-disagrees" ]
+    (List.sort_uniq String.compare
+       (List.map (fun (d : Analysis.Diagnostic.t) -> d.rule) (errors findings)))
+
 (* ---------- monitor audit ---------- *)
 
 (* The bundled queue viewer, re-declared as a stack: the discipline
@@ -306,6 +340,8 @@ let () =
             test_broken_class_audit;
           Alcotest.test_case "report gates (exit 1, errors first)" `Quick
             test_broken_report_gates;
+          Alcotest.test_case "spec lint: respond disagrees with apply" `Quick
+            test_respond_disagrees;
         ] );
       ( "renderers",
         [ Alcotest.test_case "json escaping" `Quick test_json_escaping ] );

@@ -391,6 +391,53 @@ let prop_keyed_register =
   let module KM = Keyed_model (Reg) in
   KM.prop ~decode:(fun c -> if c < 3 then Reg.Write (c mod 2) else Reg.Read)
 
+(* qcheck: [respond s i = snd (apply s i)] on random reachable states.
+   From [T.initial], after the invocations of [prefix], each random
+   invocation is answered by both before [apply] steps past it; the
+   answers must be equal all along. *)
+let prop_respond_agrees (type i)
+    (module T : Spec.Data_type.S with type invocation = i) ?(prefix = []) name
+    =
+  QCheck.Test.make
+    ~name:(name ^ ": respond answers as apply does")
+    ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let invs = prefix @ List.init 40 (fun _ -> T.gen_invocation rng) in
+      let rec agrees s = function
+        | [] -> true
+        | inv :: rest ->
+            let s', resp = T.apply s inv in
+            T.equal_response (T.respond s inv) resp && agrees s' rest
+      in
+      agrees T.initial invs)
+
+(* The keyed queue's chain holds six keys (0-5) before the random
+   part, so its lookups (keys 0-3) walk past other keys' blocks; the
+   product is the pipelines' queue x register. *)
+module Kq = Spec.Keyed.Make (Q)
+module Qr = Spec.Product.Make (Q) (Reg)
+
+let prop_respond_types =
+  [
+    prop_respond_agrees (module Reg) "register";
+    prop_respond_agrees (module Rmw) "rmw-register";
+    prop_respond_agrees (module Q) "fifo-queue";
+    prop_respond_agrees (module S) "stack";
+    prop_respond_agrees (module Tree) "rooted-tree";
+    prop_respond_agrees (module Set) "int-set";
+    prop_respond_agrees (module Cnt) "counter";
+    prop_respond_agrees (module Pq) "priority-queue";
+    prop_respond_agrees (module Log) "log";
+    prop_respond_agrees
+      (module Kq)
+      ~prefix:
+        (List.init 6 (fun k -> { Kq.key = 5 - k; inv = Q.Enqueue (10 + k) }))
+      "keyed-fifo-queue";
+    prop_respond_agrees (module Qr) "fifo-queue*register";
+  ]
+
 (* qcheck: tree invariant — every stored node has a well-defined
    positive depth (parents exist, no cycles), under any sequence. *)
 let prop_tree_well_formed =
@@ -452,11 +499,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_queue_fifo;
-            prop_tree_well_formed;
-            prop_set_sorted;
-            prop_keyed_queue;
-            prop_keyed_register;
-          ] );
+          ([
+             prop_queue_fifo;
+             prop_tree_well_formed;
+             prop_set_sorted;
+             prop_keyed_queue;
+             prop_keyed_register;
+           ]
+          @ prop_respond_types) );
     ]

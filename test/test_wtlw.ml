@@ -449,6 +449,49 @@ let test_mutator_allocation () =
   check "pure mutator" (Spec.Fifo_queue.Enqueue 7) ~invoke:10.;
   check "mixed" Spec.Fifo_queue.Dequeue ~invoke:8.
 
+(* What answering costs, on a keyed queue whose replicas hold five keys
+   in their chain.  An acknowledgement and a peek are answered by
+   [respond] on the key's sub-state where it stands, so the ack
+   allocates nothing and the peek only its response, [Got (Some v)]
+   (4 words); the keyed [apply] would also copy the chain up to the key
+   and build a successor. *)
+module KQ = Spec.Keyed.Make (Spec.Fifo_queue)
+module KW = Core.Wtlw.Make (KQ)
+
+let test_answer_allocation () =
+  let handlers =
+    KW.protocol
+      ~timing:(Core.Wtlw.default_timing model ~x:x_default)
+      (KW.fresh_states ~n:4)
+  in
+  let h = Hand_ctx.create ~n:4 in
+  List.iteri
+    (fun round key ->
+      ignore
+        (Hand_ctx.follow h handlers
+           ~time:(Rat.of_int (round + 1))
+           ~after_invoke:true
+           { KQ.key; inv = Spec.Fifo_queue.Enqueue key }))
+    [ 4; 0; 3; 1; 2 ];
+  (* Invoke [inv] at process 0 and fire the first timer it sets, its
+     response timer, alone. *)
+  let answer inv =
+    Hand_ctx.clear h;
+    Hand_ctx.at h ~self:0 ~time:(Rat.of_int 10);
+    handlers.on_invoke h.ctx inv;
+    let respond_timer = h.timers.items.(0) in
+    Hand_ctx.at h ~self:0 ~time:(Rat.of_int 20);
+    let start = Gc.minor_words () in
+    handlers.on_timer h.ctx respond_timer;
+    Gc.minor_words () -. start
+  in
+  Alcotest.(check (float 0.))
+    "pure mutator's ack" 0.
+    (answer { KQ.key = 3; inv = Spec.Fifo_queue.Enqueue 9 });
+  Alcotest.(check (float 0.))
+    "pure accessor's peek" 4.
+    (answer { KQ.key = 3; inv = Spec.Fifo_queue.Peek })
+
 let () =
   Alcotest.run "wtlw"
     [
@@ -468,6 +511,8 @@ let () =
             test_concurrent_writes_converge;
           Alcotest.test_case "a mutator allocates its message, not copies"
             `Quick test_mutator_allocation;
+          Alcotest.test_case "an answer allocates its response, not a state"
+            `Quick test_answer_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
