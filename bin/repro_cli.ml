@@ -1055,6 +1055,7 @@ let head_commit () =
       | _ -> "unknown")
 
 let bench_cmd =
+  let tolerance = Printf.sprintf "%g%%" (Perf.History.tolerance *. 100.) in
   let section_arg =
     Arg.(
       value
@@ -1088,9 +1089,10 @@ let bench_cmd =
       value & flag
       & info [ "compare" ]
           ~doc:
-            "Gate the run against the recorded history and exit nonzero on \
-             an allocation regression beyond the tolerance, or on an \
-             improvement beyond it that the history has no datapoint for.")
+            ("Gate the run against the recorded history and exit nonzero on \
+              a change of per-event allocation beyond " ^ tolerance
+           ^ ": a regression, or an improvement the history has no \
+              datapoint for."))
   in
   let baseline_arg =
     Arg.(
@@ -1100,14 +1102,6 @@ let bench_cmd =
           ~doc:
             "Commit sha (prefix) to gate against, instead of the most \
              recent recorded datapoint from another commit.")
-  in
-  let tolerance_arg =
-    Arg.(
-      value & opt float 0.02
-      & info [ "tolerance" ]
-          ~doc:
-            "Allowed fractional change of per-event allocation, either \
-             way, before the gate fails.")
   in
   let history_arg =
     Arg.(
@@ -1197,8 +1191,7 @@ let bench_cmd =
     in
     go 0 []
   in
-  let run compare baseline tolerance history_dir no_record section commit
-      phase =
+  let run compare baseline history_dir no_record section commit phase =
     match section with
     | Some name -> run_child name (Option.value commit ~default:"unknown") phase
     | None ->
@@ -1238,7 +1231,7 @@ let bench_cmd =
                        in
                        match
                          Perf.History.gate ~recorded ~baseline:b
-                           ~current:dp ~tolerance
+                           ~current:dp
                        with
                        | Ok msg -> Printf.printf "%-16s PASS %s\n" "" msg
                        | Error msg ->
@@ -1252,20 +1245,21 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the deterministic perf suite: each section is measured in a \
+         ("Run the deterministic perf suite: each section is measured in a \
           fresh subprocess at each of 64 phases of the minor heap, its \
           allocation counters (exactly reproducible for a deterministic \
           workload; promoted words averaged over the phases) are recorded \
           per commit under \
           bench/history/, and $(b,--compare) gates the run against the \
           recorded baseline, failing on per-event allocation growth beyond \
-          the tolerance and on an unrecorded drop beyond it.  Wall time and \
-          the hardware instruction counter (when the kernel allows it) are \
-          reported but never gated on.")
+          " ^ tolerance
+       ^ " and on an unrecorded drop beyond it.  Wall time and the hardware \
+          instruction counter (when the kernel allows it) are reported but \
+          never gated on."))
     Term.(
       ret
-        (const run $ compare_arg $ baseline_arg $ tolerance_arg $ history_arg
-       $ no_record_arg $ section_arg $ commit_arg $ phase_arg))
+        (const run $ compare_arg $ baseline_arg $ history_arg $ no_record_arg
+       $ section_arg $ commit_arg $ phase_arg))
 
 (* ---------------- finding ---------------- *)
 

@@ -164,35 +164,25 @@ let consistency_findings b (model, x) =
   List.concat_map
     (fun (row : Bounds.Tables.row) ->
       let subject = b.label ^ "/" ^ row.operation in
-      let lb_gt_ub =
-        match row.new_lb with
-        | Some lb when Rat.gt lb.value row.new_ub.value ->
-            [
+      List.map
+        (function
+          | Bounds.Tables.Lb_above_ub lb ->
               Diagnostic.error ~rule:"bounds.lb-gt-ub" ~subject
                 ~witness:
                   (Printf.sprintf "%s: LB %s = %s > UB %s = %s"
                      (show_point model x) lb.formula
                      (Rat.to_string lb.value) row.new_ub.formula
                      (Rat.to_string row.new_ub.value))
-                "lower bound exceeds upper bound";
-            ]
-        | _ -> []
-      in
-      let regression =
-        match (row.prev_lb, row.new_lb) with
-        | Some prev, Some lb when Rat.lt lb.value prev.value ->
-            [
+                "lower bound exceeds upper bound"
+          | Lb_below_prev { lb; prev } ->
               Diagnostic.error ~rule:"bounds.lb-regression" ~subject
                 ~witness:
                   (Printf.sprintf "%s: new LB %s = %s < previous LB %s = %s"
                      (show_point model x) lb.formula
                      (Rat.to_string lb.value) prev.formula
                      (Rat.to_string prev.value))
-                "new lower bound is below the previously known one";
-            ]
-        | _ -> []
-      in
-      lb_gt_ub @ regression)
+                "new lower bound is below the previously known one")
+        (Bounds.Tables.inconsistencies row))
     table.rows
 
 let run () =

@@ -19,7 +19,9 @@ let of_operations ~label ops =
       })
     ops
 
-let render ?(width = 100) ~n intervals =
+let width = 100 (* columns a timeline is scaled to *)
+
+let render ~n intervals =
   let buffer = Buffer.create 1024 in
   match intervals with
   | [] -> "(empty run)"

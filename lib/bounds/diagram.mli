@@ -11,7 +11,8 @@ val of_operations :
   ('inv, 'resp) Sim.Trace.operation list ->
   interval list
 
-val render : ?width:int -> n:int -> interval list -> string
-(** One row per process (plus a time-scale line); labels are inscribed
+val render : n:int -> interval list -> string
+(** One row per process (plus a time-scale line), each timeline 100
+    columns wide; labels are inscribed
     inside their interval when they fit, otherwise placed on an
     annotation line below. *)

@@ -201,20 +201,21 @@ let by_type =
 let all (model : Sim.Model.t) ~x =
   List.map (fun (_, table) -> table model ~x) by_type @ [ summary model ~x ]
 
-(* Every row must be internally consistent: the new lower bound is at
-   least the previous one, and at most the upper bound. *)
-let row_consistent row =
-  let lb_le_ub =
-    match row.new_lb with
-    | None -> true
-    | Some lb -> Rat.le lb.value row.new_ub.value
-  in
-  let improves =
-    match (row.prev_lb, row.new_lb) with
-    | Some prev, Some lb -> Rat.ge lb.value prev.value
-    | _ -> true
-  in
-  lb_le_ub && improves
+(* The two inequalities every row keeps: the new lower bound is at
+   most the upper bound, and at least the previous lower bound. *)
+type inconsistency =
+  | Lb_above_ub of bound
+  | Lb_below_prev of { lb : bound; prev : bound }
+
+let inconsistencies row =
+  (match row.new_lb with
+  | Some lb when Rat.gt lb.value row.new_ub.value -> [ Lb_above_ub lb ]
+  | _ -> [])
+  @
+  match (row.prev_lb, row.new_lb) with
+  | Some prev, Some lb when Rat.lt lb.value prev.value ->
+      [ Lb_below_prev { lb; prev } ]
+  | _ -> []
 
 let pp_bound ppf = function
   | None -> Format.fprintf ppf "%-30s" "-"

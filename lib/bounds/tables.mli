@@ -38,8 +38,12 @@ val by_type : (string * (Sim.Model.t -> x:Rat.t -> table)) list
 val all : Sim.Model.t -> x:Rat.t -> table list
 (** All five, in paper order. *)
 
-val row_consistent : row -> bool
-(** New LB >= previous LB, and new LB <= new UB. *)
+type inconsistency =
+  | Lb_above_ub of bound  (** the new LB, above [new_ub] *)
+  | Lb_below_prev of { lb : bound; prev : bound }  (** new LB < previous *)
+
+val inconsistencies : row -> inconsistency list
+(** What [row] breaks of new LB <= new UB and new LB >= previous LB. *)
 
 val pp_bound : Format.formatter -> bound option -> unit
 (** ["formula = value (source)"] padded to 30 columns, or ["-"] for

@@ -101,20 +101,20 @@ let unrepresentable_horizon detail =
    (a wait, a retransmission timeout, the total-order horizon plus a
    clock offset), after the event that scheduled it, and no such step
    exceeds twice the largest time [top] the run reads; explicit
-   invocations come at times among those.  So [max_events] events end
-   by [(2 * max_events + 1) * top]. *)
-let check_horizon ~q ~max_events top =
+   invocations come at times among those.  So chains of at most
+   [chain] events end by [(2 * chain + 1) * top]. *)
+let check_horizon ~q ~chain top =
   match
     let top = Rat.mul_int top q in
-    Rat.add (Rat.mul_int (Rat.mul_int top 2) max_events) top
+    Rat.add (Rat.mul_int (Rat.mul_int top 2) chain) top
   with
   | _ -> ()
   | exception Rat.Overflow ->
       unrepresentable_horizon
         (Printf.sprintf
-           "%d events of up to %s time units each do not fit in int quanta \
-            of 1/%d"
-           max_events
+           "%d successive events of up to %s time units each do not fit in \
+            int quanta of 1/%d"
+           chain
            (Rat.to_string (Rat.mul_int top 2))
            q)
 
@@ -352,14 +352,13 @@ module Make (T : Spec.Data_type.S) = struct
       converged;
     }
 
-  let report_of_trace ?(skew_admissible = true) ?(checker = Monitor) ~model
-      ~algorithm ~check trace =
+  let report_of_trace ~model ~algorithm ~check trace =
     let ops = Sim.Trace.operation_array trace in
     let operations = Array.to_list ops in
     let hist = Metrics.Hist.create () in
     List.iter (fun op -> Metrics.Hist.add hist (Metrics.latency op)) operations;
-    build_report ~checker ~check ~model ~algorithm ~skew_admissible
-      ~truncated:false ~channel:None ~converged:None
+    build_report ~checker:Monitor ~check ~model ~algorithm
+      ~skew_admissible:true ~truncated:false ~channel:None ~converged:None
       ~by_op:(Metrics.by_op ~op_of:T.op_of operations)
       ~by_kind:(Metrics.by_kind ~kind_of operations)
       ~hist trace ops
@@ -429,6 +428,21 @@ module Make (T : Spec.Data_type.S) = struct
         if Rat.sign tick <= 0 then invalid_arg "Runtime.run: Paced tick <= 0";
         note s tick
 
+  (* The longest chain of events, each scheduled by the one before
+     (DESIGN, "The time horizon").  Nothing schedules a schedule's
+     invocations, and each algorithm follows one with at most two
+     message hops and one more event; a hop is one event raw and at
+     most [max_retries + 1] on the reliable channel.  Loops invoke
+     from responses, so only the step limit bounds their chains. *)
+  let chain (cfg : Config.t) =
+    let limit =
+      Option.value cfg.max_events ~default:Sim.Engine.default_max_events
+    in
+    match (cfg.workload, cfg.channel) with
+    | Schedule _, None -> min limit 3
+    | Schedule _, Some c -> min limit ((2 * c.max_retries) + 3)
+    | (Closed_loop _ | Paced _), _ -> limit
+
   (* Everything a run is set up from, in model units, and its quantum:
      the judged model, Algorithm 1's timing, and [q], refused by name
      when it or the run's horizon in quanta does not fit in an int. *)
@@ -441,10 +455,7 @@ module Make (T : Spec.Data_type.S) = struct
     in
     let s = { q = 1; top = Rat.zero } in
     note_times cfg ~judged ~timing s;
-    check_horizon ~q:s.q
-      ~max_events:
-        (Option.value cfg.max_events ~default:Sim.Engine.default_max_events)
-      s.top;
+    check_horizon ~q:s.q ~chain:(chain cfg) s.top;
     (judged, timing, s.q)
 
   let quantum cfg =

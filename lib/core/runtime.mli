@@ -227,9 +227,13 @@ module Make (T : Spec.Data_type.S) : sig
       {!Workload.Gen.quantum} for a paced one.
       @raise Invalid_argument naming an ["unrepresentable time
       quantum"] when [q] does not fit in an int, or an
-      ["unrepresentable time horizon"] when [(2 * max_events + 1)]
-      times the largest of those times, in quanta, does not; as {!run}
-      does before it runs. *)
+      ["unrepresentable time horizon"] when [(2 * c + 1)] times the
+      largest of those times, in quanta, does not; as {!run} does
+      before it runs.  [c] bounds how many events one chain of the
+      run's events can hold, each scheduled by the one before:
+      [max_events], or for a [Schedule] workload 3 on the raw channel
+      and [2 * max_retries + 3] on the reliable one, if that is
+      fewer. *)
 
   val run : Config.t -> report
   (** Build, drive to quiescence, and summarize in one pass over the
@@ -290,17 +294,15 @@ module Make (T : Spec.Data_type.S) : sig
       and divide by [q] ({!unscale_operation}) only what it renders. *)
 
   val report_of_trace :
-    ?skew_admissible:bool ->
-    ?checker:checker ->
     model:Sim.Model.t ->
     algorithm:string ->
     check:bool ->
     ('msg, T.invocation, T.response) Sim.Trace.t ->
     report
   (** Summarize an existing trace (e.g. a hand-built or truncated one)
-      from its sink snapshots.  [skew_admissible] (default [true])
-      must be supplied by the caller — a bare trace does not know the
-      offsets the run used. *)
+      from its sink snapshots, certified by the [Monitor] checker.  A
+      bare trace does not know the offsets its run used, so the report
+      takes its skew as admissible. *)
 
   val unhealthy : report -> string option
   (** The first clause of a healthy run the report fails, named:

@@ -391,29 +391,23 @@ let materialize ~procs ~min_gap gen =
 (* Fixed schedules.                                                    *)
 
 (* Every process invokes [per_proc] operations, the k-th at
-   [start + k*spacing + proc*stagger]. *)
-let open_loop ~n ~per_proc ~spacing ?(stagger = Rat.zero) ?(start = Rat.zero)
-    ~gen () =
+   [k*spacing]. *)
+let open_loop ~n ~per_proc ~spacing ~gen () =
   List.concat
     (List.init n (fun proc ->
          List.init per_proc (fun k ->
-             let at =
-               Rat.add
-                 (Rat.add start (Rat.mul_int spacing k))
-                 (Rat.mul_int stagger proc)
-             in
-             { proc; at; inv = gen ~proc ~k })))
+             { proc; at = Rat.mul_int spacing k; inv = gen ~proc ~k })))
 
 (* Open-loop schedule with invocations drawn from the data type's
    random generator; deterministic for a fixed seed. *)
-let random_open_loop ~n ~per_proc ~spacing ?stagger ~seed ~gen_invocation () =
+let random_open_loop ~n ~per_proc ~spacing ~seed ~gen_invocation () =
   let rng = Random.State.make [| seed |] in
   (* Pre-draw in a fixed order so the schedule does not depend on
      evaluation order. *)
   let draws =
     Array.init (n * per_proc) (fun _ -> gen_invocation rng)
   in
-  open_loop ~n ~per_proc ~spacing ?stagger
+  open_loop ~n ~per_proc ~spacing
     ~gen:(fun ~proc ~k -> draws.((proc * per_proc) + k))
     ()
 

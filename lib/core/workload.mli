@@ -152,19 +152,16 @@ val open_loop :
   n:int ->
   per_proc:int ->
   spacing:Rat.t ->
-  ?stagger:Rat.t ->
-  ?start:Rat.t ->
   gen:(proc:int -> k:int -> 'inv) ->
   unit ->
   'inv entry list
 (** Every process invokes [per_proc] operations, the [k]-th at
-    [start + k*spacing + proc*stagger]. *)
+    [k*spacing]. *)
 
 val random_open_loop :
   n:int ->
   per_proc:int ->
   spacing:Rat.t ->
-  ?stagger:Rat.t ->
   seed:int ->
   gen_invocation:(Random.State.t -> 'inv) ->
   unit ->

@@ -252,15 +252,14 @@ module Make (T : Spec.Data_type.S) = struct
 
   (* Algorithm 1 with the default timing derived from the model and
      the tradeoff parameter X in [0, d - eps]. *)
-  let create ?retain_events ?faults ~(model : Sim.Model.t) ~x ~offsets ~delay
-      () =
+  let create ?retain_events ~(model : Sim.Model.t) ~x ~offsets ~delay () =
     Result.iter_error
       (fun msg -> invalid_arg ("Wtlw.create: " ^ msg))
       (check_x model x);
     let timing = default_timing model ~x in
     let states = fresh_states ~n:model.n in
     let engine =
-      Sim.Engine.create ?retain_events ?faults ~model ~offsets ~delay
+      Sim.Engine.create ?retain_events ~model ~offsets ~delay
         ~handlers:(protocol ~timing states)
         ()
     in

@@ -87,7 +87,6 @@ module Make (T : Spec.Data_type.S) : sig
 
   val create :
     ?retain_events:bool ->
-    ?faults:Sim.Fault.plan ->
     model:Sim.Model.t ->
     x:Rat.t ->
     offsets:Rat.t array ->

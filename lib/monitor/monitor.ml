@@ -19,7 +19,7 @@
      plus an O(n) real-time sweep — before reporting;
    - anything else (ambiguous values, out-of-vocabulary observations,
      greedy incompleteness, types with no monitor) goes to the next
-     stage: the supplied order ([check ?order]), checked by the same
+     stage: the supplied order ([check_array ?order]), checked by the same
      verifier; and only when that order is refused (a named
      {!order_failure}) or absent, to Wing-Gong.  So the monitor path
      never changes an answer, only the time it takes.
@@ -377,8 +377,7 @@ module Make (T : Spec.Data_type.S) = struct
                   undecided ?max_nodes ?order arr
                     (lazy ("certificate " ^ order_failure_reason f)))))
 
-  let check ?max_nodes ?order ops =
-    check_array ?max_nodes ?order (Array.of_list ops)
+  let check ?max_nodes ops = check_array ?max_nodes (Array.of_list ops)
 
   (* --- workload generation ---------------------------------------- *)
 

@@ -146,7 +146,9 @@ let rates d =
     ("promoted_words", per_event d.promoted_words);
   ]
 
-let gate ~recorded ~baseline ~current ~tolerance =
+let tolerance = 0.02
+
+let gate ~recorded ~baseline ~current =
   (* An improvement passes only once a datapoint for it is in the
      history: otherwise the next change is gated against the old
      number and may give the gain back unnoticed. *)

@@ -73,11 +73,13 @@ val pick_baseline :
     against itself and trivially passes); [Ok None] on an empty
     history. *)
 
+val tolerance : float
+(** [0.02]: the change of per-event allocation {!gate} allows. *)
+
 val gate :
   recorded:datapoint option ->
   baseline:datapoint ->
   current:datapoint ->
-  tolerance:float ->
   (string, string) result
 (** Two-sided: [Ok summary] when [current]'s per-event [minor_words]
     and [promoted_words] are each within [(1 ± tolerance)] of

@@ -1,6 +1,6 @@
 (* The sweep grid: a declarative campaign — data type x algorithm x
-   model point x delay schedule x fault plan x channel leg x seed —
-   enumerated cell by cell.  Each cell is one scenario
+   model point x delay schedule x channel leg x seed — enumerated cell
+   by cell.  Each cell is one fault-free scenario
    ([Scenario.of_sweep_cell]); the sweep engine runs them. *)
 
 (* Algorithm axis of the grid.  Wtlw's tradeoff parameter is declared
@@ -53,14 +53,14 @@ type grid = {
   algos : algo list;
   points : Sim.Model.t list;
   delays : delays list;
-  plans : (string * Sim.Fault.plan) list;
   legs : channel_leg list;
   seeds : int list;
   per_proc : int;
-  max_events : int;
   max_check_nodes : int option;
   checker : Core.Runtime.checker;
 }
+
+let max_events = 500_000
 
 let default_points =
   [
@@ -77,11 +77,9 @@ let default_grid =
     algos = [ Wtlw { frac = Rat.make 1 2 }; Centralized; Tob ];
     points = default_points;
     delays = [ Random_delays ];
-    plans = [ ("none", Sim.Fault.none) ];
     legs = [ Raw; Recovered ];
     seeds = [ 1 ];
     per_proc = 2;
-    max_events = 500_000;
     max_check_nodes = Some 5_000_000;
     checker = Core.Runtime.Monitor;
   }
@@ -91,8 +89,6 @@ type cell = {
   algo : algo;
   point : Sim.Model.t;
   delays : delays;
-  plan_label : string;
-  plan : Sim.Fault.plan;
   leg : channel_leg;
   seed : int;
 }
@@ -103,11 +99,8 @@ let cells grid =
   let* algo = grid.algos in
   let* point = grid.points in
   let* delays = grid.delays in
-  let* plan_label, plan = grid.plans in
   let* leg = grid.legs in
-  List.map
-    (fun seed -> { dt; algo; point; delays; plan_label; plan; leg; seed })
-    grid.seeds
+  List.map (fun seed -> { dt; algo; point; delays; leg; seed }) grid.seeds
 
 (* Canonical cell coordinates.  This string is both the human-readable
    cell id in reports and the input to the seed hash, so it must name
@@ -129,8 +122,10 @@ let cell_key grid (c : cell) =
   add_rat b m.eps;
   Buffer.add_string b ";delays=";
   Buffer.add_string b (delays_label c.delays);
-  Buffer.add_string b ";faults=";
-  Buffer.add_string b c.plan_label;
+  (* Every cell is fault-free (faults are [repro faults]' campaign),
+     but keys keep the field: journals, spools and fingerprints are
+     keyed by these bytes. *)
+  Buffer.add_string b ";faults=none";
   Buffer.add_string b ";leg=";
   Buffer.add_string b (leg_label c.leg);
   Buffer.add_string b ";seed=";

@@ -1,11 +1,12 @@
 (** The sweep grid: a declarative campaign enumerated as scenarios.
 
     A {!grid} names the axes of a campaign — data type x algorithm x
-    model point x delay schedule x fault plan x channel leg x seed —
-    and {!cells} is their Cartesian product.  Each {!cell} is one
+    model point x delay schedule x channel leg x seed — and {!cells}
+    is their Cartesian product.  Each {!cell} is one fault-free
     scenario ([Scenario.of_sweep_cell]), named by its canonical
     {!cell_key} and seeded by {!derived_seed}; the sweep engine
-    ([Sweep.eval]) lowers and runs it through [Scenario.Exec]. *)
+    ([Sweep.eval]) lowers and runs it through [Scenario.Exec].
+    Injected faults lie outside the paper's model: [repro faults]. *)
 
 (** {1 Axes} *)
 
@@ -40,11 +41,9 @@ type grid = {
   algos : algo list;
   points : Sim.Model.t list;
   delays : delays list;
-  plans : (string * Sim.Fault.plan) list;  (** labelled fault plans *)
   legs : channel_leg list;
   seeds : int list;
   per_proc : int;  (** closed-loop operations per process *)
-  max_events : int;
   max_check_nodes : int option;
       (** DFS budget per cell; an exceeded search fails the cell with a
           named diagnostic instead of hanging the sweep *)
@@ -52,6 +51,9 @@ type grid = {
       (** certification engine for every cell (default [Monitor]: the
           specialized per-type monitors, Wing-Gong on fallback) *)
 }
+
+val max_events : int
+(** Every cell's step limit, 500 000 events. *)
 
 val default_points : Sim.Model.t list
 
@@ -66,8 +68,6 @@ type cell = {
   algo : algo;
   point : Sim.Model.t;
   delays : delays;
-  plan_label : string;
-  plan : Sim.Fault.plan;
   leg : channel_leg;
   seed : int;  (** the grid's base seed; the run uses {!derived_seed} *)
 }
@@ -78,7 +78,8 @@ val cells : grid -> cell list
 
 val cell_key : grid -> cell -> string
 (** Canonical coordinates — the cell id in reports, the cell's scenario
-    name and the input to the seed hash. *)
+    name and the input to the seed hash.  It still reads [faults=none],
+    as journals and spools keyed by it were written. *)
 
 val derived_seed : grid -> cell -> int
 (** [Core.Hash.fnv1a] of {!cell_key}: stable across OCaml versions and

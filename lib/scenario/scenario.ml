@@ -59,9 +59,9 @@ let of_sweep_cell ?key (grid : Grid.grid) (cell : Grid.cell) : t =
   in
   make ~name:key
     ~dt:(Packed_type.key cell.dt)
-    ~model ~delays ~faults:cell.plan
+    ~model ~delays ~faults:Sim.Fault.none
     ~reliable:(cell.leg = Grid.Recovered)
     ~checker:grid.checker ~algorithm
     ~workload:(Closed_loop { per_proc = grid.per_proc; think = Rat.make 1 2 })
-    ~seed:(Core.Hash.fnv1a key) ~max_events:grid.max_events
+    ~seed:(Core.Hash.fnv1a key) ~max_events:Grid.max_events
     ?max_check_nodes:grid.max_check_nodes ~expect:Certify ~predicate:True ()

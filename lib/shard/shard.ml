@@ -41,7 +41,6 @@ module Config = struct
     faults : Sim.Fault.plan;
     channel : Core.Reliable.config option;
     checker : Core.Runtime.checker;
-    max_events : int option;
     max_check_nodes : int option;
     model : Sim.Model.t;  (** per-shard cluster model *)
     algorithm : Core.Runtime.algorithm;
@@ -64,7 +63,6 @@ module Config = struct
       faults;
       channel = None;
       checker;
-      max_events = None;
       max_check_nodes;
       model;
       algorithm;
@@ -181,11 +179,7 @@ module Make (T : Spec.Data_type.S) = struct
     (* The engine's default step limit is sized for single small runs;
        a million-op shard needs headroom proportional to its share of
        the stream (broadcasts, timers, acks). *)
-    let max_events =
-      match cfg.max_events with
-      | Some e -> e
-      | None -> (200 * (cfg.ops / cfg.shards)) + 200_000
-    in
+    let max_events = (200 * (cfg.ops / cfg.shards)) + 200_000 in
     let rcfg =
       R.Config.make ~check:false
         ~faults:{ cfg.faults with seed = sseed }
@@ -337,8 +331,11 @@ module Make (T : Spec.Data_type.S) = struct
   let run ?(jobs = 1) ?should_stop ?journal_dir ?(sync_every = 1) ?code_fp
       (cfg : Config.t) =
     let key shard = shard_key cfg ~data_type:T.name ~shard in
+    (* A shard's step limit follows from [ops] and [shards], which its
+       key names, so the fingerprint carries none: journals written
+       before stay replayable. *)
     let input_fp =
-      Sweep.Runner.input_fingerprint ?code_fp ~max_events:cfg.max_events
+      Sweep.Runner.input_fingerprint ?code_fp ~max_events:None
         ~max_check_nodes:cfg.max_check_nodes cfg.checker
     in
     (* Failed shards re-run on resume: only reports are worth replaying. *)

@@ -33,9 +33,6 @@ module Config : sig
     channel : Core.Reliable.config option;
         (** reliable-channel leg, as in [Runtime.Config.channel] *)
     checker : Core.Runtime.checker;  (** per-key certification engine *)
-    max_events : int option;
-        (** per-shard step limit; defaults to headroom proportional to
-            the shard's share of the stream *)
     max_check_nodes : int option;
     model : Sim.Model.t;  (** each shard runs its own [n]-process cluster *)
     algorithm : Core.Runtime.algorithm;
@@ -153,8 +150,9 @@ module Make (T : Spec.Data_type.S) : sig
   val runtime_config :
     Config.t -> shard:int -> Core.Runtime.Make(Spec.Keyed.Make(T)).Config.t
   (** The unchecked run of the keyed family that shard [shard] is: its
-      share of the stream, its derived seeds and its step limit.  Each
-      call builds a fresh stream. *)
+      share of the stream, its derived seeds and its step limit,
+      [200 * (ops / shards) + 200_000] events.  Each call builds a
+      fresh stream. *)
 
   val run :
     ?jobs:int ->

@@ -1,6 +1,6 @@
 (* Multicore sweep engine: evaluate a declarative campaign grid —
-   data type x algorithm x model point x fault plan x channel leg x
-   seed — through the campaign runner (Runner), which shards cells
+   data type x algorithm x model point x delay schedule x channel leg
+   x seed — through the campaign runner (Runner), which shards cells
    across a fixed domain pool (Pool).
 
    Determinism contract: a cell's behaviour is a pure function of its
@@ -129,7 +129,7 @@ let eval ?wall_budget_s ?key grid (c : cell) : (verdict, string) result =
 
 (* The input fingerprint of a rendered cell key. *)
 let key_fingerprint ?code_fp grid =
-  Runner.input_fingerprint ?code_fp ~max_events:(Some grid.max_events)
+  Runner.input_fingerprint ?code_fp ~max_events:(Some max_events)
     ~max_check_nodes:grid.max_check_nodes grid.checker
 
 let input_fingerprint grid =

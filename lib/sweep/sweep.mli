@@ -1,9 +1,10 @@
 (** Multicore sweep engine behind the unified [Runtime.Config] API.
 
     A {e sweep} evaluates a declarative campaign {!grid} — data type x
-    algorithm x model point x fault plan x channel leg x seed — by
+    algorithm x model point x delay schedule x channel leg x seed — by
     sharding cells across a fixed pool of OCaml domains ({!Pool}).
-    Each cell is a scenario ([Scenario.of_sweep_cell]), lowered and
+    Each cell is a fault-free scenario ([Scenario.of_sweep_cell]),
+    lowered and
     run by [Scenario.Exec.Run(T).run_report], and is judged
     both end-to-end ([Runtime.ok]) and against the paper's Table 5
     upper-bound formula for its class and algorithm.

@@ -21,8 +21,10 @@ module Agreement (T : Spec.Data_type.S) = struct
   let responses ~seed ~delay_seed algorithm =
     let schedule =
       Core.Workload.random_open_loop ~n:model.n ~per_proc:6
-        ~spacing:(Rat.mul_int slot model.n) ~stagger:slot ~seed
+        ~spacing:(Rat.mul_int slot model.n) ~seed
         ~gen_invocation:T.gen_invocation ()
+      |> List.map (fun (e : T.invocation Core.Workload.entry) ->
+             { e with at = Rat.add e.at (Rat.mul_int slot e.proc) })
     in
     let report =
       R.run

@@ -13,7 +13,9 @@
    - an [.mli] value referenced only inside its own unit;
    - an export whose only callers outside its own unit are in
      [benchmark/];
-   - an optional parameter of an export that no call site passes.
+   - an optional parameter of an export that no call site outside
+     [test/] and [examples/] passes: a setting only tests and examples
+     set has one value in use, and is a constant.
 
    One declaration can stand behind several uids: the [.mli] and the
    [.ml] each give a value its own, and [include] and a constrained
@@ -338,12 +340,16 @@ let describe = function
   | Unused _ -> "referenced by no unit"
   | Local _ -> "referenced only inside its own unit"
   | Benchmark_only _ -> "called only from benchmark/"
-  | Unpassed _ -> "optional parameter that no call site passes"
+  | Unpassed _ ->
+      "optional parameter that no call site outside test/ and examples/ \
+       passes"
 
-(* [analyse ~exports ~benchmark roots]: the findings on the exports of
-   the units under [exports], with references read from every unit under
-   [roots]; callers under [benchmark] count as benchmark-only. *)
-let analyse ~exports ~benchmark roots =
+(* [analyse ~exports ~benchmark ~tests roots]: the findings on the
+   exports of the units under [exports], with references read from every
+   unit under [roots]; callers under [benchmark] count as benchmark-only,
+   and an optional argument passed from a unit under [tests] (and not
+   under [exports]) is not passed. *)
+let analyse ~exports ~benchmark ~tests roots =
   let all = load roots in
   let export_units = List.filter (under exports) all in
   let env = { units = Hashtbl.create 128; locals = Hashtbl.create 1024 } in
@@ -388,8 +394,12 @@ let analyse ~exports ~benchmark roots =
                 (here, Mty_signature s.str_type))
             u.impl)
         u.intf;
-      let pass uid labels =
-        List.iter (fun l -> passed := (decl env here uid, l) :: !passed) labels
+      let pass =
+        if under tests u && not (under exports u) then fun _ _ -> ()
+        else fun uid labels ->
+          List.iter
+            (fun l -> passed := (decl env here uid, l) :: !passed)
+            labels
       in
       (* identifiers applied as functions, and bodies of [let f = M.f] *)
       let heads = ref [] and aliases = ref [] in
@@ -549,20 +559,31 @@ let read_allow file =
 
 let fixture () =
   assert (Exports_fixture.used 1 = Exports_fixture.scaled 2);
-  let findings =
-    analyse ~exports:[ "./exports_fixture" ] ~benchmark:[] [ "." ]
+  assert (Exports_fixture.offset ~by:2 1 = 3);
+  let findings tests =
+    analyse ~exports:[ "./exports_fixture" ] ~benchmark:[] ~tests [ "." ]
     |> List.map key |> List.sort compare
   in
+  (* [offset ~by] is passed above, from this test unit only *)
   Alcotest.(check (list string))
-    "the unused value and the unpassed optional parameter"
+    "the unused value and the optional parameters no non-test unit passes"
+    [
+      "Exports_fixture.offset?by";
+      "Exports_fixture.scaled?by";
+      "Exports_fixture.unused";
+    ]
+    (findings [ "." ]);
+  Alcotest.(check (list string))
+    "a label passed outside the test roots counts"
     [ "Exports_fixture.scaled?by"; "Exports_fixture.unused" ]
-    findings
+    (findings [])
 
 let repo () =
   (* the test runs in _build/default/test *)
   let root d = Filename.concat ".." d in
   let findings =
     analyse ~exports:[ root "lib" ] ~benchmark:[ root "benchmark" ]
+      ~tests:[ root "test"; root "examples" ]
       (List.map root [ "lib"; "bin"; "test"; "examples"; "benchmark" ])
   in
   let allow = read_allow "exports.allow" in

@@ -15,19 +15,26 @@ module Algo = Core.Wtlw.Make (Reg)
 let four_ops =
   [ (0, Reg.Write 1); (1, Reg.Read); (2, Reg.Write 2); (1, Reg.Read) ]
 
+(* Algorithm 1's handlers on an engine that injects [faults], as
+   [Core.Runtime] builds a faulted cluster. *)
+let faulted_engine ?retain_events ~faults () =
+  Sim.Engine.create ?retain_events ~faults ~model
+    ~offsets:(Array.make 3 Rat.zero)
+    ~delay:(Sim.Net.matrix (Sim.Net.uniform_matrix ~n:3 (rat 8 1)))
+    ~handlers:
+      (Algo.protocol
+         ~timing:(Core.Wtlw.default_timing model ~x:(rat 2 1))
+         (Algo.fresh_states ~n:3))
+    ()
+
 let run_cluster ?(retain_events = true) ?(schedule = four_ops) ~faults () =
-  let cluster =
-    Algo.create ~retain_events ~faults ~model ~x:(rat 2 1)
-      ~offsets:(Array.make 3 Rat.zero)
-      ~delay:(Sim.Net.matrix (Sim.Net.uniform_matrix ~n:3 (rat 8 1)))
-      ()
-  in
+  let engine = faulted_engine ~retain_events ~faults () in
   List.iteri
     (fun i (proc, inv) ->
-      Sim.Engine.schedule_invoke cluster.engine ~at:(rat (i * 25) 1) ~proc inv)
+      Sim.Engine.schedule_invoke engine ~at:(rat (i * 25) 1) ~proc inv)
     schedule;
-  Sim.Engine.run cluster.engine;
-  Sim.Engine.trace cluster.engine
+  Sim.Engine.run engine;
+  Sim.Engine.trace engine
 
 let fingerprint ev =
   match ev with
@@ -287,13 +294,7 @@ let test_crash_suppression () =
 let test_skew_escapes_validation () =
   let offset = rat 7 1 (* far beyond eps = 1 *) in
   let faults = Sim.Fault.plan [ Sim.Fault.skew ~proc:0 ~offset ] in
-  let cluster =
-    Algo.create ~faults ~model ~x:(rat 2 1)
-      ~offsets:(Array.make 3 Rat.zero)
-      ~delay:(Sim.Net.matrix (Sim.Net.uniform_matrix ~n:3 (rat 8 1)))
-      ()
-  in
-  let effective = Sim.Engine.effective_offsets cluster.engine in
+  let effective = Sim.Engine.effective_offsets (faulted_engine ~faults ()) in
   Alcotest.(check string) "offset applied" "7" (Rat.to_string effective.(0));
   Alcotest.(check bool) "beyond the model's skew bound" false
     (Sim.Model.skew_valid model effective)

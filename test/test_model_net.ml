@@ -277,6 +277,19 @@ let test_quantum_limits () =
       RQ.quantum (cfg ~max_events:(max_int / 4) ~offsets:zero ()));
   expect_refused "horizon, run" ~sub:"unrepresentable time horizon" (fun () ->
       RQ.run (cfg ~max_events:(max_int / 4) ~offsets:zero ()));
+  (* a schedule's chains are short, but an entry's own time still
+     counts *)
+  let schedule at =
+    RQ.Config.make ~model:load_model ~offsets:zero
+      ~delay:(Sim.Net.random_model ~seed:1 load_model)
+      ~algorithm:(RQ.Wtlw { x = rat 3 1 })
+      ~workload:
+        (RQ.Schedule [ { proc = 0; at; inv = Spec.Fifo_queue.Enqueue 1 } ])
+      ()
+  in
+  check_quantum "schedule at 2^40" 4 (schedule (Rat.of_int (1 lsl 40)));
+  expect_refused "schedule entry" ~sub:"unrepresentable time horizon"
+    (fun () -> RQ.quantum (schedule (Rat.of_int (max_int / 4))));
   (* three primes near 2^21: their product does not fit in 63 bits *)
   let offsets = [| Rat.zero; rat 1 2097143; rat 1 2097169; rat 1 2097191 |] in
   expect_refused "quantum" ~sub:"unrepresentable time quantum" (fun () ->

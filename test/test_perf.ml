@@ -98,7 +98,7 @@ let test_pick_baseline () =
 let test_gate () =
   let baseline = dp () in
   let gate ?recorded d =
-    Perf.History.gate ~recorded ~baseline ~current:d ~tolerance:0.02
+    Perf.History.gate ~recorded ~baseline ~current:d
   in
   let pass ?recorded d = Result.is_ok (gate ?recorded d) in
   Alcotest.(check bool) "identical rerun passes" true (pass (dp ()));

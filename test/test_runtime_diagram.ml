@@ -169,7 +169,7 @@ let test_diagram_layout () =
         ~finish:(rat 20 1);
     ]
   in
-  let rendered = Bounds.Diagram.render ~width:40 ~n:3 intervals in
+  let rendered = Bounds.Diagram.render ~n:3 intervals in
   let lines = String.split_on_char '\n' rendered in
   (* One row per process plus the time scale line. *)
   Alcotest.(check int) "3 process rows + time line" 4 (List.length lines);

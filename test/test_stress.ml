@@ -134,6 +134,24 @@ let test_thm3_scenario_all_z () =
         ~matrix:(thm3 ~k:4) ~shift:(thm3_shift ~k:4 ~z) outcome)
     [ 0; 1; 2; 3 ]
 
+(* [repro claims -d 1000000000000]'s Figure 1 run: a schedule of four
+   enqueues at d = 10^12 fits its horizon, though a million events of
+   2 * 10^12 time units would not. *)
+let test_thm3_figure_at_large_d () =
+  let model =
+    Sim.Model.make_optimal_eps ~n:4 ~d:(Rat.of_int 1_000_000_000_000)
+      ~u:(rat 4 1)
+  in
+  let x_param = Rat.div_int (Rat.sub model.d model.eps) 3 in
+  let outcome =
+    QStress.theorem3 ~model ~x_param ~k:4 ~z:2 ~rho:[]
+      ~instances:[ Q.Enqueue 1; Q.Enqueue 2; Q.Enqueue 3; Q.Enqueue 4 ]
+      ()
+  in
+  Alcotest.(check int) "R1 ops" 4 (List.length outcome.base.operations);
+  Alcotest.(check bool) "R1 linearizable" true
+    (Option.is_some outcome.base.linearization)
+
 let test_thm3_scenario_register_writes () =
   List.iter
     (fun z ->
@@ -215,6 +233,8 @@ let () =
           Alcotest.test_case "thm2 queue" `Quick test_thm2_scenario_queue;
           Alcotest.test_case "thm2 register" `Quick test_thm2_scenario_register;
           Alcotest.test_case "thm3 all z" `Quick test_thm3_scenario_all_z;
+          Alcotest.test_case "thm3 figure at d = 10^12" `Quick
+            test_thm3_figure_at_large_d;
           Alcotest.test_case "thm3 register writes" `Quick
             test_thm3_scenario_register_writes;
           Alcotest.test_case "thm4 dequeue" `Quick test_thm4_scenario_dequeue;

@@ -90,9 +90,30 @@ let test_tables_consistent () =
           Alcotest.(check bool)
             (Printf.sprintf "%s / %s consistent" t.title row.operation)
             true
-            (Bounds.Tables.row_consistent row))
+            (Bounds.Tables.inconsistencies row = []))
         t.rows)
     (Bounds.Tables.all model ~x)
+
+(* A row that breaks both inequalities names each, in order. *)
+let test_inconsistencies_named () =
+  let bound v = { Bounds.Tables.formula = "f"; value = rat v 1; source = "s" } in
+  let row =
+    {
+      Bounds.Tables.operation = "op";
+      measures = [];
+      prev_lb = Some (bound 5);
+      new_lb = Some (bound 4);
+      new_ub = bound 3;
+    }
+  in
+  Alcotest.(check (list string))
+    "above the upper bound, below the previous lower bound"
+    [ "lb-gt-ub"; "lb-regression" ]
+    (List.map
+       (function
+         | Bounds.Tables.Lb_above_ub _ -> "lb-gt-ub"
+         | Lb_below_prev _ -> "lb-regression")
+       (Bounds.Tables.inconsistencies row))
 
 let test_table_values_spotcheck () =
   let find_row title_prefix opname =
@@ -214,7 +235,9 @@ let prop_tables_consistent =
       let x = Rat.div_int x_max 2 in
       List.for_all
         (fun (t : Bounds.Tables.table) ->
-          List.for_all Bounds.Tables.row_consistent t.rows)
+          List.for_all
+            (fun row -> Bounds.Tables.inconsistencies row = [])
+            t.rows)
         (Bounds.Tables.all model ~x))
 
 let () =
@@ -232,6 +255,8 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_tables_structure;
           Alcotest.test_case "consistency" `Quick test_tables_consistent;
+          Alcotest.test_case "inconsistencies named" `Quick
+            test_inconsistencies_named;
           Alcotest.test_case "value spot checks" `Quick
             test_table_values_spotcheck;
           Alcotest.test_case "rendering" `Quick test_table_rendering;

@@ -5,7 +5,6 @@ let rat = Rat.make
 let test_open_loop () =
   let schedule =
     Core.Workload.open_loop ~n:3 ~per_proc:4 ~spacing:(rat 10 1)
-      ~stagger:(rat 1 1) ~start:(rat 5 1)
       ~gen:(fun ~proc ~k -> (proc, k))
       ()
   in
@@ -15,8 +14,8 @@ let test_open_loop () =
       (fun (e : (int * int) Core.Workload.entry) -> e.inv = (proc, k))
       schedule
   in
-  Alcotest.(check string) "p0 k0 at start" "5" (Rat.to_string (find 0 0).at);
-  Alcotest.(check string) "p2 k3 at 5+30+2" "37" (Rat.to_string (find 2 3).at);
+  Alcotest.(check string) "p0 k0 at 0" "0" (Rat.to_string (find 0 0).at);
+  Alcotest.(check string) "p2 k3 at 30" "30" (Rat.to_string (find 2 3).at);
   Alcotest.(check int) "proc recorded" 2 (find 2 3).proc
 
 let test_random_open_loop_deterministic () =
