@@ -557,6 +557,7 @@ module Make (T : Spec.Data_type.S) = struct
         | () -> false
         | exception Sim.Engine.Step_limit_exceeded _ -> true
       in
+      Sim.Engine.release engine;
       (* the algorithm's own order, over the clock offsets the run used
          in quanta, [per] of them to the operations' time unit; read
          only if the checker asks for it *)

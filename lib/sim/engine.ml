@@ -55,6 +55,8 @@ type ('msg, 'tag, 'inv, 'resp) t = {
   delay : Net.t;
   handlers : ('msg, 'tag, 'inv, 'resp) handlers;
   queue : Obj.t Event_queue.t;
+  (* Set by [release]: the queue may then belong to another engine. *)
+  mutable released : bool;
   (* Its pairing sink is also the engine's one record of the
      invocation pending at each process. *)
   trace : ('msg, 'inv, 'resp) Trace.t;
@@ -81,6 +83,25 @@ type ('msg, 'tag, 'inv, 'resp) t = {
 
 exception Step_limit_exceeded of int
 
+(* The domain's spare queue: [create] takes it, leaving the slot empty,
+   and [release] puts the engine's queue back, reset, once the run is
+   over.  So an engine owns its queue alone, a run that never releases
+   (one that raised, say) just builds the next run a fresh queue, and
+   each domain — a pool worker, a shard — keeps its own spare.  A queue
+   grown past [max_spare_capacity] slots is dropped rather than pinned
+   for the domain's life. *)
+let spare : Obj.t Event_queue.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let max_spare_capacity = 1024
+
+let take_queue () =
+  match Domain.DLS.get spare with
+  | Some q ->
+      Domain.DLS.set spare None;
+      q
+  | None -> Event_queue.create ()
+
 let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
     ~delay ~handlers () =
   let n = (model : Model.t).n in
@@ -104,6 +125,7 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
   let crash_at =
     Array.init n (fun proc -> Fault.crash_time faults ~proc)
   in
+  let queue = take_queue () in
   let t =
     {
       model;
@@ -115,7 +137,8 @@ let create ?(retain_events = true) ?(faults = Fault.none) ~model ~offsets
       crash_logged = Array.make n false;
       delay;
       handlers;
-      queue = Event_queue.create ();
+      queue;
+      released = false;
       trace = Trace.create ~retain_events ~monitor:model ();
       live_timers = Bytes.make 64 '\000';
       cancelled = 0;
@@ -139,7 +162,21 @@ let effective_offsets t = Array.copy t.local_offset
 let now t = t.now
 let trace t = t.trace
 
+let check_held t fn =
+  if t.released then
+    invalid_arg ("Engine." ^ fn ^ ": the engine's queue was released")
+
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    if Event_queue.capacity t.queue <= max_spare_capacity then begin
+      Event_queue.reset t.queue;
+      Domain.DLS.set spare (Some t.queue)
+    end
+  end
+
 let schedule_invoke t ~at ~proc inv =
+  check_held t "schedule_invoke";
   if Rat.lt at t.now then invalid_arg "Engine.schedule_invoke: time in past";
   if proc < 0 || proc >= t.model.n then
     invalid_arg "Engine.schedule_invoke: bad process id";
@@ -335,6 +372,7 @@ exception Deadline_exceeded of { events : int }
 let default_max_events = 1_000_000
 
 let run ?(max_events = default_max_events) ?deadline t =
+  check_held t "run";
   let steps = ref 0 in
   let rec loop () =
     if not (Event_queue.is_empty t.queue) then begin

@@ -97,7 +97,11 @@ val create :
     any allocation sized by [n]), if [offsets] has length other than
     [model.n] or if the offsets violate the model's skew bound
     (fault-plan skew is applied on top and deliberately escapes this
-    check). *)
+    check).
+
+    The engine's event queue is the domain's spare, left by the last
+    {!release} on this domain, or a fresh one when there is none; the
+    engine holds it alone until {!release}. *)
 
 val effective_offsets : ('msg, 'tag, 'inv, 'resp) t -> Rat.t array
 (** [offsets] plus the fault plan's clock perturbations — the offsets
@@ -110,7 +114,8 @@ val schedule_invoke :
   ('msg, 'tag, 'inv, 'resp) t -> at:Rat.t -> proc:int -> 'inv -> unit
 (** Schedule an operation invocation at real time [at] (which must not be
     in the past).  The user must respect the at-most-one-pending-operation
-    constraint; violating it raises during {!run}. *)
+    constraint; violating it raises during {!run}.
+    @raise Invalid_argument after {!release}. *)
 
 val set_response_callback :
   ('msg, 'tag, 'inv, 'resp) t ->
@@ -154,6 +159,19 @@ val run :
     @raise Step_limit_exceeded if more than [max_events] (default
     {!default_max_events}) events are dispatched, which indicates a bug such as a
     timer loop.
-    @raise Deadline_exceeded if [deadline] reports expiry. *)
+    @raise Deadline_exceeded if [deadline] reports expiry.
+    @raise Invalid_argument after {!release}. *)
 
 val trace : ('msg, 'tag, 'inv, 'resp) t -> ('msg, 'inv, 'resp) Trace.t
+
+val max_spare_capacity : int
+(** The largest queue, in slots, that {!release} keeps (1 024). *)
+
+val release : ('msg, 'tag, 'inv, 'resp) t -> unit
+(** Give the engine's event queue back to its domain, once the run is
+    over, for the next {!create} there to reuse: the queue is emptied
+    ({!Event_queue.reset}), or dropped when it holds more than
+    {!max_spare_capacity} slots.  The trace and every other reading
+    stay available; {!schedule_invoke} and {!run} are refused with
+    [Invalid_argument] from then on.  A second call does nothing.  An
+    engine never released costs only its own fresh queue. *)

@@ -13,7 +13,11 @@
    slots can be cleared with an immediate: slots at index >= size are
    zeroed so a completed event's payload cannot stay reachable through
    the heap for the rest of a long run.  The casts are confined to
-   [payload]/[push] below; the ['a t] phantom keeps the API typed. *)
+   [payload]/[push] below; the ['a t] phantom keeps the API typed.
+
+   A queue outlives its run: [reset] clears what a run left in it and
+   restarts the sequence, so the engine hands one queue from run to
+   run on a domain and grows it once rather than per run. *)
 
 type 'a t = {
   mutable times : Rat.t array;
@@ -156,10 +160,13 @@ let pop_min (q : 'a t) : 'a =
   else clear_slot q 0;
   top
 
-let pop q =
-  if q.size = 0 then None
-  else
-    let time = q.times.(0) in
-    Some (time, pop_min q)
+let capacity q = Array.length q.times
 
-let peek_time q = if q.size = 0 then None else Some q.times.(0)
+(* Slots at or above [size] are already cleared (see [pop_min]); keys
+   and tags are ints, which keep nothing alive. *)
+let reset q =
+  for i = 0 to q.size - 1 do
+    clear_slot q i
+  done;
+  q.size <- 0;
+  q.next_seq <- 0

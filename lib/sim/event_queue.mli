@@ -12,7 +12,8 @@
     {!pop_min} allocate nothing; the simulator's main loop runs one
     push and one pop per dispatched event.  The queue keeps four
     arrays — times, order keys, tags and payloads — so growing it
-    allocates exactly four. *)
+    allocates exactly four.  A queue is reusable: {!reset} empties it
+    and keeps its arrays. *)
 
 type 'a t
 
@@ -28,9 +29,6 @@ val push : 'a t -> priority:int -> time:Rat.t -> tag:int -> 'a -> unit
     legitimate.  [tag] is any int, carried along unread.
     @raise Invalid_argument if [priority] is neither [0] nor [1]. *)
 
-val pop : 'a t -> (Rat.t * 'a) option
-(** Remove and return the earliest event, FIFO among equal times. *)
-
 val min_time : 'a t -> Rat.t
 (** Time of the earliest event, without removing it and without
     allocating.  @raise Invalid_argument on an empty queue. *)
@@ -40,12 +38,18 @@ val min_tag : 'a t -> int
     @raise Invalid_argument on an empty queue. *)
 
 val pop_min : 'a t -> 'a
-(** Remove and return the earliest event's payload (the allocation-free
-    variant of {!pop}; read {!min_time} and {!min_tag} first).
+(** Remove and return the earliest event's payload, FIFO among equal
+    times; allocates nothing (read {!min_time} and {!min_tag} first).
     @raise Invalid_argument on an empty queue. *)
-
-val peek_time : 'a t -> Rat.t option
 
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
+
+val capacity : 'a t -> int
+(** Slots the queue holds before its next growth. *)
+
+val reset : 'a t -> unit
+(** Empty the queue, keeping its arrays: every queued payload is
+    released and the sequence restarts at 0, so the queue then orders
+    and breaks ties exactly like a fresh one. *)

@@ -651,6 +651,150 @@ let test_crashed_invocations () =
           (function Sim.Trace.Invoke _ -> true | _ -> false)
           (Sim.Trace.events trace)))
 
+(* The event queue is the domain's spare, taken by [create] and given
+   back by [release].  A run in a fresh domain starts without one, so
+   it shows the run on a fresh queue. *)
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* Pings, waits and clock reads that tie at the same instants, so the
+   trace depends on the queue's FIFO tie-break. *)
+let tied_run e =
+  List.iter
+    (fun (at, proc, inv) -> Sim.Engine.schedule_invoke e ~at ~proc inv)
+    [
+      (Rat.zero, 0, "ping"); (Rat.zero, 1, "wait"); (Rat.zero, 2, "ping");
+      (rat 8 1, 1, "ping"); (rat 16 1, 0, "wait"); (rat 16 1, 2, "clock");
+    ];
+  Sim.Engine.run e;
+  Sim.Trace.events (Sim.Engine.trace e)
+
+(* A run cut by the step limit leaves entries in its queue.  Released,
+   that queue serves the next engine on the domain, whose run is the
+   one a fresh queue gives: the leftovers are gone and ties break as
+   on a fresh queue.  An engine created while the spare is held gets a queue
+   of its own, so the two runs side by side do not meet. *)
+let test_reused_queue_runs_like_fresh () =
+  let cut = make_engine ~on_local_time:no_clock () in
+  for proc = 0 to 2 do
+    Sim.Engine.schedule_invoke cut ~at:(Rat.of_int proc) ~proc "ping"
+  done;
+  (match Sim.Engine.run ~max_events:2 cut with
+  | exception Sim.Engine.Step_limit_exceeded 2 -> ()
+  | () -> Alcotest.fail "expected the step limit");
+  Sim.Engine.release cut;
+  let reused = make_engine ~on_local_time:no_clock () in
+  let own = make_engine ~on_local_time:no_clock () in
+  Sim.Engine.schedule_invoke own ~at:(rat 1 2) ~proc:0 "wait";
+  let expected =
+    in_fresh_domain (fun () ->
+        tied_run (make_engine ~on_local_time:no_clock ()))
+  in
+  Alcotest.(check int) "every event of the run" 28 (List.length expected);
+  Alcotest.(check bool) "the fresh queue's trace" true
+    (tied_run reused = expected);
+  Sim.Engine.run own;
+  Alcotest.(check int) "the other engine ran its own event alone" 1
+    (Sim.Trace.operation_count (Sim.Engine.trace own))
+
+(* A released engine refuses to schedule or run by name: its queue
+   may already serve another engine. *)
+let test_released_engine_refuses () =
+  let e = make_engine ~on_local_time:no_clock () in
+  Sim.Engine.schedule_invoke e ~at:Rat.zero ~proc:0 "ping";
+  Sim.Engine.release e;
+  Sim.Engine.release e;
+  Alcotest.check_raises "schedule_invoke"
+    (Invalid_argument "Engine.schedule_invoke: the engine's queue was released")
+    (fun () -> Sim.Engine.schedule_invoke e ~at:Rat.one ~proc:1 "ping");
+  Alcotest.check_raises "run"
+    (Invalid_argument "Engine.run: the engine's queue was released")
+    (fun () -> Sim.Engine.run e);
+  Alcotest.(check int) "the trace stays readable" 0
+    (Sim.Trace.event_count (Sim.Engine.trace e))
+
+(* Create an engine, drive a closed loop of two pings per process
+   through it and release it: the words that cost.  The queue peaks
+   below 16 entries, so a fresh queue costs its record (six fields and
+   a header) and one growth, to 16 slots: four arrays of 16 words and
+   a header. *)
+let closed_loop_words () =
+  let before = Gc.minor_words () in
+  let e = make_engine ~on_local_time:no_clock () in
+  let left = Array.make 3 1 in
+  Sim.Engine.set_response_callback e (fun ~proc ~inv:_ ~resp:_ ~time ->
+      if left.(proc) > 0 then begin
+        left.(proc) <- left.(proc) - 1;
+        Sim.Engine.schedule_invoke e ~at:time ~proc "ping"
+      end);
+  for proc = 0 to 2 do
+    Sim.Engine.schedule_invoke e ~at:(Rat.of_int proc) ~proc "ping"
+  done;
+  Sim.Engine.run e;
+  Sim.Engine.release e;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "six operations" 6
+    (Sim.Trace.operation_count (Sim.Engine.trace e));
+  words
+
+let fresh_queue = 7. +. (4. *. 17.)
+let warm_run_words = 580.
+
+(* Take the domain's spare and keep it: the next run starts cold. *)
+let hold_spare () = ignore (make_engine ~on_local_time:no_clock ())
+
+(* On a warm domain the run costs exactly the pinned words, the cold
+   run's less a fresh queue; a regression that builds and grows a
+   queue per run again fails here. *)
+let test_warm_run_words () =
+  hold_spare ();
+  let cold = closed_loop_words () in
+  let warm = closed_loop_words () in
+  Alcotest.(check (float 0.)) "warm run" warm_run_words warm;
+  Alcotest.(check (float 0.)) "cold - warm = a fresh queue" fresh_queue
+    (cold -. warm);
+  Alcotest.(check (float 0.)) "warm again" warm (closed_loop_words ())
+
+(* The same through [Core.Runtime], which releases after the step
+   limit too: a truncated Algorithm 1 run, then a full one, report as
+   the full one does in a fresh domain; and the full run gave its queue
+   back, so the next engine's run is warm. *)
+let test_runtime_reuse_after_truncation () =
+  let module R = Core.Runtime.Make (Spec.Fifo_queue) in
+  let config ?max_events () =
+    R.Config.make ?max_events ~model ~offsets:[| Rat.zero; rat 1 1; Rat.zero |]
+      ~delay:(Sim.Net.random_model ~seed:3 model)
+      ~algorithm:(R.Wtlw { x = rat 2 1 })
+      ~workload:(R.Closed_loop { per_proc = 4; think = Rat.one; seed = 7 })
+      ()
+  in
+  let report () = Format.asprintf "%a" R.pp_report (R.run (config ())) in
+  let cut = R.run (config ~max_events:25 ()) in
+  Alcotest.(check bool) "the first run was truncated" true cut.truncated;
+  Alcotest.(check string) "the fresh domain's report"
+    (in_fresh_domain report) (report ());
+  Alcotest.(check (float 0.)) "the queue was given back" warm_run_words
+    (closed_loop_words ())
+
+(* A queue of [max_spare_capacity] slots is kept; one that grew past
+   it is dropped, and the next run pays the growth again. *)
+let test_large_queue_dropped () =
+  let filled slots =
+    let e = make_engine ~on_local_time:no_clock () in
+    for i = 1 to slots do
+      Sim.Engine.schedule_invoke e ~at:(Rat.of_int i) ~proc:0 "clock"
+    done;
+    Sim.Engine.release e
+  in
+  hold_spare ();
+  let cold = closed_loop_words () in
+  let warm = closed_loop_words () in
+  filled Sim.Engine.max_spare_capacity;
+  Alcotest.(check (float 0.)) "a full spare is kept" warm
+    (closed_loop_words ());
+  filled (Sim.Engine.max_spare_capacity + 1);
+  Alcotest.(check (float 0.)) "a larger one is dropped" cold
+    (closed_loop_words ())
+
 let () =
   Alcotest.run "engine"
     [
@@ -696,5 +840,15 @@ let () =
             test_pairing_refusals;
           Alcotest.test_case "crashed process: first invocation recorded"
             `Quick test_crashed_invocations;
+          Alcotest.test_case "a reused queue runs like a fresh one" `Quick
+            test_reused_queue_runs_like_fresh;
+          Alcotest.test_case "runtime reuses the queue after truncation"
+            `Quick test_runtime_reuse_after_truncation;
+          Alcotest.test_case "a released engine refuses to run" `Quick
+            test_released_engine_refuses;
+          Alcotest.test_case "a warm run allocates no queue growth" `Quick
+            test_warm_run_words;
+          Alcotest.test_case "a queue above the spare capacity is dropped"
+            `Quick test_large_queue_dropped;
         ] );
     ]

@@ -8,12 +8,24 @@ let rat = Rat.make
 let push q ?(priority = 1) ~time x =
   Sim.Event_queue.push q ~priority ~time ~tag:0 x
 
+(* The earliest event and its time, as the engine's loop reads them:
+   [min_time], then [pop_min]; [None] on an empty queue. *)
+let pop q =
+  if Sim.Event_queue.is_empty q then None
+  else
+    let time = Sim.Event_queue.min_time q in
+    Some (time, Sim.Event_queue.pop_min q)
+
+let peek_time q =
+  if Sim.Event_queue.is_empty q then None
+  else Some (Sim.Event_queue.min_time q)
+
 let test_empty () =
   let q = Sim.Event_queue.create () in
   Alcotest.(check bool) "is_empty" true (Sim.Event_queue.is_empty q);
   Alcotest.(check int) "length 0" 0 (Sim.Event_queue.length q);
-  Alcotest.(check bool) "pop None" true (Sim.Event_queue.pop q = None);
-  Alcotest.(check bool) "peek None" true (Sim.Event_queue.peek_time q = None)
+  Alcotest.(check bool) "pop None" true (pop q = None);
+  Alcotest.(check bool) "peek None" true (peek_time q = None)
 
 let test_ordering () =
   let q = Sim.Event_queue.create () in
@@ -22,8 +34,8 @@ let test_ordering () =
   push q ~time:(rat 2 1) "b";
   Alcotest.(check (option string))
     "peek time is 1" (Some "1")
-    (Option.map Rat.to_string (Sim.Event_queue.peek_time q));
-  let pop_payload () = snd (Option.get (Sim.Event_queue.pop q)) in
+    (Option.map Rat.to_string (peek_time q));
+  let pop_payload () = snd (Option.get (pop q)) in
   Alcotest.(check string) "a first" "a" (pop_payload ());
   Alcotest.(check string) "b second" "b" (pop_payload ());
   Alcotest.(check string) "c third" "c" (pop_payload ());
@@ -33,7 +45,7 @@ let test_fifo_ties () =
   let q = Sim.Event_queue.create () in
   List.iter (fun s -> push q ~time:Rat.one s) [ "x"; "y"; "z" ];
   push q ~time:Rat.zero "first";
-  let order = List.init 4 (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
+  let order = List.init 4 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list string))
     "FIFO among equal times"
     [ "first"; "x"; "y"; "z" ]
@@ -46,15 +58,14 @@ let test_interleaved () =
   Alcotest.(check (option (pair string int)))
     "pop 1"
     (Some ("1", 1))
-    (Option.map (fun (t, v) -> (Rat.to_string t, v)) (Sim.Event_queue.pop q));
+    (Option.map (fun (t, v) -> (Rat.to_string t, v)) (pop q));
   push q ~time:(rat 3 1) 3;
   push q ~time:(rat 2 1) 2;
-  let rest = List.init 3 (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
+  let rest = List.init 3 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list int)) "sorted rest" [ 2; 3; 5 ] rest
 
 (* The allocation-free API the engine's hot loop uses: [min_time] then
-   [pop_min] must agree with [pop], and both must refuse an empty
-   queue. *)
+   [pop_min] drain in order, and both refuse an empty queue. *)
 let test_min_time_pop_min () =
   let q = Sim.Event_queue.create () in
   Alcotest.check_raises "min_time on empty"
@@ -150,37 +161,101 @@ let test_growth_allocates_four_arrays () =
     "four arrays of 32" (4. *. 33.)
     (Gc.minor_words () -. before)
 
-(* Property: interleaving pushes with pop_min drains exactly like the
-   Option-returning pop, across growth boundaries of the flat arrays. *)
+(* Property: [min_time], [min_tag] and [pop_min] drain the queue in
+   the order [pop] should give — the pushes stably sorted by time —
+   across growth boundaries of the flat arrays. *)
 let prop_pop_min_agrees_with_pop =
   QCheck.Test.make ~name:"pop_min/min_time agree with pop" ~count:200
     QCheck.(
       list_of_size (Gen.int_range 0 100) (pair (int_range 0 50) (int_range 1 9)))
     (fun entries ->
-      let q1 = Sim.Event_queue.create () in
-      let q2 = Sim.Event_queue.create () in
-      List.iteri
-        (fun i (n, d) ->
-          let time = Rat.make n d in
-          push q1 ~time i;
-          push q2 ~time i)
-        entries;
+      let q = Sim.Event_queue.create () in
+      let pushed = List.mapi (fun i (n, d) -> (Rat.make n d, i)) entries in
+      List.iter
+        (fun (time, i) -> Sim.Event_queue.push q ~priority:1 ~time ~tag:(-i) i)
+        pushed;
       let rec drain acc =
-        if Sim.Event_queue.is_empty q1 then List.rev acc
+        if Sim.Event_queue.is_empty q then List.rev acc
         else begin
-          let t1 = Sim.Event_queue.min_time q1 in
-          let v1 = Sim.Event_queue.pop_min q1 in
-          match Sim.Event_queue.pop q2 with
-          | Some (t2, v2) when Rat.equal t1 t2 && v1 = v2 ->
-              drain ((t1, v1) :: acc)
-          | _ -> raise Exit
+          let t = Sim.Event_queue.min_time q
+          and tag = Sim.Event_queue.min_tag q in
+          let v = Sim.Event_queue.pop_min q in
+          if tag <> -v then raise Exit;
+          drain ((t, v) :: acc)
         end
       in
       match drain [] with
       | drained ->
+          let expected =
+            List.stable_sort (fun (t1, _) (t2, _) -> Rat.compare t1 t2) pushed
+          in
           List.length drained = List.length entries
-          && Sim.Event_queue.pop q2 = None
+          && List.for_all2
+               (fun (t1, v1) (t2, v2) -> Rat.equal t1 t2 && v1 = v2)
+               drained expected
+          && pop q = None
       | exception Exit -> false)
+
+(* [reset] keeps the arrays and lets go of every payload still queued:
+   refilling up to the old capacity allocates nothing, and a payload
+   that was queued at the reset is no longer reachable from it. *)
+let test_reset_keeps_arrays_releases_payloads () =
+  let q = Sim.Event_queue.create () in
+  let weak = Weak.create 1 in
+  (fun () ->
+    let x = Bytes.make 8 'x' in
+    Weak.set weak 0 (Some x);
+    for i = 0 to 31 do
+      Sim.Event_queue.push q ~priority:1 ~time:(Rat.of_int i) ~tag:i x
+    done)
+    ();
+  ignore (Sim.Event_queue.pop_min q);
+  Sim.Event_queue.reset q;
+  Alcotest.(check int) "empty" 0 (Sim.Event_queue.length q);
+  Alcotest.(check int) "capacity kept" 32 (Sim.Event_queue.capacity q);
+  Gc.full_major ();
+  Alcotest.(check bool) "payload released" false (Weak.check weak 0);
+  let before = Gc.minor_words () in
+  for i = 0 to 31 do
+    Sim.Event_queue.push q ~priority:(i land 1) ~time:Rat.one ~tag:i Bytes.empty
+  done;
+  Alcotest.(check (float 0.)) "refill allocates nothing" 0.
+    (Gc.minor_words () -. before)
+
+(* Property: a queue reset with entries still in it, some popped, then
+   fed a second batch of pushes, drains the second batch exactly as a
+   fresh queue fed the same pushes does: times, tags and payloads. *)
+let prop_reset_like_fresh =
+  let batch =
+    QCheck.(
+      list_of_size (Gen.int_range 0 40)
+        (triple (int_range 0 5) (int_range 0 1) (int_range 1 3)))
+  in
+  QCheck.Test.make ~name:"a reset queue pops like a fresh one" ~count:200
+    QCheck.(triple batch (int_range 0 40) batch)
+    (fun (first, popped, second) ->
+      let feed q =
+        List.iteri
+          (fun i (n, p, d) ->
+            Sim.Event_queue.push q ~priority:p ~time:(Rat.make n d) ~tag:(-i) i)
+      in
+      let rec drain q acc =
+        if Sim.Event_queue.is_empty q then List.rev acc
+        else
+          let t = Sim.Event_queue.min_time q
+          and tag = Sim.Event_queue.min_tag q in
+          drain q ((Rat.to_string t, tag, Sim.Event_queue.pop_min q) :: acc)
+      in
+      let reused = Sim.Event_queue.create () in
+      feed reused first;
+      for _ = 1 to min popped (Sim.Event_queue.length reused) do
+        ignore (Sim.Event_queue.pop_min reused)
+      done;
+      Sim.Event_queue.reset reused;
+      feed reused second;
+      let fresh = Sim.Event_queue.create () in
+      feed fresh second;
+      drain reused [] = drain fresh [])
 
 (* Property: draining the queue yields times in non-decreasing order,
    whatever the insertion order, including fractional times. *)
@@ -195,7 +270,7 @@ let prop_sorted_drain =
       let q = Sim.Event_queue.create () in
       List.iteri (fun i t -> push q ~time:t i) times;
       let rec drain acc =
-        match Sim.Event_queue.pop q with
+        match pop q with
         | None -> List.rev acc
         | Some (t, _) -> drain (t :: acc)
       in
@@ -209,7 +284,7 @@ let prop_fifo_stability =
     (fun n ->
       let q = Sim.Event_queue.create () in
       List.iter (fun i -> push q ~time:Rat.one i) (List.init n Fun.id);
-      let popped = List.init n (fun _ -> snd (Option.get (Sim.Event_queue.pop q))) in
+      let popped = List.init n (fun _ -> snd (Option.get (pop q))) in
       popped = List.init n Fun.id)
 
 (* Property: tie-breaking among entries with equal (time, priority) is
@@ -235,7 +310,7 @@ let prop_duplicate_stability =
         pushed;
       let popped =
         List.init (List.length pushed) (fun _ ->
-            snd (Option.get (Sim.Event_queue.pop q)))
+            snd (Option.get (pop q)))
       in
       let expected =
         List.stable_sort
@@ -260,6 +335,8 @@ let () =
             test_push_pop_allocate_nothing;
           Alcotest.test_case "growth allocates four arrays" `Quick
             test_growth_allocates_four_arrays;
+          Alcotest.test_case "reset keeps arrays, releases payloads" `Quick
+            test_reset_keeps_arrays_releases_payloads;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -268,5 +345,6 @@ let () =
             prop_fifo_stability;
             prop_duplicate_stability;
             prop_pop_min_agrees_with_pop;
+            prop_reset_like_fresh;
           ] );
     ]
